@@ -1,10 +1,10 @@
 """Quaternionic operator toolkit.
 
 Dense right-linear operators over the quaternions with exact-structure
-embeddings into complex matrices, from-scratch eigensolvers, polar and
-Aluthge-family decompositions, operator-class predicates, and a
-deterministic randomized harness for the inequality theorems the library
-implements.
+embeddings into complex matrices, spectra solved on the embedded side
+through one LAPACK-backed eigensolver seam, polar and Aluthge-family
+decompositions, operator-class predicates, and a deterministic randomized
+harness for the inequality theorems the library implements.
 """
 
 from .errors import (ConvergenceError, DomainError, PreconditionError,

@@ -1,243 +1,49 @@
-"""Dense complex eigensolvers for the embedded matrices.
+"""The one eigensolver seam: every eigenproblem in qop is solved here.
 
-Two deterministic paths, both written against plain numpy arrays:
+Three thin wrappers over ``numpy.linalg`` (LAPACK):
 
-* ``eigh_jacobi``: cyclic Jacobi sweeps for Hermitian input.  Convergence
-  is declared when the off-diagonal Frobenius mass falls below a fixed
-  fraction of the Frobenius norm of the input; the sweep count is capped.
-* ``eig_qr``: Householder reduction to upper Hessenberg form followed by
-  Wilkinson-shifted QR iteration with deflation, eigenvalues only.
+* ``eigh``: ascending eigenvalues and orthonormal eigenvectors of a
+  Hermitian matrix;
+* ``eigvalsh``: ascending eigenvalues of a Hermitian matrix, or of each
+  matrix in a stack of shape (..., m, m);
+* ``eigvals``: eigenvalues of a general square matrix, in no set order.
 
-The sizes that reach these routines are small (at most 128 on a side),
-so clarity and determinism are worth more than asymptotic tricks.
+Callers reach them as module attributes (``_eig.eigh``), never through
+``from ._eig import``, so a reference solver can be swapped in for a whole
+run.  A LAPACK convergence failure is raised as ``ConvergenceError``.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import ConvergenceError
 
-_EPS = float(np.finfo(np.float64).eps)
+
+@contextmanager
+def _lapack_errors():
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = np.array(a)
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
+def eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix."""
+    with _lapack_errors():
+        w, v = np.linalg.eigh(matrix)
+    return w, v
 
 
-def eigh_jacobi(matrix: np.ndarray, *, off_tol: float = 1e-13,
-                max_sweeps: int = 40, want_vectors: bool = True):
-    """Eigenvalues (ascending) and optional eigenvectors of a Hermitian matrix.
-
-    One cyclic sweep visits every strictly upper pair (p, q) and applies a
-    complex plane rotation annihilating A[p, q].  For the pivot
-    [[alpha, g], [conj(g), beta]] the rotation is
-
-        R = [[c, s*phi], [-s*conj(phi), c]],  phi = g / |g|,
-
-    with tan(2*theta) picked by the stable tau/t recurrence, so the update
-    A <- R^H A R zeroes the pivot exactly.  Eigenvectors accumulate in the
-    columns of V.
-    """
-    a = np.array(matrix, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("eigh_jacobi expects a square matrix")
-    m = a.shape[0]
-    v = np.eye(m, dtype=np.complex128) if want_vectors else None
-    if m == 1:
-        w = np.array([a[0, 0].real])
-        return (w, v) if want_vectors else (w, None)
-
-    norm_all = float(np.linalg.norm(a))
-    if norm_all == 0.0:
-        w = np.zeros(m)
-        return (w, v) if want_vectors else (w, None)
-    skip = off_tol * norm_all / (2.0 * m * m)
-
-    converged = False
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) <= off_tol * norm_all:
-            converged = True
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                g = a[p, q]
-                absg = abs(g)
-                if absg <= skip:
-                    continue
-                alpha = a[p, p].real
-                beta = a[q, q].real
-                phi = g / absg
-                tau = (beta - alpha) / (2.0 * absg)
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.array([[c, s * phi], [-s * np.conj(phi), c]],
-                               dtype=np.complex128)
-                a[[p, q], :] = rot.conj().T @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                # the pivot is zero by construction; keep it exact
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                if want_vectors:
-                    v[:, [p, q]] = v[:, [p, q]] @ rot
-    else:
-        converged = _offdiag_norm(a) <= off_tol * norm_all
-    if not converged:
-        raise ConvergenceError(
-            f"Jacobi sweeps did not converge within {max_sweeps} sweeps")
-
-    w = np.real(np.diag(a))
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    if want_vectors:
-        return w, v[:, order]
-    return w, None
+def eigvalsh(matrices: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix or a stack of them."""
+    with _lapack_errors():
+        return np.linalg.eigvalsh(matrices)
 
 
-def _householder_hessenberg(a: np.ndarray) -> np.ndarray:
-    m = a.shape[0]
-    h = np.array(a, dtype=np.complex128)
-    for k in range(m - 2):
-        x = h[k + 1:, k]
-        nx = float(np.linalg.norm(x))
-        if nx == 0.0:
-            continue
-        x0 = x[0]
-        phase = x0 / abs(x0) if x0 != 0 else 1.0
-        alpha = -phase * nx
-        u = x.copy()
-        u[0] -= alpha
-        nu = float(np.linalg.norm(u))
-        if nu < _EPS * nx:
-            continue
-        u /= nu
-        # apply I - 2 u u^H from the left, then the right
-        h[k + 1:, k:] -= 2.0 * np.outer(u, u.conj() @ h[k + 1:, k:])
-        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ u, u.conj())
-        h[k + 2:, k] = 0.0
-    return h
-
-
-def _wilkinson_shift(a, b, c, d) -> complex:
-    # eigenvalue of [[a, b], [c, d]] closer to d
-    half = 0.5 * (a + d)
-    disc = np.sqrt(complex(0.25 * (a - d) ** 2 + b * c))
-    lam1 = half + disc
-    lam2 = half - disc
-    return lam1 if abs(lam1 - d) <= abs(lam2 - d) else lam2
-
-
-def _eig_2x2(a, b, c, d):
-    half = 0.5 * (a + d)
-    disc = np.sqrt(complex(0.25 * (a - d) ** 2 + b * c))
-    return half + disc, half - disc
-
-
-def _givens(a: complex, b: complex):
-    # unitary [[c, s], [-conj(s), c]] sending (a, b) to (r, 0), c real
-    absa = abs(a)
-    absb = abs(b)
-    if absb == 0.0:
-        return 1.0, 0.0 + 0.0j
-    if absa == 0.0:
-        return 0.0, b.conjugate() / absb
-    r = np.hypot(absa, absb)
-    c = absa / r
-    s = (a / absa) * np.conj(b) / r
-    return float(c), complex(s)
-
-
-def eig_qr(matrix: np.ndarray, *, max_iter_factor: int = 100) -> np.ndarray:
-    """All eigenvalues of a general complex matrix, in deflation order.
-
-    Explicit single-shift QR on the Hessenberg form: each step factors
-    H - mu*I with a chain of Givens rotations and reassembles R*Q + mu*I,
-    deflating whenever a subdiagonal entry is negligible relative to its
-    diagonal neighbours.  The shift is Wilkinson's, with an occasional
-    exceptional shift to break symmetric stalls.  The total step count is
-    capped at ``max_iter_factor`` times the matrix dimension.
-    """
-    a = np.asarray(matrix, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("eig_qr expects a square matrix")
-    m = a.shape[0]
-    if m == 0:
-        return np.zeros(0, dtype=np.complex128)
-    if m == 1:
-        return np.array([a[0, 0]], dtype=np.complex128)
-
-    norm_all = float(np.linalg.norm(a))
-    if norm_all == 0.0:
-        return np.zeros(m, dtype=np.complex128)
-
-    h = _householder_hessenberg(a)
-    eigs: list[complex] = []
-    hi = m - 1
-    steps = 0
-    stall = 0
-    max_steps = max_iter_factor * m
-
-    while hi >= 0:
-        if hi == 0:
-            eigs.append(complex(h[0, 0]))
-            hi -= 1
-            continue
-
-        # deflate negligible subdiagonals inside the active block
-        lo = hi
-        while lo > 0:
-            bound = _EPS * (abs(h[lo - 1, lo - 1]) + abs(h[lo, lo]))
-            if bound == 0.0:
-                bound = _EPS * norm_all
-            if abs(h[lo, lo - 1]) <= bound:
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-
-        if lo == hi:
-            eigs.append(complex(h[hi, hi]))
-            hi -= 1
-            stall = 0
-            continue
-        if lo == hi - 1:
-            lam1, lam2 = _eig_2x2(h[lo, lo], h[lo, hi], h[hi, lo], h[hi, hi])
-            eigs.extend([complex(lam1), complex(lam2)])
-            hi -= 2
-            stall = 0
-            continue
-
-        steps += 1
-        stall += 1
-        if steps > max_steps:
-            raise ConvergenceError(
-                f"QR iteration exceeded {max_steps} steps")
-
-        if stall % 30 == 0:
-            # deterministic kick off a limit cycle
-            mu = h[hi, hi] + 0.75 * abs(h[hi, hi - 1]) * (1.0 + 0.5j)
-        else:
-            mu = _wilkinson_shift(h[hi - 1, hi - 1], h[hi - 1, hi],
-                                  h[hi, hi - 1], h[hi, hi])
-
-        # explicit shifted QR sweep on the window [lo, hi]
-        idx = np.arange(lo, hi + 1)
-        h[idx, idx] -= mu
-        rotations = []
-        for k in range(lo, hi):
-            c, s = _givens(h[k, k], h[k + 1, k])
-            rotations.append((c, s))
-            g = np.array([[c, s], [-np.conj(s), c]], dtype=np.complex128)
-            h[[k, k + 1], k:hi + 1] = g @ h[[k, k + 1], k:hi + 1]
-            h[k + 1, k] = 0.0
-        for k, (c, s) in enumerate(rotations, start=lo):
-            g = np.array([[c, s], [-np.conj(s), c]], dtype=np.complex128)
-            top = min(k + 2, hi + 1)
-            h[lo:top, [k, k + 1]] = h[lo:top, [k, k + 1]] @ g.conj().T
-        h[idx, idx] += mu
-
-    return np.array(eigs, dtype=np.complex128)
+def eigvals(matrix: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a general complex matrix."""
+    with _lapack_errors():
+        return np.linalg.eigvals(np.asarray(matrix, dtype=np.complex128))

@@ -22,4 +22,4 @@ class StructureError(QopError, ValueError):
 
 
 class ConvergenceError(QopError, RuntimeError):
-    """An iterative solver hit its iteration cap before converging."""
+    """An eigensolver failed to converge."""

@@ -359,12 +359,18 @@ def unembed_chi(m: np.ndarray, *, tol: float = 1e-8, check: bool = True) -> QMat
     return _unembed_blocks(m)
 
 
+def _chi_eigvalsh(a: QMatrix) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of chi(a), each one twice.
+
+    The one "extreme eigenvalue" path: callers take an end of this array.
+    """
+    m = embed_chi(a)
+    return _eig.eigvalsh(0.5 * (m + m.conj().T))
+
+
 def operator_norm(a: QMatrix) -> float:
     """Largest singular value, via the top eigenvalue of A* A."""
-    gram = a.H @ a
-    m = embed_chi(gram)
-    w, _ = _eig.eigh_jacobi(0.5 * (m + m.conj().T), want_vectors=False)
-    return float(np.sqrt(max(float(w[-1]), 0.0)))
+    return float(np.sqrt(max(float(_chi_eigvalsh(a.H @ a)[-1]), 0.0)))
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import matio
-from ._eig import eigh_jacobi
+from . import _eig, matio
 from .errors import DomainError, PreconditionError, StructureError
 from .linalg import QMatrix, QVector, embed_chi, inner, operator_norm, outer, unembed_chi
 from .quaternion import Quaternion
@@ -51,12 +50,6 @@ class Margin:
     @property
     def violated(self) -> bool:
         return self.witness is not None
-
-
-def _min_eig_sym(a: QMatrix) -> float:
-    m = embed_chi(a)
-    w, _ = eigh_jacobi(0.5 * (m + m.conj().T), want_vectors=False)
-    return float(w[0])
 
 
 @dataclass(frozen=True)
@@ -94,7 +87,7 @@ def classify_basic(t: QMatrix, *, tol: float = DEFAULT_TOL) -> BasicClasses:
     pos_margin: float | None = None
     positive = False
     if selfadjoint:
-        pos_margin = _min_eig_sym(0.5 * (t + t.H))
+        pos_margin = min_eigenvalue(0.5 * (t + t.H))
         positive = pos_margin >= -thr
     return BasicClasses(
         selfadjoint=selfadjoint,
@@ -126,7 +119,7 @@ def is_p_hyponormal(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL) -> Margin
     half = parts.abs_power(2.0 * p)
     diff = half - parts.u @ half @ parts.u.H
     diff = 0.5 * (diff + diff.H)
-    value = _min_eig_sym(diff)
+    value = min_eigenvalue(diff)
     scale = max(1.0, opn ** (2.0 * p))
     witness = None
     if value < -tol * scale:
@@ -199,25 +192,21 @@ def is_paranormal(t: QMatrix, *, tol: float = DEFAULT_TOL, grid: int = 256,
     b_c = 0.5 * (b_c + b_c.conj().T)
     eye = np.eye(a_c.shape[0], dtype=np.complex128)
 
-    def grid_min(lam: float) -> float:
-        m = b_c - (2.0 * lam) * a_c + (lam * lam) * eye
-        w, _ = eigh_jacobi(m, want_vectors=False)
-        return float(w[0])
-
+    # the base grid, then two local refinements around the running best,
+    # each solved as one stack of pencils B - 2 lam A + lam^2 I
     hi = 2.0 * opn ** 2
     lams = np.linspace(0.0, hi, grid) if hi > 0 else np.array([0.0])
-    vals = np.array([grid_min(l) for l in lams])
-    best = int(np.argmin(vals))
-    best_lam, best_val = float(lams[best]), float(vals[best])
     span = hi / max(grid - 1, 1) if hi > 0 else 0.0
-    for _ in range(2):
+    best_lam, best_val = 0.0, np.inf
+    for _ in range(3):
+        lam = lams[:, None, None]
+        vals = _eig.eigvalsh(b_c - (2.0 * lam) * a_c + (lam * lam) * eye)[:, 0]
+        j = int(np.argmin(vals))
+        if vals[j] < best_val:
+            best_lam, best_val = float(lams[j]), float(vals[j])
         if span <= 0:
             break
-        local = np.linspace(max(best_lam - span, 0.0), best_lam + span, 17)
-        lv = np.array([grid_min(l) for l in local])
-        j = int(np.argmin(lv))
-        if lv[j] < best_val:
-            best_lam, best_val = float(local[j]), float(lv[j])
+        lams = np.linspace(max(best_lam - span, 0.0), best_lam + span, 17)
         span /= 8.0
 
     stream = SplitMix64(seed)
@@ -421,7 +410,7 @@ def check_lowner_heinz(s: QMatrix, t: QMatrix, r: float, *,
     ssys = eigh_q(0.5 * (s + s.H)) if s_system is None else s_system
     tsys = eigh_q(0.5 * (t + t.H)) if t_system is None else t_system
     diff = ssys.power_psd(r) - tsys.power_psd(r)
-    value = _min_eig_sym(0.5 * (diff + diff.H))
+    value = min_eigenvalue(0.5 * (diff + diff.H))
     scale = max(1.0, max(ssys.eigenvalues[-1], 0.0) ** r)
     witness = None
     if value < -tol * scale:
@@ -460,7 +449,7 @@ def check_furuta(a: QMatrix, b: QMatrix, p: float, q: float, r: float, *,
         lhs = eigh_q(x).power_psd(1.0 / q)
         rhs = outer_sys.power_psd(expo)
         diff = (lhs - rhs) if not flip else (rhs - lhs)
-        value = _min_eig_sym(0.5 * (diff + diff.H))
+        value = min_eigenvalue(0.5 * (diff + diff.H))
         scale = max(1.0, max(asys.eigenvalues[-1], 0.0) ** expo)
         witness = None
         if value < -tol * scale:
@@ -492,8 +481,8 @@ def check_chain_semihypo(t: QMatrix, *, tol: float = DEFAULT_TOL,
     u, abst = pp.u, pp.abs_t
     upper = u.H @ abst @ u - abst
     lower = abst - u @ abst @ u.H
-    m1 = _min_eig_sym(0.5 * (upper + upper.H))
-    m2 = _min_eig_sym(0.5 * (lower + lower.H))
+    m1 = min_eigenvalue(0.5 * (upper + upper.H))
+    m2 = min_eigenvalue(0.5 * (lower + lower.H))
     scale = max(1.0, opn)
     mk = lambda v: Margin(value=v, tolerance=tol,
                           witness=None if v >= -tol * scale else {"enforced": enforce},

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _eig
 from .errors import DomainError, PreconditionError, ShapeError, StructureError
-from .linalg import QMatrix, QVector, embed_chi, inner, unembed_chi
+from .linalg import QMatrix, QVector, _chi_eigvalsh, embed_chi, unembed_chi
 from .quaternion import Quaternion
 
 PAIR_TOL = 1e-8
@@ -49,6 +49,14 @@ def _require_square(t: QMatrix) -> int:
     if not t.is_square():
         raise ShapeError(f"square operator required, got {t.shape}")
     return t.rows
+
+
+def _require_selfadjoint(a: QMatrix, herm_tol: float) -> int:
+    n = _require_square(a)
+    dev = (a - a.H).frobenius()
+    if dev > herm_tol * max(1.0, a.frobenius()):
+        raise PreconditionError(f"operator is not self-adjoint (deviation {dev:.3e})")
+    return n
 
 
 @dataclass(frozen=True)
@@ -127,21 +135,30 @@ def _pair_real(w: np.ndarray, *, pair_tol: float) -> np.ndarray:
     return 0.5 * (a + b)
 
 
-def _gram_schmidt_accept(candidates: list[QVector], need: int) -> list[QVector]:
-    accepted: list[QVector] = []
-    for cand in candidates:
-        r = cand
-        for z in accepted:
-            r = r - z * inner(z, r)
-        nr = r.norm()
-        if nr > _GS_ACCEPT:
-            accepted.append(r * (1.0 / nr))
-        if len(accepted) == need:
-            break
-    if len(accepted) != need:
-        raise StructureError(
-            f"eigenvector recovery produced {len(accepted)} of {need} vectors")
-    return accepted
+def _quaternionic_basis(v: np.ndarray, need: int) -> list[QVector]:
+    """Right-orthonormal basis of the quaternionic span of the columns of v.
+
+    Pivoted Gram-Schmidt on the embedded side: each step takes the column
+    with the largest remaining norm and removes from every column its part
+    in span{x, J conj(x)}, the image of the quaternionic line through x.
+    Taking the largest residual first keeps the basis orthonormal to
+    working precision whatever basis of a degenerate cluster the solver
+    returned.
+    """
+    rest = np.array(v, dtype=np.complex128)
+    n = rest.shape[0] // 2
+    out: list[QVector] = []
+    for _ in range(need):
+        norms = np.linalg.norm(rest, axis=0)
+        k = int(np.argmax(norms))
+        if norms[k] <= _GS_ACCEPT:
+            raise StructureError(
+                f"eigenvector recovery produced {len(out)} of {need} vectors")
+        x = rest[:, k] / norms[k]
+        line = np.stack([x, np.concatenate([-np.conj(x[n:]), np.conj(x[:n])])], axis=1)
+        rest -= line @ (line.conj().T @ rest)
+        out.append(_unembed_vector(x))
+    return out
 
 
 def eigh_q(a: QMatrix, *, herm_tol: float = 1e-8,
@@ -153,13 +170,9 @@ def eigh_q(a: QMatrix, *, herm_tol: float = 1e-8,
     back, working cluster by cluster so repeated eigenvalues come out with
     a full orthonormal block.
     """
-    n = _require_square(a)
-    dev = (a - a.H).frobenius()
-    if dev > herm_tol * max(1.0, a.frobenius()):
-        raise PreconditionError(f"operator is not self-adjoint (deviation {dev:.3e})")
+    n = _require_selfadjoint(a, herm_tol)
     m = embed_chi(a)
-    m = 0.5 * (m + m.conj().T)
-    w2, v2 = _eig.eigh_jacobi(m)
+    w2, v2 = _eig.eigh(0.5 * (m + m.conj().T))
     mids = _pair_real(w2, pair_tol=pair_tol)
 
     scale = max(1.0, float(np.abs(mids).max(initial=0.0)))
@@ -174,10 +187,9 @@ def eigh_q(a: QMatrix, *, herm_tol: float = 1e-8,
     columns: list[QVector] = []
     for cluster in clusters:
         lam = float(np.mean([mids[t] for t in cluster]))
-        candidates = [_unembed_vector(v2[:, 2 * t + s]) for t in cluster for s in (0, 1)]
-        vecs = _gram_schmidt_accept(candidates, len(cluster))
         eigenvalues.extend([lam] * len(cluster))
-        columns.extend(vecs)
+        columns.extend(_quaternionic_basis(v2[:, 2 * cluster[0]:2 * cluster[-1] + 2],
+                                           len(cluster)))
 
     return HermitianEigensystem(
         eigenvalues=tuple(eigenvalues),
@@ -189,36 +201,54 @@ def eigh_q(a: QMatrix, *, herm_tol: float = 1e-8,
 
 def min_eigenvalue(a: QMatrix, *, herm_tol: float = 1e-8) -> float:
     """Smallest eigenvalue of a self-adjoint operator, no vectors formed."""
-    n = _require_square(a)
-    dev = (a - a.H).frobenius()
-    if dev > herm_tol * max(1.0, a.frobenius()):
-        raise PreconditionError(f"operator is not self-adjoint (deviation {dev:.3e})")
-    m = embed_chi(a)
-    w, _ = _eig.eigh_jacobi(0.5 * (m + m.conj().T), want_vectors=False)
-    return float(w[0])
+    return rayleigh_bounds(a, herm_tol=herm_tol)[0]
+
+
+def _tolerant_order(zs: list[complex], tol: float) -> list[complex]:
+    """Sort by real part, then by imaginary part within real parts ``tol`` apart.
+
+    Round-off in the real parts then cannot interleave points that differ
+    only in their imaginary parts, such as the spheres of i and 2i.
+    """
+    out: list[complex] = []
+    run: list[complex] = []
+    for z in sorted(zs, key=lambda z: z.real):
+        if run and z.real - run[0].real > tol:
+            out.extend(sorted(run, key=lambda z: z.imag))
+            run = []
+        run.append(z)
+    return out + sorted(run, key=lambda z: z.imag)
 
 
 def standard_eigenvalues(t: QMatrix, *, pair_tol: float = PAIR_TOL) -> tuple[complex, ...]:
     """The n standard (upper half-plane) eigenvalues, repeats included.
 
-    Computed from the embedded spectrum: fold every complex eigenvalue into
-    the closed upper half-plane, sort, and collapse adjacent pairs.
+    The spectrum of chi(T) is closed under conjugation.  Each eigenvalue is
+    paired with the nearest unused conjugate of another one, every pair is
+    collapsed to its midpoint folded into the upper half-plane, and the
+    result is ordered with ``pair_tol`` as the tie tolerance.
     """
     n = _require_square(t)
-    vals = _eig.eig_qr(embed_chi(t))
-    folded = np.where(vals.imag < 0.0, np.conj(vals), vals)
-    order = np.lexsort((folded.imag, folded.real))
-    folded = folded[order]
-    scale = max(1.0, float(np.abs(folded).max(initial=0.0)))
-    a, b = folded[0::2], folded[1::2]
-    gaps = np.abs(b - a)
-    if gaps.size and float(gaps.max()) > pair_tol * scale:
+    vals = _eig.eigvals(embed_chi(t))
+    scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
+    free = np.ones(vals.size, dtype=bool)
+    reps: list[complex] = []
+    worst = 0.0
+    for i in range(vals.size):
+        if not free[i]:
+            continue
+        free[i] = False
+        dist = np.where(free, np.abs(vals - np.conj(vals[i])), np.inf)
+        j = int(np.argmin(dist))
+        free[j] = False
+        worst = max(worst, float(dist[j]))
+        mid = 0.5 * (vals[i] + np.conj(vals[j]))
+        reps.append(complex(mid.real, abs(mid.imag)))
+    if worst > pair_tol * scale:
         raise StructureError(
-            f"conjugate pairing failure (worst gap {gaps.max():.3e} at scale {scale:.3e})")
-    mids = 0.5 * (a + b)
-    reps = tuple(complex(z.real, abs(z.imag)) for z in mids)
+            f"conjugate pairing failure (worst gap {worst:.3e} at scale {scale:.3e})")
     assert len(reps) == n
-    return reps
+    return tuple(_tolerant_order(reps, pair_tol * scale))
 
 
 @dataclass(frozen=True)
@@ -231,15 +261,21 @@ class SphericalSpectrum:
 
 
 def spherical_spectrum(t: QMatrix, *, merge_tol: float = MERGE_TOL) -> SphericalSpectrum:
-    """Distinct eigenvalue spheres of an operator, one representative each."""
+    """Distinct eigenvalue spheres of an operator, one representative each.
+
+    A standard eigenvalue joins the first class whose first member lies
+    within ``merge_tol`` (relative); classes keep the order of
+    ``standard_eigenvalues``.
+    """
     reps = standard_eigenvalues(t)
-    scale = max(1.0, max(abs(z) for z in reps))
-    classes: list[list[complex]] = [[reps[0]]]
-    for z in reps[1:]:
-        if abs(z - classes[-1][-1]) <= merge_tol * scale:
-            classes[-1].append(z)
-        else:
+    tol = merge_tol * max(1.0, max(abs(z) for z in reps))
+    classes: list[list[complex]] = []
+    for z in reps:
+        home = next((c for c in classes if abs(z - c[0]) <= tol), None)
+        if home is None:
             classes.append([z])
+        else:
+            home.append(z)
     centers = tuple(complex(np.mean([z.real for z in c]), np.mean([z.imag for z in c]))
                     for c in classes)
     mult = tuple(len(c) for c in classes)
@@ -253,11 +289,11 @@ def delta_q(t: QMatrix, q: Quaternion) -> QMatrix:
     return t @ t - t * (2.0 * q.w) + QMatrix.identity(n) * q.norm_squared()
 
 
-def _sigma_min(a: QMatrix) -> float:
-    gram = a.H @ a
-    m = embed_chi(gram)
-    w, _ = _eig.eigh_jacobi(0.5 * (m + m.conj().T), want_vectors=False)
-    return float(np.sqrt(max(float(w[0]), 0.0)))
+def _kernel_gap(t: QMatrix, rep: complex) -> float:
+    """Smallest singular value of Delta_rep over max(1, ||Delta_rep||_F)."""
+    d = delta_q(t, Quaternion(rep.real, rep.imag, 0.0, 0.0))
+    sigma_min = float(np.sqrt(max(min_eigenvalue(d.H @ d), 0.0)))
+    return sigma_min / max(1.0, d.frobenius())
 
 
 @dataclass(frozen=True)
@@ -279,8 +315,7 @@ def verify_point_spectrum(t: QMatrix, *, tol: float = 1e-6) -> tuple[PointSpectr
     spec = spherical_spectrum(t)
     checks = []
     for c in spec.classes:
-        d = delta_q(t, Quaternion(c.real, c.imag, 0.0, 0.0))
-        gap = _sigma_min(d) / max(1.0, d.frobenius())
+        gap = _kernel_gap(t, c)
         checks.append(PointSpectrumCheck(representative=c, kernel_gap=gap,
                                          verified=gap <= tol))
     return tuple(checks)
@@ -296,12 +331,24 @@ def spherical_point_spectrum(t: QMatrix, *, tol: float = 1e-6,
     """
     spec = spherical_spectrum(t, merge_tol=merge_tol)
     for c in spec.classes:
-        d = delta_q(t, Quaternion(c.real, c.imag, 0.0, 0.0))
-        gap = _sigma_min(d) / max(1.0, d.frobenius())
+        gap = _kernel_gap(t, c)
         if gap > tol:
             raise StructureError(
                 f"class {c} reported but Delta has no kernel (gap {gap:.3e})")
     return spec
+
+
+def _gram_singular_values(t: QMatrix) -> tuple[HermitianEigensystem, tuple[float, ...]]:
+    """Eigensystem of T* T and the singular values ||T v_i|| on its vectors.
+
+    The norms are measured, not taken as square roots of Gram eigenvalues:
+    forming the Gram squares the noise floor, so its eigenvalues cannot see
+    anything below sqrt(eps) times the top singular value, and a true
+    kernel direction would come out at about that size.
+    """
+    system = eigh_q(t.H @ t)
+    images = (t @ system.vectors).to_array()
+    return system, tuple(float(s) for s in np.sqrt((images ** 2).sum(axis=(0, 2))))
 
 
 def kernel_basis(a: QMatrix, *, rtol: float = 1e-8) -> list[QVector]:
@@ -312,10 +359,9 @@ def kernel_basis(a: QMatrix, *, rtol: float = 1e-8) -> list[QVector]:
     """
     if a.rows < a.cols:
         raise ShapeError("kernel extraction expects rows >= cols")
-    system = eigh_q(a.H @ a)
-    sigma = np.sqrt(np.maximum(np.array(system.eigenvalues), 0.0))
-    cutoff = rtol * max(1.0, float(sigma.max(initial=0.0)))
-    return [system.vectors.column(i) for i in range(system.dim) if sigma[i] <= cutoff]
+    system, sigma = _gram_singular_values(a)
+    cutoff = rtol * max(1.0, max(sigma))
+    return [system.vectors.column(i) for i, s in enumerate(sigma) if s <= cutoff]
 
 
 def spherical_eigenspace(t: QMatrix, rep: complex, *, count: int | None = None,
@@ -365,10 +411,6 @@ def rayleigh_bounds(t: QMatrix, *, herm_tol: float = 1e-8) -> tuple[float, float
 
     Every Rayleigh quotient of a unit vector lies in [m, M].
     """
-    n = _require_square(t)
-    dev = (t - t.H).frobenius()
-    if dev > herm_tol * max(1.0, t.frobenius()):
-        raise PreconditionError(f"operator is not self-adjoint (deviation {dev:.3e})")
-    m = embed_chi(t)
-    w, _ = _eig.eigh_jacobi(0.5 * (m + m.conj().T), want_vectors=False)
+    _require_selfadjoint(t, herm_tol)
+    w = _chi_eigvalsh(t)
     return float(w[0]), float(w[-1])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ShapeError
 from .linalg import QMatrix, QVector, outer
-from .spectral import HermitianEigensystem, eigh_q
+from .spectral import HermitianEigensystem, _gram_singular_values, eigh_q
 
 RANK_RTOL = 1e-12
 
@@ -84,14 +84,7 @@ def polar(t: QMatrix, *, rank_rtol: float = RANK_RTOL) -> PolarParts:
     """
     if not t.is_square():
         raise ShapeError(f"polar decomposition needs a square operator, got {t.shape}")
-    system = eigh_q(t.H @ t)
-
-    # a true kernel direction of T surfaces in the Gram spectrum as an
-    # eps * lambda_max smear, i.e. sqrt(eps) * sigma_max after the root,
-    # which no 1e-12-relative cutoff can separate from signal; the direct
-    # norms resolve it at working precision and keep 1/sigma off the noise
-    cols = [system.vectors.column(i) for i in range(system.dim)]
-    sigma = tuple(float((t @ v).norm()) for v in cols)
+    system, sigma = _gram_singular_values(t)
     tau = rank_rtol * max(sigma, default=0.0)
     keep = [s > tau for s in sigma]
     rank = sum(keep)
@@ -99,7 +92,7 @@ def polar(t: QMatrix, *, rank_rtol: float = RANK_RTOL) -> PolarParts:
     abs_t = _modulus_function(system, sigma, tau, lambda x: x)
     u = t @ _modulus_function(system, sigma, tau, lambda x: 1.0 / x)
 
-    kernel = tuple(cols[i] for i in range(system.dim) if not keep[i])
+    kernel = tuple(system.vectors.column(i) for i in range(system.dim) if not keep[i])
 
     # rank T = rank T*, but near-zero eigenvalues of T T* carry absolute
     # roundoff ~ eps * sigma_max^2, far above tau^2; take the count from the

@@ -83,6 +83,18 @@ def test_spectrum_classes(tmp_path, capsys):
     assert out["radius"] == pytest.approx(2.0)
 
 
+def test_spectrum_of_generated_i_j_2k(tmp_path, capsys):
+    # i and j share a sphere whose real parts differ only by round-off
+    path = str(tmp_path / "t.json")
+    assert main(["gen", "normal-with-spectrum", "--dim", "3", "--seed", "0",
+                 "--spectrum", "0,1,0,0;0,0,1,0;0,0,0,2", "-o", path]) == 0
+    capsys.readouterr()
+    assert main(["spectrum", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert sum(out["classes"], []) == pytest.approx([0.0, 1.0, 0.0, 2.0], abs=1e-10)
+    assert out["radius"] == pytest.approx(2.0)
+
+
 def test_verify_pass_and_determinism(capsys):
     argv = ["verify", "tu-star", "--trials", "3", "--seed", "2", "--dim", "3"]
     assert main(argv) == 0

@@ -1,12 +1,24 @@
-"""The from-scratch solvers are held against numpy.linalg on random inputs;
-numpy stays on the test side only."""
+"""The eigensolver seam ``qop._eig`` and the test-side Jacobi reference.
+
+The Jacobi solver in ``jacobi_reference`` is held against numpy.linalg on
+random inputs; the general eigensolver is checked through invariants that
+do not reuse it (trace, determinant, singularity of A - lambda I).  A
+LAPACK failure must reach callers as ``ConvergenceError``.
+"""
 
 import numpy as np
 import pytest
 
-from qop._eig import eig_qr, eigh_jacobi
+from jacobi_reference import eigh_jacobi
+from qop import _eig
+from qop.cli import main
 from qop.errors import ConvergenceError
+from qop.generators import hermitian
+from qop.linalg import QMatrix, operator_norm
+from qop.matio import save_matrix
+from qop.quaternion import I, J
 from qop.rng import SplitMix64
+from qop.spectral import eigh_q, standard_eigenvalues
 
 
 def _random_hermitian(n, seed):
@@ -73,24 +85,39 @@ def test_jacobi_rejects_nonsquare():
         eigh_jacobi(np.zeros((2, 3), dtype=complex))
 
 
+def test_seam_eigvalsh_solves_a_stack_like_the_reference():
+    stack = np.array([_random_hermitian(6, seed=250 + k) for k in range(5)])
+    w = _eig.eigvalsh(stack)
+    assert w.shape == (5, 6)
+    for wk, a in zip(w, stack):
+        ref, _ = eigh_jacobi(a, want_vectors=False)
+        assert np.allclose(wk, ref, rtol=0.0, atol=1e-11 * max(1.0, np.abs(ref).max()))
+
+
 def _sorted_pairs(z):
     return sorted((round(float(x.real), 9), round(float(x.imag), 9)) for x in z)
+
+
+# The general eigensolver behind _eig.eigvals is LAPACK's shifted
+# Hessenberg QR; these cases pin what the seam must return.
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 11])
 def test_qr_eigenvalues_match_numpy(n):
     a = _random_complex(n, seed=300 + n)
-    ours = eig_qr(a)
-    ref = np.linalg.eigvals(a)
-    scale = max(1.0, np.abs(ref).max())
-    ours_s = sorted(ours, key=lambda z: (z.real, z.imag))
-    ref_s = sorted(ref, key=lambda z: (z.real, z.imag))
-    assert all(abs(x - y) <= 1e-8 * scale for x, y in zip(ours_s, ref_s))
+    w = _eig.eigvals(a)
+    assert w.shape == (n,) and w.dtype == np.complex128
+    scale = max(1.0, float(np.linalg.norm(a)))
+    assert abs(w.sum() - np.trace(a)) <= 1e-10 * scale
+    assert abs(np.prod(w) - np.linalg.det(a)) <= 1e-10 * scale ** n
+    for lam in w:
+        sigma_min = np.linalg.svd(a - lam * np.eye(n), compute_uv=False)[-1]
+        assert sigma_min <= 1e-12 * scale
 
 
 def test_qr_on_defective_jordan_block():
     j = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]], dtype=complex)
-    w = eig_qr(j)
+    w = _eig.eigvals(j)
     assert np.allclose(sorted(w.real), [2.0, 2.0, 2.0], atol=1e-5)
     assert np.abs(w.imag).max() <= 1e-5
 
@@ -99,28 +126,48 @@ def test_qr_on_normal_matrix_recovers_exact_spectrum():
     q, _ = np.linalg.qr(_random_complex(5, seed=9))
     spec = np.array([1.0 + 2.0j, 1.0 - 2.0j, -3.0, 0.5j, 4.0])
     a = q @ np.diag(spec) @ q.conj().T
-    w = eig_qr(a)
+    w = _eig.eigvals(a)
     assert _sorted_pairs(w) == pytest.approx(_sorted_pairs(spec), abs=1e-8)
 
 
 def test_qr_triangular_and_zero():
     t = np.triu(_random_complex(6, seed=11))
-    w = eig_qr(t)
+    w = _eig.eigvals(t)
     assert _sorted_pairs(w) == pytest.approx(_sorted_pairs(np.diag(t)), abs=1e-9)
-    assert np.array_equal(eig_qr(np.zeros((3, 3), dtype=complex)),
+    assert np.array_equal(_eig.eigvals(np.zeros((3, 3), dtype=complex)),
                           np.zeros(3, dtype=complex))
 
 
 def test_qr_rotation_with_imaginary_pairs():
     c, s = np.cos(0.7), np.sin(0.7)
-    rot = np.array([[c, -s], [s, c]], dtype=complex)
-    w = eig_qr(rot)
+    rot = np.array([[c, -s], [s, c]])
+    w = _eig.eigvals(rot)
     got = _sorted_pairs(w)
     want = _sorted_pairs([complex(c, s), complex(c, -s)])
     assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_qr_step_cap_raises():
-    a = _random_complex(6, seed=13)
+@pytest.fixture
+def lapack_fails(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    for name in ("eigh", "eigvalsh", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, fail)
+
+
+def test_lapack_failure_is_convergence_error(lapack_fails):
+    t = hermitian(3, seed=1)
     with pytest.raises(ConvergenceError):
-        eig_qr(a, max_iter_factor=0)
+        eigh_q(t)
+    with pytest.raises(ConvergenceError):
+        operator_norm(t)
+    with pytest.raises(ConvergenceError):
+        standard_eigenvalues(t)
+
+
+def test_lapack_failure_exits_two_from_cli(tmp_path, capsys, lapack_fails):
+    path = tmp_path / "t.json"
+    save_matrix(str(path), QMatrix.diag([I, J]))
+    assert main(["spectrum", str(path)]) == 2
+    assert "did not converge" in capsys.readouterr().err

@@ -4,10 +4,11 @@ import math
 import pytest
 
 from qop.errors import DomainError, PreconditionError
-from qop.harness import (PROPERTIES, _EVALUATORS, _hausdorff, TrialOutcome,
-                         evaluate_instance, minimize_counterexample,
-                         run_fuzz, run_verify)
+from qop.harness import (DEFAULT_TOL, PROPERTIES, _EVALUATORS, _hausdorff,
+                         TrialContext, TrialOutcome, evaluate_instance,
+                         minimize_counterexample, run_fuzz, run_verify)
 from qop.linalg import QMatrix, QVector
+from qop.oracles import check_kernel_reduction
 from qop.rng import mix_seed
 
 
@@ -158,3 +159,14 @@ def test_hausdorff_distance():
     assert _hausdorff([0j], [3 + 4j]) == pytest.approx(5.0)
     assert _hausdorff([0j, 1 + 0j], [0j]) == pytest.approx(1.0)
     assert _hausdorff([0j, 1 + 0j], [1 + 0j, 0j]) == 0.0
+
+
+@pytest.mark.parametrize("dim,trials", [(4, 40), (8, 12), (16, 6)])
+def test_kernel_reduction_finds_every_constructed_zero(dim, trials):
+    trial = PROPERTIES["kernel-reduction"]
+    for idx in range(trials):
+        t = trial(TrialContext(mix_seed(42, idx), idx, dim, DEFAULT_TOL, False)).instance["T"]
+        zeros = 1 + idx % (dim - 1)  # the trial's own count of zero eigenvalues
+        report = check_kernel_reduction(t)
+        assert (report.dim_ker, report.dim_ker_star, report.dim_ker_sq) == (zeros,) * 3
+        assert report.passes

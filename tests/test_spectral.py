@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qop.errors import DomainError, PreconditionError, StructureError
 from qop.generators import ginibre, hermitian, normal_with_spectrum, positive
@@ -197,3 +199,40 @@ def test_eigenvalue_pairing_on_random_hermitian_embeddings():
         assert len(sys.eigenvalues) == 3
         ref = np.linalg.eigvalsh(embed_chi(t))
         assert np.allclose(ref[0::2], ref[1::2], atol=1e-8 * max(1.0, np.abs(ref).max()))
+
+
+# Spheres are drawn from a coarse grid of real parts and radii, so two
+# eigenvalues share a sphere exactly or sit at least 1 apart; random axes
+# make the same sphere show up as different quaternions (i and j, say).
+_SPHERE = st.tuples(st.sampled_from([-1.0, 0.0, 1.0, 2.0]),   # real part
+                    st.sampled_from([0.0, 1.0, 2.0]),         # radius
+                    st.tuples(*[st.floats(-1.0, 1.0)] * 3))   # axis
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(spheres=st.lists(_SPHERE, min_size=1, max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_spherical_spectrum_of_rotated_sphere_spectra(spheres, seed):
+    vals, want = [], {}
+    for w, r, axis in spheres:
+        norm = float(np.linalg.norm(axis))
+        ux, uy, uz = (a / norm for a in axis) if norm > 1e-3 else (1.0, 0.0, 0.0)
+        vals.append(Quaternion(w, r * ux, r * uy, r * uz))
+        want[complex(w, r)] = want.get(complex(w, r), 0) + 1
+    spec = spherical_spectrum(normal_with_spectrum(vals, seed=seed))
+    got = dict(zip(spec.classes, spec.multiplicities))
+    assert len(got) == len(want)
+    for rep, mult in want.items():
+        match = [c for c in got if abs(c - rep) <= 1e-8]
+        assert len(match) == 1 and got[match[0]] == mult
+    # ordered by real part, then imaginary part, with round-off tied
+    for a, b in zip(spec.classes, spec.classes[1:]):
+        assert a.real < b.real - 0.5 or (abs(a.real - b.real) <= 1e-8 and a.imag < b.imag)
+
+
+def test_sphere_spectrum_i_j_2k_on_every_seed():
+    vals = [I, J, K * Quaternion.from_real(2.0)]
+    for seed in range(40):
+        spec = spherical_spectrum(normal_with_spectrum(vals, seed=seed))
+        assert spec.classes == pytest.approx([1.0j, 2.0j], abs=1e-10)
+        assert spec.multiplicities == (2, 1)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from qop.errors import DomainError, ShapeError
-from qop.generators import ginibre, normal_with_spectrum, positive, random_unitary
+from qop.generators import (ginibre, normal_with_spectrum, partial_isometry, positive,
+                            random_unitary)
 from qop.linalg import QMatrix, operator_norm
 from qop.quaternion import I, Quaternion
 from qop.spectral import is_psd
@@ -167,3 +168,16 @@ def test_polar_parts_reused_by_transforms():
     a1 = aluthge(t)
     a2 = aluthge(t, parts=parts)
     assert (a1 - a2).frobenius() <= 1e-14
+
+
+@pytest.mark.parametrize("n,defect", [(16, 4), (24, 6), (32, 8)])
+def test_polar_of_partial_isometry_reconstructs_to_working_precision(n, defect):
+    # T* T is a projector: two repeated eigenvalues, each returned by the
+    # solver in an arbitrary basis that eigh_q must make orthonormal
+    for seed in range(5):
+        t = partial_isometry(n, defect, seed=seed)
+        parts = polar(t)
+        v = parts.gram_system.vectors
+        assert (v.H @ v - QMatrix.identity(n)).frobenius() <= 1e-12 * n
+        assert parts.rank == n - defect and len(parts.kernel) == defect
+        assert (parts.reconstruct() - t).frobenius() <= 1e-12 * t.frobenius()
