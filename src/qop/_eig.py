@@ -1,12 +1,13 @@
 """The one eigensolver seam: every eigenproblem in qop is solved here.
 
-Three thin wrappers over ``numpy.linalg`` (LAPACK):
+Four thin wrappers over ``numpy.linalg`` (LAPACK):
 
 * ``eigh``: ascending eigenvalues and orthonormal eigenvectors of a
   Hermitian matrix;
 * ``eigvalsh``: ascending eigenvalues of a Hermitian matrix, or of each
   matrix in a stack of shape (..., m, m);
-* ``eigvals``: eigenvalues of a general square matrix, in no set order.
+* ``eigvals``: eigenvalues of a general square matrix, in no set order;
+* ``svd``: thin singular value decomposition, singular values descending.
 
 Callers reach them as module attributes (``_eig.eigh``), never through
 ``from ._eig import``, so a reference solver can be swapped in for a whole
@@ -47,3 +48,12 @@ def eigvals(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a general complex matrix."""
     with _lapack_errors():
         return np.linalg.eigvals(np.asarray(matrix, dtype=np.complex128))
+
+
+def svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD ``matrix = W diag(s) Vh`` with ``s`` descending.
+
+    For an m x k matrix, W is m x min(m, k) and Vh is min(m, k) x k.
+    """
+    with _lapack_errors():
+        return np.linalg.svd(np.asarray(matrix, dtype=np.complex128), full_matrices=False)

@@ -303,30 +303,34 @@ def _block_unitary(dim: int, seed: int) -> tuple[QMatrix, QMatrix]:
 def _trial_gcsi_closure(ctx: TrialContext) -> TrialOutcome:
     which = _CLOSURE_CYCLE[ctx.index % len(_CLOSURE_CYCLE)]
     stream = SplitMix64(mix_seed(ctx.trial_seed, 0))
-    kwargs: dict[str, Any] = {}
+    inst: dict[str, Any] = {"which": which, "seed": mix_seed(ctx.trial_seed, 3)}
     if which == "compression":
-        t, proj = _block_unitary(ctx.dim, mix_seed(ctx.trial_seed, 1))
-        kwargs["projector"] = proj
+        inst["T"], inst["projector"] = _block_unitary(ctx.dim, mix_seed(ctx.trial_seed, 1))
     else:
-        t = generators.random_unitary(ctx.dim, seed=mix_seed(ctx.trial_seed, 1))
+        inst["T"] = generators.random_unitary(ctx.dim, seed=mix_seed(ctx.trial_seed, 1))
         if which == "scalar":
-            kwargs["scalar"] = 0.5 + 2.0 * stream.uniform(0.0, 1.0)
+            inst["scalar"] = 0.5 + 2.0 * stream.uniform(0.0, 1.0)
         elif which == "unitary-equiv":
-            kwargs["unitary"] = generators.random_unitary(
+            inst["unitary"] = generators.random_unitary(
                 ctx.dim, seed=mix_seed(ctx.trial_seed, 2))
-    report = oracles.check_gcsi_closure(t, which, beta=0.5, budget=300,
-                                        seed=mix_seed(ctx.trial_seed, 3),
-                                        tol=ctx.tol, **kwargs)
-    base = report.base.value / _scale_op(t)
-    scale_s = max(1.0, abs(kwargs.get("scalar", 1.0)) * operator_norm(t))
-    transformed = report.transformed.value / scale_s
-    norm = min(base, transformed)
+    norm, report = _closure_margin(inst, ctx.tol)
     wit = None
     if norm < -ctx.tol:
-        wit = {"which": which, "T": matio.matrix_to_json(t)}
+        wit = {"which": which, "T": matio.matrix_to_json(inst["T"])}
         if report.transformed.witness is not None:
             wit["pair"] = report.transformed.witness
-    return TrialOutcome(norm, wit, {"T": t, "which": which, **kwargs})
+    return TrialOutcome(norm, wit, inst)
+
+
+def _closure_margin(inst: dict[str, Any], tol: float) -> tuple[float, oracles.ClosureReport]:
+    """Base and transformed margins, each over its own operator's scale."""
+    t = inst["T"]
+    kwargs = {k: inst[k] for k in ("scalar", "unitary", "projector") if k in inst}
+    report = oracles.check_gcsi_closure(t, inst["which"], beta=0.5, budget=300,
+                                        seed=inst["seed"], tol=tol, **kwargs)
+    base = report.base.value / _scale_op(t)
+    scale_s = max(1.0, abs(kwargs.get("scalar", 1.0)) * operator_norm(t))
+    return min(base, report.transformed.value / scale_s), report
 
 
 def _kernel_margin(report: oracles.KernelReport, t: QMatrix) -> float:
@@ -573,10 +577,7 @@ def _eval_eigenspace(inst: dict[str, Any], tol: float) -> float:
 
 
 def _eval_gcsi_closure(inst: dict[str, Any], tol: float) -> float:
-    kwargs = {k: inst[k] for k in ("scalar", "unitary", "projector") if k in inst}
-    report = oracles.check_gcsi_closure(inst["T"], inst["which"], beta=0.5,
-                                        budget=300, seed=0, tol=tol, **kwargs)
-    return min(report.base.value, report.transformed.value) / _scale_op(inst["T"])
+    return _closure_margin(inst, tol)[0]
 
 
 def _eval_kernel_reduction(inst: dict[str, Any], tol: float) -> float:

@@ -114,7 +114,7 @@ def is_p_hyponormal(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL) -> Margin
     parts = polar(t)
     opn = max(parts.sigmas, default=0.0)
     # (T*T)^p = |T|^{2p} and (TT*)^p = U |T|^{2p} U*; both sides built on
-    # the same measured singular values, so a numerically smeared kernel
+    # the same SVD singular values, so a numerically smeared kernel
     # cannot fake an order violation through the fractional power
     half = parts.abs_power(2.0 * p)
     diff = half - parts.u @ half @ parts.u.H
@@ -472,7 +472,7 @@ def check_chain_semihypo(t: QMatrix, *, tol: float = DEFAULT_TOL,
     nearby non-members set ``enforce=False`` and read the degradation.
     """
     pp = polar(t) if parts is None else parts
-    opn = float(np.sqrt(max(pp.gram_system.eigenvalues[-1], 0.0)))
+    opn = max(pp.sigmas)
     if enforce:
         semi = is_p_hyponormal(t, 0.5, tol=tol)
         if semi.value < -tol * max(1.0, opn):
@@ -582,12 +582,11 @@ def check_eigenspace_reducing(t: QMatrix, q: Quaternion, *,
 
 def invert(t: QMatrix, *, rtol: float = 1e-10) -> QMatrix:
     """Inverse through the complex embedding; structure-checked on the way back."""
-    m = embed_chi(t)
-    sing = np.linalg.svd(m, compute_uv=False)
+    w, sing, vh = _eig.svd(embed_chi(t))
     if sing[-1] <= rtol * sing[0]:
         ratio = sing[-1] / sing[0] if sing[0] > 0.0 else 0.0
         raise DomainError(f"operator is singular (sigma_min/sigma_max = {ratio:.3e})")
-    return unembed_chi(np.linalg.inv(m), tol=1e-6)
+    return unembed_chi((vh.conj().T / sing) @ w.conj().T, tol=1e-6)
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,12 @@ def _require_selfadjoint(a: QMatrix, herm_tol: float) -> int:
     return n
 
 
+def _hermitian_from_chi(v: np.ndarray, fw: np.ndarray) -> QMatrix:
+    """Pull back V diag(fw) V*: orthonormal columns in whole pairs, real weights."""
+    m = (v * fw[None, :]) @ v.conj().T
+    return unembed_chi(0.5 * (m + m.conj().T), tol=1e-6)
+
+
 @dataclass(frozen=True)
 class HermitianEigensystem:
     """Diagonalization A = V diag(w) V* of a self-adjoint operator.
@@ -88,9 +94,7 @@ class HermitianEigensystem:
         fw = np.asarray(f(self._w2), dtype=np.float64)
         if fw.shape != self._w2.shape or not np.all(np.isfinite(fw)):
             raise DomainError("scalar function must return finite reals on the spectrum")
-        m = (self._v2 * fw[None, :]) @ self._v2.conj().T
-        m = 0.5 * (m + m.conj().T)
-        return unembed_chi(m, tol=1e-6)
+        return _hermitian_from_chi(self._v2, fw)
 
     def reconstruct(self) -> QMatrix:
         return self.apply(lambda w: w)
@@ -159,6 +163,24 @@ def _quaternionic_basis(v: np.ndarray, need: int) -> list[QVector]:
         rest -= line @ (line.conj().T @ rest)
         out.append(_unembed_vector(x))
     return out
+
+
+def _null_basis(v: np.ndarray, need: int) -> tuple[QVector, ...]:
+    """``_quaternionic_basis`` with each vector's largest entry made real and
+    positive by a right unit factor, so a null line does not depend on the solver."""
+    out = []
+    for x in _quaternionic_basis(v, need):
+        lead = x[int(np.argmax((x.to_array() ** 2).sum(axis=1)))]
+        out.append(x * (lead.conjugate() / lead.norm()))
+    return tuple(out)
+
+
+def _chi_svd(a: QMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W, sigma, V) from the thin SVD chi(a) = W S V*.  chi(a) has every singular
+    value twice: ``sigma`` holds the pair means, descending, and columns
+    2k, 2k + 1 of W and V belong to ``sigma[k]``."""
+    w, s2, vh = _eig.svd(embed_chi(a))
+    return w, s2.reshape(-1, 2).mean(axis=1), vh.conj().T
 
 
 def eigh_q(a: QMatrix, *, herm_tol: float = 1e-8,
@@ -338,30 +360,19 @@ def spherical_point_spectrum(t: QMatrix, *, tol: float = 1e-6,
     return spec
 
 
-def _gram_singular_values(t: QMatrix) -> tuple[HermitianEigensystem, tuple[float, ...]]:
-    """Eigensystem of T* T and the singular values ||T v_i|| on its vectors.
-
-    The norms are measured, not taken as square roots of Gram eigenvalues:
-    forming the Gram squares the noise floor, so its eigenvalues cannot see
-    anything below sqrt(eps) times the top singular value, and a true
-    kernel direction would come out at about that size.
-    """
-    system = eigh_q(t.H @ t)
-    images = (t @ system.vectors).to_array()
-    return system, tuple(float(s) for s in np.sqrt((images ** 2).sum(axis=(0, 2))))
-
-
 def kernel_basis(a: QMatrix, *, rtol: float = 1e-8) -> list[QVector]:
     """Right-orthonormal basis of ker A, possibly empty.
 
+    The basis spans the trailing right singular vectors of chi(A).
     Singular values at or below ``rtol`` times max(1, largest singular
-    value) count as zero.
+    value) count as zero; they come from the SVD, accurate to eps times the
+    largest, so a true kernel direction is never mistaken for a small one.
     """
     if a.rows < a.cols:
         raise ShapeError("kernel extraction expects rows >= cols")
-    system, sigma = _gram_singular_values(a)
-    cutoff = rtol * max(1.0, max(sigma))
-    return [system.vectors.column(i) for i, s in enumerate(sigma) if s <= cutoff]
+    _, sigma, v = _chi_svd(a)
+    rank = int(np.count_nonzero(sigma > rtol * max(1.0, float(sigma[0]))))
+    return list(_null_basis(v[:, 2 * rank:], a.cols - rank))
 
 
 def spherical_eigenspace(t: QMatrix, rep: complex, *, count: int | None = None,

@@ -1,13 +1,13 @@
 """Polar decomposition and the transforms built from it.
 
 Every square operator factors as T = U |T| with |T| = (T* T)^{1/2} and U a
-partial isometry vanishing on ker T.  Directions come from one eigensystem
-of the Gram operator T* T; singular values are then measured directly as
-||T v_i|| on those directions, because forming the Gram squares the noise
-floor and its eigenvalues cannot see anything below sqrt(eps) times the
-top singular value.  The eigensystem is kept on the result so the
-fractional powers |T|^s needed by the transforms reuse it instead of
-re-diagonalizing.
+partial isometry vanishing on ker T.  Both factors come from one singular
+value decomposition of the embedded matrix, chi(T) = W S V*: U is the
+pull-back of W_r V_r* and |T|^s that of V_r S_r^s V_r*, over the singular
+pairs above the rank cutoff (Higham, Functions of Matrices, ch. 8).  The
+singular values are accurate to eps times the largest, so the rank is
+decided without squaring the noise floor, and the trailing columns of V
+and W span ker T and ker T* at no extra cost.
 
 The transforms sandwich powers of the modulus between pieces of the
 isometry: the usual transform |T|^{1/2} U |T|^{1/2}, its one-parameter
@@ -19,9 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, ShapeError
-from .linalg import QMatrix, QVector, outer
-from .spectral import HermitianEigensystem, _gram_singular_values, eigh_q
+from .linalg import QMatrix, QVector, outer, unembed_chi
+from .spectral import _chi_svd, _hermitian_from_chi, _null_basis
 
 RANK_RTOL = 1e-12
 
@@ -31,13 +33,11 @@ class PolarParts:
     """T = U |T| with U a partial isometry, ker U = ker T.
 
     ``tau`` is the absolute singular-value cutoff that decided ``rank``.
-    ``sigmas`` are the singular values in the eigensystem's ascending
-    order, measured as ||T v_i||, not as square roots of Gram eigenvalues.
-    ``kernel`` and ``cokernel`` are right-orthonormal bases of ker T and
-    ker T*, listed in ascending singular-value order so that index k of one
-    matches index k of the other.  ``gram_system`` is the eigensystem of
-    T* T; modulus powers reuse its directions at no extra factorization
-    cost.
+    ``sigmas`` are the singular values of T, ascending.  ``kernel`` and
+    ``cokernel`` are right-orthonormal bases of ker T and ker T*, each
+    vector with its largest-modulus entry real and positive.  ``_v`` and
+    ``_s`` keep the embedded right singular vectors above the cutoff and
+    their singular values, so every power |T|^s is one complex product.
     """
 
     u: QMatrix
@@ -47,78 +47,53 @@ class PolarParts:
     sigmas: tuple[float, ...]
     kernel: tuple[QVector, ...]
     cokernel: tuple[QVector, ...]
-    gram_system: HermitianEigensystem
-
-    @property
-    def dim(self) -> int:
-        return self.abs_t.rows
+    _v: np.ndarray
+    _s: np.ndarray
 
     def abs_power(self, s: float) -> QMatrix:
         """|T|^s for s >= 0, with |T|^0 = I and, for s > 0, zero on ker T."""
         if s == 0.0:
-            return QMatrix.identity(self.dim)
-        return _modulus_function(self.gram_system, self.sigmas, self.tau,
-                                 lambda x: x ** s)
+            return QMatrix.identity(self.abs_t.rows)
+        return _hermitian_from_chi(self._v, self._s ** s)
 
     def reconstruct(self) -> QMatrix:
         return self.u @ self.abs_t
-
-
-def _modulus_function(system: HermitianEigensystem, sigmas: tuple[float, ...],
-                      tau: float, f) -> QMatrix:
-    """Sum of f(sigma_i) v_i v_i* over the directions above the cutoff."""
-    out = QMatrix.zeros(system.dim)
-    for i, s in enumerate(sigmas):
-        if s > tau:
-            v = system.vectors.column(i)
-            out = out + f(s) * outer(v, v)
-    return out
 
 
 def polar(t: QMatrix, *, rank_rtol: float = RANK_RTOL) -> PolarParts:
     """Polar factors of a square operator.
 
     Singular values at or below ``rank_rtol`` times the largest are treated
-    as zero; the isometry is T (|T| restricted to the range of T*)^{-1},
-    which annihilates the kernel outright rather than leaving noise there.
+    as zero.  The rank is counted over whole singular pairs of chi(T), so a
+    pair is never split, and the factors do not depend on which basis the
+    solver picked inside a pair.
     """
     if not t.is_square():
         raise ShapeError(f"polar decomposition needs a square operator, got {t.shape}")
-    system, sigma = _gram_singular_values(t)
-    tau = rank_rtol * max(sigma, default=0.0)
-    keep = [s > tau for s in sigma]
-    rank = sum(keep)
-
-    abs_t = _modulus_function(system, sigma, tau, lambda x: x)
-    u = t @ _modulus_function(system, sigma, tau, lambda x: 1.0 / x)
-
-    kernel = tuple(system.vectors.column(i) for i in range(system.dim) if not keep[i])
-
-    # rank T = rank T*, but near-zero eigenvalues of T T* carry absolute
-    # roundoff ~ eps * sigma_max^2, far above tau^2; take the count from the
-    # kernel side and the directions from the bottom of the co-Gram spectrum
-    cosystem = eigh_q(t @ t.H)
-    cokernel = tuple(cosystem.vectors.column(i) for i in range(len(kernel)))
-
+    w, sigma, v = _chi_svd(t)
+    tau = rank_rtol * float(sigma[0])
+    rank = int(np.count_nonzero(sigma > tau))
+    r2 = 2 * rank
+    v_r, s_r = v[:, :r2], np.repeat(sigma[:rank], 2)
     return PolarParts(
-        u=u,
-        abs_t=abs_t,
+        u=unembed_chi(w[:, :r2] @ v_r.conj().T),
+        abs_t=_hermitian_from_chi(v_r, s_r),
         rank=rank,
         tau=tau,
-        sigmas=sigma,
-        kernel=kernel,
-        cokernel=cokernel,
-        gram_system=system,
+        sigmas=tuple(float(x) for x in sigma[::-1]),
+        kernel=_null_basis(v[:, r2:], t.rows - rank),
+        cokernel=_null_basis(w[:, r2:], t.rows - rank),
+        _v=v_r,
+        _s=s_r,
     )
 
 
 def unitary_completion(parts: PolarParts) -> QMatrix:
     """Extend the polar isometry to a unitary.
 
-    The null directions of T are mapped onto the null directions of T* in
-    matching singular-value order: U_c = U + sum_k y_k x_k^*.  Valid
-    whenever the two kernels have equal dimension, which holds for every
-    square operator.
+    The k-th kernel vector x_k of T is mapped onto the k-th kernel vector
+    y_k of T*: U_c = U + sum_k y_k x_k^*.  Valid whenever the two kernels
+    have equal dimension, which holds for every square operator.
     """
     u = parts.u
     for x, y in zip(parts.kernel, parts.cokernel):

@@ -2,8 +2,8 @@
 
 The library solves every eigenproblem through LAPACK.  This independent
 solver (plain numpy array operations, no LAPACK eigenroutine) checks it,
-and ``eigh`` / ``eigvalsh`` below have the seam's signatures so a test can
-run whole properties on it.  The module name keeps it out of pytest
+and ``eigh`` / ``eigvalsh`` / ``svd`` below have the seam's signatures so a
+test can run whole properties on it.  The module name keeps it out of pytest
 collection.
 """
 
@@ -101,3 +101,44 @@ def eigvalsh(matrices: np.ndarray) -> np.ndarray:
     flat = a.reshape(-1, *a.shape[-2:])
     w = [eigh_jacobi(m, want_vectors=False)[0] for m in flat]
     return np.array(w).reshape(a.shape[:-1])
+
+
+def _range_basis(halves: np.ndarray, count: int) -> np.ndarray:
+    """``count`` orthonormal columns spanning the range of ``halves``.
+
+    The halves of an orthonormal basis of a zero cluster have an
+    orthogonal projector as their Gram X X*, so its top eigenvectors span
+    the range exactly.
+    """
+    _, v = eigh_jacobi(halves @ halves.conj().T)
+    return v[:, ::-1][:, :count]
+
+
+# well above the Jacobi eigenvalue error, so the +-sigma pair of every kept
+# singular value is separated enough to split into its two halves
+ZERO_RTOL = 1e-10
+
+
+def svd(matrix: np.ndarray):
+    """Thin SVD with the seam's signature, from the Hermitian dilation.
+
+    [[0, M], [M*, 0]] has eigenvalues +-sigma_i with eigenvectors
+    [w_i; +-v_i] / sqrt(2), plus zeros.  Each positive eigenvalue gives a
+    singular triplet; both halves are renormalised, which also undoes any
+    mixing of the +-sigma pair.  Eigenvalues within ``ZERO_RTOL`` of zero
+    form the zero cluster: its top halves span ker M* and its bottom halves
+    span ker M, and they fill the columns of the zero singular values.
+    """
+    m = np.asarray(matrix, dtype=np.complex128)
+    p, q = m.shape
+    k = min(p, q)
+    dilation = np.block([[np.zeros((p, p)), m], [m.conj().T, np.zeros((q, q))]])
+    lam, vec = eigh_jacobi(dilation)
+    cut = ZERO_RTOL * float(np.abs(lam).max(initial=0.0))
+    pos = np.flatnonzero(lam > cut)[::-1]
+    zero = np.abs(lam) <= cut
+    w, v = vec[:p, pos], vec[p:, pos]
+    w = np.hstack([w / np.linalg.norm(w, axis=0), _range_basis(vec[:p, zero], k - pos.size)])
+    v = np.hstack([v / np.linalg.norm(v, axis=0), _range_basis(vec[p:, zero], k - pos.size)])
+    s = np.concatenate([lam[pos], np.zeros(k - pos.size)])
+    return w, s, v.conj().T

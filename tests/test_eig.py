@@ -2,23 +2,27 @@
 
 The Jacobi solver in ``jacobi_reference`` is held against numpy.linalg on
 random inputs; the general eigensolver is checked through invariants that
-do not reuse it (trace, determinant, singularity of A - lambda I).  A
-LAPACK failure must reach callers as ``ConvergenceError``.
+do not reuse it (trace, determinant, singularity of A - lambda I), and the
+seam's SVD against the reference SVD built on the Jacobi solver.  A LAPACK
+failure must reach callers as ``ConvergenceError``.
 """
 
 import numpy as np
 import pytest
 
+import jacobi_reference
 from jacobi_reference import eigh_jacobi
 from qop import _eig
 from qop.cli import main
 from qop.errors import ConvergenceError
-from qop.generators import hermitian
+from qop.generators import ginibre, hermitian
 from qop.linalg import QMatrix, operator_norm
 from qop.matio import save_matrix
 from qop.quaternion import I, J
 from qop.rng import SplitMix64
-from qop.spectral import eigh_q, standard_eigenvalues
+from qop.oracles import invert
+from qop.spectral import eigh_q, kernel_basis, standard_eigenvalues
+from qop.transforms import polar
 
 
 def _random_hermitian(n, seed):
@@ -94,6 +98,21 @@ def test_seam_eigvalsh_solves_a_stack_like_the_reference():
         assert np.allclose(wk, ref, rtol=0.0, atol=1e-11 * max(1.0, np.abs(ref).max()))
 
 
+@pytest.mark.parametrize("shape,rank", [((6, 6), 6), ((6, 6), 2), ((8, 5), 5), ((8, 5), 3)])
+def test_seam_svd_matches_the_reference(shape, rank):
+    p, q = shape
+    m = _random_complex(p, seed=260)[:, :rank] @ _random_complex(q, seed=261)[:rank, :]
+    w, s, vh = _eig.svd(m)
+    k = min(p, q)
+    assert w.shape == (p, k) and s.shape == (k,) and vh.shape == (k, q)
+    assert np.all(np.diff(s) <= 0.0)
+    for got_w, got_s, got_vh in ((w, s, vh), jacobi_reference.svd(m)):
+        assert np.linalg.norm(got_w @ np.diag(got_s) @ got_vh - m) <= 1e-12 * np.linalg.norm(m)
+        assert np.linalg.norm(got_w.conj().T @ got_w - np.eye(k)) <= 1e-12
+        assert np.linalg.norm(got_vh @ got_vh.conj().T - np.eye(k)) <= 1e-12
+        assert np.allclose(got_s, s, rtol=0.0, atol=1e-12 * s[0])
+
+
 def _sorted_pairs(z):
     return sorted((round(float(x.real), 9), round(float(x.imag), 9)) for x in z)
 
@@ -152,7 +171,7 @@ def lapack_fails(monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    for name in ("eigh", "eigvalsh", "eigvals"):
+    for name in ("eigh", "eigvalsh", "eigvals", "svd"):
         monkeypatch.setattr(np.linalg, name, fail)
 
 
@@ -170,4 +189,21 @@ def test_lapack_failure_exits_two_from_cli(tmp_path, capsys, lapack_fails):
     path = tmp_path / "t.json"
     save_matrix(str(path), QMatrix.diag([I, J]))
     assert main(["spectrum", str(path)]) == 2
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_svd_failure_is_convergence_error(lapack_fails):
+    t = ginibre(3, seed=2)
+    with pytest.raises(ConvergenceError):
+        polar(t)
+    with pytest.raises(ConvergenceError):
+        kernel_basis(QMatrix.diag([1.0, 0.0, 2.0]))
+    with pytest.raises(ConvergenceError):
+        invert(t)
+
+
+def test_svd_failure_exits_two_from_polar_cli(tmp_path, capsys, lapack_fails):
+    path = tmp_path / "t.json"
+    save_matrix(str(path), QMatrix.diag([I, J]))
+    assert main(["polar", str(path)]) == 2
     assert "did not converge" in capsys.readouterr().err

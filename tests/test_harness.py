@@ -170,3 +170,11 @@ def test_kernel_reduction_finds_every_constructed_zero(dim, trials):
         report = check_kernel_reduction(t)
         assert (report.dim_ker, report.dim_ker_star, report.dim_ker_sq) == (zeros,) * 3
         assert report.passes
+
+
+@pytest.mark.parametrize("prop", sorted(PROPERTIES))
+def test_evaluate_instance_reproduces_the_trial_margin(prop):
+    # the shrinker must minimise the function the trial measured
+    for idx in range(4):
+        out = PROPERTIES[prop](TrialContext(mix_seed(7, idx), idx, 4, DEFAULT_TOL, False))
+        assert evaluate_instance(prop, out.instance) == out.margin, (prop, idx)

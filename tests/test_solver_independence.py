@@ -19,11 +19,12 @@ SEED = 42
 
 @pytest.fixture
 def use_jacobi(monkeypatch):
-    """Call it to route ``_eig.eigh`` and ``_eig.eigvalsh`` through the
-    Jacobi reference for the rest of the test."""
+    """Call it to route ``_eig.eigh``, ``_eig.eigvalsh`` and ``_eig.svd``
+    through the Jacobi reference for the rest of the test."""
     def swap():
         monkeypatch.setattr(_eig, "eigh", jacobi_reference.eigh)
         monkeypatch.setattr(_eig, "eigvalsh", jacobi_reference.eigvalsh)
+        monkeypatch.setattr(_eig, "svd", jacobi_reference.svd)
     return swap
 
 

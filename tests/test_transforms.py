@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from qop import _eig
 from qop.errors import DomainError, ShapeError
 from qop.generators import (ginibre, normal_with_spectrum, partial_isometry, positive,
                             random_unitary)
-from qop.linalg import QMatrix, operator_norm
+from qop.linalg import MAX_DIM, QMatrix, operator_norm
 from qop.quaternion import I, Quaternion
-from qop.spectral import is_psd
+from qop.spectral import eigh_q, is_psd
 from qop.transforms import (abs_power, abs_star_power, aluthge, duggal,
                             furuta_sr, lambda_aluthge, polar,
                             unitary_completion)
@@ -177,7 +178,32 @@ def test_polar_of_partial_isometry_reconstructs_to_working_precision(n, defect):
     for seed in range(5):
         t = partial_isometry(n, defect, seed=seed)
         parts = polar(t)
-        v = parts.gram_system.vectors
+        v = eigh_q(t.H @ t).vectors
         assert (v.H @ v - QMatrix.identity(n)).frobenius() <= 1e-12 * n
         assert parts.rank == n - defect and len(parts.kernel) == defect
         assert (parts.reconstruct() - t).frobenius() <= 1e-12 * t.frobenius()
+
+
+@pytest.mark.parametrize("defect", [0, 16])
+def test_polar_at_max_dim(defect):
+    n = MAX_DIM
+    t = ginibre(n, seed=570) if defect == 0 else partial_isometry(n, defect, seed=571)
+    parts = polar(t)
+    assert (parts.reconstruct() - t).frobenius() <= 1e-12 * t.frobenius()
+    assert parts.rank == n - defect and len(parts.kernel) == defect
+    uu = parts.u.H @ parts.u
+    assert (uu @ uu - uu).frobenius() <= 1e-12 * n
+    for k in parts.kernel:
+        assert (parts.u @ k).norm() <= 1e-12
+
+
+def test_polar_is_one_svd(monkeypatch):
+    t = partial_isometry(8, 2, seed=572).H
+    calls = []
+    for name in ("eigh", "eigvalsh", "eigvals", "svd"):
+        real = getattr(_eig, name)
+        monkeypatch.setattr(_eig, name, lambda *a, _real=real, _name=name:
+                            calls.append(_name) or _real(*a))
+    parts = polar(t)
+    assert calls == ["svd"]
+    assert (parts.rank, len(parts.kernel), len(parts.cokernel)) == (6, 2, 2)
