@@ -329,6 +329,23 @@ def embed_chi(a: QMatrix) -> np.ndarray:
     return np.concatenate([top, bottom], axis=0)
 
 
+def _psi(xs: np.ndarray) -> np.ndarray:
+    """Vector embedding a + b j -> [a; -conj(b)]: (..., n, 4) to (..., 2n) complex.
+
+    psi(x) is the first column of chi(x), so chi(T) psi(x) = psi(Tx) and
+    ||psi(x)|| = ||x||; stacks of vectors are embedded along the last axes.
+    """
+    return np.concatenate([xs[..., 0] + 1j * xs[..., 1],
+                           -xs[..., 2] + 1j * xs[..., 3]], axis=-1)
+
+
+def _unpsi(v: np.ndarray) -> np.ndarray:
+    """Inverse of ``_psi``: (..., 2n) complex to (..., n, 4) components."""
+    n = v.shape[-1] // 2
+    top, bottom = v[..., :n], v[..., n:]
+    return np.stack([top.real, top.imag, -bottom.real, bottom.imag], axis=-1)
+
+
 def _unembed_blocks(m: np.ndarray) -> QMatrix:
     n2, m2 = m.shape
     n, mm = n2 // 2, m2 // 2

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import _eig, matio
 from .errors import DomainError, PreconditionError, StructureError
-from .linalg import QMatrix, QVector, embed_chi, inner, operator_norm, outer, unembed_chi
+from .linalg import (QMatrix, QVector, _psi, _unpsi, embed_chi, inner, operator_norm, outer,
+                     unembed_chi)
 from .quaternion import Quaternion
 from .rng import SplitMix64, mix_seed
 from .spectral import (HermitianEigensystem, delta_q, eigh_q, is_psd,
@@ -144,26 +145,10 @@ def _unit_vectors(n: int, count: int, stream: SplitMix64) -> np.ndarray:
     return np.concatenate([basis, raw / norms[:, None, None]], axis=0)
 
 
-def _batch_matvec(t: QMatrix, xs: np.ndarray) -> np.ndarray:
-    """Apply T to a (k, n, 4) stack of vectors, returning the same shape."""
-    from .linalg import _matmul_components
-    out = _matmul_components(t._c, xs.transpose(1, 0, 2))
-    return out.transpose(1, 0, 2)
-
-
-def _batch_norms(xs: np.ndarray) -> np.ndarray:
-    return np.sqrt((xs ** 2).sum(axis=(1, 2)))
-
-
-def _batch_inner_norm(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """|<u_k, v_k>| for two (k, n, 4) stacks."""
-    uw, ux, uy, uz = (us[..., i] for i in range(4))
-    vw, vx, vy, vz = (vs[..., i] for i in range(4))
-    cw = (uw * vw + ux * vx + uy * vy + uz * vz).sum(axis=1)
-    cx = (uw * vx - ux * vw - uy * vz + uz * vy).sum(axis=1)
-    cy = (uw * vy + ux * vz - uy * vw - uz * vx).sum(axis=1)
-    cz = (uw * vz - ux * vy + uy * vx - uz * vw).sum(axis=1)
-    return np.sqrt(cw ** 2 + cx ** 2 + cy ** 2 + cz ** 2)
+def _norms(vs: np.ndarray) -> np.ndarray:
+    """Euclidean norms of a stack of complex vectors along the last axis."""
+    r = np.ascontiguousarray(vs).view(np.float64)
+    return np.sqrt((r * r).sum(axis=-1))
 
 
 def is_paranormal(t: QMatrix, *, tol: float = DEFAULT_TOL, grid: int = 256,
@@ -173,24 +158,26 @@ def is_paranormal(t: QMatrix, *, tol: float = DEFAULT_TOL, grid: int = 256,
     Operator channel: min eigenvalue of T*^2 T^2 - 2 lam T*T + lam^2 I over
     a lambda grid on [0, 2 ||T||^2] with local refinement; nonnegativity
     for every lam >= 0 characterizes paranormality.  Vector channel:
-    ||T^2 x|| ||x|| - ||Tx||^2 on basis-then-random unit vectors.  Channels
-    are compared after scale normalization; the reported value is the raw
-    margin of the worse channel and the witness (lambda or vector) comes
-    from it.
+    ||T^2 x|| ||x|| - ||Tx||^2 on basis-then-random unit vectors.  Both
+    channels work on chi(T): the pencils are built from chi(T)* chi(T) and
+    chi(T^2)* chi(T^2), and the vectors are scored as psi(x) against chi(T)
+    and chi(T^2).  Channels are compared after scale normalization; the
+    reported value is the raw margin of the worse channel and the witness
+    (lambda or vector) comes from it.
     """
     if not t.is_square():
         raise DomainError(f"square operator required, got {t.shape}")
     n = t.rows
-    opn = operator_norm(t)
-    s2 = max(1.0, opn ** 2)
-    s4 = max(1.0, opn ** 4)
-
-    t2 = t @ t
-    a_c = embed_chi(t.H @ t)
+    chi_t = embed_chi(t)
+    chi_t2 = chi_t @ chi_t
+    a_c = chi_t.conj().T @ chi_t
     a_c = 0.5 * (a_c + a_c.conj().T)
-    b_c = embed_chi(t2.H @ t2)
+    b_c = chi_t2.conj().T @ chi_t2
     b_c = 0.5 * (b_c + b_c.conj().T)
     eye = np.eye(a_c.shape[0], dtype=np.complex128)
+    opn = float(np.sqrt(max(float(_eig.eigvalsh(a_c)[-1]), 0.0)))
+    s2 = max(1.0, opn ** 2)
+    s4 = max(1.0, opn ** 4)
 
     # the base grid, then two local refinements around the running best,
     # each solved as one stack of pencils B - 2 lam A + lam^2 I
@@ -211,9 +198,10 @@ def is_paranormal(t: QMatrix, *, tol: float = DEFAULT_TOL, grid: int = 256,
 
     stream = SplitMix64(seed)
     xs = _unit_vectors(n, samples, stream)
-    tx = _batch_matvec(t, xs)
-    t2x = _batch_matvec(t2, xs)
-    vec_margins = _batch_norms(t2x) * _batch_norms(xs) - _batch_norms(tx) ** 2
+    psis = _psi(xs)
+    tx = psis @ chi_t.T
+    t2x = psis @ chi_t2.T
+    vec_margins = _norms(t2x) * _norms(psis) - _norms(tx) ** 2
     k = int(np.argmin(vec_margins))
     vec_val = float(vec_margins[k])
 
@@ -232,35 +220,45 @@ def is_paranormal(t: QMatrix, *, tol: float = DEFAULT_TOL, grid: int = 256,
     return Margin(value=value, tolerance=tol, witness=witness, details=details)
 
 
-def _unit_pairs(n: int, budget: int, stream: SplitMix64) -> tuple[np.ndarray, np.ndarray]:
-    """(budget, n, 4) pair stacks: all ordered basis pairs first, then random."""
-    basis = np.zeros((n, n, 4))
-    basis[np.arange(n), np.arange(n), 0] = 1.0
-    bx, by = [], []
-    for i in range(n):
-        for j in range(n):
-            bx.append(basis[i])
-            by.append(basis[j])
-    bx, by = np.array(bx), np.array(by)
-    if budget <= bx.shape[0]:
-        return bx[:budget], by[:budget]
-    extra = budget - bx.shape[0]
+def _unit_pairs(n: int, budget: int, stream: SplitMix64) -> np.ndarray:
+    """(budget, 2, 2n) embedded pairs (x, y): all ordered basis pairs first, then random."""
+    m = np.arange(min(budget, n * n))
+    pairs = np.zeros((m.shape[0], 2, 2 * n), dtype=np.complex128)
+    pairs[m, 0, m // n] = 1.0
+    pairs[m, 1, m % n] = 1.0
+    extra = budget - m.shape[0]
+    if extra <= 0:
+        return pairs
     raw = stream.normals(2 * extra * n * 4).reshape(2, extra, n, 4)
     norms = np.sqrt((raw ** 2).sum(axis=(2, 3)))
     norms[norms < 1e-12] = 1.0
     raw = raw / norms[:, :, None, None]
-    return (np.concatenate([bx, raw[0]], axis=0),
-            np.concatenate([by, raw[1]], axis=0))
+    return np.concatenate([pairs, _psi(raw).swapaxes(0, 1)], axis=0)
 
 
-def _gcsi_pair_margin(t: QMatrix, x: np.ndarray, y: np.ndarray,
-                      alpha: float, beta: float) -> float:
-    tx = _batch_matvec(t, x[None])[0]
-    ty = _batch_matvec(t, y[None])[0]
-    a = float(np.sqrt((tx ** 2).sum()))
-    b = float(np.sqrt((ty ** 2).sum()))
-    c = float(_batch_inner_norm(tx[None], y[None])[0])
-    return float(np.power(a, alpha) * np.power(b, beta) - c)
+def _gcsi_terms(chi_t: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(||Tx||, ||Ty||, |<Tx, y>|) for a (k, 2, 2n) stack of embedded pairs.
+
+    chi(T) psi(x) = psi(Tx), and for psi(u) = [p; q] the quaternionic inner
+    product splits into a complex part and a j part:
+    |<u, v>|^2 = |psi(u)^H psi(v)|^2 + |sum(p v_bot - q v_top)|^2.
+    """
+    k, _, n2 = pairs.shape
+    n = n2 // 2
+    images = (pairs.reshape(2 * k, n2) @ chi_t.T).reshape(k, 2, n2)
+    norms = _norms(images)
+    tx, y = images[:, 0], pairs[:, 1]
+    inner_c = (tx.conj() * y).sum(axis=1)
+    inner_j = (tx[:, :n] * y[:, n:] - tx[:, n:] * y[:, :n]).sum(axis=1)
+    c = np.sqrt(inner_c.real ** 2 + inner_c.imag ** 2 + inner_j.real ** 2 + inner_j.imag ** 2)
+    return norms[:, 0], norms[:, 1], c
+
+
+def _pair_witness(beta: float, pair: np.ndarray) -> dict[str, Any]:
+    x, y = _unpsi(pair)
+    return {"beta": beta,
+            "x": matio.vector_to_json(QVector(x)),
+            "y": matio.vector_to_json(QVector(y))}
 
 
 def gcsi_margin(t: QMatrix, beta: float, *, budget: int = 1000, seed: int = 0,
@@ -271,47 +269,47 @@ def gcsi_margin(t: QMatrix, beta: float, *, budget: int = 1000, seed: int = 0,
     as 1.  All ordered standard-basis pairs are scanned before the random
     unit pairs, so textbook violations at basis vectors surface with their
     exact witnesses.  The worst pair then gets a hill-climb refinement that
-    accepts only strict decreases.  A negative margin certifies
-    non-membership; a nonnegative one is evidence on the sampled budget.
+    accepts only strict decreases and shrinks its step on every rejection;
+    its directions are one block of the refinement stream, drawn up front.
+    Vectors are scored on the complex side, as psi(x) against chi(T).  A
+    negative margin certifies non-membership; a nonnegative one is evidence
+    on the sampled budget.
     """
     if not 0.0 < beta <= 1.0:
         raise DomainError(f"beta must lie in (0, 1], got {beta}")
     if budget < 1:
         raise DomainError("budget must be at least 1")
+    if refine_steps < 0:
+        raise DomainError(f"refine_steps must be nonnegative, got {refine_steps}")
     alpha = 1.0 - beta
     n = t.rows
-    stream = SplitMix64(mix_seed(seed, 0))
-    xs, ys = _unit_pairs(n, budget, stream)
-    txs = _batch_matvec(t, xs)
-    tys = _batch_matvec(t, ys)
-    a = _batch_norms(txs)
-    b = _batch_norms(tys)
-    c = _batch_inner_norm(txs, ys)
+    chi_t = embed_chi(t)
+    pairs = _unit_pairs(n, budget, SplitMix64(mix_seed(seed, 0)))
+    a, b, c = _gcsi_terms(chi_t, pairs)
     margins = np.power(a, alpha) * np.power(b, beta) - c
     k = int(np.argmin(margins))
     best = float(margins[k])
-    bx, by = xs[k].copy(), ys[k].copy()
 
-    refine = SplitMix64(mix_seed(seed, 1))
+    # normals(4n) per direction is even-sized, so one block draw is
+    # bitwise the concatenation of the per-step draws; steps and rescaling
+    # run on the real view, entry for entry the arithmetic of the (n, 4) form
+    moves = _psi(SplitMix64(mix_seed(seed, 1)).normals(2 * refine_steps * n * 4)
+                 .reshape(refine_steps, 2, n, 4)).view(np.float64)
+    pair = pairs[k].view(np.float64)
     step = 0.5
-    for _ in range(refine_steps):
-        dx = refine.normals(n * 4).reshape(n, 4)
-        dy = refine.normals(n * 4).reshape(n, 4)
-        cx = bx + step * dx
-        cy = by + step * dy
-        nx, ny = np.sqrt((cx ** 2).sum()), np.sqrt((cy ** 2).sum())
-        if nx < 1e-9 or ny < 1e-9:
+    for move in moves:
+        cand = pair + step * move
+        norms = np.sqrt((cand * cand).sum(axis=1))
+        if norms.min() < 1e-9:
             continue
-        cand = _gcsi_pair_margin(t, cx / nx, cy / ny, alpha, beta)
-        if cand < best:
-            best, bx, by = cand, cx / nx, cy / ny
+        cand = cand / norms[:, None]
+        a, b, c = _gcsi_terms(chi_t, cand.view(np.complex128)[None])
+        value = float(np.power(a[0], alpha) * np.power(b[0], beta) - c[0])
+        if value < best:
+            best, pair = value, cand
         else:
             step *= 0.8
-    witness = None
-    if best < -tol:
-        witness = {"beta": beta,
-                   "x": matio.vector_to_json(QVector(bx)),
-                   "y": matio.vector_to_json(QVector(by))}
+    witness = _pair_witness(beta, pair.view(np.complex128)) if best < -tol else None
     return Margin(value=best, tolerance=tol, witness=witness,
                   details={"beta": beta, "budget": budget, "seed": seed})
 
@@ -322,16 +320,12 @@ def gcsi_sweep(t: QMatrix, *, betas: Sequence[float] = tuple(round(0.1 * k, 1) f
     """Per-beta margins over a grid; membership is existential over beta.
 
     The matrix-vector work is shared across the grid: each sampled pair
-    contributes three scalars (||Tx||, ||Ty||, |<Tx,y>|) evaluated once.
+    contributes three scalars (||Tx||, ||Ty||, |<Tx,y>|), evaluated once on
+    the complex side as in ``gcsi_margin``.  There is no refinement.
     """
     n = t.rows
-    stream = SplitMix64(mix_seed(seed, 0))
-    xs, ys = _unit_pairs(n, budget, stream)
-    txs = _batch_matvec(t, xs)
-    tys = _batch_matvec(t, ys)
-    a = _batch_norms(txs)
-    b = _batch_norms(tys)
-    c = _batch_inner_norm(txs, ys)
+    pairs = _unit_pairs(n, budget, SplitMix64(mix_seed(seed, 0)))
+    a, b, c = _gcsi_terms(embed_chi(t), pairs)
     out: dict[float, Margin] = {}
     for beta in betas:
         if not 0.0 < beta <= 1.0:
@@ -339,11 +333,7 @@ def gcsi_sweep(t: QMatrix, *, betas: Sequence[float] = tuple(round(0.1 * k, 1) f
         margins = np.power(a, 1.0 - beta) * np.power(b, beta) - c
         k = int(np.argmin(margins))
         best = float(margins[k])
-        witness = None
-        if best < -tol:
-            witness = {"beta": beta,
-                       "x": matio.vector_to_json(QVector(xs[k])),
-                       "y": matio.vector_to_json(QVector(ys[k]))}
+        witness = _pair_witness(beta, pairs[k]) if best < -tol else None
         out[beta] = Margin(value=best, tolerance=tol, witness=witness,
                            details={"beta": beta, "budget": budget, "seed": seed})
     return out
@@ -383,8 +373,9 @@ def check_holder_mccarthy(t: QMatrix, x: QVector, r: float, *,
                   details={"r": r, "lhs": lhs_r, "rhs": rhs})
 
 
-def _require_order(s: QMatrix, t: QMatrix, tol: float) -> None:
-    ok_t, m_t = is_psd(t, tol)
+def _require_order(s: QMatrix, t: QMatrix, tol: float,
+                   t_system: HermitianEigensystem | None = None) -> None:
+    ok_t, m_t = is_psd(t, tol, system=t_system)
     if not ok_t:
         raise PreconditionError(f"lower operator is not positive (min eigenvalue {m_t:.3e})")
     ok_d, m_d = is_psd(s - t, tol)
@@ -400,13 +391,14 @@ def check_lowner_heinz(s: QMatrix, t: QMatrix, r: float, *,
 
     The monotonicity theorem covers r in [0, 1]; exponents outside that
     band are admitted only with ``probe=True``, where a negative margin is
-    expected behavior rather than a bug.
+    expected behavior rather than a bug.  A supplied ``t_system`` also
+    serves the T >= 0 precondition; S - T >= 0 is always solved afresh.
     """
     if r < 0.0:
         raise DomainError(f"exponent must be nonnegative, got {r}")
     if r > 1.0 and not probe:
         raise DomainError(f"exponent {r} outside [0, 1] requires probe mode")
-    _require_order(s, t, tol)
+    _require_order(s, t, tol, t_system)
     ssys = eigh_q(0.5 * (s + s.H)) if s_system is None else s_system
     tsys = eigh_q(0.5 * (t + t.H)) if t_system is None else t_system
     diff = ssys.power_psd(r) - tsys.power_psd(r)

@@ -22,27 +22,13 @@ import numpy as np
 
 from . import _eig
 from .errors import DomainError, PreconditionError, ShapeError, StructureError
-from .linalg import QMatrix, QVector, _chi_eigvalsh, embed_chi, unembed_chi
+from .linalg import QMatrix, QVector, _chi_eigvalsh, _unpsi, embed_chi, unembed_chi
 from .quaternion import Quaternion
 
 PAIR_TOL = 1e-8
 CLUSTER_TOL = 1e-8
 MERGE_TOL = 1e-6
 _GS_ACCEPT = 1e-6
-
-
-def _unembed_vector(v: np.ndarray) -> QVector:
-    """Pull a C^{2n} column back through the vector embedding [a; -conj(b)]."""
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    n = v.shape[0] // 2
-    alpha, beta = v[:n], v[n:]
-    comps = np.stack([alpha.real, alpha.imag, -beta.real, beta.imag], axis=1)
-    return QVector(comps)
-
-
-def _embed_vector(u: QVector) -> np.ndarray:
-    c = u.to_array()
-    return np.concatenate([c[:, 0] + 1j * c[:, 1], -c[:, 2] + 1j * c[:, 3]])
 
 
 def _require_square(t: QMatrix) -> int:
@@ -161,7 +147,7 @@ def _quaternionic_basis(v: np.ndarray, need: int) -> list[QVector]:
         x = rest[:, k] / norms[k]
         line = np.stack([x, np.concatenate([-np.conj(x[n:]), np.conj(x[:n])])], axis=1)
         rest -= line @ (line.conj().T @ rest)
-        out.append(_unembed_vector(x))
+        out.append(QVector(_unpsi(x)))
     return out
 
 
@@ -406,13 +392,21 @@ def power_psd(t: QMatrix, p: float, *, clamp_tol: float = 1e-8,
     return (eigh_q(t) if system is None else system).power_psd(p, clamp_tol=clamp_tol)
 
 
-def is_psd(t: QMatrix, tol: float = 1e-8) -> tuple[bool, float]:
+def is_psd(t: QMatrix, tol: float = 1e-8, *,
+           system: HermitianEigensystem | None = None) -> tuple[bool, float]:
     """Positive semidefiniteness test defining the operator order.
 
     Returns (flag, margin) with margin the smallest eigenvalue; the flag is
-    true when margin >= -tol * max(1, ||T||).
+    true when margin >= -tol * max(1, ||T||).  A caller holding the
+    eigensystem of T passes it as ``system``: T is still checked to be
+    self-adjoint, and the extreme eigenvalues are read from the system's
+    unclustered pair means instead of a fresh eigensolve.
     """
-    lo, hi = rayleigh_bounds(t)
+    if system is None:
+        lo, hi = rayleigh_bounds(t)
+    else:
+        _require_selfadjoint(t, 1e-8)
+        lo, hi = float(system._w2[0]), float(system._w2[-1])
     opnorm = max(abs(lo), abs(hi))
     return lo >= -tol * max(1.0, opnorm), lo
 

@@ -1,9 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
+import gcsi_reference
+
+from qop import _eig
 from qop.errors import DomainError, PreconditionError
-from qop.generators import positive, random_unitary, unit_vector
+from qop.generators import ginibre, positive, random_unitary, unit_vector
 from qop.linalg import QMatrix, QVector
 from qop.matio import json_to_vector
 from qop.oracles import (check_aluthge_theorems, check_chain_semihypo,
@@ -14,6 +18,7 @@ from qop.oracles import (check_aluthge_theorems, check_chain_semihypo,
                          gcsi_margin, gcsi_sweep, invert, is_p_hyponormal,
                          is_paranormal)
 from qop.quaternion import I, J, Quaternion
+from qop.spectral import eigh_q, is_psd
 
 
 def _shift():
@@ -128,6 +133,8 @@ def test_gcsi_beta_domain():
             gcsi_margin(QMatrix.identity(2), bad)
     with pytest.raises(DomainError):
         gcsi_margin(QMatrix.identity(2), 0.5, budget=0)
+    with pytest.raises(DomainError):
+        gcsi_margin(QMatrix.identity(2), 0.5, refine_steps=-1)
 
 
 def test_gcsi_sweep_shift_violates_every_beta():
@@ -203,6 +210,29 @@ def test_lowner_heinz_guards():
         check_lowner_heinz(a, b, -0.5)
     with pytest.raises(PreconditionError):
         check_lowner_heinz(b, a, 0.5)
+
+
+def test_lowner_heinz_reads_t_positivity_from_the_supplied_system(monkeypatch):
+    a, b = _pair()
+    ssys, tsys = eigh_q(a), eigh_q(b)
+    calls = []
+    real = _eig.eigvalsh
+    monkeypatch.setattr(_eig, "eigvalsh", lambda m: calls.append(m.shape) or real(m))
+    given = check_lowner_heinz(a, b, 0.5, s_system=ssys, t_system=tsys)
+    # S - T >= 0 and the margin itself; T >= 0 comes from t_system
+    assert len(calls) == 2
+    assert given.value == check_lowner_heinz(a, b, 0.5, s_system=ssys).value
+    # the precondition is not weakened: negative T and non-self-adjoint T still fail
+    neg = b * -1.0
+    with pytest.raises(PreconditionError, match="lower operator is not positive"):
+        check_lowner_heinz(a, neg, 0.5, t_system=eigh_q(neg))
+    skew = QMatrix.from_quaternions([[1.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(PreconditionError, match="not self-adjoint"):
+        check_lowner_heinz(a, skew, 0.5, t_system=tsys)
+    for t in (b, neg, a - b):
+        ok, lo = is_psd(t, system=eigh_q(t))
+        assert ok == is_psd(t)[0]
+        assert lo == pytest.approx(is_psd(t)[1], abs=1e-14)
 
 
 # ----------------------------------------------------------------- Furuta
@@ -409,6 +439,71 @@ def test_tu_star_kernel_and_unitary():
     u = random_unitary(3, seed=309)
     m = check_tu_star(u, unit_vector(3, seed=310))
     assert abs(m.value) <= 1e-10
+
+
+def _reference_operators():
+    """About forty operators of four kinds, dimensions cycling 1, 2, 4, 16."""
+    kinds = (random_unitary, ginibre, positive,
+             lambda n, seed: invert(ginibre(n, seed=seed)))
+    for kind, make in enumerate(kinds):
+        for k in range(10):
+            n = (1, 2, 4, 16)[k % 4]
+            yield f"{kind}:{n}:{k}", make(n, seed=6100 + 10 * kind + k)
+
+
+def _assert_same_witness(got, want, name):
+    assert (got is None) == (want is None), name
+    if got is not None:
+        for key in ("x", "y"):
+            diff = np.abs(json_to_vector(got[key]).to_array()
+                          - json_to_vector(want[key]).to_array()).max()
+            assert diff <= 1e-10, (name, key, diff)
+
+
+def test_gcsi_margin_matches_the_per_pair_reference():
+    # the complex-side hill-climb against the quaternion-side one it replaced:
+    # same stream, same steps, same accept/shrink rule, so the same result
+    cases = [(name, t, beta, 400) for name, t in _reference_operators()
+             for beta in (0.25, 0.5, 0.75, 1.0)]
+    cases.append(("ginibre:64", ginibre(64, seed=6199), 0.5, 1000))
+    witnessed = 0
+    for name, t, beta, budget in cases:
+        got = gcsi_margin(t, beta, budget=budget, seed=17)
+        want = gcsi_reference.gcsi_margin(t, beta, budget=budget, seed=17)
+        assert abs(got.value - want.value) <= 1e-12 * max(1.0, abs(want.value)), (name, beta)
+        _assert_same_witness(got.witness, want.witness, (name, beta))
+        witnessed += want.witness is not None
+    # both outcomes are exercised
+    assert 0 < witnessed < len(cases)
+
+
+def test_gcsi_sweep_and_paranormal_vectors_match_the_reference():
+    for name, t in _reference_operators():
+        got = gcsi_sweep(t, budget=300, seed=23)
+        want = gcsi_reference.gcsi_sweep(t, budget=300, seed=23)
+        for beta, m in want.items():
+            assert abs(got[beta].value - m.value) <= 1e-12 * max(1.0, abs(m.value)), (name, beta)
+            _assert_same_witness(got[beta].witness, m.witness, (name, beta))
+        xs, margins = gcsi_reference.paranormal_vector_margins(t, 300, 29)
+        para = is_paranormal(t, grid=16, samples=300, seed=29)
+        want_val = float(margins.min())
+        assert abs(para.details["vector_margin"] - want_val) <= 1e-12 * max(1.0, abs(want_val)), name
+        if para.witness is not None and "vector" in para.witness:
+            got_x = json_to_vector(para.witness["vector"]).to_array()
+            assert np.array_equal(got_x, xs[int(np.argmin(margins))]), name
+
+
+def test_vector_oracles_work_on_chi_only(monkeypatch):
+    from qop import linalg
+    calls = []
+    real = linalg._matmul_components
+    monkeypatch.setattr(linalg, "_matmul_components",
+                        lambda p, q: calls.append(p.shape) or real(p, q))
+    t = ginibre(3, seed=6200)
+    gcsi_margin(t, 0.5, budget=40, seed=1)
+    gcsi_sweep(t, budget=40, seed=1)
+    is_paranormal(t, grid=8, samples=40, seed=1)
+    assert calls == []
 
 
 # ------------------------------------------------------------ consistency

@@ -75,6 +75,17 @@ def test_normals_odd_count_discards_tail():
     assert np.array_equal(a, b[:3])
 
 
+def test_normals_block_equals_concatenated_even_chunks():
+    # an odd request draws a whole Box-Muller pair and drops its second
+    # normal, so only even chunk sizes line up with one block draw
+    for k in (2, 4, 16, 64, 256):
+        for steps in (1, 7, 64):
+            block = SplitMix64(77 + k).normals(2 * steps * k)
+            stream = SplitMix64(77 + k)
+            chunks = np.concatenate([stream.normals(k) for _ in range(2 * steps)])
+            assert np.array_equal(block, chunks), (k, steps)
+
+
 def test_normals_moments():
     x = SplitMix64(31337).normals(200_000)
     assert abs(x.mean()) < 0.01
