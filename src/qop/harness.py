@@ -81,11 +81,6 @@ class VerificationReport:
         return matio.dumps_canonical(self.to_json())
 
 
-def _real_matrix(rows: tuple[tuple[float, ...], ...]) -> QMatrix:
-    qs = [[Quaternion(v, 0.0, 0.0, 0.0) for v in row] for row in rows]
-    return QMatrix.from_quaternions(qs)
-
-
 def _scale_op(t: QMatrix) -> float:
     return max(1.0, operator_norm(t))
 
@@ -110,8 +105,8 @@ def _trial_lowner_heinz(ctx: TrialContext) -> TrialOutcome:
     if ctx.probe:
         stream = SplitMix64(mix_seed(ctx.trial_seed, 3))
         if ctx.index == 0:
-            a = _real_matrix(PROBE_PAIR_A)
-            b = _real_matrix(PROBE_PAIR_B)
+            a = QMatrix.from_quaternions(PROBE_PAIR_A)
+            b = QMatrix.from_quaternions(PROBE_PAIR_B)
             r = 2.0
         else:
             a, b = generators.ordered_pair(ctx.dim, seed=ctx.trial_seed)
@@ -282,22 +277,13 @@ def _block_unitary(dim: int, seed: int) -> tuple[QMatrix, QMatrix]:
     """Block-diagonal unitary and the projector onto its leading block."""
     n1 = max(dim // 2, 1)
     n2 = dim - n1
-    u1 = generators.random_unitary(n1, seed=mix_seed(seed, 0))
-    t = QMatrix.zeros(dim, dim)
-    entries = [[t.entry(i, j) for j in range(dim)] for i in range(dim)]
-    for i in range(n1):
-        for j in range(n1):
-            entries[i][j] = u1.entry(i, j)
+    t = np.zeros((dim, dim, 4))
+    t[:n1, :n1] = generators.random_unitary(n1, seed=mix_seed(seed, 0)).to_array()
     if n2 > 0:
-        u2 = generators.random_unitary(n2, seed=mix_seed(seed, 1))
-        for i in range(n2):
-            for j in range(n2):
-                entries[n1 + i][n1 + j] = u2.entry(i, j)
-    proj = QMatrix.zeros(dim, dim)
-    pe = [[proj.entry(i, j) for j in range(dim)] for i in range(dim)]
-    for i in range(n1):
-        pe[i][i] = Quaternion(1.0, 0.0, 0.0, 0.0)
-    return QMatrix.from_quaternions(entries), QMatrix.from_quaternions(pe)
+        t[n1:, n1:] = generators.random_unitary(n2, seed=mix_seed(seed, 1)).to_array()
+    proj = np.zeros((dim, dim, 4))
+    proj[np.arange(n1), np.arange(n1), 0] = 1.0
+    return QMatrix(t), QMatrix(proj)
 
 
 def _trial_gcsi_closure(ctx: TrialContext) -> TrialOutcome:
@@ -368,10 +354,6 @@ def _trial_tu_star(ctx: TrialContext) -> TrialOutcome:
     return TrialOutcome(norm, wit, {"T": t, "x": x})
 
 
-def _consistency_margin(report: oracles.ConsistencyReport) -> float:
-    return -1.0 if report.hard_violation else 0.0
-
-
 def _trial_gcsi_implies(ctx: TrialContext) -> TrialOutcome:
     stream = SplitMix64(mix_seed(ctx.trial_seed, 0))
     family = ctx.index % 4
@@ -385,15 +367,21 @@ def _trial_gcsi_implies(ctx: TrialContext) -> TrialOutcome:
         t = generators.positive(ctx.dim, seed=sub)
     else:
         t = generators.ginibre(ctx.dim, seed=sub)
-    p = 0.25 + 0.5 * stream.uniform(0.0, 1.0)
-    report = oracles.check_gcsi_implies(t, p, budget=300, seed=mix_seed(ctx.trial_seed, 2),
-                                        tol=ctx.tol, grid=48, samples=300)
-    norm = _consistency_margin(report)
+    inst = {"T": t, "p": 0.25 + 0.5 * stream.uniform(0.0, 1.0),
+            "seed": mix_seed(ctx.trial_seed, 2)}
+    norm, report = _implies_margin(inst, ctx.tol)
     wit = None
     if norm < -ctx.tol:
-        wit = {"p": p, "T": matio.matrix_to_json(t),
+        wit = {"p": inst["p"], "T": matio.matrix_to_json(t),
                "gcsi_witness": report.gcsi.witness}
-    return TrialOutcome(norm, wit, {"T": t, "p": p})
+    return TrialOutcome(norm, wit, inst)
+
+
+def _implies_margin(inst: dict[str, Any], tol: float) -> tuple[float, oracles.ConsistencyReport]:
+    """0, or -1 on a hard violation, with the GCSI oracle sampled at the instance's seed."""
+    report = oracles.check_gcsi_implies(inst["T"], inst["p"], budget=300, seed=inst["seed"],
+                                        tol=tol, grid=48, samples=300)
+    return (-1.0 if report.hard_violation else 0.0), report
 
 
 def _collapse_margin(t: QMatrix, tol: float) -> float:
@@ -590,9 +578,7 @@ def _eval_tu_star(inst: dict[str, Any], tol: float) -> float:
 
 
 def _eval_gcsi_implies(inst: dict[str, Any], tol: float) -> float:
-    report = oracles.check_gcsi_implies(inst["T"], inst["p"], budget=300, seed=0,
-                                        tol=tol, grid=48, samples=300)
-    return _consistency_margin(report)
+    return _implies_margin(inst, tol)[0]
 
 
 def _eval_collapse(inst: dict[str, Any], tol: float) -> float:
@@ -635,21 +621,14 @@ def evaluate_instance(prop: str, instance: dict[str, Any],
 
 def _zero_entry_candidates(val: Any) -> list[tuple[Any, Any]]:
     """(position, zeroed copy) pairs, in row-major order, nonzero entries only."""
+    if not isinstance(val, (QMatrix, QVector)):
+        return []
+    arr = val.to_array()
     out: list[tuple[Any, Any]] = []
-    if isinstance(val, QMatrix):
-        for i in range(val.rows):
-            for j in range(val.cols):
-                if val.entry(i, j) != Quaternion(0.0, 0.0, 0.0, 0.0):
-                    entries = [[val.entry(r, c) for c in range(val.cols)]
-                               for r in range(val.rows)]
-                    entries[i][j] = Quaternion(0.0, 0.0, 0.0, 0.0)
-                    out.append(((i, j), QMatrix.from_quaternions(entries)))
-    elif isinstance(val, QVector):
-        for i in range(val.n):
-            if val[i] != Quaternion(0.0, 0.0, 0.0, 0.0):
-                qs = [val[r] for r in range(val.n)]
-                qs[i] = Quaternion(0.0, 0.0, 0.0, 0.0)
-                out.append((i, QVector.from_quaternions(qs)))
+    for pos in map(tuple, np.argwhere(arr.any(axis=-1)).tolist()):
+        cand = arr.copy()
+        cand[pos] = 0.0
+        out.append((pos if len(pos) > 1 else pos[0], type(val)(cand)))
     return out
 
 

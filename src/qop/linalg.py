@@ -1,15 +1,17 @@
 """Vectors and matrices over the quaternions, as right modules.
 
-Entries are stored as (n, m, 4) float64 component tensors in (w, x, y, z)
-order.  Scalars act on vectors from the right, ``u * q``; the left scalar
-action ``left_scalar_mul`` is the one induced by the standard coordinate
-basis, (q u)_i = q * u_i.  Operators are right-linear and compose by the
-usual row-into-column product with entrywise Hamilton multiplication.
+A matrix T = A + B j (q = (w + x i) + (y + z i) j entrywise) is stored as
+the complex pair (A, B), the top block row of its complex adjoint embedding
+chi(T) = [[A, B], [-conj(B), conj(A)]]; a vector is an n x 1 matrix.  The
+real (w, x, y, z) layout is the boundary layout of the public constructors,
+which copy and check their input, and of ``to_array``.  Internal results
+skip those checks except finiteness, so an overflow still raises.
 
-``embed_chi`` sends an n x m quaternionic matrix to the 2n x 2m complex
-matrix [[A, B], [-conj(B), conj(A)]] built from the entrywise split
-q = a + b j.  The map is an injective *-homomorphism, so products,
-adjoints and spectra can be computed on the complex side and pulled back.
+Scalars act on vectors from the right, ``u * q``; the left scalar action
+``left_scalar_mul`` is the one induced by the standard coordinate basis,
+(q u)_i = q * u_i.  Operators are right-linear; on pairs the product is
+(A1 A2 - B1 conj(B2), A1 B2 + B1 conj(A2)).  chi is an injective
+*-homomorphism, so spectra are computed on the complex side and pulled back.
 """
 
 from __future__ import annotations
@@ -20,40 +22,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _eig
-from .errors import DomainError, PreconditionError, ShapeError, StructureError
+from .errors import PreconditionError, ShapeError, StructureError
 from .quaternion import Quaternion
 from .rng import SplitMix64
 
 MAX_DIM = 64
-
-_SIGN_W = np.array([1.0, -1.0, -1.0, -1.0])
-_SIGN_X = np.array([1.0, 1.0, 1.0, -1.0])
-_SIGN_Y = np.array([1.0, -1.0, 1.0, 1.0])
-_SIGN_Z = np.array([1.0, 1.0, -1.0, 1.0])
-_PERM_X = (1, 0, 3, 2)
-_PERM_Y = (2, 3, 0, 1)
-_PERM_Z = (3, 2, 1, 0)
-
-
-def _hamilton(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Broadcast Hamilton product of (..., 4) component arrays."""
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ], axis=-1)
-
-
-def _matmul_components(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(n, k, 4) times (k, m, 4) row-into-column Hamilton product."""
-    w = np.einsum("isk,sjk->ij", p, q * _SIGN_W)
-    x = np.einsum("isk,sjk->ij", p, q[:, :, _PERM_X] * _SIGN_X)
-    y = np.einsum("isk,sjk->ij", p, q[:, :, _PERM_Y] * _SIGN_Y)
-    z = np.einsum("isk,sjk->ij", p, q[:, :, _PERM_Z] * _SIGN_Z)
-    return np.stack([w, x, y, z], axis=2)
 
 
 def _coerce_entry(value) -> Quaternion:
@@ -66,27 +39,46 @@ def _coerce_entry(value) -> Quaternion:
     raise TypeError(f"cannot interpret {type(value).__name__} as a quaternion entry")
 
 
-def _validated(arr: np.ndarray, ndim: int, what: str) -> np.ndarray:
-    a = np.asarray(arr, dtype=np.float64)
-    if a.ndim != ndim or a.shape[-1] != 4:
-        raise ShapeError(f"{what} needs a (..., 4) component array, got shape {a.shape}")
-    for extent in a.shape[:-1]:
-        if not 1 <= extent <= MAX_DIM:
-            raise ShapeError(f"{what} dimensions must lie in [1, {MAX_DIM}], got {a.shape}")
-    if not np.all(np.isfinite(a)):
+def _check_extents(shape: tuple[int, ...], what: str) -> None:
+    if not all(1 <= extent <= MAX_DIM for extent in shape):
+        raise ShapeError(f"{what} dimensions must lie in [1, {MAX_DIM}], got {shape}")
+
+
+def _boundary_pair(components, ndim: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Checked copy of a (..., 4) component array, split into (A, B)."""
+    c = np.array(components, dtype=np.float64)
+    if c.ndim != ndim or c.shape[-1] != 4:
+        raise ShapeError(f"{what} needs a (..., 4) component array, got shape {c.shape}")
+    _check_extents(c.shape[:-1], what)
+    if not np.isfinite(c).all():
         raise StructureError(f"{what} entries must be finite")
-    a = a.copy()
-    a.setflags(write=False)
-    return a
+    # (w, x) and (y, z) are adjacent, so the complex view is exact, signed zeros included
+    z = c.view(np.complex128)
+    return np.ascontiguousarray(z[..., 0]), np.ascontiguousarray(z[..., 1])
+
+
+def _trusted(cls, a: np.ndarray, b: np.ndarray):
+    """Wrap the pair computed by an internal operation: no copy, no shape re-check."""
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise StructureError(f"{cls.__name__} entries must be finite")
+    out = object.__new__(cls)
+    out._a, out._b = a, b
+    return out
+
+
+def _product(a1: np.ndarray, b1: np.ndarray, a2: np.ndarray,
+             b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A1 + B1 j)(A2 + B2 j) on pairs; the right factor may be a vector pair."""
+    return a1 @ a2 - b1 @ b2.conj(), a1 @ b2 + b1 @ a2.conj()
 
 
 class QVector:
     """Column vector in H^n, scalars acting on the right."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("_a", "_b")
 
     def __init__(self, components: np.ndarray):
-        self._c = _validated(components, 2, "QVector")
+        self._a, self._b = _boundary_pair(components, 2, "QVector")
 
     @classmethod
     def from_quaternions(cls, entries: Iterable[Quaternion | float]) -> "QVector":
@@ -101,57 +93,61 @@ class QVector:
     def basis(cls, n: int, index: int) -> "QVector":
         if not 0 <= index < n:
             raise ShapeError(f"basis index {index} out of range for H^{n}")
-        c = np.zeros((n, 4))
-        c[index, 0] = 1.0
-        return cls(c)
+        out = cls.zeros(n)
+        out._a[index] = 1.0
+        return out
 
     @property
     def n(self) -> int:
-        return self._c.shape[0]
+        return self._a.shape[0]
 
     def __len__(self) -> int:
         return self.n
 
     def __getitem__(self, i: int) -> Quaternion:
-        return Quaternion.from_components(self._c[i])
+        a, b = self._a[i], self._b[i]
+        return Quaternion(a.real, a.imag, b.real, b.imag)
 
     def to_array(self) -> np.ndarray:
-        return self._c.copy()
+        return np.stack([self._a, self._b], axis=-1).view(np.float64)
 
     def __add__(self, other: "QVector") -> "QVector":
         self._check_same(other)
-        return QVector(self._c + other._c)
+        return _trusted(QVector, self._a + other._a, self._b + other._b)
 
     def __sub__(self, other: "QVector") -> "QVector":
         self._check_same(other)
-        return QVector(self._c - other._c)
+        return _trusted(QVector, self._a - other._a, self._b - other._b)
 
     def __neg__(self) -> "QVector":
-        return QVector(-self._c)
+        return _trusted(QVector, -self._a, -self._b)
 
     def __mul__(self, scalar) -> "QVector":
         """Right scalar action u * q, entrywise u_i q."""
         if isinstance(scalar, (int, float)):
-            return QVector(self._c * float(scalar))
+            s = float(scalar)
+            return _trusted(QVector, self._a * s, self._b * s)
         if isinstance(scalar, Quaternion):
-            q = np.array(scalar.components())
-            return QVector(_hamilton(self._c, q[None, :]))
+            qa, qb = complex(scalar.w, scalar.x), complex(scalar.y, scalar.z)
+            a, b = self._a, self._b
+            return _trusted(QVector, a * qa - b * qb.conjugate(), a * qb + b * qa.conjugate())
         return NotImplemented
 
     def __rmul__(self, scalar) -> "QVector":
         if isinstance(scalar, (int, float)):
-            return QVector(self._c * float(scalar))
+            return self * scalar
         return NotImplemented
 
     def norm(self) -> float:
-        return float(np.sqrt((self._c ** 2).sum()))
+        # summed in (w, x, y, z) order, so normalised draws keep their bits
+        return float(np.sqrt((self.to_array() ** 2).sum()))
 
     def allclose(self, other: "QVector", tol: float = 1e-12,
                  scale: float | None = None) -> bool:
         self._check_same(other)
         floor = 1.0 if scale is None else float(scale)
         bound = tol * max(floor, self.norm(), other.norm())
-        return float(np.abs(self._c - other._c).max()) <= bound
+        return float(np.abs(self.to_array() - other.to_array()).max()) <= bound
 
     def _check_same(self, other: "QVector") -> None:
         if not isinstance(other, QVector):
@@ -164,39 +160,35 @@ class QVector:
 
 
 def inner(u: QVector, v: QVector) -> Quaternion:
-    """Hermitian inner product sum_i conj(u_i) v_i, linear in the second slot."""
+    """Hermitian inner product sum_i conj(u_i) v_i, linear in the second slot.
+
+    conj(a + b j)(c + d j) = (conj(a) c + b conj(d)) + (conj(a) d - b conj(c)) j.
+    """
     u._check_same(v)
-    a, b = u._c, v._c
-    aw, ax, ay, az = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-    bw, bx, by, bz = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
-    return Quaternion(
-        float((aw * bw + ax * bx + ay * by + az * bz).sum()),
-        float((aw * bx - ax * bw - ay * bz + az * by).sum()),
-        float((aw * by + ax * bz - ay * bw - az * bx).sum()),
-        float((aw * bz - ax * by + ay * bx - az * bw).sum()),
-    )
+    c = np.vdot(u._a, v._a) + np.vdot(v._b, u._b)
+    d = np.vdot(u._a, v._b) - np.vdot(v._a, u._b)
+    return Quaternion(c.real, c.imag, d.real, d.imag)
 
 
 def left_scalar_mul(q: Quaternion, u: QVector) -> QVector:
     """Left action (q u)_i = q u_i fixed by the standard coordinate basis."""
-    qa = np.array(q.components())
-    return QVector(_hamilton(qa[None, :], u._c))
+    qa, qb = complex(q.w, q.x), complex(q.y, q.z)
+    return _trusted(QVector, qa * u._a - qb * u._b.conj(), qa * u._b + qb * u._a.conj())
 
 
 def outer(u: QVector, v: QVector) -> "QMatrix":
     """Rank-one operator u v^*, sending x to u <v, x>."""
-    vc = v._c.copy()
-    vc[:, 1:] *= -1.0
-    return QMatrix(_hamilton(u._c[:, None, :], vc[None, :, :]))
+    return _trusted(QMatrix, *_product(u._a[:, None], u._b[:, None],
+                                       v._a.conj()[None, :], -v._b[None, :]))
 
 
 class QMatrix:
     """Dense matrix over H acting on column vectors from the left."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("_a", "_b")
 
     def __init__(self, components: np.ndarray):
-        self._c = _validated(components, 3, "QMatrix")
+        self._a, self._b = _boundary_pair(components, 3, "QMatrix")
 
     @classmethod
     def from_quaternions(cls, rows: Sequence[Sequence]) -> "QMatrix":
@@ -205,76 +197,76 @@ class QMatrix:
 
     @classmethod
     def zeros(cls, n: int, m: int | None = None) -> "QMatrix":
-        m = n if m is None else m
-        return cls(np.zeros((n, m, 4)))
+        return cls(np.zeros((n, n if m is None else m, 4)))
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        c = np.zeros((n, n, 4))
-        c[np.arange(n), np.arange(n), 0] = 1.0
-        return cls(c)
+        out = cls.zeros(n)
+        out._a[np.arange(n), np.arange(n)] = 1.0
+        return out
 
     @classmethod
     def diag(cls, values: Sequence) -> "QMatrix":
-        n = len(values)
-        c = np.zeros((n, n, 4))
+        out = cls.zeros(len(values))
         for i, v in enumerate(values):
-            c[i, i] = _coerce_entry(v).components()
-        return cls(c)
+            q = _coerce_entry(v)
+            out._a[i, i], out._b[i, i] = complex(q.w, q.x), complex(q.y, q.z)
+        return out
 
     @classmethod
     def from_columns(cls, columns: Sequence[QVector]) -> "QMatrix":
-        arrs = [col._c for col in columns]
-        return cls(np.stack(arrs, axis=1))
+        _check_extents((len(columns),), "QMatrix")
+        return _trusted(cls, np.stack([col._a for col in columns], axis=1),
+                        np.stack([col._b for col in columns], axis=1))
 
     @property
     def rows(self) -> int:
-        return self._c.shape[0]
+        return self._a.shape[0]
 
     @property
     def cols(self) -> int:
-        return self._c.shape[1]
+        return self._a.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
+        return self._a.shape
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def entry(self, i: int, j: int) -> Quaternion:
-        return Quaternion.from_components(self._c[i, j])
+        a, b = self._a[i, j], self._b[i, j]
+        return Quaternion(a.real, a.imag, b.real, b.imag)
 
     def __getitem__(self, ij: tuple[int, int]) -> Quaternion:
         return self.entry(*ij)
 
     def column(self, j: int) -> QVector:
-        return QVector(self._c[:, j, :])
+        return _trusted(QVector, self._a[:, j].copy(), self._b[:, j].copy())
 
     def to_array(self) -> np.ndarray:
-        return self._c.copy()
+        return np.stack([self._a, self._b], axis=-1).view(np.float64)
 
     @property
     def H(self) -> "QMatrix":
-        """Adjoint: conjugate transpose."""
-        t = self._c.transpose(1, 0, 2).copy()
-        t[:, :, 1:] *= -1.0
-        return QMatrix(t)
+        """Adjoint: conjugate transpose, (A^H, -B^T) on the pair."""
+        return _trusted(QMatrix, self._a.T.conj(), -self._b.T)
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         self._check_same(other)
-        return QMatrix(self._c + other._c)
+        return _trusted(QMatrix, self._a + other._a, self._b + other._b)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         self._check_same(other)
-        return QMatrix(self._c - other._c)
+        return _trusted(QMatrix, self._a - other._a, self._b - other._b)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix(-self._c)
+        return _trusted(QMatrix, -self._a, -self._b)
 
     def __mul__(self, scalar) -> "QMatrix":
         if isinstance(scalar, (int, float)):
-            return QMatrix(self._c * float(scalar))
+            s = float(scalar)
+            return _trusted(QMatrix, self._a * s, self._b * s)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -283,31 +275,30 @@ class QMatrix:
         if isinstance(other, QMatrix):
             if self.cols != other.rows:
                 raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-            return QMatrix(_matmul_components(self._c, other._c))
+            return _trusted(QMatrix, *_product(self._a, self._b, other._a, other._b))
         if isinstance(other, QVector):
             if self.cols != other.n:
                 raise ShapeError(f"cannot apply {self.shape} to H^{other.n}")
-            out = _matmul_components(self._c, other._c[:, None, :])
-            return QVector(out[:, 0, :])
+            return _trusted(QVector, *_product(self._a, self._b, other._a, other._b))
         return NotImplemented
 
     def frobenius(self) -> float:
-        return float(np.sqrt((self._c ** 2).sum()))
+        return float(np.sqrt(np.vdot(self._a, self._a).real + np.vdot(self._b, self._b).real))
 
     def trace(self) -> Quaternion:
-        n = min(self.rows, self.cols)
-        d = self._c[np.arange(n), np.arange(n)].sum(axis=0)
-        return Quaternion.from_components(d)
+        a, b = np.trace(self._a), np.trace(self._b)
+        return Quaternion(a.real, a.imag, b.real, b.imag)
 
     def allclose(self, other: "QMatrix", tol: float = 1e-12,
                  scale: float | None = None) -> bool:
         self._check_same(other)
         floor = 1.0 if scale is None else float(scale)
         bound = tol * max(floor, self.frobenius(), other.frobenius())
-        return float(np.abs(self._c - other._c).max()) <= bound
+        return float(np.abs(self.to_array() - other.to_array()).max()) <= bound
 
     def equals_exact(self, other: "QMatrix") -> bool:
-        return self.shape == other.shape and np.array_equal(self._c, other._c)
+        return (self.shape == other.shape and np.array_equal(self._a, other._a)
+                and np.array_equal(self._b, other._b))
 
     def _check_same(self, other: "QMatrix") -> None:
         if not isinstance(other, QMatrix):
@@ -321,12 +312,13 @@ class QMatrix:
 
 def embed_chi(a: QMatrix) -> np.ndarray:
     """Complex adjoint embedding [[A, B], [-conj(B), conj(A)]] of a = A + B j."""
-    c = a._c
-    top = np.concatenate([c[:, :, 0] + 1j * c[:, :, 1],
-                          c[:, :, 2] + 1j * c[:, :, 3]], axis=1)
-    bottom = np.concatenate([-np.conj(top[:, c.shape[1]:]),
-                             np.conj(top[:, :c.shape[1]])], axis=1)
-    return np.concatenate([top, bottom], axis=0)
+    n, m = a.shape
+    out = np.empty((2 * n, 2 * m), dtype=np.complex128)
+    out[:n, :m] = a._a
+    out[:n, m:] = a._b
+    out[n:, :m] = -a._b.conj()
+    out[n:, m:] = a._a.conj()
+    return out
 
 
 def _psi(xs: np.ndarray) -> np.ndarray:
@@ -339,21 +331,10 @@ def _psi(xs: np.ndarray) -> np.ndarray:
                            -xs[..., 2] + 1j * xs[..., 3]], axis=-1)
 
 
-def _unpsi(v: np.ndarray) -> np.ndarray:
-    """Inverse of ``_psi``: (..., 2n) complex to (..., n, 4) components."""
-    n = v.shape[-1] // 2
-    top, bottom = v[..., :n], v[..., n:]
-    return np.stack([top.real, top.imag, -bottom.real, bottom.imag], axis=-1)
-
-
-def _unembed_blocks(m: np.ndarray) -> QMatrix:
-    n2, m2 = m.shape
-    n, mm = n2 // 2, m2 // 2
-    # average the two redundant copies carried by the symmetry
-    a = 0.5 * (m[:n, :mm] + np.conj(m[n:, mm:]))
-    b = 0.5 * (m[:n, mm:] - np.conj(m[n:, :mm]))
-    comps = np.stack([a.real, a.imag, b.real, b.imag], axis=2)
-    return QMatrix(comps)
+def _from_psi(v: np.ndarray) -> QVector:
+    """The vector x with psi(x) = v, for one (2n,) complex vector."""
+    n = v.shape[0] // 2
+    return _trusted(QVector, v[:n].copy(), -v[n:].conj())
 
 
 def unembed_chi(m: np.ndarray, *, tol: float = 1e-8, check: bool = True) -> QMatrix:
@@ -361,11 +342,13 @@ def unembed_chi(m: np.ndarray, *, tol: float = 1e-8, check: bool = True) -> QMat
 
     The structural test is the symplectic symmetry: the lower blocks must
     equal (-conj(B), conj(A)) within ``tol`` relative to the Frobenius norm.
+    The two redundant copies of A and of B are averaged.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] % 2 or m.shape[1] % 2:
         raise ShapeError(f"embedded matrix must have even dimensions, got {m.shape}")
     n, mm = m.shape[0] // 2, m.shape[1] // 2
+    _check_extents((n, mm), "QMatrix")
     if check:
         scale = max(1.0, float(np.linalg.norm(m)))
         res = float(np.linalg.norm(m[n:, :mm] + np.conj(m[:n, mm:]))
@@ -373,7 +356,8 @@ def unembed_chi(m: np.ndarray, *, tol: float = 1e-8, check: bool = True) -> QMat
         if res > tol * scale:
             raise StructureError(
                 f"matrix violates the embedding symmetry (residual {res:.3e})")
-    return _unembed_blocks(m)
+    return _trusted(QMatrix, 0.5 * (m[:n, :mm] + np.conj(m[n:, mm:])),
+                    0.5 * (m[:n, mm:] - np.conj(m[n:, :mm])))
 
 
 def _chi_eigvalsh(a: QMatrix) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _eig, matio
 from .errors import DomainError, PreconditionError, StructureError
-from .linalg import (QMatrix, QVector, _psi, _unpsi, embed_chi, inner, operator_norm, outer,
+from .linalg import (QMatrix, QVector, _from_psi, _psi, embed_chi, inner, operator_norm, outer,
                      unembed_chi)
 from .quaternion import Quaternion
 from .rng import SplitMix64, mix_seed
@@ -255,10 +255,9 @@ def _gcsi_terms(chi_t: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _pair_witness(beta: float, pair: np.ndarray) -> dict[str, Any]:
-    x, y = _unpsi(pair)
     return {"beta": beta,
-            "x": matio.vector_to_json(QVector(x)),
-            "y": matio.vector_to_json(QVector(y))}
+            "x": matio.vector_to_json(_from_psi(pair[0])),
+            "y": matio.vector_to_json(_from_psi(pair[1]))}
 
 
 def gcsi_margin(t: QMatrix, beta: float, *, budget: int = 1000, seed: int = 0,

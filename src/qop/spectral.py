@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _eig
 from .errors import DomainError, PreconditionError, ShapeError, StructureError
-from .linalg import QMatrix, QVector, _chi_eigvalsh, _unpsi, embed_chi, unembed_chi
+from .linalg import QMatrix, QVector, _chi_eigvalsh, _from_psi, embed_chi, unembed_chi
 from .quaternion import Quaternion
 
 PAIR_TOL = 1e-8
@@ -147,7 +147,7 @@ def _quaternionic_basis(v: np.ndarray, need: int) -> list[QVector]:
         x = rest[:, k] / norms[k]
         line = np.stack([x, np.concatenate([-np.conj(x[n:]), np.conj(x[:n])])], axis=1)
         rest -= line @ (line.conj().T @ rest)
-        out.append(QVector(_unpsi(x)))
+        out.append(_from_psi(x))
     return out
 
 

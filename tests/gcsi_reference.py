@@ -3,8 +3,9 @@ reference for ``qop.oracles``.
 
 ``gcsi_margin`` and ``gcsi_sweep`` below are the quaternion-side versions
 that the library replaced with its complex-side vector path: Hamilton
-products through ``_matmul_components``, one candidate pair scored per
-refinement step, and one stream draw per step.  ``paranormal_vector_margins``
+products through ``quaternion_reference.matmul_components`` on the
+``to_array()`` components, one candidate pair scored per refinement step,
+and one stream draw per step.  ``paranormal_vector_margins``
 is the vector channel of ``is_paranormal`` in the same form.  The module name
 keeps it out of pytest collection.
 """
@@ -17,9 +18,10 @@ import numpy as np
 
 from qop import matio
 from qop.errors import DomainError
-from qop.linalg import QMatrix, QVector, _matmul_components
+from qop.linalg import QMatrix, QVector
 from qop.oracles import DEFAULT_TOL, Margin
 from qop.rng import SplitMix64, mix_seed
+from quaternion_reference import matmul_components
 
 
 def _unit_vectors(n: int, count: int, stream: SplitMix64) -> np.ndarray:
@@ -38,7 +40,7 @@ def _unit_vectors(n: int, count: int, stream: SplitMix64) -> np.ndarray:
 
 def _batch_matvec(t: QMatrix, xs: np.ndarray) -> np.ndarray:
     """Apply T to a (k, n, 4) stack of vectors, returning the same shape."""
-    out = _matmul_components(t._c, xs.transpose(1, 0, 2))
+    out = matmul_components(t.to_array(), xs.transpose(1, 0, 2))
     return out.transpose(1, 0, 2)
 
 

@@ -3,12 +3,15 @@ import math
 
 import pytest
 
+from qop import oracles
 from qop.errors import DomainError, PreconditionError
 from qop.harness import (DEFAULT_TOL, PROPERTIES, _EVALUATORS, _hausdorff,
-                         TrialContext, TrialOutcome, evaluate_instance,
-                         minimize_counterexample, run_fuzz, run_verify)
+                         _zero_entry_candidates, TrialContext, TrialOutcome,
+                         evaluate_instance, minimize_counterexample, run_fuzz,
+                         run_verify)
 from qop.linalg import QMatrix, QVector
 from qop.oracles import check_kernel_reduction
+from qop.quaternion import J, K, Quaternion
 from qop.rng import mix_seed
 
 
@@ -178,3 +181,40 @@ def test_evaluate_instance_reproduces_the_trial_margin(prop):
     for idx in range(4):
         out = PROPERTIES[prop](TrialContext(mix_seed(7, idx), idx, 4, DEFAULT_TOL, False))
         assert evaluate_instance(prop, out.instance) == out.margin, (prop, idx)
+
+
+def test_gcsi_implies_shrinker_samples_the_trial_seed(monkeypatch):
+    # the trial's margin is 0 or -1, so compare the oracle seed and the sub-margins
+    real = oracles.check_gcsi_implies
+    seen = []
+
+    def spy(*args, **kwargs):
+        report = real(*args, **kwargs)
+        seen.append((kwargs["seed"], report))
+        return report
+
+    monkeypatch.setattr(oracles, "check_gcsi_implies", spy)
+    for idx in range(4):
+        ts = mix_seed(7, idx)
+        out = PROPERTIES["gcsi-implies"](TrialContext(ts, idx, 4, DEFAULT_TOL, False))
+        evaluate_instance("gcsi-implies", out.instance)
+        (trial_seed, trial), (eval_seed, again) = seen[-2:]
+        assert eval_seed == trial_seed == mix_seed(ts, 2), idx
+        for part in ("gcsi", "paranormal", "p_hyponormal"):
+            assert getattr(again, part).value == getattr(trial, part).value, (idx, part)
+        assert (again.hard_violation, again.flagged) == (trial.hard_violation, trial.flagged)
+
+
+def test_zero_entry_candidates_are_row_major_over_nonzero_entries():
+    zero = Quaternion(0.0, 0.0, 0.0, 0.0)
+    t = QMatrix.from_quaternions([[0.0, 1.0], [J, Quaternion(-0.0, 0.0, 0.0, 0.0)]])
+    cands = _zero_entry_candidates(t)
+    assert [pos for pos, _ in cands] == [(0, 1), (1, 0)]
+    for (i, j), c in cands:
+        want = [[t.entry(r, s) for s in range(2)] for r in range(2)]
+        want[i][j] = zero
+        assert c.equals_exact(QMatrix.from_quaternions(want))
+    v = QVector.from_quaternions([1.0, 0.0, K])
+    assert [pos for pos, _ in _zero_entry_candidates(v)] == [0, 2]
+    assert _zero_entry_candidates(v)[1][1].allclose(QVector.from_quaternions([1.0, 0.0, 0.0]), tol=0.0)
+    assert _zero_entry_candidates(0.5) == []

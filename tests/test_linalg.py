@@ -3,10 +3,11 @@ import pytest
 
 from qop.errors import PreconditionError, ShapeError, StructureError
 from qop.generators import ginibre, random_unitary, unit_vector
-from qop.linalg import (QMatrix, QVector, embed_chi, inner, left_scalar_mul,
+from qop.linalg import (MAX_DIM, QMatrix, QVector, embed_chi, inner, left_scalar_mul,
                         operator_norm, outer, unembed_chi, verify_hilbert_basis)
 from qop.quaternion import I, J, K, Quaternion
 from qop.rng import SplitMix64
+from quaternion_reference import conjugate, hamilton, matmul_components
 
 
 def _rand_vec(n, seed):
@@ -170,3 +171,80 @@ def test_nonsquare_embedding():
 def test_unit_vector_generator_normalized():
     v = unit_vector(5, seed=61)
     assert abs(v.norm() - 1.0) <= 1e-12
+
+
+def _assert_close(got, want, what):
+    err = float(np.abs(np.asarray(got) - np.asarray(want)).max())
+    assert err <= 1e-12 * max(1.0, float(np.abs(want).max())), (what, err)
+
+
+@pytest.mark.parametrize("n", [1, 4, MAX_DIM])
+def test_pair_arithmetic_matches_the_hamilton_reference(n):
+    k, m = max(n - 1, 1), min(n + 1, MAX_DIM)
+    a = ginibre(n, k, seed=70 + n)
+    b = ginibre(k, m, seed=71 + n)
+    x = _rand_vec(k, 72 + n)
+    u, v = _rand_vec(n, 73 + n), _rand_vec(n, 74 + n)
+    q = Quaternion(0.3, -1.2, 0.5, 2.0)
+    qc = np.array(q.components())
+    ac, uc, vc = a.to_array(), u.to_array(), v.to_array()
+    _assert_close((a @ b).to_array(), matmul_components(ac, b.to_array()), "QMatrix @ QMatrix")
+    _assert_close((a @ x).to_array(), matmul_components(ac, x.to_array()[:, None, :])[:, 0], "QMatrix @ QVector")
+    _assert_close(a.H.to_array(), conjugate(ac.transpose(1, 0, 2)), ".H")
+    _assert_close(inner(u, v).components(), hamilton(conjugate(uc), vc).sum(axis=0), "inner")
+    _assert_close(outer(u, v).to_array(), hamilton(uc[:, None, :], conjugate(vc)[None, :, :]), "outer")
+    _assert_close(left_scalar_mul(q, u).to_array(), hamilton(qc[None, :], uc), "left_scalar_mul")
+    _assert_close((u * q).to_array(), hamilton(uc, qc[None, :]), "QVector * q")
+    _assert_close(a.trace().components(), ac[np.arange(min(n, k)), np.arange(min(n, k))].sum(axis=0), "trace")
+    _assert_close(a.frobenius(), np.sqrt((ac ** 2).sum()), "frobenius")
+
+
+def test_public_boundary_checks():
+    for bad in (0, MAX_DIM + 1):
+        with pytest.raises(ShapeError):
+            QVector(np.zeros((bad, 4)))
+        with pytest.raises(ShapeError):
+            QMatrix(np.zeros((bad, 2, 4)))
+        with pytest.raises(ShapeError):
+            QMatrix(np.zeros((2, bad, 4)))
+        with pytest.raises(ShapeError):
+            QMatrix.zeros(bad)
+        with pytest.raises(ShapeError):
+            QMatrix.identity(bad)
+        with pytest.raises(ShapeError):
+            QVector.zeros(bad)
+    for value in (np.nan, np.inf, -np.inf):
+        c = np.zeros((2, 2, 4))
+        c[1, 0, 3] = value
+        with pytest.raises(StructureError):
+            QMatrix(c)
+        with pytest.raises(StructureError):
+            QVector(c[1])
+    with pytest.raises(ShapeError):
+        unembed_chi(np.zeros((130, 130)))
+    with pytest.raises(StructureError):
+        unembed_chi(np.full((4, 4), np.nan))
+    with pytest.raises(StructureError):
+        unembed_chi(np.full((4, 4), np.nan), check=False)
+    big = QMatrix(np.full((2, 2, 4), 1e200))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StructureError):
+            big @ big
+        with pytest.raises(StructureError):
+            big @ QVector(np.full((2, 4), 1e200))
+
+
+def test_constructors_and_to_array_copy():
+    c = np.ones((2, 3, 4))
+    a = QMatrix(c)
+    c[0, 0] = 5.0
+    assert a.entry(0, 0) == Quaternion(1.0, 1.0, 1.0, 1.0)
+    a.to_array()[0, 0] = 7.0
+    assert a.entry(0, 0) == Quaternion(1.0, 1.0, 1.0, 1.0)
+    vc = np.ones((2, 4))
+    v = QVector(vc)
+    vc[1] = -3.0
+    assert v[1] == Quaternion(1.0, 1.0, 1.0, 1.0)
+    # signed zeros survive the round trip through the pair
+    z = np.array([[-0.0, 0.0, -0.0, 1.0]])
+    assert np.array_equal(np.signbit(QVector(z).to_array()), np.signbit(z))

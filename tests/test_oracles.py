@@ -496,14 +496,16 @@ def test_gcsi_sweep_and_paranormal_vectors_match_the_reference():
 def test_vector_oracles_work_on_chi_only(monkeypatch):
     from qop import linalg
     calls = []
-    real = linalg._matmul_components
-    monkeypatch.setattr(linalg, "_matmul_components",
-                        lambda p, q: calls.append(p.shape) or real(p, q))
+    real = linalg._product
+    monkeypatch.setattr(linalg, "_product",
+                        lambda *args: calls.append(args[0].shape) or real(*args))
     t = ginibre(3, seed=6200)
     gcsi_margin(t, 0.5, budget=40, seed=1)
     gcsi_sweep(t, budget=40, seed=1)
     is_paranormal(t, grid=8, samples=40, seed=1)
     assert calls == []
+    t @ t  # the seam is the one quaternionic product
+    assert calls == [(3, 3)]
 
 
 # ------------------------------------------------------------ consistency
