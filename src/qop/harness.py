@@ -1,18 +1,20 @@
 """Randomized verification engine over the theorem oracles.
 
-Each named property owns a trial function: given a trial seed it draws an
-instance from the generators, runs the matching oracle, and reports one
-dimensionless margin (raw margin divided by an instance scale), so a single
-tolerance applies uniformly across properties.  Per-trial seeds are derived
+Each named property is one ``Property`` record.  Its ``draw`` builds an
+instance (operators, vectors, exponents) from a trial's seeds, and its
+``evaluate`` scores an instance as one dimensionless margin (raw margin
+divided by an instance scale), so a single tolerance applies uniformly
+across properties.  A trial is ``evaluate(draw(ctx))``, and the shrinker
+scores its candidates with the same ``evaluate``, so it minimises exactly
+what the trial measured, hypotheses included.  Per-trial seeds are derived
 as mix_seed(seed, index); the aggregate is a deterministic min-fold with
 ties broken by lowest trial index.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -23,7 +25,7 @@ from .linalg import QMatrix, QVector, operator_norm
 from .quaternion import Quaternion
 from .rng import SplitMix64, mix_seed
 from .spectral import eigh_q, rayleigh_bounds, spherical_spectrum
-from .transforms import aluthge, polar
+from .transforms import aluthge
 
 DEFAULT_TOL = oracles.DEFAULT_TOL
 DEFAULT_DIM = 4
@@ -34,6 +36,8 @@ HYP_P_GRID = (0.25, 0.5, 1.0)
 
 PROBE_PAIR_A = ((2.0, 1.0), (1.0, 1.0))
 PROBE_PAIR_B = ((1.0, 0.0), (0.0, 0.0))
+
+Instance = dict[str, Any]
 
 
 @dataclass(frozen=True)
@@ -48,8 +52,34 @@ class TrialContext:
 @dataclass(frozen=True)
 class TrialOutcome:
     margin: float
-    witness: dict[str, Any] | None = None
-    instance: dict[str, Any] | None = None
+    witness: dict[str, Any] | None
+    instance: Instance
+
+
+@dataclass(frozen=True)
+class Property:
+    """A named property; calling it with a TrialContext runs one trial.
+
+    ``draw`` builds an instance from the trial's seeds.  ``evaluate`` scores
+    an instance and returns the margin with the witness entries that are not
+    instance fields; an exponent grid in the instance is replaced by its
+    worst exponent.  ``witness_keys`` are the instance fields a witness
+    reports.  The record is not slotted, so a ``functools.wraps`` wrapper
+    around it still exposes ``evaluate``.
+    """
+
+    draw: Callable[[TrialContext], Instance]
+    evaluate: Callable[[Instance, float], tuple[float, dict[str, Any]]]
+    witness_keys: tuple[str, ...]
+
+    def __call__(self, ctx: TrialContext) -> TrialOutcome:
+        inst = self.draw(ctx)
+        margin, extras = self.evaluate(inst, ctx.tol)
+        witness = None
+        if margin < -ctx.tol:
+            witness = _serialize_instance({k: inst[k] for k in self.witness_keys})
+            witness.update(extras)
+        return TrialOutcome(margin, witness, inst)
 
 
 @dataclass(frozen=True)
@@ -85,6 +115,10 @@ def _scale_op(t: QMatrix) -> float:
     return max(1.0, operator_norm(t))
 
 
+def _scaled(m: oracles.Margin) -> float:
+    return m.value / m.details["scale"]
+
+
 def _random_unit_quaternion(stream: SplitMix64) -> Quaternion:
     while True:
         c = stream.normals(4)
@@ -94,63 +128,68 @@ def _random_unit_quaternion(stream: SplitMix64) -> Quaternion:
                               float(c[2] / n), float(c[3] / n))
 
 
-def _mat_witness(name: str, m: QMatrix) -> dict[str, Any]:
-    return {name: matio.matrix_to_json(m)}
+def _random_normal(ctx: TrialContext, stream: SplitMix64, zeros: int = 0) -> QMatrix:
+    """Normal operator: `zeros` zero eigenvalues, the rest of modulus in [0.2, 2)."""
+    vals = [Quaternion(0.0, 0.0, 0.0, 0.0)] * zeros
+    for _ in range(ctx.dim - zeros):
+        u = _random_unit_quaternion(stream)
+        vals.append(u * Quaternion(0.2 + 1.8 * stream.uniform(0.0, 1.0), 0.0, 0.0, 0.0))
+    return generators.normal_with_spectrum(vals, seed=mix_seed(ctx.trial_seed, 1))
 
 
-# ---------------------------------------------------------------- trials
+def _worst_over_r(inst: Instance, margin_at: Callable[[float], float]) -> float:
+    """Least margin over inst["r"]; a tuple there is a grid, replaced by its argmin."""
+    grid = inst["r"] if isinstance(inst["r"], tuple) else (inst["r"],)
+    worst, inst["r"] = min(((margin_at(r), r) for r in grid), key=lambda mr: mr[0])
+    return worst
 
 
-def _trial_lowner_heinz(ctx: TrialContext) -> TrialOutcome:
-    if ctx.probe:
-        stream = SplitMix64(mix_seed(ctx.trial_seed, 3))
-        if ctx.index == 0:
-            a = QMatrix.from_quaternions(PROBE_PAIR_A)
-            b = QMatrix.from_quaternions(PROBE_PAIR_B)
-            r = 2.0
-        else:
-            a, b = generators.ordered_pair(ctx.dim, seed=ctx.trial_seed)
-            r = 1.0 + 2.0 * stream.uniform(0.0, 1.0)
-        m = oracles.check_lowner_heinz(a, b, r, tol=ctx.tol, probe=True)
-        norm = m.value / m.details["scale"]
-        wit = None
-        if norm < -ctx.tol:
-            wit = {"r": r, "A": matio.matrix_to_json(a), "B": matio.matrix_to_json(b)}
-        return TrialOutcome(norm, wit, {"A": a, "B": b, "r": r})
+# ------------------------------------------------------------ properties
 
+
+def _draw_lowner_heinz(ctx: TrialContext) -> Instance:
+    if not ctx.probe:
+        a, b = generators.ordered_pair(ctx.dim, seed=ctx.trial_seed)
+        return {"A": a, "B": b, "r": LH_R_GRID}
+    if ctx.index == 0:
+        return {"A": QMatrix.from_quaternions(PROBE_PAIR_A),
+                "B": QMatrix.from_quaternions(PROBE_PAIR_B), "r": 2.0}
     a, b = generators.ordered_pair(ctx.dim, seed=ctx.trial_seed)
-    ssys = eigh_q(0.5 * (a + a.H))
-    tsys = eigh_q(0.5 * (b + b.H))
-    worst = math.inf
-    worst_r = LH_R_GRID[0]
-    for r in LH_R_GRID:
-        m = oracles.check_lowner_heinz(a, b, r, tol=ctx.tol,
-                                       s_system=ssys, t_system=tsys)
-        norm = m.value / m.details["scale"]
-        if norm < worst:
-            worst, worst_r = norm, r
-    wit = None
-    if worst < -ctx.tol:
-        wit = {"r": worst_r, "A": matio.matrix_to_json(a), "B": matio.matrix_to_json(b)}
-    return TrialOutcome(worst, wit, {"A": a, "B": b, "r": worst_r})
+    stream = SplitMix64(mix_seed(ctx.trial_seed, 3))
+    return {"A": a, "B": b, "r": 1.0 + 2.0 * stream.uniform(0.0, 1.0)}
 
 
-def _trial_holder_mccarthy(ctx: TrialContext) -> TrialOutcome:
-    t = generators.positive(ctx.dim, seed=mix_seed(ctx.trial_seed, 0))
-    x = generators.unit_vector(ctx.dim, seed=mix_seed(ctx.trial_seed, 1))
-    system = eigh_q(0.5 * (t + t.H))
-    worst = math.inf
-    worst_r = HM_R_GRID[0]
-    for r in HM_R_GRID:
-        m = oracles.check_holder_mccarthy(t, x, r, tol=ctx.tol, system=system)
-        scale = max(1.0, abs(m.details["lhs"]), abs(m.details["rhs"]))
-        norm = m.value / scale
-        if norm < worst:
-            worst, worst_r = norm, r
-    wit = None
-    if worst < -ctx.tol:
-        wit = {"r": worst_r, "T": matio.matrix_to_json(t), "x": matio.vector_to_json(x)}
-    return TrialOutcome(worst, wit, {"T": t, "x": x, "r": worst_r})
+def _lowner_heinz_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
+    """S^r >= T^r; an exponent r > 1 lies outside the theorem and is a probe."""
+    a, b = inst["A"], inst["B"]
+    # a grid shares one eigensolve per operator; a single exponent lets the
+    # oracle check the order first, so a rejected candidate exits early
+    grid = isinstance(inst["r"], tuple)
+    ssys = eigh_q(0.5 * (a + a.H)) if grid else None
+    tsys = eigh_q(0.5 * (b + b.H)) if grid else None
+
+    def at(r: float) -> float:
+        return _scaled(oracles.check_lowner_heinz(a, b, r, tol=tol, probe=r > 1.0,
+                                                  s_system=ssys, t_system=tsys))
+
+    return _worst_over_r(inst, at), {}
+
+
+def _draw_holder_mccarthy(ctx: TrialContext) -> Instance:
+    return {"T": generators.positive(ctx.dim, seed=mix_seed(ctx.trial_seed, 0)),
+            "x": generators.unit_vector(ctx.dim, seed=mix_seed(ctx.trial_seed, 1)),
+            "r": HM_R_GRID}
+
+
+def _holder_mccarthy_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
+    t, x = inst["T"], inst["x"]
+    system = eigh_q(0.5 * (t + t.H)) if isinstance(inst["r"], tuple) else None
+
+    def at(r: float) -> float:
+        m = oracles.check_holder_mccarthy(t, x, r, tol=tol, system=system)
+        return m.value / max(1.0, abs(m.details["lhs"]), abs(m.details["rhs"]))
+
+    return _worst_over_r(inst, at), {}
 
 
 def _draw_furuta_exponents(stream: SplitMix64, violating: bool) -> tuple[float, float, float]:
@@ -164,110 +203,88 @@ def _draw_furuta_exponents(stream: SplitMix64, violating: bool) -> tuple[float, 
     return (3.0, 1.0, 0.0) if violating else (1.0, 1.0, 0.0)
 
 
-def _trial_furuta(ctx: TrialContext) -> TrialOutcome:
+def _draw_furuta(ctx: TrialContext) -> Instance:
     a, b = generators.ordered_pair(ctx.dim, seed=ctx.trial_seed)
     stream = SplitMix64(mix_seed(ctx.trial_seed, 5))
     p, q, r = _draw_furuta_exponents(stream, violating=ctx.probe)
-    m1, m2 = oracles.check_furuta(a, b, p, q, r, tol=ctx.tol, probe=ctx.probe)
-    norm = min(m1.value / m1.details["scale"], m2.value / m2.details["scale"])
-    wit = None
-    if norm < -ctx.tol:
-        wit = {"p": p, "q": q, "r": r, "probe": ctx.probe,
-               "A": matio.matrix_to_json(a), "B": matio.matrix_to_json(b)}
-    return TrialOutcome(norm, wit, {"A": a, "B": b, "p": p, "q": q, "r": r})
+    return {"A": a, "B": b, "p": p, "q": q, "r": r}
 
 
-def _random_spectrum(stream: SplitMix64, n: int, *, min_radius: float = 0.0,
-                     zeros: int = 0) -> list[Quaternion]:
-    values: list[Quaternion] = []
-    for i in range(n):
-        if i < zeros:
-            values.append(Quaternion(0.0, 0.0, 0.0, 0.0))
-            continue
-        u = _random_unit_quaternion(stream)
-        radius = min_radius + 0.2 + 1.8 * stream.uniform(0.0, 1.0)
-        values.append(u * Quaternion(radius, 0.0, 0.0, 0.0))
-    return values
+def _furuta_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
+    """Both brackets; exponents with (1+2r)q < p+2r lie outside the theorem and are a probe."""
+    p, q, r = inst["p"], inst["q"], inst["r"]
+    probe = (1.0 + 2.0 * r) * q < p + 2.0 * r
+    m1, m2 = oracles.check_furuta(inst["A"], inst["B"], p, q, r, tol=tol, probe=probe)
+    return min(_scaled(m1), _scaled(m2)), {"probe": probe}
 
 
-def _trial_chain(ctx: TrialContext) -> TrialOutcome:
+def _draw_chain(ctx: TrialContext) -> Instance:
     stream = SplitMix64(mix_seed(ctx.trial_seed, 0))
     if ctx.probe:
         eps = 10.0 ** (-1.0 - 3.0 * stream.uniform(0.0, 1.0))
         t = generators.near_normal(ctx.dim, eps, seed=mix_seed(ctx.trial_seed, 1))
-        m1, m2 = oracles.check_chain_semihypo(t, tol=ctx.tol, enforce=False)
     else:
-        vals = _random_spectrum(stream, ctx.dim)
-        t = generators.normal_with_spectrum(vals, seed=mix_seed(ctx.trial_seed, 1))
-        m1, m2 = oracles.check_chain_semihypo(t, tol=ctx.tol)
-    scale = m1.details["scale"]
-    norm = min(m1.value, m2.value) / scale
-    wit = _mat_witness("T", t) if norm < -ctx.tol else None
-    return TrialOutcome(norm, wit, {"T": t})
+        t = _random_normal(ctx, stream)
+    return {"T": t, "probe": ctx.probe}
 
 
-def _aluthge_margins(t: QMatrix, p: float, tol: float, enforce: bool) -> float:
-    fixed = -(aluthge(t) - t).frobenius() / _scale_op(t)
-    report = oracles.check_aluthge_theorems(t, p, tol=tol, enforce=enforce)
-    vals = [fixed, report.transform_margin.value / report.transform_margin.details["scale"]]
-    for _, m in report.monotone:
-        vals.append(m.value / m.details["scale"])
-    if report.double_reading_a is not None:
-        vals.append(report.double_reading_a.value / report.double_reading_a.details["scale"])
-    vals.append(report.double_reading_b.value / report.double_reading_b.details["scale"])
-    return min(vals)
+def _chain_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
+    """The sandwich; T must be semi-hyponormal unless the instance is a probe."""
+    m1, m2 = oracles.check_chain_semihypo(inst["T"], tol=tol,
+                                          enforce=not inst.get("probe", False))
+    return min(m1.value, m2.value) / m1.details["scale"], {}
 
 
-def _trial_aluthge(ctx: TrialContext) -> TrialOutcome:
+def _draw_aluthge(ctx: TrialContext) -> Instance:
     stream = SplitMix64(mix_seed(ctx.trial_seed, 0))
     if ctx.index % 2 == 0:
-        vals = _random_spectrum(stream, ctx.dim)
-        t = generators.normal_with_spectrum(vals, seed=mix_seed(ctx.trial_seed, 1))
+        t = _random_normal(ctx, stream)
     else:
         t = generators.random_unitary(ctx.dim, seed=mix_seed(ctx.trial_seed, 1))
-    p = 0.5 + 0.5 * stream.uniform(0.0, 1.0)
-    norm = _aluthge_margins(t, p, ctx.tol, enforce=True)
-    wit = None
-    if norm < -ctx.tol:
-        wit = {"p": p, "T": matio.matrix_to_json(t)}
-    return TrialOutcome(norm, wit, {"T": t, "p": p})
+    return {"T": t, "p": 0.5 + 0.5 * stream.uniform(0.0, 1.0)}
 
 
-def _trial_aluthge_gain(ctx: TrialContext) -> TrialOutcome:
+def _aluthge_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
+    """Every transform theorem for a p-hyponormal T, and T~ = T for normal T."""
+    t = inst["T"]
+    report = oracles.check_aluthge_theorems(t, inst["p"], tol=tol)
+    vals = [-(aluthge(t) - t).frobenius() / _scale_op(t), _scaled(report.transform_margin)]
+    vals += [_scaled(m) for _, m in report.monotone]
+    if report.double_reading_a is not None:
+        vals.append(_scaled(report.double_reading_a))
+    vals.append(_scaled(report.double_reading_b))
+    return min(vals), {}
+
+
+def _draw_aluthge_gain(ctx: TrialContext) -> Instance:
     stream = SplitMix64(mix_seed(ctx.trial_seed, 0))
     p = 0.05 + 0.4 * stream.uniform(0.0, 1.0)
     if ctx.probe:
         eps = 10.0 ** (-2.0 - 2.0 * stream.uniform(0.0, 1.0))
         t = generators.near_normal(ctx.dim, eps, seed=mix_seed(ctx.trial_seed, 1))
-        enforce = False
     else:
-        vals = _random_spectrum(stream, ctx.dim)
-        t = generators.normal_with_spectrum(vals, seed=mix_seed(ctx.trial_seed, 1))
-        enforce = True
-    report = oracles.check_aluthge_theorems(t, p, tol=ctx.tol, enforce=enforce)
-    m = report.transform_margin
-    norm = m.value / m.details["scale"]
-    wit = None
-    if norm < -ctx.tol:
-        wit = {"p": p, "probe": ctx.probe, "T": matio.matrix_to_json(t)}
-    return TrialOutcome(norm, wit, {"T": t, "p": p})
+        t = _random_normal(ctx, stream)
+    return {"T": t, "p": p, "probe": ctx.probe}
 
 
-def _trial_eigenspace_reducing(ctx: TrialContext) -> TrialOutcome:
+def _aluthge_gain_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
+    """The transform's gain; T must be p-hyponormal unless the instance is a probe."""
+    report = oracles.check_aluthge_theorems(inst["T"], inst["p"], tol=tol,
+                                            enforce=not inst.get("probe", False))
+    return _scaled(report.transform_margin), {}
+
+
+def _draw_eigenspace_reducing(ctx: TrialContext) -> Instance:
     stream = SplitMix64(mix_seed(ctx.trial_seed, 0))
     units = [_random_unit_quaternion(stream) for _ in range(ctx.dim)]
-    vals = []
-    for u in units:
-        radius = 0.3 + 2.0 * stream.uniform(0.0, 1.0)
-        vals.append(u * Quaternion(radius, 0.0, 0.0, 0.0))
-    t = generators.normal_with_spectrum(vals, seed=mix_seed(ctx.trial_seed, 1))
-    q = units[0]
-    m = oracles.check_eigenspace_reducing(t, q, tol=ctx.tol)
-    norm = m.value / m.details["scale"]
-    wit = None
-    if norm < -ctx.tol:
-        wit = {"q": matio.quaternion_to_json(q), "T": matio.matrix_to_json(t)}
-    return TrialOutcome(norm, wit, {"T": t, "q": q})
+    vals = [u * Quaternion(0.3 + 2.0 * stream.uniform(0.0, 1.0), 0.0, 0.0, 0.0)
+            for u in units]
+    return {"T": generators.normal_with_spectrum(vals, seed=mix_seed(ctx.trial_seed, 1)),
+            "q": units[0]}
+
+
+def _eigenspace_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
+    return _scaled(oracles.check_eigenspace_reducing(inst["T"], inst["q"], tol=tol)), {}
 
 
 _CLOSURE_CYCLE = ("scalar", "inverse", "unitary-equiv", "compression")
@@ -286,10 +303,10 @@ def _block_unitary(dim: int, seed: int) -> tuple[QMatrix, QMatrix]:
     return QMatrix(t), QMatrix(proj)
 
 
-def _trial_gcsi_closure(ctx: TrialContext) -> TrialOutcome:
+def _draw_gcsi_closure(ctx: TrialContext) -> Instance:
     which = _CLOSURE_CYCLE[ctx.index % len(_CLOSURE_CYCLE)]
     stream = SplitMix64(mix_seed(ctx.trial_seed, 0))
-    inst: dict[str, Any] = {"which": which, "seed": mix_seed(ctx.trial_seed, 3)}
+    inst: Instance = {"which": which, "seed": mix_seed(ctx.trial_seed, 3)}
     if which == "compression":
         inst["T"], inst["projector"] = _block_unitary(ctx.dim, mix_seed(ctx.trial_seed, 1))
     else:
@@ -299,16 +316,10 @@ def _trial_gcsi_closure(ctx: TrialContext) -> TrialOutcome:
         elif which == "unitary-equiv":
             inst["unitary"] = generators.random_unitary(
                 ctx.dim, seed=mix_seed(ctx.trial_seed, 2))
-    norm, report = _closure_margin(inst, ctx.tol)
-    wit = None
-    if norm < -ctx.tol:
-        wit = {"which": which, "T": matio.matrix_to_json(inst["T"])}
-        if report.transformed.witness is not None:
-            wit["pair"] = report.transformed.witness
-    return TrialOutcome(norm, wit, inst)
+    return inst
 
 
-def _closure_margin(inst: dict[str, Any], tol: float) -> tuple[float, oracles.ClosureReport]:
+def _closure_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
     """Base and transformed margins, each over its own operator's scale."""
     t = inst["T"]
     kwargs = {k: inst[k] for k in ("scalar", "unitary", "projector") if k in inst}
@@ -316,75 +327,68 @@ def _closure_margin(inst: dict[str, Any], tol: float) -> tuple[float, oracles.Cl
                                         seed=inst["seed"], tol=tol, **kwargs)
     base = report.base.value / _scale_op(t)
     scale_s = max(1.0, abs(kwargs.get("scalar", 1.0)) * operator_norm(t))
-    return min(base, report.transformed.value / scale_s), report
+    pair = report.transformed.witness
+    return (min(base, report.transformed.value / scale_s),
+            {} if pair is None else {"pair": pair})
 
 
-def _kernel_margin(report: oracles.KernelReport, t: QMatrix) -> float:
+def _draw_kernel_reduction(ctx: TrialContext) -> Instance:
+    stream = SplitMix64(mix_seed(ctx.trial_seed, 0))
+    return {"T": _random_normal(ctx, stream, zeros=1 + ctx.index % max(ctx.dim - 1, 1))}
+
+
+def _kernel_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
+    t = inst["T"]
+    report = oracles.check_kernel_reduction(t, tol=tol)
     scale = _scale_op(t)
     vals = [-report.subset_residual / scale, -report.equality_residual / scale]
     if report.dim_ker != report.dim_ker_sq:
         vals.append(-1.0)
-    return min(vals)
+    return min(vals), {}
 
 
-def _trial_kernel_reduction(ctx: TrialContext) -> TrialOutcome:
-    stream = SplitMix64(mix_seed(ctx.trial_seed, 0))
-    zeros = 1 + ctx.index % max(ctx.dim - 1, 1)
-    vals = _random_spectrum(stream, ctx.dim, zeros=zeros)
-    t = generators.normal_with_spectrum(vals, seed=mix_seed(ctx.trial_seed, 1))
-    report = oracles.check_kernel_reduction(t, tol=ctx.tol)
-    norm = _kernel_margin(report, t)
-    wit = _mat_witness("T", t) if norm < -ctx.tol else None
-    return TrialOutcome(norm, wit, {"T": t})
-
-
-def _trial_tu_star(ctx: TrialContext) -> TrialOutcome:
+def _draw_tu_star(ctx: TrialContext) -> Instance:
     stream = SplitMix64(mix_seed(ctx.trial_seed, 0))
     if ctx.index % 2 == 0:
         t = generators.random_unitary(ctx.dim, seed=mix_seed(ctx.trial_seed, 1))
     else:
-        vals = _random_spectrum(stream, ctx.dim)
-        t = generators.normal_with_spectrum(vals, seed=mix_seed(ctx.trial_seed, 1))
-    x = generators.unit_vector(ctx.dim, seed=mix_seed(ctx.trial_seed, 2))
-    m = oracles.check_tu_star(t, x, tol=ctx.tol)
-    norm = m.value / m.details["scale"]
-    wit = None
-    if norm < -ctx.tol:
-        wit = {"T": matio.matrix_to_json(t), "x": matio.vector_to_json(x)}
-    return TrialOutcome(norm, wit, {"T": t, "x": x})
+        t = _random_normal(ctx, stream)
+    return {"T": t, "x": generators.unit_vector(ctx.dim, seed=mix_seed(ctx.trial_seed, 2))}
 
 
-def _trial_gcsi_implies(ctx: TrialContext) -> TrialOutcome:
+def _tu_star_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
+    return _scaled(oracles.check_tu_star(inst["T"], inst["x"], tol=tol)), {}
+
+
+def _draw_gcsi_implies(ctx: TrialContext) -> Instance:
     stream = SplitMix64(mix_seed(ctx.trial_seed, 0))
     family = ctx.index % 4
     sub = mix_seed(ctx.trial_seed, 1)
     if family == 0:
         t = generators.random_unitary(ctx.dim, seed=sub)
     elif family == 1:
-        vals = _random_spectrum(stream, ctx.dim)
-        t = generators.normal_with_spectrum(vals, seed=sub)
+        t = _random_normal(ctx, stream)
     elif family == 2:
         t = generators.positive(ctx.dim, seed=sub)
     else:
         t = generators.ginibre(ctx.dim, seed=sub)
-    inst = {"T": t, "p": 0.25 + 0.5 * stream.uniform(0.0, 1.0),
+    return {"T": t, "p": 0.25 + 0.5 * stream.uniform(0.0, 1.0),
             "seed": mix_seed(ctx.trial_seed, 2)}
-    norm, report = _implies_margin(inst, ctx.tol)
-    wit = None
-    if norm < -ctx.tol:
-        wit = {"p": inst["p"], "T": matio.matrix_to_json(t),
-               "gcsi_witness": report.gcsi.witness}
-    return TrialOutcome(norm, wit, inst)
 
 
-def _implies_margin(inst: dict[str, Any], tol: float) -> tuple[float, oracles.ConsistencyReport]:
+def _implies_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
     """0, or -1 on a hard violation, with the GCSI oracle sampled at the instance's seed."""
     report = oracles.check_gcsi_implies(inst["T"], inst["p"], budget=300, seed=inst["seed"],
                                         tol=tol, grid=48, samples=300)
-    return (-1.0 if report.hard_violation else 0.0), report
+    return (-1.0 if report.hard_violation else 0.0), {"gcsi_witness": report.gcsi.witness}
 
 
-def _collapse_margin(t: QMatrix, tol: float) -> float:
+def _draw_collapse(ctx: TrialContext) -> Instance:
+    return {"T": generators.ginibre(ctx.dim, seed=mix_seed(ctx.trial_seed, 0))}
+
+
+def _collapse_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
+    t = inst["T"]
     gram = t.H @ t
     co = t @ t.H
     scale = max(1.0, operator_norm(t)) ** 2
@@ -401,14 +405,7 @@ def _collapse_margin(t: QMatrix, tol: float) -> float:
             hyp = oracles.is_p_hyponormal(t, p, tol=tol)
             if hyp.value >= 0.0:
                 vals.append(-1.0)
-    return min(vals)
-
-
-def _trial_collapse(ctx: TrialContext) -> TrialOutcome:
-    t = generators.ginibre(ctx.dim, seed=mix_seed(ctx.trial_seed, 0))
-    norm = _collapse_margin(t, ctx.tol)
-    wit = _mat_witness("T", t) if norm < -ctx.tol else None
-    return TrialOutcome(norm, wit, {"T": t})
+    return min(vals), {}
 
 
 def _class_reps_with_zero(t: QMatrix) -> list[complex]:
@@ -426,27 +423,29 @@ def _hausdorff(a: list[complex], b: list[complex]) -> float:
     return max(d_ab, d_ba)
 
 
-def _st_ts_margin(s: QMatrix, t: QMatrix) -> float:
+def _draw_spectrum_st_ts(ctx: TrialContext) -> Instance:
+    return {"S": generators.ginibre(ctx.dim, seed=mix_seed(ctx.trial_seed, 0)),
+            "T": generators.ginibre(ctx.dim, seed=mix_seed(ctx.trial_seed, 1))}
+
+
+def _st_ts_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
+    s, t = inst["S"], inst["T"]
     reps_st = _class_reps_with_zero(s @ t)
     reps_ts = _class_reps_with_zero(t @ s)
     r_st = max(abs(z) for z in reps_st)
     r_ts = max(abs(z) for z in reps_ts)
     scale = max(1.0, r_st, r_ts)
     dist = _hausdorff(reps_st, reps_ts)
-    return min(-dist / (100.0 * scale), -abs(r_st - r_ts) / scale)
+    return min(-dist / (100.0 * scale), -abs(r_st - r_ts) / scale), {}
 
 
-def _trial_spectrum_st_ts(ctx: TrialContext) -> TrialOutcome:
-    s = generators.ginibre(ctx.dim, seed=mix_seed(ctx.trial_seed, 0))
-    t = generators.ginibre(ctx.dim, seed=mix_seed(ctx.trial_seed, 1))
-    norm = _st_ts_margin(s, t)
-    wit = None
-    if norm < -ctx.tol:
-        wit = {"S": matio.matrix_to_json(s), "T": matio.matrix_to_json(t)}
-    return TrialOutcome(norm, wit, {"S": s, "T": t})
+def _draw_conjugation(ctx: TrialContext) -> Instance:
+    return {"U": generators.random_unitary(ctx.dim, seed=mix_seed(ctx.trial_seed, 0)),
+            "S": generators.hermitian(ctx.dim, seed=mix_seed(ctx.trial_seed, 1))}
 
 
-def _conjugation_margin(u: QMatrix, s: QMatrix) -> float:
+def _conjugation_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
+    u, s = inst["U"], inst["S"]
     s = 0.5 * (s + s.H)
     lo, _ = rayleigh_bounds(s)
     shift = -lo + 1.0
@@ -458,35 +457,32 @@ def _conjugation_margin(u: QMatrix, s: QMatrix) -> float:
     conj = u @ s @ u.H
     lhs = eigh_q(0.5 * (conj + conj.H)).apply(f)
     rhs = u @ fs @ u.H
-    return -(lhs - rhs).frobenius() / max(1.0, fs.frobenius())
+    return -(lhs - rhs).frobenius() / max(1.0, fs.frobenius()), {}
 
 
-def _trial_conjugation(ctx: TrialContext) -> TrialOutcome:
-    u = generators.random_unitary(ctx.dim, seed=mix_seed(ctx.trial_seed, 0))
-    s = generators.hermitian(ctx.dim, seed=mix_seed(ctx.trial_seed, 1))
-    norm = _conjugation_margin(u, s)
-    wit = None
-    if norm < -ctx.tol:
-        wit = {"U": matio.matrix_to_json(u), "S": matio.matrix_to_json(s)}
-    return TrialOutcome(norm, wit, {"U": u, "S": s})
-
-
-PROPERTIES: dict[str, Callable[[TrialContext], TrialOutcome]] = {
-    "lowner-heinz": _trial_lowner_heinz,
-    "holder-mccarthy": _trial_holder_mccarthy,
-    "furuta": _trial_furuta,
-    "chain": _trial_chain,
-    "aluthge": _trial_aluthge,
-    "aluthge-gain": _trial_aluthge_gain,
-    "eigenspace-reducing": _trial_eigenspace_reducing,
-    "gcsi-closure": _trial_gcsi_closure,
-    "kernel-reduction": _trial_kernel_reduction,
-    "tu-star": _trial_tu_star,
-    "gcsi-implies": _trial_gcsi_implies,
-    "collapse": _trial_collapse,
-    "spectrum-st-ts": _trial_spectrum_st_ts,
-    "conjugation-lemma": _trial_conjugation,
+PROPERTIES: dict[str, Property] = {
+    "lowner-heinz": Property(_draw_lowner_heinz, _lowner_heinz_margin, ("A", "B", "r")),
+    "holder-mccarthy": Property(_draw_holder_mccarthy, _holder_mccarthy_margin,
+                                ("T", "x", "r")),
+    "furuta": Property(_draw_furuta, _furuta_margin, ("A", "B", "p", "q", "r")),
+    "chain": Property(_draw_chain, _chain_margin, ("T",)),
+    "aluthge": Property(_draw_aluthge, _aluthge_margin, ("T", "p")),
+    "aluthge-gain": Property(_draw_aluthge_gain, _aluthge_gain_margin, ("T", "p", "probe")),
+    "eigenspace-reducing": Property(_draw_eigenspace_reducing, _eigenspace_margin, ("T", "q")),
+    "gcsi-closure": Property(_draw_gcsi_closure, _closure_margin, ("which", "T")),
+    "kernel-reduction": Property(_draw_kernel_reduction, _kernel_margin, ("T",)),
+    "tu-star": Property(_draw_tu_star, _tu_star_margin, ("T", "x")),
+    "gcsi-implies": Property(_draw_gcsi_implies, _implies_margin, ("T", "p")),
+    "collapse": Property(_draw_collapse, _collapse_margin, ("T",)),
+    "spectrum-st-ts": Property(_draw_spectrum_st_ts, _st_ts_margin, ("S", "T")),
+    "conjugation-lemma": Property(_draw_conjugation, _conjugation_margin, ("U", "S")),
 }
+
+
+def _lookup(prop: str) -> Property:
+    if prop not in PROPERTIES:
+        raise DomainError(f"unknown property {prop!r}; known: {', '.join(sorted(PROPERTIES))}")
+    return PROPERTIES[prop]
 
 
 def run_verify(prop: str, *, trials: int, seed: int, dim: int = DEFAULT_DIM,
@@ -497,11 +493,9 @@ def run_verify(prop: str, *, trials: int, seed: int, dim: int = DEFAULT_DIM,
     the violating trial's own witness when the oracle produced one, or a
     pointer to the trial seed otherwise.
     """
-    if prop not in PROPERTIES:
-        raise DomainError(f"unknown property {prop!r}; known: {', '.join(sorted(PROPERTIES))}")
+    fn = _lookup(prop)
     if trials < 1:
         raise DomainError("trials must be at least 1")
-    fn = PROPERTIES[prop]
     per: list[tuple[int, float]] = []
     min_margin = math.inf
     best_witness: dict[str, Any] | None = None
@@ -527,96 +521,15 @@ def run_verify(prop: str, *, trials: int, seed: int, dim: int = DEFAULT_DIM,
 # ------------------------------------------------- instance re-evaluation
 
 
-def _eval_lowner_heinz(inst: dict[str, Any], tol: float) -> float:
-    m = oracles.check_lowner_heinz(inst["A"], inst["B"], inst["r"], tol=tol, probe=True)
-    return m.value / m.details["scale"]
-
-
-def _eval_furuta(inst: dict[str, Any], tol: float) -> float:
-    m1, m2 = oracles.check_furuta(inst["A"], inst["B"], inst["p"], inst["q"],
-                                  inst["r"], tol=tol, probe=True)
-    return min(m1.value / m1.details["scale"], m2.value / m2.details["scale"])
-
-
-def _eval_holder_mccarthy(inst: dict[str, Any], tol: float) -> float:
-    m = oracles.check_holder_mccarthy(inst["T"], inst["x"], inst["r"], tol=tol)
-    scale = max(1.0, abs(m.details["lhs"]), abs(m.details["rhs"]))
-    return m.value / scale
-
-
-def _eval_chain(inst: dict[str, Any], tol: float) -> float:
-    m1, m2 = oracles.check_chain_semihypo(inst["T"], tol=tol, enforce=False)
-    return min(m1.value, m2.value) / m1.details["scale"]
-
-
-def _eval_aluthge(inst: dict[str, Any], tol: float) -> float:
-    return _aluthge_margins(inst["T"], inst["p"], tol, enforce=False)
-
-
-def _eval_aluthge_gain(inst: dict[str, Any], tol: float) -> float:
-    report = oracles.check_aluthge_theorems(inst["T"], inst["p"], tol=tol, enforce=False)
-    m = report.transform_margin
-    return m.value / m.details["scale"]
-
-
-def _eval_eigenspace(inst: dict[str, Any], tol: float) -> float:
-    m = oracles.check_eigenspace_reducing(inst["T"], inst["q"], tol=tol)
-    return m.value / m.details["scale"]
-
-
-def _eval_gcsi_closure(inst: dict[str, Any], tol: float) -> float:
-    return _closure_margin(inst, tol)[0]
-
-
-def _eval_kernel_reduction(inst: dict[str, Any], tol: float) -> float:
-    return _kernel_margin(oracles.check_kernel_reduction(inst["T"], tol=tol), inst["T"])
-
-
-def _eval_tu_star(inst: dict[str, Any], tol: float) -> float:
-    m = oracles.check_tu_star(inst["T"], inst["x"], tol=tol)
-    return m.value / m.details["scale"]
-
-
-def _eval_gcsi_implies(inst: dict[str, Any], tol: float) -> float:
-    return _implies_margin(inst, tol)[0]
-
-
-def _eval_collapse(inst: dict[str, Any], tol: float) -> float:
-    return _collapse_margin(inst["T"], tol)
-
-
-def _eval_spectrum_st_ts(inst: dict[str, Any], tol: float) -> float:
-    return _st_ts_margin(inst["S"], inst["T"])
-
-
-def _eval_conjugation(inst: dict[str, Any], tol: float) -> float:
-    return _conjugation_margin(inst["U"], inst["S"])
-
-
-_EVALUATORS: dict[str, Callable[[dict[str, Any], float], float]] = {
-    "lowner-heinz": _eval_lowner_heinz,
-    "holder-mccarthy": _eval_holder_mccarthy,
-    "furuta": _eval_furuta,
-    "chain": _eval_chain,
-    "aluthge": _eval_aluthge,
-    "aluthge-gain": _eval_aluthge_gain,
-    "eigenspace-reducing": _eval_eigenspace,
-    "gcsi-closure": _eval_gcsi_closure,
-    "kernel-reduction": _eval_kernel_reduction,
-    "tu-star": _eval_tu_star,
-    "gcsi-implies": _eval_gcsi_implies,
-    "collapse": _eval_collapse,
-    "spectrum-st-ts": _eval_spectrum_st_ts,
-    "conjugation-lemma": _eval_conjugation,
-}
-
-
-def evaluate_instance(prop: str, instance: dict[str, Any],
+def evaluate_instance(prop: str, instance: Instance,
                       tol: float = DEFAULT_TOL) -> float:
-    """Dimensionless margin of a concrete instance under a named property."""
-    if prop not in _EVALUATORS:
-        raise DomainError(f"no instance evaluator for property {prop!r}")
-    return _EVALUATORS[prop](instance, tol)
+    """Dimensionless margin of a concrete instance under a named property.
+
+    This is the trial's own margin: an instance a trial returned scores
+    what the trial scored, and an instance breaking the property's
+    hypothesis raises PreconditionError as the trial would.
+    """
+    return _lookup(prop).evaluate(dict(instance), tol)[0]
 
 
 def _zero_entry_candidates(val: Any) -> list[tuple[Any, Any]]:
@@ -632,9 +545,9 @@ def _zero_entry_candidates(val: Any) -> list[tuple[Any, Any]]:
     return out
 
 
-def minimize_counterexample(prop: str, instance: dict[str, Any], *,
+def minimize_counterexample(prop: str, instance: Instance, *,
                             budget: int = 512,
-                            tol: float = DEFAULT_TOL) -> dict[str, Any]:
+                            tol: float = DEFAULT_TOL) -> Instance:
     """Greedy shrink of a violating instance by zeroing quaternion entries.
 
     Pass order is deterministic: instance keys sorted by name, entries in
@@ -671,7 +584,7 @@ def minimize_counterexample(prop: str, instance: dict[str, Any], *,
     return current
 
 
-def _serialize_instance(instance: dict[str, Any]) -> dict[str, Any]:
+def _serialize_instance(instance: Instance) -> dict[str, Any]:
     out: dict[str, Any] = {}
     for key, val in instance.items():
         if isinstance(val, QMatrix):
@@ -694,11 +607,9 @@ def run_fuzz(prop: str, *, budget: int, seed: int, dim: int = DEFAULT_DIM,
     the report's witness carries both the original oracle witness and the
     shrunken instance.
     """
-    if prop not in PROPERTIES:
-        raise DomainError(f"unknown property {prop!r}; known: {', '.join(sorted(PROPERTIES))}")
+    fn = _lookup(prop)
     if budget < 1:
         raise DomainError("budget must be at least 1")
-    fn = PROPERTIES[prop]
     per: list[tuple[int, float]] = []
     min_margin = math.inf
     witness: dict[str, Any] | None = None
@@ -711,11 +622,9 @@ def run_fuzz(prop: str, *, budget: int, seed: int, dim: int = DEFAULT_DIM,
             witness = dict(out.witness) if out.witness is not None else {}
             witness["trial_seed"] = ts
             witness["margin"] = float(out.margin)
-            if out.instance is not None and prop in _EVALUATORS:
-                shrunk = minimize_counterexample(prop, out.instance,
-                                                 budget=shrink_budget, tol=tol)
-                witness["shrunk"] = _serialize_instance(shrunk)
-                witness["shrunk_margin"] = evaluate_instance(prop, shrunk, tol)
+            shrunk = minimize_counterexample(prop, out.instance, budget=shrink_budget, tol=tol)
+            witness["shrunk"] = _serialize_instance(shrunk)
+            witness["shrunk_margin"] = evaluate_instance(prop, shrunk, tol)
             break
     return VerificationReport(
         property=prop, trials=len(per), seed=seed, dim=dim, tol=tol,

@@ -103,16 +103,18 @@ def classify_basic(t: QMatrix, *, tol: float = DEFAULT_TOL) -> BasicClasses:
     )
 
 
-def is_p_hyponormal(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL) -> Margin:
+def is_p_hyponormal(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
+                    parts: PolarParts | None = None) -> Margin:
     """Margin of (T*T)^p - (TT*)^p against the operator order.
 
     p = 1 is the hyponormal case and p = 1/2 the semi-hyponormal one.  The
     witness, present when the margin is materially negative, is the unit
-    vector achieving the minimal quadratic form.
+    vector achieving the minimal quadratic form.  A caller holding the
+    polar parts of T passes them as ``parts``.
     """
     if not 0.0 < p <= 1.0:
         raise DomainError(f"exponent must lie in (0, 1], got {p}")
-    parts = polar(t)
+    parts = polar(t) if parts is None else parts
     opn = max(parts.sigmas, default=0.0)
     # (T*T)^p = |T|^{2p} and (TT*)^p = U |T|^{2p} U*; both sides built on
     # the same SVD singular values, so a numerically smeared kernel
@@ -465,7 +467,7 @@ def check_chain_semihypo(t: QMatrix, *, tol: float = DEFAULT_TOL,
     pp = polar(t) if parts is None else parts
     opn = max(pp.sigmas)
     if enforce:
-        semi = is_p_hyponormal(t, 0.5, tol=tol)
+        semi = is_p_hyponormal(t, 0.5, tol=tol, parts=pp)
         if semi.value < -tol * max(1.0, opn):
             raise PreconditionError(
                 f"operator is not semi-hyponormal (margin {semi.value:.3e})")
@@ -507,15 +509,16 @@ def check_aluthge_theorems(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
     if not 0.0 < p <= 1.0:
         raise DomainError(f"exponent must lie in (0, 1], got {p}")
     opn = operator_norm(t)
+    parts = polar(t)
     if enforce:
-        base = is_p_hyponormal(t, p, tol=tol)
+        base = is_p_hyponormal(t, p, tol=tol, parts=parts)
         if base.value < -tol * max(1.0, opn ** (2.0 * p)):
             raise PreconditionError(
                 f"operator is not {p}-hyponormal (margin {base.value:.3e})")
-    parts = polar(t)
     tt = aluthge(t, parts=parts)
+    tt_parts = polar(tt)
     target = 1.0 if p >= 0.5 else p + 0.5
-    transform_margin = is_p_hyponormal(tt, target, tol=tol)
+    transform_margin = is_p_hyponormal(tt, target, tol=tol, parts=tt_parts)
 
     grid = tuple(q_grid) if q_grid is not None else tuple(
         q for q in (p, 0.75 * p, 0.5 * p, 0.25 * p) if q > 1e-9)
@@ -523,9 +526,9 @@ def check_aluthge_theorems(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
     for qv in grid:
         if not 0.0 < qv <= p:
             raise DomainError(f"monotone grid value {qv} outside (0, p]")
-        ladder.append((qv, is_p_hyponormal(t, qv, tol=tol)))
+        ladder.append((qv, is_p_hyponormal(t, qv, tol=tol, parts=parts)))
 
-    tt2 = aluthge(tt)
+    tt2 = aluthge(tt, parts=tt_parts)
     double = is_p_hyponormal(tt2, 1.0, tol=tol)
     reading_a = double if p >= 0.5 else None
     return AluthgeReport(

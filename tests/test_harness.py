@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -5,11 +6,11 @@ import pytest
 
 from qop import oracles
 from qop.errors import DomainError, PreconditionError
-from qop.harness import (DEFAULT_TOL, PROPERTIES, _EVALUATORS, _hausdorff,
-                         _zero_entry_candidates, TrialContext, TrialOutcome,
-                         evaluate_instance, minimize_counterexample, run_fuzz,
-                         run_verify)
+from qop.harness import (DEFAULT_TOL, HM_R_GRID, LH_R_GRID, PROPERTIES, Property, _hausdorff,
+                         _zero_entry_candidates, TrialContext, evaluate_instance,
+                         minimize_counterexample, run_fuzz, run_verify)
 from qop.linalg import QMatrix, QVector
+from qop.matio import vector_to_json
 from qop.oracles import check_kernel_reduction
 from qop.quaternion import J, K, Quaternion
 from qop.rng import mix_seed
@@ -34,7 +35,6 @@ def test_known_property_names():
         "kernel-reduction", "tu-star", "gcsi-implies", "collapse",
         "spectrum-st-ts", "conjugation-lemma",
     }
-    assert set(_EVALUATORS) == set(PROPERTIES)
 
 
 def test_run_verify_is_deterministic():
@@ -132,17 +132,15 @@ def test_run_fuzz_clean_budget():
 
 
 def test_run_fuzz_violation_path(monkeypatch):
-    inst = _shrinkable()
+    def evaluate(inst, tol):
+        return evaluate_instance("tu-star", inst, tol), {"planted": True}
 
-    def bad_trial(ctx):
-        margin = evaluate_instance("tu-star", inst, ctx.tol)
-        return TrialOutcome(margin, {"planted": True}, dict(inst))
-
-    monkeypatch.setitem(PROPERTIES, "planted", bad_trial)
-    monkeypatch.setitem(_EVALUATORS, "planted", _EVALUATORS["tu-star"])
+    monkeypatch.setitem(PROPERTIES, "planted",
+                        Property(lambda ctx: _shrinkable(), evaluate, ("x",)))
     r = run_fuzz("planted", budget=10, seed=0, dim=3)
     assert r.trials == 1
     assert r.witness is not None and r.witness["planted"]
+    assert r.witness["x"] == vector_to_json(QVector.basis(3, 0))
     assert r.witness["trial_seed"] == mix_seed(0, 0)
     assert r.witness["shrunk_margin"] == pytest.approx(-1.0, abs=1e-12)
     shrunk = r.witness["shrunk"]
@@ -178,9 +176,34 @@ def test_kernel_reduction_finds_every_constructed_zero(dim, trials):
 @pytest.mark.parametrize("prop", sorted(PROPERTIES))
 def test_evaluate_instance_reproduces_the_trial_margin(prop):
     # the shrinker must minimise the function the trial measured
-    for idx in range(4):
-        out = PROPERTIES[prop](TrialContext(mix_seed(7, idx), idx, 4, DEFAULT_TOL, False))
-        assert evaluate_instance(prop, out.instance) == out.margin, (prop, idx)
+    for dim, probe, idx in itertools.product((4, 8), (False, True), range(4)):
+        out = PROPERTIES[prop](TrialContext(mix_seed(7, idx), idx, dim, DEFAULT_TOL, probe))
+        assert evaluate_instance(prop, out.instance) == out.margin, (prop, dim, probe, idx)
+
+
+@pytest.mark.parametrize("prop,extra", [("chain", {}), ("aluthge", {"p": 0.75}),
+                                        ("aluthge-gain", {"p": 0.3})])
+def test_shrinker_enforces_the_trial_hypothesis(prop, extra):
+    # the shift is not even semi-hyponormal: outside probe mode the theorems
+    # say nothing about it, so it must not be scored as a counterexample
+    inst = {"T": _shift(3), **extra}
+    with pytest.raises(PreconditionError, match="hyponormal"):
+        evaluate_instance(prop, inst)
+    with pytest.raises(PreconditionError, match="hyponormal"):
+        minimize_counterexample(prop, inst)
+    if prop != "aluthge":  # the aluthge property has no probe mode
+        probe = dict(inst, probe=True)
+        assert evaluate_instance(prop, probe) == -1.0
+        assert evaluate_instance(prop, minimize_counterexample(prop, probe)) < -DEFAULT_TOL
+
+
+def test_grid_instance_keeps_its_worst_exponent():
+    for prop, grid in (("lowner-heinz", LH_R_GRID), ("holder-mccarthy", HM_R_GRID)):
+        out = PROPERTIES[prop](TrialContext(mix_seed(5, 0), 0, 4, DEFAULT_TOL, False))
+        assert out.instance["r"] in grid
+        scan = dict(out.instance, r=grid)
+        assert evaluate_instance(prop, scan) == out.margin == evaluate_instance(prop, out.instance)
+        assert scan["r"] == grid  # evaluate_instance leaves the caller's instance alone
 
 
 def test_gcsi_implies_shrinker_samples_the_trial_seed(monkeypatch):

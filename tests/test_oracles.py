@@ -7,7 +7,8 @@ import gcsi_reference
 
 from qop import _eig
 from qop.errors import DomainError, PreconditionError
-from qop.generators import ginibre, positive, random_unitary, unit_vector
+from qop.generators import (ginibre, normal_with_spectrum, positive, random_unitary,
+                            unit_vector)
 from qop.linalg import QMatrix, QVector
 from qop.matio import json_to_vector
 from qop.oracles import (check_aluthge_theorems, check_chain_semihypo,
@@ -19,6 +20,7 @@ from qop.oracles import (check_aluthge_theorems, check_chain_semihypo,
                          is_paranormal)
 from qop.quaternion import I, J, Quaternion
 from qop.spectral import eigh_q, is_psd
+from qop.transforms import polar
 
 
 def _shift():
@@ -329,6 +331,22 @@ def test_aluthge_guards():
         check_aluthge_theorems(u, 0.5, q_grid=[0.75])
     with pytest.raises(PreconditionError):
         check_aluthge_theorems(_shift(), 0.5)
+
+
+def test_enforced_oracles_factor_each_operator_once(monkeypatch):
+    # one SVD each for T, its transform and the double transform: the
+    # hypothesis checks and the monotone ladder reuse the polar parts
+    t = normal_with_spectrum([1.0, 2j, 3.0, 1 + 1j], seed=3)
+    parts = polar(t)
+    assert is_p_hyponormal(t, 0.3, parts=parts).value == is_p_hyponormal(t, 0.3).value
+    real = _eig.svd
+    calls = []
+    monkeypatch.setattr(_eig, "svd", lambda m: calls.append(m.shape) or real(m))
+    check_aluthge_theorems(t, 0.75)
+    assert len(calls) == 3
+    calls.clear()
+    check_chain_semihypo(t)
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------------- eigenspace
