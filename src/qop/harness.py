@@ -25,7 +25,6 @@ from .linalg import QMatrix, QVector, operator_norm
 from .quaternion import Quaternion
 from .rng import SplitMix64, mix_seed
 from .spectral import eigh_q, rayleigh_bounds, spherical_spectrum
-from .transforms import aluthge
 
 DEFAULT_TOL = oracles.DEFAULT_TOL
 DEFAULT_DIM = 4
@@ -162,15 +161,18 @@ def _draw_lowner_heinz(ctx: TrialContext) -> Instance:
 def _lowner_heinz_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
     """S^r >= T^r; an exponent r > 1 lies outside the theorem and is a probe."""
     a, b = inst["A"], inst["B"]
-    # a grid shares one eigensolve per operator; a single exponent lets the
-    # oracle check the order first, so a rejected candidate exits early
+    # a grid shares one eigensolve per operator and one of S - T, which every
+    # exponent's order check reads; a single exponent lets the oracle check
+    # the order first, so a rejected candidate exits early
     grid = isinstance(inst["r"], tuple)
     ssys = eigh_q(0.5 * (a + a.H)) if grid else None
     tsys = eigh_q(0.5 * (b + b.H)) if grid else None
+    dsys = eigh_q(a - b) if grid else None
 
     def at(r: float) -> float:
         return _scaled(oracles.check_lowner_heinz(a, b, r, tol=tol, probe=r > 1.0,
-                                                  s_system=ssys, t_system=tsys))
+                                                  s_system=ssys, t_system=tsys,
+                                                  diff_system=dsys))
 
     return _worst_over_r(inst, at), {}
 
@@ -248,7 +250,7 @@ def _aluthge_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
     """Every transform theorem for a p-hyponormal T, and T~ = T for normal T."""
     t = inst["T"]
     report = oracles.check_aluthge_theorems(t, inst["p"], tol=tol)
-    vals = [-(aluthge(t) - t).frobenius() / _scale_op(t), _scaled(report.transform_margin)]
+    vals = [-(report.transform - t).frobenius() / _scale_op(t), _scaled(report.transform_margin)]
     vals += [_scaled(m) for _, m in report.monotone]
     if report.double_reading_a is not None:
         vals.append(_scaled(report.double_reading_a))

@@ -310,6 +310,19 @@ class QMatrix:
         return f"QMatrix(shape={self.shape})"
 
 
+def _selfadjoint_residual(a: QMatrix) -> float:
+    """||a - a*||_F of a square matrix, on the pair: a - a* = (A - A^H, B + B^T).
+
+    Equal bit for bit to ``(a - a.H).frobenius()``, without building either
+    matrix; a difference that overflows raises as that subtraction would.
+    """
+    da, db = a._a - a._a.T.conj(), a._b + a._b.T
+    res = float(np.sqrt(np.vdot(da, da).real + np.vdot(db, db).real))
+    if not np.isfinite(res):
+        _trusted(QMatrix, da, db)
+    return res
+
+
 def embed_chi(a: QMatrix) -> np.ndarray:
     """Complex adjoint embedding [[A, B], [-conj(B), conj(A)]] of a = A + B j."""
     n, m = a.shape

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import _eig, matio
 from .errors import DomainError, PreconditionError, StructureError
-from .linalg import (QMatrix, QVector, _from_psi, _psi, embed_chi, inner, operator_norm, outer,
-                     unembed_chi)
+from .linalg import (QMatrix, QVector, _from_psi, _psi, _selfadjoint_residual, embed_chi, inner,
+                     operator_norm, outer, unembed_chi)
 from .quaternion import Quaternion
 from .rng import SplitMix64, mix_seed
 from .spectral import (HermitianEigensystem, delta_q, eigh_q, is_psd,
@@ -79,7 +79,7 @@ def classify_basic(t: QMatrix, *, tol: float = DEFAULT_TOL) -> BasicClasses:
     if not t.is_square():
         raise DomainError(f"classification needs a square operator, got {t.shape}")
     thr = tol * max(1.0, operator_norm(t)) ** 2
-    sa_res = (t - t.H).frobenius()
+    sa_res = _selfadjoint_residual(t)
     selfadjoint = sa_res <= thr
     gram = t.H @ t
     co = t @ t.H
@@ -375,11 +375,12 @@ def check_holder_mccarthy(t: QMatrix, x: QVector, r: float, *,
 
 
 def _require_order(s: QMatrix, t: QMatrix, tol: float,
-                   t_system: HermitianEigensystem | None = None) -> None:
+                   t_system: HermitianEigensystem | None = None,
+                   diff_system: HermitianEigensystem | None = None) -> None:
     ok_t, m_t = is_psd(t, tol, system=t_system)
     if not ok_t:
         raise PreconditionError(f"lower operator is not positive (min eigenvalue {m_t:.3e})")
-    ok_d, m_d = is_psd(s - t, tol)
+    ok_d, m_d = is_psd(s - t, tol, system=diff_system)
     if not ok_d:
         raise PreconditionError(f"operators are not ordered (min eigenvalue {m_d:.3e})")
 
@@ -387,19 +388,23 @@ def _require_order(s: QMatrix, t: QMatrix, tol: float,
 def check_lowner_heinz(s: QMatrix, t: QMatrix, r: float, *,
                        tol: float = DEFAULT_TOL, probe: bool = False,
                        s_system: HermitianEigensystem | None = None,
-                       t_system: HermitianEigensystem | None = None) -> Margin:
+                       t_system: HermitianEigensystem | None = None,
+                       diff_system: HermitianEigensystem | None = None) -> Margin:
     """Margin of S^r >= T^r given S >= T >= 0.
 
     The monotonicity theorem covers r in [0, 1]; exponents outside that
     band are admitted only with ``probe=True``, where a negative margin is
-    expected behavior rather than a bug.  A supplied ``t_system`` also
-    serves the T >= 0 precondition; S - T >= 0 is always solved afresh.
+    expected behavior rather than a bug.  The order S >= T >= 0 is checked
+    on every call.  A supplied ``t_system`` serves the T >= 0 precondition
+    and a supplied ``diff_system``, the eigensystem of S - T, serves
+    S - T >= 0 (as in ``is_psd``); without them each is solved afresh.  A
+    caller scoring one pair at many exponents solves S - T once this way.
     """
     if r < 0.0:
         raise DomainError(f"exponent must be nonnegative, got {r}")
     if r > 1.0 and not probe:
         raise DomainError(f"exponent {r} outside [0, 1] requires probe mode")
-    _require_order(s, t, tol, t_system)
+    _require_order(s, t, tol, t_system, diff_system)
     ssys = eigh_q(0.5 * (s + s.H)) if s_system is None else s_system
     tsys = eigh_q(0.5 * (t + t.H)) if t_system is None else t_system
     diff = ssys.power_psd(r) - tsys.power_psd(r)
@@ -485,9 +490,10 @@ def check_chain_semihypo(t: QMatrix, *, tol: float = DEFAULT_TOL,
 
 @dataclass(frozen=True)
 class AluthgeReport:
-    """Margins for the transform theorems at one exponent."""
+    """Margins for the transform theorems at one exponent, and the transform."""
 
     p: float
+    transform: QMatrix
     transform_margin: Margin
     monotone: tuple[tuple[float, Margin], ...]
     double_reading_a: Margin | None
@@ -505,6 +511,7 @@ def check_aluthge_theorems(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
     statement is checked twice because its hypothesis is ambiguous:
     reading A applies it only for p >= 1/2, reading B tracks the same
     margin for every p; both are reported, with the same pass criterion.
+    The report carries the transform T~ itself as ``transform``.
     """
     if not 0.0 < p <= 1.0:
         raise DomainError(f"exponent must lie in (0, 1], got {p}")
@@ -533,6 +540,7 @@ def check_aluthge_theorems(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
     reading_a = double if p >= 0.5 else None
     return AluthgeReport(
         p=p,
+        transform=tt,
         transform_margin=transform_margin,
         monotone=tuple(ladder),
         double_reading_a=reading_a,

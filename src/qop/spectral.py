@@ -9,20 +9,23 @@ recovers the quaternionic data.
 
 Self-adjoint operators get a full eigensystem: real eigenvalues with a
 right-orthonormal basis of eigenvectors, pulled back cluster by cluster
-from the embedded eigenvectors.  Scalar functions of the operator are
-evaluated on the embedded side and unembedded afterwards.
+from the embedded eigenvectors the first time they are read.  Scalar
+functions of the operator are evaluated on the embedded side and
+unembedded afterwards, so they never need the pulled-back vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import _eig
 from .errors import DomainError, PreconditionError, ShapeError, StructureError
-from .linalg import QMatrix, QVector, _chi_eigvalsh, _from_psi, embed_chi, unembed_chi
+from .linalg import (QMatrix, QVector, _chi_eigvalsh, _from_psi, _selfadjoint_residual,
+                     embed_chi, unembed_chi)
 from .quaternion import Quaternion
 
 PAIR_TOL = 1e-8
@@ -39,7 +42,7 @@ def _require_square(t: QMatrix) -> int:
 
 def _require_selfadjoint(a: QMatrix, herm_tol: float) -> int:
     n = _require_square(a)
-    dev = (a - a.H).frobenius()
+    dev = _selfadjoint_residual(a)
     if dev > herm_tol * max(1.0, a.frobenius()):
         raise PreconditionError(f"operator is not self-adjoint (deviation {dev:.3e})")
     return n
@@ -55,15 +58,28 @@ def _hermitian_from_chi(v: np.ndarray, fw: np.ndarray) -> QMatrix:
 class HermitianEigensystem:
     """Diagonalization A = V diag(w) V* of a self-adjoint operator.
 
-    ``eigenvalues`` ascend and ``vectors`` has right-orthonormal columns.
-    The embedded eigendecomposition is kept alongside so that scalar
-    functions of A can be formed without re-diagonalizing.
+    ``eigenvalues`` ascend, each cluster of close eigenvalues replaced by
+    its mean, and ``vectors`` has right-orthonormal columns.  The embedded
+    eigendecomposition is kept so that scalar functions of A can be formed
+    without re-diagonalizing.  ``vectors`` is pulled back from it on first
+    read and cached, so a failed recovery (``StructureError``) surfaces
+    there, not in ``eigh_q``.
     """
 
     eigenvalues: tuple[float, ...]
-    vectors: QMatrix
     _w2: np.ndarray
     _v2: np.ndarray
+
+    @cached_property
+    def vectors(self) -> QMatrix:
+        # a cluster is a run of equal values in ``eigenvalues``: cluster means
+        # are separated by more than CLUSTER_TOL, far above their round-off
+        lam = np.asarray(self.eigenvalues)
+        cuts = [0, *(np.flatnonzero(np.diff(lam)) + 1).tolist(), lam.size]
+        columns: list[QVector] = []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            columns.extend(_quaternionic_basis(self._v2[:, 2 * lo:2 * hi], hi - lo))
+        return QMatrix.from_columns(columns)
 
     @property
     def dim(self) -> int:
@@ -173,10 +189,12 @@ def eigh_q(a: QMatrix, *, herm_tol: float = 1e-8,
            pair_tol: float = PAIR_TOL) -> HermitianEigensystem:
     """Eigensystem of a self-adjoint operator.
 
-    The embedded matrix is diagonalized, the doubled spectrum is collapsed
-    pair by pair, and one right-orthonormal eigenvector per pair is pulled
-    back, working cluster by cluster so repeated eigenvalues come out with
-    a full orthonormal block.
+    The embedded matrix is diagonalized and the doubled spectrum is
+    collapsed pair by pair; consecutive pair means at most CLUSTER_TOL
+    (relative) apart form one cluster, reported at its mean.  A pairing
+    failure raises ``StructureError`` here.  The eigenvectors, one
+    right-orthonormal block per cluster, are pulled back only when
+    ``vectors`` is first read, and a failed recovery raises there.
     """
     n = _require_selfadjoint(a, herm_tol)
     m = embed_chi(a)
@@ -184,27 +202,13 @@ def eigh_q(a: QMatrix, *, herm_tol: float = 1e-8,
     mids = _pair_real(w2, pair_tol=pair_tol)
 
     scale = max(1.0, float(np.abs(mids).max(initial=0.0)))
-    clusters: list[list[int]] = [[0]]
-    for t in range(1, n):
-        if mids[t] - mids[clusters[-1][-1]] <= CLUSTER_TOL * scale:
-            clusters[-1].append(t)
-        else:
-            clusters.append([t])
-
-    eigenvalues: list[float] = []
-    columns: list[QVector] = []
-    for cluster in clusters:
-        lam = float(np.mean([mids[t] for t in cluster]))
-        eigenvalues.extend([lam] * len(cluster))
-        columns.extend(_quaternionic_basis(v2[:, 2 * cluster[0]:2 * cluster[-1] + 2],
-                                           len(cluster)))
-
-    return HermitianEigensystem(
-        eigenvalues=tuple(eigenvalues),
-        vectors=QMatrix.from_columns(columns),
-        _w2=np.repeat(mids, 2),
-        _v2=v2,
-    )
+    cuts = [0, *(np.flatnonzero(np.diff(mids) > CLUSTER_TOL * scale) + 1).tolist(), n]
+    lam = mids.copy()
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi - lo > 1:
+            lam[lo:hi] = np.mean(mids[lo:hi])
+    return HermitianEigensystem(eigenvalues=tuple(lam.tolist()),
+                                _w2=np.repeat(mids, 2), _v2=v2)
 
 
 def min_eigenvalue(a: QMatrix, *, herm_tol: float = 1e-8) -> float:

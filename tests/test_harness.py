@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from qop import oracles
+from qop import generators, oracles, spectral
 from qop.errors import DomainError, PreconditionError
 from qop.harness import (DEFAULT_TOL, HM_R_GRID, LH_R_GRID, PROPERTIES, Property, _hausdorff,
                          _zero_entry_candidates, TrialContext, evaluate_instance,
@@ -204,6 +204,22 @@ def test_grid_instance_keeps_its_worst_exponent():
         scan = dict(out.instance, r=grid)
         assert evaluate_instance(prop, scan) == out.margin == evaluate_instance(prop, out.instance)
         assert scan["r"] == grid  # evaluate_instance leaves the caller's instance alone
+
+
+def test_hermitian_pair_properties_pull_back_no_eigenvectors(monkeypatch):
+    # every Lowner-Heinz and Furuta margin is functional calculus on the
+    # embedded eigensystem, so no eigenvector is ever pulled back
+    calls = []
+    real = spectral._quaternionic_basis
+    monkeypatch.setattr(spectral, "_quaternionic_basis",
+                        lambda v, need: calls.append(need) or real(v, need))
+    a, b = generators.ordered_pair(4, seed=17)
+    for prop, inst in (("lowner-heinz", {"A": a, "B": b, "r": LH_R_GRID}),
+                       ("lowner-heinz", {"A": a, "B": b, "r": 2.5}),
+                       ("furuta", {"A": a, "B": b, "p": 2.0, "q": 2.0, "r": 1.0}),
+                       ("furuta", {"A": a, "B": b, "p": 2.5, "q": 1.0, "r": 0.3})):
+        evaluate_instance(prop, inst)
+    assert calls == []
 
 
 def test_gcsi_implies_shrinker_samples_the_trial_seed(monkeypatch):

@@ -3,8 +3,9 @@ import pytest
 
 from qop.errors import PreconditionError, ShapeError, StructureError
 from qop.generators import ginibre, random_unitary, unit_vector
-from qop.linalg import (MAX_DIM, QMatrix, QVector, embed_chi, inner, left_scalar_mul,
-                        operator_norm, outer, unembed_chi, verify_hilbert_basis)
+from qop.linalg import (MAX_DIM, QMatrix, QVector, _selfadjoint_residual, embed_chi, inner,
+                        left_scalar_mul, operator_norm, outer, unembed_chi,
+                        verify_hilbert_basis)
 from qop.quaternion import I, J, K, Quaternion
 from qop.rng import SplitMix64
 from quaternion_reference import conjugate, hamilton, matmul_components
@@ -232,6 +233,22 @@ def test_public_boundary_checks():
             big @ big
         with pytest.raises(StructureError):
             big @ QVector(np.full((2, 4), 1e200))
+
+
+@pytest.mark.parametrize("n", [1, 4, 64])
+def test_selfadjoint_residual_is_the_frobenius_of_a_minus_adjoint(n):
+    g = ginibre(n, seed=250 + n)
+    for a in (g, g + g.H, g @ g.H, QMatrix.identity(n), g * 1e150):
+        assert _selfadjoint_residual(a) == (a - a.H).frobenius()
+    # an overflowing difference raises as the subtraction does
+    c = np.zeros((2, 2, 4))
+    c[0, 1, 0], c[1, 0, 0] = 1.5e308, -1.5e308
+    big = QMatrix(c)
+    with np.errstate(over="ignore"):
+        with pytest.raises(StructureError):
+            big - big.H
+        with pytest.raises(StructureError):
+            _selfadjoint_residual(big)
 
 
 def test_constructors_and_to_array_copy():

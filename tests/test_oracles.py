@@ -5,7 +5,7 @@ import pytest
 
 import gcsi_reference
 
-from qop import _eig
+from qop import _eig, harness
 from qop.errors import DomainError, PreconditionError
 from qop.generators import (ginibre, normal_with_spectrum, positive, random_unitary,
                             unit_vector)
@@ -20,7 +20,7 @@ from qop.oracles import (check_aluthge_theorems, check_chain_semihypo,
                          is_paranormal)
 from qop.quaternion import I, J, Quaternion
 from qop.spectral import eigh_q, is_psd
-from qop.transforms import polar
+from qop.transforms import aluthge, polar
 
 
 def _shift():
@@ -237,6 +237,26 @@ def test_lowner_heinz_reads_t_positivity_from_the_supplied_system(monkeypatch):
         assert lo == pytest.approx(is_psd(t)[1], abs=1e-14)
 
 
+def test_lowner_heinz_reads_the_order_from_a_supplied_difference_system(monkeypatch):
+    a, b = _pair()
+    ssys, tsys, dsys = eigh_q(a), eigh_q(b), eigh_q(a - b)
+    calls = []
+    real = _eig.eigvalsh
+    monkeypatch.setattr(_eig, "eigvalsh", lambda m: calls.append(m.shape) or real(m))
+    given = check_lowner_heinz(a, b, 0.5, s_system=ssys, t_system=tsys, diff_system=dsys)
+    # only the margin itself: both halves of the order come from the systems
+    assert len(calls) == 1
+    assert given.value == check_lowner_heinz(a, b, 0.5).value
+    # the order is still proved: a reversed pair fails on its own difference system
+    with pytest.raises(PreconditionError, match="operators are not ordered"):
+        check_lowner_heinz(b, a, 0.5, s_system=tsys, t_system=ssys,
+                           diff_system=eigh_q(b - a))
+    # one S - T solve per pair: the nine-exponent grid costs one eigvalsh per exponent
+    calls.clear()
+    harness.run_verify("lowner-heinz", trials=4, seed=1, dim=4)
+    assert len(calls) == 4 * len(harness.LH_R_GRID)
+
+
 # ----------------------------------------------------------------- Furuta
 
 
@@ -347,6 +367,13 @@ def test_enforced_oracles_factor_each_operator_once(monkeypatch):
     calls.clear()
     check_chain_semihypo(t)
     assert len(calls) == 1
+    # the report carries the transform, so the aluthge trial's fixed-point
+    # margin does not factor T again: per trial one SVD in the generator and
+    # three in the oracle
+    assert check_aluthge_theorems(t, 0.75).transform.equals_exact(aluthge(t))
+    calls.clear()
+    harness.run_verify("aluthge", trials=4, seed=1, dim=4)
+    assert len(calls) == 16
 
 
 # ------------------------------------------------------------- eigenspace

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qop import _eig, spectral
 from qop.errors import DomainError, PreconditionError, StructureError
-from qop.generators import ginibre, hermitian, normal_with_spectrum, positive
+from qop.generators import ginibre, hermitian, normal_with_spectrum, positive, random_unitary
 from qop.linalg import QMatrix, QVector, embed_chi
 from qop.quaternion import I, J, K, Quaternion
-from qop.spectral import (delta_q, eigh_q, fun_calc, is_psd, kernel_basis,
+from qop.spectral import (CLUSTER_TOL, delta_q, eigh_q, fun_calc, is_psd, kernel_basis,
                           min_eigenvalue, power_psd, rayleigh_bounds,
                           spherical_eigenspace, spherical_point_spectrum,
                           spherical_spectrum, standard_eigenvalues,
@@ -49,6 +50,80 @@ def test_eigh_q_diagonal_exact():
     t = QMatrix.diag([2.0, -1.0, 7.0])
     sys = eigh_q(t)
     assert sys.eigenvalues == (-1.0, 2.0, 7.0)
+
+
+def test_not_selfadjoint_message_is_unchanged():
+    a = ginibre(3, seed=421)
+    with pytest.raises(PreconditionError) as err:
+        eigh_q(a)
+    assert str(err.value) == (
+        f"operator is not self-adjoint (deviation {(a - a.H).frobenius():.3e})")
+
+
+def _eager_eigensystem(a):
+    """The eager construction the lazy ``vectors`` replaced, kept as the reference."""
+    n = a.rows
+    m = embed_chi(a)
+    w2, v2 = _eig.eigh(0.5 * (m + m.conj().T))
+    mids = spectral._pair_real(w2, pair_tol=spectral.PAIR_TOL)
+    scale = max(1.0, float(np.abs(mids).max(initial=0.0)))
+    clusters = [[0]]
+    for t in range(1, n):
+        if mids[t] - mids[clusters[-1][-1]] <= CLUSTER_TOL * scale:
+            clusters[-1].append(t)
+        else:
+            clusters.append([t])
+    eigenvalues, columns = [], []
+    for cluster in clusters:
+        lam = float(np.mean([mids[t] for t in cluster]))
+        eigenvalues.extend([lam] * len(cluster))
+        columns.extend(spectral._quaternionic_basis(
+            v2[:, 2 * cluster[0]:2 * cluster[-1] + 2], len(cluster)))
+    return tuple(eigenvalues), QMatrix.from_columns(columns)
+
+
+def _near_tolerance_spectrum():
+    """Gaps of 0.5, 0.9 and 1.1 CLUSTER_TOL at scale 2: a cluster of three, then a split."""
+    tol = CLUSTER_TOL * 2.0
+    return [1.0, 1.0 + 0.5 * tol, 1.0 + 1.4 * tol, 1.0 + 2.5 * tol, 2.0]
+
+
+def test_lazy_vectors_match_the_eager_construction():
+    u = random_unitary(5, seed=437)
+    cases = [QMatrix.identity(5), QMatrix.diag([1.0, 1.0, 2.0]),
+             QMatrix.diag(_near_tolerance_spectrum()),
+             u @ QMatrix.diag(_near_tolerance_spectrum()) @ u.H]
+    cases += [hermitian(n, seed=438 + n) for n in (1, 4, 16, 64)]
+    for a in cases:
+        a = 0.5 * (a + a.H)
+        eigenvalues, vectors = _eager_eigensystem(a)
+        sys = eigh_q(a)
+        assert sys.eigenvalues == eigenvalues
+        assert sys.vectors.equals_exact(vectors)
+    # the near-tolerance spectrum exercises both sides of the cluster test
+    lam = eigh_q(QMatrix.diag(_near_tolerance_spectrum())).eigenvalues
+    assert lam[0] == lam[1] == lam[2] != lam[3] != lam[4]
+
+
+def test_vectors_are_pulled_back_on_first_read_only(monkeypatch):
+    calls = []
+    real = spectral._quaternionic_basis
+    monkeypatch.setattr(spectral, "_quaternionic_basis",
+                        lambda v, need: calls.append(need) or real(v, need))
+    t = 0.5 * (positive(4, seed=439) + QMatrix.identity(4))
+    a = QMatrix.diag([1.0, 1.0, 2.0, 3.0, 3.0, 3.0])
+    sys_t, sys_a = eigh_q(t), eigh_q(a)
+    sys_t.power_psd(0.5)
+    power_psd(t, 2.0, system=sys_t)
+    is_psd(t, system=sys_t)
+    fun_calc(a, np.exp, system=sys_a)
+    sys_a.reconstruct()
+    assert calls == []
+    # one pull-back per cluster on the first read, none on the next
+    v = sys_a.vectors
+    assert calls == [2, 1, 3]
+    assert sys_a.vectors is v
+    assert calls == [2, 1, 3]
 
 
 def test_power_psd_cube_root_roundtrip():
