@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Any
@@ -29,16 +30,22 @@ def _emit(payload: dict[str, Any]) -> None:
     sys.stdout.write(matio.dumps_canonical(payload) + "\n")
 
 
-def _resolve_tol(flag: float | None) -> float:
-    if flag is not None:
-        return flag
-    env = os.environ.get("QOP_TOL")
-    if env is None:
-        return oracles.DEFAULT_TOL
+def _number(raw: str, what: str) -> float:
     try:
-        return float(env)
+        return float(raw)
     except ValueError as exc:
-        raise QopError(f"QOP_TOL is not a number: {env!r}") from exc
+        raise QopError(f"{what} is not a number: {raw!r}") from exc
+
+
+def _resolve_tol(flag: float | None) -> float:
+    env = os.environ.get("QOP_TOL")
+    if flag is None and env is None:
+        return oracles.DEFAULT_TOL
+    what = "--tol" if flag is not None else "QOP_TOL"
+    tol = flag if flag is not None else _number(env, what)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise QopError(f"{what} must be finite and nonnegative, got {tol!r}")
+    return tol
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -83,10 +90,10 @@ def _parse_kind(kind: str):
     if kind == "duggal":
         return duggal
     if kind.startswith("lambda:"):
-        lam = float(kind.split(":", 1)[1])
+        lam = _number(kind.split(":", 1)[1], "lambda")
         return lambda t: lambda_aluthge(t, lam)
     if kind.startswith("sr:"):
-        r = float(kind.split(":", 1)[1])
+        r = _number(kind.split(":", 1)[1], "sr exponent")
         return lambda t: furuta_sr(t, r)
     raise QopError(f"unknown transform kind {kind!r}; "
                    "expected aluthge, duggal, lambda:<x>, or sr:<r>")
@@ -128,7 +135,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 def _parse_spectrum_arg(raw: str) -> list[Quaternion]:
     values = []
     for chunk in raw.split(";"):
-        parts = [float(v) for v in chunk.split(",")]
+        parts = [_number(v, "spectrum component") for v in chunk.split(",")]
         if len(parts) != 4:
             raise QopError(f"spectrum entries need 4 components, got {chunk!r}")
         values.append(Quaternion(*parts))

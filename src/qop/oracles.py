@@ -340,87 +340,107 @@ def gcsi_sweep(t: QMatrix, *, betas: Sequence[float] = tuple(round(0.1 * k, 1) f
     return out
 
 
-def check_holder_mccarthy(t: QMatrix, x: QVector, r: float, *,
-                          tol: float = DEFAULT_TOL,
-                          system: HermitianEigensystem | None = None) -> Margin:
-    """Rayleigh-power inequality for a positive operator.
+def _least_scaled(margins: Sequence[Margin]) -> Margin:
+    """The margin with the least value / scale, the first one on ties."""
+    return min(margins, key=lambda m: m.value / m.details["scale"])
+
+
+def check_holder_mccarthy(t: QMatrix, x: QVector, rs: Sequence[float], *,
+                          tol: float = DEFAULT_TOL) -> Margin:
+    """Rayleigh-power inequality for a positive operator, worst over ``rs``.
 
     For r > 1 the margin is <T^r x, x> - <Tx, x>^r ||x||^{2(1-r)}; for
     0 < r < 1 the inequality reverses and the margin is negated to keep
-    nonnegative-means-holds.  r = 1 is the degenerate identity.
+    nonnegative-means-holds.  r = 1 is the degenerate identity.  T is
+    diagonalized once for the whole sequence, and the margin returned is
+    the exponent's with the least value / scale, where the scale is
+    max(1, |lhs|, |rhs|); ``details["r"]`` names it.
     """
-    if r <= 0.0 or r == 1.0:
-        raise DomainError(f"exponent must be positive and not 1, got {r}")
+    if not rs:
+        raise DomainError("at least one exponent is needed")
+    for r in rs:
+        if r <= 0.0 or r == 1.0:
+            raise DomainError(f"exponent must be positive and not 1, got {r}")
     nx = x.norm()
     if nx == 0.0:
         raise DomainError("zero vector not allowed")
-    sys_t = eigh_q(t) if system is None else system
-    tr = sys_t.power_psd(r)
-    lhs = inner(tr @ x, x)
+    sys_t = eigh_q(t)
     base = inner(t @ x, x)
-    lhs_r, base_r = lhs.w, base.w
-    imag = max(abs(lhs.x), abs(lhs.y), abs(lhs.z),
-               abs(base.x), abs(base.y), abs(base.z))
-    if imag > 1e-8 * max(1.0, abs(lhs_r), abs(base_r)):
-        raise PreconditionError(
-            f"quadratic form is not real (imaginary size {imag:.3e}); operator not positive?")
-    rhs = max(base_r, 0.0) ** r * nx ** (2.0 * (1.0 - r))
-    value = lhs_r - rhs if r > 1.0 else rhs - lhs_r
-    witness = None
-    scale = max(1.0, abs(lhs_r), abs(rhs))
-    if value < -tol * scale:
-        witness = {"r": r, "x": matio.vector_to_json(x)}
-    return Margin(value=value, tolerance=tol, witness=witness,
-                  details={"r": r, "lhs": lhs_r, "rhs": rhs})
+
+    def at(r: float) -> Margin:
+        lhs = inner(sys_t.power_psd(r) @ x, x)
+        imag = max(abs(lhs.x), abs(lhs.y), abs(lhs.z),
+                   abs(base.x), abs(base.y), abs(base.z))
+        if imag > 1e-8 * max(1.0, abs(lhs.w), abs(base.w)):
+            raise PreconditionError(
+                f"quadratic form is not real (imaginary size {imag:.3e}); operator not positive?")
+        rhs = max(base.w, 0.0) ** r * nx ** (2.0 * (1.0 - r))
+        value = lhs.w - rhs if r > 1.0 else rhs - lhs.w
+        scale = max(1.0, abs(lhs.w), abs(rhs))
+        witness = None
+        if value < -tol * scale:
+            witness = {"r": r, "x": matio.vector_to_json(x)}
+        return Margin(value=value, tolerance=tol, witness=witness,
+                      details={"r": r, "lhs": lhs.w, "rhs": rhs, "scale": scale})
+
+    return _least_scaled([at(r) for r in rs])
 
 
-def _require_order(s: QMatrix, t: QMatrix, tol: float,
-                   t_system: HermitianEigensystem | None = None,
-                   diff_system: HermitianEigensystem | None = None) -> None:
-    ok_t, m_t = is_psd(t, tol, system=t_system)
-    if not ok_t:
-        raise PreconditionError(f"lower operator is not positive (min eigenvalue {m_t:.3e})")
-    ok_d, m_d = is_psd(s - t, tol, system=diff_system)
+def _ordered_systems(s: QMatrix, t: QMatrix,
+                     tol: float) -> tuple[HermitianEigensystem, HermitianEigensystem]:
+    """Eigensystems of S and T once S >= T >= 0 is checked.
+
+    S - T is checked first, self-adjointness before its one eigenvalue
+    solve, so a rejected pair costs no more than that.  T's eigensystem
+    serves both T >= 0 and the caller.  S is symmetrized, since only
+    S - T and T are required to be self-adjoint.
+    """
+    ok_d, m_d = is_psd(s - t, tol)
     if not ok_d:
         raise PreconditionError(f"operators are not ordered (min eigenvalue {m_d:.3e})")
+    tsys = eigh_q(t)
+    ok_t, m_t = is_psd(t, tol, system=tsys)
+    if not ok_t:
+        raise PreconditionError(f"lower operator is not positive (min eigenvalue {m_t:.3e})")
+    return eigh_q(0.5 * (s + s.H)), tsys
 
 
-def check_lowner_heinz(s: QMatrix, t: QMatrix, r: float, *,
-                       tol: float = DEFAULT_TOL, probe: bool = False,
-                       s_system: HermitianEigensystem | None = None,
-                       t_system: HermitianEigensystem | None = None,
-                       diff_system: HermitianEigensystem | None = None) -> Margin:
-    """Margin of S^r >= T^r given S >= T >= 0.
+def check_lowner_heinz(s: QMatrix, t: QMatrix, rs: Sequence[float], *,
+                       tol: float = DEFAULT_TOL, probe: bool = False) -> Margin:
+    """Margin of S^r >= T^r given S >= T >= 0, worst over ``rs``.
 
     The monotonicity theorem covers r in [0, 1]; exponents outside that
     band are admitted only with ``probe=True``, where a negative margin is
     expected behavior rather than a bug.  The order S >= T >= 0 is checked
-    on every call.  A supplied ``t_system`` serves the T >= 0 precondition
-    and a supplied ``diff_system``, the eigensystem of S - T, serves
-    S - T >= 0 (as in ``is_psd``); without them each is solved afresh.  A
-    caller scoring one pair at many exponents solves S - T once this way.
+    once per call and each operator is diagonalized once for the whole
+    sequence.  The margin returned is the exponent's with the least
+    value / scale; ``details["r"]`` names it.
     """
-    if r < 0.0:
-        raise DomainError(f"exponent must be nonnegative, got {r}")
-    if r > 1.0 and not probe:
-        raise DomainError(f"exponent {r} outside [0, 1] requires probe mode")
-    _require_order(s, t, tol, t_system, diff_system)
-    ssys = eigh_q(0.5 * (s + s.H)) if s_system is None else s_system
-    tsys = eigh_q(0.5 * (t + t.H)) if t_system is None else t_system
-    diff = ssys.power_psd(r) - tsys.power_psd(r)
-    value = min_eigenvalue(0.5 * (diff + diff.H))
-    scale = max(1.0, max(ssys.eigenvalues[-1], 0.0) ** r)
-    witness = None
-    if value < -tol * scale:
-        witness = {"r": r, "probe": probe}
-    return Margin(value=value, tolerance=tol, witness=witness,
-                  details={"r": r, "scale": scale})
+    if not rs:
+        raise DomainError("at least one exponent is needed")
+    for r in rs:
+        if r < 0.0:
+            raise DomainError(f"exponent must be nonnegative, got {r}")
+        if r > 1.0 and not probe:
+            raise DomainError(f"exponent {r} outside [0, 1] requires probe mode")
+    ssys, tsys = _ordered_systems(s, t, tol)
+    top = max(ssys.eigenvalues[-1], 0.0)
+
+    def at(r: float) -> Margin:
+        diff = ssys.power_psd(r) - tsys.power_psd(r)
+        value = min_eigenvalue(0.5 * (diff + diff.H))
+        scale = max(1.0, top ** r)
+        witness = None
+        if value < -tol * scale:
+            witness = {"r": r, "probe": probe}
+        return Margin(value=value, tolerance=tol, witness=witness,
+                      details={"r": r, "scale": scale})
+
+    return _least_scaled([at(r) for r in rs])
 
 
 def check_furuta(a: QMatrix, b: QMatrix, p: float, q: float, r: float, *,
-                 tol: float = DEFAULT_TOL, probe: bool = False,
-                 a_system: HermitianEigensystem | None = None,
-                 b_system: HermitianEigensystem | None = None) -> tuple[Margin, Margin]:
+                 tol: float = DEFAULT_TOL, probe: bool = False) -> tuple[Margin, Margin]:
     """Margins of the two bracket inequalities for an ordered pair.
 
     Under A >= B >= 0 and (1 + 2r) q >= p + 2r with p >= 0, q >= 1, r >= 0:
@@ -433,9 +453,7 @@ def check_furuta(a: QMatrix, b: QMatrix, p: float, q: float, r: float, *,
     if (1.0 + 2.0 * r) * q < p + 2.0 * r and not probe:
         raise PreconditionError(
             f"(1+2r)q >= p+2r fails: {(1 + 2 * r) * q:.4g} < {p + 2 * r:.4g}")
-    _require_order(a, b, tol)
-    asys = eigh_q(0.5 * (a + a.H)) if a_system is None else a_system
-    bsys = eigh_q(0.5 * (b + b.H)) if b_system is None else b_system
+    asys, bsys = _ordered_systems(a, b, tol)
     expo = (p + 2.0 * r) / q
 
     def bracket_margin(outer_sys: HermitianEigensystem, inner_sys: HermitianEigensystem,
@@ -461,15 +479,14 @@ def check_furuta(a: QMatrix, b: QMatrix, p: float, q: float, r: float, *,
 
 
 def check_chain_semihypo(t: QMatrix, *, tol: float = DEFAULT_TOL,
-                         enforce: bool = True,
-                         parts: PolarParts | None = None) -> tuple[Margin, Margin]:
+                         enforce: bool = True) -> tuple[Margin, Margin]:
     """Margins of the sandwich U* |T| U >= |T| >= U |T| U*.
 
     The sandwich is the workhorse step for semi-hyponormal operators, so
     by default the input must pass the semi-hyponormality margin; probes on
     nearby non-members set ``enforce=False`` and read the degradation.
     """
-    pp = polar(t) if parts is None else parts
+    pp = polar(t)
     opn = max(pp.sigmas)
     if enforce:
         semi = is_p_hyponormal(t, 0.5, tol=tol, parts=pp)
@@ -676,11 +693,9 @@ def check_kernel_reduction(t: QMatrix, *, tol: float = DEFAULT_TOL,
     )
 
 
-def check_tu_star(t: QMatrix, x: QVector, *, tol: float = DEFAULT_TOL,
-                  parts: PolarParts | None = None) -> Margin:
+def check_tu_star(t: QMatrix, x: QVector, *, tol: float = DEFAULT_TOL) -> Margin:
     """Margin of ||T U* x||^2 <= ||T^2 U* x|| ||U* x|| at one vector."""
-    pp = polar(t) if parts is None else parts
-    y = pp.u.H @ x
+    y = polar(t).u.H @ x
     ty = t @ y
     t2y = t @ ty
     value = t2y.norm() * y.norm() - ty.norm() ** 2

@@ -380,20 +380,18 @@ def spherical_eigenspace(t: QMatrix, rep: complex, *, count: int | None = None,
     return vecs if count is None else vecs[:count]
 
 
-def fun_calc(t: QMatrix, f: Callable[[np.ndarray], np.ndarray], *,
-             system: HermitianEigensystem | None = None) -> QMatrix:
+def fun_calc(t: QMatrix, f: Callable[[np.ndarray], np.ndarray]) -> QMatrix:
     """Continuous functional calculus f(T) for self-adjoint T.
 
-    Pass a precomputed ``system`` to evaluate several functions of the same
-    operator without repeating the diagonalization.
+    To evaluate several functions of one operator, diagonalize it once with
+    ``eigh_q`` and call ``apply`` on the eigensystem.
     """
-    return (eigh_q(t) if system is None else system).apply(f)
+    return eigh_q(t).apply(f)
 
 
-def power_psd(t: QMatrix, p: float, *, clamp_tol: float = 1e-8,
-              system: HermitianEigensystem | None = None) -> QMatrix:
+def power_psd(t: QMatrix, p: float, *, clamp_tol: float = 1e-8) -> QMatrix:
     """T^p for positive semidefinite T and p >= 0; T^0 = I."""
-    return (eigh_q(t) if system is None else system).power_psd(p, clamp_tol=clamp_tol)
+    return eigh_q(t).power_psd(p, clamp_tol=clamp_tol)
 
 
 def is_psd(t: QMatrix, tol: float = 1e-8, *,

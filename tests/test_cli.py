@@ -69,6 +69,10 @@ def test_transform_unknown_kind(tmp_path, capsys):
     path = _shift_file(tmp_path)
     assert main(["transform", "--kind", "cayley", path]) == 2
     assert "unknown transform kind" in capsys.readouterr().err
+    # a malformed number is a usage error (2), not a violation (1)
+    for kind in ("lambda:abc", "sr:x"):
+        assert main(["transform", "--kind", kind, path]) == 2
+        assert "is not a number" in capsys.readouterr().err
 
 
 def test_spectrum_classes(tmp_path, capsys):
@@ -142,6 +146,21 @@ def test_tol_env_invalid(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QOP_TOL", "abc")
     assert main(["classify", path]) == 2
     assert "QOP_TOL" in capsys.readouterr().err
+    # the tolerance must be finite and nonnegative, from the flag or the environment
+    for bad in ("nan", "-1", "inf"):
+        monkeypatch.setenv("QOP_TOL", bad)
+        assert main(["verify", "furuta", "--trials", "1"]) == 2
+        assert "QOP_TOL must be finite and nonnegative" in capsys.readouterr().err
+    monkeypatch.delenv("QOP_TOL")
+    for argv in (["classify", path, "--tol", "nan"], ["classify", path, "--tol", "-1"],
+                 ["verify", "furuta", "--trials", "1", "--tol", "inf"],
+                 ["fuzz", "furuta", "--budget", "1", "--tol", "nan"]):
+        assert main(argv) == 2
+        assert "--tol must be finite and nonnegative" in capsys.readouterr().err
+    # the flag takes precedence over a bad environment value, and 0 is allowed
+    monkeypatch.setenv("QOP_TOL", "nan")
+    assert main(["classify", path, "--tol", "0"]) == 0
+    capsys.readouterr()
 
 
 def test_missing_file_exits_two(capsys):
@@ -188,6 +207,9 @@ def test_gen_spectrum_argument(capsys):
     assert main(["gen", "normal-with-spectrum", "--dim", "3",
                  "--spectrum", "1,0,0,0"]) == 2
     capsys.readouterr()
+    assert main(["gen", "normal-with-spectrum", "--dim", "1",
+                 "--spectrum", "1,2,x,4"]) == 2
+    assert "spectrum component is not a number: 'x'" in capsys.readouterr().err
 
 
 def test_gen_determinism_and_output_file(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 import gcsi_reference
 
-from qop import _eig, harness
+from qop import _eig, generators, harness
 from qop.errors import DomainError, PreconditionError
 from qop.generators import (ginibre, normal_with_spectrum, positive, random_unitary,
                             unit_vector)
@@ -153,10 +153,10 @@ def test_gcsi_sweep_shift_violates_every_beta():
 def test_holder_mccarthy_diagonal_both_branches():
     t = QMatrix.diag([1.0, 4.0])
     x = QVector.from_quaternions([1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)])
-    up = check_holder_mccarthy(t, x, 2.0)
+    up = check_holder_mccarthy(t, x, (2.0,))
     assert up.value == pytest.approx(2.25, abs=1e-10)
     assert up.details["lhs"] == pytest.approx(8.5, abs=1e-10)
-    down = check_holder_mccarthy(t, x, 0.5)
+    down = check_holder_mccarthy(t, x, (0.5,))
     assert down.value == pytest.approx(math.sqrt(2.5) - 1.5, abs=1e-10)
     assert not up.violated and not down.violated
 
@@ -164,7 +164,7 @@ def test_holder_mccarthy_diagonal_both_branches():
 def test_holder_mccarthy_identity_is_equality():
     x = unit_vector(3, seed=305)
     for r in (0.5, 2.0, 3.0):
-        m = check_holder_mccarthy(QMatrix.identity(3), x, r)
+        m = check_holder_mccarthy(QMatrix.identity(3), x, (r,))
         assert abs(m.value) <= 1e-10
 
 
@@ -173,15 +173,15 @@ def test_holder_mccarthy_domain_errors():
     x = QVector.basis(2, 0)
     for bad in (0.0, -1.0, 1.0):
         with pytest.raises(DomainError):
-            check_holder_mccarthy(t, x, bad)
+            check_holder_mccarthy(t, x, (bad,))
     with pytest.raises(DomainError):
-        check_holder_mccarthy(t, QVector.zeros(2), 2.0)
+        check_holder_mccarthy(t, QVector.zeros(2), (2.0,))
 
 
 def test_holder_mccarthy_rejects_nonreal_form():
     t = QMatrix.from_quaternions([[I, 0.0], [0.0, 1.0]])
     with pytest.raises(PreconditionError):
-        check_holder_mccarthy(t, QVector.basis(2, 0), 2.0)
+        check_holder_mccarthy(t, QVector.basis(2, 0), (2.0,))
 
 
 # ---------------------------------------------------------- Lowner-Heinz
@@ -189,16 +189,16 @@ def test_holder_mccarthy_rejects_nonreal_form():
 
 def test_lowner_heinz_holds_inside_band():
     a, b = _pair()
-    m = check_lowner_heinz(a, b, 0.5)
+    m = check_lowner_heinz(a, b, (0.5,))
     assert m.value == pytest.approx(0.09230287663076098, abs=1e-10)
     assert not m.violated
     for r in (0.0, 0.25, 1.0):
-        assert check_lowner_heinz(a, b, r).value >= -1e-10
+        assert check_lowner_heinz(a, b, (r,)).value >= -1e-10
 
 
 def test_lowner_heinz_probe_fails_at_two():
     a, b = _pair()
-    m = check_lowner_heinz(a, b, 2.0, probe=True)
+    m = check_lowner_heinz(a, b, (2.0,), probe=True)
     assert m.value == pytest.approx(3.0 - math.sqrt(10.0), abs=1e-10)
     assert m.violated
     assert m.witness == {"r": 2.0, "probe": True}
@@ -207,54 +207,84 @@ def test_lowner_heinz_probe_fails_at_two():
 def test_lowner_heinz_guards():
     a, b = _pair()
     with pytest.raises(DomainError):
-        check_lowner_heinz(a, b, 2.0)
+        check_lowner_heinz(a, b, (2.0,))
     with pytest.raises(DomainError):
-        check_lowner_heinz(a, b, -0.5)
+        check_lowner_heinz(a, b, (-0.5,))
     with pytest.raises(PreconditionError):
-        check_lowner_heinz(b, a, 0.5)
+        check_lowner_heinz(b, a, (0.5,))
 
 
-def test_lowner_heinz_reads_t_positivity_from_the_supplied_system(monkeypatch):
+def test_lowner_heinz_checks_the_order_before_solving_either_operator():
     a, b = _pair()
-    ssys, tsys = eigh_q(a), eigh_q(b)
-    calls = []
-    real = _eig.eigvalsh
-    monkeypatch.setattr(_eig, "eigvalsh", lambda m: calls.append(m.shape) or real(m))
-    given = check_lowner_heinz(a, b, 0.5, s_system=ssys, t_system=tsys)
-    # S - T >= 0 and the margin itself; T >= 0 comes from t_system
-    assert len(calls) == 2
-    assert given.value == check_lowner_heinz(a, b, 0.5, s_system=ssys).value
-    # the precondition is not weakened: negative T and non-self-adjoint T still fail
     neg = b * -1.0
     with pytest.raises(PreconditionError, match="lower operator is not positive"):
-        check_lowner_heinz(a, neg, 0.5, t_system=eigh_q(neg))
+        check_lowner_heinz(a, neg, (0.5,))
+    with pytest.raises(PreconditionError, match="operators are not ordered"):
+        check_lowner_heinz(b, a, (0.5,))
+    # a pair failing both T >= 0 and S >= T is reported as unordered
+    with pytest.raises(PreconditionError, match="operators are not ordered"):
+        check_lowner_heinz(neg * 2.0, neg, (0.5,))
+    # T is checked for self-adjointness even when S - T passes
     skew = QMatrix.from_quaternions([[1.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(PreconditionError, match="not self-adjoint"):
-        check_lowner_heinz(a, skew, 0.5, t_system=tsys)
+    for s, t in ((a, skew), (a + skew, b + skew)):
+        with pytest.raises(PreconditionError, match="not self-adjoint"):
+            check_lowner_heinz(s, t, (0.5,))
+    # T >= 0 read from T's eigensystem agrees with a fresh eigenvalue solve
     for t in (b, neg, a - b):
         ok, lo = is_psd(t, system=eigh_q(t))
         assert ok == is_psd(t)[0]
         assert lo == pytest.approx(is_psd(t)[1], abs=1e-14)
 
 
-def test_lowner_heinz_reads_the_order_from_a_supplied_difference_system(monkeypatch):
-    a, b = _pair()
-    ssys, tsys, dsys = eigh_q(a), eigh_q(b), eigh_q(a - b)
+def test_rejected_shrink_candidate_makes_no_eigensolve(monkeypatch):
+    a, b = generators.ordered_pair(4, seed=17)
+    arr = a.to_array()
+    arr[0, 1] = 0.0  # the shrinker's move: S - T is no longer self-adjoint
     calls = []
-    real = _eig.eigvalsh
-    monkeypatch.setattr(_eig, "eigvalsh", lambda m: calls.append(m.shape) or real(m))
-    given = check_lowner_heinz(a, b, 0.5, s_system=ssys, t_system=tsys, diff_system=dsys)
-    # only the margin itself: both halves of the order come from the systems
-    assert len(calls) == 1
-    assert given.value == check_lowner_heinz(a, b, 0.5).value
-    # the order is still proved: a reversed pair fails on its own difference system
-    with pytest.raises(PreconditionError, match="operators are not ordered"):
-        check_lowner_heinz(b, a, 0.5, s_system=tsys, t_system=ssys,
-                           diff_system=eigh_q(b - a))
-    # one S - T solve per pair: the nine-exponent grid costs one eigvalsh per exponent
-    calls.clear()
-    harness.run_verify("lowner-heinz", trials=4, seed=1, dim=4)
-    assert len(calls) == 4 * len(harness.LH_R_GRID)
+    for name in ("eigh", "eigvalsh", "eigvals", "svd"):
+        real = getattr(_eig, name)
+        monkeypatch.setattr(_eig, name, lambda m, name=name, real=real: calls.append(name) or real(m))
+    for prop, inst in (("lowner-heinz", {"A": QMatrix(arr), "B": b, "r": 0.5}),
+                       ("furuta", {"A": QMatrix(arr), "B": b, "p": 2.0, "q": 2.0, "r": 1.0})):
+        with pytest.raises(PreconditionError, match="not self-adjoint"):
+            harness.evaluate_instance(prop, inst)
+    assert calls == []
+
+
+def test_hermitian_pair_oracles_solve_each_operator_once(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(_eig, name)
+        monkeypatch.setattr(_eig, name, lambda m, name=name, real=real: calls.append(name) or real(m))
+    # per trial: eigh of S and of T; eigvalsh of S - T and of each exponent's difference
+    for prop, eigh, eigvalsh in (("lowner-heinz", 8, 4 * (1 + len(harness.LH_R_GRID))),
+                                 ("furuta", 16, 12), ("holder-mccarthy", 4, 0)):
+        calls.clear()
+        harness.run_verify(prop, trials=4, seed=1, dim=4)
+        assert (calls.count("eigh"), calls.count("eigvalsh")) == (eigh, eigvalsh), prop
+
+
+def test_exponent_sequence_returns_the_least_scaled_margin():
+    a, b = generators.ordered_pair(4, seed=23)
+    t, x = positive(4, seed=24), unit_vector(4, seed=25)
+    rs = (0.2, 0.9, 0.5, 0.7)
+    for check in (lambda rs: check_lowner_heinz(a, b, rs),
+                  lambda rs: check_holder_mccarthy(t, x, rs)):
+        singles = [check((r,)) for r in rs]
+        worst = min(singles, key=lambda m: m.value / m.details["scale"])
+        grid = check(rs)
+        assert grid.value == worst.value and grid.details == worst.details
+        assert grid.details["r"] == worst.details["r"] in rs
+    # ties go to the first exponent: with S = T every difference is exactly 0
+    tie = check_lowner_heinz(a, a, (0.7, 0.3, 0.5))
+    assert tie.value == 0.0 and tie.details["r"] == 0.7
+    e = QMatrix.identity(3)
+    tie = check_holder_mccarthy(e, QVector.basis(3, 0), (3.0, 1.5, 2.0))
+    assert tie.value == 0.0 and tie.details["r"] == 3.0
+    for check in (lambda: check_lowner_heinz(a, b, ()),
+                  lambda: check_holder_mccarthy(t, x, ())):
+        with pytest.raises(DomainError, match="at least one exponent"):
+            check()
 
 
 # ----------------------------------------------------------------- Furuta

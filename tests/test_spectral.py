@@ -114,9 +114,9 @@ def test_vectors_are_pulled_back_on_first_read_only(monkeypatch):
     a = QMatrix.diag([1.0, 1.0, 2.0, 3.0, 3.0, 3.0])
     sys_t, sys_a = eigh_q(t), eigh_q(a)
     sys_t.power_psd(0.5)
-    power_psd(t, 2.0, system=sys_t)
+    power_psd(t, 2.0)
     is_psd(t, system=sys_t)
-    fun_calc(a, np.exp, system=sys_a)
+    fun_calc(a, np.exp)
     sys_a.reconstruct()
     assert calls == []
     # one pull-back per cluster on the first read, none on the next
