@@ -10,6 +10,7 @@ ingredient reproducible on its own.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .errors import DomainError, ShapeError
@@ -90,8 +91,8 @@ def partial_isometry(n: int, defect: int, *, seed: int) -> QMatrix:
 def near_normal(n: int, eps: float, *, seed: int) -> QMatrix:
     """Normal operator plus ``eps`` times an independent Ginibre draw."""
     _check_dim(n)
-    if eps < 0.0:
-        raise DomainError(f"perturbation size must be nonnegative, got {eps}")
+    if not math.isfinite(eps) or eps < 0.0:
+        raise DomainError(f"perturbation size must be finite and nonnegative, got {eps}")
     stream = SplitMix64(mix_seed(seed, 0))
     raw = stream.normals(4 * n).reshape(n, 4)
     values = [Quaternion.from_components(row) for row in raw]

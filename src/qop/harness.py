@@ -25,6 +25,7 @@ from .linalg import QMatrix, QVector, operator_norm
 from .quaternion import Quaternion
 from .rng import SplitMix64, mix_seed
 from .spectral import eigh_q, rayleigh_bounds, spherical_spectrum
+from .transforms import polar
 
 DEFAULT_TOL = oracles.DEFAULT_TOL
 DEFAULT_DIM = 4
@@ -376,14 +377,15 @@ def _collapse_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]
     normality = (gram - co).frobenius()
     gsys = eigh_q(gram)
     csys = eigh_q(co)
+    parts = polar(t) if normality > 1e-4 * scale else None
     vals = []
     for p in HYP_P_GRID:
         tr_g = gsys.power_psd(p).trace().w
         tr_c = csys.power_psd(p).trace().w
         tr_scale = max(1.0, abs(tr_g), abs(tr_c))
         vals.append(-abs(tr_g - tr_c) / tr_scale)
-        if normality > 1e-4 * scale:
-            hyp = oracles.is_p_hyponormal(t, p, tol=tol)
+        if parts is not None:
+            hyp = oracles.is_p_hyponormal(t, p, tol=tol, parts=parts)
             if hyp.value >= 0.0:
                 vals.append(-1.0)
     return min(vals), {}

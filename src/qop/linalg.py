@@ -363,9 +363,10 @@ def unembed_chi(m: np.ndarray, *, tol: float = 1e-8, check: bool = True) -> QMat
     n, mm = m.shape[0] // 2, m.shape[1] // 2
     _check_extents((n, mm), "QMatrix")
     if check:
-        scale = max(1.0, float(np.linalg.norm(m)))
-        res = float(np.linalg.norm(m[n:, :mm] + np.conj(m[:n, mm:]))
-                    + np.linalg.norm(m[n:, mm:] - np.conj(m[:n, :mm])))
+        d1 = m[n:, :mm] + np.conj(m[:n, mm:])
+        d2 = m[n:, mm:] - np.conj(m[:n, :mm])
+        scale = max(1.0, float(np.sqrt(np.vdot(m, m).real)))
+        res = float(np.sqrt(np.vdot(d1, d1).real) + np.sqrt(np.vdot(d2, d2).real))
         if res > tol * scale:
             raise StructureError(
                 f"matrix violates the embedding symmetry (residual {res:.3e})")

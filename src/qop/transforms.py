@@ -6,8 +6,10 @@ value decomposition of the embedded matrix, chi(T) = W S V*: U is the
 pull-back of W_r V_r* and |T|^s that of V_r S_r^s V_r*, over the singular
 pairs above the rank cutoff (Higham, Functions of Matrices, ch. 8).  The
 singular values are accurate to eps times the largest, so the rank is
-decided without squaring the noise floor, and the trailing columns of V
-and W span ker T and ker T* at no extra cost.
+decided without squaring the noise floor.  The trailing columns of V and
+W span ker T and ker T*; |T| and right-orthonormal bases of the two
+kernels are built from them on first read, so a caller that needs only U
+and powers of |T| pays for neither.
 
 The transforms sandwich powers of the modulus between pieces of the
 isometry: the usual transform |T|^{1/2} U |T|^{1/2}, its one-parameter
@@ -18,6 +20,7 @@ U |T|^s U*, which equals |T*|^s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,27 +36,41 @@ class PolarParts:
     """T = U |T| with U a partial isometry, ker U = ker T.
 
     ``tau`` is the absolute singular-value cutoff that decided ``rank``.
-    ``sigmas`` are the singular values of T, ascending.  ``kernel`` and
-    ``cokernel`` are right-orthonormal bases of ker T and ker T*, each
-    vector with its largest-modulus entry real and positive.  ``_v`` and
-    ``_s`` keep the embedded right singular vectors above the cutoff and
-    their singular values, so every power |T|^s is one complex product.
+    ``sigmas`` are the singular values of T, ascending.  ``_v`` and ``_s``
+    keep the embedded right singular vectors above the cutoff and their
+    singular values, so every power |T|^s is one complex product.
+    ``_ker_v`` and ``_ker_w`` keep copies of the embedded right and left
+    singular vectors below the cutoff, not the whole left factor.  ``abs_t``
+    and the kernel bases are built from these on first read and cached:
+    ``kernel`` and ``cokernel`` are right-orthonormal bases of ker T and
+    ker T*, each vector with its largest-modulus entry real and positive.
     """
 
     u: QMatrix
-    abs_t: QMatrix
     rank: int
     tau: float
     sigmas: tuple[float, ...]
-    kernel: tuple[QVector, ...]
-    cokernel: tuple[QVector, ...]
     _v: np.ndarray
     _s: np.ndarray
+    _ker_v: np.ndarray
+    _ker_w: np.ndarray
+
+    @cached_property
+    def abs_t(self) -> QMatrix:
+        return _hermitian_from_chi(self._v, self._s)
+
+    @cached_property
+    def kernel(self) -> tuple[QVector, ...]:
+        return _null_basis(self._ker_v, self.u.rows - self.rank)
+
+    @cached_property
+    def cokernel(self) -> tuple[QVector, ...]:
+        return _null_basis(self._ker_w, self.u.rows - self.rank)
 
     def abs_power(self, s: float) -> QMatrix:
         """|T|^s for s >= 0, with |T|^0 = I and, for s > 0, zero on ker T."""
         if s == 0.0:
-            return QMatrix.identity(self.abs_t.rows)
+            return QMatrix.identity(self.u.rows)
         return _hermitian_from_chi(self._v, self._s ** s)
 
     def reconstruct(self) -> QMatrix:
@@ -75,16 +92,17 @@ def polar(t: QMatrix, *, rank_rtol: float = RANK_RTOL) -> PolarParts:
     rank = int(np.count_nonzero(sigma > tau))
     r2 = 2 * rank
     v_r, s_r = v[:, :r2], np.repeat(sigma[:rank], 2)
+    # np.array keeps each slice's memory order, on which the bits of the
+    # kernel bases depend
     return PolarParts(
         u=unembed_chi(w[:, :r2] @ v_r.conj().T),
-        abs_t=_hermitian_from_chi(v_r, s_r),
         rank=rank,
         tau=tau,
         sigmas=tuple(float(x) for x in sigma[::-1]),
-        kernel=_null_basis(v[:, r2:], t.rows - rank),
-        cokernel=_null_basis(w[:, r2:], t.rows - rank),
         _v=v_r,
         _s=s_r,
+        _ker_v=np.array(v[:, r2:]),
+        _ker_w=np.array(w[:, r2:]),
     )
 
 

@@ -190,6 +190,12 @@ def test_gen_all_kinds_parse(capsys):
         assert payload["rows"] == 3 and payload["cols"] == 3
 
 
+def test_gen_near_normal_rejects_a_nonfinite_eps(capsys):
+    for eps in ("nan", "inf", "-1"):
+        assert main(["gen", "near-normal", "--dim", "3", "--eps", eps]) == 2
+        assert "perturbation size must be finite and nonnegative" in capsys.readouterr().err
+
+
 def test_gen_ordered_pair_shape(capsys):
     assert main(["gen", "ordered-pair", "--dim", "2", "--seed", "7"]) == 0
     payload = json.loads(capsys.readouterr().out)

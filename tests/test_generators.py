@@ -1,6 +1,6 @@
 import pytest
 
-from qop.errors import ShapeError
+from qop.errors import DomainError, ShapeError
 from qop.generators import (ginibre, hermitian, near_normal, normal_with_spectrum,
                             ordered_pair, partial_isometry, positive,
                             random_unitary, unit_vector)
@@ -65,6 +65,12 @@ def test_near_normal_perturbation_size():
     t1 = near_normal(3, 1e-3, seed=966)
     diff = (t1 - t0).frobenius()
     assert 0.0 < diff <= 1e-3 * 10.0
+
+
+def test_near_normal_rejects_a_nonfinite_perturbation_size():
+    for eps in (float("nan"), float("inf"), -1e-3):
+        with pytest.raises(DomainError, match="perturbation size must be finite and nonnegative"):
+            near_normal(3, eps, seed=966)
 
 
 def test_unit_vector_norm_and_determinism():

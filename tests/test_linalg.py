@@ -102,6 +102,23 @@ def test_unembed_rejects_structure_violations():
         unembed_chi(np.zeros((3, 3), dtype=complex))
 
 
+def test_unembed_structure_check_threshold():
+    # the residual is the sum of the two block residuals, against tol times
+    # max(1, ||m||_F): half the bound passes and twice the bound raises
+    n = 4
+    base = embed_chi(ginibre(n, seed=25))
+    for tol in (1e-8, 1e-6):
+        bound = tol * np.linalg.norm(base)
+        for i, j in ((n, 0), (n + 1, n + 2)):
+            m = base.copy()
+            m[i, j] += 0.5 * bound * (0.6 + 0.8j)
+            unembed_chi(m, tol=tol)
+            m[i, j] += 1.5 * bound * (0.6 + 0.8j)
+            with pytest.raises(StructureError, match=r"^matrix violates the embedding "
+                                                     r"symmetry \(residual \d\.\d{3}e-\d\d\)$"):
+                unembed_chi(m, tol=tol)
+
+
 def test_operator_norm_matches_svd_of_embedding():
     for seed in (31, 32, 33):
         a = ginibre(4, seed=seed)

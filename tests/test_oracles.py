@@ -404,6 +404,10 @@ def test_enforced_oracles_factor_each_operator_once(monkeypatch):
     calls.clear()
     harness.run_verify("aluthge", trials=4, seed=1, dim=4)
     assert len(calls) == 16
+    # collapse factors T once per trial and scores every exponent on it
+    calls.clear()
+    harness.run_verify("collapse", trials=4, seed=1, dim=4)
+    assert len(calls) == 4
 
 
 # ------------------------------------------------------------- eigenspace

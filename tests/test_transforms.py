@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from qop import _eig
+from qop import _eig, spectral, transforms
 from qop.errors import DomainError, ShapeError
 from qop.generators import (ginibre, normal_with_spectrum, partial_isometry, positive,
                             random_unitary)
-from qop.linalg import MAX_DIM, QMatrix, operator_norm
+from qop.linalg import MAX_DIM, QMatrix, operator_norm, unembed_chi
 from qop.quaternion import I, Quaternion
 from qop.spectral import eigh_q, is_psd
-from qop.transforms import (abs_power, abs_star_power, aluthge, duggal,
+from qop.transforms import (RANK_RTOL, abs_power, abs_star_power, aluthge, duggal,
                             furuta_sr, lambda_aluthge, polar,
                             unitary_completion)
 
@@ -207,3 +207,57 @@ def test_polar_is_one_svd(monkeypatch):
     parts = polar(t)
     assert calls == ["svd"]
     assert (parts.rank, len(parts.kernel), len(parts.cokernel)) == (6, 2, 2)
+
+
+def _eager_polar(t):
+    """The eager construction the lazy ``abs_t``, ``kernel`` and ``cokernel``
+    replaced, kept as the reference."""
+    w, sigma, v = spectral._chi_svd(t)
+    rank = int(np.count_nonzero(sigma > RANK_RTOL * float(sigma[0])))
+    r2 = 2 * rank
+    v_r, s_r = v[:, :r2], np.repeat(sigma[:rank], 2)
+    return (unembed_chi(w[:, :r2] @ v_r.conj().T),
+            spectral._hermitian_from_chi(v_r, s_r),
+            spectral._null_basis(v[:, r2:], t.rows - rank),
+            spectral._null_basis(w[:, r2:], t.rows - rank))
+
+
+def test_lazy_polar_fields_match_the_eager_construction():
+    cases = [ginibre(n, seed=580 + n) for n in (1, 4, 16, 64)]
+    cases += [partial_isometry(n, defect, seed=581) for n, defect in
+              ((16, 4), (32, 8), (64, 16))]
+    cases.append(QMatrix.zeros(5, 5))
+    for t in cases:
+        u, abs_t, kernel, cokernel = _eager_polar(t)
+        parts = polar(t)
+        assert parts.u.equals_exact(u)
+        assert parts.abs_t.equals_exact(abs_t)
+        assert len(parts.kernel) == len(kernel) == len(parts.cokernel) == len(cokernel)
+        for got, want in zip(parts.kernel + parts.cokernel, kernel + cokernel):
+            assert np.array_equal(got.to_array(), want.to_array())
+
+
+def test_polar_fields_are_built_on_first_read_only(monkeypatch):
+    t = partial_isometry(8, 2, seed=582)
+    calls = []
+    for name in ("_null_basis", "_hermitian_from_chi"):
+        real = getattr(transforms, name)
+        monkeypatch.setattr(transforms, name, lambda *a, _real=real, _name=name:
+                            calls.append(_name) or _real(*a))
+    real_svd = _eig.svd
+    monkeypatch.setattr(_eig, "svd", lambda m: calls.append("svd") or real_svd(m))
+    parts = polar(t)
+    assert calls == ["svd"]
+    for field, built in (("abs_t", "_hermitian_from_chi"), ("kernel", "_null_basis"),
+                         ("cokernel", "_null_basis")):
+        calls.clear()
+        first = getattr(parts, field)
+        assert calls == [built]
+        assert getattr(parts, field) is first
+        assert calls == [built]
+
+
+def test_abs_power_zero_does_not_build_the_modulus():
+    parts = polar(ginibre(3, seed=583))
+    assert parts.abs_power(0.0).equals_exact(QMatrix.identity(3))
+    assert "abs_t" not in vars(parts)
