@@ -21,10 +21,10 @@ import numpy as np
 
 from . import generators, matio, oracles
 from .errors import DomainError, PreconditionError, QopError
-from .linalg import QMatrix, QVector, operator_norm
+from .linalg import QMatrix, QVector, _chi_eigvalsh, operator_norm
 from .quaternion import Quaternion
 from .rng import SplitMix64, mix_seed
-from .spectral import eigh_q, rayleigh_bounds, spherical_spectrum
+from .spectral import _eigensystem, spherical_spectrum
 from .transforms import polar
 
 DEFAULT_TOL = oracles.DEFAULT_TOL
@@ -375,8 +375,8 @@ def _collapse_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]
     co = t @ t.H
     scale = max(1.0, operator_norm(t)) ** 2
     normality = (gram - co).frobenius()
-    gsys = eigh_q(gram)
-    csys = eigh_q(co)
+    gsys = _eigensystem(gram)
+    csys = _eigensystem(co)
     parts = polar(t) if normality > 1e-4 * scale else None
     vals = []
     for p in HYP_P_GRID:
@@ -430,15 +430,14 @@ def _draw_conjugation(ctx: TrialContext) -> Instance:
 def _conjugation_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
     u, s = inst["U"], inst["S"]
     s = 0.5 * (s + s.H)
-    lo, _ = rayleigh_bounds(s)
-    shift = -lo + 1.0
+    shift = -_chi_eigvalsh(s)[0] + 1.0
 
     def f(x: np.ndarray) -> np.ndarray:
         return np.sqrt(np.maximum(x + shift, 0.0))
 
-    fs = eigh_q(s).apply(f)
+    fs = _eigensystem(s).apply(f)
     conj = u @ s @ u.H
-    lhs = eigh_q(0.5 * (conj + conj.H)).apply(f)
+    lhs = _eigensystem(conj).apply(f)
     rhs = u @ fs @ u.H
     return -(lhs - rhs).frobenius() / max(1.0, fs.frobenius()), {}
 

@@ -350,28 +350,35 @@ def _from_psi(v: np.ndarray) -> QVector:
     return _trusted(QVector, v[:n].copy(), -v[n:].conj())
 
 
-def unembed_chi(m: np.ndarray, *, tol: float = 1e-8, check: bool = True) -> QMatrix:
+def unembed_chi(m: np.ndarray, *, tol: float = 1e-8) -> QMatrix:
     """Inverse of ``embed_chi``; rejects matrices off the embedded subalgebra.
 
     The structural test is the symplectic symmetry: the lower blocks must
     equal (-conj(B), conj(A)) within ``tol`` relative to the Frobenius norm.
-    The two redundant copies of A and of B are averaged.
+    The two redundant copies of A and of B are averaged.  This is the public
+    boundary only: qop pulls its own products back with ``_from_chi_top``.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] % 2 or m.shape[1] % 2:
         raise ShapeError(f"embedded matrix must have even dimensions, got {m.shape}")
     n, mm = m.shape[0] // 2, m.shape[1] // 2
     _check_extents((n, mm), "QMatrix")
-    if check:
-        d1 = m[n:, :mm] + np.conj(m[:n, mm:])
-        d2 = m[n:, mm:] - np.conj(m[:n, :mm])
-        scale = max(1.0, float(np.sqrt(np.vdot(m, m).real)))
-        res = float(np.sqrt(np.vdot(d1, d1).real) + np.sqrt(np.vdot(d2, d2).real))
-        if res > tol * scale:
-            raise StructureError(
-                f"matrix violates the embedding symmetry (residual {res:.3e})")
+    d1 = m[n:, :mm] + np.conj(m[:n, mm:])
+    d2 = m[n:, mm:] - np.conj(m[:n, :mm])
+    scale = max(1.0, float(np.sqrt(np.vdot(m, m).real)))
+    res = float(np.sqrt(np.vdot(d1, d1).real) + np.sqrt(np.vdot(d2, d2).real))
+    if res > tol * scale:
+        raise StructureError(
+            f"matrix violates the embedding symmetry (residual {res:.3e})")
     return _trusted(QMatrix, 0.5 * (m[:n, :mm] + np.conj(m[n:, mm:])),
                     0.5 * (m[:n, mm:] - np.conj(m[n:, :mm])))
+
+
+def _from_chi_top(top: np.ndarray) -> QMatrix:
+    """A + B j from the top block row [A, B] of a product qop built from
+    whole singular or eigenvector pairs: structured by construction, unchecked."""
+    m = top.shape[1] // 2
+    return _trusted(QMatrix, top[:, :m], top[:, m:])
 
 
 def _chi_eigvalsh(a: QMatrix) -> np.ndarray:

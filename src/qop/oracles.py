@@ -23,12 +23,12 @@ import numpy as np
 
 from . import _eig, matio
 from .errors import DomainError, PreconditionError, StructureError
-from .linalg import (QMatrix, QVector, _from_psi, _psi, _selfadjoint_residual, embed_chi, inner,
-                     operator_norm, outer, unembed_chi)
+from .linalg import (QMatrix, QVector, _chi_eigvalsh, _from_chi_top, _from_psi, _psi,
+                     _selfadjoint_residual, embed_chi, inner, operator_norm, outer)
 from .quaternion import Quaternion
 from .rng import SplitMix64, mix_seed
-from .spectral import (HermitianEigensystem, delta_q, eigh_q, is_psd,
-                       kernel_basis, min_eigenvalue, spherical_eigenspace)
+from .spectral import (HermitianEigensystem, _eigensystem, delta_q, eigh_q, is_psd,
+                       kernel_basis, spherical_eigenspace)
 from .transforms import PolarParts, aluthge, polar, unitary_completion
 
 DEFAULT_TOL = 1e-8
@@ -88,7 +88,7 @@ def classify_basic(t: QMatrix, *, tol: float = DEFAULT_TOL) -> BasicClasses:
     pos_margin: float | None = None
     positive = False
     if selfadjoint:
-        pos_margin = min_eigenvalue(0.5 * (t + t.H))
+        pos_margin = float(_chi_eigvalsh(t)[0])
         positive = pos_margin >= -thr
     return BasicClasses(
         selfadjoint=selfadjoint,
@@ -121,13 +121,11 @@ def is_p_hyponormal(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
     # cannot fake an order violation through the fractional power
     half = parts.abs_power(2.0 * p)
     diff = half - parts.u @ half @ parts.u.H
-    diff = 0.5 * (diff + diff.H)
-    value = min_eigenvalue(diff)
+    value = float(_chi_eigvalsh(diff)[0])
     scale = max(1.0, opn ** (2.0 * p))
     witness = None
     if value < -tol * scale:
-        system = eigh_q(diff)
-        vec = system.vectors.column(0)
+        vec = _eigensystem(diff).vectors.column(0)
         witness = {"p": p, "vector": matio.vector_to_json(vec)}
     return Margin(value=value, tolerance=tol,
                   witness=witness, details={"p": p, "scale": scale})
@@ -392,8 +390,8 @@ def _ordered_systems(s: QMatrix, t: QMatrix,
 
     S - T is checked first, self-adjointness before its one eigenvalue
     solve, so a rejected pair costs no more than that.  T's eigensystem
-    serves both T >= 0 and the caller.  S is symmetrized, since only
-    S - T and T are required to be self-adjoint.
+    serves both T >= 0 and the caller.  S is solved unchecked, through
+    its Hermitian part: it is self-adjoint once S - T and T are.
     """
     ok_d, m_d = is_psd(s - t, tol)
     if not ok_d:
@@ -402,7 +400,7 @@ def _ordered_systems(s: QMatrix, t: QMatrix,
     ok_t, m_t = is_psd(t, tol, system=tsys)
     if not ok_t:
         raise PreconditionError(f"lower operator is not positive (min eigenvalue {m_t:.3e})")
-    return eigh_q(0.5 * (s + s.H)), tsys
+    return _eigensystem(s), tsys
 
 
 def check_lowner_heinz(s: QMatrix, t: QMatrix, rs: Sequence[float], *,
@@ -427,8 +425,7 @@ def check_lowner_heinz(s: QMatrix, t: QMatrix, rs: Sequence[float], *,
     top = max(ssys.eigenvalues[-1], 0.0)
 
     def at(r: float) -> Margin:
-        diff = ssys.power_psd(r) - tsys.power_psd(r)
-        value = min_eigenvalue(0.5 * (diff + diff.H))
+        value = float(_chi_eigvalsh(ssys.power_psd(r) - tsys.power_psd(r))[0])
         scale = max(1.0, top ** r)
         witness = None
         if value < -tol * scale:
@@ -460,12 +457,10 @@ def check_furuta(a: QMatrix, b: QMatrix, p: float, q: float, r: float, *,
                        flip: bool) -> Margin:
         outer_half = outer_sys.power_psd(r)
         inner_p = inner_sys.power_psd(p)
-        x = outer_half @ inner_p @ outer_half
-        x = 0.5 * (x + x.H)
-        lhs = eigh_q(x).power_psd(1.0 / q)
+        lhs = _eigensystem(outer_half @ inner_p @ outer_half).power_psd(1.0 / q)
         rhs = outer_sys.power_psd(expo)
         diff = (lhs - rhs) if not flip else (rhs - lhs)
-        value = min_eigenvalue(0.5 * (diff + diff.H))
+        value = float(_chi_eigvalsh(diff)[0])
         scale = max(1.0, max(asys.eigenvalues[-1], 0.0) ** expo)
         witness = None
         if value < -tol * scale:
@@ -496,8 +491,8 @@ def check_chain_semihypo(t: QMatrix, *, tol: float = DEFAULT_TOL,
     u, abst = pp.u, pp.abs_t
     upper = u.H @ abst @ u - abst
     lower = abst - u @ abst @ u.H
-    m1 = min_eigenvalue(0.5 * (upper + upper.H))
-    m2 = min_eigenvalue(0.5 * (lower + lower.H))
+    m1 = float(_chi_eigvalsh(upper)[0])
+    m2 = float(_chi_eigvalsh(lower)[0])
     scale = max(1.0, opn)
     mk = lambda v: Margin(value=v, tolerance=tol,
                           witness=None if v >= -tol * scale else {"enforced": enforce},
@@ -600,12 +595,12 @@ def check_eigenspace_reducing(t: QMatrix, q: Quaternion, *,
 
 
 def invert(t: QMatrix, *, rtol: float = 1e-10) -> QMatrix:
-    """Inverse through the complex embedding; structure-checked on the way back."""
+    """Inverse V S^{-1} W* through the complex embedding, top block row only."""
     w, sing, vh = _eig.svd(embed_chi(t))
     if sing[-1] <= rtol * sing[0]:
         ratio = sing[-1] / sing[0] if sing[0] > 0.0 else 0.0
         raise DomainError(f"operator is singular (sigma_min/sigma_max = {ratio:.3e})")
-    return unembed_chi((vh.conj().T / sing) @ w.conj().T, tol=1e-6)
+    return _from_chi_top((vh[:, :t.rows].conj().T / sing) @ w.conj().T)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ recovers the quaternionic data.
 Self-adjoint operators get a full eigensystem: real eigenvalues with a
 right-orthonormal basis of eigenvectors, pulled back cluster by cluster
 from the embedded eigenvectors the first time they are read.  Scalar
-functions of the operator are evaluated on the embedded side and
-unembedded afterwards, so they never need the pulled-back vectors.
+functions of the operator are evaluated on the embedded side and pulled
+back from the top block row, so they never need the pulled-back vectors.
+Self-adjointness is checked once, where a public function receives T.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 
 from . import _eig
 from .errors import DomainError, PreconditionError, ShapeError, StructureError
-from .linalg import (QMatrix, QVector, _chi_eigvalsh, _from_psi, _selfadjoint_residual,
-                     embed_chi, unembed_chi)
+from .linalg import (QMatrix, QVector, _chi_eigvalsh, _from_chi_top, _from_psi,
+                     _selfadjoint_residual, embed_chi)
 from .quaternion import Quaternion
 
 PAIR_TOL = 1e-8
@@ -40,18 +41,18 @@ def _require_square(t: QMatrix) -> int:
     return t.rows
 
 
-def _require_selfadjoint(a: QMatrix, herm_tol: float) -> int:
-    n = _require_square(a)
+def _require_selfadjoint(a: QMatrix) -> None:
+    _require_square(a)
     dev = _selfadjoint_residual(a)
-    if dev > herm_tol * max(1.0, a.frobenius()):
+    if dev > 1e-8 * max(1.0, a.frobenius()):
         raise PreconditionError(f"operator is not self-adjoint (deviation {dev:.3e})")
-    return n
 
 
 def _hermitian_from_chi(v: np.ndarray, fw: np.ndarray) -> QMatrix:
-    """Pull back V diag(fw) V*: orthonormal columns in whole pairs, real weights."""
-    m = (v * fw[None, :]) @ v.conj().T
-    return unembed_chi(0.5 * (m + m.conj().T), tol=1e-6)
+    """Pull back V diag(fw) V* (orthonormal columns in whole pairs, real
+    weights) from its top block row, symmetrized on the pair."""
+    h = _from_chi_top((v[:v.shape[0] // 2] * fw[None, :]) @ v.conj().T)
+    return 0.5 * (h + h.H)
 
 
 @dataclass(frozen=True)
@@ -84,9 +85,6 @@ class HermitianEigensystem:
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
-
-    def eigenvalue_scale(self) -> float:
-        return max(abs(w) for w in self.eigenvalues)
 
     def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> QMatrix:
         """Evaluate a real scalar function of the operator, f(A).
@@ -185,8 +183,7 @@ def _chi_svd(a: QMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w, s2.reshape(-1, 2).mean(axis=1), vh.conj().T
 
 
-def eigh_q(a: QMatrix, *, herm_tol: float = 1e-8,
-           pair_tol: float = PAIR_TOL) -> HermitianEigensystem:
+def eigh_q(a: QMatrix) -> HermitianEigensystem:
     """Eigensystem of a self-adjoint operator.
 
     The embedded matrix is diagonalized and the doubled spectrum is
@@ -196,24 +193,25 @@ def eigh_q(a: QMatrix, *, herm_tol: float = 1e-8,
     right-orthonormal block per cluster, are pulled back only when
     ``vectors`` is first read, and a failed recovery raises there.
     """
-    n = _require_selfadjoint(a, herm_tol)
+    _require_selfadjoint(a)
+    return _eigensystem(a)
+
+
+def _eigensystem(a: QMatrix) -> HermitianEigensystem:
+    """``eigh_q`` without the self-adjointness check: the system of the
+    Hermitian part of a, for operators that are self-adjoint by construction."""
     m = embed_chi(a)
     w2, v2 = _eig.eigh(0.5 * (m + m.conj().T))
-    mids = _pair_real(w2, pair_tol=pair_tol)
+    mids = _pair_real(w2, pair_tol=PAIR_TOL)
 
     scale = max(1.0, float(np.abs(mids).max(initial=0.0)))
-    cuts = [0, *(np.flatnonzero(np.diff(mids) > CLUSTER_TOL * scale) + 1).tolist(), n]
+    cuts = [0, *(np.flatnonzero(np.diff(mids) > CLUSTER_TOL * scale) + 1).tolist(), a.rows]
     lam = mids.copy()
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo > 1:
             lam[lo:hi] = np.mean(mids[lo:hi])
     return HermitianEigensystem(eigenvalues=tuple(lam.tolist()),
                                 _w2=np.repeat(mids, 2), _v2=v2)
-
-
-def min_eigenvalue(a: QMatrix, *, herm_tol: float = 1e-8) -> float:
-    """Smallest eigenvalue of a self-adjoint operator, no vectors formed."""
-    return rayleigh_bounds(a, herm_tol=herm_tol)[0]
 
 
 def _tolerant_order(zs: list[complex], tol: float) -> list[complex]:
@@ -304,7 +302,7 @@ def delta_q(t: QMatrix, q: Quaternion) -> QMatrix:
 def _kernel_gap(t: QMatrix, rep: complex) -> float:
     """Smallest singular value of Delta_rep over max(1, ||Delta_rep||_F)."""
     d = delta_q(t, Quaternion(rep.real, rep.imag, 0.0, 0.0))
-    sigma_min = float(np.sqrt(max(min_eigenvalue(d.H @ d), 0.0)))
+    sigma_min = float(np.sqrt(max(_chi_eigvalsh(d.H @ d)[0], 0.0)))
     return sigma_min / max(1.0, d.frobenius())
 
 
@@ -400,24 +398,24 @@ def is_psd(t: QMatrix, tol: float = 1e-8, *,
 
     Returns (flag, margin) with margin the smallest eigenvalue; the flag is
     true when margin >= -tol * max(1, ||T||).  A caller holding the
-    eigensystem of T passes it as ``system``: T is still checked to be
-    self-adjoint, and the extreme eigenvalues are read from the system's
-    unclustered pair means instead of a fresh eigensolve.
+    eigensystem ``eigh_q(T)`` passes it as ``system``: T was checked to be
+    self-adjoint there and is not checked again, and the extreme
+    eigenvalues are read from the system's unclustered pair means instead
+    of a fresh eigensolve.
     """
     if system is None:
         lo, hi = rayleigh_bounds(t)
     else:
-        _require_selfadjoint(t, 1e-8)
         lo, hi = float(system._w2[0]), float(system._w2[-1])
     opnorm = max(abs(lo), abs(hi))
     return lo >= -tol * max(1.0, opnorm), lo
 
 
-def rayleigh_bounds(t: QMatrix, *, herm_tol: float = 1e-8) -> tuple[float, float]:
+def rayleigh_bounds(t: QMatrix) -> tuple[float, float]:
     """Extreme eigenvalues (m, M) of a self-adjoint operator.
 
     Every Rayleigh quotient of a unit vector lies in [m, M].
     """
-    _require_selfadjoint(t, herm_tol)
+    _require_selfadjoint(t)
     w = _chi_eigvalsh(t)
     return float(w[0]), float(w[-1])

@@ -4,12 +4,12 @@ Every square operator factors as T = U |T| with |T| = (T* T)^{1/2} and U a
 partial isometry vanishing on ker T.  Both factors come from one singular
 value decomposition of the embedded matrix, chi(T) = W S V*: U is the
 pull-back of W_r V_r* and |T|^s that of V_r S_r^s V_r*, over the singular
-pairs above the rank cutoff (Higham, Functions of Matrices, ch. 8).  The
-singular values are accurate to eps times the largest, so the rank is
-decided without squaring the noise floor.  The trailing columns of V and
-W span ker T and ker T*; |T| and right-orthonormal bases of the two
-kernels are built from them on first read, so a caller that needs only U
-and powers of |T| pays for neither.
+pairs above the rank cutoff (Higham, Functions of Matrices, ch. 8), each
+formed as its top block row only.  The singular values are accurate to
+eps times the largest, so the rank is decided without squaring the noise
+floor.  The trailing columns of V and W span ker T and ker T*; |T| and
+right-orthonormal bases of the two kernels are built from them on first
+read, so a caller that needs only U and powers of |T| pays for neither.
 
 The transforms sandwich powers of the modulus between pieces of the
 isometry: the usual transform |T|^{1/2} U |T|^{1/2}, its one-parameter
@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import QMatrix, QVector, outer, unembed_chi
+from .linalg import QMatrix, QVector, _from_chi_top, outer
 from .spectral import _chi_svd, _hermitian_from_chi, _null_basis
 
 RANK_RTOL = 1e-12
@@ -37,8 +37,8 @@ class PolarParts:
 
     ``tau`` is the absolute singular-value cutoff that decided ``rank``.
     ``sigmas`` are the singular values of T, ascending.  ``_v`` and ``_s``
-    keep the embedded right singular vectors above the cutoff and their
-    singular values, so every power |T|^s is one complex product.
+    keep copies of the embedded right singular vectors above the cutoff and
+    their singular values, so every power |T|^s is one complex product.
     ``_ker_v`` and ``_ker_w`` keep copies of the embedded right and left
     singular vectors below the cutoff, not the whole left factor.  ``abs_t``
     and the kernel bases are built from these on first read and cached:
@@ -91,16 +91,16 @@ def polar(t: QMatrix, *, rank_rtol: float = RANK_RTOL) -> PolarParts:
     tau = rank_rtol * float(sigma[0])
     rank = int(np.count_nonzero(sigma > tau))
     r2 = 2 * rank
-    v_r, s_r = v[:, :r2], np.repeat(sigma[:rank], 2)
-    # np.array keeps each slice's memory order, on which the bits of the
-    # kernel bases depend
+    # np.array keeps each slice's memory order, on which the bits of |T|^s
+    # and of the kernel bases depend
+    v_r = np.array(v[:, :r2])
     return PolarParts(
-        u=unembed_chi(w[:, :r2] @ v_r.conj().T),
+        u=_from_chi_top(w[:t.rows, :r2] @ v_r.conj().T),
         rank=rank,
         tau=tau,
         sigmas=tuple(float(x) for x in sigma[::-1]),
         _v=v_r,
-        _s=s_r,
+        _s=np.repeat(sigma[:rank], 2),
         _ker_v=np.array(v[:, r2:]),
         _ker_w=np.array(w[:, r2:]),
     )
@@ -124,9 +124,9 @@ def _parts(t: QMatrix, parts: PolarParts | None) -> PolarParts:
 
 
 def abs_power(parts: PolarParts, s: float) -> QMatrix:
-    """|T|^s for s > 0 from precomputed polar parts."""
-    if s <= 0.0:
-        raise DomainError(f"exponent must be positive, got {s}")
+    """|T|^s for finite s > 0 from precomputed polar parts."""
+    if not 0.0 < s < np.inf:
+        raise DomainError(f"exponent must be positive and finite, got {s}")
     return parts.abs_power(s)
 
 
@@ -156,17 +156,17 @@ def duggal(t: QMatrix, *, parts: PolarParts | None = None) -> QMatrix:
 
 def furuta_sr(t: QMatrix, r: float, *,
               parts: PolarParts | None = None) -> QMatrix:
-    """U |T|^r U for r > 0."""
-    if r <= 0.0:
-        raise DomainError(f"exponent must be positive, got {r}")
+    """U |T|^r U for finite r > 0."""
+    if not 0.0 < r < np.inf:
+        raise DomainError(f"exponent must be positive and finite, got {r}")
     p = _parts(t, parts)
     return p.u @ p.abs_power(r) @ p.u
 
 
 def abs_star_power(t: QMatrix, s: float, *,
                    parts: PolarParts | None = None) -> QMatrix:
-    """U |T|^s U*, equal to |T*|^s for s > 0."""
-    if s <= 0.0:
-        raise DomainError(f"exponent must be positive, got {s}")
+    """U |T|^s U*, equal to |T*|^s for finite s > 0."""
+    if not 0.0 < s < np.inf:
+        raise DomainError(f"exponent must be positive and finite, got {s}")
     p = _parts(t, parts)
     return p.u @ p.abs_power(s) @ p.u.H

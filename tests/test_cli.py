@@ -75,6 +75,13 @@ def test_transform_unknown_kind(tmp_path, capsys):
         assert "is not a number" in capsys.readouterr().err
 
 
+def test_transform_rejects_a_nonfinite_exponent(tmp_path, capsys):
+    path = _shift_file(tmp_path)
+    for kind in ("sr:nan", "sr:inf"):
+        assert main(["transform", "--kind", kind, path]) == 2
+        assert "exponent must be positive and finite" in capsys.readouterr().err
+
+
 def test_spectrum_classes(tmp_path, capsys):
     t = QMatrix.diag([I, Quaternion(0.0, 0.0, 2.0, 0.0)])
     path = _write(tmp_path, "norm.json", t)

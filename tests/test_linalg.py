@@ -242,8 +242,6 @@ def test_public_boundary_checks():
         unembed_chi(np.zeros((130, 130)))
     with pytest.raises(StructureError):
         unembed_chi(np.full((4, 4), np.nan))
-    with pytest.raises(StructureError):
-        unembed_chi(np.full((4, 4), np.nan), check=False)
     big = QMatrix(np.full((2, 2, 4), 1e200))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(StructureError):

@@ -9,7 +9,7 @@ from qop.generators import ginibre, hermitian, normal_with_spectrum, positive, r
 from qop.linalg import QMatrix, QVector, embed_chi
 from qop.quaternion import I, J, K, Quaternion
 from qop.spectral import (CLUSTER_TOL, delta_q, eigh_q, fun_calc, is_psd, kernel_basis,
-                          min_eigenvalue, power_psd, rayleigh_bounds,
+                          power_psd, rayleigh_bounds,
                           spherical_eigenspace, spherical_point_spectrum,
                           spherical_spectrum, standard_eigenvalues,
                           verify_point_spectrum)
@@ -180,11 +180,6 @@ def test_is_psd_and_rayleigh_bounds():
     shifted = s - QMatrix.identity(4) * (lo_s - 1.0)
     ok2, _ = is_psd(shifted)
     assert ok2
-
-
-def test_min_eigenvalue_agrees_with_bounds():
-    s = hermitian(5, seed=436)
-    assert min_eigenvalue(s) == rayleigh_bounds(s)[0]
 
 
 def test_delta_q_formula():

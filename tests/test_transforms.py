@@ -5,7 +5,7 @@ from qop import _eig, spectral, transforms
 from qop.errors import DomainError, ShapeError
 from qop.generators import (ginibre, normal_with_spectrum, partial_isometry, positive,
                             random_unitary)
-from qop.linalg import MAX_DIM, QMatrix, operator_norm, unembed_chi
+from qop.linalg import MAX_DIM, QMatrix, _from_chi_top, operator_norm
 from qop.quaternion import I, Quaternion
 from qop.spectral import eigh_q, is_psd
 from qop.transforms import (RANK_RTOL, abs_power, abs_star_power, aluthge, duggal,
@@ -89,6 +89,16 @@ def test_abs_power_examples():
         abs_power(parts, 0.0)
     with pytest.raises(DomainError):
         abs_star_power(t, -1.0, parts=parts)
+
+
+def test_transforms_reject_nonfinite_exponents():
+    t = ginibre(3, seed=521)
+    parts = polar(t)
+    for bad in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+        for call in (lambda: abs_power(parts, bad), lambda: abs_star_power(t, bad),
+                     lambda: furuta_sr(t, bad)):
+            with pytest.raises(DomainError, match="exponent must be positive and finite"):
+                call()
 
 
 def test_abs_star_power_identity_random():
@@ -216,7 +226,7 @@ def _eager_polar(t):
     rank = int(np.count_nonzero(sigma > RANK_RTOL * float(sigma[0])))
     r2 = 2 * rank
     v_r, s_r = v[:, :r2], np.repeat(sigma[:rank], 2)
-    return (unembed_chi(w[:, :r2] @ v_r.conj().T),
+    return (_from_chi_top(w[:t.rows, :r2] @ v_r.conj().T),
             spectral._hermitian_from_chi(v_r, s_r),
             spectral._null_basis(v[:, r2:], t.rows - rank),
             spectral._null_basis(w[:, r2:], t.rows - rank))
@@ -255,6 +265,12 @@ def test_polar_fields_are_built_on_first_read_only(monkeypatch):
         assert calls == [built]
         assert getattr(parts, field) is first
         assert calls == [built]
+
+
+def test_polar_keeps_its_own_copy_of_the_range_vectors():
+    parts = polar(partial_isometry(32, 8, seed=1))
+    assert parts._v.flags.owndata and parts._v.shape == (64, 48)
+    assert parts._ker_v.flags.owndata
 
 
 def test_abs_power_zero_does_not_build_the_modulus():
