@@ -16,6 +16,7 @@ Scalars act on vectors from the right, ``u * q``; the left scalar action
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -59,7 +60,10 @@ def _boundary_pair(components, ndim: int, what: str) -> tuple[np.ndarray, np.nda
 
 def _trusted(cls, a: np.ndarray, b: np.ndarray):
     """Wrap the pair computed by an internal operation: no copy, no shape re-check."""
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    # a NaN or inf entry makes the squared sum non-finite; only then, since a
+    # large finite matrix can overflow it too, are the entries tested one by one
+    if (not math.isfinite((np.vdot(a, a) + np.vdot(b, b)).real)
+            and not (np.isfinite(a).all() and np.isfinite(b).all())):
         raise StructureError(f"{cls.__name__} entries must be finite")
     out = object.__new__(cls)
     out._a, out._b = a, b

@@ -260,8 +260,83 @@ def _pair_witness(beta: float, pair: np.ndarray) -> dict[str, Any]:
             "y": matio.vector_to_json(_from_psi(pair[1]))}
 
 
+# hill-climb steps of gcsi_margin and check_gcsi_closure
+_REFINE_STEPS = 64
+# the climb scores this many of its next candidates per _gcsi_terms call
+_WINDOW = 8
+
+
+def _check_gcsi_args(beta: float, budget: int) -> None:
+    if not 0.0 < beta <= 1.0:
+        raise DomainError(f"beta must lie in (0, 1], got {beta}")
+    if budget < 1:
+        raise DomainError("budget must be at least 1")
+
+
+def _gcsi_draw(n: int, budget: int, seed: int,
+               refine_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The seed's (budget, 2, 2n) sampled pairs and (refine_steps, 2, 4n) real moves."""
+    pairs = _unit_pairs(n, budget, SplitMix64(mix_seed(seed, 0)))
+    # normals(4n) per direction is even-sized, so one block draw is
+    # bitwise the concatenation of the per-step draws; steps and rescaling
+    # run on the real view, entry for entry the arithmetic of the (n, 4) form
+    moves = _psi(SplitMix64(mix_seed(seed, 1)).normals(2 * refine_steps * n * 4)
+                 .reshape(refine_steps, 2, n, 4)).view(np.float64)
+    return pairs, moves
+
+
+def _gcsi_search(t: QMatrix, beta: float, pairs: np.ndarray, moves: np.ndarray, *,
+                 seed: int, tol: float) -> Margin:
+    """Scan the sampled pairs, then hill-climb from the worst one along ``moves``.
+
+    A candidate pair + step * move that strictly improves is taken, any
+    other shrinks the step by 0.8, and one too short to normalise is skipped
+    at the same step.  The next ``_WINDOW`` candidates are scored at once,
+    each with the step it has if the earlier ones are all rejected; the
+    first one taken or skipped is the climb's next event, and the next
+    window starts after it.  Every candidate reached is built and scored as
+    in a climb that scores one per step, so the result is the same bit for bit.
+    """
+    alpha = 1.0 - beta
+    chi_t = embed_chi(t)
+    a, b, c = _gcsi_terms(chi_t, pairs)
+    margins = np.power(a, alpha) * np.power(b, beta) - c
+    k = int(np.argmin(margins))
+    best = float(margins[k])
+
+    # the step after r rejections, by the climb's own repeated *= 0.8
+    steps = np.empty(moves.shape[0])
+    step = 0.5
+    for r in range(steps.size):
+        steps[r], step = step, step * 0.8
+    pair = pairs[k].view(np.float64)
+    i = r = 0
+    while i < moves.shape[0]:
+        w = min(_WINDOW, moves.shape[0] - i)
+        cands = pair + steps[r:r + w, None, None] * moves[i:i + w]
+        norms = np.sqrt((cands * cands).sum(axis=2))
+        skip = norms.min(axis=1) < 1e-9
+        norms[skip] = 1.0  # a skipped candidate is never read
+        cands /= norms[:, :, None]
+        a, b, c = _gcsi_terms(chi_t, cands.view(np.complex128))
+        values = np.power(a, alpha) * np.power(b, beta) - c
+        events = skip | (values < best)
+        j = int(events.argmax())
+        if not events[j]:
+            i += w
+            r += w
+            continue
+        i += j + 1
+        r += j
+        if not skip[j]:
+            best, pair = float(values[j]), cands[j]
+    witness = _pair_witness(beta, pair.view(np.complex128)) if best < -tol else None
+    return Margin(value=best, tolerance=tol, witness=witness,
+                  details={"beta": beta, "budget": pairs.shape[0], "seed": seed})
+
+
 def gcsi_margin(t: QMatrix, beta: float, *, budget: int = 1000, seed: int = 0,
-                tol: float = DEFAULT_TOL, refine_steps: int = 64) -> Margin:
+                tol: float = DEFAULT_TOL, refine_steps: int = _REFINE_STEPS) -> Margin:
     """Sampled margin of |<Tx, y>| <= (||Tx|| ||y||)^alpha (||Ty|| ||x||)^beta.
 
     Exponents satisfy alpha = 1 - beta with beta in (0, 1], and 0^0 counts
@@ -270,47 +345,17 @@ def gcsi_margin(t: QMatrix, beta: float, *, budget: int = 1000, seed: int = 0,
     exact witnesses.  The worst pair then gets a hill-climb refinement that
     accepts only strict decreases and shrinks its step on every rejection;
     its directions are one block of the refinement stream, drawn up front.
+    The climb scores a window of its next candidates at once and keeps the
+    first event, so its result is that of scoring one candidate per step.
     Vectors are scored on the complex side, as psi(x) against chi(T).  A
     negative margin certifies non-membership; a nonnegative one is evidence
     on the sampled budget.
     """
-    if not 0.0 < beta <= 1.0:
-        raise DomainError(f"beta must lie in (0, 1], got {beta}")
-    if budget < 1:
-        raise DomainError("budget must be at least 1")
+    _check_gcsi_args(beta, budget)
     if refine_steps < 0:
         raise DomainError(f"refine_steps must be nonnegative, got {refine_steps}")
-    alpha = 1.0 - beta
-    n = t.rows
-    chi_t = embed_chi(t)
-    pairs = _unit_pairs(n, budget, SplitMix64(mix_seed(seed, 0)))
-    a, b, c = _gcsi_terms(chi_t, pairs)
-    margins = np.power(a, alpha) * np.power(b, beta) - c
-    k = int(np.argmin(margins))
-    best = float(margins[k])
-
-    # normals(4n) per direction is even-sized, so one block draw is
-    # bitwise the concatenation of the per-step draws; steps and rescaling
-    # run on the real view, entry for entry the arithmetic of the (n, 4) form
-    moves = _psi(SplitMix64(mix_seed(seed, 1)).normals(2 * refine_steps * n * 4)
-                 .reshape(refine_steps, 2, n, 4)).view(np.float64)
-    pair = pairs[k].view(np.float64)
-    step = 0.5
-    for move in moves:
-        cand = pair + step * move
-        norms = np.sqrt((cand * cand).sum(axis=1))
-        if norms.min() < 1e-9:
-            continue
-        cand = cand / norms[:, None]
-        a, b, c = _gcsi_terms(chi_t, cand.view(np.complex128)[None])
-        value = float(np.power(a[0], alpha) * np.power(b[0], beta) - c[0])
-        if value < best:
-            best, pair = value, cand
-        else:
-            step *= 0.8
-    witness = _pair_witness(beta, pair.view(np.complex128)) if best < -tol else None
-    return Margin(value=best, tolerance=tol, witness=witness,
-                  details={"beta": beta, "budget": budget, "seed": seed})
+    pairs, moves = _gcsi_draw(t.rows, budget, seed, refine_steps)
+    return _gcsi_search(t, beta, pairs, moves, seed=seed, tol=tol)
 
 
 def gcsi_sweep(t: QMatrix, *, betas: Sequence[float] = tuple(round(0.1 * k, 1) for k in range(1, 11)),
@@ -322,8 +367,9 @@ def gcsi_sweep(t: QMatrix, *, betas: Sequence[float] = tuple(round(0.1 * k, 1) f
     contributes three scalars (||Tx||, ||Ty||, |<Tx,y>|), evaluated once on
     the complex side as in ``gcsi_margin``.  There is no refinement.
     """
-    n = t.rows
-    pairs = _unit_pairs(n, budget, SplitMix64(mix_seed(seed, 0)))
+    if budget < 1:
+        raise DomainError("budget must be at least 1")
+    pairs = _unit_pairs(t.rows, budget, SplitMix64(mix_seed(seed, 0)))
     a, b, c = _gcsi_terms(embed_chi(t), pairs)
     out: dict[float, Margin] = {}
     for beta in betas:
@@ -621,9 +667,13 @@ def check_gcsi_closure(t: QMatrix, which: str, *, beta: float = 0.5,
     ``which`` picks the operation: "scalar" (real multiple), "inverse",
     "unitary-equiv" (conjugation by a supplied unitary), or "compression"
     (P T P for a supplied projector onto an invariant subspace).  The
-    transformed operator is tested with the same beta, budget, and seed.
+    transformed operator is tested with the same beta, budget, and seed,
+    so the pairs and moves are drawn once and both margins are those of
+    ``gcsi_margin``.
     """
-    base = gcsi_margin(t, beta, budget=budget, seed=seed, tol=tol)
+    _check_gcsi_args(beta, budget)
+    pairs, moves = _gcsi_draw(t.rows, budget, seed, _REFINE_STEPS)
+    base = _gcsi_search(t, beta, pairs, moves, seed=seed, tol=tol)
     if base.value < -tol:
         raise PreconditionError(
             f"base operator already violates the inequality (margin {base.value:.3e})")
@@ -644,7 +694,7 @@ def check_gcsi_closure(t: QMatrix, which: str, *, beta: float = 0.5,
         s = projector @ t @ projector
     else:
         raise DomainError(f"unknown closure operation {which!r}")
-    transformed = gcsi_margin(s, beta, budget=budget, seed=seed, tol=tol)
+    transformed = _gcsi_search(s, beta, pairs, moves, seed=seed, tol=tol)
     return ClosureReport(which=which, base=base, transformed=transformed)
 
 

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
+_GAMMA_INT, _M1_INT, _M2_INT = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_GAMMA, _M1, _M2 = np.uint64(_GAMMA_INT), np.uint64(_M1_INT), np.uint64(_M2_INT)
 _MASK = (1 << 64) - 1
 
 # 53-bit mantissa scaling for uniforms in [0, 1)
@@ -39,8 +38,11 @@ def mix_seed(seed: int, index: int) -> int:
     """Derive the per-trial seed: splitmix64 output ``index`` of ``seed``."""
     if index < 0:
         raise ValueError("index must be nonnegative")
-    state = np.uint64((int(seed) + (index + 1) * int(_GAMMA)) & _MASK)
-    return int(_finalize(np.asarray([state], dtype=np.uint64))[0])
+    # _finalize's steps on a Python integer, each product masked to 64 bits
+    z = (int(seed) + (index + 1) * _GAMMA_INT) & _MASK
+    z = ((z ^ (z >> 30)) * _M1_INT) & _MASK
+    z = ((z ^ (z >> 27)) * _M2_INT) & _MASK
+    return z ^ (z >> 31)
 
 
 class SplitMix64:

@@ -82,10 +82,6 @@ class HermitianEigensystem:
             columns.extend(_quaternionic_basis(self._v2[:, 2 * lo:2 * hi], hi - lo))
         return QMatrix.from_columns(columns)
 
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
     def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> QMatrix:
         """Evaluate a real scalar function of the operator, f(A).
 
@@ -128,12 +124,12 @@ class HermitianEigensystem:
         return self.apply(f)
 
 
-def _pair_real(w: np.ndarray, *, pair_tol: float) -> np.ndarray:
+def _pair_real(w: np.ndarray) -> np.ndarray:
     """Collapse an ascending real spectrum of even length into midpoints."""
     scale = max(1.0, float(np.abs(w).max(initial=0.0)))
     a, b = w[0::2], w[1::2]
     gaps = np.abs(b - a)
-    if gaps.size and float(gaps.max()) > pair_tol * scale:
+    if gaps.size and float(gaps.max()) > PAIR_TOL * scale:
         raise StructureError(
             f"eigenvalue pairing failure (worst gap {gaps.max():.3e} at scale {scale:.3e})")
     return 0.5 * (a + b)
@@ -202,7 +198,7 @@ def _eigensystem(a: QMatrix) -> HermitianEigensystem:
     Hermitian part of a, for operators that are self-adjoint by construction."""
     m = embed_chi(a)
     w2, v2 = _eig.eigh(0.5 * (m + m.conj().T))
-    mids = _pair_real(w2, pair_tol=PAIR_TOL)
+    mids = _pair_real(w2)
 
     scale = max(1.0, float(np.abs(mids).max(initial=0.0)))
     cuts = [0, *(np.flatnonzero(np.diff(mids) > CLUSTER_TOL * scale) + 1).tolist(), a.rows]

@@ -6,7 +6,11 @@ that the library replaced with its complex-side vector path: Hamilton
 products through ``quaternion_reference.matmul_components`` on the
 ``to_array()`` components, one candidate pair scored per refinement step,
 and one stream draw per step.  ``paranormal_vector_margins``
-is the vector channel of ``is_paranormal`` in the same form.  The module name
+is the vector channel of ``is_paranormal`` in the same form.
+
+``sequential_search`` and ``sequential_gcsi_margin`` are the complex-side
+climb that the library replaced with its windowed one: the same draws and
+the same arithmetic, one candidate pair scored per step.  The module name
 keeps it out of pytest collection.
 """
 
@@ -16,10 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from qop import matio
+from qop import matio, oracles
 from qop.errors import DomainError
-from qop.linalg import QMatrix, QVector
-from qop.oracles import DEFAULT_TOL, Margin
+from qop.linalg import QMatrix, QVector, _psi, embed_chi
+from qop.oracles import DEFAULT_TOL, Margin, _gcsi_terms, _pair_witness
 from qop.rng import SplitMix64, mix_seed
 from quaternion_reference import matmul_components
 
@@ -174,6 +178,44 @@ def gcsi_sweep(t: QMatrix, *, betas: Sequence[float] = tuple(round(0.1 * k, 1) f
         out[beta] = Margin(value=best, tolerance=tol, witness=witness,
                            details={"beta": beta, "budget": budget, "seed": seed})
     return out
+
+
+def sequential_search(t: QMatrix, beta: float, pairs: np.ndarray, moves: np.ndarray, *,
+                      seed: int, tol: float) -> Margin:
+    """Scan (k, 2, 2n) embedded pairs, then climb along (steps, 2, 4n) real moves, one step at a time."""
+    alpha = 1.0 - beta
+    chi_t = embed_chi(t)
+    a, b, c = _gcsi_terms(chi_t, pairs)
+    margins = np.power(a, alpha) * np.power(b, beta) - c
+    k = int(np.argmin(margins))
+    best = float(margins[k])
+    pair = pairs[k].view(np.float64)
+    step = 0.5
+    for move in moves:
+        cand = pair + step * move
+        norms = np.sqrt((cand * cand).sum(axis=1))
+        if norms.min() < 1e-9:
+            continue
+        cand = cand / norms[:, None]
+        a, b, c = _gcsi_terms(chi_t, cand.view(np.complex128)[None])
+        value = float(np.power(a[0], alpha) * np.power(b[0], beta) - c[0])
+        if value < best:
+            best, pair = value, cand
+        else:
+            step *= 0.8
+    witness = _pair_witness(beta, pair.view(np.complex128)) if best < -tol else None
+    return Margin(value=best, tolerance=tol, witness=witness,
+                  details={"beta": beta, "budget": pairs.shape[0], "seed": seed})
+
+
+def sequential_gcsi_margin(t: QMatrix, beta: float, *, budget: int = 1000, seed: int = 0,
+                           tol: float = DEFAULT_TOL, refine_steps: int = 64) -> Margin:
+    """``gcsi_margin`` with its draws made here and its climb run one step at a time."""
+    n = t.rows
+    pairs = oracles._unit_pairs(n, budget, SplitMix64(mix_seed(seed, 0)))
+    moves = _psi(SplitMix64(mix_seed(seed, 1)).normals(2 * refine_steps * n * 4)
+                 .reshape(refine_steps, 2, n, 4)).view(np.float64)
+    return sequential_search(t, beta, pairs, moves, seed=seed, tol=tol)
 
 
 def paranormal_vector_margins(t: QMatrix, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

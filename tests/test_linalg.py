@@ -248,6 +248,9 @@ def test_public_boundary_checks():
             big @ big
         with pytest.raises(StructureError):
             big @ QVector(np.full((2, 4), 1e200))
+    # finite results whose squared sum overflows still wrap
+    assert np.array_equal((big + big).to_array(), np.full((2, 2, 4), 2e200))
+    assert np.array_equal(big.H.H.to_array(), big.to_array())
 
 
 @pytest.mark.parametrize("n", [1, 4, 64])

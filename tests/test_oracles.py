@@ -5,10 +5,10 @@ import pytest
 
 import gcsi_reference
 
-from qop import _eig, generators, harness
+from qop import _eig, generators, harness, oracles
 from qop.errors import DomainError, PreconditionError
-from qop.generators import (ginibre, normal_with_spectrum, positive, random_unitary,
-                            unit_vector)
+from qop.generators import (ginibre, near_normal, normal_with_spectrum, positive,
+                            random_unitary, unit_vector)
 from qop.linalg import QMatrix, QVector
 from qop.matio import json_to_vector
 from qop.oracles import (check_aluthge_theorems, check_chain_semihypo,
@@ -137,6 +137,8 @@ def test_gcsi_beta_domain():
         gcsi_margin(QMatrix.identity(2), 0.5, budget=0)
     with pytest.raises(DomainError):
         gcsi_margin(QMatrix.identity(2), 0.5, refine_steps=-1)
+    with pytest.raises(DomainError):
+        gcsi_sweep(QMatrix.identity(2), budget=0)
 
 
 def test_gcsi_sweep_shift_violates_every_beta():
@@ -554,6 +556,70 @@ def test_gcsi_margin_matches_the_per_pair_reference():
         witnessed += want.witness is not None
     # both outcomes are exercised
     assert 0 < witnessed < len(cases)
+
+
+def test_windowed_climb_equals_the_sequential_one():
+    # windows only batch the scoring: every margin and witness is bit for bit
+    # that of the climb scoring one candidate per step
+    kinds = {"ginibre": ginibre, "unitary": random_unitary, "positive": positive,
+             "near_normal": lambda n, seed: near_normal(n, 0.05, seed=seed)}
+    witnessed = 0
+    for name, make in kinds.items():
+        for n in (1, 2, 3, 4, 8, 16, 64):
+            t = make(n, seed=6300 + n)
+            for beta in (0.25, 0.5, 0.75, 1.0):
+                for budget in (1, 16, 300):
+                    for steps in (0, 1, 64):
+                        got = gcsi_margin(t, beta, budget=budget, seed=n + steps,
+                                          refine_steps=steps)
+                        want = gcsi_reference.sequential_gcsi_margin(
+                            t, beta, budget=budget, seed=n + steps, refine_steps=steps)
+                        assert got == want, (name, n, beta, budget, steps)
+                        witnessed += want.witness is not None
+    assert witnessed > 0
+
+
+def test_windowed_climb_skips_a_zero_candidate_without_shrinking():
+    t = ginibre(4, seed=6400)
+    pairs, moves = oracles._gcsi_draw(4, 1, 5, 64)
+    moves = moves.copy()
+    # the first candidate, pair + 0.5 * move, is exactly zero: the climb skips
+    # it at step 0.5, so a skip that shrank the step would move every later one
+    moves[0] = -2.0 * pairs[0].view(np.float64)
+    assert not (pairs[0].view(np.float64) + 0.5 * moves[0]).any()
+    with np.errstate(all="raise"):
+        got = oracles._gcsi_search(t, 0.5, pairs, moves, seed=5, tol=1e-8)
+    want = gcsi_reference.sequential_search(t, 0.5, pairs, moves, seed=5, tol=1e-8)
+    assert got == want
+
+
+def _closure_cases():
+    u = random_unitary(4, seed=6500)
+    block, proj = harness._block_unitary(4, 6501)
+    yield "scalar", u, {"scalar": 1.5}, u * 1.5
+    yield "inverse", u, {}, invert(u)
+    v = random_unitary(4, seed=6502)
+    yield "unitary-equiv", u, {"unitary": v}, v.H @ u @ v
+    yield "compression", block, {"projector": proj}, proj @ block @ proj
+
+
+def test_closure_draws_once_and_matches_two_margins(monkeypatch):
+    draws = []
+    real = oracles._unit_pairs
+    monkeypatch.setattr(oracles, "_unit_pairs", lambda *a: draws.append(a) or real(*a))
+    for which, t, kwargs, s in _closure_cases():
+        draws.clear()
+        rep = check_gcsi_closure(t, which, budget=300, seed=31, **kwargs)
+        assert len(draws) == 1, which
+        assert rep.base == gcsi_margin(t, 0.5, budget=300, seed=31), which
+        assert rep.transformed == gcsi_margin(s, 0.5, budget=300, seed=31), which
+    # argument errors come before any draw
+    draws.clear()
+    u = random_unitary(2, seed=6503)
+    for kwargs in ({"beta": 0.0}, {"beta": 1.5}, {"budget": 0}):
+        with pytest.raises(DomainError):
+            check_gcsi_closure(u, "scalar", **kwargs)
+    assert draws == []
 
 
 def test_gcsi_sweep_and_paranormal_vectors_match_the_reference():

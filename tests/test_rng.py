@@ -41,12 +41,14 @@ def test_block_draws_equal_single_draws():
 
 
 def test_mix_seed_is_stream_output():
-    seed = 1234
-    outs = _stream_int(seed, 8)
-    for idx in range(8):
-        assert mix_seed(seed, idx) == outs[idx]
+    # the edge seeds wrap modulo 2^64 as the stream's own seed does
+    for seed in (1234, 0, 1, MASK, MASK + 1, -1, -1234, -(1 << 63)):
+        outs = _stream_int(seed, 8)
+        stream = SplitMix64(seed).uint64(8).tolist()
+        for idx in range(8):
+            assert mix_seed(seed, idx) == outs[idx] == stream[idx]
     with pytest.raises(ValueError):
-        mix_seed(seed, -1)
+        mix_seed(1234, -1)
 
 
 def test_uniform_range_and_resolution():

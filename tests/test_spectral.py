@@ -65,7 +65,7 @@ def _eager_eigensystem(a):
     n = a.rows
     m = embed_chi(a)
     w2, v2 = _eig.eigh(0.5 * (m + m.conj().T))
-    mids = spectral._pair_real(w2, pair_tol=spectral.PAIR_TOL)
+    mids = spectral._pair_real(w2)
     scale = max(1.0, float(np.abs(mids).max(initial=0.0)))
     clusters = [[0]]
     for t in range(1, n):
