@@ -4,6 +4,10 @@ Every subcommand prints one canonical JSON document (sorted keys, compact
 separators) so identical invocations are byte-identical.  Exit codes:
 0 success / all margins within tolerance, 1 a violation with witness,
 2 usage or input errors.
+
+Each command imports the modules it uses when it runs: ``polar``,
+``transform`` and ``spectrum`` never load the generators, the oracles or
+the harness, which would otherwise dominate a one-shot process.
 """
 
 from __future__ import annotations
@@ -13,14 +17,13 @@ import json
 import math
 import os
 import sys
-from typing import Any
+from typing import Any, Sequence
 
-from . import generators, harness, matio, oracles
+from . import matio
 from .errors import QopError
+from .linalg import DEFAULT_DIM
 from .quaternion import Quaternion
 from .rng import SplitMix64, mix_seed
-from .spectral import spherical_spectrum
-from .transforms import aluthge, duggal, furuta_sr, lambda_aluthge, polar
 
 _GEN_KINDS = ("ginibre", "hermitian", "positive", "ordered-pair",
               "normal-with-spectrum", "partial-isometry", "near-normal")
@@ -40,7 +43,8 @@ def _number(raw: str, what: str) -> float:
 def _resolve_tol(flag: float | None) -> float:
     env = os.environ.get("QOP_TOL")
     if flag is None and env is None:
-        return oracles.DEFAULT_TOL
+        from .oracles import DEFAULT_TOL
+        return DEFAULT_TOL
     what = "--tol" if flag is not None else "QOP_TOL"
     tol = flag if flag is not None else _number(env, what)
     if not (math.isfinite(tol) and tol >= 0.0):
@@ -49,6 +53,8 @@ def _resolve_tol(flag: float | None) -> float:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from . import oracles
+
     tol = _resolve_tol(args.tol)
     t = matio.load_matrix(args.file)
     basic = oracles.classify_basic(t, tol=tol)
@@ -74,6 +80,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_polar(args: argparse.Namespace) -> int:
+    from .transforms import polar
+
     t = matio.load_matrix(args.file)
     parts = polar(t)
     _emit({
@@ -85,6 +93,8 @@ def _cmd_polar(args: argparse.Namespace) -> int:
 
 
 def _parse_kind(kind: str):
+    from .transforms import aluthge, duggal, furuta_sr, lambda_aluthge
+
     if kind == "aluthge":
         return aluthge
     if kind == "duggal":
@@ -107,6 +117,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
+    from .spectral import spherical_spectrum
+
     t = matio.load_matrix(args.file)
     spec = spherical_spectrum(t)
     _emit({
@@ -117,6 +129,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import harness
+
     tol = _resolve_tol(args.tol)
     report = harness.run_verify(args.property, trials=args.trials, seed=args.seed,
                                 dim=args.dim, tol=tol, probe=args.probe)
@@ -125,6 +139,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
+    from . import harness
+
     tol = _resolve_tol(args.tol)
     report = harness.run_fuzz(args.property, budget=args.budget, seed=args.seed,
                               dim=args.dim, tol=tol)
@@ -143,6 +159,8 @@ def _parse_spectrum_arg(raw: str) -> list[Quaternion]:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from . import generators
+
     n, seed = args.dim, args.seed
     kind = args.kind
     if kind == "ginibre":
@@ -184,7 +202,19 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``.
+
+    The ``property`` choices of ``verify`` and ``fuzz`` come from the
+    harness registry, the costliest module to import.  argparse reads a
+    subcommand's arguments only when ``argv[0]`` names it, so those two
+    positionals are built only then.
+    """
+    properties = None
+    if argv and argv[0] in ("verify", "fuzz"):
+        from .harness import PROPERTIES
+        properties = sorted(PROPERTIES)
+
     parser = argparse.ArgumentParser(
         prog="qop",
         description="Quaternionic operator toolkit: decompositions, spectra, "
@@ -213,26 +243,28 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_spectrum)
 
     v = sub.add_parser("verify", help="randomized property verification")
-    v.add_argument("property", choices=sorted(harness.PROPERTIES))
+    if properties is not None:
+        v.add_argument("property", choices=properties)
     v.add_argument("--trials", type=int, default=100)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--dim", type=int, default=harness.DEFAULT_DIM)
+    v.add_argument("--dim", type=int, default=DEFAULT_DIM)
     v.add_argument("--probe", action="store_true",
                    help="sample outside the theorem hypotheses (exploratory)")
     v.add_argument("--tol", type=float, default=None)
     v.set_defaults(func=_cmd_verify)
 
     f = sub.add_parser("fuzz", help="search for a violating instance and shrink it")
-    f.add_argument("property", choices=sorted(harness.PROPERTIES))
+    if properties is not None:
+        f.add_argument("property", choices=properties)
     f.add_argument("--budget", type=int, default=200)
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--dim", type=int, default=harness.DEFAULT_DIM)
+    f.add_argument("--dim", type=int, default=DEFAULT_DIM)
     f.add_argument("--tol", type=float, default=None)
     f.set_defaults(func=_cmd_fuzz)
 
     g = sub.add_parser("gen", help="deterministic random operator generators")
     g.add_argument("kind", choices=_GEN_KINDS)
-    g.add_argument("--dim", type=int, default=harness.DEFAULT_DIM)
+    g.add_argument("--dim", type=int, default=DEFAULT_DIM)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("-o", "--output", default=None)
     g.add_argument("--eps", type=float, default=1e-3,
@@ -247,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except QopError as exc:

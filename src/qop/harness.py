@@ -21,14 +21,13 @@ import numpy as np
 
 from . import generators, matio, oracles
 from .errors import DomainError, PreconditionError, QopError
-from .linalg import QMatrix, QVector, _chi_eigvalsh, operator_norm
+from .linalg import DEFAULT_DIM, QMatrix, QVector, _chi_eigvalsh, operator_norm
 from .quaternion import Quaternion
 from .rng import SplitMix64, mix_seed
 from .spectral import _eigensystem, spherical_spectrum
 from .transforms import polar
 
 DEFAULT_TOL = oracles.DEFAULT_TOL
-DEFAULT_DIM = 4
 
 LH_R_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 HM_R_GRID = (0.3, 0.5, 0.7, 1.5, 2.0, 3.0)

@@ -28,6 +28,8 @@ from .quaternion import Quaternion
 from .rng import SplitMix64
 
 MAX_DIM = 64
+# the default dim of run_verify and run_fuzz, and of the qop command's --dim
+DEFAULT_DIM = 4
 
 
 def _coerce_entry(value) -> Quaternion:

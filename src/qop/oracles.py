@@ -16,6 +16,7 @@ a recorded budget and seed, never a proof.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -32,6 +33,16 @@ from .spectral import (HermitianEigensystem, _eigensystem, delta_q, eigh_q, is_p
 from .transforms import PolarParts, aluthge, polar, unitary_completion
 
 DEFAULT_TOL = 1e-8
+
+
+def _check_count(value: int, what: str) -> None:
+    """Raise DomainError unless ``value`` is an integer of at least 1."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise DomainError(f"{what} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -167,6 +178,8 @@ def is_paranormal(t: QMatrix, *, tol: float = DEFAULT_TOL, grid: int = 256,
     """
     if not t.is_square():
         raise DomainError(f"square operator required, got {t.shape}")
+    _check_count(grid, "grid")
+    _check_count(samples, "samples")
     n = t.rows
     chi_t = embed_chi(t)
     chi_t2 = chi_t @ chi_t
@@ -269,8 +282,7 @@ _WINDOW = 8
 def _check_gcsi_args(beta: float, budget: int) -> None:
     if not 0.0 < beta <= 1.0:
         raise DomainError(f"beta must lie in (0, 1], got {beta}")
-    if budget < 1:
-        raise DomainError("budget must be at least 1")
+    _check_count(budget, "budget")
 
 
 def _gcsi_draw(n: int, budget: int, seed: int,
@@ -367,8 +379,7 @@ def gcsi_sweep(t: QMatrix, *, betas: Sequence[float] = tuple(round(0.1 * k, 1) f
     contributes three scalars (||Tx||, ||Ty||, |<Tx,y>|), evaluated once on
     the complex side as in ``gcsi_margin``.  There is no refinement.
     """
-    if budget < 1:
-        raise DomainError("budget must be at least 1")
+    _check_count(budget, "budget")
     pairs = _unit_pairs(t.rows, budget, SplitMix64(mix_seed(seed, 0)))
     a, b, c = _gcsi_terms(embed_chi(t), pairs)
     out: dict[float, Margin] = {}
@@ -669,9 +680,16 @@ def check_gcsi_closure(t: QMatrix, which: str, *, beta: float = 0.5,
     (P T P for a supplied projector onto an invariant subspace).  The
     transformed operator is tested with the same beta, budget, and seed,
     so the pairs and moves are drawn once and both margins are those of
-    ``gcsi_margin``.
+    ``gcsi_margin``.  Argument errors are raised before the draw, then the
+    base operator's precondition, then the invariance of the subspace.
     """
     _check_gcsi_args(beta, budget)
+    if which not in ("scalar", "inverse", "unitary-equiv", "compression"):
+        raise DomainError(f"unknown closure operation {which!r}")
+    if which == "unitary-equiv" and unitary is None:
+        raise DomainError("unitary-equiv closure needs a unitary")
+    if which == "compression" and projector is None:
+        raise DomainError("compression closure needs a projector onto an invariant subspace")
     pairs, moves = _gcsi_draw(t.rows, budget, seed, _REFINE_STEPS)
     base = _gcsi_search(t, beta, pairs, moves, seed=seed, tol=tol)
     if base.value < -tol:
@@ -682,18 +700,12 @@ def check_gcsi_closure(t: QMatrix, which: str, *, beta: float = 0.5,
     elif which == "inverse":
         s = invert(t)
     elif which == "unitary-equiv":
-        if unitary is None:
-            raise DomainError("unitary-equiv closure needs a unitary")
         s = unitary.H @ t @ unitary
-    elif which == "compression":
-        if projector is None:
-            raise DomainError("compression closure needs a projector onto an invariant subspace")
+    else:
         res = operator_norm((QMatrix.identity(t.rows) - projector) @ t @ projector)
         if res > tol * max(1.0, operator_norm(t)):
             raise PreconditionError(f"subspace is not invariant (residual {res:.3e})")
         s = projector @ t @ projector
-    else:
-        raise DomainError(f"unknown closure operation {which!r}")
     transformed = _gcsi_search(s, beta, pairs, moves, seed=seed, tol=tol)
     return ClosureReport(which=which, base=base, transformed=transformed)
 

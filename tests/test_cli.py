@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import qop
 from qop.cli import main
 from qop.generators import ginibre
 from qop.linalg import QMatrix
@@ -126,9 +128,23 @@ def test_verify_probe_violation_exits_one(capsys):
 
 
 def test_verify_rejects_unknown_property(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["verify", "fermat"])
-    capsys.readouterr()
+    assert exc.value.code == 2
+    assert "argument property: invalid choice: 'fermat'" in capsys.readouterr().err
+
+
+def test_verify_and_fuzz_help_list_the_property_registry(capsys):
+    from qop.harness import PROPERTIES
+
+    choices = "{" + ",".join(sorted(PROPERTIES)) + "}"
+    for command in ("verify", "fuzz"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert f"usage: qop {command} " in out
+        assert choices in out, command
 
 
 def test_fuzz_clean_run(capsys):
@@ -246,3 +262,33 @@ def test_module_entry_point():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["rows"] == 2
+
+
+_MODULES_AFTER_MAIN = """
+import contextlib, io, json, sys
+from qop.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("qop."))]))
+"""
+
+
+@pytest.mark.parametrize("argv, needs, skips", [
+    (["polar", "{f}"], {"transforms"}, {"harness", "oracles", "generators"}),
+    (["transform", "--kind", "aluthge", "{f}"], {"transforms"},
+     {"harness", "oracles", "generators"}),
+    (["spectrum", "{f}"], {"spectral"}, {"harness", "oracles", "generators"}),
+    (["gen", "ginibre", "--dim", "2"], {"generators"}, {"harness", "oracles"}),
+    (["classify", "{f}"], {"oracles"}, {"harness", "generators"}),
+], ids=["polar", "transform", "spectrum", "gen", "classify"])
+def test_each_command_loads_only_the_modules_it_uses(tmp_path, argv, needs, skips):
+    path = _shift_file(tmp_path)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qop.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_AFTER_MAIN, *(a.format(f=path) for a in argv)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert {"qop." + m for m in needs} <= set(loaded)
+    assert not {"qop." + m for m in skips} & set(loaded), loaded

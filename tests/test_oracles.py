@@ -111,6 +111,20 @@ def test_paranormal_shift_certified_violation():
     assert m.details["grid_margin"] <= -0.99
 
 
+def test_paranormal_grid_domain():
+    for bad in (0, -2, 2.5):
+        with pytest.raises(DomainError, match="grid must be"):
+            is_paranormal(_shift(), grid=bad)
+    assert is_paranormal(_shift(), grid=1).violated
+
+
+def test_paranormal_samples_domain():
+    for bad in (0, -1, 2.0):
+        with pytest.raises(DomainError, match="samples must be"):
+            is_paranormal(_shift(), samples=bad)
+    assert is_paranormal(_shift(), samples=1).details["samples"] == 1
+
+
 # ------------------------------------------------------------------- gcsi
 
 
@@ -134,11 +148,12 @@ def test_gcsi_beta_domain():
         with pytest.raises(DomainError):
             gcsi_margin(QMatrix.identity(2), bad)
     with pytest.raises(DomainError):
-        gcsi_margin(QMatrix.identity(2), 0.5, budget=0)
-    with pytest.raises(DomainError):
         gcsi_margin(QMatrix.identity(2), 0.5, refine_steps=-1)
-    with pytest.raises(DomainError):
-        gcsi_sweep(QMatrix.identity(2), budget=0)
+    for bad in (0, 2.0, 2.5):
+        with pytest.raises(DomainError, match="budget must be"):
+            gcsi_margin(QMatrix.identity(2), 0.5, budget=bad)
+        with pytest.raises(DomainError, match="budget must be"):
+            gcsi_sweep(QMatrix.identity(2), budget=bad)
 
 
 def test_gcsi_sweep_shift_violates_every_beta():
@@ -613,13 +628,18 @@ def test_closure_draws_once_and_matches_two_margins(monkeypatch):
         assert len(draws) == 1, which
         assert rep.base == gcsi_margin(t, 0.5, budget=300, seed=31), which
         assert rep.transformed == gcsi_margin(s, 0.5, budget=300, seed=31), which
-    # argument errors come before any draw
+    # argument errors come before any draw, and before the base precondition
     draws.clear()
     u = random_unitary(2, seed=6503)
-    for kwargs in ({"beta": 0.0}, {"beta": 1.5}, {"budget": 0}):
+    for kwargs in ({"beta": 0.0}, {"beta": 1.5}, {"budget": 0}, {"budget": 2.0},
+                   {"budget": 2.5}):
         with pytest.raises(DomainError):
             check_gcsi_closure(u, "scalar", **kwargs)
-    assert draws == []
+    for t in (u, _shift()):
+        for which in ("transpose", "unitary-equiv", "compression"):
+            with pytest.raises(DomainError):
+                check_gcsi_closure(t, which)
+            assert draws == [], which
 
 
 def test_gcsi_sweep_and_paranormal_vectors_match_the_reference():
