@@ -377,16 +377,18 @@ def _collapse_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]
     gsys = _eigensystem(gram)
     csys = _eigensystem(co)
     parts = polar(t) if normality > 1e-4 * scale else None
+    powers = []
+    for system in (gsys, csys):
+        a, _ = system._stack([system._psd_weights(p) for p in HYP_P_GRID])
+        powers.append([float(np.trace(x).real) for x in a])
+    # the p-hyponormal margins are read as values only, so no witness is solved for
+    hyp = oracles._hyponormal_values(parts, HYP_P_GRID)[0] if parts is not None else None
     vals = []
-    for p in HYP_P_GRID:
-        tr_g = gsys.power_psd(p).trace().w
-        tr_c = csys.power_psd(p).trace().w
+    for k, (tr_g, tr_c) in enumerate(zip(*powers)):
         tr_scale = max(1.0, abs(tr_g), abs(tr_c))
         vals.append(-abs(tr_g - tr_c) / tr_scale)
-        if parts is not None:
-            hyp = oracles.is_p_hyponormal(t, p, tol=tol, parts=parts)
-            if hyp.value >= 0.0:
-                vals.append(-1.0)
+        if hyp is not None and hyp[k] >= 0.0:
+            vals.append(-1.0)
     return min(vals), {}
 
 
@@ -466,17 +468,30 @@ def _lookup(prop: str) -> Property:
     return PROPERTIES[prop]
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"tol must be finite and nonnegative, got {tol!r}")
+
+
+def _check_run(count: int, what: str, dim: int, tol: float) -> None:
+    """Argument checks of a run, made before its first trial draws."""
+    oracles._check_count(count, what)
+    generators._check_dim(dim)
+    _check_tol(tol)
+
+
 def run_verify(prop: str, *, trials: int, seed: int, dim: int = DEFAULT_DIM,
                tol: float = DEFAULT_TOL, probe: bool = False) -> VerificationReport:
     """Run `trials` independent trials of a named property.
 
     The report's witness is present exactly when min_margin < -tol; it is
     the violating trial's own witness when the oracle produced one, or a
-    pointer to the trial seed otherwise.
+    pointer to the trial seed otherwise.  Before the first trial, ``trials``
+    must be an integer of at least 1 and ``tol`` finite and nonnegative
+    (DomainError), and ``dim`` must lie in [1, MAX_DIM] (ShapeError).
     """
     fn = _lookup(prop)
-    if trials < 1:
-        raise DomainError("trials must be at least 1")
+    _check_run(trials, "trials", dim, tol)
     per: list[tuple[int, float]] = []
     min_margin = math.inf
     best_witness: dict[str, Any] | None = None
@@ -510,7 +525,9 @@ def evaluate_instance(prop: str, instance: Instance,
     what the trial scored, and an instance breaking the property's
     hypothesis raises PreconditionError as the trial would.
     """
-    return _lookup(prop).evaluate(dict(instance), tol)[0]
+    fn = _lookup(prop)
+    _check_tol(tol)
+    return fn.evaluate(dict(instance), tol)[0]
 
 
 def _zero_entry_candidates(val: Any) -> list[tuple[Any, Any]]:
@@ -536,7 +553,9 @@ def minimize_counterexample(prop: str, instance: Instance, *,
     evaluation budget runs out.  A candidate is accepted only if it still
     violates (margin < -tol); candidates that break a precondition are
     rejected and charged to the budget.  Raises PreconditionError if the
-    input itself does not violate.
+    input itself does not violate, and DomainError, from that first
+    evaluation, on an unknown property or a tolerance that is not finite
+    and nonnegative.
     """
     margin = evaluate_instance(prop, instance, tol)
     evals = 1
@@ -586,11 +605,11 @@ def run_fuzz(prop: str, *, budget: int, seed: int, dim: int = DEFAULT_DIM,
 
     On violation the instance is shrunk with minimize_counterexample and
     the report's witness carries both the original oracle witness and the
-    shrunken instance.
+    shrunken instance.  ``budget``, ``dim`` and ``tol`` are checked as
+    ``run_verify`` checks ``trials``, ``dim`` and ``tol``.
     """
     fn = _lookup(prop)
-    if budget < 1:
-        raise DomainError("budget must be at least 1")
+    _check_run(budget, "budget", dim, tol)
     per: list[tuple[int, float]] = []
     min_margin = math.inf
     witness: dict[str, Any] | None = None

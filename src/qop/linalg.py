@@ -60,13 +60,18 @@ def _boundary_pair(components, ndim: int, what: str) -> tuple[np.ndarray, np.nda
     return np.ascontiguousarray(z[..., 0]), np.ascontiguousarray(z[..., 1])
 
 
-def _trusted(cls, a: np.ndarray, b: np.ndarray):
-    """Wrap the pair computed by an internal operation: no copy, no shape re-check."""
+def _require_finite(a: np.ndarray, b: np.ndarray, what: str) -> None:
+    """Raise StructureError unless every entry of the pair, or of a stack of pairs, is finite."""
     # a NaN or inf entry makes the squared sum non-finite; only then, since a
     # large finite matrix can overflow it too, are the entries tested one by one
     if (not math.isfinite((np.vdot(a, a) + np.vdot(b, b)).real)
             and not (np.isfinite(a).all() and np.isfinite(b).all())):
-        raise StructureError(f"{cls.__name__} entries must be finite")
+        raise StructureError(f"{what} entries must be finite")
+
+
+def _trusted(cls, a: np.ndarray, b: np.ndarray):
+    """Wrap the pair computed by an internal operation: no copy, no shape re-check."""
+    _require_finite(a, b, cls.__name__)
     out = object.__new__(cls)
     out._a, out._b = a, b
     return out
@@ -331,12 +336,17 @@ def _selfadjoint_residual(a: QMatrix) -> float:
 
 def embed_chi(a: QMatrix) -> np.ndarray:
     """Complex adjoint embedding [[A, B], [-conj(B), conj(A)]] of a = A + B j."""
-    n, m = a.shape
-    out = np.empty((2 * n, 2 * m), dtype=np.complex128)
-    out[:n, :m] = a._a
-    out[:n, m:] = a._b
-    out[n:, :m] = -a._b.conj()
-    out[n:, m:] = a._a.conj()
+    return _embed_pair(a._a, a._b)
+
+
+def _embed_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``embed_chi`` of the pair (A, B), or of each pair of a (..., n, m) stack."""
+    n, m = a.shape[-2:]
+    out = np.empty(a.shape[:-2] + (2 * n, 2 * m), dtype=np.complex128)
+    out[..., :n, :m] = a
+    out[..., :n, m:] = b
+    out[..., n:, :m] = -b.conj()
+    out[..., n:, m:] = a.conj()
     return out
 
 
@@ -392,8 +402,14 @@ def _chi_eigvalsh(a: QMatrix) -> np.ndarray:
 
     The one "extreme eigenvalue" path: callers take an end of this array.
     """
-    m = embed_chi(a)
-    return _eig.eigvalsh(0.5 * (m + m.conj().T))
+    return _pair_eigvalsh(a._a, a._b)
+
+
+def _pair_eigvalsh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_chi_eigvalsh`` of the pair (A, B), or of each pair of a (k, n, n)
+    stack as the rows of a (k, 2n) array, from one eigensolver call."""
+    m = _embed_pair(a, b)
+    return _eig.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))
 
 
 def operator_norm(a: QMatrix) -> float:

@@ -18,14 +18,16 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from functools import cached_property, partial
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import _eig, matio
 from .errors import DomainError, PreconditionError, StructureError
-from .linalg import (QMatrix, QVector, _chi_eigvalsh, _from_chi_top, _from_psi, _psi,
-                     _selfadjoint_residual, embed_chi, inner, operator_norm, outer)
+from .linalg import (QMatrix, QVector, _chi_eigvalsh, _from_chi_top, _from_psi, _pair_eigvalsh,
+                     _product, _psi, _require_finite, _selfadjoint_residual, _trusted,
+                     embed_chi, inner, operator_norm, outer)
 from .quaternion import Quaternion
 from .rng import SplitMix64, mix_seed
 from .spectral import (HermitianEigensystem, _eigensystem, delta_q, eigh_q, is_psd,
@@ -125,21 +127,42 @@ def is_p_hyponormal(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
     """
     if not 0.0 < p <= 1.0:
         raise DomainError(f"exponent must lie in (0, 1], got {p}")
-    parts = polar(t) if parts is None else parts
+    return _p_hyponormal_grid(polar(t) if parts is None else parts, (p,), tol)[0]
+
+
+def _hyponormal_values(parts: PolarParts,
+                       ps: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least eigenvalue of D_p = |T|^{2p} - U |T|^{2p} U* for each p in ``ps``,
+    with the (k, n, n) pair stacks of the D_p.
+
+    (T*T)^p = |T|^{2p} and (TT*)^p = U |T|^{2p} U*: both sides are built on
+    the same SVD singular values, so a numerically smeared kernel cannot
+    fake an order violation through the fractional power.  The grid is one
+    stacked pull-back, two broadcast products and one eigenvalue solve.
+    """
+    ha, hb = parts._abs_powers([2.0 * p for p in ps])
+    u, uh = parts.u, parts.u.H
+    da, db = _product(*_product(u._a, u._b, ha, hb), uh._a, uh._b)
+    da, db = ha - da, hb - db
+    _require_finite(da, db, "QMatrix")
+    return _pair_eigvalsh(da, db)[:, 0], da, db
+
+
+def _p_hyponormal_grid(parts: PolarParts, ps: Sequence[float], tol: float) -> list[Margin]:
+    """``is_p_hyponormal`` at each p of ``ps`` from one set of polar parts; a
+    witness eigenvector is solved for only at a violated exponent."""
+    values, da, db = _hyponormal_values(parts, ps)
     opn = max(parts.sigmas, default=0.0)
-    # (T*T)^p = |T|^{2p} and (TT*)^p = U |T|^{2p} U*; both sides built on
-    # the same SVD singular values, so a numerically smeared kernel
-    # cannot fake an order violation through the fractional power
-    half = parts.abs_power(2.0 * p)
-    diff = half - parts.u @ half @ parts.u.H
-    value = float(_chi_eigvalsh(diff)[0])
-    scale = max(1.0, opn ** (2.0 * p))
-    witness = None
-    if value < -tol * scale:
-        vec = _eigensystem(diff).vectors.column(0)
-        witness = {"p": p, "vector": matio.vector_to_json(vec)}
-    return Margin(value=value, tolerance=tol,
-                  witness=witness, details={"p": p, "scale": scale})
+    out = []
+    for p, value, a, b in zip(ps, values.tolist(), da, db):
+        scale = max(1.0, opn ** (2.0 * p))
+        witness = None
+        if value < -tol * scale:
+            vec = _eigensystem(_trusted(QMatrix, a, b)).vectors.column(0)
+            witness = {"p": p, "vector": matio.vector_to_json(vec)}
+        out.append(Margin(value=value, tolerance=tol,
+                          witness=witness, details={"p": p, "scale": scale}))
+    return out
 
 
 def _unit_vectors(n: int, count: int, stream: SplitMix64) -> np.ndarray:
@@ -480,17 +503,22 @@ def check_lowner_heinz(s: QMatrix, t: QMatrix, rs: Sequence[float], *,
             raise DomainError(f"exponent {r} outside [0, 1] requires probe mode")
     ssys, tsys = _ordered_systems(s, t, tol)
     top = max(ssys.eigenvalues[-1], 0.0)
-
-    def at(r: float) -> Margin:
-        value = float(_chi_eigvalsh(ssys.power_psd(r) - tsys.power_psd(r))[0])
+    # power_psd's checks in the order of one S^r and one T^r per exponent,
+    # then one pull-back per operator and one eigenvalue solve for the grid
+    rows = [(ssys._psd_weights(r), tsys._psd_weights(r)) for r in rs]
+    sa, sb = ssys._stack([w for w, _ in rows])
+    ta, tb = tsys._stack([w for _, w in rows])
+    da, db = sa - ta, sb - tb
+    _require_finite(da, db, "QMatrix")
+    margins = []
+    for r, value in zip(rs, _pair_eigvalsh(da, db)[:, 0].tolist()):
         scale = max(1.0, top ** r)
         witness = None
         if value < -tol * scale:
             witness = {"r": r, "probe": probe}
-        return Margin(value=value, tolerance=tol, witness=witness,
-                      details={"r": r, "scale": scale})
-
-    return _least_scaled([at(r) for r in rs])
+        margins.append(Margin(value=value, tolerance=tol, witness=witness,
+                              details={"r": r, "scale": scale}))
+    return _least_scaled(margins)
 
 
 def check_furuta(a: QMatrix, b: QMatrix, p: float, q: float, r: float, *,
@@ -559,14 +587,38 @@ def check_chain_semihypo(t: QMatrix, *, tol: float = DEFAULT_TOL,
 
 @dataclass(frozen=True)
 class AluthgeReport:
-    """Margins for the transform theorems at one exponent, and the transform."""
+    """Margins for the transform theorems at one exponent, and the transform.
+
+    ``monotone`` and the two double-transform readings are computed on
+    first read and cached, from the polar parts the call already made.
+    """
 
     p: float
     transform: QMatrix
     transform_margin: Margin
-    monotone: tuple[tuple[float, Margin], ...]
-    double_reading_a: Margin | None
-    double_reading_b: Margin
+    _monotone: Callable[[], tuple[tuple[float, Margin], ...]] = field(repr=False, compare=False)
+    _double: Callable[[], Margin] = field(repr=False, compare=False)
+
+    @cached_property
+    def monotone(self) -> tuple[tuple[float, Margin], ...]:
+        return self._monotone()
+
+    @cached_property
+    def double_reading_a(self) -> Margin | None:
+        return self.double_reading_b if self.p >= 0.5 else None
+
+    @cached_property
+    def double_reading_b(self) -> Margin:
+        return self._double()
+
+
+def _monotone_ladder(parts: PolarParts, grid: tuple[float, ...],
+                     tol: float) -> tuple[tuple[float, Margin], ...]:
+    return tuple(zip(grid, _p_hyponormal_grid(parts, grid, tol))) if grid else ()
+
+
+def _double_transform_margin(tt: QMatrix, tt_parts: PolarParts, tol: float) -> Margin:
+    return is_p_hyponormal(aluthge(tt, parts=tt_parts), 1.0, tol=tol)
 
 
 def check_aluthge_theorems(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
@@ -580,7 +632,9 @@ def check_aluthge_theorems(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
     statement is checked twice because its hypothesis is ambiguous:
     reading A applies it only for p >= 1/2, reading B tracks the same
     margin for every p; both are reported, with the same pass criterion.
-    The report carries the transform T~ itself as ``transform``.
+    The report carries the transform T~ itself as ``transform``.  The
+    ladder and the double transform are computed when first read; the
+    grid is checked here.
     """
     if not 0.0 < p <= 1.0:
         raise DomainError(f"exponent must lie in (0, 1], got {p}")
@@ -598,22 +652,15 @@ def check_aluthge_theorems(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
 
     grid = tuple(q_grid) if q_grid is not None else tuple(
         q for q in (p, 0.75 * p, 0.5 * p, 0.25 * p) if q > 1e-9)
-    ladder = []
     for qv in grid:
         if not 0.0 < qv <= p:
             raise DomainError(f"monotone grid value {qv} outside (0, p]")
-        ladder.append((qv, is_p_hyponormal(t, qv, tol=tol, parts=parts)))
-
-    tt2 = aluthge(tt, parts=tt_parts)
-    double = is_p_hyponormal(tt2, 1.0, tol=tol)
-    reading_a = double if p >= 0.5 else None
     return AluthgeReport(
         p=p,
         transform=tt,
         transform_margin=transform_margin,
-        monotone=tuple(ladder),
-        double_reading_a=reading_a,
-        double_reading_b=double,
+        _monotone=partial(_monotone_ladder, parts, grid, tol),
+        _double=partial(_double_transform_margin, tt, tt_parts, tol),
     )
 
 
@@ -766,14 +813,25 @@ def check_tu_star(t: QMatrix, x: QVector, *, tol: float = DEFAULT_TOL) -> Margin
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Three-way class consistency at one operator."""
+    """Three-way class consistency at one operator.
+
+    ``paranormal`` and ``flagged``, which reads it, are computed on first
+    read and cached.
+    """
 
     p: float
     p_hyponormal: Margin
     gcsi: Margin
-    paranormal: Margin
     hard_violation: bool
-    flagged: bool
+    _paranormal: Callable[[], Margin] = field(repr=False, compare=False)
+
+    @cached_property
+    def paranormal(self) -> Margin:
+        return self._paranormal()
+
+    @cached_property
+    def flagged(self) -> bool:
+        return (not self.gcsi.violated) and self.paranormal.violated
 
 
 def check_gcsi_implies(t: QMatrix, p: float = 0.5, *, budget: int = 400,
@@ -787,21 +845,20 @@ def check_gcsi_implies(t: QMatrix, p: float = 0.5, *, budget: int = 400,
     which contradicts the implication outright.  ``flagged`` marks the
     softer inconsistency: sampling found no inequality witness, yet
     paranormality failed with a certificate, so the sampled evidence missed
-    something.
+    something.  The paranormality test runs when ``paranormal`` or
+    ``flagged`` is first read; ``grid`` and ``samples`` are checked here.
     """
     hyp = is_p_hyponormal(t, p, tol=tol)
     gcsi = gcsi_margin(t, beta=p, budget=budget, seed=seed, tol=tol)
-    para = is_paranormal(t, tol=tol, grid=grid, samples=samples,
-                         seed=mix_seed(seed, 2))
+    _check_count(grid, "grid")
+    _check_count(samples, "samples")
     opn = operator_norm(t)
     hyp_pass = hyp.value >= -tol * max(1.0, opn ** (2.0 * p))
-    hard = hyp_pass and gcsi.violated
-    flagged = (not gcsi.violated) and para.violated
     return ConsistencyReport(
         p=p,
         p_hyponormal=hyp,
         gcsi=gcsi,
-        paranormal=para,
-        hard_violation=hard,
-        flagged=flagged,
+        hard_violation=hyp_pass and gcsi.violated,
+        _paranormal=partial(is_paranormal, t, tol=tol, grid=grid, samples=samples,
+                            seed=mix_seed(seed, 2)),
     )

@@ -11,8 +11,10 @@ Self-adjoint operators get a full eigensystem: real eigenvalues with a
 right-orthonormal basis of eigenvectors, pulled back cluster by cluster
 from the embedded eigenvectors the first time they are read.  Scalar
 functions of the operator are evaluated on the embedded side and pulled
-back from the top block row, so they never need the pulled-back vectors.
-Self-adjointness is checked once, where a public function receives T.
+back from the top block row, so they never need the pulled-back vectors;
+several functions of one operator, such as the powers A^p over an
+exponent grid, are pulled back as one stack.  Self-adjointness is checked
+once, where a public function receives T.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 
 from . import _eig
 from .errors import DomainError, PreconditionError, ShapeError, StructureError
-from .linalg import (QMatrix, QVector, _chi_eigvalsh, _from_chi_top, _from_psi,
-                     _selfadjoint_residual, embed_chi)
+from .linalg import (QMatrix, QVector, _chi_eigvalsh, _from_psi, _require_finite,
+                     _selfadjoint_residual, _trusted, embed_chi)
 from .quaternion import Quaternion
 
 PAIR_TOL = 1e-8
@@ -48,11 +50,28 @@ def _require_selfadjoint(a: QMatrix) -> None:
         raise PreconditionError(f"operator is not self-adjoint (deviation {dev:.3e})")
 
 
-def _hermitian_from_chi(v: np.ndarray, fw: np.ndarray) -> QMatrix:
-    """Pull back V diag(fw) V* (orthonormal columns in whole pairs, real
-    weights) from its top block row, symmetrized on the pair."""
-    h = _from_chi_top((v[:v.shape[0] // 2] * fw[None, :]) @ v.conj().T)
-    return 0.5 * (h + h.H)
+def _hermitian_from_chi(v: np.ndarray, fw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pull back V diag(w) V* (orthonormal columns in whole pairs) for each
+    real weight row w of the (k, 2r) stack ``fw``, from its top block row,
+    symmetrized on the pair.
+
+    Returns the (k, n, n) stacks (A, B) of the k operators A + B j.  One
+    stacked product serves every row; GEMM packs its operands, so each
+    slice is bit for bit the product of its row alone.  A non-finite entry
+    raises StructureError.
+    """
+    n = v.shape[0] // 2
+    top = (v[:n] * fw[:, None, :]) @ v.conj().T
+    a, b = top[..., :n], top[..., n:]
+    a, b = 0.5 * (a + a.conj().swapaxes(-1, -2)), 0.5 * (b - b.swapaxes(-1, -2))
+    _require_finite(a, b, "QMatrix")
+    return a, b
+
+
+def _hermitian_matrix(v: np.ndarray, fw: np.ndarray) -> QMatrix:
+    """``_hermitian_from_chi`` of one weight row, as an operator."""
+    a, b = _hermitian_from_chi(v, fw[None])
+    return _trusted(QMatrix, a[0], b[0])
 
 
 @dataclass(frozen=True)
@@ -87,10 +106,7 @@ class HermitianEigensystem:
 
         ``f`` must accept a float ndarray and return one of the same shape.
         """
-        fw = np.asarray(f(self._w2), dtype=np.float64)
-        if fw.shape != self._w2.shape or not np.all(np.isfinite(fw)):
-            raise DomainError("scalar function must return finite reals on the spectrum")
-        return _hermitian_from_chi(self._v2, fw)
+        return _hermitian_matrix(self._v2, self._weights(f(self._w2)))
 
     def reconstruct(self) -> QMatrix:
         return self.apply(lambda w: w)
@@ -106,6 +122,10 @@ class HermitianEigensystem:
         here.  The convention 0^0 = 1 makes A^0 the identity on the full
         space, kernel included.
         """
+        return _hermitian_matrix(self._v2, self._psd_weights(p, clamp_tol))
+
+    def _psd_weights(self, p: float, clamp_tol: float = 1e-8) -> np.ndarray:
+        """The weight row of A^p, with every check of ``power_psd``."""
         if p < 0.0:
             raise DomainError(f"exponent must be nonnegative, got {p}")
         w = self._w2
@@ -113,15 +133,27 @@ class HermitianEigensystem:
         if float(w.min()) < -floor:
             raise DomainError(
                 f"operator is not positive semidefinite (min eigenvalue {w.min():.3e})")
-        wc = np.maximum(w, 0.0)
         if p == 0.0:
-            return self.apply(lambda v: np.ones_like(v))
-        def f(_: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(wc)
-            pos = wc > 0.0
-            out[pos] = wc[pos] ** p
-            return out
-        return self.apply(f)
+            return self._weights(np.ones_like(w))
+        # the clamp leaves every eigenvalue at or below 0 at weight 0; the
+        # exponent is a scalar, as numpy computes x ** 0.5 and x ** 2.0 as
+        # sqrt and square, so an array of exponents would move bits
+        out = np.zeros_like(w)
+        pos = w > 0.0
+        out[pos] = w[pos] ** p
+        return self._weights(out)
+
+    def _weights(self, fw) -> np.ndarray:
+        """``fw`` as a weight row, which must be real and finite on the spectrum."""
+        fw = np.asarray(fw, dtype=np.float64)
+        if fw.shape != self._w2.shape or not np.isfinite(fw).all():
+            raise DomainError("scalar function must return finite reals on the spectrum")
+        return fw
+
+    def _stack(self, rows: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """f_1(A), ..., f_k(A) from the checked weight rows of f_1, ..., f_k,
+        as (k, n, n) pair stacks from one pull-back."""
+        return _hermitian_from_chi(self._v2, np.stack(rows))
 
 
 def _pair_real(w: np.ndarray) -> np.ndarray:

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
 from .linalg import QMatrix, QVector, _from_chi_top, outer
-from .spectral import _chi_svd, _hermitian_from_chi, _null_basis
+from .spectral import _chi_svd, _hermitian_from_chi, _hermitian_matrix, _null_basis
 
 RANK_RTOL = 1e-12
 
@@ -57,7 +58,7 @@ class PolarParts:
 
     @cached_property
     def abs_t(self) -> QMatrix:
-        return _hermitian_from_chi(self._v, self._s)
+        return _hermitian_matrix(self._v, self._s)
 
     @cached_property
     def kernel(self) -> tuple[QVector, ...]:
@@ -71,7 +72,12 @@ class PolarParts:
         """|T|^s for s >= 0, with |T|^0 = I and, for s > 0, zero on ker T."""
         if s == 0.0:
             return QMatrix.identity(self.u.rows)
-        return _hermitian_from_chi(self._v, self._s ** s)
+        return _hermitian_matrix(self._v, self._s ** s)
+
+    def _abs_powers(self, ss: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """|T|^s for each s > 0 of ``ss``, as (k, n, n) pair stacks; each row is
+        ``abs_power``'s, weights raised to a scalar exponent."""
+        return _hermitian_from_chi(self._v, np.stack([self._s ** s for s in ss]))
 
     def reconstruct(self) -> QMatrix:
         return self.u @ self.abs_t

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from qop import generators, oracles, spectral
-from qop.errors import DomainError, PreconditionError
+from qop.errors import DomainError, PreconditionError, ShapeError
 from qop.harness import (DEFAULT_TOL, HM_R_GRID, LH_R_GRID, PROPERTIES, Property, _hausdorff,
                          _zero_entry_candidates, TrialContext, evaluate_instance,
                          minimize_counterexample, run_fuzz, run_verify)
@@ -69,6 +69,13 @@ def test_run_verify_guards():
         run_verify("no-such-property", trials=1, seed=0)
     with pytest.raises(DomainError):
         run_verify("tu-star", trials=0, seed=0)
+    # a count is an integer, as in the oracles, not whatever range() accepts
+    with pytest.raises(DomainError, match="trials must be an integer"):
+        run_verify("tu-star", trials=2.0, seed=0)
+    # every property, not only those drawing from a generator, names the dimension
+    for prop, dim in (("chain", 0), ("chain", 65), ("tu-star", 0)):
+        with pytest.raises(ShapeError, match=rf"dimension must lie in \[1, 64\], got {dim}$"):
+            run_verify(prop, trials=1, seed=1, dim=dim)
 
 
 def test_report_dumps_is_canonical_json():
@@ -153,6 +160,39 @@ def test_run_fuzz_guards():
         run_fuzz("tu-star", budget=0, seed=0)
     with pytest.raises(DomainError):
         run_fuzz("no-such-property", budget=1, seed=0)
+    with pytest.raises(DomainError, match="budget must be an integer"):
+        run_fuzz("tu-star", budget=2.0, seed=0)
+    with pytest.raises(ShapeError, match=r"dimension must lie in \[1, 64\], got 0$"):
+        run_fuzz("chain", budget=1, seed=1, dim=0)
+
+
+_BAD_TOLS = (math.nan, math.inf, -1.0)
+
+
+@pytest.mark.parametrize("tol", _BAD_TOLS)
+def test_run_verify_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    # a NaN tolerance made every margin pass, and a negative one made exact margins fail
+    with pytest.raises(DomainError, match="tol must be finite and nonnegative"):
+        run_verify("collapse", trials=4, seed=1, tol=tol)
+
+
+@pytest.mark.parametrize("tol", _BAD_TOLS)
+def test_run_fuzz_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    with pytest.raises(DomainError, match="tol must be finite and nonnegative"):
+        run_fuzz("tu-star", budget=3, seed=1, tol=tol)
+
+
+@pytest.mark.parametrize("tol", _BAD_TOLS)
+def test_evaluate_instance_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    inst = {"T": _shift(), "x": QVector.basis(2, 0)}
+    with pytest.raises(DomainError, match="tol must be finite and nonnegative"):
+        evaluate_instance("tu-star", inst, tol)
+
+
+@pytest.mark.parametrize("tol", _BAD_TOLS)
+def test_minimize_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    with pytest.raises(DomainError, match="tol must be finite and nonnegative"):
+        minimize_counterexample("tu-star", _shrinkable(), tol=tol)
 
 
 def test_hausdorff_distance():

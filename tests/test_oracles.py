@@ -6,11 +6,11 @@ import pytest
 import gcsi_reference
 
 from qop import _eig, generators, harness, oracles
-from qop.errors import DomainError, PreconditionError
-from qop.generators import (ginibre, near_normal, normal_with_spectrum, positive,
-                            random_unitary, unit_vector)
-from qop.linalg import QMatrix, QVector
-from qop.matio import json_to_vector
+from qop.errors import DomainError, PreconditionError, StructureError
+from qop.generators import (ginibre, near_normal, normal_with_spectrum, partial_isometry,
+                            positive, random_unitary, unit_vector)
+from qop.linalg import QMatrix, QVector, _chi_eigvalsh, operator_norm
+from qop.matio import json_to_vector, vector_to_json
 from qop.oracles import (check_aluthge_theorems, check_chain_semihypo,
                          check_eigenspace_reducing, check_furuta,
                          check_gcsi_closure, check_gcsi_implies,
@@ -19,7 +19,7 @@ from qop.oracles import (check_aluthge_theorems, check_chain_semihypo,
                          gcsi_margin, gcsi_sweep, invert, is_p_hyponormal,
                          is_paranormal)
 from qop.quaternion import I, J, Quaternion
-from qop.spectral import eigh_q, is_psd
+from qop.spectral import _eigensystem, eigh_q, is_psd
 from qop.transforms import aluthge, polar
 
 
@@ -273,8 +273,9 @@ def test_hermitian_pair_oracles_solve_each_operator_once(monkeypatch):
     for name in ("eigh", "eigvalsh"):
         real = getattr(_eig, name)
         monkeypatch.setattr(_eig, name, lambda m, name=name, real=real: calls.append(name) or real(m))
-    # per trial: eigh of S and of T; eigvalsh of S - T and of each exponent's difference
-    for prop, eigh, eigvalsh in (("lowner-heinz", 8, 4 * (1 + len(harness.LH_R_GRID))),
+    # per trial: eigh of S and of T; eigvalsh of S - T, and one stacked call
+    # for the differences at every exponent of the grid
+    for prop, eigh, eigvalsh in (("lowner-heinz", 8, 8),
                                  ("furuta", 16, 12), ("holder-mccarthy", 4, 0)):
         calls.clear()
         harness.run_verify(prop, trials=4, seed=1, dim=4)
@@ -302,6 +303,135 @@ def test_exponent_sequence_returns_the_least_scaled_margin():
                   lambda: check_holder_mccarthy(t, x, ())):
         with pytest.raises(DomainError, match="at least one exponent"):
             check()
+
+
+# ---------------------------------------------------- stacked exponent grids
+
+
+_GRID_DIMS = (1, 2, 3, 4, 8, 16, 64)
+
+
+def _family_operators(n):
+    return {"ginibre": ginibre(n, seed=900 + n),
+            "random_unitary": random_unitary(n, seed=901 + n),
+            "positive": positive(n, seed=902 + n),
+            "near_normal": near_normal(n, 1e-2, seed=903 + n),
+            "partial_isometry": partial_isometry(n, n // 2, seed=904 + n)}
+
+
+def _hyponormal_reference(t, p, parts, tol=oracles.DEFAULT_TOL):
+    """``is_p_hyponormal`` one exponent at a time, on whole operators: the
+    per-exponent path the stacked grid replaced, kept as the reference."""
+    half = parts.abs_power(2.0 * p)
+    diff = half - parts.u @ half @ parts.u.H
+    value = float(_chi_eigvalsh(diff)[0])
+    scale = max(1.0, max(parts.sigmas) ** (2.0 * p))
+    witness = None
+    if value < -tol * scale:
+        vec = _eigensystem(diff).vectors.column(0)
+        witness = {"p": p, "vector": vector_to_json(vec)}
+    return oracles.Margin(value=value, tolerance=tol, witness=witness,
+                          details={"p": p, "scale": scale})
+
+
+def _lowner_heinz_reference(s, t, r, probe, tol=oracles.DEFAULT_TOL):
+    ssys, tsys = eigh_q(s), eigh_q(t)
+    value = float(_chi_eigvalsh(ssys.power_psd(r) - tsys.power_psd(r))[0])
+    scale = max(1.0, max(ssys.eigenvalues[-1], 0.0) ** r)
+    witness = {"r": r, "probe": probe} if value < -tol * scale else None
+    return oracles.Margin(value=value, tolerance=tol, witness=witness,
+                          details={"r": r, "scale": scale})
+
+
+def _collapse_reference(t, tol=oracles.DEFAULT_TOL):
+    gram, co = t.H @ t, t @ t.H
+    scale = max(1.0, operator_norm(t)) ** 2
+    parts = polar(t) if (gram - co).frobenius() > 1e-4 * scale else None
+    vals = []
+    for p in harness.HYP_P_GRID:
+        tr_g = _eigensystem(gram).power_psd(p).trace().w
+        tr_c = _eigensystem(co).power_psd(p).trace().w
+        vals.append(-abs(tr_g - tr_c) / max(1.0, abs(tr_g), abs(tr_c)))
+        if parts is not None and _hyponormal_reference(t, p, parts, tol).value >= 0.0:
+            vals.append(-1.0)
+    return min(vals)
+
+
+@pytest.mark.parametrize("n", _GRID_DIMS)
+def test_stacked_grids_equal_one_solve_per_exponent(n):
+    ps = (1.0, 0.75, 0.5, 0.3, 0.1)
+    g = ginibre(n, seed=905 + n)
+    for name, t in _family_operators(n).items():
+        parts = polar(t)
+        want = [_hyponormal_reference(t, p, parts) for p in ps]
+        assert oracles._p_hyponormal_grid(parts, ps, oracles.DEFAULT_TOL) == want, name
+        assert [is_p_hyponormal(t, p) for p in ps] == want, name
+        rep = check_aluthge_theorems(t, 0.8, enforce=False)
+        qs = [q for q, _ in rep.monotone]
+        assert rep.monotone == tuple((q, _hyponormal_reference(t, q, parts)) for q in qs), name
+        assert harness.evaluate_instance("collapse", {"T": t}) == _collapse_reference(t), name
+        # an ordered pair S >= T >= 0 built on the family's operator
+        lower = t.H @ t
+        upper = lower + g.H @ g
+        for rs, probe in ((harness.LH_R_GRID, False), ((0.0, 0.5, 1.0), False),
+                          ((1.5, 3.0, 2.0), True)):
+            want = min((_lowner_heinz_reference(upper, lower, r, probe) for r in rs),
+                       key=lambda m: m.value / m.details["scale"])
+            assert check_lowner_heinz(upper, lower, rs, probe=probe) == want, (name, rs)
+
+
+def test_stacked_grids_raise_the_per_exponent_errors():
+    a, b = generators.ordered_pair(4, seed=23)
+    # a non-finite exponent is caught on its weights, before any eigenvalue solve
+    for rs, probe in (((math.nan,), False), ((0.5, math.nan), False), ((math.inf,), True)):
+        with pytest.raises(DomainError, match="finite reals on the spectrum"):
+            check_lowner_heinz(a, b, rs, probe=probe)
+    # the checks run in the order of one S^r and one T^r per exponent: the
+    # clamp on T at r = 0.5 comes before the weights of the NaN exponent
+    s, t = QMatrix.diag([2.0, 0.0]), QMatrix.diag([1.0, -1e-6])
+    with pytest.raises(DomainError, match="not positive semidefinite"):
+        check_lowner_heinz(s, t, (0.5, math.nan), tol=1e-3)
+    # |T|^2 overflows on the stacked pull-back
+    with pytest.raises(StructureError), np.errstate(over="ignore", invalid="ignore"):
+        is_p_hyponormal(ginibre(4, seed=1) * 1e160, 1.0)
+
+
+def test_lazy_report_parts_check_their_arguments_at_the_call():
+    u = random_unitary(3, seed=906)
+    with pytest.raises(DomainError, match="monotone grid value"):
+        check_aluthge_theorems(u, 0.5, q_grid=[0.25, 0.75])
+    for kw in ({"grid": 0}, {"samples": 0}, {"grid": 2.5}, {"samples": 1.0}):
+        with pytest.raises(DomainError):
+            check_gcsi_implies(u, budget=8, **kw)
+
+
+def test_gcsi_implies_tests_paranormality_on_first_read(monkeypatch):
+    calls = []
+    real = oracles.is_paranormal
+    monkeypatch.setattr(oracles, "is_paranormal",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    # the trial reads hard_violation only
+    harness.run_verify("gcsi-implies", trials=4, seed=1, dim=4)
+    assert calls == []
+    rep = check_gcsi_implies(random_unitary(3, seed=907), budget=16, grid=8, samples=16)
+    assert calls == [] and not rep.gcsi.violated
+    assert not rep.flagged
+    assert len(calls) == 1
+    assert rep.paranormal.value >= -1e-8 and len(calls) == 1
+
+
+def test_exponent_grids_make_one_eigenvalue_solve(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        real = getattr(_eig, name)
+        monkeypatch.setattr(_eig, name, lambda m, name=name, real=real: calls.append(name) or real(m))
+    # per 4 trials; collapse: eigh of T*T and TT*, eigvalsh of ||T|| and of the p grid
+    for prop, eigh, eigvalsh, svd in (("collapse", 8, 8, 4), ("aluthge", 0, 24, 16),
+                                      ("aluthge-gain", 0, 12, 12), ("gcsi-implies", 1, 8, 6)):
+        calls.clear()
+        harness.run_verify(prop, trials=4, seed=1, dim=4)
+        counts = tuple(calls.count(k) for k in ("eigh", "eigvalsh", "svd"))
+        assert counts == (eigh, eigvalsh, svd), prop
 
 
 # ----------------------------------------------------------------- Furuta
@@ -402,14 +532,20 @@ def test_aluthge_guards():
 
 def test_enforced_oracles_factor_each_operator_once(monkeypatch):
     # one SVD each for T, its transform and the double transform: the
-    # hypothesis checks and the monotone ladder reuse the polar parts
+    # hypothesis checks and the monotone ladder reuse the polar parts, and
+    # the double transform is factored only when a reading of it is read
     t = normal_with_spectrum([1.0, 2j, 3.0, 1 + 1j], seed=3)
     parts = polar(t)
     assert is_p_hyponormal(t, 0.3, parts=parts).value == is_p_hyponormal(t, 0.3).value
     real = _eig.svd
     calls = []
     monkeypatch.setattr(_eig, "svd", lambda m: calls.append(m.shape) or real(m))
-    check_aluthge_theorems(t, 0.75)
+    rep = check_aluthge_theorems(t, 0.75)
+    rep.monotone
+    assert len(calls) == 2
+    rep.double_reading_b
+    assert len(calls) == 3
+    rep.double_reading_a
     assert len(calls) == 3
     calls.clear()
     check_chain_semihypo(t)

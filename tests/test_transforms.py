@@ -227,7 +227,7 @@ def _eager_polar(t):
     r2 = 2 * rank
     v_r, s_r = v[:, :r2], np.repeat(sigma[:rank], 2)
     return (_from_chi_top(w[:t.rows, :r2] @ v_r.conj().T),
-            spectral._hermitian_from_chi(v_r, s_r),
+            spectral._hermitian_matrix(v_r, s_r),
             spectral._null_basis(v[:, r2:], t.rows - rank),
             spectral._null_basis(w[:, r2:], t.rows - rank))
 
@@ -250,7 +250,7 @@ def test_lazy_polar_fields_match_the_eager_construction():
 def test_polar_fields_are_built_on_first_read_only(monkeypatch):
     t = partial_isometry(8, 2, seed=582)
     calls = []
-    for name in ("_null_basis", "_hermitian_from_chi"):
+    for name in ("_null_basis", "_hermitian_matrix"):
         real = getattr(transforms, name)
         monkeypatch.setattr(transforms, name, lambda *a, _real=real, _name=name:
                             calls.append(_name) or _real(*a))
@@ -258,7 +258,7 @@ def test_polar_fields_are_built_on_first_read_only(monkeypatch):
     monkeypatch.setattr(_eig, "svd", lambda m: calls.append("svd") or real_svd(m))
     parts = polar(t)
     assert calls == ["svd"]
-    for field, built in (("abs_t", "_hermitian_from_chi"), ("kernel", "_null_basis"),
+    for field, built in (("abs_t", "_hermitian_matrix"), ("kernel", "_null_basis"),
                          ("cokernel", "_null_basis")):
         calls.clear()
         first = getattr(parts, field)
