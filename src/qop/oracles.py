@@ -142,8 +142,8 @@ def _hyponormal_values(parts: PolarParts,
     """
     ha, hb = parts._abs_powers([2.0 * p for p in ps])
     u, uh = parts.u, parts.u.H
-    da, db = _product(*_product(u._a, u._b, ha, hb), uh._a, uh._b)
-    da, db = ha - da, hb - db
+    ya, yb = _product(*_product(u._a, u._b, ha, hb), uh._a, uh._b)
+    da, db = ha - ya, hb - yb
     _require_finite(da, db, "QMatrix")
     return _pair_eigvalsh(da, db)[:, 0], da, db
 
