@@ -474,7 +474,6 @@ def _check_tol(tol: float) -> None:
 
 
 def _check_run(count: int, what: str, dim: int, tol: float) -> None:
-    """Argument checks of a run, made before its first trial draws."""
     oracles._check_count(count, what)
     generators._check_dim(dim)
     _check_tol(tol)

@@ -132,13 +132,12 @@ def is_p_hyponormal(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
 
 def _hyponormal_values(parts: PolarParts,
                        ps: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least eigenvalue of D_p = |T|^{2p} - U |T|^{2p} U* for each p in ``ps``,
-    with the (k, n, n) pair stacks of the D_p.
+    """Least eigenvalue of D_p = (T*T)^p - (TT*)^p for each p in ``ps``, and
+    the (k, n, n) pair stacks of the D_p, from one eigenvalue solve.
 
-    (T*T)^p = |T|^{2p} and (TT*)^p = U |T|^{2p} U*: both sides are built on
-    the same SVD singular values, so a numerically smeared kernel cannot
-    fake an order violation through the fractional power.  The grid is one
-    stacked pull-back, two broadcast products and one eigenvalue solve.
+    D_p = |T|^{2p} - U |T|^{2p} U*: both sides are built on the same SVD
+    singular values, so a numerically smeared kernel cannot fake an order
+    violation through the fractional power.
     """
     ha, hb = parts._abs_powers([2.0 * p for p in ps])
     u, uh = parts.u, parts.u.H

@@ -51,15 +51,11 @@ def _require_selfadjoint(a: QMatrix) -> None:
 
 
 def _hermitian_from_chi(v: np.ndarray, fw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pull back V diag(w) V* (orthonormal columns in whole pairs) for each
-    real weight row w of the (k, 2r) stack ``fw``, from its top block row,
-    symmetrized on the pair.
-
-    Returns the (k, n, n) stacks (A, B) of the k operators A + B j.  One
-    stacked product serves every row; GEMM packs its operands, so each
-    slice is bit for bit the product of its row alone.  A non-finite entry
-    raises StructureError.
-    """
+    """Pull back V diag(w) V* (orthonormal columns in whole pairs) from its
+    top block row, symmetrized on the pair, for each real weight row w of
+    ``fw``: the (k, n, n) stacks (A, B) of the k operators A + B j, checked
+    finite.  GEMM packs its operands, so each slice of the one stacked
+    product is bit for bit the product of its row alone."""
     n = v.shape[0] // 2
     top = (v[:n] * fw[:, None, :]) @ v.conj().T
     a, b = top[..., :n], top[..., n:]
