@@ -11,6 +11,7 @@ ingredient reproducible on its own.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 from .errors import DomainError, ShapeError
@@ -21,6 +22,10 @@ from .transforms import polar, unitary_completion
 
 
 def _check_dim(n: int) -> None:
+    try:
+        operator.index(n)
+    except TypeError:
+        raise ShapeError(f"dimension must be an integer, got {n!r}") from None
     if not 1 <= n <= MAX_DIM:
         raise ShapeError(f"dimension must lie in [1, {MAX_DIM}], got {n}")
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import generators, matio, oracles
 from .errors import DomainError, PreconditionError, QopError
-from .linalg import DEFAULT_DIM, QMatrix, QVector, _chi_eigvalsh, operator_norm
+from .linalg import DEFAULT_DIM, QMatrix, QVector, _chi_eigvalsh, _trusted, operator_norm
 from .quaternion import Quaternion
 from .rng import SplitMix64, mix_seed
 from .spectral import _eigensystem, spherical_spectrum
@@ -306,8 +306,9 @@ def _closure_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
     kwargs = {k: inst[k] for k in ("scalar", "unitary", "projector") if k in inst}
     report = oracles.check_gcsi_closure(t, inst["which"], beta=0.5, budget=300,
                                         seed=inst["seed"], tol=tol, **kwargs)
-    base = report.base.value / _scale_op(t)
-    scale_s = max(1.0, abs(kwargs.get("scalar", 1.0)) * operator_norm(t))
+    opn = operator_norm(t)
+    base = report.base.value / max(1.0, opn)
+    scale_s = max(1.0, abs(kwargs.get("scalar", 1.0)) * opn)
     pair = report.transformed.witness
     return (min(base, report.transformed.value / scale_s),
             {} if pair is None else {"pair": pair})
@@ -533,12 +534,13 @@ def _zero_entry_candidates(val: Any) -> list[tuple[Any, Any]]:
     """(position, zeroed copy) pairs, in row-major order, nonzero entries only."""
     if not isinstance(val, (QMatrix, QVector)):
         return []
-    arr = val.to_array()
+    a, b = val._a, val._b
     out: list[tuple[Any, Any]] = []
-    for pos in map(tuple, np.argwhere(arr.any(axis=-1)).tolist()):
-        cand = arr.copy()
-        cand[pos] = 0.0
-        out.append((pos if len(pos) > 1 else pos[0], type(val)(cand)))
+    # -0.0 compares equal to 0, so an entry with only signed-zero components is zero
+    for pos in map(tuple, np.argwhere((a != 0) | (b != 0)).tolist()):
+        ca, cb = a.copy(), b.copy()
+        ca[pos] = cb[pos] = 0j
+        out.append((pos if len(pos) > 1 else pos[0], _trusted(type(val), ca, cb)))
     return out
 
 

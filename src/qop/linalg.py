@@ -414,7 +414,12 @@ def _pair_eigvalsh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def operator_norm(a: QMatrix) -> float:
     """Largest singular value, via the top eigenvalue of A* A."""
-    return float(np.sqrt(max(float(_chi_eigvalsh(a.H @ a)[-1]), 0.0)))
+    return _gram_norm(a.H @ a)
+
+
+def _gram_norm(gram: QMatrix) -> float:
+    """``operator_norm`` of A from its Gram matrix A* A."""
+    return float(np.sqrt(max(float(_chi_eigvalsh(gram)[-1]), 0.0)))
 
 
 @dataclass(frozen=True)

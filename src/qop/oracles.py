@@ -25,9 +25,9 @@ import numpy as np
 
 from . import _eig, matio
 from .errors import DomainError, PreconditionError, StructureError
-from .linalg import (QMatrix, QVector, _chi_eigvalsh, _from_chi_top, _from_psi, _pair_eigvalsh,
-                     _product, _psi, _require_finite, _selfadjoint_residual, _trusted,
-                     embed_chi, inner, operator_norm, outer)
+from .linalg import (QMatrix, QVector, _chi_eigvalsh, _from_chi_top, _from_psi, _gram_norm,
+                     _pair_eigvalsh, _product, _psi, _require_finite, _selfadjoint_residual,
+                     _trusted, embed_chi, inner, operator_norm, outer)
 from .quaternion import Quaternion
 from .rng import SplitMix64, mix_seed
 from .spectral import (HermitianEigensystem, _eigensystem, delta_q, eigh_q, is_psd,
@@ -91,10 +91,10 @@ def classify_basic(t: QMatrix, *, tol: float = DEFAULT_TOL) -> BasicClasses:
     n = t.rows
     if not t.is_square():
         raise DomainError(f"classification needs a square operator, got {t.shape}")
-    thr = tol * max(1.0, operator_norm(t)) ** 2
+    gram = t.H @ t
+    thr = tol * max(1.0, _gram_norm(gram)) ** 2
     sa_res = _selfadjoint_residual(t)
     selfadjoint = sa_res <= thr
-    gram = t.H @ t
     co = t @ t.H
     normal_res = (gram - co).frobenius()
     unitary_res = (gram - QMatrix.identity(n)).frobenius()

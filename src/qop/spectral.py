@@ -254,6 +254,42 @@ def _tolerant_order(zs: list[complex], tol: float) -> list[complex]:
     return out + sorted(run, key=lambda z: z.imag)
 
 
+def _conjugate_pairs(vals: np.ndarray) -> tuple[list[int], list[int], float]:
+    """Greedy conjugate pairing of a spectrum closed under conjugation.
+
+    Walking i in index order, each unpaired i is paired with the first
+    unpaired j != i nearest to conj(vals[i]).  Returns the index lists
+    (first, second), one entry per pair in walk order, and the worst gap
+    |vals[j] - conj(vals[i])|.  Row i of the one distance matrix holds every
+    gap of i.  Its nearest index, the first one reaching the row minimum, is
+    the greedy choice whenever it is still unpaired, as no index before it
+    ties with it; only otherwise is the row searched again over the unpaired.
+    """
+    dist = np.abs(vals[None, :] - np.conj(vals)[:, None])
+    np.fill_diagonal(dist, np.inf)
+    nearest = dist.argmin(axis=1).tolist()
+    free = [True] * vals.size
+    first: list[int] = []
+    second: list[int] = []
+    worst = 0.0
+    for i in range(vals.size):
+        if not free[i]:
+            continue
+        free[i] = False
+        j = nearest[i]
+        if free[j]:
+            gap = float(dist[i, j])
+        else:
+            row = np.where(free, dist[i], np.inf)
+            j = int(np.argmin(row))
+            gap = float(row[j])
+        free[j] = False
+        worst = max(worst, gap)
+        first.append(i)
+        second.append(j)
+    return first, second, worst
+
+
 def standard_eigenvalues(t: QMatrix, *, pair_tol: float = PAIR_TOL) -> tuple[complex, ...]:
     """The n standard (upper half-plane) eigenvalues, repeats included.
 
@@ -265,22 +301,18 @@ def standard_eigenvalues(t: QMatrix, *, pair_tol: float = PAIR_TOL) -> tuple[com
     n = _require_square(t)
     vals = _eig.eigvals(embed_chi(t))
     scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
-    free = np.ones(vals.size, dtype=bool)
-    reps: list[complex] = []
-    worst = 0.0
-    for i in range(vals.size):
-        if not free[i]:
-            continue
-        free[i] = False
-        dist = np.where(free, np.abs(vals - np.conj(vals[i])), np.inf)
-        j = int(np.argmin(dist))
-        free[j] = False
-        worst = max(worst, float(dist[j]))
-        mid = 0.5 * (vals[i] + np.conj(vals[j]))
-        reps.append(complex(mid.real, abs(mid.imag)))
+    first, second, worst = _conjugate_pairs(vals)
     if worst > pair_tol * scale:
         raise StructureError(
             f"conjugate pairing failure (worst gap {worst:.3e} at scale {scale:.3e})")
+    # each midpoint is (0.5 + 0j) * (z_i + conj z_j) with the complex product
+    # written out, as numpy forms it on a scalar: its zero terms decide the
+    # sign of a real part that rounds to zero, where the array product may not
+    sums = vals[first] + np.conj(vals[second])
+    mids = np.empty_like(sums)
+    mids.real = 0.5 * sums.real - 0.0 * sums.imag
+    mids.imag = np.abs(0.5 * sums.imag + 0.0 * sums.real)
+    reps = mids.tolist()
     assert len(reps) == n
     return tuple(_tolerant_order(reps, pair_tol * scale))
 
@@ -310,7 +342,9 @@ def spherical_spectrum(t: QMatrix, *, merge_tol: float = MERGE_TOL) -> Spherical
             classes.append([z])
         else:
             home.append(z)
-    centers = tuple(complex(np.mean([z.real for z in c]), np.mean([z.imag for z in c]))
+    # np.mean of one float x is 0.0 + x: x itself, but 0.0 for -0.0
+    centers = tuple(complex(c[0].real + 0.0, c[0].imag + 0.0) if len(c) == 1 else
+                    complex(np.mean([z.real for z in c]), np.mean([z.imag for z in c]))
                     for c in classes)
     mult = tuple(len(c) for c in classes)
     radius = max(abs(z) for z in centers)

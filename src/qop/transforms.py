@@ -104,7 +104,7 @@ def polar(t: QMatrix, *, rank_rtol: float = RANK_RTOL) -> PolarParts:
         u=_from_chi_top(w[:t.rows, :r2] @ v_r.conj().T),
         rank=rank,
         tau=tau,
-        sigmas=tuple(float(x) for x in sigma[::-1]),
+        sigmas=tuple(sigma[::-1].tolist()),
         _v=v_r,
         _s=np.repeat(sigma[:rank], 2),
         _ker_v=np.array(v[:, r2:]),

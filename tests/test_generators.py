@@ -85,3 +85,5 @@ def test_dimension_bounds():
         ginibre(0, seed=1)
     with pytest.raises(ShapeError):
         ginibre(65, seed=1)
+    with pytest.raises(ShapeError, match=r"dimension must be an integer, got 2\.0$"):
+        ginibre(2.0, seed=1)

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qop import generators, oracles, spectral
@@ -76,6 +77,10 @@ def test_run_verify_guards():
     for prop, dim in (("chain", 0), ("chain", 65), ("tu-star", 0)):
         with pytest.raises(ShapeError, match=rf"dimension must lie in \[1, 64\], got {dim}$"):
             run_verify(prop, trials=1, seed=1, dim=dim)
+    # a float dim is a ShapeError up front, not a TypeError from inside a draw
+    for prop in ("chain", "tu-star"):
+        with pytest.raises(ShapeError, match=r"dimension must be an integer, got 2\.0$"):
+            run_verify(prop, trials=1, seed=1, dim=2.0)
 
 
 def test_report_dumps_is_canonical_json():
@@ -164,6 +169,8 @@ def test_run_fuzz_guards():
         run_fuzz("tu-star", budget=2.0, seed=0)
     with pytest.raises(ShapeError, match=r"dimension must lie in \[1, 64\], got 0$"):
         run_fuzz("chain", budget=1, seed=1, dim=0)
+    with pytest.raises(ShapeError, match=r"dimension must be an integer, got 2\.0$"):
+        run_fuzz("chain", budget=1, seed=1, dim=2.0)
 
 
 _BAD_TOLS = (math.nan, math.inf, -1.0)
@@ -297,3 +304,22 @@ def test_zero_entry_candidates_are_row_major_over_nonzero_entries():
     assert [pos for pos, _ in _zero_entry_candidates(v)] == [0, 2]
     assert _zero_entry_candidates(v)[1][1].allclose(QVector.from_quaternions([1.0, 0.0, 0.0]), tol=0.0)
     assert _zero_entry_candidates(0.5) == []
+
+
+def test_zero_entry_candidates_equal_the_boundary_copies():
+    # each candidate is the zeroed component array through the checked
+    # constructor, bit for bit: signed zeros elsewhere are kept
+    comps = generators.ginibre(4, seed=490).to_array()
+    comps[0, 1] = -0.0
+    comps[2, 3, 1:] = (-0.0, 0.0, -0.0)
+    comps[3, 0, 0] = -0.0
+    for val in (QMatrix(comps), QVector(comps[2])):
+        arr = val.to_array()
+        cands = _zero_entry_candidates(val)
+        assert [pos for pos, _ in cands] == [
+            p if len(p) > 1 else p[0] for p in map(tuple, np.argwhere(arr.any(axis=-1)).tolist())]
+        for pos, cand in cands:
+            want = arr.copy()
+            want[pos] = 0.0
+            assert type(cand) is type(val)
+            assert cand.to_array().tobytes() == type(val)(want).to_array().tobytes()

@@ -9,7 +9,7 @@ from qop import _eig, generators, harness, oracles
 from qop.errors import DomainError, PreconditionError, StructureError
 from qop.generators import (ginibre, near_normal, normal_with_spectrum, partial_isometry,
                             positive, random_unitary, unit_vector)
-from qop.linalg import QMatrix, QVector, _chi_eigvalsh, operator_norm
+from qop.linalg import QMatrix, QVector, _chi_eigvalsh, _selfadjoint_residual, operator_norm
 from qop.matio import json_to_vector, vector_to_json
 from qop.oracles import (check_aluthge_theorems, check_chain_semihypo,
                          check_eigenspace_reducing, check_furuta,
@@ -63,6 +63,38 @@ def test_classify_imaginary_unit():
 def test_classify_rejects_nonsquare():
     with pytest.raises(DomainError):
         classify_basic(QMatrix.zeros(2, 3))
+
+
+def _classify_two_products(t, tol=oracles.DEFAULT_TOL):
+    """classify_basic with its threshold from operator_norm, which forms T*T
+    on its own before the gram product below forms it again."""
+    thr = tol * max(1.0, operator_norm(t)) ** 2
+    sa_res = _selfadjoint_residual(t)
+    gram = t.H @ t
+    normal_res = (gram - t @ t.H).frobenius()
+    unitary_res = (gram - QMatrix.identity(t.rows)).frobenius()
+    pos_margin = float(_chi_eigvalsh(t)[0]) if sa_res <= thr else None
+    return oracles.BasicClasses(
+        selfadjoint=sa_res <= thr, positive=pos_margin is not None and pos_margin >= -thr,
+        normal=normal_res <= thr, unitary=unitary_res <= thr, selfadjoint_residual=sa_res,
+        positive_margin=pos_margin, normal_residual=normal_res, unitary_residual=unitary_res,
+        threshold=thr)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32, 64])
+def test_classify_forms_the_gram_product_once_with_the_same_fields(n):
+    # repr compares every field, float bits included
+    for t in (ginibre(n, seed=480 + n), random_unitary(n, seed=480 + n),
+              positive(n, seed=480 + n), generators.hermitian(n, seed=480 + n),
+              near_normal(n, 1e-3, seed=480 + n), partial_isometry(n, n // 3, seed=480 + n),
+              QMatrix.identity(n)):
+        assert repr(classify_basic(t)) == repr(_classify_two_products(t))
+    # T*T overflows: the same product raises first
+    big = ginibre(n, seed=480 + n) * 1e160
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fn in (classify_basic, _classify_two_products):
+            with pytest.raises(StructureError, match="QMatrix entries must be finite"):
+                fn(big)
 
 
 # ----------------------------------------------------------- p-hyponormal

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spectral_reference
+
 from qop import _eig, spectral
 from qop.errors import DomainError, PreconditionError, StructureError
-from qop.generators import ginibre, hermitian, normal_with_spectrum, positive, random_unitary
+from qop.generators import (ginibre, hermitian, near_normal, normal_with_spectrum,
+                            partial_isometry, positive, random_unitary)
 from qop.linalg import QMatrix, QVector, embed_chi
 from qop.quaternion import I, J, K, Quaternion
 from qop.spectral import (CLUSTER_TOL, delta_q, eigh_q, fun_calc, is_psd, kernel_basis,
@@ -306,3 +309,92 @@ def test_sphere_spectrum_i_j_2k_on_every_seed():
         spec = spherical_spectrum(normal_with_spectrum(vals, seed=seed))
         assert spec.classes == pytest.approx([1.0j, 2.0j], abs=1e-10)
         assert spec.multiplicities == (2, 1)
+
+
+def _repeated_spheres(n, seed):
+    """Normal operator whose spheres repeat: each of n // 2 quaternions twice."""
+    rs = np.random.default_rng(seed + 100 * n)
+    base = [Quaternion(*rs.normal(size=4)) for _ in range(max(1, n // 2))]
+    return normal_with_spectrum((base * 2)[:n], seed=seed)
+
+
+_FAMILIES = {
+    "ginibre": lambda n, seed: ginibre(n, seed=seed),
+    "random_unitary": lambda n, seed: random_unitary(n, seed=seed),
+    "positive": lambda n, seed: positive(n, seed=seed),
+    "hermitian": lambda n, seed: hermitian(n, seed=seed),
+    "near_normal": lambda n, seed: near_normal(n, 1e-3, seed=seed),
+    "partial_isometry": lambda n, seed: partial_isometry(n, n // 3, seed=seed),
+    "repeated_spheres": _repeated_spheres,
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32, 64])
+def test_spectra_equal_the_per_eigenvalue_reference(n):
+    # repr tells -0.0 from 0.0, which == does not
+    for name, draw in _FAMILIES.items():
+        t = draw(n, 460 + n)
+        assert repr(standard_eigenvalues(t)) == repr(spectral_reference.standard_eigenvalues(t)), name
+        assert repr(spherical_spectrum(t)) == repr(spectral_reference.spherical_spectrum(t)), name
+
+
+def _pairs_and_reference(vals):
+    vals = np.asarray(vals, dtype=np.complex128)
+    got = spectral._conjugate_pairs(vals)
+    assert got == spectral_reference.conjugate_pairs(vals)
+    return got
+
+
+def test_conjugate_pairs_fall_back_when_the_nearest_index_is_taken():
+    # row 1's nearest conjugate is index 2, which row 0 took: it pairs with 3
+    first, second, worst = _pairs_and_reference([1j, 1.1j, -1.05j, -1.2j])
+    assert (first, second) == ([0, 1], [2, 3])
+    assert worst == abs(-1.2j - np.conj(1.1j))
+    # exact ties go to the first free index, real eigenvalues pair with each other
+    assert _pairs_and_reference([1j, 1j, -1j, -1j])[:2] == ([0, 1], [2, 3])
+    assert _pairs_and_reference([2.0, 2.0, 2.0, 2.0])[:2] == ([0, 2], [1, 3])
+    assert _pairs_and_reference([3.0, 1j, 3.0, -1j]) == ([0, 1], [2, 3], 0.0)
+
+
+def test_conjugate_pairs_equal_the_reference_on_clustered_spectra():
+    # a few centres with noise around each conjugate, so rows often find
+    # their nearest index taken and the masked search runs
+    rng = np.random.default_rng(470)
+    fallbacks = 0
+    for _ in range(200):
+        k = int(rng.integers(1, 40))
+        centres = rng.choice([0.5 + 1j, -1 + 0.2j, 2.0 + 0j, 0.3j], size=k)
+        noise = 1e-9 * (rng.normal(size=(2, k)) + 1j * rng.normal(size=(2, k)))
+        vals = np.concatenate([centres + noise[0], np.conj(centres) + noise[1]])
+        vals = vals[rng.permutation(vals.size)]
+        first, second, _ = _pairs_and_reference(vals)
+        dist = np.abs(vals[None, :] - np.conj(vals)[:, None])
+        np.fill_diagonal(dist, np.inf)
+        fallbacks += sum(int(np.argmin(dist[i])) != j for i, j in zip(first, second))
+    assert fallbacks > 0
+
+
+def test_pairing_failure_message(monkeypatch):
+    # a spectrum that is not closed under conjugation: 1j pairs with 1j, 3j with 3j
+    monkeypatch.setattr(_eig, "eigvals", lambda m: np.array([1j, 1j, 3j, 3j]))
+    t = QMatrix.identity(2)
+    for fn in (standard_eigenvalues, spectral_reference.standard_eigenvalues):
+        with pytest.raises(StructureError) as err:
+            fn(t)
+        assert str(err.value) == (
+            "conjugate pairing failure (worst gap 6.000e+00 at scale 3.000e+00)")
+
+
+@pytest.mark.parametrize("vals", [
+    [-0.0 - 1j, -0.0 + 1j, -0.0 + 2j, -0.0 - 2j],
+    [-5e-324 - 1j, -0.0 + 1j, 0.0 + 2j, -5e-324 - 2j],
+    [-0.0 + 0j, -0.0 - 0j, -0.0 - 0j, 0.0 + 0j],
+    [-0.0 + 1j, -0.0 - 1j, -0.0 + 1j, -0.0 - 1j],
+])
+def test_signed_zeros_equal_the_reference(monkeypatch, vals):
+    # the sign of a zero real part in a midpoint, and in a one-member class
+    # centre, is the one the per-pair scalar arithmetic and np.mean give
+    monkeypatch.setattr(_eig, "eigvals", lambda m: np.array(vals))
+    t = QMatrix.identity(2)
+    assert repr(standard_eigenvalues(t)) == repr(spectral_reference.standard_eigenvalues(t))
+    assert repr(spherical_spectrum(t)) == repr(spectral_reference.spherical_spectrum(t))
