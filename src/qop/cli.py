@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Any, Sequence
 
@@ -41,15 +40,12 @@ def _number(raw: str, what: str) -> float:
 
 
 def _resolve_tol(flag: float | None) -> float:
-    env = os.environ.get("QOP_TOL")
-    if flag is None and env is None:
+    if flag is None:
         from .oracles import DEFAULT_TOL
         return DEFAULT_TOL
-    what = "--tol" if flag is not None else "QOP_TOL"
-    tol = flag if flag is not None else _number(env, what)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise QopError(f"{what} must be finite and nonnegative, got {tol!r}")
-    return tol
+    if not (math.isfinite(flag) and flag >= 0.0):
+        raise QopError(f"--tol must be finite and nonnegative, got {flag!r}")
+    return flag
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:

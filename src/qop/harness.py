@@ -32,6 +32,7 @@ DEFAULT_TOL = oracles.DEFAULT_TOL
 LH_R_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 HM_R_GRID = (0.3, 0.5, 0.7, 1.5, 2.0, 3.0)
 HYP_P_GRID = (0.25, 0.5, 1.0)
+SHRINK_BUDGET = 256
 
 PROBE_PAIR_A = ((2.0, 1.0), (1.0, 1.0))
 PROBE_PAIR_B = ((1.0, 0.0), (0.0, 0.0))
@@ -600,13 +601,12 @@ def _serialize_instance(instance: Instance) -> dict[str, Any]:
 
 
 def run_fuzz(prop: str, *, budget: int, seed: int, dim: int = DEFAULT_DIM,
-             tol: float = DEFAULT_TOL,
-             shrink_budget: int = 256) -> VerificationReport:
+             tol: float = DEFAULT_TOL) -> VerificationReport:
     """Draw trials until the budget is spent or a violation appears.
 
-    On violation the instance is shrunk with minimize_counterexample and
-    the report's witness carries both the original oracle witness and the
-    shrunken instance.  ``budget``, ``dim`` and ``tol`` are checked as
+    On violation the instance is shrunk with minimize_counterexample on a
+    budget of ``SHRINK_BUDGET`` evaluations, and the report's witness
+    carries both the original oracle witness and the shrunken instance.  ``budget``, ``dim`` and ``tol`` are checked as
     ``run_verify`` checks ``trials``, ``dim`` and ``tol``.
     """
     fn = _lookup(prop)
@@ -623,7 +623,7 @@ def run_fuzz(prop: str, *, budget: int, seed: int, dim: int = DEFAULT_DIM,
             witness = dict(out.witness) if out.witness is not None else {}
             witness["trial_seed"] = ts
             witness["margin"] = float(out.margin)
-            shrunk = minimize_counterexample(prop, out.instance, budget=shrink_budget, tol=tol)
+            shrunk = minimize_counterexample(prop, out.instance, budget=SHRINK_BUDGET, tol=tol)
             witness["shrunk"] = _serialize_instance(shrunk)
             witness["shrunk_margin"] = evaluate_instance(prop, shrunk, tol)
             break

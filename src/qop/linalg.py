@@ -30,6 +30,10 @@ from .rng import SplitMix64
 MAX_DIM = 64
 # the default dim of run_verify and run_fuzz, and of the qop command's --dim
 DEFAULT_DIM = 4
+# verify_hilbert_basis: the orthonormality an input family must meet, and
+# the decomposition and Parseval deviations a basis may show
+ORTHO_TOL = 1e-8
+BASIS_TOL = 1e-10
 
 
 def _coerce_entry(value) -> Quaternion:
@@ -437,15 +441,14 @@ class BasisReport:
 
 
 def verify_hilbert_basis(vectors: Sequence[QVector], *, n_samples: int = 64,
-                         seed: int = 0, tol: float = 1e-10,
-                         ortho_tol: float = 1e-8) -> BasisReport:
+                         seed: int = 0) -> BasisReport:
     """Check a family for orthonormality, decomposition, and Parseval identities.
 
-    The family must be orthonormal within ``ortho_tol`` (anything else is an
+    The family must be orthonormal within ``ORTHO_TOL`` (anything else is an
     input error, not a report).  Decomposition u = sum_z z <z, u> and the
     Parseval identity are then sampled on ``n_samples`` deterministic unit
-    vectors; completeness additionally requires the family to have full
-    cardinality.
+    vectors, each to hold within ``BASIS_TOL``; completeness additionally
+    requires the family to have full cardinality.
     """
     if not vectors:
         raise ShapeError("empty family")
@@ -460,7 +463,7 @@ def verify_hilbert_basis(vectors: Sequence[QVector], *, n_samples: int = 64,
             g = inner(zi, zj)
             target = Quaternion.from_real(1.0 if i == j else 0.0)
             ortho_dev = max(ortho_dev, (g - target).norm())
-    if ortho_dev > ortho_tol:
+    if ortho_dev > ORTHO_TOL:
         raise PreconditionError(
             f"family is not orthonormal (deviation {ortho_dev:.3e})")
 
@@ -483,7 +486,7 @@ def verify_hilbert_basis(vectors: Sequence[QVector], *, n_samples: int = 64,
         max_parseval = max(max_parseval, parseval)
 
     complete = len(vectors) == n
-    is_basis = complete and max_residual <= tol and max_parseval <= tol
+    is_basis = complete and max_residual <= BASIS_TOL and max_parseval <= BASIS_TOL
     return BasisReport(
         orthonormal_deviation=ortho_dev,
         complete=complete,
@@ -492,5 +495,5 @@ def verify_hilbert_basis(vectors: Sequence[QVector], *, n_samples: int = 64,
         is_basis=is_basis,
         n_samples=n_samples,
         seed=seed,
-        tol=tol,
+        tol=BASIS_TOL,
     )

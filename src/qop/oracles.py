@@ -35,6 +35,10 @@ from .spectral import (HermitianEigensystem, _eigensystem, delta_q, eigh_q, is_p
 from .transforms import PolarParts, aluthge, polar, unitary_completion
 
 DEFAULT_TOL = 1e-8
+# invert's cutoff on sigma_min / sigma_max
+INVERT_RTOL = 1e-10
+# the beta grid of gcsi_sweep
+SWEEP_BETAS = tuple(round(0.1 * k, 1) for k in range(1, 11))
 
 
 def _check_count(value: int, what: str) -> None:
@@ -64,6 +68,16 @@ class Margin:
     @property
     def violated(self) -> bool:
         return self.witness is not None
+
+
+def _margin(value: float, tol: float, scale: float,
+            witness: Callable[[], dict[str, Any]], **details: Any) -> Margin:
+    """The verdict of a scaled oracle: ``witness()`` is called, within this
+    call, and kept exactly when value < -tol * scale; ``"scale"`` ends the
+    details."""
+    return Margin(value=value, tolerance=tol,
+                  witness=witness() if value < -tol * scale else None,
+                  details={**details, "scale": scale})
 
 
 @dataclass(frozen=True)
@@ -147,6 +161,12 @@ def _hyponormal_values(parts: PolarParts,
     return _pair_eigvalsh(da, db)[:, 0], da, db
 
 
+def _hyponormal_witness(p: float, a: np.ndarray, b: np.ndarray) -> dict[str, Any]:
+    """The exponent and the unit vector of the least quadratic form of D_p = A + B j."""
+    vec = _eigensystem(_trusted(QMatrix, a, b)).vectors.column(0)
+    return {"p": p, "vector": matio.vector_to_json(vec)}
+
+
 def _p_hyponormal_grid(parts: PolarParts, ps: Sequence[float], tol: float) -> list[Margin]:
     """``is_p_hyponormal`` at each p of ``ps`` from one set of polar parts; a
     witness eigenvector is solved for only at a violated exponent."""
@@ -154,13 +174,8 @@ def _p_hyponormal_grid(parts: PolarParts, ps: Sequence[float], tol: float) -> li
     opn = max(parts.sigmas, default=0.0)
     out = []
     for p, value, a, b in zip(ps, values.tolist(), da, db):
-        scale = max(1.0, opn ** (2.0 * p))
-        witness = None
-        if value < -tol * scale:
-            vec = _eigensystem(_trusted(QMatrix, a, b)).vectors.column(0)
-            witness = {"p": p, "vector": matio.vector_to_json(vec)}
-        out.append(Margin(value=value, tolerance=tol,
-                          witness=witness, details={"p": p, "scale": scale}))
+        witness = lambda: _hyponormal_witness(p, a, b)
+        out.append(_margin(value, tol, max(1.0, opn ** (2.0 * p)), witness, p=p))
     return out
 
 
@@ -245,9 +260,8 @@ def is_paranormal(t: QMatrix, *, tol: float = DEFAULT_TOL, grid: int = 256,
                "seed": seed}
     vector_worse = vec_val / s2 <= best_val / s4
     value = vec_val if vector_worse else best_val
-    scale = s2 if vector_worse else s4
     witness = None
-    if value < -tol * scale:
+    if value < -tol * (s2 if vector_worse else s4):
         if vector_worse:
             witness = {"vector": matio.vector_to_json(QVector(xs[k]))}
         else:
@@ -289,10 +303,30 @@ def _gcsi_terms(chi_t: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, ...]:
     return norms[:, 0], norms[:, 1], c
 
 
-def _pair_witness(beta: float, pair: np.ndarray) -> dict[str, Any]:
-    return {"beta": beta,
-            "x": matio.vector_to_json(_from_psi(pair[0])),
-            "y": matio.vector_to_json(_from_psi(pair[1]))}
+def _gcsi_values(terms: tuple[np.ndarray, ...], beta: float) -> np.ndarray:
+    """||Tx||^(1 - beta) ||Ty||^beta - |<Tx, y>| from the ``_gcsi_terms`` of a stack."""
+    a, b, c = terms
+    return np.power(a, 1.0 - beta) * np.power(b, beta) - c
+
+
+def _worst_pair(terms: tuple[np.ndarray, ...], beta: float,
+                pairs: np.ndarray) -> tuple[float, np.ndarray]:
+    """The least margin over a stack of pairs and its pair, the first one on ties."""
+    values = _gcsi_values(terms, beta)
+    k = int(np.argmin(values))
+    return float(values[k]), pairs[k]
+
+
+def _gcsi_result(beta: float, value: float, pair: np.ndarray, *, budget: int,
+                 seed: int, tol: float) -> Margin:
+    """The sampled margin at the worst pair found, witnessed by it below -tol."""
+    witness = None
+    if value < -tol:
+        witness = {"beta": beta,
+                   "x": matio.vector_to_json(_from_psi(pair[0])),
+                   "y": matio.vector_to_json(_from_psi(pair[1]))}
+    return Margin(value=value, tolerance=tol, witness=witness,
+                  details={"beta": beta, "budget": budget, "seed": seed})
 
 
 # hill-climb steps of gcsi_margin and check_gcsi_closure
@@ -331,19 +365,15 @@ def _gcsi_search(t: QMatrix, beta: float, pairs: np.ndarray, moves: np.ndarray, 
     window starts after it.  Every candidate reached is built and scored as
     in a climb that scores one per step, so the result is the same bit for bit.
     """
-    alpha = 1.0 - beta
     chi_t = embed_chi(t)
-    a, b, c = _gcsi_terms(chi_t, pairs)
-    margins = np.power(a, alpha) * np.power(b, beta) - c
-    k = int(np.argmin(margins))
-    best = float(margins[k])
+    best, pair = _worst_pair(_gcsi_terms(chi_t, pairs), beta, pairs)
 
     # the step after r rejections, by the climb's own repeated *= 0.8
     steps = np.empty(moves.shape[0])
     step = 0.5
     for r in range(steps.size):
         steps[r], step = step, step * 0.8
-    pair = pairs[k].view(np.float64)
+    pair = pair.view(np.float64)
     i = r = 0
     while i < moves.shape[0]:
         w = min(_WINDOW, moves.shape[0] - i)
@@ -352,8 +382,7 @@ def _gcsi_search(t: QMatrix, beta: float, pairs: np.ndarray, moves: np.ndarray, 
         skip = norms.min(axis=1) < 1e-9
         norms[skip] = 1.0  # a skipped candidate is never read
         cands /= norms[:, :, None]
-        a, b, c = _gcsi_terms(chi_t, cands.view(np.complex128))
-        values = np.power(a, alpha) * np.power(b, beta) - c
+        values = _gcsi_values(_gcsi_terms(chi_t, cands.view(np.complex128)), beta)
         events = skip | (values < best)
         j = int(events.argmax())
         if not events[j]:
@@ -364,21 +393,21 @@ def _gcsi_search(t: QMatrix, beta: float, pairs: np.ndarray, moves: np.ndarray, 
         r += j
         if not skip[j]:
             best, pair = float(values[j]), cands[j]
-    witness = _pair_witness(beta, pair.view(np.complex128)) if best < -tol else None
-    return Margin(value=best, tolerance=tol, witness=witness,
-                  details={"beta": beta, "budget": pairs.shape[0], "seed": seed})
+    return _gcsi_result(beta, best, pair.view(np.complex128), budget=pairs.shape[0],
+                        seed=seed, tol=tol)
 
 
 def gcsi_margin(t: QMatrix, beta: float, *, budget: int = 1000, seed: int = 0,
-                tol: float = DEFAULT_TOL, refine_steps: int = _REFINE_STEPS) -> Margin:
+                tol: float = DEFAULT_TOL) -> Margin:
     """Sampled margin of |<Tx, y>| <= (||Tx|| ||y||)^alpha (||Ty|| ||x||)^beta.
 
     Exponents satisfy alpha = 1 - beta with beta in (0, 1], and 0^0 counts
     as 1.  All ordered standard-basis pairs are scanned before the random
     unit pairs, so textbook violations at basis vectors surface with their
     exact witnesses.  The worst pair then gets a hill-climb refinement that
-    accepts only strict decreases and shrinks its step on every rejection;
-    its directions are one block of the refinement stream, drawn up front.
+    accepts only strict decreases and shrinks its step on every rejection,
+    over ``_REFINE_STEPS`` steps; its directions are one block of the
+    refinement stream, drawn up front.
     The climb scores a window of its next candidates at once and keeps the
     first event, so its result is that of scoring one candidate per step.
     Vectors are scored on the complex side, as psi(x) against chi(T).  A
@@ -386,16 +415,13 @@ def gcsi_margin(t: QMatrix, beta: float, *, budget: int = 1000, seed: int = 0,
     on the sampled budget.
     """
     _check_gcsi_args(beta, budget)
-    if refine_steps < 0:
-        raise DomainError(f"refine_steps must be nonnegative, got {refine_steps}")
-    pairs, moves = _gcsi_draw(t.rows, budget, seed, refine_steps)
+    pairs, moves = _gcsi_draw(t.rows, budget, seed, _REFINE_STEPS)
     return _gcsi_search(t, beta, pairs, moves, seed=seed, tol=tol)
 
 
-def gcsi_sweep(t: QMatrix, *, betas: Sequence[float] = tuple(round(0.1 * k, 1) for k in range(1, 11)),
-               budget: int = 1000, seed: int = 0,
+def gcsi_sweep(t: QMatrix, *, budget: int = 1000, seed: int = 0,
                tol: float = DEFAULT_TOL) -> dict[float, Margin]:
-    """Per-beta margins over a grid; membership is existential over beta.
+    """Per-beta margins over ``SWEEP_BETAS``; membership is existential over beta.
 
     The matrix-vector work is shared across the grid: each sampled pair
     contributes three scalars (||Tx||, ||Ty||, |<Tx,y>|), evaluated once on
@@ -403,17 +429,11 @@ def gcsi_sweep(t: QMatrix, *, betas: Sequence[float] = tuple(round(0.1 * k, 1) f
     """
     _check_count(budget, "budget")
     pairs = _unit_pairs(t.rows, budget, SplitMix64(mix_seed(seed, 0)))
-    a, b, c = _gcsi_terms(embed_chi(t), pairs)
+    terms = _gcsi_terms(embed_chi(t), pairs)
     out: dict[float, Margin] = {}
-    for beta in betas:
-        if not 0.0 < beta <= 1.0:
-            raise DomainError(f"beta must lie in (0, 1], got {beta}")
-        margins = np.power(a, 1.0 - beta) * np.power(b, beta) - c
-        k = int(np.argmin(margins))
-        best = float(margins[k])
-        witness = _pair_witness(beta, pairs[k]) if best < -tol else None
-        out[beta] = Margin(value=best, tolerance=tol, witness=witness,
-                           details={"beta": beta, "budget": budget, "seed": seed})
+    for beta in SWEEP_BETAS:
+        best, pair = _worst_pair(terms, beta, pairs)
+        out[beta] = _gcsi_result(beta, best, pair, budget=budget, seed=seed, tol=tol)
     return out
 
 
@@ -454,11 +474,8 @@ def check_holder_mccarthy(t: QMatrix, x: QVector, rs: Sequence[float], *,
         rhs = max(base.w, 0.0) ** r * nx ** (2.0 * (1.0 - r))
         value = lhs.w - rhs if r > 1.0 else rhs - lhs.w
         scale = max(1.0, abs(lhs.w), abs(rhs))
-        witness = None
-        if value < -tol * scale:
-            witness = {"r": r, "x": matio.vector_to_json(x)}
-        return Margin(value=value, tolerance=tol, witness=witness,
-                      details={"r": r, "lhs": lhs.w, "rhs": rhs, "scale": scale})
+        return _margin(value, tol, scale, lambda: {"r": r, "x": matio.vector_to_json(x)},
+                       r=r, lhs=lhs.w, rhs=rhs)
 
     return _least_scaled([at(r) for r in rs])
 
@@ -511,12 +528,8 @@ def check_lowner_heinz(s: QMatrix, t: QMatrix, rs: Sequence[float], *,
     _require_finite(da, db, "QMatrix")
     margins = []
     for r, value in zip(rs, _pair_eigvalsh(da, db)[:, 0].tolist()):
-        scale = max(1.0, top ** r)
-        witness = None
-        if value < -tol * scale:
-            witness = {"r": r, "probe": probe}
-        margins.append(Margin(value=value, tolerance=tol, witness=witness,
-                              details={"r": r, "scale": scale}))
+        witness = lambda: {"r": r, "probe": probe}
+        margins.append(_margin(value, tol, max(1.0, top ** r), witness, r=r))
     return _least_scaled(margins)
 
 
@@ -546,11 +559,8 @@ def check_furuta(a: QMatrix, b: QMatrix, p: float, q: float, r: float, *,
         diff = (lhs - rhs) if not flip else (rhs - lhs)
         value = float(_chi_eigvalsh(diff)[0])
         scale = max(1.0, max(asys.eigenvalues[-1], 0.0) ** expo)
-        witness = None
-        if value < -tol * scale:
-            witness = {"p": p, "q": q, "r": r, "probe": probe}
-        return Margin(value=value, tolerance=tol, witness=witness,
-                      details={"p": p, "q": q, "r": r, "scale": scale})
+        return _margin(value, tol, scale, lambda: {"p": p, "q": q, "r": r, "probe": probe},
+                       p=p, q=q, r=r)
 
     first = bracket_margin(bsys, asys, flip=False)
     second = bracket_margin(asys, bsys, flip=True)
@@ -578,10 +588,8 @@ def check_chain_semihypo(t: QMatrix, *, tol: float = DEFAULT_TOL,
     m1 = float(_chi_eigvalsh(upper)[0])
     m2 = float(_chi_eigvalsh(lower)[0])
     scale = max(1.0, opn)
-    mk = lambda v: Margin(value=v, tolerance=tol,
-                          witness=None if v >= -tol * scale else {"enforced": enforce},
-                          details={"scale": scale})
-    return mk(m1), mk(m2)
+    witness = lambda: {"enforced": enforce}
+    return _margin(m1, tol, scale, witness), _margin(m2, tol, scale, witness)
 
 
 @dataclass(frozen=True)
@@ -621,7 +629,6 @@ def _double_transform_margin(tt: QMatrix, tt_parts: PolarParts, tol: float) -> M
 
 
 def check_aluthge_theorems(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
-                           q_grid: Sequence[float] | None = None,
                            enforce: bool = True) -> AluthgeReport:
     """Transform margins for a p-hyponormal operator.
 
@@ -632,8 +639,7 @@ def check_aluthge_theorems(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
     reading A applies it only for p >= 1/2, reading B tracks the same
     margin for every p; both are reported, with the same pass criterion.
     The report carries the transform T~ itself as ``transform``.  The
-    ladder and the double transform are computed when first read; the
-    grid is checked here.
+    ladder and the double transform are computed when first read.
     """
     if not 0.0 < p <= 1.0:
         raise DomainError(f"exponent must lie in (0, 1], got {p}")
@@ -649,11 +655,7 @@ def check_aluthge_theorems(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
     target = 1.0 if p >= 0.5 else p + 0.5
     transform_margin = is_p_hyponormal(tt, target, tol=tol, parts=tt_parts)
 
-    grid = tuple(q_grid) if q_grid is not None else tuple(
-        q for q in (p, 0.75 * p, 0.5 * p, 0.25 * p) if q > 1e-9)
-    for qv in grid:
-        if not 0.0 < qv <= p:
-            raise DomainError(f"monotone grid value {qv} outside (0, p]")
+    grid = tuple(q for q in (p, 0.75 * p, 0.5 * p, 0.25 * p) if q > 1e-9)
     return AluthgeReport(
         p=p,
         transform=tt,
@@ -664,8 +666,7 @@ def check_aluthge_theorems(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
 
 
 def check_eigenspace_reducing(t: QMatrix, q: Quaternion, *,
-                              tol: float = DEFAULT_TOL,
-                              kernel_rtol: float = 1e-6) -> Margin:
+                              tol: float = DEFAULT_TOL) -> Margin:
     """Reducing-subspace margin for the unitary polar factor's eigensphere.
 
     The polar isometry is completed to a unitary U, the kernel of the
@@ -673,12 +674,12 @@ def check_eigenspace_reducing(t: QMatrix, q: Quaternion, *,
     -max(||(I-P)TP||, ||(I-P)T*P||) for P the projector onto that kernel.
     Zero margin means the subspace reduces T.
     """
-    if abs(q.norm() - 1.0) > 1e-6:
+    if not abs(q.norm() - 1.0) <= 1e-6:
         raise DomainError(f"unit quaternion expected, |q| = {q.norm():.6f}")
     parts = polar(t)
     u = unitary_completion(parts)
     rep = q.similarity_representative()
-    kern = spherical_eigenspace(u, rep, rtol=kernel_rtol)
+    kern = spherical_eigenspace(u, rep)
     if not kern:
         raise DomainError(f"{rep} is not a right eigenvalue of the polar unitary")
     n = t.rows
@@ -688,19 +689,18 @@ def check_eigenspace_reducing(t: QMatrix, q: Quaternion, *,
     comp = QMatrix.identity(n) - proj
     off1 = operator_norm(comp @ t @ proj)
     off2 = operator_norm(comp @ t.H @ proj)
-    value = -max(off1, off2)
-    scale = max(1.0, operator_norm(t))
-    witness = None
-    if value < -tol * scale:
-        witness = {"q": matio.quaternion_to_json(q), "kernel_dim": len(kern)}
-    return Margin(value=value, tolerance=tol, witness=witness,
-                  details={"kernel_dim": len(kern), "scale": scale})
+    witness = lambda: {"q": matio.quaternion_to_json(q), "kernel_dim": len(kern)}
+    return _margin(-max(off1, off2), tol, max(1.0, operator_norm(t)), witness,
+                   kernel_dim=len(kern))
 
 
-def invert(t: QMatrix, *, rtol: float = 1e-10) -> QMatrix:
-    """Inverse V S^{-1} W* through the complex embedding, top block row only."""
+def invert(t: QMatrix) -> QMatrix:
+    """Inverse V S^{-1} W* through the complex embedding, top block row only.
+
+    T counts as singular when sigma_min <= INVERT_RTOL * sigma_max.
+    """
     w, sing, vh = _eig.svd(embed_chi(t))
-    if sing[-1] <= rtol * sing[0]:
+    if sing[-1] <= INVERT_RTOL * sing[0]:
         ratio = sing[-1] / sing[0] if sing[0] > 0.0 else 0.0
         raise DomainError(f"operator is singular (sigma_min/sigma_max = {ratio:.3e})")
     return _from_chi_top((vh[:, :t.rows].conj().T / sing) @ w.conj().T)
@@ -769,8 +769,7 @@ class KernelReport:
     passes: bool
 
 
-def check_kernel_reduction(t: QMatrix, *, tol: float = DEFAULT_TOL,
-                           rank_rtol: float = 1e-8) -> KernelReport:
+def check_kernel_reduction(t: QMatrix, *, tol: float = DEFAULT_TOL) -> KernelReport:
     """Test ker T inside ker T* and ker T = ker T^2.
 
     Membership in the sampled inequality class forces both; the report is
@@ -778,9 +777,9 @@ def check_kernel_reduction(t: QMatrix, *, tol: float = DEFAULT_TOL,
     a non-member.  Residuals are worst-case norms of T* (resp. T) on the
     computed kernel bases.
     """
-    ker = kernel_basis(t, rtol=rank_rtol)
-    ker_star = kernel_basis(t.H, rtol=rank_rtol)
-    ker_sq = kernel_basis(t @ t, rtol=rank_rtol)
+    ker = kernel_basis(t)
+    ker_star = kernel_basis(t.H)
+    ker_sq = kernel_basis(t @ t)
     subset = max(((t.H @ k).norm() for k in ker), default=0.0)
     equality = max(((t @ k).norm() for k in ker_sq), default=0.0)
     thr = tol * max(1.0, operator_norm(t))
@@ -802,12 +801,8 @@ def check_tu_star(t: QMatrix, x: QVector, *, tol: float = DEFAULT_TOL) -> Margin
     ty = t @ y
     t2y = t @ ty
     value = t2y.norm() * y.norm() - ty.norm() ** 2
-    scale = max(1.0, operator_norm(t) ** 2)
-    witness = None
-    if value < -tol * scale:
-        witness = {"x": matio.vector_to_json(x)}
-    return Margin(value=value, tolerance=tol, witness=witness,
-                  details={"scale": scale})
+    return _margin(value, tol, max(1.0, operator_norm(t) ** 2),
+                   lambda: {"x": matio.vector_to_json(x)})
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,14 @@ from .quaternion import Quaternion
 PAIR_TOL = 1e-8
 CLUSTER_TOL = 1e-8
 MERGE_TOL = 1e-6
+# eigenvalues of a PSD operator in [-CLAMP_TOL * ||A||, 0) are round-off
+CLAMP_TOL = 1e-8
+# a sphere carries kernel vectors when its relative kernel gap is at most this
+GAP_TOL = 1e-6
+# the rank cutoff of a sphere polynomial's kernel
+EIGENSPACE_RTOL = 1e-6
 _GS_ACCEPT = 1e-6
+_NOT_FINITE = "scalar function must return finite reals on the spectrum"
 
 
 def _require_square(t: QMatrix) -> int:
@@ -107,10 +114,10 @@ class HermitianEigensystem:
     def reconstruct(self) -> QMatrix:
         return self.apply(lambda w: w)
 
-    def power_psd(self, p: float, *, clamp_tol: float = 1e-8) -> QMatrix:
-        """Fractional power A^p, p >= 0, of a positive semidefinite operator.
+    def power_psd(self, p: float) -> QMatrix:
+        """Fractional power A^p, finite p >= 0, of a positive semidefinite operator.
 
-        Eigenvalues in [-clamp_tol * ||A||, 0) are treated as roundoff and
+        Eigenvalues in [-CLAMP_TOL * ||A||, 0) are treated as roundoff and
         clamped to zero; anything below that is a genuine negativity and a
         domain error.  Small positive eigenvalues are kept as they are: in
         graded products like B^r A^p B^r they can sit many orders below the
@@ -118,17 +125,21 @@ class HermitianEigensystem:
         here.  The convention 0^0 = 1 makes A^0 the identity on the full
         space, kernel included.
         """
-        return _hermitian_matrix(self._v2, self._psd_weights(p, clamp_tol))
+        return _hermitian_matrix(self._v2, self._psd_weights(p))
 
-    def _psd_weights(self, p: float, clamp_tol: float = 1e-8) -> np.ndarray:
+    def _psd_weights(self, p: float) -> np.ndarray:
         """The weight row of A^p, with every check of ``power_psd``."""
         if p < 0.0:
             raise DomainError(f"exponent must be nonnegative, got {p}")
         w = self._w2
-        floor = clamp_tol * float(np.abs(w).max(initial=0.0))
+        floor = CLAMP_TOL * float(np.abs(w).max(initial=0.0))
         if float(w.min()) < -floor:
             raise DomainError(
                 f"operator is not positive semidefinite (min eigenvalue {w.min():.3e})")
+        # 1.0 ** nan is 1.0 and a clamped eigenvalue takes no power, so a
+        # non-finite exponent need not leave a non-finite weight
+        if not np.isfinite(p):
+            raise DomainError(_NOT_FINITE)
         if p == 0.0:
             return self._weights(np.ones_like(w))
         # the clamp leaves every eigenvalue at or below 0 at weight 0; the
@@ -143,7 +154,7 @@ class HermitianEigensystem:
         """``fw`` as a weight row, which must be real and finite on the spectrum."""
         fw = np.asarray(fw, dtype=np.float64)
         if fw.shape != self._w2.shape or not np.isfinite(fw).all():
-            raise DomainError("scalar function must return finite reals on the spectrum")
+            raise DomainError(_NOT_FINITE)
         return fw
 
     def _stack(self, rows: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -290,19 +301,19 @@ def _conjugate_pairs(vals: np.ndarray) -> tuple[list[int], list[int], float]:
     return first, second, worst
 
 
-def standard_eigenvalues(t: QMatrix, *, pair_tol: float = PAIR_TOL) -> tuple[complex, ...]:
+def standard_eigenvalues(t: QMatrix) -> tuple[complex, ...]:
     """The n standard (upper half-plane) eigenvalues, repeats included.
 
     The spectrum of chi(T) is closed under conjugation.  Each eigenvalue is
     paired with the nearest unused conjugate of another one, every pair is
     collapsed to its midpoint folded into the upper half-plane, and the
-    result is ordered with ``pair_tol`` as the tie tolerance.
+    result is ordered with ``PAIR_TOL`` as the tie tolerance.
     """
     n = _require_square(t)
     vals = _eig.eigvals(embed_chi(t))
     scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
     first, second, worst = _conjugate_pairs(vals)
-    if worst > pair_tol * scale:
+    if worst > PAIR_TOL * scale:
         raise StructureError(
             f"conjugate pairing failure (worst gap {worst:.3e} at scale {scale:.3e})")
     # each midpoint is (0.5 + 0j) * (z_i + conj z_j) with the complex product
@@ -314,7 +325,7 @@ def standard_eigenvalues(t: QMatrix, *, pair_tol: float = PAIR_TOL) -> tuple[com
     mids.imag = np.abs(0.5 * sums.imag + 0.0 * sums.real)
     reps = mids.tolist()
     assert len(reps) == n
-    return tuple(_tolerant_order(reps, pair_tol * scale))
+    return tuple(_tolerant_order(reps, PAIR_TOL * scale))
 
 
 @dataclass(frozen=True)
@@ -326,15 +337,15 @@ class SphericalSpectrum:
     radius: float
 
 
-def spherical_spectrum(t: QMatrix, *, merge_tol: float = MERGE_TOL) -> SphericalSpectrum:
+def spherical_spectrum(t: QMatrix) -> SphericalSpectrum:
     """Distinct eigenvalue spheres of an operator, one representative each.
 
     A standard eigenvalue joins the first class whose first member lies
-    within ``merge_tol`` (relative); classes keep the order of
+    within ``MERGE_TOL`` (relative); classes keep the order of
     ``standard_eigenvalues``.
     """
     reps = standard_eigenvalues(t)
-    tol = merge_tol * max(1.0, max(abs(z) for z in reps))
+    tol = MERGE_TOL * max(1.0, max(abs(z) for z in reps))
     classes: list[list[complex]] = []
     for z in reps:
         home = next((c for c in classes if abs(z - c[0]) <= tol), None)
@@ -373,36 +384,38 @@ class PointSpectrumCheck:
     verified: bool
 
 
-def verify_point_spectrum(t: QMatrix, *, tol: float = 1e-6) -> tuple[PointSpectrumCheck, ...]:
-    """Confirm each spectral sphere carries kernel vectors for its Delta.
-
-    ``kernel_gap`` is the smallest singular value of Delta_c divided by its
-    size; ``verified`` means the gap clears ``tol``.  On a finite
-    dimensional space every class should verify.
-    """
-    spec = spherical_spectrum(t)
+def _point_checks(t: QMatrix, classes: Sequence[complex]) -> tuple[PointSpectrumCheck, ...]:
+    """The kernel-gap check of each class representative in ``classes``."""
     checks = []
-    for c in spec.classes:
+    for c in classes:
         gap = _kernel_gap(t, c)
         checks.append(PointSpectrumCheck(representative=c, kernel_gap=gap,
-                                         verified=gap <= tol))
+                                         verified=gap <= GAP_TOL))
     return tuple(checks)
 
 
-def spherical_point_spectrum(t: QMatrix, *, tol: float = 1e-6,
-                             merge_tol: float = MERGE_TOL) -> SphericalSpectrum:
+def verify_point_spectrum(t: QMatrix) -> tuple[PointSpectrumCheck, ...]:
+    """Confirm each spectral sphere carries kernel vectors for its Delta.
+
+    ``kernel_gap`` is the smallest singular value of Delta_c divided by its
+    size; ``verified`` means the gap clears ``GAP_TOL``.  On a finite
+    dimensional space every class should verify.
+    """
+    return _point_checks(t, spherical_spectrum(t).classes)
+
+
+def spherical_point_spectrum(t: QMatrix) -> SphericalSpectrum:
     """Eigenvalue spheres with the point-spectrum property verified.
 
-    Each reported class must make its sphere polynomial singular; a class
-    failing that check means the solver and the kernel test disagree, which
-    is reported as a structure error rather than silently dropped.
+    Each reported class must pass ``verify_point_spectrum``'s check; a class
+    failing it means the solver and the kernel test disagree, which is
+    reported as a structure error rather than silently dropped.
     """
-    spec = spherical_spectrum(t, merge_tol=merge_tol)
-    for c in spec.classes:
-        gap = _kernel_gap(t, c)
-        if gap > tol:
-            raise StructureError(
-                f"class {c} reported but Delta has no kernel (gap {gap:.3e})")
+    spec = spherical_spectrum(t)
+    for check in _point_checks(t, spec.classes):
+        if not check.verified:
+            raise StructureError(f"class {check.representative} reported but Delta has "
+                                 f"no kernel (gap {check.kernel_gap:.3e})")
     return spec
 
 
@@ -421,19 +434,16 @@ def kernel_basis(a: QMatrix, *, rtol: float = 1e-8) -> list[QVector]:
     return list(_null_basis(v[:, 2 * rank:], a.cols - rank))
 
 
-def spherical_eigenspace(t: QMatrix, rep: complex, *, count: int | None = None,
-                         rtol: float = 1e-6) -> list[QVector]:
+def spherical_eigenspace(t: QMatrix, rep: complex) -> list[QVector]:
     """Right-orthonormal basis of ker Delta_rep, the eigenspace of a sphere.
 
     For an operator that is diagonalizable on the sphere of ``rep`` this is
     exactly the span of the eigenvectors with eigenvalue in that sphere;
-    defective spheres contribute their full polynomial kernel.
+    defective spheres contribute their full polynomial kernel.  The rank
+    cutoff is ``EIGENSPACE_RTOL``.
     """
     q = Quaternion(rep.real, rep.imag, 0.0, 0.0)
-    vecs = kernel_basis(delta_q(t, q), rtol=rtol)
-    if count is not None and len(vecs) < count:
-        raise StructureError(f"kernel holds {len(vecs)} vectors, expected {count}")
-    return vecs if count is None else vecs[:count]
+    return kernel_basis(delta_q(t, q), rtol=EIGENSPACE_RTOL)
 
 
 def fun_calc(t: QMatrix, f: Callable[[np.ndarray], np.ndarray]) -> QMatrix:
@@ -445,9 +455,9 @@ def fun_calc(t: QMatrix, f: Callable[[np.ndarray], np.ndarray]) -> QMatrix:
     return eigh_q(t).apply(f)
 
 
-def power_psd(t: QMatrix, p: float, *, clamp_tol: float = 1e-8) -> QMatrix:
-    """T^p for positive semidefinite T and p >= 0; T^0 = I."""
-    return eigh_q(t).power_psd(p, clamp_tol=clamp_tol)
+def power_psd(t: QMatrix, p: float) -> QMatrix:
+    """T^p for positive semidefinite T and finite p >= 0; T^0 = I."""
+    return eigh_q(t).power_psd(p)
 
 
 def is_psd(t: QMatrix, tol: float = 1e-8, *,

@@ -83,10 +83,10 @@ class PolarParts:
         return self.u @ self.abs_t
 
 
-def polar(t: QMatrix, *, rank_rtol: float = RANK_RTOL) -> PolarParts:
+def polar(t: QMatrix) -> PolarParts:
     """Polar factors of a square operator.
 
-    Singular values at or below ``rank_rtol`` times the largest are treated
+    Singular values at or below ``RANK_RTOL`` times the largest are treated
     as zero.  The rank is counted over whole singular pairs of chi(T), so a
     pair is never split, and the factors do not depend on which basis the
     solver picked inside a pair.
@@ -94,7 +94,7 @@ def polar(t: QMatrix, *, rank_rtol: float = RANK_RTOL) -> PolarParts:
     if not t.is_square():
         raise ShapeError(f"polar decomposition needs a square operator, got {t.shape}")
     w, sigma, v = _chi_svd(t)
-    tau = rank_rtol * float(sigma[0])
+    tau = RANK_RTOL * float(sigma[0])
     rank = int(np.count_nonzero(sigma > tau))
     r2 = 2 * rank
     # np.array keeps each slice's memory order, on which the bits of |T|^s
@@ -125,10 +125,6 @@ def unitary_completion(parts: PolarParts) -> QMatrix:
     return u
 
 
-def _parts(t: QMatrix, parts: PolarParts | None) -> PolarParts:
-    return polar(t) if parts is None else parts
-
-
 def abs_power(parts: PolarParts, s: float) -> QMatrix:
     """|T|^s for finite s > 0 from precomputed polar parts."""
     if not 0.0 < s < np.inf:
@@ -137,42 +133,39 @@ def abs_power(parts: PolarParts, s: float) -> QMatrix:
 
 
 def aluthge(t: QMatrix, *, parts: PolarParts | None = None) -> QMatrix:
-    """|T|^{1/2} U |T|^{1/2}."""
-    p = _parts(t, parts)
+    """|T|^{1/2} U |T|^{1/2}; a caller holding the polar parts of T passes them."""
+    p = polar(t) if parts is None else parts
     half = p.abs_power(0.5)
     return half @ p.u @ half
 
 
-def lambda_aluthge(t: QMatrix, lam: float, *,
-                   parts: PolarParts | None = None) -> QMatrix:
+def lambda_aluthge(t: QMatrix, lam: float) -> QMatrix:
     """|T|^lam U |T|^{1-lam} for lam in [0, 1]; lam 0 gives back T itself."""
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"weight must lie in [0, 1], got {lam}")
     if lam == 0.0:
         return t
-    p = _parts(t, parts)
+    p = polar(t)
     return p.abs_power(lam) @ p.u @ p.abs_power(1.0 - lam)
 
 
-def duggal(t: QMatrix, *, parts: PolarParts | None = None) -> QMatrix:
+def duggal(t: QMatrix) -> QMatrix:
     """|T| U."""
-    p = _parts(t, parts)
+    p = polar(t)
     return p.abs_t @ p.u
 
 
-def furuta_sr(t: QMatrix, r: float, *,
-              parts: PolarParts | None = None) -> QMatrix:
+def furuta_sr(t: QMatrix, r: float) -> QMatrix:
     """U |T|^r U for finite r > 0."""
     if not 0.0 < r < np.inf:
         raise DomainError(f"exponent must be positive and finite, got {r}")
-    p = _parts(t, parts)
+    p = polar(t)
     return p.u @ p.abs_power(r) @ p.u
 
 
-def abs_star_power(t: QMatrix, s: float, *,
-                   parts: PolarParts | None = None) -> QMatrix:
+def abs_star_power(t: QMatrix, s: float) -> QMatrix:
     """U |T|^s U*, equal to |T*|^s for finite s > 0."""
     if not 0.0 < s < np.inf:
         raise DomainError(f"exponent must be positive and finite, got {s}")
-    p = _parts(t, parts)
+    p = polar(t)
     return p.u @ p.abs_power(s) @ p.u.H

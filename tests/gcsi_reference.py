@@ -22,8 +22,8 @@ import numpy as np
 
 from qop import matio, oracles
 from qop.errors import DomainError
-from qop.linalg import QMatrix, QVector, _psi, embed_chi
-from qop.oracles import DEFAULT_TOL, Margin, _gcsi_terms, _pair_witness
+from qop.linalg import QMatrix, QVector, _from_psi, _psi, embed_chi
+from qop.oracles import DEFAULT_TOL, Margin, _gcsi_terms
 from qop.rng import SplitMix64, mix_seed
 from quaternion_reference import matmul_components
 
@@ -203,7 +203,12 @@ def sequential_search(t: QMatrix, beta: float, pairs: np.ndarray, moves: np.ndar
             best, pair = value, cand
         else:
             step *= 0.8
-    witness = _pair_witness(beta, pair.view(np.complex128)) if best < -tol else None
+    witness = None
+    if best < -tol:
+        x, y = pair.view(np.complex128)
+        witness = {"beta": beta,
+                   "x": matio.vector_to_json(_from_psi(x)),
+                   "y": matio.vector_to_json(_from_psi(y))}
     return Margin(value=best, tolerance=tol, witness=witness,
                   details={"beta": beta, "budget": pairs.shape[0], "seed": seed})
 

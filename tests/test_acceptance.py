@@ -137,7 +137,7 @@ def test_polar_family_invariants():
         # powers across a numerically smeared kernel.
         co = t @ t.H
         for s, back in ((0.5, 4), (1.0, 2), (2.0, 1)):
-            m = abs_star_power(t, s, parts=parts)
+            m = abs_star_power(t, s)
             assert (m - m.H).frobenius() <= 1e-10 * max(1.0, scale ** s)
             lifted = m
             for _ in range(back - 1):

@@ -1,10 +1,12 @@
 """The lazy ``qop`` namespace: nothing loads on import, every name resolves."""
 
+import inspect
 import os
 import subprocess
 import sys
 
 import qop
+from qop import harness, linalg, oracles, spectral, transforms
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(qop.__file__)))
 
@@ -52,3 +54,38 @@ def test_import_is_lazy_and_every_name_resolves_to_its_home_object():
                           env={**os.environ, "PYTHONPATH": _SRC})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+# each setting below has one value in use, a module constant next to the
+# function; none may come back as a keyword or behind **kwargs
+_FIXED_SETTINGS = (
+    (spectral.standard_eigenvalues, ("pair_tol",)),
+    (spectral.spherical_spectrum, ("merge_tol",)),
+    (spectral.spherical_point_spectrum, ("tol", "merge_tol")),
+    (spectral.verify_point_spectrum, ("tol",)),
+    (spectral.spherical_eigenspace, ("count", "rtol")),
+    (spectral.power_psd, ("clamp_tol",)),
+    (spectral.HermitianEigensystem.power_psd, ("clamp_tol",)),
+    (spectral.HermitianEigensystem._psd_weights, ("clamp_tol",)),
+    (transforms.polar, ("rank_rtol",)),
+    (transforms.lambda_aluthge, ("parts",)),
+    (transforms.duggal, ("parts",)),
+    (transforms.furuta_sr, ("parts",)),
+    (transforms.abs_star_power, ("parts",)),
+    (oracles.gcsi_margin, ("refine_steps",)),
+    (oracles.gcsi_sweep, ("betas",)),
+    (oracles.check_aluthge_theorems, ("q_grid",)),
+    (oracles.check_eigenspace_reducing, ("kernel_rtol",)),
+    (oracles.check_kernel_reduction, ("rank_rtol",)),
+    (oracles.invert, ("rtol",)),
+    (linalg.verify_hilbert_basis, ("tol", "ortho_tol")),
+    (harness.run_fuzz, ("shrink_budget",)),
+)
+
+
+def test_fixed_settings_are_not_parameters():
+    assert sum(len(names) for _, names in _FIXED_SETTINGS) == 24
+    for fn, names in _FIXED_SETTINGS:
+        params = inspect.signature(fn).parameters
+        assert not set(names) & set(params), fn.__qualname__
+        assert all(p.kind is not p.VAR_KEYWORD for p in params.values()), fn.__qualname__

@@ -179,8 +179,6 @@ def test_gcsi_beta_domain():
     for bad in (0.0, -0.1, 1.2):
         with pytest.raises(DomainError):
             gcsi_margin(QMatrix.identity(2), bad)
-    with pytest.raises(DomainError):
-        gcsi_margin(QMatrix.identity(2), 0.5, refine_steps=-1)
     for bad in (0, 2.0, 2.5):
         with pytest.raises(DomainError, match="budget must be"):
             gcsi_margin(QMatrix.identity(2), 0.5, budget=bad)
@@ -231,6 +229,19 @@ def test_holder_mccarthy_rejects_nonreal_form():
     t = QMatrix.from_quaternions([[I, 0.0], [0.0, 1.0]])
     with pytest.raises(PreconditionError):
         check_holder_mccarthy(t, QVector.basis(2, 0), (2.0,))
+
+
+def test_margin_witnesses_strictly_below_the_scaled_tolerance():
+    tol, scale = 1e-8, 3.0
+    edge = -tol * scale
+    calls = []
+    witness = lambda: calls.append(1) or {"at": "edge"}
+    m = oracles._margin(edge, tol, scale, witness, r=0.5)
+    assert m.witness is None and calls == []
+    assert m.details == {"r": 0.5, "scale": scale} and list(m.details) == ["r", "scale"]
+    below = oracles._margin(float(np.nextafter(edge, -np.inf)), tol, scale, witness)
+    assert below.witness == {"at": "edge"} and calls == [1]
+    assert below.details == {"scale": scale} and below.tolerance == tol
 
 
 # ---------------------------------------------------------- Lowner-Heinz
@@ -428,10 +439,20 @@ def test_stacked_grids_raise_the_per_exponent_errors():
         is_p_hyponormal(ginibre(4, seed=1) * 1e160, 1.0)
 
 
+def test_nonfinite_exponents_raise_on_the_pair_oracles():
+    eye, zero = QMatrix.identity(2), QMatrix.zeros(2, 2)
+    for s, t in ((eye, eye), (zero, zero)):
+        with pytest.raises(DomainError, match="finite reals on the spectrum"):
+            check_lowner_heinz(s, t, (math.nan,))
+    with pytest.raises(DomainError, match="finite reals on the spectrum"):
+        check_holder_mccarthy(eye, QVector.basis(2, 0), (math.nan,))
+    for p, q, r in ((math.nan, 1.0, 0.5), (1.0, math.nan, 0.5), (1.0, 1.0, math.nan)):
+        with pytest.raises(DomainError, match="finite reals on the spectrum"):
+            check_furuta(eye, eye, p, q, r)
+
+
 def test_lazy_report_parts_check_their_arguments_at_the_call():
     u = random_unitary(3, seed=906)
-    with pytest.raises(DomainError, match="monotone grid value"):
-        check_aluthge_theorems(u, 0.5, q_grid=[0.25, 0.75])
     for kw in ({"grid": 0}, {"samples": 0}, {"grid": 2.5}, {"samples": 1.0}):
         with pytest.raises(DomainError):
             check_gcsi_implies(u, budget=8, **kw)
@@ -556,8 +577,6 @@ def test_aluthge_guards():
         check_aluthge_theorems(u, 0.0)
     with pytest.raises(DomainError):
         check_aluthge_theorems(u, 1.5)
-    with pytest.raises(DomainError):
-        check_aluthge_theorems(u, 0.5, q_grid=[0.75])
     with pytest.raises(PreconditionError):
         check_aluthge_theorems(_shift(), 0.5)
 
@@ -625,6 +644,9 @@ def test_eigenspace_reducing_guards():
         check_eigenspace_reducing(t, Quaternion(0.0, 2.0, 0.0, 0.0))
     with pytest.raises(DomainError):
         check_eigenspace_reducing(t, Quaternion(0.6, 0.8, 0.0, 0.0))
+    # |q| = nan fails the unit check, not a structure check further in
+    with pytest.raises(DomainError, match="unit quaternion expected"):
+        check_eigenspace_reducing(t, Quaternion(math.nan, 0.0, 0.0, 0.0))
 
 
 # ---------------------------------------------------------------- closure
@@ -753,11 +775,15 @@ def test_windowed_climb_equals_the_sequential_one():
             for beta in (0.25, 0.5, 0.75, 1.0):
                 for budget in (1, 16, 300):
                     for steps in (0, 1, 64):
-                        got = gcsi_margin(t, beta, budget=budget, seed=n + steps,
-                                          refine_steps=steps)
+                        seed = n + steps
+                        pairs, moves = oracles._gcsi_draw(n, budget, seed, steps)
+                        got = oracles._gcsi_search(t, beta, pairs, moves, seed=seed,
+                                                     tol=oracles.DEFAULT_TOL)
                         want = gcsi_reference.sequential_gcsi_margin(
-                            t, beta, budget=budget, seed=n + steps, refine_steps=steps)
+                            t, beta, budget=budget, seed=seed, refine_steps=steps)
                         assert got == want, (name, n, beta, budget, steps)
+                        if steps == oracles._REFINE_STEPS:
+                            assert gcsi_margin(t, beta, budget=budget, seed=seed) == got
                         witnessed += want.witness is not None
     assert witnessed > 0
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,17 @@ def test_power_psd_domain_errors():
         power_psd(neg, 0.5)
 
 
+def test_power_psd_rejects_nonfinite_exponents():
+    # 1.0 ** nan and 1.0 ** inf are 1.0, and a zero eigenvalue takes no
+    # power: no weight turns non-finite, yet the exponent is not one
+    for t in (QMatrix.identity(2), QMatrix.diag([1.0, 0.0]), QMatrix.zeros(2, 2)):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite reals on the spectrum"):
+                power_psd(t, bad)
+            with pytest.raises(DomainError, match="finite reals on the spectrum"):
+                eigh_q(t).power_psd(bad)
+
+
 def test_power_psd_clamps_roundoff_negatives():
     eps = 1e-12
     t = QMatrix.diag([1.0, -eps])
@@ -241,12 +254,6 @@ def test_spherical_eigenspace_of_block_diagonal():
     # supported on the first coordinate
     assert v[1].norm() <= 1e-8
     assert abs(v.norm() - 1.0) <= 1e-8
-
-
-def test_spherical_eigenspace_wrong_count_raises():
-    t = QMatrix.diag([I, J * Quaternion.from_real(2.0)])
-    with pytest.raises(StructureError):
-        spherical_eigenspace(t, 1.0j, count=2)
 
 
 def test_spherical_eigenspace_defective_sphere_is_polynomial_kernel():

@@ -58,7 +58,7 @@ def test_polar_adjoint_gauge_relation():
         t = ginibre(3, seed=seed)
         parts = polar(t)
         scale = max(1.0, t.frobenius())
-        abs_star = abs_star_power(t, 1.0, parts=parts)
+        abs_star = abs_star_power(t, 1.0)
         co = polar(t.H)
         assert (co.u @ co.abs_t - t.H).frobenius() <= 1e-9 * scale
         assert (co.abs_t - parts.u @ parts.abs_t @ parts.u.H).frobenius() <= 1e-8 * scale
@@ -82,13 +82,13 @@ def test_abs_power_examples():
     assert (sq - t.H @ t).frobenius() <= 1e-9
     one = abs_power(parts, 1.0)
     assert (one - parts.abs_t).frobenius() <= 1e-12
-    star = abs_star_power(t, 1.0, parts=parts)
+    star = abs_star_power(t, 1.0)
     expect = QMatrix.diag([2.0, 0.0])
     assert (star - expect).frobenius() <= 1e-9
     with pytest.raises(DomainError):
         abs_power(parts, 0.0)
     with pytest.raises(DomainError):
-        abs_star_power(t, -1.0, parts=parts)
+        abs_star_power(t, -1.0)
 
 
 def test_transforms_reject_nonfinite_exponents():
@@ -103,13 +103,12 @@ def test_transforms_reject_nonfinite_exponents():
 
 def test_abs_star_power_identity_random():
     t = ginibre(4, seed=520)
-    parts = polar(t)
     co_abs = polar(t.H).abs_t
-    co_sys_half = abs_star_power(t, 0.5, parts=parts)
+    co_sys_half = abs_star_power(t, 0.5)
     ref = polar(t.H)
     half = abs_power(ref, 0.5)
     assert (co_sys_half - half).frobenius() <= 1e-7 * max(1.0, t.frobenius())
-    assert (abs_star_power(t, 1.0, parts=parts) - co_abs).frobenius() <= 1e-8 * max(
+    assert (abs_star_power(t, 1.0) - co_abs).frobenius() <= 1e-8 * max(
         1.0, t.frobenius())
 
 
@@ -177,7 +176,7 @@ def test_polar_parts_reused_by_transforms():
     t = ginibre(3, seed=561)
     parts = polar(t)
     a1 = aluthge(t)
-    a2 = aluthge(t, parts=parts)
+    a2 = aluthge(t)
     assert (a1 - a2).frobenius() <= 1e-14
 
 
