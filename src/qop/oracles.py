@@ -260,8 +260,9 @@ def is_paranormal(t: QMatrix, *, tol: float = DEFAULT_TOL, grid: int = 256,
                "seed": seed}
     vector_worse = vec_val / s2 <= best_val / s4
     value = vec_val if vector_worse else best_val
+    scale = s2 if vector_worse else s4
     witness = None
-    if value < -tol * (s2 if vector_worse else s4):
+    if value < -tol * scale:
         if vector_worse:
             witness = {"vector": matio.vector_to_json(QVector(xs[k]))}
         else:
