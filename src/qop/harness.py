@@ -2,20 +2,23 @@
 
 Each named property is one ``Property`` record.  Its ``draw`` builds an
 instance (operators, vectors, exponents) from a trial's seeds, and its
-``evaluate`` scores an instance as one dimensionless margin (raw margin
-divided by an instance scale), so a single tolerance applies uniformly
-across properties.  A trial is ``evaluate(draw(ctx))``, and the shrinker
+``evaluate`` scores a batch of instances, each as one dimensionless margin
+(raw margin divided by an instance scale), so a single tolerance applies
+uniformly across properties.  A trial is a batch of one, and the shrinker
 scores its candidates with the same ``evaluate``, so it minimises exactly
-what the trial measured, hypotheses included.  Per-trial seeds are derived
-as mix_seed(seed, index); the aggregate is a deterministic min-fold with
-ties broken by lowest trial index.
+what the trial measured, hypotheses included.  ``run_verify`` draws and
+evaluates its trials in chunks of ``_BATCH``; the GCSI properties climb
+every search of a chunk in lockstep, the others score instance by
+instance.  Per-trial seeds are derived as mix_seed(seed, index), whatever
+the chunk; the aggregate is a deterministic min-fold with ties broken by
+lowest trial index, and an error surfaces from the lowest failing trial.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -33,11 +36,15 @@ LH_R_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 HM_R_GRID = (0.3, 0.5, 0.7, 1.5, 2.0, 3.0)
 HYP_P_GRID = (0.25, 0.5, 1.0)
 SHRINK_BUDGET = 256
+# trials drawn and evaluated together by run_verify
+_BATCH = 16
 
 PROBE_PAIR_A = ((2.0, 1.0), (1.0, 1.0))
 PROBE_PAIR_B = ((1.0, 0.0), (0.0, 0.0))
 
 Instance = dict[str, Any]
+# one instance's margin and the witness entries that are not instance fields
+Scored = tuple[float, dict[str, Any]]
 
 
 @dataclass(frozen=True)
@@ -61,25 +68,38 @@ class Property:
     """A named property; calling it with a TrialContext runs one trial.
 
     ``draw`` builds an instance from the trial's seeds.  ``evaluate`` scores
-    an instance and returns the margin with the witness entries that are not
-    instance fields; an exponent grid in the instance is replaced by its
-    worst exponent.  ``witness_keys`` are the instance fields a witness
-    reports.  The record is not slotted, so a ``functools.wraps`` wrapper
-    around it still exposes ``evaluate``.
+    a list of instances at one tolerance and returns, per instance, the
+    margin with the witness entries that are not instance fields; an
+    exponent grid in an instance is replaced by its worst exponent.  One
+    instance is a batch of one.  ``witness_keys`` are the instance fields a
+    witness reports.  Called with a list of contexts, the record draws them
+    all, evaluates them as one batch and returns their outcomes in order.
+    The record is not slotted, so a ``functools.wraps`` wrapper around it
+    still exposes ``draw`` and ``evaluate``.
     """
 
     draw: Callable[[TrialContext], Instance]
-    evaluate: Callable[[Instance, float], tuple[float, dict[str, Any]]]
+    evaluate: Callable[[list[Instance], float], list[Scored]]
     witness_keys: tuple[str, ...]
 
-    def __call__(self, ctx: TrialContext) -> TrialOutcome:
-        inst = self.draw(ctx)
-        margin, extras = self.evaluate(inst, ctx.tol)
-        witness = None
-        if margin < -ctx.tol:
-            witness = _serialize_instance({k: inst[k] for k in self.witness_keys})
-            witness.update(extras)
-        return TrialOutcome(margin, witness, inst)
+    def __call__(self, ctx: TrialContext | Sequence[TrialContext]) -> Any:
+        if isinstance(ctx, TrialContext):
+            return self([ctx])[0]
+        insts = [self.draw(c) for c in ctx]
+        outs = []
+        for c, inst, (margin, extras) in zip(ctx, insts, self.evaluate(insts, ctx[0].tol)):
+            witness = None
+            if margin < -c.tol:
+                witness = _serialize_instance({k: inst[k] for k in self.witness_keys})
+                witness.update(extras)
+            outs.append(TrialOutcome(margin, witness, inst))
+        return outs
+
+
+def _each(margin: Callable[[Instance, float], Scored]
+          ) -> Callable[[list[Instance], float], list[Scored]]:
+    """The batch evaluator that scores its instances one at a time with ``margin``."""
+    return lambda insts, tol: [margin(inst, tol) for inst in insts]
 
 
 @dataclass(frozen=True)
@@ -152,7 +172,7 @@ def _draw_lowner_heinz(ctx: TrialContext) -> Instance:
     return {"A": a, "B": b, "r": 1.0 + 2.0 * stream.uniform(0.0, 1.0)}
 
 
-def _lowner_heinz_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
+def _lowner_heinz_margin(inst: Instance, tol: float) -> Scored:
     """S^r >= T^r; an exponent r > 1 lies outside the theorem and is a probe."""
     # a tuple is the trial's grid; a float is a probe's exponent or a grid's argmin
     rs = inst["r"] if isinstance(inst["r"], tuple) else (inst["r"],)
@@ -167,7 +187,7 @@ def _draw_holder_mccarthy(ctx: TrialContext) -> Instance:
             "r": HM_R_GRID}
 
 
-def _holder_mccarthy_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
+def _holder_mccarthy_margin(inst: Instance, tol: float) -> Scored:
     rs = inst["r"] if isinstance(inst["r"], tuple) else (inst["r"],)
     m = oracles.check_holder_mccarthy(inst["T"], inst["x"], rs, tol=tol)
     inst["r"] = m.details["r"]
@@ -192,7 +212,7 @@ def _draw_furuta(ctx: TrialContext) -> Instance:
     return {"A": a, "B": b, "p": p, "q": q, "r": r}
 
 
-def _furuta_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
+def _furuta_margin(inst: Instance, tol: float) -> Scored:
     """Both brackets; exponents with (1+2r)q < p+2r lie outside the theorem and are a probe."""
     p, q, r = inst["p"], inst["q"], inst["r"]
     probe = (1.0 + 2.0 * r) * q < p + 2.0 * r
@@ -210,7 +230,7 @@ def _draw_chain(ctx: TrialContext) -> Instance:
     return {"T": t, "probe": ctx.probe}
 
 
-def _chain_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
+def _chain_margin(inst: Instance, tol: float) -> Scored:
     """The sandwich; T must be semi-hyponormal unless the instance is a probe."""
     m1, m2 = oracles.check_chain_semihypo(inst["T"], tol=tol,
                                           enforce=not inst.get("probe", False))
@@ -226,7 +246,7 @@ def _draw_aluthge(ctx: TrialContext) -> Instance:
     return {"T": t, "p": 0.5 + 0.5 * stream.uniform(0.0, 1.0)}
 
 
-def _aluthge_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
+def _aluthge_margin(inst: Instance, tol: float) -> Scored:
     """Every transform theorem for a p-hyponormal T, and T~ = T for normal T."""
     t = inst["T"]
     report = oracles.check_aluthge_theorems(t, inst["p"], tol=tol)
@@ -249,7 +269,7 @@ def _draw_aluthge_gain(ctx: TrialContext) -> Instance:
     return {"T": t, "p": p, "probe": ctx.probe}
 
 
-def _aluthge_gain_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
+def _aluthge_gain_margin(inst: Instance, tol: float) -> Scored:
     """The transform's gain; T must be p-hyponormal unless the instance is a probe."""
     report = oracles.check_aluthge_theorems(inst["T"], inst["p"], tol=tol,
                                             enforce=not inst.get("probe", False))
@@ -265,7 +285,7 @@ def _draw_eigenspace_reducing(ctx: TrialContext) -> Instance:
             "q": units[0]}
 
 
-def _eigenspace_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
+def _eigenspace_margin(inst: Instance, tol: float) -> Scored:
     return _scaled(oracles.check_eigenspace_reducing(inst["T"], inst["q"], tol=tol)), {}
 
 
@@ -301,18 +321,21 @@ def _draw_gcsi_closure(ctx: TrialContext) -> Instance:
     return inst
 
 
-def _closure_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
-    """Base and transformed margins, each over its own operator's scale."""
-    t = inst["T"]
-    kwargs = {k: inst[k] for k in ("scalar", "unitary", "projector") if k in inst}
-    report = oracles.check_gcsi_closure(t, inst["which"], beta=0.5, budget=300,
-                                        seed=inst["seed"], tol=tol, **kwargs)
-    opn = operator_norm(t)
-    base = report.base.value / max(1.0, opn)
-    scale_s = max(1.0, abs(kwargs.get("scalar", 1.0)) * opn)
-    pair = report.transformed.witness
-    return (min(base, report.transformed.value / scale_s),
-            {} if pair is None else {"pair": pair})
+def _closure_margins(insts: list[Instance], tol: float) -> list[Scored]:
+    """Base and transformed margins, each over its own operator's scale; every
+    climb of the batch advances in one lockstep search."""
+    cases = [(inst["T"], inst["which"], inst["seed"], inst.get("scalar"), inst.get("unitary"),
+              inst.get("projector")) for inst in insts]
+    reports = oracles._gcsi_closures(cases, beta=0.5, budget=300, tol=tol)
+    out = []
+    for inst, report in zip(insts, reports):
+        opn = operator_norm(inst["T"])
+        base = report.base.value / max(1.0, opn)
+        scale_s = max(1.0, abs(inst.get("scalar", 1.0)) * opn)
+        pair = report.transformed.witness
+        out.append((min(base, report.transformed.value / scale_s),
+                    {} if pair is None else {"pair": pair}))
+    return out
 
 
 def _draw_kernel_reduction(ctx: TrialContext) -> Instance:
@@ -320,7 +343,7 @@ def _draw_kernel_reduction(ctx: TrialContext) -> Instance:
     return {"T": _random_normal(ctx, stream, zeros=1 + ctx.index % max(ctx.dim - 1, 1))}
 
 
-def _kernel_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
+def _kernel_margin(inst: Instance, tol: float) -> Scored:
     t = inst["T"]
     report = oracles.check_kernel_reduction(t, tol=tol)
     scale = _scale_op(t)
@@ -339,7 +362,7 @@ def _draw_tu_star(ctx: TrialContext) -> Instance:
     return {"T": t, "x": generators.unit_vector(ctx.dim, seed=mix_seed(ctx.trial_seed, 2))}
 
 
-def _tu_star_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
+def _tu_star_margin(inst: Instance, tol: float) -> Scored:
     return _scaled(oracles.check_tu_star(inst["T"], inst["x"], tol=tol)), {}
 
 
@@ -359,18 +382,20 @@ def _draw_gcsi_implies(ctx: TrialContext) -> Instance:
             "seed": mix_seed(ctx.trial_seed, 2)}
 
 
-def _implies_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
-    """0, or -1 on a hard violation, with the GCSI oracle sampled at the instance's seed."""
-    report = oracles.check_gcsi_implies(inst["T"], inst["p"], budget=300, seed=inst["seed"],
-                                        tol=tol, grid=48, samples=300)
-    return (-1.0 if report.hard_violation else 0.0), {"gcsi_witness": report.gcsi.witness}
+def _implies_margins(insts: list[Instance], tol: float) -> list[Scored]:
+    """0, or -1 on a hard violation, with the GCSI oracle sampled at each instance's
+    seed; every climb of the batch advances in one lockstep search."""
+    reports = oracles._gcsi_implications([(inst["T"], inst["p"], inst["seed"]) for inst in insts],
+                                         budget=300, tol=tol, grid=48, samples=300)
+    return [((-1.0 if r.hard_violation else 0.0), {"gcsi_witness": r.gcsi.witness})
+            for r in reports]
 
 
 def _draw_collapse(ctx: TrialContext) -> Instance:
     return {"T": generators.ginibre(ctx.dim, seed=mix_seed(ctx.trial_seed, 0))}
 
 
-def _collapse_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
+def _collapse_margin(inst: Instance, tol: float) -> Scored:
     t = inst["T"]
     gram = t.H @ t
     co = t @ t.H
@@ -414,7 +439,7 @@ def _draw_spectrum_st_ts(ctx: TrialContext) -> Instance:
             "T": generators.ginibre(ctx.dim, seed=mix_seed(ctx.trial_seed, 1))}
 
 
-def _st_ts_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
+def _st_ts_margin(inst: Instance, tol: float) -> Scored:
     s, t = inst["S"], inst["T"]
     reps_st = _class_reps_with_zero(s @ t)
     reps_ts = _class_reps_with_zero(t @ s)
@@ -430,7 +455,7 @@ def _draw_conjugation(ctx: TrialContext) -> Instance:
             "S": generators.hermitian(ctx.dim, seed=mix_seed(ctx.trial_seed, 1))}
 
 
-def _conjugation_margin(inst: Instance, tol: float) -> tuple[float, dict[str, Any]]:
+def _conjugation_margin(inst: Instance, tol: float) -> Scored:
     u, s = inst["U"], inst["S"]
     s = 0.5 * (s + s.H)
     shift = -_chi_eigvalsh(s)[0] + 1.0
@@ -446,21 +471,23 @@ def _conjugation_margin(inst: Instance, tol: float) -> tuple[float, dict[str, An
 
 
 PROPERTIES: dict[str, Property] = {
-    "lowner-heinz": Property(_draw_lowner_heinz, _lowner_heinz_margin, ("A", "B", "r")),
-    "holder-mccarthy": Property(_draw_holder_mccarthy, _holder_mccarthy_margin,
+    "lowner-heinz": Property(_draw_lowner_heinz, _each(_lowner_heinz_margin), ("A", "B", "r")),
+    "holder-mccarthy": Property(_draw_holder_mccarthy, _each(_holder_mccarthy_margin),
                                 ("T", "x", "r")),
-    "furuta": Property(_draw_furuta, _furuta_margin, ("A", "B", "p", "q", "r")),
-    "chain": Property(_draw_chain, _chain_margin, ("T",)),
-    "aluthge": Property(_draw_aluthge, _aluthge_margin, ("T", "p")),
-    "aluthge-gain": Property(_draw_aluthge_gain, _aluthge_gain_margin, ("T", "p", "probe")),
-    "eigenspace-reducing": Property(_draw_eigenspace_reducing, _eigenspace_margin, ("T", "q")),
-    "gcsi-closure": Property(_draw_gcsi_closure, _closure_margin, ("which", "T")),
-    "kernel-reduction": Property(_draw_kernel_reduction, _kernel_margin, ("T",)),
-    "tu-star": Property(_draw_tu_star, _tu_star_margin, ("T", "x")),
-    "gcsi-implies": Property(_draw_gcsi_implies, _implies_margin, ("T", "p")),
-    "collapse": Property(_draw_collapse, _collapse_margin, ("T",)),
-    "spectrum-st-ts": Property(_draw_spectrum_st_ts, _st_ts_margin, ("S", "T")),
-    "conjugation-lemma": Property(_draw_conjugation, _conjugation_margin, ("U", "S")),
+    "furuta": Property(_draw_furuta, _each(_furuta_margin), ("A", "B", "p", "q", "r")),
+    "chain": Property(_draw_chain, _each(_chain_margin), ("T",)),
+    "aluthge": Property(_draw_aluthge, _each(_aluthge_margin), ("T", "p")),
+    "aluthge-gain": Property(_draw_aluthge_gain, _each(_aluthge_gain_margin),
+                             ("T", "p", "probe")),
+    "eigenspace-reducing": Property(_draw_eigenspace_reducing, _each(_eigenspace_margin),
+                                    ("T", "q")),
+    "gcsi-closure": Property(_draw_gcsi_closure, _closure_margins, ("which", "T")),
+    "kernel-reduction": Property(_draw_kernel_reduction, _each(_kernel_margin), ("T",)),
+    "tu-star": Property(_draw_tu_star, _each(_tu_star_margin), ("T", "x")),
+    "gcsi-implies": Property(_draw_gcsi_implies, _implies_margins, ("T", "p")),
+    "collapse": Property(_draw_collapse, _each(_collapse_margin), ("T",)),
+    "spectrum-st-ts": Property(_draw_spectrum_st_ts, _each(_st_ts_margin), ("S", "T")),
+    "conjugation-lemma": Property(_draw_conjugation, _each(_conjugation_margin), ("U", "S")),
 }
 
 
@@ -481,6 +508,21 @@ def _check_run(count: int, what: str, dim: int, tol: float) -> None:
     _check_tol(tol)
 
 
+def _run_chunk(fn: Property,
+               ctxs: list[TrialContext]) -> list[tuple[float, dict[str, Any] | None]]:
+    """Each trial's margin and witness, the chunk evaluated as one batch.
+
+    A chunk that raises a QopError is run again one trial at a time, so the
+    lowest failing trial's error surfaces.  The instances are not returned,
+    so they are freed before the next chunk is drawn.
+    """
+    try:
+        outs = fn(ctxs)
+    except QopError:
+        outs = [fn(ctx) for ctx in ctxs]
+    return [(float(out.margin), out.witness) for out in outs]
+
+
 def run_verify(prop: str, *, trials: int, seed: int, dim: int = DEFAULT_DIM,
                tol: float = DEFAULT_TOL, probe: bool = False) -> VerificationReport:
     """Run `trials` independent trials of a named property.
@@ -497,14 +539,15 @@ def run_verify(prop: str, *, trials: int, seed: int, dim: int = DEFAULT_DIM,
     min_margin = math.inf
     best_witness: dict[str, Any] | None = None
     best_seed = 0
-    for idx in range(trials):
-        ts = mix_seed(seed, idx)
-        out = fn(TrialContext(ts, idx, dim, tol, probe))
-        per.append((ts, float(out.margin)))
-        if out.margin < min_margin:
-            min_margin = float(out.margin)
-            best_witness = out.witness
-            best_seed = ts
+    for start in range(0, trials, _BATCH):
+        ctxs = [TrialContext(mix_seed(seed, idx), idx, dim, tol, probe)
+                for idx in range(start, min(start + _BATCH, trials))]
+        for ctx, (margin, witness) in zip(ctxs, _run_chunk(fn, ctxs)):
+            per.append((ctx.trial_seed, margin))
+            if margin < min_margin:
+                min_margin = margin
+                best_witness = witness
+                best_seed = ctx.trial_seed
     witness = None
     if min_margin < -tol:
         witness = dict(best_witness) if best_witness is not None else {}
@@ -528,7 +571,7 @@ def evaluate_instance(prop: str, instance: Instance,
     """
     fn = _lookup(prop)
     _check_tol(tol)
-    return fn.evaluate(dict(instance), tol)[0]
+    return fn.evaluate([dict(instance)], tol)[0][0]
 
 
 def _zero_entry_candidates(val: Any) -> list[tuple[Any, Any]]:

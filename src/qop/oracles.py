@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Any, Callable, Sequence
+from functools import cache, cached_property, partial
+from itertools import groupby
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import _eig, matio
-from .errors import DomainError, PreconditionError, StructureError
+from .errors import DomainError, PreconditionError, QopError, StructureError
 from .linalg import (QMatrix, QVector, _chi_eigvalsh, _from_chi_top, _from_psi, _gram_norm,
                      _pair_eigvalsh, _product, _psi, _require_finite, _selfadjoint_residual,
                      _trusted, embed_chi, inner, operator_norm, outer)
@@ -130,6 +131,11 @@ def classify_basic(t: QMatrix, *, tol: float = DEFAULT_TOL) -> BasicClasses:
     )
 
 
+def _check_exponent(p: float) -> None:
+    if not 0.0 < p <= 1.0:
+        raise DomainError(f"exponent must lie in (0, 1], got {p}")
+
+
 def is_p_hyponormal(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
                     parts: PolarParts | None = None) -> Margin:
     """Margin of (T*T)^p - (TT*)^p against the operator order.
@@ -139,8 +145,7 @@ def is_p_hyponormal(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
     vector achieving the minimal quadratic form.  A caller holding the
     polar parts of T passes them as ``parts``.
     """
-    if not 0.0 < p <= 1.0:
-        raise DomainError(f"exponent must lie in (0, 1], got {p}")
+    _check_exponent(p)
     return _p_hyponormal_grid(polar(t) if parts is None else parts, (p,), tol)[0]
 
 
@@ -292,10 +297,13 @@ def _gcsi_terms(chi_t: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, ...]:
     chi(T) psi(x) = psi(Tx), and for psi(u) = [p; q] the quaternionic inner
     product splits into a complex part and a j part:
     |<u, v>|^2 = |psi(u)^H psi(v)|^2 + |sum(p v_bot - q v_top)|^2.
+    Against an (m, 2n, 2n) stack of chi(T), the pairs come in m equal
+    blocks, each scored in one product with its own chi(T)^T.
     """
-    k, _, n2 = pairs.shape
+    n2 = pairs.shape[-1]
     n = n2 // 2
-    images = (pairs.reshape(2 * k, n2) @ chi_t.T).reshape(k, 2, n2)
+    images = (pairs.reshape(chi_t.shape[:-2] + (-1, n2))
+              @ chi_t.swapaxes(-1, -2)).reshape(pairs.shape)
     norms = _norms(images)
     tx, y = images[:, 0], pairs[:, 1]
     inner_c = (tx.conj() * y).sum(axis=1)
@@ -305,7 +313,12 @@ def _gcsi_terms(chi_t: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _gcsi_values(terms: tuple[np.ndarray, ...], beta: float) -> np.ndarray:
-    """||Tx||^(1 - beta) ||Ty||^beta - |<Tx, y>| from the ``_gcsi_terms`` of a stack."""
+    """||Tx||^(1 - beta) ||Ty||^beta - |<Tx, y>| from the ``_gcsi_terms`` of a stack.
+
+    ``beta`` is one Python float: numpy computes a scalar exponent of 0.5 or
+    2 as sqrt or square, but an array of exponents by pow, entry by entry,
+    which moves the last bits.
+    """
     a, b, c = terms
     return np.power(a, 1.0 - beta) * np.power(b, beta) - c
 
@@ -334,6 +347,8 @@ def _gcsi_result(beta: float, value: float, pair: np.ndarray, *, budget: int,
 _REFINE_STEPS = 64
 # the climb scores this many of its next candidates per _gcsi_terms call
 _WINDOW = 8
+# climbs advance together in stacks of at most this many bytes of chi(T)
+_STACK_BYTES = 1 << 19
 
 
 def _check_gcsi_args(beta: float, budget: int) -> None:
@@ -354,48 +369,134 @@ def _gcsi_draw(n: int, budget: int, seed: int,
     return pairs, moves
 
 
-def _gcsi_search(t: QMatrix, beta: float, pairs: np.ndarray, moves: np.ndarray, *,
-                 seed: int, tol: float) -> Margin:
-    """Scan the sampled pairs, then hill-climb from the worst one along ``moves``.
+# one climb of _gcsi_search: T, beta, the seed, and its _gcsi_draw
+Climb = tuple[QMatrix, float, int, tuple[np.ndarray, np.ndarray]]
 
-    A candidate pair + step * move that strictly improves is taken, any
-    other shrinks the step by 0.8, and one too short to normalise is skipped
-    at the same step.  The next ``_WINDOW`` candidates are scored at once,
+
+def _gcsi_search(climbs: Iterable[Climb], *, tol: float) -> list[Margin]:
+    """Scan each climb's sampled pairs, then hill-climb from its worst one along its moves.
+
+    Each operator is scanned on its own, in one ``_gcsi_terms`` call, as
+    ``climbs`` reaches it, so one scan's pairs are alive at a time.  A
+    candidate pair + step * move that strictly improves is taken, any other
+    shrinks the step by 0.8, and one too short to normalise is skipped at
+    the same step.  A climb scores its next ``_WINDOW`` candidates at once,
     each with the step it has if the earlier ones are all rejected; the
-    first one taken or skipped is the climb's next event, and the next
-    window starts after it.  Every candidate reached is built and scored as
-    in a climb that scores one per step, so the result is the same bit for bit.
+    first one taken or skipped is the climb's next event, and its next
+    window starts after it.  The climbs of one operator size advance in
+    lockstep, up to ``_STACK_BYTES`` of chi(T) at a time: each round scores
+    every climb's window in one stacked product with its own chi(T)^T.
+    Every candidate reached is built and scored as in a climb that scores
+    one per step, so each result is the same bit for bit.
     """
-    chi_t = embed_chi(t)
-    best, pair = _worst_pair(_gcsi_terms(chi_t, pairs), beta, pairs)
+    out: list[Margin] = []
+    stack: list[tuple] = []
+    for t, beta, seed, (pairs, moves) in climbs:
+        chi_t = embed_chi(t)
+        if stack and stack[0][0].shape != chi_t.shape:
+            out += _climb_stack(stack, tol)
+            stack = []
+        best, pair = _worst_pair(_gcsi_terms(chi_t, pairs), beta, pairs)
+        # a copy of the pair, and no name left on the pairs, frees them now
+        stack.append((chi_t, beta, seed, pairs.shape[0], best, pair.copy(), moves))
+        del pairs, pair
+        if (len(stack) + 1) * chi_t.nbytes > _STACK_BYTES:
+            out += _climb_stack(stack, tol)
+            stack = []
+    return out + _climb_stack(stack, tol) if stack else out
 
-    # the step after r rejections, by the climb's own repeated *= 0.8
-    steps = np.empty(moves.shape[0])
+
+@cache
+def _climb_steps(count: int) -> np.ndarray:
+    """(count, 1, 1) read-only steps: the step after r rejections, by a
+    climb's own repeated *= 0.8."""
+    steps = np.empty((count, 1, 1))
     step = 0.5
-    for r in range(steps.size):
+    for r in range(count):
         steps[r], step = step, step * 0.8
-    pair = pair.view(np.float64)
-    i = r = 0
-    while i < moves.shape[0]:
-        w = min(_WINDOW, moves.shape[0] - i)
-        cands = pair + steps[r:r + w, None, None] * moves[i:i + w]
-        norms = np.sqrt((cands * cands).sum(axis=2))
-        skip = norms.min(axis=1) < 1e-9
-        norms[skip] = 1.0  # a skipped candidate is never read
-        cands /= norms[:, :, None]
-        values = _gcsi_values(_gcsi_terms(chi_t, cands.view(np.complex128)), beta)
-        events = skip | (values < best)
-        j = int(events.argmax())
-        if not events[j]:
-            i += w
-            r += w
-            continue
-        i += j + 1
-        r += j
-        if not skip[j]:
-            best, pair = float(values[j]), cands[j]
-    return _gcsi_result(beta, best, pair.view(np.complex128), budget=pairs.shape[0],
-                        seed=seed, tol=tol)
+    steps.flags.writeable = False
+    return steps
+
+
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """``np.stack(arrays)``, as a view when there is one array."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _window(moves: np.ndarray, i: int) -> np.ndarray:
+    """Moves i to i + _WINDOW; zero moves past the last are scored and never read."""
+    w = moves[i:i + _WINDOW]
+    if w.shape[0] < _WINDOW:
+        w = np.concatenate([w, np.zeros((_WINDOW - w.shape[0],) + w.shape[1:])])
+    return w
+
+
+def _candidates(cur: np.ndarray, steps: np.ndarray, moves: list[np.ndarray],
+                live: list[int], i: list[int], r: list[int]) -> np.ndarray:
+    """The live climbs' next windows, pair + step * move, as one (L * _WINDOW, 2, 4n) stack."""
+    if len(live) == 1:
+        c = live[0]
+        return cur[0] + steps[r[c]:r[c] + _WINDOW] * _window(moves[c], i[c])
+    moved = (np.stack([steps[r[c]:r[c] + _WINDOW] for c in live])
+             * np.stack([_window(moves[c], i[c]) for c in live]))
+    return (cur + moved).reshape(-1, *cur.shape[2:])
+
+
+def _climb_stack(stack: list[tuple], tol: float) -> list[Margin]:
+    """The lockstep climbs of ``_gcsi_search`` from their scanned worst pairs.
+
+    Each round stacks the live climbs' windows and scores them in one
+    ``_gcsi_terms`` call, and a run of climbs with one beta shares one
+    ``_gcsi_values`` call.  A finished climb leaves the stack.
+    """
+    chis, betas, seeds, budgets, best, pairs, moves = (list(x) for x in zip(*stack))
+    ends = [m.shape[0] for m in moves]
+    steps = _climb_steps(max(ends) + _WINDOW)
+    i, r = [0] * len(stack), [0] * len(stack)
+    live = [c for c, end in enumerate(ends) if end > 0]
+    while live:
+        chi_t = _stacked([chis[c] for c in live])
+        cur = _stacked([pairs[c].view(np.float64)[None] for c in live])
+        # each climb's best, once per candidate of its window
+        low = np.repeat([best[c] for c in live], _WINDOW)
+        runs, lo = [], 0
+        for beta, run in groupby(betas[c] for c in live):
+            count = len(list(run))
+            runs.append((beta, slice(lo * _WINDOW, (lo + count) * _WINDOW)))
+            lo += count
+        done = False
+        while not done:
+            cands = _candidates(cur, steps, moves, live, i, r)
+            norms = np.sqrt((cands * cands).sum(axis=2))
+            skip = norms.min(axis=1) < 1e-9
+            norms[skip] = 1.0  # a skipped candidate is never read
+            cands /= norms[:, :, None]
+            terms = _gcsi_terms(chi_t, cands.view(np.complex128))
+            if len(runs) == 1:
+                values = _gcsi_values(terms, runs[0][0])
+            else:
+                values = np.concatenate([_gcsi_values(tuple(x[rows] for x in terms), beta)
+                                         for beta, rows in runs])
+            events = skip | (values < low)
+            firsts = events.reshape(-1, _WINDOW).argmax(axis=1).tolist()
+            for p, (c, j) in enumerate(zip(live, firsts)):
+                w = min(_WINDOW, ends[c] - i[c])
+                k = p * _WINDOW + j
+                if j < w and events[k]:
+                    i[c] += j + 1
+                    r[c] += j
+                    if not skip[k]:
+                        low[p * _WINDOW:(p + 1) * _WINDOW] = values[k]
+                        cur[p, 0] = cands[k]
+                else:
+                    i[c] += w
+                    r[c] += w
+                done |= i[c] == ends[c]
+        for p, c in enumerate(live):
+            best[c], pairs[c] = float(low[p * _WINDOW]), cur[p, 0].view(np.complex128)
+        live = [c for c in live if i[c] < ends[c]]
+    return [_gcsi_result(beta, value, pair, budget=budget, seed=seed, tol=tol)
+            for beta, seed, budget, value, pair in zip(betas, seeds, budgets, best, pairs)]
 
 
 def gcsi_margin(t: QMatrix, beta: float, *, budget: int = 1000, seed: int = 0,
@@ -416,8 +517,8 @@ def gcsi_margin(t: QMatrix, beta: float, *, budget: int = 1000, seed: int = 0,
     on the sampled budget.
     """
     _check_gcsi_args(beta, budget)
-    pairs, moves = _gcsi_draw(t.rows, budget, seed, _REFINE_STEPS)
-    return _gcsi_search(t, beta, pairs, moves, seed=seed, tol=tol)
+    draw = _gcsi_draw(t.rows, budget, seed, _REFINE_STEPS)
+    return _gcsi_search([(t, beta, seed, draw)], tol=tol)[0]
 
 
 def gcsi_sweep(t: QMatrix, *, budget: int = 1000, seed: int = 0,
@@ -580,7 +681,7 @@ def check_chain_semihypo(t: QMatrix, *, tol: float = DEFAULT_TOL,
     opn = max(pp.sigmas)
     if enforce:
         semi = is_p_hyponormal(t, 0.5, tol=tol, parts=pp)
-        if semi.value < -tol * max(1.0, opn):
+        if semi.violated:
             raise PreconditionError(
                 f"operator is not semi-hyponormal (margin {semi.value:.3e})")
     u, abst = pp.u, pp.abs_t
@@ -642,13 +743,11 @@ def check_aluthge_theorems(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
     The report carries the transform T~ itself as ``transform``.  The
     ladder and the double transform are computed when first read.
     """
-    if not 0.0 < p <= 1.0:
-        raise DomainError(f"exponent must lie in (0, 1], got {p}")
-    opn = operator_norm(t)
+    _check_exponent(p)
     parts = polar(t)
     if enforce:
         base = is_p_hyponormal(t, p, tol=tol, parts=parts)
-        if base.value < -tol * max(1.0, opn ** (2.0 * p)):
+        if base.violated:
             raise PreconditionError(
                 f"operator is not {p}-hyponormal (margin {base.value:.3e})")
     tt = aluthge(t, parts=parts)
@@ -727,34 +826,71 @@ def check_gcsi_closure(t: QMatrix, which: str, *, beta: float = 0.5,
     (P T P for a supplied projector onto an invariant subspace).  The
     transformed operator is tested with the same beta, budget, and seed,
     so the pairs and moves are drawn once and both margins are those of
-    ``gcsi_margin``.  Argument errors are raised before the draw, then the
-    base operator's precondition, then the invariance of the subspace.
+    ``gcsi_margin``; the two climbs advance together.  Argument errors are
+    raised before the draw, then the base operator's precondition, then an
+    error building the transformed operator (a singular T, or a subspace
+    that is not invariant).
+    """
+    return _gcsi_closures([(t, which, seed, scalar, unitary, projector)],
+                          beta=beta, budget=budget, tol=tol)[0]
+
+
+def _closure_operand(t: QMatrix, which: str, scalar: float, unitary: QMatrix,
+                     projector: QMatrix, tol: float) -> QMatrix:
+    if which == "scalar":
+        return t * scalar
+    if which == "inverse":
+        return invert(t)
+    if which == "unitary-equiv":
+        return unitary.H @ t @ unitary
+    res = operator_norm((QMatrix.identity(t.rows) - projector) @ t @ projector)
+    if res > tol * max(1.0, operator_norm(t)):
+        raise PreconditionError(f"subspace is not invariant (residual {res:.3e})")
+    return projector @ t @ projector
+
+
+def _gcsi_closures(cases: Sequence[tuple], *, beta: float, budget: int,
+                   tol: float) -> list[ClosureReport]:
+    """``check_gcsi_closure`` of each case, every climb in one ``_gcsi_search``.
+
+    A case is (T, which, seed, scalar, unitary, projector), with None for an
+    operand its operation does not read.  All arguments are checked before
+    the first draw.  The errors of a case come in ``check_gcsi_closure``'s
+    order, and the first failing case's error is raised.
     """
     _check_gcsi_args(beta, budget)
-    if which not in ("scalar", "inverse", "unitary-equiv", "compression"):
-        raise DomainError(f"unknown closure operation {which!r}")
-    if which == "unitary-equiv" and unitary is None:
-        raise DomainError("unitary-equiv closure needs a unitary")
-    if which == "compression" and projector is None:
-        raise DomainError("compression closure needs a projector onto an invariant subspace")
-    pairs, moves = _gcsi_draw(t.rows, budget, seed, _REFINE_STEPS)
-    base = _gcsi_search(t, beta, pairs, moves, seed=seed, tol=tol)
-    if base.value < -tol:
-        raise PreconditionError(
-            f"base operator already violates the inequality (margin {base.value:.3e})")
-    if which == "scalar":
-        s = t * scalar
-    elif which == "inverse":
-        s = invert(t)
-    elif which == "unitary-equiv":
-        s = unitary.H @ t @ unitary
-    else:
-        res = operator_norm((QMatrix.identity(t.rows) - projector) @ t @ projector)
-        if res > tol * max(1.0, operator_norm(t)):
-            raise PreconditionError(f"subspace is not invariant (residual {res:.3e})")
-        s = projector @ t @ projector
-    transformed = _gcsi_search(s, beta, pairs, moves, seed=seed, tol=tol)
-    return ClosureReport(which=which, base=base, transformed=transformed)
+    for _, which, _, _, unitary, projector in cases:
+        if which not in ("scalar", "inverse", "unitary-equiv", "compression"):
+            raise DomainError(f"unknown closure operation {which!r}")
+        if which == "unitary-equiv" and unitary is None:
+            raise DomainError("unitary-equiv closure needs a unitary")
+        if which == "compression" and projector is None:
+            raise DomainError("compression closure needs a projector onto an invariant subspace")
+    failed: dict[int, QopError] = {}
+
+    def climbs() -> Iterator[Climb]:
+        for k, (t, which, seed, *operands) in enumerate(cases):
+            draw = _gcsi_draw(t.rows, budget, seed, _REFINE_STEPS)
+            yield t, beta, seed, draw
+            try:
+                s = _closure_operand(t, which, *operands, tol)
+            except QopError as exc:
+                failed[k] = exc  # raised after this case's base precondition
+            else:
+                yield s, beta, seed, draw
+            del draw  # before the next case draws
+
+    margins = iter(_gcsi_search(climbs(), tol=tol))
+    reports = []
+    for k, case in enumerate(cases):
+        base = next(margins)
+        if base.value < -tol:
+            raise PreconditionError(
+                f"base operator already violates the inequality (margin {base.value:.3e})")
+        if k in failed:
+            raise failed[k]
+        reports.append(ClosureReport(which=case[1], base=base, transformed=next(margins)))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -841,19 +977,28 @@ def check_gcsi_implies(t: QMatrix, p: float = 0.5, *, budget: int = 400,
     softer inconsistency: sampling found no inequality witness, yet
     paranormality failed with a certificate, so the sampled evidence missed
     something.  The paranormality test runs when ``paranormal`` or
-    ``flagged`` is first read; ``grid`` and ``samples`` are checked here.
+    ``flagged`` is first read.  Every argument is checked before any solve.
     """
-    hyp = is_p_hyponormal(t, p, tol=tol)
-    gcsi = gcsi_margin(t, beta=p, budget=budget, seed=seed, tol=tol)
+    return _gcsi_implications([(t, p, seed)], budget=budget, tol=tol, grid=grid,
+                              samples=samples)[0]
+
+
+def _gcsi_implications(cases: Sequence[tuple[QMatrix, float, int]], *, budget: int,
+                       tol: float, grid: int, samples: int) -> list[ConsistencyReport]:
+    """``check_gcsi_implies`` of each (T, p, seed) case, every climb in one ``_gcsi_search``."""
+    for _, p, _ in cases:
+        _check_exponent(p)
+    _check_count(budget, "budget")
     _check_count(grid, "grid")
     _check_count(samples, "samples")
-    opn = operator_norm(t)
-    hyp_pass = hyp.value >= -tol * max(1.0, opn ** (2.0 * p))
-    return ConsistencyReport(
+    hyps = [is_p_hyponormal(t, p, tol=tol) for t, p, _ in cases]
+    gcsis = _gcsi_search(((t, p, seed, _gcsi_draw(t.rows, budget, seed, _REFINE_STEPS))
+                          for t, p, seed in cases), tol=tol)
+    return [ConsistencyReport(
         p=p,
         p_hyponormal=hyp,
         gcsi=gcsi,
-        hard_violation=hyp_pass and gcsi.violated,
+        hard_violation=not hyp.violated and gcsi.violated,
         _paranormal=partial(is_paranormal, t, tol=tol, grid=grid, samples=samples,
                             seed=mix_seed(seed, 2)),
-    )
+    ) for (t, p, seed), hyp, gcsi in zip(cases, hyps, gcsis)]

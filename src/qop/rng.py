@@ -49,12 +49,12 @@ class SplitMix64:
     """Counter-based splitmix64 stream with vectorized block draws."""
 
     def __init__(self, seed: int):
-        self._seed = np.uint64(int(seed) & _MASK)
+        self._seed = int(seed) & _MASK
         self._count = 0
 
     @property
     def seed(self) -> int:
-        return int(self._seed)
+        return self._seed
 
     def uint64(self, k: int) -> np.ndarray:
         """Next k raw 64-bit outputs."""
@@ -62,15 +62,24 @@ class SplitMix64:
             raise ValueError("k must be nonnegative")
         idx = np.arange(self._count + 1, self._count + k + 1, dtype=np.uint64)
         self._count += k
-        states = self._seed + idx * _GAMMA
+        states = np.uint64(self._seed) + idx * _GAMMA
         return _finalize(states)
 
     def uniforms(self, k: int) -> np.ndarray:
         """Next k uniforms in [0, 1) with 53-bit resolution."""
         return (self.uint64(k) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
+    def _next_uniform(self) -> float:
+        """The next uniform, from one output on Python integers.
+
+        (z >> 11) * 2^-53 is exact, so it is ``uniforms(1)[0]`` bit for bit.
+        """
+        z = mix_seed(self._seed, self._count)
+        self._count += 1
+        return (z >> 11) * _INV_2_53
+
     def uniform(self, lo: float, hi: float) -> float:
-        return float(lo + (hi - lo) * self.uniforms(1)[0])
+        return float(lo + (hi - lo) * self._next_uniform())
 
     def normals(self, k: int) -> np.ndarray:
         """Next k standard normals via Box-Muller on consecutive pairs."""
@@ -90,4 +99,4 @@ class SplitMix64:
         if hi < lo:
             raise ValueError("empty range")
         span = hi - lo + 1
-        return lo + min(span - 1, int(self.uniforms(1)[0] * span))
+        return lo + min(span - 1, int(self._next_uniform() * span))

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from qop import generators, oracles, spectral
+from qop import generators, harness, oracles, spectral
 from qop.errors import DomainError, PreconditionError, ShapeError
-from qop.harness import (DEFAULT_TOL, HM_R_GRID, LH_R_GRID, PROPERTIES, Property, _hausdorff,
+from qop.harness import (DEFAULT_TOL, HM_R_GRID, LH_R_GRID, PROPERTIES, Property, _each, _hausdorff,
                          _zero_entry_candidates, TrialContext, evaluate_instance,
                          minimize_counterexample, run_fuzz, run_verify)
 from qop.linalg import QMatrix, QVector
@@ -148,7 +148,7 @@ def test_run_fuzz_violation_path(monkeypatch):
         return evaluate_instance("tu-star", inst, tol), {"planted": True}
 
     monkeypatch.setitem(PROPERTIES, "planted",
-                        Property(lambda ctx: _shrinkable(), evaluate, ("x",)))
+                        Property(lambda ctx: _shrinkable(), _each(evaluate), ("x",)))
     r = run_fuzz("planted", budget=10, seed=0, dim=3)
     assert r.trials == 1
     assert r.witness is not None and r.witness["planted"]
@@ -271,15 +271,15 @@ def test_hermitian_pair_properties_pull_back_no_eigenvectors(monkeypatch):
 
 def test_gcsi_implies_shrinker_samples_the_trial_seed(monkeypatch):
     # the trial's margin is 0 or -1, so compare the oracle seed and the sub-margins
-    real = oracles.check_gcsi_implies
+    real = oracles._gcsi_implications
     seen = []
 
-    def spy(*args, **kwargs):
-        report = real(*args, **kwargs)
-        seen.append((kwargs["seed"], report))
-        return report
+    def spy(cases, **kwargs):
+        reports = real(cases, **kwargs)
+        seen.extend((seed, report) for (_, _, seed), report in zip(cases, reports))
+        return reports
 
-    monkeypatch.setattr(oracles, "check_gcsi_implies", spy)
+    monkeypatch.setattr(oracles, "_gcsi_implications", spy)
     for idx in range(4):
         ts = mix_seed(7, idx)
         out = PROPERTIES["gcsi-implies"](TrialContext(ts, idx, 4, DEFAULT_TOL, False))
@@ -289,6 +289,47 @@ def test_gcsi_implies_shrinker_samples_the_trial_seed(monkeypatch):
         for part in ("gcsi", "paranormal", "p_hyponormal"):
             assert getattr(again, part).value == getattr(trial, part).value, (idx, part)
         assert (again.hard_violation, again.flagged) == (trial.hard_violation, trial.flagged)
+
+
+@pytest.mark.parametrize("prop", sorted(PROPERTIES))
+def test_chunked_runs_equal_one_trial_at_a_time(prop, monkeypatch):
+    # 37 trials cross two chunk boundaries; the bytes must not see the chunks
+    for dim, probe in itertools.product((3, 4, 8), (False, True)):
+        chunked = run_verify(prop, trials=37, seed=19, dim=dim, probe=probe).dumps()
+        monkeypatch.setattr(harness, "_BATCH", 1)
+        single = run_verify(prop, trials=37, seed=19, dim=dim, probe=probe).dumps()
+        monkeypatch.undo()
+        assert chunked == single, (prop, dim, probe)
+
+
+def test_a_failing_chunk_surfaces_its_lowest_failing_trial(monkeypatch):
+    def evaluate(insts, tol):
+        # a batch may meet its trials' errors in any order
+        for inst in reversed(insts):
+            if inst["idx"] == 3:
+                raise DomainError("trial 3")
+            if inst["idx"] == 1:
+                raise PreconditionError("trial 1")
+        return [(0.0, {})] * len(insts)
+
+    monkeypatch.setitem(PROPERTIES, "planted",
+                        Property(lambda ctx: {"idx": ctx.index}, evaluate, ("idx",)))
+    with pytest.raises(PreconditionError, match="trial 1"):
+        run_verify("planted", trials=5, seed=0, dim=2)
+    assert run_verify("planted", trials=1, seed=0, dim=2).min_margin == 0.0
+
+
+@pytest.mark.parametrize("prop", ["gcsi-closure", "gcsi-implies"])
+def test_gcsi_trials_climb_in_lockstep(prop, monkeypatch):
+    # 4 dim-4 trials climb 8 or 4 searches of about 26 rounds each; in
+    # lockstep the run scores each round of all of them in one call
+    rounds = []
+    real = oracles._gcsi_terms
+    monkeypatch.setattr(oracles, "_gcsi_terms",
+                        lambda chi, pairs: rounds.append(chi.ndim == 3) or real(chi, pairs))
+    run_verify(prop, trials=4, seed=3, dim=4)
+    assert rounds.count(False) == (8 if prop == "gcsi-closure" else 4)  # the scans
+    assert 0 < rounds.count(True) <= 40
 
 
 def test_zero_entry_candidates_are_row_major_over_nonzero_entries():

@@ -478,9 +478,10 @@ def test_exponent_grids_make_one_eigenvalue_solve(monkeypatch):
     for name in ("eigh", "eigvalsh", "svd"):
         real = getattr(_eig, name)
         monkeypatch.setattr(_eig, name, lambda m, name=name, real=real: calls.append(name) or real(m))
-    # per 4 trials; collapse: eigh of T*T and TT*, eigvalsh of ||T|| and of the p grid
-    for prop, eigh, eigvalsh, svd in (("collapse", 8, 8, 4), ("aluthge", 0, 24, 16),
-                                      ("aluthge-gain", 0, 12, 12), ("gcsi-implies", 1, 8, 6)):
+    # per 4 trials; collapse: eigh of T*T and TT*, eigvalsh of ||T|| and of the p grid;
+    # the p-hyponormal hypotheses read their margin's verdict, with no ||T|| solve
+    for prop, eigh, eigvalsh, svd in (("collapse", 8, 8, 4), ("aluthge", 0, 20, 16),
+                                      ("aluthge-gain", 0, 8, 12), ("gcsi-implies", 1, 4, 6)):
         calls.clear()
         harness.run_verify(prop, trials=4, seed=1, dim=4)
         counts = tuple(calls.count(k) for k in ("eigh", "eigvalsh", "svd"))
@@ -776,9 +777,9 @@ def test_windowed_climb_equals_the_sequential_one():
                 for budget in (1, 16, 300):
                     for steps in (0, 1, 64):
                         seed = n + steps
-                        pairs, moves = oracles._gcsi_draw(n, budget, seed, steps)
-                        got = oracles._gcsi_search(t, beta, pairs, moves, seed=seed,
-                                                     tol=oracles.DEFAULT_TOL)
+                        draw = oracles._gcsi_draw(n, budget, seed, steps)
+                        got, = oracles._gcsi_search([(t, beta, seed, draw)],
+                                                    tol=oracles.DEFAULT_TOL)
                         want = gcsi_reference.sequential_gcsi_margin(
                             t, beta, budget=budget, seed=seed, refine_steps=steps)
                         assert got == want, (name, n, beta, budget, steps)
@@ -797,9 +798,76 @@ def test_windowed_climb_skips_a_zero_candidate_without_shrinking():
     moves[0] = -2.0 * pairs[0].view(np.float64)
     assert not (pairs[0].view(np.float64) + 0.5 * moves[0]).any()
     with np.errstate(all="raise"):
-        got = oracles._gcsi_search(t, 0.5, pairs, moves, seed=5, tol=1e-8)
+        got, = oracles._gcsi_search([(t, 0.5, 5, (pairs, moves))], tol=1e-8)
     want = gcsi_reference.sequential_search(t, 0.5, pairs, moves, seed=5, tol=1e-8)
     assert got == want
+
+
+def _lockstep_climbs(n, k, seed):
+    """k climbs on n x n operators of four kinds, betas cycling 0.5, 1.0, 0.75,
+    budgets growing; the second climb's first candidate is exactly zero."""
+    kinds = (ginibre, random_unitary, positive, lambda n, seed: near_normal(n, 0.05, seed=seed))
+    climbs = []
+    for c in range(k):
+        t = kinds[c % 4](n, seed=seed + c)
+        budget = 1 if c == 1 else 20 + 40 * c
+        pairs, moves = oracles._gcsi_draw(n, budget, seed + c, 64)
+        if c == 1:
+            # budget 1 starts the climb at (e0, e0), where T e0 = t00 e0 makes
+            # the beta = 1 margin exactly 0, and this move sends pair + 0.5 *
+            # move to zero: a skip at step 0.5, where a rejection would shrink it
+            a = t.to_array()
+            a[1:, 0] = 0.0
+            t = QMatrix(a)
+            moves = moves.copy()
+            moves[0] = -2.0 * pairs[0].view(np.float64)
+            assert not (pairs[0].view(np.float64) + 0.5 * moves[0]).any()
+        climbs.append((t, (0.5, 1.0, 0.75)[c % 3], seed + c, (pairs, moves)))
+    return climbs
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 64])
+def test_lockstep_climbs_equal_single_climbs(n, monkeypatch):
+    # one stack mixes betas 0.5, 1.0 and 0.75, where numpy takes x ** 0.5 as
+    # sqrt(x) only for a scalar exponent, and one climb skips a zero candidate
+    # while the others climb; every margin is bit for bit the one-step climb's
+    tol = oracles.DEFAULT_TOL
+    for stack_bytes in (oracles._STACK_BYTES, 1 << 30):
+        monkeypatch.setattr(oracles, "_STACK_BYTES", stack_bytes)
+        for k in (1, 2, 5, 8):
+            climbs = _lockstep_climbs(n, k, 7000 + 10 * n + k)
+            with np.errstate(all="raise"):
+                got = oracles._gcsi_search(iter(climbs), tol=tol)
+            assert len(got) == k
+            for c, ((t, beta, seed, (pairs, moves)), margin) in enumerate(zip(climbs, got)):
+                want = gcsi_reference.sequential_search(t, beta, pairs, moves, seed=seed, tol=tol)
+                assert margin == want, (n, k, c, stack_bytes)
+                assert oracles._gcsi_search([climbs[c]], tol=tol) == [want], (n, k, c)
+
+
+def test_lockstep_climbs_of_two_sizes_equal_single_climbs():
+    # a change of operator size starts a new stack
+    climbs = [c for n in (2, 4, 2) for c in _lockstep_climbs(n, 3, 7100 + n)]
+    got = oracles._gcsi_search(climbs, tol=1e-8)
+    for (t, beta, seed, (pairs, moves)), margin in zip(climbs, got):
+        assert margin == gcsi_reference.sequential_search(t, beta, pairs, moves, seed=seed,
+                                                          tol=1e-8)
+
+
+def test_gcsi_implies_checks_every_argument_before_any_solve(monkeypatch):
+    calls = []
+    for name in ("_unit_pairs", "polar"):
+        real = getattr(oracles, name)
+        monkeypatch.setattr(oracles, name, lambda *a, real=real, name=name, **kw:
+                            calls.append(name) or real(*a, **kw))
+    u = random_unitary(3, seed=908)
+    for kw in ({"p": 0.0}, {"p": 1.5}, {"p": math.nan}, {"budget": 0}, {"budget": 2.5},
+               {"grid": 0}, {"grid": 2.5}, {"samples": 0}, {"samples": 1.0}):
+        with pytest.raises(DomainError):
+            check_gcsi_implies(u, **kw)
+        assert calls == [], kw
+    check_gcsi_implies(u, budget=8, grid=4, samples=8)
+    assert calls == ["polar", "_unit_pairs"]
 
 
 def _closure_cases():
