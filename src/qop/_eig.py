@@ -3,7 +3,7 @@
 Four thin wrappers over ``numpy.linalg`` (LAPACK):
 
 * ``eigh``: ascending eigenvalues and orthonormal eigenvectors of a
-  Hermitian matrix;
+  Hermitian matrix, or of each matrix in a stack of shape (..., m, m);
 * ``eigvalsh``: ascending eigenvalues of a Hermitian matrix, or of each
   matrix in a stack of shape (..., m, m);
 * ``eigvals``: eigenvalues of a general square matrix, in no set order;
@@ -32,7 +32,8 @@ def _lapack_errors():
 
 
 def eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix."""
+    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix
+    or of each matrix in a stack."""
     with _lapack_errors():
         w, v = np.linalg.eigh(matrix)
     return w, v

@@ -8,8 +8,9 @@ uniformly across properties.  A trial is a batch of one, and the shrinker
 scores its candidates with the same ``evaluate``, so it minimises exactly
 what the trial measured, hypotheses included.  ``run_verify`` draws and
 evaluates its trials in chunks of ``_BATCH``; the GCSI properties climb
-every search of a chunk in lockstep, the others score instance by
-instance.  Per-trial seeds are derived as mix_seed(seed, index), whatever
+every search of a chunk in lockstep, the five Hermitian properties solve
+and weigh each operator role of a chunk as one stack, and the others score
+instance by instance.  Per-trial seeds are derived as mix_seed(seed, index), whatever
 the chunk; the aggregate is a deterministic min-fold with ties broken by
 lowest trial index, and an error surfaces from the lowest failing trial.
 """
@@ -23,11 +24,13 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import generators, matio, oracles
-from .errors import DomainError, PreconditionError, QopError
-from .linalg import DEFAULT_DIM, QMatrix, QVector, _chi_eigvalsh, _trusted, operator_norm
+from .errors import DomainError, PreconditionError, QopError, ShapeError
+from .linalg import (DEFAULT_DIM, QMatrix, QVector, _pair_eigvalsh, _product, _require_finite,
+                     _runs, _stack_pairs, _trusted, operator_norm)
 from .quaternion import Quaternion
 from .rng import SplitMix64, mix_seed
-from .spectral import _eigensystem, spherical_spectrum
+from .spectral import (_NOT_FINITE, _eigensystems, _hermitian_from_chi, _psd_powers,
+                       _require_square, spherical_spectrum)
 from .transforms import polar
 
 DEFAULT_TOL = oracles.DEFAULT_TOL
@@ -172,11 +175,21 @@ def _draw_lowner_heinz(ctx: TrialContext) -> Instance:
     return {"A": a, "B": b, "r": 1.0 + 2.0 * stream.uniform(0.0, 1.0)}
 
 
-def _lowner_heinz_margin(inst: Instance, tol: float) -> Scored:
+def _exponents(inst: Instance) -> tuple:
+    """A tuple is the trial's grid; a float is a probe's exponent or a grid's argmin."""
+    return inst["r"] if isinstance(inst["r"], tuple) else (inst["r"],)
+
+
+def _lowner_heinz_margins(insts: list[Instance], tol: float) -> list[Scored]:
     """S^r >= T^r; an exponent r > 1 lies outside the theorem and is a probe."""
-    # a tuple is the trial's grid; a float is a probe's exponent or a grid's argmin
-    rs = inst["r"] if isinstance(inst["r"], tuple) else (inst["r"],)
-    m = oracles.check_lowner_heinz(inst["A"], inst["B"], rs, tol=tol, probe=max(rs) > 1.0)
+    grids = [_exponents(inst) for inst in insts]
+    cases = [(inst["A"], inst["B"], rs, max(rs) > 1.0) for inst, rs in zip(insts, grids)]
+    return [_grid_scored(inst, m)
+            for inst, m in zip(insts, oracles._lowner_heinz_cases(cases, tol))]
+
+
+def _grid_scored(inst: Instance, m: oracles.Margin) -> Scored:
+    """The scaled margin; the instance's grid is replaced by its worst exponent."""
     inst["r"] = m.details["r"]
     return _scaled(m), {}
 
@@ -187,11 +200,10 @@ def _draw_holder_mccarthy(ctx: TrialContext) -> Instance:
             "r": HM_R_GRID}
 
 
-def _holder_mccarthy_margin(inst: Instance, tol: float) -> Scored:
-    rs = inst["r"] if isinstance(inst["r"], tuple) else (inst["r"],)
-    m = oracles.check_holder_mccarthy(inst["T"], inst["x"], rs, tol=tol)
-    inst["r"] = m.details["r"]
-    return _scaled(m), {}
+def _holder_mccarthy_margins(insts: list[Instance], tol: float) -> list[Scored]:
+    cases = [(inst["T"], inst["x"], _exponents(inst)) for inst in insts]
+    return [_grid_scored(inst, m)
+            for inst, m in zip(insts, oracles._holder_mccarthy_cases(cases, tol))]
 
 
 def _draw_furuta_exponents(stream: SplitMix64, violating: bool) -> tuple[float, float, float]:
@@ -212,12 +224,14 @@ def _draw_furuta(ctx: TrialContext) -> Instance:
     return {"A": a, "B": b, "p": p, "q": q, "r": r}
 
 
-def _furuta_margin(inst: Instance, tol: float) -> Scored:
+def _furuta_margins(insts: list[Instance], tol: float) -> list[Scored]:
     """Both brackets; exponents with (1+2r)q < p+2r lie outside the theorem and are a probe."""
-    p, q, r = inst["p"], inst["q"], inst["r"]
-    probe = (1.0 + 2.0 * r) * q < p + 2.0 * r
-    m1, m2 = oracles.check_furuta(inst["A"], inst["B"], p, q, r, tol=tol, probe=probe)
-    return min(_scaled(m1), _scaled(m2)), {"probe": probe}
+    probes = [(1.0 + 2.0 * inst["r"]) * inst["q"] < inst["p"] + 2.0 * inst["r"]
+              for inst in insts]
+    cases = [(inst["A"], inst["B"], inst["p"], inst["q"], inst["r"], probe)
+             for inst, probe in zip(insts, probes)]
+    return [(min(_scaled(m1), _scaled(m2)), {"probe": probe})
+            for (m1, m2), probe in zip(oracles._furuta_cases(cases, tol), probes)]
 
 
 def _draw_chain(ctx: TrialContext) -> Instance:
@@ -395,28 +409,52 @@ def _draw_collapse(ctx: TrialContext) -> Instance:
     return {"T": generators.ginibre(ctx.dim, seed=mix_seed(ctx.trial_seed, 0))}
 
 
-def _collapse_margin(inst: Instance, tol: float) -> Scored:
-    t = inst["T"]
-    gram = t.H @ t
-    co = t @ t.H
-    scale = max(1.0, operator_norm(t)) ** 2
-    normality = (gram - co).frobenius()
-    gsys = _eigensystem(gram)
-    csys = _eigensystem(co)
-    parts = polar(t) if normality > 1e-4 * scale else None
-    powers = []
-    for system in (gsys, csys):
-        a, _ = system._stack([system._psd_weights(p) for p in HYP_P_GRID])
-        powers.append([float(np.trace(x).real) for x in a])
-    # the p-hyponormal margins are read as values only, so no witness is solved for
-    hyp = oracles._hyponormal_values(parts, HYP_P_GRID)[0] if parts is not None else None
-    vals = []
-    for k, (tr_g, tr_c) in enumerate(zip(*powers)):
-        tr_scale = max(1.0, abs(tr_g), abs(tr_c))
-        vals.append(-abs(tr_g - tr_c) / tr_scale)
-        if hyp is not None and hyp[k] >= 0.0:
-            vals.append(-1.0)
-    return min(vals), {}
+def _frobenius(a: np.ndarray, b: np.ndarray) -> float:
+    """``QMatrix.frobenius`` of the pair (A, B), on copies: a vector product
+    on a slice of a stack need not be the one on a whole matrix bit for bit."""
+    a, b = a.copy(), b.copy()
+    return float(np.sqrt(np.vdot(a, a).real + np.vdot(b, b).real))
+
+
+def _adjoints(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair stacks of the adjoints, laid out as ``QMatrix.H`` lays out one."""
+    return a.conj().swapaxes(-1, -2), -b.swapaxes(-1, -2)
+
+
+def _collapse_margins(insts: list[Instance], tol: float) -> list[Scored]:
+    """tr (T*T)^p = tr (TT*)^p over HYP_P_GRID, and a non-normal T is not
+    p-hyponormal.  A run's T*T and TT* are solved in one eigensolver call and
+    its ||T|| in one eigenvalue call; ``polar`` stays per operator."""
+    for inst in insts:
+        _require_square(inst["T"])
+    out = []
+    for run in _runs([inst["T"] for inst in insts], lambda t: t.shape, lambda t: 12 * t._a.nbytes):
+        a, b = _stack_pairs(run)
+        ga, gb = _product(*_adjoints(a, b), a, b)
+        _require_finite(ga, gb, "QMatrix")
+        ca, cb = _product(a, b, *_adjoints(a, b))
+        _require_finite(ca, cb, "QMatrix")
+        tops = _pair_eigvalsh(ga, gb)[:, -1].tolist()
+        _, w, v = _eigensystems(np.concatenate([ga, ca]), np.concatenate([gb, cb]))
+        parts = []
+        for i, (t, top) in enumerate(zip(run, tops)):
+            scale = max(1.0, float(np.sqrt(max(top, 0.0)))) ** 2
+            normality = _frobenius(ga[i] - ca[i], gb[i] - cb[i])
+            parts.append(polar(t) if normality > 1e-4 * scale else None)
+        pa, _ = _psd_powers(w, v, [HYP_P_GRID] * w.shape[0])
+        traces = [[float(np.trace(x).real) for x in rows] for rows in pa]
+        # the p-hyponormal margins are read as values only, so no witness is solved for
+        diffs = [oracles._hyponormal_diffs(pp, HYP_P_GRID) for pp in parts if pp is not None]
+        hyps = iter(_pair_eigvalsh(*map(np.stack, zip(*diffs)))[..., 0] if diffs else ())
+        for pp, tr_gs, tr_cs in zip(parts, traces, traces[len(run):]):
+            hyp = next(hyps) if pp is not None else None
+            vals = []
+            for k, (tr_g, tr_c) in enumerate(zip(tr_gs, tr_cs)):
+                vals.append(-abs(tr_g - tr_c) / max(1.0, abs(tr_g), abs(tr_c)))
+                if hyp is not None and hyp[k] >= 0.0:
+                    vals.append(-1.0)
+            out.append((min(vals), {}))
+    return out
 
 
 def _class_reps_with_zero(t: QMatrix) -> list[complex]:
@@ -455,26 +493,45 @@ def _draw_conjugation(ctx: TrialContext) -> Instance:
             "S": generators.hermitian(ctx.dim, seed=mix_seed(ctx.trial_seed, 1))}
 
 
-def _conjugation_margin(inst: Instance, tol: float) -> Scored:
-    u, s = inst["U"], inst["S"]
-    s = 0.5 * (s + s.H)
-    shift = -_chi_eigvalsh(s)[0] + 1.0
-
-    def f(x: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.maximum(x + shift, 0.0))
-
-    fs = _eigensystem(s).apply(f)
-    conj = u @ s @ u.H
-    lhs = _eigensystem(conj).apply(f)
-    rhs = u @ fs @ u.H
-    return -(lhs - rhs).frobenius() / max(1.0, fs.frobenius()), {}
+def _conjugation_margins(insts: list[Instance], tol: float) -> list[Scored]:
+    """f(U S U*) = U f(S) U* for f(x) = sqrt(x - min spec S + 1), S made
+    Hermitian.  A run's S and U S U* are solved in one eigensolver call and
+    its shifts in one eigenvalue call."""
+    for inst in insts:
+        u, s = inst["U"], inst["S"]
+        _require_square(s)
+        if u.shape != s.shape:
+            raise ShapeError(f"cannot multiply {u.shape} by {s.shape}")
+    out = []
+    for run in _runs(insts, lambda inst: inst["S"].shape, lambda inst: 8 * inst["S"]._a.nbytes):
+        ua, ub = _stack_pairs([inst["U"] for inst in run])
+        sa, sb = _stack_pairs([inst["S"] for inst in run])
+        sh = _adjoints(sa, sb)
+        sa, sb = 0.5 * (sa + sh[0]), 0.5 * (sb + sh[1])
+        _require_finite(sa, sb, "QMatrix")
+        shifts = -_pair_eigvalsh(sa, sb)[:, :1] + 1.0
+        xa, xb = _product(ua, ub, sa, sb)
+        _require_finite(xa, xb, "QMatrix")
+        xa, xb = _product(xa, xb, *_adjoints(ua, ub))
+        _require_finite(xa, xb, "QMatrix")
+        _, w, v = _eigensystems(np.concatenate([sa, xa]), np.concatenate([sb, xb]))
+        fw = np.sqrt(np.maximum(w + np.concatenate([shifts, shifts]), 0.0))
+        if not np.isfinite(fw).all():
+            raise DomainError(_NOT_FINITE)
+        fa, fb = _hermitian_from_chi(v, fw)
+        k = len(run)
+        ra, rb = _product(*_product(ua, ub, fa[:k], fb[:k]), *_adjoints(ua, ub))
+        _require_finite(ra, rb, "QMatrix")
+        out += [(-_frobenius(fa[k + i] - ra[i], fb[k + i] - rb[i])
+                 / max(1.0, _frobenius(fa[i], fb[i])), {}) for i in range(k)]
+    return out
 
 
 PROPERTIES: dict[str, Property] = {
-    "lowner-heinz": Property(_draw_lowner_heinz, _each(_lowner_heinz_margin), ("A", "B", "r")),
-    "holder-mccarthy": Property(_draw_holder_mccarthy, _each(_holder_mccarthy_margin),
+    "lowner-heinz": Property(_draw_lowner_heinz, _lowner_heinz_margins, ("A", "B", "r")),
+    "holder-mccarthy": Property(_draw_holder_mccarthy, _holder_mccarthy_margins,
                                 ("T", "x", "r")),
-    "furuta": Property(_draw_furuta, _each(_furuta_margin), ("A", "B", "p", "q", "r")),
+    "furuta": Property(_draw_furuta, _furuta_margins, ("A", "B", "p", "q", "r")),
     "chain": Property(_draw_chain, _each(_chain_margin), ("T",)),
     "aluthge": Property(_draw_aluthge, _each(_aluthge_margin), ("T", "p")),
     "aluthge-gain": Property(_draw_aluthge_gain, _each(_aluthge_gain_margin),
@@ -485,9 +542,9 @@ PROPERTIES: dict[str, Property] = {
     "kernel-reduction": Property(_draw_kernel_reduction, _each(_kernel_margin), ("T",)),
     "tu-star": Property(_draw_tu_star, _each(_tu_star_margin), ("T", "x")),
     "gcsi-implies": Property(_draw_gcsi_implies, _implies_margins, ("T", "p")),
-    "collapse": Property(_draw_collapse, _each(_collapse_margin), ("T",)),
+    "collapse": Property(_draw_collapse, _collapse_margins, ("T",)),
     "spectrum-st-ts": Property(_draw_spectrum_st_ts, _each(_st_ts_margin), ("S", "T")),
-    "conjugation-lemma": Property(_draw_conjugation, _each(_conjugation_margin), ("U", "S")),
+    "conjugation-lemma": Property(_draw_conjugation, _conjugation_margins, ("U", "S")),
 }
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +34,8 @@ DEFAULT_DIM = 4
 # the decomposition and Parseval deviations a basis may show
 ORTHO_TOL = 1e-8
 BASIS_TOL = 1e-10
+# a stacked step holds at most this many bytes of embedded matrices at a time
+_STACK_BYTES = 1 << 19
 
 
 def _coerce_entry(value) -> Quaternion:
@@ -83,8 +85,46 @@ def _trusted(cls, a: np.ndarray, b: np.ndarray):
 
 def _product(a1: np.ndarray, b1: np.ndarray, a2: np.ndarray,
              b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A1 + B1 j)(A2 + B2 j) on pairs; the right factor may be a vector pair."""
+    """(A1 + B1 j)(A2 + B2 j) on pairs, or on each pair of two stacks; the
+    right factor may be a vector pair."""
     return a1 @ a2 - b1 @ b2.conj(), a1 @ b2 + b1 @ a2.conj()
+
+
+def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.stack(arrays)``, as a view when there is one array."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _stack_pairs(ops: Sequence[Any]) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, ...) stacks (A, B) of the pairs of k operators of one shape."""
+    return _stacked([op._a for op in ops]), _stacked([op._b for op in ops])
+
+
+def _runs(items: Iterable[Any], key: Callable[[Any], Any],
+          nbytes: Callable[[Any], int]) -> Iterable[list[Any]]:
+    """Consecutive runs of ``items`` with one ``key``, each of at least one
+    item and otherwise of at most ``_STACK_BYTES`` of their ``nbytes``.  A
+    run is handed on as soon as the item after it is read, so a generator's
+    items are made one run at a time; a list of one item is its own run."""
+    if isinstance(items, list) and len(items) == 1:
+        return [items]
+    return _lazy_runs(items, key, nbytes)
+
+
+def _lazy_runs(items: Iterable[Any], key: Callable[[Any], Any],
+               nbytes: Callable[[Any], int]) -> Iterator[list[Any]]:
+    run: list[Any] = []
+    for item in items:
+        k, size = key(item), nbytes(item)
+        if run and (k != run_key or total + size > _STACK_BYTES):
+            yield run
+            run = []
+        if not run:
+            run_key, total = k, 0
+        run.append(item)
+        total += size
+    if run:
+        yield run
 
 
 class QVector:
@@ -298,7 +338,7 @@ class QMatrix:
         return NotImplemented
 
     def frobenius(self) -> float:
-        return float(np.sqrt(np.vdot(self._a, self._a).real + np.vdot(self._b, self._b).real))
+        return math.sqrt(np.vdot(self._a, self._a).real + np.vdot(self._b, self._b).real)
 
     def trace(self) -> Quaternion:
         a, b = np.trace(self._a), np.trace(self._b)
@@ -332,8 +372,8 @@ def _selfadjoint_residual(a: QMatrix) -> float:
     matrix; a difference that overflows raises as that subtraction would.
     """
     da, db = a._a - a._a.T.conj(), a._b + a._b.T
-    res = float(np.sqrt(np.vdot(da, da).real + np.vdot(db, db).real))
-    if not np.isfinite(res):
+    res = math.sqrt(np.vdot(da, da).real + np.vdot(db, db).real)
+    if not math.isfinite(res):
         _trusted(QMatrix, da, db)
     return res
 
@@ -412,8 +452,18 @@ def _chi_eigvalsh(a: QMatrix) -> np.ndarray:
 def _pair_eigvalsh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``_chi_eigvalsh`` of the pair (A, B), or of each pair of a (k, n, n)
     stack as the rows of a (k, 2n) array, from one eigensolver call."""
+    return _eig.eigvalsh(_hermitian_chi(a, b))
+
+
+def _hermitian_chi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Hermitian part of ``_embed_pair(a, b)``, made in place in the
+    embedding's conjugate and returned as its transpose, so the embedding
+    is freed before a solve reads the result."""
     m = _embed_pair(a, b)
-    return _eig.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))
+    c = m.conj()
+    c += m.swapaxes(-1, -2)
+    c *= 0.5
+    return c.swapaxes(-1, -2)
 
 
 def operator_norm(a: QMatrix) -> float:

@@ -27,12 +27,13 @@ import numpy as np
 from . import _eig, matio
 from .errors import DomainError, PreconditionError, QopError, StructureError
 from .linalg import (QMatrix, QVector, _chi_eigvalsh, _from_chi_top, _from_psi, _gram_norm,
-                     _pair_eigvalsh, _product, _psi, _require_finite, _selfadjoint_residual,
-                     _trusted, embed_chi, inner, operator_norm, outer)
+                     _pair_eigvalsh, _product, _psi, _require_finite, _runs, _selfadjoint_residual,
+                     _stack_pairs, _stacked, _trusted, embed_chi, inner, operator_norm, outer)
 from .quaternion import Quaternion
 from .rng import SplitMix64, mix_seed
-from .spectral import (HermitianEigensystem, _eigensystem, delta_q, eigh_q, is_psd,
-                       kernel_basis, spherical_eigenspace)
+from .spectral import (HermitianEigensystem, _eigensystem, _eigensystems, _hermitian_from_chi,
+                       _psd_powers, _psd_verdict, _psd_weights, _require_selfadjoint, delta_q,
+                       is_psd, kernel_basis, spherical_eigenspace)
 from .transforms import PolarParts, aluthge, polar, unitary_completion
 
 DEFAULT_TOL = 1e-8
@@ -158,12 +159,18 @@ def _hyponormal_values(parts: PolarParts,
     singular values, so a numerically smeared kernel cannot fake an order
     violation through the fractional power.
     """
+    da, db = _hyponormal_diffs(parts, ps)
+    return _pair_eigvalsh(da, db)[:, 0], da, db
+
+
+def _hyponormal_diffs(parts: PolarParts, ps: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, n, n) pair stacks of D_p for each p in ``ps``, checked finite."""
     ha, hb = parts._abs_powers([2.0 * p for p in ps])
     u, uh = parts.u, parts.u.H
     ya, yb = _product(*_product(u._a, u._b, ha, hb), uh._a, uh._b)
     da, db = ha - ya, hb - yb
     _require_finite(da, db, "QMatrix")
-    return _pair_eigvalsh(da, db)[:, 0], da, db
+    return da, db
 
 
 def _hyponormal_witness(p: float, a: np.ndarray, b: np.ndarray) -> dict[str, Any]:
@@ -347,8 +354,6 @@ def _gcsi_result(beta: float, value: float, pair: np.ndarray, *, budget: int,
 _REFINE_STEPS = 64
 # the climb scores this many of its next candidates per _gcsi_terms call
 _WINDOW = 8
-# climbs advance together in stacks of at most this many bytes of chi(T)
-_STACK_BYTES = 1 << 19
 
 
 def _check_gcsi_args(beta: float, budget: int) -> None:
@@ -384,26 +389,24 @@ def _gcsi_search(climbs: Iterable[Climb], *, tol: float) -> list[Margin]:
     each with the step it has if the earlier ones are all rejected; the
     first one taken or skipped is the climb's next event, and its next
     window starts after it.  The climbs of one operator size advance in
-    lockstep, up to ``_STACK_BYTES`` of chi(T) at a time: each round scores
+    lockstep, in the ``linalg._runs`` of their chi(T): each round scores
     every climb's window in one stacked product with its own chi(T)^T.
     Every candidate reached is built and scored as in a climb that scores
     one per step, so each result is the same bit for bit.
     """
+    def scanned() -> Iterator[tuple]:
+        for t, beta, seed, (pairs, moves) in climbs:
+            chi_t = embed_chi(t)
+            best, pair = _worst_pair(_gcsi_terms(chi_t, pairs), beta, pairs)
+            # a copy of the pair, and no name left on the pairs, frees them now
+            pair, budget = pair.copy(), pairs.shape[0]
+            del pairs
+            yield chi_t, beta, seed, budget, best, pair, moves
+
     out: list[Margin] = []
-    stack: list[tuple] = []
-    for t, beta, seed, (pairs, moves) in climbs:
-        chi_t = embed_chi(t)
-        if stack and stack[0][0].shape != chi_t.shape:
-            out += _climb_stack(stack, tol)
-            stack = []
-        best, pair = _worst_pair(_gcsi_terms(chi_t, pairs), beta, pairs)
-        # a copy of the pair, and no name left on the pairs, frees them now
-        stack.append((chi_t, beta, seed, pairs.shape[0], best, pair.copy(), moves))
-        del pairs, pair
-        if (len(stack) + 1) * chi_t.nbytes > _STACK_BYTES:
-            out += _climb_stack(stack, tol)
-            stack = []
-    return out + _climb_stack(stack, tol) if stack else out
+    for run in _runs(scanned(), lambda c: c[0].shape, lambda c: c[0].nbytes):
+        out += _climb_stack(run, tol)
+    return out
 
 
 @cache
@@ -416,11 +419,6 @@ def _climb_steps(count: int) -> np.ndarray:
         steps[r], step = step, step * 0.8
     steps.flags.writeable = False
     return steps
-
-
-def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
-    """``np.stack(arrays)``, as a view when there is one array."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _window(moves: np.ndarray, i: int) -> np.ndarray:
@@ -555,50 +553,84 @@ def check_holder_mccarthy(t: QMatrix, x: QVector, rs: Sequence[float], *,
     the exponent's with the least value / scale, where the scale is
     max(1, |lhs|, |rhs|); ``details["r"]`` names it.
     """
-    if not rs:
-        raise DomainError("at least one exponent is needed")
-    for r in rs:
-        if r <= 0.0 or r == 1.0:
-            raise DomainError(f"exponent must be positive and not 1, got {r}")
-    nx = x.norm()
-    if nx == 0.0:
-        raise DomainError("zero vector not allowed")
-    sys_t = eigh_q(t)
-    base = inner(t @ x, x)
-
-    def at(r: float) -> Margin:
-        lhs = inner(sys_t.power_psd(r) @ x, x)
-        imag = max(abs(lhs.x), abs(lhs.y), abs(lhs.z),
-                   abs(base.x), abs(base.y), abs(base.z))
-        if imag > 1e-8 * max(1.0, abs(lhs.w), abs(base.w)):
-            raise PreconditionError(
-                f"quadratic form is not real (imaginary size {imag:.3e}); operator not positive?")
-        rhs = max(base.w, 0.0) ** r * nx ** (2.0 * (1.0 - r))
-        value = lhs.w - rhs if r > 1.0 else rhs - lhs.w
-        scale = max(1.0, abs(lhs.w), abs(rhs))
-        return _margin(value, tol, scale, lambda: {"r": r, "x": matio.vector_to_json(x)},
-                       r=r, lhs=lhs.w, rhs=rhs)
-
-    return _least_scaled([at(r) for r in rs])
+    return _holder_mccarthy_cases([(t, x, rs)], tol)[0]
 
 
-def _ordered_systems(s: QMatrix, t: QMatrix,
-                     tol: float) -> tuple[HermitianEigensystem, HermitianEigensystem]:
-    """Eigensystems of S and T once S >= T >= 0 is checked.
+def _holder_mccarthy_cases(cases: Sequence[tuple[QMatrix, QVector, Sequence[float]]],
+                           tol: float) -> list[Margin]:
+    """``check_holder_mccarthy`` of each (T, x, rs) case, the arguments of
+    all checked first.  Each ``_runs`` of cases with one size and grid length
+    is solved in one eigensolver call and its powers pulled back in one
+    product; a lone case weighs all its exponents before its first form."""
+    checked = []
+    for t, x, rs in cases:
+        if not rs:
+            raise DomainError("at least one exponent is needed")
+        for r in rs:
+            if r <= 0.0 or r == 1.0:
+                raise DomainError(f"exponent must be positive and not 1, got {r}")
+        nx = x.norm()
+        if nx == 0.0:
+            raise DomainError("zero vector not allowed")
+        checked.append((t, x, rs, nx))
+    out = []
+    for run in _runs(checked, lambda c: (c[0].shape, len(c[2])),
+                     lambda c: 4 * c[0]._a.nbytes * len(c[2])):
+        for t, *_ in run:
+            _require_selfadjoint(t)
+        _, w, v = _eigensystems(*_stack_pairs([c[0] for c in run]))
+        bases = [inner(t @ x, x) for t, x, _, _ in run]
+        powers = _psd_powers(w, v, [c[2] for c in run])
+        for (_, x, rs, nx), base, ra, rb in zip(run, bases, *powers):
+            margins = []
+            for r, a, b in zip(rs, ra, rb):
+                # T^r x on a copy of the slice: a matrix-vector product on a
+                # slice of a stack need not be the one on a whole matrix bit for bit
+                lhs = inner(_trusted(QVector, *_product(a.copy(), b.copy(), x._a, x._b)), x)
+                imag = max(abs(lhs.x), abs(lhs.y), abs(lhs.z),
+                           abs(base.x), abs(base.y), abs(base.z))
+                if imag > 1e-8 * max(1.0, abs(lhs.w), abs(base.w)):
+                    raise PreconditionError(f"quadratic form is not real (imaginary size "
+                                            f"{imag:.3e}); operator not positive?")
+                rhs = max(base.w, 0.0) ** r * nx ** (2.0 * (1.0 - r))
+                value = lhs.w - rhs if r > 1.0 else rhs - lhs.w
+                scale = max(1.0, abs(lhs.w), abs(rhs))
+                margins.append(_margin(value, tol, scale,
+                                       lambda: {"r": r, "x": matio.vector_to_json(x)},
+                                       r=r, lhs=lhs.w, rhs=rhs))
+            out.append(_least_scaled(margins))
+    return out
 
-    S - T is checked first, self-adjointness before its one eigenvalue
-    solve, so a rejected pair costs no more than that.  T's eigensystem
-    serves both T >= 0 and the caller.  S is solved unchecked, through
-    its Hermitian part: it is self-adjoint once S - T and T are.
+
+def _ordered_systems(ss: Sequence[QMatrix], ts: Sequence[QMatrix], tol: float
+                     ) -> tuple[tuple[list[HermitianEigensystem], np.ndarray, np.ndarray], ...]:
+    """``_eigensystems`` of the Ss and of the Ts of a run of pairs once
+    S >= T >= 0 is checked.
+
+    Every S - T is checked self-adjoint first, then all of them are solved
+    in one eigenvalue call, so a rejected pair costs no more than that.
+    Then each T is checked self-adjoint, the Ts are solved in one call, and
+    each T's eigensystem serves both T >= 0 and the caller.  The Ss are
+    solved last, unchecked, through their Hermitian parts: each S is
+    self-adjoint once S - T and T are.  A lone pair meets the checks in the
+    order of ``is_psd(S - T)``, ``eigh_q(T)``, ``is_psd(T)``.
     """
-    ok_d, m_d = is_psd(s - t, tol)
-    if not ok_d:
-        raise PreconditionError(f"operators are not ordered (min eigenvalue {m_d:.3e})")
-    tsys = eigh_q(t)
-    ok_t, m_t = is_psd(t, tol, system=tsys)
-    if not ok_t:
-        raise PreconditionError(f"lower operator is not positive (min eigenvalue {m_t:.3e})")
-    return _eigensystem(s), tsys
+    diffs = [s - t for s, t in zip(ss, ts)]
+    for d in diffs:
+        _require_selfadjoint(d)
+    w = _pair_eigvalsh(*_stack_pairs(diffs))
+    for lo, hi in w[:, ::w.shape[1] - 1].tolist():
+        ok_d, m_d = _psd_verdict(lo, hi, tol)
+        if not ok_d:
+            raise PreconditionError(f"operators are not ordered (min eigenvalue {m_d:.3e})")
+    for t in ts:
+        _require_selfadjoint(t)
+    tsys = _eigensystems(*_stack_pairs(ts))
+    for t, system in zip(ts, tsys[0]):
+        ok_t, m_t = is_psd(t, tol, system=system)
+        if not ok_t:
+            raise PreconditionError(f"lower operator is not positive (min eigenvalue {m_t:.3e})")
+    return _eigensystems(*_stack_pairs(ss)), tsys
 
 
 def check_lowner_heinz(s: QMatrix, t: QMatrix, rs: Sequence[float], *,
@@ -612,27 +644,43 @@ def check_lowner_heinz(s: QMatrix, t: QMatrix, rs: Sequence[float], *,
     sequence.  The margin returned is the exponent's with the least
     value / scale; ``details["r"]`` names it.
     """
-    if not rs:
-        raise DomainError("at least one exponent is needed")
-    for r in rs:
-        if r < 0.0:
-            raise DomainError(f"exponent must be nonnegative, got {r}")
-        if r > 1.0 and not probe:
-            raise DomainError(f"exponent {r} outside [0, 1] requires probe mode")
-    ssys, tsys = _ordered_systems(s, t, tol)
-    top = max(ssys.eigenvalues[-1], 0.0)
-    # power_psd's checks in the order of one S^r and one T^r per exponent,
-    # then one pull-back per operator and one eigenvalue solve for the grid
-    rows = [(ssys._psd_weights(r), tsys._psd_weights(r)) for r in rs]
-    sa, sb = ssys._stack([w for w, _ in rows])
-    ta, tb = tsys._stack([w for _, w in rows])
-    da, db = sa - ta, sb - tb
-    _require_finite(da, db, "QMatrix")
-    margins = []
-    for r, value in zip(rs, _pair_eigvalsh(da, db)[:, 0].tolist()):
-        witness = lambda: {"r": r, "probe": probe}
-        margins.append(_margin(value, tol, max(1.0, top ** r), witness, r=r))
-    return _least_scaled(margins)
+    return _lowner_heinz_cases([(s, t, rs, probe)], tol)[0]
+
+
+def _lowner_heinz_cases(cases: Sequence[tuple[QMatrix, QMatrix, Sequence[float], bool]],
+                        tol: float) -> list[Margin]:
+    """``check_lowner_heinz`` of each (S, T, rs, probe) case, the exponents
+    of all checked first.  Each ``_runs`` of cases with one size and grid
+    length is ordered by ``_ordered_systems``, its powers are pulled back in
+    one product per operator role, and every S^r - T^r is solved in one
+    eigenvalue call.  A lone case weighs one S^r and one T^r per exponent,
+    in ``check_lowner_heinz``'s order."""
+    for _, _, rs, probe in cases:
+        if not rs:
+            raise DomainError("at least one exponent is needed")
+        for r in rs:
+            if r < 0.0:
+                raise DomainError(f"exponent must be nonnegative, got {r}")
+            if r > 1.0 and not probe:
+                raise DomainError(f"exponent {r} outside [0, 1] requires probe mode")
+    out = []
+    for run in _runs(cases, lambda c: (c[0].shape, len(c[2])),
+                     lambda c: 4 * c[0]._a.nbytes * len(c[2])):
+        (ssys, ws, vs), (_, wt, vt) = _ordered_systems([c[0] for c in run],
+                                                       [c[1] for c in run], tol)
+        fs, ft = _psd_weights([ws, wt], [c[2] for c in run])
+        sa, sb = _hermitian_from_chi(vs[:, None], fs)
+        ta, tb = _hermitian_from_chi(vt[:, None], ft)
+        da, db = sa - ta, sb - tb
+        del sa, sb, ta, tb  # before the solve, the largest step
+        _require_finite(da, db, "QMatrix")
+        values = _pair_eigvalsh(da, db)[..., 0].tolist()
+        for system, (_, _, rs, probe), vals in zip(ssys, run, values):
+            top = max(system.eigenvalues[-1], 0.0)
+            out.append(_least_scaled([
+                _margin(value, tol, max(1.0, top ** r), lambda: {"r": r, "probe": probe}, r=r)
+                for r, value in zip(rs, vals)]))
+    return out
 
 
 def check_furuta(a: QMatrix, b: QMatrix, p: float, q: float, r: float, *,
@@ -644,29 +692,62 @@ def check_furuta(a: QMatrix, b: QMatrix, p: float, q: float, r: float, *,
     Exponent triples violating the constraint are admitted only in probe
     mode, for exploring how the margins degrade.
     """
-    if p < 0.0 or q < 1.0 or r < 0.0:
-        raise DomainError(f"need p >= 0, q >= 1, r >= 0, got p={p} q={q} r={r}")
-    if (1.0 + 2.0 * r) * q < p + 2.0 * r and not probe:
-        raise PreconditionError(
-            f"(1+2r)q >= p+2r fails: {(1 + 2 * r) * q:.4g} < {p + 2 * r:.4g}")
-    asys, bsys = _ordered_systems(a, b, tol)
-    expo = (p + 2.0 * r) / q
+    return _furuta_cases([(a, b, p, q, r, probe)], tol)[0]
 
-    def bracket_margin(outer_sys: HermitianEigensystem, inner_sys: HermitianEigensystem,
-                       flip: bool) -> Margin:
-        outer_half = outer_sys.power_psd(r)
-        inner_p = inner_sys.power_psd(p)
-        lhs = _eigensystem(outer_half @ inner_p @ outer_half).power_psd(1.0 / q)
-        rhs = outer_sys.power_psd(expo)
-        diff = (lhs - rhs) if not flip else (rhs - lhs)
-        value = float(_chi_eigvalsh(diff)[0])
-        scale = max(1.0, max(asys.eigenvalues[-1], 0.0) ** expo)
-        return _margin(value, tol, scale, lambda: {"p": p, "q": q, "r": r, "probe": probe},
-                       p=p, q=q, r=r)
 
-    first = bracket_margin(bsys, asys, flip=False)
-    second = bracket_margin(asys, bsys, flip=True)
-    return first, second
+def _furuta_cases(cases: Sequence[tuple], tol: float) -> list[tuple[Margin, Margin]]:
+    """``check_furuta`` of each (A, B, p, q, r, probe) case, the exponents of
+    all checked first.  Each ``_runs`` of cases of one size is ordered by
+    ``_ordered_systems``, the brackets of every case are solved in one
+    eigensolver call and the differences in one eigenvalue call.  The
+    exponents differ from case to case, so each power is weighed case by
+    case.  A lone case raises ``check_furuta``'s error when it fails one
+    check only."""
+    for _, _, p, q, r, probe in cases:
+        if p < 0.0 or q < 1.0 or r < 0.0:
+            raise DomainError(f"need p >= 0, q >= 1, r >= 0, got p={p} q={q} r={r}")
+        if (1.0 + 2.0 * r) * q < p + 2.0 * r and not probe:
+            raise PreconditionError(
+                f"(1+2r)q >= p+2r fails: {(1 + 2 * r) * q:.4g} < {p + 2 * r:.4g}")
+    out = []
+    for run in _runs(cases, lambda c: c[0].shape, lambda c: 8 * c[0]._a.nbytes):
+        (asys, wa, va), (_, wb, vb) = _ordered_systems([c[0] for c in run],
+                                                       [c[1] for c in run], tol)
+        values = _pair_eigvalsh(*_furuta_differences(run, wa, va, wb, vb))[:, 0].tolist()
+        k = len(run)
+        for i, (system, (_, _, p, q, r, probe)) in enumerate(zip(asys, run)):
+            scale = max(1.0, max(system.eigenvalues[-1], 0.0) ** ((p + 2.0 * r) / q))
+            witness = lambda: {"p": p, "q": q, "r": r, "probe": probe}
+            out.append((_margin(values[i], tol, scale, witness, p=p, q=q, r=r),
+                        _margin(values[k + i], tol, scale, witness, p=p, q=q, r=r)))
+    return out
+
+
+def _furuta_differences(run: Sequence[tuple], wa: np.ndarray, va: np.ndarray,
+                        wb: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B^r A^p B^r)^{1/q} - B^e of each case of a run, then A^e -
+    (A^r B^p A^r)^{1/q} of each, e = (p + 2r) / q, as one (2k, n, n) pair
+    stack, from the spectra and eigenvectors of the As and the Bs."""
+    ba, bb = _psd_powers(wb, vb, [(r, p) for _, _, p, _, r, _ in run])
+    aa, ab = _psd_powers(wa, va, [(p, r) for _, _, p, _, r, _ in run])
+    # the outer halves B^r, A^r and the middles A^p, B^p of both brackets
+    ha, hb = np.concatenate([ba[:, 0], aa[:, 1]]), np.concatenate([bb[:, 0], ab[:, 1]])
+    xa, xb = _product(ha, hb, np.concatenate([aa[:, 0], ba[:, 1]]),
+                      np.concatenate([ab[:, 0], bb[:, 1]]))
+    _require_finite(xa, xb, "QMatrix")
+    xa, xb = _product(xa, xb, ha, hb)
+    _require_finite(xa, xb, "QMatrix")
+    del ba, bb, aa, ab, ha, hb  # before the brackets are solved
+    _, wx, vx = _eigensystems(xa, xb)
+    la, lb = _psd_powers(wx, vx, [(1.0 / c[3],) for c in run] * 2)
+    expos = [((p + 2.0 * r) / q,) for _, _, p, q, r, _ in run]
+    ba, bb = _psd_powers(wb, vb, expos)
+    aa, ab = _psd_powers(wa, va, expos)
+    k = len(run)
+    da = np.concatenate([la[:k, 0] - ba[:, 0], aa[:, 0] - la[k:, 0]])
+    db = np.concatenate([lb[:k, 0] - bb[:, 0], ab[:, 0] - lb[k:, 0]])
+    _require_finite(da, db, "QMatrix")
+    return da, db
 
 
 def check_chain_semihypo(t: QMatrix, *, tol: float = DEFAULT_TOL,

@@ -13,12 +13,16 @@ from the embedded eigenvectors the first time they are read.  Scalar
 functions of the operator are evaluated on the embedded side and pulled
 back from the top block row, so they never need the pulled-back vectors;
 several functions of one operator, such as the powers A^p over an
-exponent grid, are pulled back as one stack.  Self-adjointness is checked
-once, where a public function receives T.
+exponent grid, are pulled back as one stack.  A stack of operators is
+diagonalized in one eigensolver call, its powers at one exponent are
+weighed as one table, and the functions of all of them are pulled back in
+one product.  Self-adjointness is checked once, where a public function
+receives T.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -27,7 +31,7 @@ import numpy as np
 
 from . import _eig
 from .errors import DomainError, PreconditionError, ShapeError, StructureError
-from .linalg import (QMatrix, QVector, _chi_eigvalsh, _from_psi, _require_finite,
+from .linalg import (QMatrix, QVector, _chi_eigvalsh, _from_psi, _hermitian_chi, _require_finite,
                      _selfadjoint_residual, _trusted, embed_chi)
 from .quaternion import Quaternion
 
@@ -53,18 +57,21 @@ def _require_square(t: QMatrix) -> int:
 def _require_selfadjoint(a: QMatrix) -> None:
     _require_square(a)
     dev = _selfadjoint_residual(a)
-    if dev > 1e-8 * max(1.0, a.frobenius()):
+    # the bound is at least 1e-8, so a smaller deviation needs no norm
+    if dev > 1e-8 and dev > 1e-8 * max(1.0, a.frobenius()):
         raise PreconditionError(f"operator is not self-adjoint (deviation {dev:.3e})")
 
 
 def _hermitian_from_chi(v: np.ndarray, fw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pull back V diag(w) V* (orthonormal columns in whole pairs) from its
     top block row, symmetrized on the pair, for each real weight row w of
-    ``fw``: the (k, n, n) stacks (A, B) of the k operators A + B j, checked
-    finite.  GEMM packs its operands, so each slice of the one stacked
-    product is bit for bit the product of its row alone."""
-    n = v.shape[0] // 2
-    top = (v[:n] * fw[:, None, :]) @ v.conj().T
+    ``fw`` against the V of ``v`` it broadcasts with: k rows against one V,
+    or against a stack of k.  Returns the (..., n, n) stacks (A, B) of the
+    operators A + B j, checked finite.  GEMM packs its operands, so each
+    slice of the one stacked product is bit for bit the product of its row
+    alone."""
+    n = v.shape[-2] // 2
+    top = (v[..., :n, :] * fw[..., None, :]) @ v.conj().swapaxes(-1, -2)
     a, b = top[..., :n], top[..., n:]
     a, b = 0.5 * (a + a.conj().swapaxes(-1, -2)), 0.5 * (b - b.swapaxes(-1, -2))
     _require_finite(a, b, "QMatrix")
@@ -125,30 +132,7 @@ class HermitianEigensystem:
         here.  The convention 0^0 = 1 makes A^0 the identity on the full
         space, kernel included.
         """
-        return _hermitian_matrix(self._v2, self._psd_weights(p))
-
-    def _psd_weights(self, p: float) -> np.ndarray:
-        """The weight row of A^p, with every check of ``power_psd``."""
-        if p < 0.0:
-            raise DomainError(f"exponent must be nonnegative, got {p}")
-        w = self._w2
-        floor = CLAMP_TOL * float(np.abs(w).max(initial=0.0))
-        if float(w.min()) < -floor:
-            raise DomainError(
-                f"operator is not positive semidefinite (min eigenvalue {w.min():.3e})")
-        # 1.0 ** nan is 1.0 and a clamped eigenvalue takes no power, so a
-        # non-finite exponent need not leave a non-finite weight
-        if not np.isfinite(p):
-            raise DomainError(_NOT_FINITE)
-        if p == 0.0:
-            return self._weights(np.ones_like(w))
-        # the clamp leaves every eigenvalue at or below 0 at weight 0; the
-        # exponent is a scalar, as numpy computes x ** 0.5 and x ** 2.0 as
-        # sqrt and square, so an array of exponents would move bits
-        out = np.zeros_like(w)
-        pos = w > 0.0
-        out[pos] = w[pos] ** p
-        return self._weights(out)
+        return _hermitian_matrix(self._v2, _psd_weights([self._w2[None]], [(p,)])[0][0, 0])
 
     def _weights(self, fw) -> np.ndarray:
         """``fw`` as a weight row, which must be real and finite on the spectrum."""
@@ -157,20 +141,82 @@ class HermitianEigensystem:
             raise DomainError(_NOT_FINITE)
         return fw
 
-    def _stack(self, rows: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """f_1(A), ..., f_k(A) from the checked weight rows of f_1, ..., f_k,
-        as (k, n, n) pair stacks from one pull-back."""
-        return _hermitian_from_chi(self._v2, np.stack(rows))
+
+def _psd_weights(spectra: Sequence[np.ndarray],
+                 exps: Sequence[Sequence[float]]) -> list[np.ndarray]:
+    """For each (k, m) stack of ascending pair-mean spectra in ``spectra``, the
+    (k, R, m) table whose row (i, j) weighs A_i^{exps[i][j]}, with every check
+    of ``power_psd``.
+
+    Each column of ``exps`` is weighed in turn, each distinct exponent in it
+    once per stack in the order of ``spectra``: a lone operator's checks come
+    as in one ``power_psd`` per stack and exponent.  The clamp does not
+    depend on the exponent, so it is decided once per stack; its error
+    names the first failing row.
+    """
+    k, cols = len(exps), len(exps[0])
+    stacks = []
+    for w in spectra:
+        lows = w[:, 0]
+        bad = lows < -CLAMP_TOL * np.maximum(-lows, w[:, -1])
+        failure = None if not bad.any() else DomainError(
+            f"operator is not positive semidefinite (min eigenvalue {lows[bad.argmax()]:.3e})")
+        pos = w > 0.0
+        stacks.append((w, failure, pos, w[pos], np.zeros((k, cols, w.shape[-1]))))
+    for j in range(cols):
+        groups: dict[float, list[int]] = {}
+        for i, e in enumerate(exps):
+            groups.setdefault(e[j], []).append(i)
+        for p, rows in groups.items():
+            # a slice or one row index the table by view, other rows by copy
+            rows = slice(None) if len(rows) == k else rows[0] if len(rows) == 1 else rows
+            for w, failure, pos, positive, table in stacks:
+                if p < 0.0:
+                    raise DomainError(f"exponent must be nonnegative, got {p}")
+                if failure is not None:
+                    raise failure
+                # 1.0 ** nan is 1.0 and a clamped eigenvalue takes no power,
+                # so a non-finite exponent need not leave a non-finite weight
+                if not math.isfinite(p):
+                    raise DomainError(_NOT_FINITE)
+                if p == 0.0:
+                    table[rows, j] = 1.0
+                    continue
+                # the clamp leaves every eigenvalue at or below 0 at weight 0;
+                # the exponent is a scalar, as numpy computes x ** 0.5 and
+                # x ** 2.0 as sqrt and square, so an array of them would move bits
+                mask = pos[rows]
+                powered = (positive if rows == slice(None) else w[rows][mask]) ** p
+                if not np.isfinite(powered).all():
+                    raise DomainError(_NOT_FINITE)
+                if isinstance(rows, list):
+                    column = np.zeros(mask.shape)
+                    column[mask] = powered
+                    table[rows, j] = column
+                else:
+                    table[rows, j][mask] = powered
+    return [table for *_, table in stacks]
+
+
+def _psd_powers(w: np.ndarray, v: np.ndarray,
+                exps: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, R, n, n) pair stacks of A_i^{exps[i][j]}, from the spectra and
+    eigenvectors that ``_eigensystems`` returns, in one pull-back."""
+    return _hermitian_from_chi(v[:, None], _psd_weights([w], exps)[0])
 
 
 def _pair_real(w: np.ndarray) -> np.ndarray:
-    """Collapse an ascending real spectrum of even length into midpoints."""
-    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
-    a, b = w[0::2], w[1::2]
-    gaps = np.abs(b - a)
-    if gaps.size and float(gaps.max()) > PAIR_TOL * scale:
+    """Collapse an ascending real spectrum of even length into midpoints, or
+    each row of a stack of them; the first row failing to pair raises.  An
+    ascending row has its largest modulus at an end and no negative gap."""
+    a, b = w[..., 0::2], w[..., 1::2]
+    gaps = (b - a).max(axis=-1)
+    scales = np.maximum(np.maximum(-w[..., 0], w[..., -1]), 1.0)
+    bad = gaps > PAIR_TOL * scales
+    if bad.any():
+        i = np.unravel_index(bad.argmax(), bad.shape)
         raise StructureError(
-            f"eigenvalue pairing failure (worst gap {gaps.max():.3e} at scale {scale:.3e})")
+            f"eigenvalue pairing failure (worst gap {gaps[i]:.3e} at scale {scales[i]:.3e})")
     return 0.5 * (a + b)
 
 
@@ -235,18 +281,33 @@ def eigh_q(a: QMatrix) -> HermitianEigensystem:
 def _eigensystem(a: QMatrix) -> HermitianEigensystem:
     """``eigh_q`` without the self-adjointness check: the system of the
     Hermitian part of a, for operators that are self-adjoint by construction."""
-    m = embed_chi(a)
-    w2, v2 = _eig.eigh(0.5 * (m + m.conj().T))
-    mids = _pair_real(w2)
+    return _eigensystems(a._a[None], a._b[None])[0][0]
 
-    scale = max(1.0, float(np.abs(mids).max(initial=0.0)))
-    cuts = [0, *(np.flatnonzero(np.diff(mids) > CLUSTER_TOL * scale) + 1).tolist(), a.rows]
-    lam = mids.copy()
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi - lo > 1:
-            lam[lo:hi] = np.mean(mids[lo:hi])
-    return HermitianEigensystem(eigenvalues=tuple(lam.tolist()),
-                                _w2=np.repeat(mids, 2), _v2=v2)
+
+def _eigensystems(a: np.ndarray, b: np.ndarray
+                  ) -> tuple[list[HermitianEigensystem], np.ndarray, np.ndarray]:
+    """``_eigensystem`` of each operator A + B j of the (k, n, n) pair stacks
+    (A, B), from one eigensolver call, with the (k, 2n) pair-mean spectra and
+    the (k, 2n, 2n) embedded eigenvectors that the systems view.  Each
+    spectrum is paired, and a pairing failure raised, in stack order, and
+    clustered on its own."""
+    w2, v2 = _eig.eigh(_hermitian_chi(a, b))
+    mids = _pair_real(w2)
+    means = np.empty_like(w2)
+    means[:, 0::2] = means[:, 1::2] = mids
+    scales = np.maximum(np.maximum(-mids[:, :1], mids[:, -1:]), 1.0)
+    splits = mids[:, 1:] - mids[:, :-1] > CLUSTER_TOL * scales
+    systems = []
+    for k, (row, apart) in enumerate(zip(mids.tolist(), splits.all(axis=-1).tolist())):
+        if not apart:
+            lam = mids[k].copy()
+            cuts = [0, *(np.flatnonzero(splits[k]) + 1).tolist(), lam.size]
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                if hi - lo > 1:
+                    lam[lo:hi] = np.mean(mids[k, lo:hi])
+            row = lam.tolist()
+        systems.append(HermitianEigensystem(eigenvalues=tuple(row), _w2=means[k], _v2=v2[k]))
+    return systems, means, v2
 
 
 def _tolerant_order(zs: list[complex], tol: float) -> list[complex]:
@@ -475,8 +536,12 @@ def is_psd(t: QMatrix, tol: float = 1e-8, *,
         lo, hi = rayleigh_bounds(t)
     else:
         lo, hi = float(system._w2[0]), float(system._w2[-1])
-    opnorm = max(abs(lo), abs(hi))
-    return lo >= -tol * max(1.0, opnorm), lo
+    return _psd_verdict(lo, hi, tol)
+
+
+def _psd_verdict(lo: float, hi: float, tol: float) -> tuple[bool, float]:
+    """``is_psd`` of a self-adjoint operator with extreme eigenvalues lo <= hi."""
+    return lo >= -tol * max(1.0, max(abs(lo), abs(hi))), lo
 
 
 def rayleigh_bounds(t: QMatrix) -> tuple[float, float]:

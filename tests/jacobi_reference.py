@@ -92,8 +92,11 @@ def eigh_jacobi(matrix: np.ndarray, *, off_tol: float = 1e-13,
     return w, None
 
 
-def eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return eigh_jacobi(matrix)
+def eigh(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(matrices)
+    flat = [eigh_jacobi(m) for m in a.reshape(-1, *a.shape[-2:])]
+    return (np.array([w for w, _ in flat]).reshape(a.shape[:-1]),
+            np.array([v for _, v in flat]).reshape(a.shape))
 
 
 def eigvalsh(matrices: np.ndarray) -> np.ndarray:

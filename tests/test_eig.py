@@ -89,6 +89,17 @@ def test_jacobi_rejects_nonsquare():
         eigh_jacobi(np.zeros((2, 3), dtype=complex))
 
 
+def test_seam_eigh_solves_a_stack_one_matrix_at_a_time():
+    # the stacked eigensystems of qop.spectral rest on this, for either solver
+    stack = np.array([_random_hermitian(6, seed=260 + k) for k in range(5)])
+    for solve in (_eig.eigh, jacobi_reference.eigh):
+        w, v = solve(stack)
+        assert w.shape == (5, 6) and v.shape == (5, 6, 6)
+        for wk, vk, a in zip(w, v, stack):
+            w1, v1 = solve(a)
+            assert np.array_equal(wk, w1) and np.array_equal(vk, v1)
+
+
 def test_seam_eigvalsh_solves_a_stack_like_the_reference():
     stack = np.array([_random_hermitian(6, seed=250 + k) for k in range(5)])
     w = _eig.eigvalsh(stack)

@@ -291,13 +291,20 @@ def test_gcsi_implies_shrinker_samples_the_trial_seed(monkeypatch):
         assert (again.hard_violation, again.flagged) == (trial.hard_violation, trial.flagged)
 
 
+_STACKED_HERMITIAN = ("lowner-heinz", "holder-mccarthy", "furuta", "collapse",
+                      "conjugation-lemma")
+
+
 @pytest.mark.parametrize("prop", sorted(PROPERTIES))
 def test_chunked_runs_equal_one_trial_at_a_time(prop, monkeypatch):
-    # 37 trials cross two chunk boundaries; the bytes must not see the chunks
-    for dim, probe in itertools.product((3, 4, 8), (False, True)):
-        chunked = run_verify(prop, trials=37, seed=19, dim=dim, probe=probe).dumps()
+    # 37 trials cross two chunk boundaries; the bytes must not see the chunks.
+    # At dim 64 the Hermitian properties' stacks split by bytes inside a
+    # chunk, and 17 trials cross a chunk boundary
+    runs = [(dim, 37) for dim in (3, 4, 8)] + [(64, 17)] * (prop in _STACKED_HERMITIAN)
+    for (dim, trials), probe in itertools.product(runs, (False, True)):
+        chunked = run_verify(prop, trials=trials, seed=19, dim=dim, probe=probe).dumps()
         monkeypatch.setattr(harness, "_BATCH", 1)
-        single = run_verify(prop, trials=37, seed=19, dim=dim, probe=probe).dumps()
+        single = run_verify(prop, trials=trials, seed=19, dim=dim, probe=probe).dumps()
         monkeypatch.undo()
         assert chunked == single, (prop, dim, probe)
 

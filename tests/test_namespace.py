@@ -66,7 +66,7 @@ _FIXED_SETTINGS = (
     (spectral.spherical_eigenspace, ("count", "rtol")),
     (spectral.power_psd, ("clamp_tol",)),
     (spectral.HermitianEigensystem.power_psd, ("clamp_tol",)),
-    (spectral.HermitianEigensystem._psd_weights, ("clamp_tol",)),
+    (spectral._psd_weights, ("clamp_tol",)),
     (transforms.polar, ("rank_rtol",)),
     (transforms.lambda_aluthge, ("parts",)),
     (transforms.duggal, ("parts",)),

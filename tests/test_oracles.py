@@ -5,11 +5,12 @@ import pytest
 
 import gcsi_reference
 
-from qop import _eig, generators, harness, oracles
+from qop import _eig, generators, harness, linalg, oracles
 from qop.errors import DomainError, PreconditionError, StructureError
 from qop.generators import (ginibre, near_normal, normal_with_spectrum, partial_isometry,
                             positive, random_unitary, unit_vector)
-from qop.linalg import QMatrix, QVector, _chi_eigvalsh, _selfadjoint_residual, operator_norm
+from qop.linalg import (QMatrix, QVector, _chi_eigvalsh, _selfadjoint_residual, inner,
+                        operator_norm)
 from qop.matio import json_to_vector, vector_to_json
 from qop.oracles import (check_aluthge_theorems, check_chain_semihypo,
                          check_eigenspace_reducing, check_furuta,
@@ -311,18 +312,36 @@ def test_rejected_shrink_candidate_makes_no_eigensolve(monkeypatch):
     assert calls == []
 
 
-def test_hermitian_pair_oracles_solve_each_operator_once(monkeypatch):
+def test_a_lone_broken_pair_fails_its_first_check_before_any_eigh(monkeypatch):
+    # a batch of one meets the checks in the per-pair order: S - T
+    # self-adjoint, its eigenvalues, then T's eigensystem; S is never solved
+    a, b = generators.ordered_pair(4, seed=17)
+    arr = a.to_array()
+    arr[0, 1] = 0.0
+    skewed = QMatrix(arr)
+    dev = _selfadjoint_residual(skewed - b)
+    cases = (
+        (skewed, b, PreconditionError, f"operator is not self-adjoint (deviation {dev:.3e})", []),
+        (QMatrix.diag([1.0, 0.0]), QMatrix.diag([2.0, 0.0]), PreconditionError,
+         "operators are not ordered (min eigenvalue -1.000e+00)", ["eigvalsh"]),
+        (QMatrix.diag([2.0, 1.0]), QMatrix.diag([1.0, -0.5]), PreconditionError,
+         "lower operator is not positive (min eigenvalue -5.000e-01)", ["eigvalsh", "eigh"]),
+    )
     calls = []
     for name in ("eigh", "eigvalsh"):
         real = getattr(_eig, name)
         monkeypatch.setattr(_eig, name, lambda m, name=name, real=real: calls.append(name) or real(m))
-    # per trial: eigh of S and of T; eigvalsh of S - T, and one stacked call
-    # for the differences at every exponent of the grid
-    for prop, eigh, eigvalsh in (("lowner-heinz", 8, 8),
-                                 ("furuta", 16, 12), ("holder-mccarthy", 4, 0)):
-        calls.clear()
-        harness.run_verify(prop, trials=4, seed=1, dim=4)
-        assert (calls.count("eigh"), calls.count("eigvalsh")) == (eigh, eigvalsh), prop
+    for s, t, err, msg, solves in cases:
+        for run in (lambda: check_lowner_heinz(s, t, harness.LH_R_GRID),
+                    lambda: check_furuta(s, t, 2.0, 2.0, 1.0),
+                    lambda: harness.evaluate_instance("lowner-heinz", {"A": s, "B": t, "r": 2.5}),
+                    lambda: harness.evaluate_instance(
+                        "furuta", {"A": s, "B": t, "p": 3.0, "q": 1.0, "r": 0.2})):
+            calls.clear()
+            with pytest.raises(err) as info:
+                run()
+            assert str(info.value) == msg
+            assert calls == solves, msg
 
 
 def test_exponent_sequence_returns_the_least_scaled_margin():
@@ -478,14 +497,57 @@ def test_exponent_grids_make_one_eigenvalue_solve(monkeypatch):
     for name in ("eigh", "eigvalsh", "svd"):
         real = getattr(_eig, name)
         monkeypatch.setattr(_eig, name, lambda m, name=name, real=real: calls.append(name) or real(m))
-    # per 4 trials; collapse: eigh of T*T and TT*, eigvalsh of ||T|| and of the p grid;
-    # the p-hyponormal hypotheses read their margin's verdict, with no ||T|| solve
-    for prop, eigh, eigvalsh, svd in (("collapse", 8, 8, 4), ("aluthge", 0, 20, 16),
-                                      ("aluthge-gain", 0, 8, 12), ("gcsi-implies", 1, 4, 6)):
+    # per 4 trials; the p-hyponormal hypotheses read their margin's verdict,
+    # with no ||T|| solve
+    for prop, eigh, eigvalsh, svd in (("aluthge", 0, 20, 16), ("aluthge-gain", 0, 8, 12),
+                                      ("gcsi-implies", 1, 4, 6)):
         calls.clear()
         harness.run_verify(prop, trials=4, seed=1, dim=4)
         counts = tuple(calls.count(k) for k in ("eigh", "eigvalsh", "svd"))
         assert counts == (eigh, eigvalsh, svd), prop
+    # the Hermitian properties solve a chunk of trials, 4 or 16, in a fixed
+    # number of stacked calls: lowner-heinz the eigenvalues of S - T, S and T
+    # and the grid; furuta A - B, A, B, both brackets and their differences;
+    # holder-mccarthy T; collapse T*T and TT*, ||T|| and the p grid;
+    # conjugation-lemma the shifts, S and U S U*.  Only the SVDs of
+    # collapse's polar factors and of the unitary draws grow with the trials
+    for prop, eigh, eigvalsh, svd_per_trial in (("lowner-heinz", 2, 2, 0), ("furuta", 3, 2, 0),
+                                                ("holder-mccarthy", 1, 0, 0),
+                                                ("collapse", 1, 2, 1),
+                                                ("conjugation-lemma", 1, 1, 1)):
+        for trials in (4, 16):
+            calls.clear()
+            harness.run_verify(prop, trials=trials, seed=1, dim=4)
+            counts = tuple(calls.count(k) for k in ("eigh", "eigvalsh", "svd"))
+            assert counts == (eigh, eigvalsh, svd_per_trial * trials), (prop, trials)
+
+
+def _holder_mccarthy_reference(t, x, r, tol=oracles.DEFAULT_TOL):
+    """``check_holder_mccarthy`` at one exponent, T^r x on a whole operator:
+    the per-exponent path the stacked grid replaced, kept as the reference."""
+    lhs = inner(eigh_q(t).power_psd(r) @ x, x)
+    base = inner(t @ x, x)
+    rhs = max(base.w, 0.0) ** r * x.norm() ** (2.0 * (1.0 - r))
+    value = lhs.w - rhs if r > 1.0 else rhs - lhs.w
+    scale = max(1.0, abs(lhs.w), abs(rhs))
+    witness = {"r": r, "x": vector_to_json(x)} if value < -tol * scale else None
+    return oracles.Margin(value=value, tolerance=tol, witness=witness,
+                          details={"r": r, "lhs": lhs.w, "rhs": rhs, "scale": scale})
+
+
+@pytest.mark.parametrize("n", (16, 32, 63, 64))
+def test_holder_mccarthy_grid_equals_one_product_per_exponent(n):
+    # T^r x is taken on a copy of each slice of the stacked grid, so it is
+    # the product on a whole matrix bit for bit, also where the slices of
+    # the stack sit off the alignment of a fresh array
+    for seed in range(3):
+        t, x = positive(n, seed=950 + n + seed), unit_vector(n, seed=951 + n + seed)
+        want = min((_holder_mccarthy_reference(t, x, r) for r in harness.HM_R_GRID),
+                   key=lambda m: m.value / m.details["scale"])
+        assert repr(check_holder_mccarthy(t, x, harness.HM_R_GRID)) == repr(want), seed
+        inst = {"T": t, "x": x, "r": harness.HM_R_GRID}
+        assert harness.evaluate_instance("holder-mccarthy", inst) == want.value / want.details[
+            "scale"]
 
 
 # ----------------------------------------------------------------- Furuta
@@ -832,8 +894,8 @@ def test_lockstep_climbs_equal_single_climbs(n, monkeypatch):
     # sqrt(x) only for a scalar exponent, and one climb skips a zero candidate
     # while the others climb; every margin is bit for bit the one-step climb's
     tol = oracles.DEFAULT_TOL
-    for stack_bytes in (oracles._STACK_BYTES, 1 << 30):
-        monkeypatch.setattr(oracles, "_STACK_BYTES", stack_bytes)
+    for stack_bytes in (linalg._STACK_BYTES, 1 << 30):
+        monkeypatch.setattr(linalg, "_STACK_BYTES", stack_bytes)
         for k in (1, 2, 5, 8):
             climbs = _lockstep_climbs(n, k, 7000 + 10 * n + k)
             with np.errstate(all="raise"):

@@ -171,6 +171,24 @@ def test_power_psd_clamps_roundoff_negatives():
     assert abs(r.entry(1, 1).w) <= 1e-6
 
 
+def test_psd_weights_take_each_exponent_as_a_scalar():
+    # numpy computes a scalar exponent of 0.5 or 2 as sqrt or square and an
+    # array of exponents by pow, which moves the last bit of about one weight
+    # in twenty; so a table is exact roots and squares, a whole column at a
+    # time or one row at a time, whatever the rows around it
+    w = np.sort(np.abs(np.random.default_rng(7).standard_normal((16, 8))), axis=1)
+    w[3, :2] = 0.0
+    grid = spectral._psd_weights([w], [(0.5, 2.0)] * 16)[0]
+    rows = spectral._psd_weights([w], [(0.5 + 1.5 * (i % 2),) for i in range(16)])[0]
+    assert np.array_equal(grid[:, 0], np.sqrt(w)) and np.array_equal(grid[:, 1], np.square(w))
+    assert np.array_equal(rows[0::2, 0], np.sqrt(w[0::2]))
+    assert np.array_equal(rows[1::2, 0], np.square(w[1::2]))
+    # the clamp is decided per row, and its error names the first failing row
+    w[5, 0], w[9, 0] = -1e-3, -2e-3
+    with pytest.raises(DomainError, match=r"min eigenvalue -1\.000e-03"):
+        spectral._psd_weights([w], [(0.5,)] * 16)
+
+
 def test_fun_calc_square_matches_product():
     t = hermitian(4, seed=433)
     sq = fun_calc(t, lambda x: x * x)
