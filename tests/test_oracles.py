@@ -312,6 +312,25 @@ def test_rejected_shrink_candidate_makes_no_eigensolve(monkeypatch):
     assert calls == []
 
 
+def test_hermitian_pair_oracles_solve_each_operator_once(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(_eig, name)
+        monkeypatch.setattr(_eig, name, lambda m, name=name, real=real: calls.append(name) or real(m))
+    # each operator role of a chunk of trials, 4 or 16, is solved once in one
+    # stacked call: lowner-heinz eigh of S and T, eigvalsh of S - T and of
+    # the differences at every exponent of the grid; furuta eigh of A, B and
+    # the bracket, eigvalsh of A - B and of the differences; holder-mccarthy
+    # eigh of T
+    for prop, eigh, eigvalsh in (("lowner-heinz", 2, 2), ("furuta", 3, 2),
+                                 ("holder-mccarthy", 1, 0)):
+        for trials in (4, 16):
+            calls.clear()
+            harness.run_verify(prop, trials=trials, seed=1, dim=4)
+            assert (calls.count("eigh"), calls.count("eigvalsh")) == (eigh, eigvalsh), (
+                prop, trials)
+
+
 def test_a_lone_broken_pair_fails_its_first_check_before_any_eigh(monkeypatch):
     # a batch of one meets the checks in the per-pair order: S - T
     # self-adjoint, its eigenvalues, then T's eigensystem; S is never solved
@@ -505,15 +524,11 @@ def test_exponent_grids_make_one_eigenvalue_solve(monkeypatch):
         harness.run_verify(prop, trials=4, seed=1, dim=4)
         counts = tuple(calls.count(k) for k in ("eigh", "eigvalsh", "svd"))
         assert counts == (eigh, eigvalsh, svd), prop
-    # the Hermitian properties solve a chunk of trials, 4 or 16, in a fixed
-    # number of stacked calls: lowner-heinz the eigenvalues of S - T, S and T
-    # and the grid; furuta A - B, A, B, both brackets and their differences;
-    # holder-mccarthy T; collapse T*T and TT*, ||T|| and the p grid;
-    # conjugation-lemma the shifts, S and U S U*.  Only the SVDs of
+    # collapse and conjugation-lemma solve a chunk of trials, 4 or 16, in a
+    # fixed number of stacked calls: collapse T*T and TT*, ||T|| and the p
+    # grid; conjugation-lemma the shifts, S and U S U*.  Only the SVDs of
     # collapse's polar factors and of the unitary draws grow with the trials
-    for prop, eigh, eigvalsh, svd_per_trial in (("lowner-heinz", 2, 2, 0), ("furuta", 3, 2, 0),
-                                                ("holder-mccarthy", 1, 0, 0),
-                                                ("collapse", 1, 2, 1),
+    for prop, eigh, eigvalsh, svd_per_trial in (("collapse", 1, 2, 1),
                                                 ("conjugation-lemma", 1, 1, 1)):
         for trials in (4, 16):
             calls.clear()
