@@ -7,7 +7,8 @@ Four thin wrappers over ``numpy.linalg`` (LAPACK):
 * ``eigvalsh``: ascending eigenvalues of a Hermitian matrix, or of each
   matrix in a stack of shape (..., m, m);
 * ``eigvals``: eigenvalues of a general square matrix, in no set order;
-* ``svd``: thin singular value decomposition, singular values descending.
+* ``svd``: thin singular value decomposition, singular values descending,
+  of a matrix or of each matrix in a stack.
 
 Callers reach them as module attributes (``_eig.eigh``), never through
 ``from ._eig import``, so a reference solver can be swapped in for a whole
@@ -52,7 +53,8 @@ def eigvals(matrix: np.ndarray) -> np.ndarray:
 
 
 def svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD ``matrix = W diag(s) Vh`` with ``s`` descending.
+    """Thin SVD ``matrix = W diag(s) Vh`` with ``s`` descending, of a matrix
+    or of each matrix in a stack.
 
     For an m x k matrix, W is m x min(m, k) and Vh is min(m, k) x k.
     """

@@ -15,8 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Any, Sequence
+
+# OpenBLAS splits a large product differently at each thread count, which
+# moves the last bits of a result; one thread, set before numpy loads,
+# gives a command the same bytes whatever count the shell asked for
+os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
 
 from . import matio
 from .errors import QopError

@@ -1,18 +1,22 @@
 """Randomized verification engine over the theorem oracles.
 
-Each named property is one ``Property`` record.  Its ``draw`` builds an
-instance (operators, vectors, exponents) from a trial's seeds, and its
-``evaluate`` scores a batch of instances, each as one dimensionless margin
-(raw margin divided by an instance scale), so a single tolerance applies
-uniformly across properties.  A trial is a batch of one, and the shrinker
-scores its candidates with the same ``evaluate``, so it minimises exactly
-what the trial measured, hypotheses included.  ``run_verify`` draws and
-evaluates its trials in chunks of ``_BATCH``; the GCSI properties climb
-every search of a chunk in lockstep, the five Hermitian properties solve
-and weigh each operator role of a chunk as one stack, and the others score
-instance by instance.  Per-trial seeds are derived as mix_seed(seed, index), whatever
-the chunk; the aggregate is a deterministic min-fold with ties broken by
-lowest trial index, and an error surfaces from the lowest failing trial.
+Each named property is one ``Property`` record.  Its ``draw`` builds the
+instances (operators, vectors, exponents) of a list of trials from their
+seeds, and its ``evaluate`` scores a batch of instances, each as one
+dimensionless margin (raw margin divided by an instance scale), so a single
+tolerance applies uniformly across properties.  A trial is a batch of one,
+and the shrinker scores its candidates with the same ``evaluate``, so it
+minimises exactly what the trial measured, hypotheses included.
+``run_verify`` draws and evaluates its trials in chunks of ``_BATCH``.  A
+chunk is drawn as stacks: one block draw per stream of Gaussian entries,
+one SVD per stack of unitaries and two products per stack of normal
+operators, each instance bit for bit the one its trial draws alone.  The
+GCSI properties climb every search of a chunk in lockstep, the five
+Hermitian properties solve and weigh each operator role of a chunk as one
+stack, and the others score instance by instance.  Per-trial seeds are
+derived as mix_seed(seed, index), whatever the chunk; the aggregate is a
+deterministic min-fold with ties broken by lowest trial index, and an
+error surfaces from the lowest failing trial.
 """
 
 from __future__ import annotations
@@ -25,10 +29,10 @@ import numpy as np
 
 from . import generators, matio, oracles
 from .errors import DomainError, PreconditionError, QopError, ShapeError
-from .linalg import (DEFAULT_DIM, QMatrix, QVector, _pair_eigvalsh, _product, _require_finite,
-                     _runs, _stack_pairs, _trusted, operator_norm)
+from .linalg import (DEFAULT_DIM, QMatrix, QVector, _adjoints, _pair_eigvalsh, _product,
+                     _require_finite, _runs, _stack_pairs, _trusted, operator_norm)
 from .quaternion import Quaternion
-from .rng import SplitMix64, mix_seed
+from .rng import SplitMix64, block_uniforms, mix_seed, unit_quaternions
 from .spectral import (_NOT_FINITE, _eigensystems, _hermitian_from_chi, _psd_powers,
                        _require_square, spherical_spectrum)
 from .transforms import polar
@@ -70,7 +74,8 @@ class TrialOutcome:
 class Property:
     """A named property; calling it with a TrialContext runs one trial.
 
-    ``draw`` builds an instance from the trial's seeds.  ``evaluate`` scores
+    ``draw`` builds the instances of a list of contexts, which share their
+    dim, tol and probe, from each trial's seeds.  ``evaluate`` scores
     a list of instances at one tolerance and returns, per instance, the
     margin with the witness entries that are not instance fields; an
     exponent grid in an instance is replaced by its worst exponent.  One
@@ -81,14 +86,15 @@ class Property:
     still exposes ``draw`` and ``evaluate``.
     """
 
-    draw: Callable[[TrialContext], Instance]
+    draw: Callable[[list[TrialContext]], list[Instance]]
     evaluate: Callable[[list[Instance], float], list[Scored]]
     witness_keys: tuple[str, ...]
 
     def __call__(self, ctx: TrialContext | Sequence[TrialContext]) -> Any:
         if isinstance(ctx, TrialContext):
             return self([ctx])[0]
-        insts = [self.draw(c) for c in ctx]
+        ctx = list(ctx)
+        insts = self.draw(ctx)
         outs = []
         for c, inst, (margin, extras) in zip(ctx, insts, self.evaluate(insts, ctx[0].tol)):
             witness = None
@@ -142,37 +148,73 @@ def _scaled(m: oracles.Margin) -> float:
     return m.value / m.details["scale"]
 
 
-def _random_unit_quaternion(stream: SplitMix64) -> Quaternion:
-    while True:
-        c = stream.normals(4)
-        n = float(np.sqrt((c ** 2).sum()))
-        if n > 1e-6:
-            return Quaternion(float(c[0] / n), float(c[1] / n),
-                              float(c[2] / n), float(c[3] / n))
+def _scaled_units(units: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """Each unit quaternion of a (..., 4) stack times its real modulus: the
+    ``Quaternion`` product term for term, so signed zeros come out as there."""
+    w, x, y, z = np.moveaxis(units, -1, 0)
+    m = moduli
+    return np.stack([w * m - x * 0.0 - y * 0.0 - z * 0.0, w * 0.0 + x * m + y * 0.0 - z * 0.0,
+                     w * 0.0 - x * 0.0 + y * m + z * 0.0, w * 0.0 + x * 0.0 - y * 0.0 + z * m],
+                    axis=-1)
 
 
-def _random_normal(ctx: TrialContext, stream: SplitMix64, zeros: int = 0) -> QMatrix:
-    """Normal operator: `zeros` zero eigenvalues, the rest of modulus in [0.2, 2)."""
-    vals = [Quaternion(0.0, 0.0, 0.0, 0.0)] * zeros
-    for _ in range(ctx.dim - zeros):
-        u = _random_unit_quaternion(stream)
-        vals.append(u * Quaternion(0.2 + 1.8 * stream.uniform(0.0, 1.0), 0.0, 0.0, 0.0))
-    return generators.normal_with_spectrum(vals, seed=mix_seed(ctx.trial_seed, 1))
+def _random_normals(streams: list[SplitMix64], units: list[QMatrix], flags: list[bool],
+                    zeros: list[int] | None = None) -> list[QMatrix]:
+    """``units``, each one at a true flag replaced by the normal operator W D W*
+    with that unitary as W: D holds the trial's ``zeros`` zero eigenvalues,
+    then unit quaternions from its stream, each times a modulus in [0.2, 2)
+    drawn after it."""
+    rows = [i for i, flag in enumerate(flags) if flag]
+    if not rows:
+        return units
+    dim = units[rows[0]].rows
+    zs = [zeros[i] if zeros else 0 for i in rows]
+    drawn, after = unit_quaternions([streams[i] for i in rows], [dim - z for z in zs], extra=1)
+    drawn = _scaled_units(drawn, 0.2 + 1.8 * after[..., 0])
+    spectra = np.zeros((len(rows), dim, 4))
+    for k, z in enumerate(zs):
+        spectra[k, z:] = drawn[k, :dim - z]
+    normals = iter(generators._normals(spectra.view(np.complex128), [units[i] for i in rows]))
+    return [next(normals) if flag else u for flag, u in zip(flags, units)]
+
+
+def _streams(ctxs: list[TrialContext], index: int) -> list[SplitMix64]:
+    return [SplitMix64(mix_seed(c.trial_seed, index)) for c in ctxs]
+
+
+def _seeds(ctxs: list[TrialContext], index: int) -> list[int]:
+    return [mix_seed(c.trial_seed, index) for c in ctxs]
+
+
+def _normal_or_near(ctxs: list[TrialContext], streams: list[SplitMix64],
+                    lo: float, span: float) -> list[QMatrix]:
+    """Random normal operators, or when probing near-normal ones at
+    eps = 10^(-lo - span u) with u from each stream, on sub-seed 1."""
+    dim, seeds = ctxs[0].dim, _seeds(ctxs, 1)
+    if ctxs[0].probe:
+        eps = [10.0 ** (-lo - span * s.uniform(0.0, 1.0)) for s in streams]
+        return generators._near_normals(dim, eps, seeds)
+    return _random_normals(streams, generators._unitaries(dim, seeds), [True] * len(ctxs))
 
 
 # ------------------------------------------------------------ properties
 
 
-def _draw_lowner_heinz(ctx: TrialContext) -> Instance:
-    if not ctx.probe:
-        a, b = generators.ordered_pair(ctx.dim, seed=ctx.trial_seed)
-        return {"A": a, "B": b, "r": LH_R_GRID}
-    if ctx.index == 0:
-        return {"A": QMatrix.from_quaternions(PROBE_PAIR_A),
-                "B": QMatrix.from_quaternions(PROBE_PAIR_B), "r": 2.0}
-    a, b = generators.ordered_pair(ctx.dim, seed=ctx.trial_seed)
-    stream = SplitMix64(mix_seed(ctx.trial_seed, 3))
-    return {"A": a, "B": b, "r": 1.0 + 2.0 * stream.uniform(0.0, 1.0)}
+def _draw_lowner_heinz(ctxs: list[TrialContext]) -> list[Instance]:
+    fixed = [c.probe and c.index == 0 for c in ctxs]
+    pairs = iter(generators._ordered_pairs(
+        ctxs[0].dim, [c.trial_seed for c, f in zip(ctxs, fixed) if not f]))
+    out = []
+    for c, f in zip(ctxs, fixed):
+        if f:
+            out.append({"A": QMatrix.from_quaternions(PROBE_PAIR_A),
+                        "B": QMatrix.from_quaternions(PROBE_PAIR_B), "r": 2.0})
+            continue
+        a, b = next(pairs)
+        r = (1.0 + 2.0 * SplitMix64(mix_seed(c.trial_seed, 3)).uniform(0.0, 1.0) if c.probe
+             else LH_R_GRID)
+        out.append({"A": a, "B": b, "r": r})
+    return out
 
 
 def _exponents(inst: Instance) -> tuple:
@@ -194,10 +236,11 @@ def _grid_scored(inst: Instance, m: oracles.Margin) -> Scored:
     return _scaled(m), {}
 
 
-def _draw_holder_mccarthy(ctx: TrialContext) -> Instance:
-    return {"T": generators.positive(ctx.dim, seed=mix_seed(ctx.trial_seed, 0)),
-            "x": generators.unit_vector(ctx.dim, seed=mix_seed(ctx.trial_seed, 1)),
-            "r": HM_R_GRID}
+def _draw_holder_mccarthy(ctxs: list[TrialContext]) -> list[Instance]:
+    dim = ctxs[0].dim
+    return [{"T": t, "x": x, "r": HM_R_GRID}
+            for t, x in zip(generators._positives(dim, _seeds(ctxs, 0)),
+                            generators._unit_vectors(dim, _seeds(ctxs, 1)))]
 
 
 def _holder_mccarthy_margins(insts: list[Instance], tol: float) -> list[Scored]:
@@ -217,11 +260,14 @@ def _draw_furuta_exponents(stream: SplitMix64, violating: bool) -> tuple[float, 
     return (3.0, 1.0, 0.0) if violating else (1.0, 1.0, 0.0)
 
 
-def _draw_furuta(ctx: TrialContext) -> Instance:
-    a, b = generators.ordered_pair(ctx.dim, seed=ctx.trial_seed)
-    stream = SplitMix64(mix_seed(ctx.trial_seed, 5))
-    p, q, r = _draw_furuta_exponents(stream, violating=ctx.probe)
-    return {"A": a, "B": b, "p": p, "q": q, "r": r}
+def _draw_furuta(ctxs: list[TrialContext]) -> list[Instance]:
+    out = []
+    for c, (a, b) in zip(ctxs, generators._ordered_pairs(ctxs[0].dim,
+                                                         [c.trial_seed for c in ctxs])):
+        p, q, r = _draw_furuta_exponents(SplitMix64(mix_seed(c.trial_seed, 5)),
+                                         violating=c.probe)
+        out.append({"A": a, "B": b, "p": p, "q": q, "r": r})
+    return out
 
 
 def _furuta_margins(insts: list[Instance], tol: float) -> list[Scored]:
@@ -234,14 +280,9 @@ def _furuta_margins(insts: list[Instance], tol: float) -> list[Scored]:
             for (m1, m2), probe in zip(oracles._furuta_cases(cases, tol), probes)]
 
 
-def _draw_chain(ctx: TrialContext) -> Instance:
-    stream = SplitMix64(mix_seed(ctx.trial_seed, 0))
-    if ctx.probe:
-        eps = 10.0 ** (-1.0 - 3.0 * stream.uniform(0.0, 1.0))
-        t = generators.near_normal(ctx.dim, eps, seed=mix_seed(ctx.trial_seed, 1))
-    else:
-        t = _random_normal(ctx, stream)
-    return {"T": t, "probe": ctx.probe}
+def _draw_chain(ctxs: list[TrialContext]) -> list[Instance]:
+    ts = _normal_or_near(ctxs, _streams(ctxs, 0), 1.0, 3.0)
+    return [{"T": t, "probe": c.probe} for c, t in zip(ctxs, ts)]
 
 
 def _chain_margin(inst: Instance, tol: float) -> Scored:
@@ -251,13 +292,11 @@ def _chain_margin(inst: Instance, tol: float) -> Scored:
     return min(m1.value, m2.value) / m1.details["scale"], {}
 
 
-def _draw_aluthge(ctx: TrialContext) -> Instance:
-    stream = SplitMix64(mix_seed(ctx.trial_seed, 0))
-    if ctx.index % 2 == 0:
-        t = _random_normal(ctx, stream)
-    else:
-        t = generators.random_unitary(ctx.dim, seed=mix_seed(ctx.trial_seed, 1))
-    return {"T": t, "p": 0.5 + 0.5 * stream.uniform(0.0, 1.0)}
+def _draw_aluthge(ctxs: list[TrialContext]) -> list[Instance]:
+    streams = _streams(ctxs, 0)
+    ts = _random_normals(streams, generators._unitaries(ctxs[0].dim, _seeds(ctxs, 1)),
+                         [c.index % 2 == 0 for c in ctxs])
+    return [{"T": t, "p": 0.5 + 0.5 * s.uniform(0.0, 1.0)} for t, s in zip(ts, streams)]
 
 
 def _aluthge_margin(inst: Instance, tol: float) -> Scored:
@@ -272,15 +311,11 @@ def _aluthge_margin(inst: Instance, tol: float) -> Scored:
     return min(vals), {}
 
 
-def _draw_aluthge_gain(ctx: TrialContext) -> Instance:
-    stream = SplitMix64(mix_seed(ctx.trial_seed, 0))
-    p = 0.05 + 0.4 * stream.uniform(0.0, 1.0)
-    if ctx.probe:
-        eps = 10.0 ** (-2.0 - 2.0 * stream.uniform(0.0, 1.0))
-        t = generators.near_normal(ctx.dim, eps, seed=mix_seed(ctx.trial_seed, 1))
-    else:
-        t = _random_normal(ctx, stream)
-    return {"T": t, "p": p, "probe": ctx.probe}
+def _draw_aluthge_gain(ctxs: list[TrialContext]) -> list[Instance]:
+    streams = _streams(ctxs, 0)
+    ps = [0.05 + 0.4 * s.uniform(0.0, 1.0) for s in streams]
+    ts = _normal_or_near(ctxs, streams, 2.0, 2.0)
+    return [{"T": t, "p": p, "probe": c.probe} for c, t, p in zip(ctxs, ts, ps)]
 
 
 def _aluthge_gain_margin(inst: Instance, tol: float) -> Scored:
@@ -290,13 +325,13 @@ def _aluthge_gain_margin(inst: Instance, tol: float) -> Scored:
     return _scaled(report.transform_margin), {}
 
 
-def _draw_eigenspace_reducing(ctx: TrialContext) -> Instance:
-    stream = SplitMix64(mix_seed(ctx.trial_seed, 0))
-    units = [_random_unit_quaternion(stream) for _ in range(ctx.dim)]
-    vals = [u * Quaternion(0.3 + 2.0 * stream.uniform(0.0, 1.0), 0.0, 0.0, 0.0)
-            for u in units]
-    return {"T": generators.normal_with_spectrum(vals, seed=mix_seed(ctx.trial_seed, 1)),
-            "q": units[0]}
+def _draw_eigenspace_reducing(ctxs: list[TrialContext]) -> list[Instance]:
+    dim, streams = ctxs[0].dim, _streams(ctxs, 0)
+    units, _ = unit_quaternions(streams, [dim] * len(ctxs))
+    spectra = _scaled_units(units, 0.3 + 2.0 * block_uniforms(streams, dim))
+    ts = generators._normals(spectra.view(np.complex128),
+                             generators._unitaries(dim, _seeds(ctxs, 1)))
+    return [{"T": t, "q": Quaternion(*q)} for t, q in zip(ts, units[:, 0].tolist())]
 
 
 def _eigenspace_margin(inst: Instance, tol: float) -> Scored:
@@ -306,33 +341,46 @@ def _eigenspace_margin(inst: Instance, tol: float) -> Scored:
 _CLOSURE_CYCLE = ("scalar", "inverse", "unitary-equiv", "compression")
 
 
-def _block_unitary(dim: int, seed: int) -> tuple[QMatrix, QMatrix]:
-    """Block-diagonal unitary and the projector onto its leading block."""
+def _block_unitaries(dim: int, seeds: list[int]) -> list[tuple[QMatrix, QMatrix]]:
+    """Block-diagonal unitaries and the projector onto their leading block."""
     n1 = max(dim // 2, 1)
     n2 = dim - n1
-    t = np.zeros((dim, dim, 4))
-    t[:n1, :n1] = generators.random_unitary(n1, seed=mix_seed(seed, 0)).to_array()
-    if n2 > 0:
-        t[n1:, n1:] = generators.random_unitary(n2, seed=mix_seed(seed, 1)).to_array()
+    firsts = generators._unitaries(n1, [mix_seed(s, 0) for s in seeds])
+    seconds = generators._unitaries(n2, [mix_seed(s, 1) for s in seeds]) if n2 else firsts
     proj = np.zeros((dim, dim, 4))
     proj[np.arange(n1), np.arange(n1), 0] = 1.0
-    return QMatrix(t), QMatrix(proj)
+    out = []
+    for u1, u2 in zip(firsts, seconds):
+        t = np.zeros((dim, dim, 4))
+        t[:n1, :n1] = u1.to_array()
+        if n2:
+            t[n1:, n1:] = u2.to_array()
+        out.append((QMatrix(t), QMatrix(proj)))
+    return out
 
 
-def _draw_gcsi_closure(ctx: TrialContext) -> Instance:
-    which = _CLOSURE_CYCLE[ctx.index % len(_CLOSURE_CYCLE)]
-    stream = SplitMix64(mix_seed(ctx.trial_seed, 0))
-    inst: Instance = {"which": which, "seed": mix_seed(ctx.trial_seed, 3)}
-    if which == "compression":
-        inst["T"], inst["projector"] = _block_unitary(ctx.dim, mix_seed(ctx.trial_seed, 1))
-    else:
-        inst["T"] = generators.random_unitary(ctx.dim, seed=mix_seed(ctx.trial_seed, 1))
-        if which == "scalar":
-            inst["scalar"] = 0.5 + 2.0 * stream.uniform(0.0, 1.0)
-        elif which == "unitary-equiv":
-            inst["unitary"] = generators.random_unitary(
-                ctx.dim, seed=mix_seed(ctx.trial_seed, 2))
-    return inst
+def _draw_gcsi_closure(ctxs: list[TrialContext]) -> list[Instance]:
+    dim = ctxs[0].dim
+    which = [_CLOSURE_CYCLE[c.index % len(_CLOSURE_CYCLE)] for c in ctxs]
+    plain = [c for c, w in zip(ctxs, which) if w != "compression"]
+    equiv = [c for c, w in zip(ctxs, which) if w == "unitary-equiv"]
+    us = generators._unitaries(dim, _seeds(plain, 1) + _seeds(equiv, 2))
+    ts, vs = iter(us[:len(plain)]), iter(us[len(plain):])
+    blocks = iter(_block_unitaries(dim, _seeds([c for c, w in zip(ctxs, which)
+                                                if w == "compression"], 1)))
+    insts = []
+    for c, w in zip(ctxs, which):
+        inst: Instance = {"which": w, "seed": mix_seed(c.trial_seed, 3)}
+        if w == "compression":
+            inst["T"], inst["projector"] = next(blocks)
+        else:
+            inst["T"] = next(ts)
+            if w == "scalar":
+                inst["scalar"] = 0.5 + 2.0 * SplitMix64(mix_seed(c.trial_seed, 0)).uniform(0.0, 1.0)
+            elif w == "unitary-equiv":
+                inst["unitary"] = next(vs)
+        insts.append(inst)
+    return insts
 
 
 def _closure_margins(insts: list[Instance], tol: float) -> list[Scored]:
@@ -352,9 +400,11 @@ def _closure_margins(insts: list[Instance], tol: float) -> list[Scored]:
     return out
 
 
-def _draw_kernel_reduction(ctx: TrialContext) -> Instance:
-    stream = SplitMix64(mix_seed(ctx.trial_seed, 0))
-    return {"T": _random_normal(ctx, stream, zeros=1 + ctx.index % max(ctx.dim - 1, 1))}
+def _draw_kernel_reduction(ctxs: list[TrialContext]) -> list[Instance]:
+    dim = ctxs[0].dim
+    ts = _random_normals(_streams(ctxs, 0), generators._unitaries(dim, _seeds(ctxs, 1)),
+                         [True] * len(ctxs), [1 + c.index % max(dim - 1, 1) for c in ctxs])
+    return [{"T": t} for t in ts]
 
 
 def _kernel_margin(inst: Instance, tol: float) -> Scored:
@@ -367,33 +417,30 @@ def _kernel_margin(inst: Instance, tol: float) -> Scored:
     return min(vals), {}
 
 
-def _draw_tu_star(ctx: TrialContext) -> Instance:
-    stream = SplitMix64(mix_seed(ctx.trial_seed, 0))
-    if ctx.index % 2 == 0:
-        t = generators.random_unitary(ctx.dim, seed=mix_seed(ctx.trial_seed, 1))
-    else:
-        t = _random_normal(ctx, stream)
-    return {"T": t, "x": generators.unit_vector(ctx.dim, seed=mix_seed(ctx.trial_seed, 2))}
+def _draw_tu_star(ctxs: list[TrialContext]) -> list[Instance]:
+    dim = ctxs[0].dim
+    ts = _random_normals(_streams(ctxs, 0), generators._unitaries(dim, _seeds(ctxs, 1)),
+                         [c.index % 2 == 1 for c in ctxs])
+    return [{"T": t, "x": x} for t, x in zip(ts, generators._unit_vectors(dim, _seeds(ctxs, 2)))]
 
 
 def _tu_star_margin(inst: Instance, tol: float) -> Scored:
     return _scaled(oracles.check_tu_star(inst["T"], inst["x"], tol=tol)), {}
 
 
-def _draw_gcsi_implies(ctx: TrialContext) -> Instance:
-    stream = SplitMix64(mix_seed(ctx.trial_seed, 0))
-    family = ctx.index % 4
-    sub = mix_seed(ctx.trial_seed, 1)
-    if family == 0:
-        t = generators.random_unitary(ctx.dim, seed=sub)
-    elif family == 1:
-        t = _random_normal(ctx, stream)
-    elif family == 2:
-        t = generators.positive(ctx.dim, seed=sub)
-    else:
-        t = generators.ginibre(ctx.dim, seed=sub)
-    return {"T": t, "p": 0.25 + 0.5 * stream.uniform(0.0, 1.0),
-            "seed": mix_seed(ctx.trial_seed, 2)}
+def _draw_gcsi_implies(ctxs: list[TrialContext]) -> list[Instance]:
+    """Families by trial index mod 4: unitary, normal, positive, Ginibre; a
+    normal operator is drawn on the unitary of its sub-seed."""
+    dim, streams, subs = ctxs[0].dim, _streams(ctxs, 0), _seeds(ctxs, 1)
+    family = [c.index % 4 for c in ctxs]
+    pick = [[s for s, f in zip(subs, family) if max(f, 1) == k] for k in range(4)]
+    pools = {1: iter(generators._unitaries(dim, pick[1])),
+             2: iter(generators._positives(dim, pick[2])),
+             3: iter(generators._ginibres(dim, dim, pick[3]))}
+    ts = _random_normals(streams, [next(pools[max(f, 1)]) for f in family],
+                         [f == 1 for f in family])
+    return [{"T": t, "p": 0.25 + 0.5 * s.uniform(0.0, 1.0), "seed": mix_seed(c.trial_seed, 2)}
+            for c, t, s in zip(ctxs, ts, streams)]
 
 
 def _implies_margins(insts: list[Instance], tol: float) -> list[Scored]:
@@ -405,8 +452,8 @@ def _implies_margins(insts: list[Instance], tol: float) -> list[Scored]:
             for r in reports]
 
 
-def _draw_collapse(ctx: TrialContext) -> Instance:
-    return {"T": generators.ginibre(ctx.dim, seed=mix_seed(ctx.trial_seed, 0))}
+def _draw_collapse(ctxs: list[TrialContext]) -> list[Instance]:
+    return [{"T": t} for t in generators._ginibres(ctxs[0].dim, ctxs[0].dim, _seeds(ctxs, 0))]
 
 
 def _frobenius(a: np.ndarray, b: np.ndarray) -> float:
@@ -414,11 +461,6 @@ def _frobenius(a: np.ndarray, b: np.ndarray) -> float:
     on a slice of a stack need not be the one on a whole matrix bit for bit."""
     a, b = a.copy(), b.copy()
     return float(np.sqrt(np.vdot(a, a).real + np.vdot(b, b).real))
-
-
-def _adjoints(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pair stacks of the adjoints, laid out as ``QMatrix.H`` lays out one."""
-    return a.conj().swapaxes(-1, -2), -b.swapaxes(-1, -2)
 
 
 def _collapse_margins(insts: list[Instance], tol: float) -> list[Scored]:
@@ -472,9 +514,10 @@ def _hausdorff(a: list[complex], b: list[complex]) -> float:
     return max(d_ab, d_ba)
 
 
-def _draw_spectrum_st_ts(ctx: TrialContext) -> Instance:
-    return {"S": generators.ginibre(ctx.dim, seed=mix_seed(ctx.trial_seed, 0)),
-            "T": generators.ginibre(ctx.dim, seed=mix_seed(ctx.trial_seed, 1))}
+def _draw_spectrum_st_ts(ctxs: list[TrialContext]) -> list[Instance]:
+    dim = ctxs[0].dim
+    ops = generators._ginibres(dim, dim, [mix_seed(c.trial_seed, j) for c in ctxs for j in (0, 1)])
+    return [{"S": s, "T": t} for s, t in zip(ops[0::2], ops[1::2])]
 
 
 def _st_ts_margin(inst: Instance, tol: float) -> Scored:
@@ -488,9 +531,10 @@ def _st_ts_margin(inst: Instance, tol: float) -> Scored:
     return min(-dist / (100.0 * scale), -abs(r_st - r_ts) / scale), {}
 
 
-def _draw_conjugation(ctx: TrialContext) -> Instance:
-    return {"U": generators.random_unitary(ctx.dim, seed=mix_seed(ctx.trial_seed, 0)),
-            "S": generators.hermitian(ctx.dim, seed=mix_seed(ctx.trial_seed, 1))}
+def _draw_conjugation(ctxs: list[TrialContext]) -> list[Instance]:
+    dim = ctxs[0].dim
+    return [{"U": u, "S": s} for u, s in zip(generators._unitaries(dim, _seeds(ctxs, 0)),
+                                             generators._hermitians(dim, _seeds(ctxs, 1)))]
 
 
 def _conjugation_margins(insts: list[Instance], tol: float) -> list[Scored]:

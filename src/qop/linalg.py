@@ -90,6 +90,11 @@ def _product(a1: np.ndarray, b1: np.ndarray, a2: np.ndarray,
     return a1 @ a2 - b1 @ b2.conj(), a1 @ b2 + b1 @ a2.conj()
 
 
+def _adjoints(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair stacks of the adjoints, laid out as ``QMatrix.H`` lays out one."""
+    return a.conj().swapaxes(-1, -2), -b.swapaxes(-1, -2)
+
+
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """``np.stack(arrays)``, as a view when there is one array."""
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)

@@ -13,9 +13,14 @@ Per-trial seeds are derived with ``mix_seed(seed, index)``, defined as
 output number ``index`` of the stream seeded with ``seed``.  Gaussian
 variates come from the Box-Muller transform applied to consecutive
 uniform pairs, so the whole chain is reproducible from a single integer.
+``block_normals``, ``block_uniforms`` and ``unit_quaternions`` draw from
+many streams at once, one row per stream, each row bit for bit the draws
+its stream makes alone.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -32,6 +37,71 @@ def _finalize(state: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * _M1
     z = (z ^ (z >> np.uint64(27))) * _M2
     return z ^ (z >> np.uint64(31))
+
+
+def _outputs(seeds: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
+    """The k outputs after ``counts`` of the stream of each seed, along a new last axis."""
+    idx = np.arange(1, k + 1, dtype=np.uint64)
+    return _finalize(seeds[..., None] + (counts[..., None] + idx) * _GAMMA)
+
+
+def _to_uniform(z: np.ndarray) -> np.ndarray:
+    return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Normals from the uniform pairs along the last axis of ``u``, in order."""
+    u1 = 1.0 - u[..., 0::2]          # (0, 1], keeps log finite
+    u2 = u[..., 1::2]
+    radius = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    out = np.empty(u.shape, dtype=np.float64)
+    out[..., 0::2] = radius * np.cos(theta)
+    out[..., 1::2] = radius * np.sin(theta)
+    return out
+
+
+def block_normals(seeds: Sequence[int], k: int) -> np.ndarray:
+    """(len(seeds), k): row i is ``SplitMix64(seeds[i]).normals(k)``, from one block."""
+    s = np.array([int(seed) & _MASK for seed in seeds], dtype=np.uint64)
+    return _box_muller(_to_uniform(_outputs(s, np.uint64(0), 2 * ((k + 1) // 2))))[:, :k]
+
+
+def block_uniforms(streams: Sequence["SplitMix64"], k: int) -> np.ndarray:
+    """(len(streams), k): row i is ``streams[i].uniforms(k)``, from one block."""
+    seeds = np.array([s._seed for s in streams], dtype=np.uint64)
+    counts = np.array([s._count for s in streams], dtype=np.uint64)
+    for s in streams:
+        s._count += k
+    return _to_uniform(_outputs(seeds, counts, k))
+
+
+def unit_quaternions(streams: Sequence["SplitMix64"], counts: Sequence[int],
+                     extra: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Row i: the next counts[i] unit quaternions of streams[i], each followed
+    by ``extra`` uniforms, as (k, m, 4) and (k, m, extra) for m = max(counts);
+    rows past counts[i] are not the stream's.
+
+    A quaternion is ``normals(4)`` over its norm, drawn again while that norm
+    is at most 1e-6.  The streams are drawn as one block; a stream with a
+    rejected quaternion draws its quaternions again one at a time.
+    """
+    width, m = 4 + extra, max(counts, default=0)
+    u = block_uniforms(streams, width * m).reshape(len(streams), m, width)
+    c = _box_muller(u[..., :4])
+    norm = np.sqrt((c ** 2).sum(axis=-1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        units, extras = c / norm[..., None], u[..., 4:]
+    for i, (stream, n) in enumerate(zip(streams, counts)):
+        stream._count -= width * (m - n)
+        if not (norm[i, :n] > 1e-6).all():
+            stream._count -= width * n
+            for j in range(n):
+                q = stream.normals(4)
+                while not (qn := float(np.sqrt((q ** 2).sum()))) > 1e-6:
+                    q = stream.normals(4)
+                units[i, j], extras[i, j] = q / qn, stream.uniforms(extra)
+    return units, extras
 
 
 def mix_seed(seed: int, index: int) -> int:
@@ -60,14 +130,12 @@ class SplitMix64:
         """Next k raw 64-bit outputs."""
         if k < 0:
             raise ValueError("k must be nonnegative")
-        idx = np.arange(self._count + 1, self._count + k + 1, dtype=np.uint64)
         self._count += k
-        states = np.uint64(self._seed) + idx * _GAMMA
-        return _finalize(states)
+        return _outputs(np.uint64(self._seed), np.uint64(self._count - k), k)
 
     def uniforms(self, k: int) -> np.ndarray:
         """Next k uniforms in [0, 1) with 53-bit resolution."""
-        return (self.uint64(k) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        return _to_uniform(self.uint64(k))
 
     def _next_uniform(self) -> float:
         """The next uniform, from one output on Python integers.
@@ -83,16 +151,7 @@ class SplitMix64:
 
     def normals(self, k: int) -> np.ndarray:
         """Next k standard normals via Box-Muller on consecutive pairs."""
-        m = (k + 1) // 2
-        u = self.uniforms(2 * m)
-        u1 = 1.0 - u[0::2]          # (0, 1], keeps log finite
-        u2 = u[1::2]
-        radius = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        out = np.empty(2 * m, dtype=np.float64)
-        out[0::2] = radius * np.cos(theta)
-        out[1::2] = radius * np.sin(theta)
-        return out[:k]
+        return _box_muller(self.uniforms(2 * ((k + 1) // 2)))[:k]
 
     def integer(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] (by scaled uniform; fine for harness use)."""

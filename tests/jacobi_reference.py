@@ -123,7 +123,8 @@ ZERO_RTOL = 1e-10
 
 
 def svd(matrix: np.ndarray):
-    """Thin SVD with the seam's signature, from the Hermitian dilation.
+    """Thin SVD with the seam's signature, from the Hermitian dilation; a
+    stack is solved matrix by matrix.
 
     [[0, M], [M*, 0]] has eigenvalues +-sigma_i with eigenvectors
     [w_i; +-v_i] / sqrt(2), plus zeros.  Each positive eigenvalue gives a
@@ -133,6 +134,9 @@ def svd(matrix: np.ndarray):
     span ker M, and they fill the columns of the zero singular values.
     """
     m = np.asarray(matrix, dtype=np.complex128)
+    if m.ndim > 2:
+        parts = [svd(x) for x in m.reshape(-1, *m.shape[-2:])]
+        return tuple(np.stack(f).reshape(m.shape[:-2] + f[0].shape) for f in zip(*parts))
     p, q = m.shape
     k = min(p, q)
     dilation = np.block([[np.zeros((p, p)), m], [m.conj().T, np.zeros((q, q))]])

@@ -293,3 +293,19 @@ def test_each_command_loads_only_the_modules_it_uses(tmp_path, argv, needs, skip
     assert code == 0
     assert {"qop." + m for m in needs} <= set(loaded)
     assert not {"qop." + m for m in skips} & set(loaded), loaded
+
+
+def test_verify_bytes_do_not_depend_on_the_blas_thread_count():
+    # at dim 64 OpenBLAS splits a product by its thread count, so the CLI
+    # pins one thread before numpy loads, whatever the shell asked for
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qop.__file__)))
+    outs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qop", "verify", "collapse", "--trials", "4", "--seed", "42",
+             "--dim", "64"],
+            capture_output=True, env={**os.environ, "PYTHONPATH": src,
+                                      "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from qop import generators
 from qop.errors import DomainError, ShapeError
 from qop.generators import (ginibre, hermitian, near_normal, normal_with_spectrum,
                             ordered_pair, partial_isometry, positive,
@@ -58,6 +60,17 @@ def test_partial_isometry_defect():
     # projection of rank 2
     assert (gram @ gram - gram).frobenius() <= 1e-9
     assert abs(gram.trace().w - 2.0) <= 1e-9
+
+
+def test_partial_isometry_rejects_a_non_integer_defect_before_drawing(monkeypatch):
+    monkeypatch.setattr(generators, "block_normals", lambda *a: pytest.fail("drew"))
+    with pytest.raises(DomainError, match=r"^defect must be an integer, got 1\.5$"):
+        partial_isometry(4, 1.5, seed=1)
+
+
+def test_normal_with_spectrum_takes_an_array():
+    t = normal_with_spectrum(np.array([1.0, 2.0]), seed=1)
+    assert t.to_array().tobytes() == normal_with_spectrum([1.0, 2.0], seed=1).to_array().tobytes()
 
 
 def test_near_normal_perturbation_size():

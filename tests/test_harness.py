@@ -143,12 +143,17 @@ def test_run_fuzz_clean_budget():
     assert r.min_margin >= -r.tol
 
 
+def _per_trial(draw):
+    """A Property draw of a list of contexts from a draw of one."""
+    return lambda ctxs: [draw(ctx) for ctx in ctxs]
+
+
 def test_run_fuzz_violation_path(monkeypatch):
     def evaluate(inst, tol):
         return evaluate_instance("tu-star", inst, tol), {"planted": True}
 
     monkeypatch.setitem(PROPERTIES, "planted",
-                        Property(lambda ctx: _shrinkable(), _each(evaluate), ("x",)))
+                        Property(_per_trial(lambda ctx: _shrinkable()), _each(evaluate), ("x",)))
     r = run_fuzz("planted", budget=10, seed=0, dim=3)
     assert r.trials == 1
     assert r.witness is not None and r.witness["planted"]
@@ -320,7 +325,7 @@ def test_a_failing_chunk_surfaces_its_lowest_failing_trial(monkeypatch):
         return [(0.0, {})] * len(insts)
 
     monkeypatch.setitem(PROPERTIES, "planted",
-                        Property(lambda ctx: {"idx": ctx.index}, evaluate, ("idx",)))
+                        Property(_per_trial(lambda ctx: {"idx": ctx.index}), evaluate, ("idx",)))
     with pytest.raises(PreconditionError, match="trial 1"):
         run_verify("planted", trials=5, seed=0, dim=2)
     assert run_verify("planted", trials=1, seed=0, dim=2).min_margin == 0.0

@@ -517,24 +517,25 @@ def test_exponent_grids_make_one_eigenvalue_solve(monkeypatch):
         real = getattr(_eig, name)
         monkeypatch.setattr(_eig, name, lambda m, name=name, real=real: calls.append(name) or real(m))
     # per 4 trials; the p-hyponormal hypotheses read their margin's verdict,
-    # with no ||T|| solve
-    for prop, eigh, eigvalsh, svd in (("aluthge", 0, 20, 16), ("aluthge-gain", 0, 8, 12),
-                                      ("gcsi-implies", 1, 4, 6)):
+    # with no ||T|| solve, and the chunk's unitary draws make one stacked SVD
+    for prop, eigh, eigvalsh, svd in (("aluthge", 0, 20, 13), ("aluthge-gain", 0, 8, 9),
+                                      ("gcsi-implies", 1, 4, 5)):
         calls.clear()
         harness.run_verify(prop, trials=4, seed=1, dim=4)
         counts = tuple(calls.count(k) for k in ("eigh", "eigvalsh", "svd"))
         assert counts == (eigh, eigvalsh, svd), prop
     # collapse and conjugation-lemma solve a chunk of trials, 4 or 16, in a
     # fixed number of stacked calls: collapse T*T and TT*, ||T|| and the p
-    # grid; conjugation-lemma the shifts, S and U S U*.  Only the SVDs of
-    # collapse's polar factors and of the unitary draws grow with the trials
-    for prop, eigh, eigvalsh, svd_per_trial in (("collapse", 1, 2, 1),
-                                                ("conjugation-lemma", 1, 1, 1)):
+    # grid; conjugation-lemma the shifts, S and U S U*, and its unitary draws
+    # in one SVD.  Only the SVDs of collapse's polar factors grow with the trials
+    for prop, eigh, eigvalsh, svd_per_trial, svd_per_chunk in (("collapse", 1, 2, 1, 0),
+                                                               ("conjugation-lemma", 1, 1, 0, 1)):
         for trials in (4, 16):
             calls.clear()
             harness.run_verify(prop, trials=trials, seed=1, dim=4)
             counts = tuple(calls.count(k) for k in ("eigh", "eigvalsh", "svd"))
-            assert counts == (eigh, eigvalsh, svd_per_trial * trials), (prop, trials)
+            assert counts == (eigh, eigvalsh, svd_per_trial * trials + svd_per_chunk), \
+                (prop, trials)
 
 
 def _holder_mccarthy_reference(t, x, r, tol=oracles.DEFAULT_TOL):
@@ -680,12 +681,12 @@ def test_enforced_oracles_factor_each_operator_once(monkeypatch):
     check_chain_semihypo(t)
     assert len(calls) == 1
     # the report carries the transform, so the aluthge trial's fixed-point
-    # margin does not factor T again: per trial one SVD in the generator and
-    # three in the oracle
+    # margin does not factor T again: per trial three SVDs in the oracle, and
+    # one stacked SVD in the generator for the chunk
     assert check_aluthge_theorems(t, 0.75).transform.equals_exact(aluthge(t))
     calls.clear()
     harness.run_verify("aluthge", trials=4, seed=1, dim=4)
-    assert len(calls) == 16
+    assert len(calls) == 13
     # collapse factors T once per trial and scores every exponent on it
     calls.clear()
     harness.run_verify("collapse", trials=4, seed=1, dim=4)
@@ -949,7 +950,7 @@ def test_gcsi_implies_checks_every_argument_before_any_solve(monkeypatch):
 
 def _closure_cases():
     u = random_unitary(4, seed=6500)
-    block, proj = harness._block_unitary(4, 6501)
+    block, proj = harness._block_unitaries(4, [6501])[0]
     yield "scalar", u, {"scalar": 1.5}, u * 1.5
     yield "inverse", u, {}, invert(u)
     v = random_unitary(4, seed=6502)
