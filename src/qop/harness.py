@@ -10,10 +10,13 @@ minimises exactly what the trial measured, hypotheses included.
 ``run_verify`` draws and evaluates its trials in chunks of ``_BATCH``.  A
 chunk is drawn as stacks: one block draw per stream of Gaussian entries,
 one SVD per stack of unitaries and two products per stack of normal
-operators, each instance bit for bit the one its trial draws alone.  The
-GCSI properties climb every search of a chunk in lockstep, the five
-Hermitian properties solve and weigh each operator role of a chunk as one
-stack, and the others score instance by instance.  Per-trial seeds are
+operators, each instance bit for bit the one its trial draws alone.  It
+is scored as stacks too: the GCSI properties climb every search of a
+chunk in lockstep, the five Hermitian properties solve and weigh each
+operator role of a chunk as one stack, and the other seven factor each
+operator role with one SVD per stack and solve each family of margins in
+one eigenvalue call, each margin bit for bit the one its instance gives
+alone.  Per-trial seeds are
 derived as mix_seed(seed, index), whatever the chunk; the aggregate is a
 deterministic min-fold with ties broken by lowest trial index, and an
 error surfaces from the lowest failing trial.
@@ -29,13 +32,14 @@ import numpy as np
 
 from . import generators, matio, oracles
 from .errors import DomainError, PreconditionError, QopError, ShapeError
-from .linalg import (DEFAULT_DIM, QMatrix, QVector, _adjoints, _pair_eigvalsh, _product,
-                     _require_finite, _runs, _stack_pairs, _trusted, operator_norm)
+from .linalg import (DEFAULT_DIM, QMatrix, QVector, _adjoints, _checked, _operator_norms,
+                     _pair_eigvalsh, _product, _require_finite, _runs, _stack_pairs, _trusted,
+                     operator_norm)
 from .quaternion import Quaternion
 from .rng import SplitMix64, block_uniforms, mix_seed, unit_quaternions
 from .spectral import (_NOT_FINITE, _eigensystems, _hermitian_from_chi, _psd_powers,
-                       _require_square, spherical_spectrum)
-from .transforms import polar
+                       _require_square, _spherical, _standard_eigenvalues)
+from .transforms import _polars
 
 DEFAULT_TOL = oracles.DEFAULT_TOL
 
@@ -105,10 +109,23 @@ class Property:
         return outs
 
 
-def _each(margin: Callable[[Instance, float], Scored]
-          ) -> Callable[[list[Instance], float], list[Scored]]:
-    """The batch evaluator that scores its instances one at a time with ``margin``."""
-    return lambda insts, tol: [margin(inst, tol) for inst in insts]
+def _by_runs(score: Callable[[list[Instance], float], list[Scored]],
+             size: int) -> Callable[[list[Instance], float], list[Scored]]:
+    """The batch evaluator that scores each ``linalg._runs`` run of instances
+    of one shape with ``score``; an instance counts ``size`` times the bytes
+    of its T."""
+    def evaluate(insts: list[Instance], tol: float) -> list[Scored]:
+        out: list[Scored] = []
+        for run in _runs(insts, _shapes, lambda inst: size * inst["T"]._a.nbytes):
+            out += score(run, tol)
+        return out
+    return evaluate
+
+
+def _shapes(inst: Instance) -> tuple:
+    """The shape of every operator and vector of an instance."""
+    return tuple((key, val._a.shape) for key, val in inst.items()
+                 if isinstance(val, (QMatrix, QVector)))
 
 
 @dataclass(frozen=True)
@@ -140,8 +157,9 @@ class VerificationReport:
         return matio.dumps_canonical(self.to_json())
 
 
-def _scale_op(t: QMatrix) -> float:
-    return max(1.0, operator_norm(t))
+def _scales(ts: list[QMatrix]) -> list[float]:
+    """max(1, ||T||) of each operator of one shape, from one eigenvalue solve."""
+    return [max(1.0, x) for x in _operator_norms(*_stack_pairs(ts)).tolist()]
 
 
 def _scaled(m: oracles.Margin) -> float:
@@ -285,11 +303,11 @@ def _draw_chain(ctxs: list[TrialContext]) -> list[Instance]:
     return [{"T": t, "probe": c.probe} for c, t in zip(ctxs, ts)]
 
 
-def _chain_margin(inst: Instance, tol: float) -> Scored:
+def _chain_margins(run: list[Instance], tol: float) -> list[Scored]:
     """The sandwich; T must be semi-hyponormal unless the instance is a probe."""
-    m1, m2 = oracles.check_chain_semihypo(inst["T"], tol=tol,
-                                          enforce=not inst.get("probe", False))
-    return min(m1.value, m2.value) / m1.details["scale"], {}
+    cases = [(inst["T"], not inst.get("probe", False)) for inst in run]
+    return [(min(m1.value, m2.value) / m1.details["scale"], {})
+            for m1, m2 in oracles._chain_cases(cases, tol)]
 
 
 def _draw_aluthge(ctxs: list[TrialContext]) -> list[Instance]:
@@ -299,16 +317,20 @@ def _draw_aluthge(ctxs: list[TrialContext]) -> list[Instance]:
     return [{"T": t, "p": 0.5 + 0.5 * s.uniform(0.0, 1.0)} for t, s in zip(ts, streams)]
 
 
-def _aluthge_margin(inst: Instance, tol: float) -> Scored:
-    """Every transform theorem for a p-hyponormal T, and T~ = T for normal T."""
-    t = inst["T"]
-    report = oracles.check_aluthge_theorems(t, inst["p"], tol=tol)
-    vals = [-(report.transform - t).frobenius() / _scale_op(t), _scaled(report.transform_margin)]
-    vals += [_scaled(m) for _, m in report.monotone]
-    if report.double_reading_a is not None:
-        vals.append(_scaled(report.double_reading_a))
-    vals.append(_scaled(report.double_reading_b))
-    return min(vals), {}
+def _aluthge_margins(run: list[Instance], tol: float) -> list[Scored]:
+    """Every transform theorem for a p-hyponormal T, and T~ = T for normal T.
+    The first report read solves the ladders and double transforms of the run."""
+    ts = [inst["T"] for inst in run]
+    reports = oracles._aluthge_cases([(t, inst["p"], True) for t, inst in zip(ts, run)], tol)
+    out = []
+    for t, report, scale in zip(ts, reports, _scales(ts)):
+        vals = [-(report.transform - t).frobenius() / scale, _scaled(report.transform_margin)]
+        vals += [_scaled(m) for _, m in report.monotone]
+        if report.double_reading_a is not None:
+            vals.append(_scaled(report.double_reading_a))
+        vals.append(_scaled(report.double_reading_b))
+        out.append((min(vals), {}))
+    return out
 
 
 def _draw_aluthge_gain(ctxs: list[TrialContext]) -> list[Instance]:
@@ -318,11 +340,10 @@ def _draw_aluthge_gain(ctxs: list[TrialContext]) -> list[Instance]:
     return [{"T": t, "p": p, "probe": c.probe} for c, t, p in zip(ctxs, ts, ps)]
 
 
-def _aluthge_gain_margin(inst: Instance, tol: float) -> Scored:
+def _aluthge_gain_margins(run: list[Instance], tol: float) -> list[Scored]:
     """The transform's gain; T must be p-hyponormal unless the instance is a probe."""
-    report = oracles.check_aluthge_theorems(inst["T"], inst["p"], tol=tol,
-                                            enforce=not inst.get("probe", False))
-    return _scaled(report.transform_margin), {}
+    cases = [(inst["T"], inst["p"], not inst.get("probe", False)) for inst in run]
+    return [(_scaled(r.transform_margin), {}) for r in oracles._aluthge_cases(cases, tol)]
 
 
 def _draw_eigenspace_reducing(ctxs: list[TrialContext]) -> list[Instance]:
@@ -334,8 +355,9 @@ def _draw_eigenspace_reducing(ctxs: list[TrialContext]) -> list[Instance]:
     return [{"T": t, "q": Quaternion(*q)} for t, q in zip(ts, units[:, 0].tolist())]
 
 
-def _eigenspace_margin(inst: Instance, tol: float) -> Scored:
-    return _scaled(oracles.check_eigenspace_reducing(inst["T"], inst["q"], tol=tol)), {}
+def _eigenspace_margins(run: list[Instance], tol: float) -> list[Scored]:
+    cases = [(inst["T"], inst["q"]) for inst in run]
+    return [(_scaled(m), {}) for m in oracles._eigenspace_cases(cases, tol)]
 
 
 _CLOSURE_CYCLE = ("scalar", "inverse", "unitary-equiv", "compression")
@@ -407,14 +429,15 @@ def _draw_kernel_reduction(ctxs: list[TrialContext]) -> list[Instance]:
     return [{"T": t} for t in ts]
 
 
-def _kernel_margin(inst: Instance, tol: float) -> Scored:
-    t = inst["T"]
-    report = oracles.check_kernel_reduction(t, tol=tol)
-    scale = _scale_op(t)
-    vals = [-report.subset_residual / scale, -report.equality_residual / scale]
-    if report.dim_ker != report.dim_ker_sq:
-        vals.append(-1.0)
-    return min(vals), {}
+def _kernel_margins(run: list[Instance], tol: float) -> list[Scored]:
+    ts = [inst["T"] for inst in run]
+    out = []
+    for report, scale in zip(oracles._kernel_reductions(ts, tol), _scales(ts)):
+        vals = [-report.subset_residual / scale, -report.equality_residual / scale]
+        if report.dim_ker != report.dim_ker_sq:
+            vals.append(-1.0)
+        out.append((min(vals), {}))
+    return out
 
 
 def _draw_tu_star(ctxs: list[TrialContext]) -> list[Instance]:
@@ -424,8 +447,9 @@ def _draw_tu_star(ctxs: list[TrialContext]) -> list[Instance]:
     return [{"T": t, "x": x} for t, x in zip(ts, generators._unit_vectors(dim, _seeds(ctxs, 2)))]
 
 
-def _tu_star_margin(inst: Instance, tol: float) -> Scored:
-    return _scaled(oracles.check_tu_star(inst["T"], inst["x"], tol=tol)), {}
+def _tu_star_margins(run: list[Instance], tol: float) -> list[Scored]:
+    cases = [(inst["T"], inst["x"]) for inst in run]
+    return [(_scaled(m), {}) for m in oracles._tu_star_cases(cases, tol)]
 
 
 def _draw_gcsi_implies(ctxs: list[TrialContext]) -> list[Instance]:
@@ -466,7 +490,8 @@ def _frobenius(a: np.ndarray, b: np.ndarray) -> float:
 def _collapse_margins(insts: list[Instance], tol: float) -> list[Scored]:
     """tr (T*T)^p = tr (TT*)^p over HYP_P_GRID, and a non-normal T is not
     p-hyponormal.  A run's T*T and TT* are solved in one eigensolver call and
-    its ||T|| in one eigenvalue call; ``polar`` stays per operator."""
+    its ||T|| in one eigenvalue call, and its non-normal operators are
+    factored in one SVD per stack."""
     for inst in insts:
         _require_square(inst["T"])
     out = []
@@ -478,18 +503,18 @@ def _collapse_margins(insts: list[Instance], tol: float) -> list[Scored]:
         _require_finite(ca, cb, "QMatrix")
         tops = _pair_eigvalsh(ga, gb)[:, -1].tolist()
         _, w, v = _eigensystems(np.concatenate([ga, ca]), np.concatenate([gb, cb]))
-        parts = []
-        for i, (t, top) in enumerate(zip(run, tops)):
+        skewed = []
+        for i, top in enumerate(tops):
             scale = max(1.0, float(np.sqrt(max(top, 0.0)))) ** 2
-            normality = _frobenius(ga[i] - ca[i], gb[i] - cb[i])
-            parts.append(polar(t) if normality > 1e-4 * scale else None)
+            skewed.append(_frobenius(ga[i] - ca[i], gb[i] - cb[i]) > 1e-4 * scale)
         pa, _ = _psd_powers(w, v, [HYP_P_GRID] * w.shape[0])
         traces = [[float(np.trace(x).real) for x in rows] for rows in pa]
         # the p-hyponormal margins are read as values only, so no witness is solved for
-        diffs = [oracles._hyponormal_diffs(pp, HYP_P_GRID) for pp in parts if pp is not None]
-        hyps = iter(_pair_eigvalsh(*map(np.stack, zip(*diffs)))[..., 0] if diffs else ())
-        for pp, tr_gs, tr_cs in zip(parts, traces, traces[len(run):]):
-            hyp = next(hyps) if pp is not None else None
+        parts = _polars([t for t, skew in zip(run, skewed) if skew])
+        hyps = iter(_pair_eigvalsh(*oracles._hyponormal_diffs(
+            parts, [HYP_P_GRID] * len(parts)))[:, 0].reshape(len(parts), -1) if parts else ())
+        for skew, tr_gs, tr_cs in zip(skewed, traces, traces[len(run):]):
+            hyp = next(hyps) if skew else None
             vals = []
             for k, (tr_g, tr_c) in enumerate(zip(tr_gs, tr_cs)):
                 vals.append(-abs(tr_g - tr_c) / max(1.0, abs(tr_g), abs(tr_c)))
@@ -497,13 +522,6 @@ def _collapse_margins(insts: list[Instance], tol: float) -> list[Scored]:
                     vals.append(-1.0)
             out.append((min(vals), {}))
     return out
-
-
-def _class_reps_with_zero(t: QMatrix) -> list[complex]:
-    spec = spherical_spectrum(t)
-    reps = list(spec.classes)
-    reps.append(0.0 + 0.0j)
-    return reps
 
 
 def _hausdorff(a: list[complex], b: list[complex]) -> float:
@@ -520,15 +538,28 @@ def _draw_spectrum_st_ts(ctxs: list[TrialContext]) -> list[Instance]:
     return [{"S": s, "T": t} for s, t in zip(ops[0::2], ops[1::2])]
 
 
-def _st_ts_margin(inst: Instance, tol: float) -> Scored:
-    s, t = inst["S"], inst["T"]
-    reps_st = _class_reps_with_zero(s @ t)
-    reps_ts = _class_reps_with_zero(t @ s)
-    r_st = max(abs(z) for z in reps_st)
-    r_ts = max(abs(z) for z in reps_ts)
-    scale = max(1.0, r_st, r_ts)
-    dist = _hausdorff(reps_st, reps_ts)
-    return min(-dist / (100.0 * scale), -abs(r_st - r_ts) / scale), {}
+def _st_ts_margins(run: list[Instance], tol: float) -> list[Scored]:
+    """sigma(ST) and sigma(TS), each with 0 added, in Hausdorff distance and
+    spectral radius; every ST and TS of the run is solved in one call."""
+    for inst in run:
+        s, t = inst["S"], inst["T"]
+        if s.cols != t.rows:
+            raise ShapeError(f"cannot multiply {s.shape} by {t.shape}")
+        if s.rows != t.cols:
+            raise ShapeError(f"square operator required, got {(s.rows, t.cols)}")
+    sa, sb = _stack_pairs([inst["S"] for inst in run])
+    ta, tb = _stack_pairs([inst["T"] for inst in run])
+    st, ts = _checked(_product(sa, sb, ta, tb)), _checked(_product(ta, tb, sa, sb))
+    spectra = [list(_spherical(reps).classes) + [0j] for reps in
+               _standard_eigenvalues(*map(np.concatenate, zip(st, ts)))]
+    out = []
+    for reps_st, reps_ts in zip(spectra, spectra[len(run):]):
+        r_st = max(abs(z) for z in reps_st)
+        r_ts = max(abs(z) for z in reps_ts)
+        scale = max(1.0, r_st, r_ts)
+        dist = _hausdorff(reps_st, reps_ts)
+        out.append((min(-dist / (100.0 * scale), -abs(r_st - r_ts) / scale), {}))
+    return out
 
 
 def _draw_conjugation(ctxs: list[TrialContext]) -> list[Instance]:
@@ -576,18 +607,18 @@ PROPERTIES: dict[str, Property] = {
     "holder-mccarthy": Property(_draw_holder_mccarthy, _holder_mccarthy_margins,
                                 ("T", "x", "r")),
     "furuta": Property(_draw_furuta, _furuta_margins, ("A", "B", "p", "q", "r")),
-    "chain": Property(_draw_chain, _each(_chain_margin), ("T",)),
-    "aluthge": Property(_draw_aluthge, _each(_aluthge_margin), ("T", "p")),
-    "aluthge-gain": Property(_draw_aluthge_gain, _each(_aluthge_gain_margin),
+    "chain": Property(_draw_chain, _by_runs(_chain_margins, 48), ("T",)),
+    "aluthge": Property(_draw_aluthge, _by_runs(_aluthge_margins, 96), ("T", "p")),
+    "aluthge-gain": Property(_draw_aluthge_gain, _by_runs(_aluthge_gain_margins, 48),
                              ("T", "p", "probe")),
-    "eigenspace-reducing": Property(_draw_eigenspace_reducing, _each(_eigenspace_margin),
-                                    ("T", "q")),
+    "eigenspace-reducing": Property(_draw_eigenspace_reducing,
+                                    _by_runs(_eigenspace_margins, 64), ("T", "q")),
     "gcsi-closure": Property(_draw_gcsi_closure, _closure_margins, ("which", "T")),
-    "kernel-reduction": Property(_draw_kernel_reduction, _each(_kernel_margin), ("T",)),
-    "tu-star": Property(_draw_tu_star, _each(_tu_star_margin), ("T", "x")),
+    "kernel-reduction": Property(_draw_kernel_reduction, _by_runs(_kernel_margins, 64), ("T",)),
+    "tu-star": Property(_draw_tu_star, _by_runs(_tu_star_margins, 24), ("T", "x")),
     "gcsi-implies": Property(_draw_gcsi_implies, _implies_margins, ("T", "p")),
     "collapse": Property(_draw_collapse, _collapse_margins, ("T",)),
-    "spectrum-st-ts": Property(_draw_spectrum_st_ts, _each(_st_ts_margin), ("S", "T")),
+    "spectrum-st-ts": Property(_draw_spectrum_st_ts, _by_runs(_st_ts_margins, 16), ("S", "T")),
     "conjugation-lemma": Property(_draw_conjugation, _conjugation_margins, ("U", "S")),
 }
 

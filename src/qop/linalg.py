@@ -75,6 +75,12 @@ def _require_finite(a: np.ndarray, b: np.ndarray, what: str) -> None:
         raise StructureError(f"{what} entries must be finite")
 
 
+def _checked(pair: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The pair, or pair of stacks, once every entry is checked finite as a ``QMatrix``'s."""
+    _require_finite(*pair, "QMatrix")
+    return pair
+
+
 def _trusted(cls, a: np.ndarray, b: np.ndarray):
     """Wrap the pair computed by an internal operation: no copy, no shape re-check."""
     _require_finite(a, b, cls.__name__)
@@ -96,8 +102,12 @@ def _adjoints(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """``np.stack(arrays)``, as a view when there is one array."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+    """``np.stack(arrays)``, as a view when there is one array.  ``np.stack``
+    keeps each array's memory order; arrays that are all C-contiguous give
+    the same C-contiguous stack through ``np.array``, in a third of the time."""
+    if len(arrays) == 1:
+        return arrays[0][None]
+    return np.array(arrays) if all(a.flags.c_contiguous for a in arrays) else np.stack(arrays)
 
 
 def _stack_pairs(ops: Sequence[Any]) -> tuple[np.ndarray, np.ndarray]:
@@ -473,12 +483,26 @@ def _hermitian_chi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def operator_norm(a: QMatrix) -> float:
     """Largest singular value, via the top eigenvalue of A* A."""
-    return _gram_norm(a.H @ a)
+    return float(_operator_norms(a._a[None], a._b[None])[0])
 
 
-def _gram_norm(gram: QMatrix) -> float:
-    """``operator_norm`` of A from its Gram matrix A* A."""
-    return float(np.sqrt(max(float(_chi_eigvalsh(gram)[-1]), 0.0)))
+def _operator_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``operator_norm`` of each operator of the (k, n, m) pair stacks (A, B),
+    from one eigenvalue solve of the stacked Gram matrices."""
+    ga, gb = _product(*_adjoints(a, b), a, b)
+    _require_finite(ga, gb, "QMatrix")
+    return _gram_norms(ga, gb)
+
+
+def _gram_norms(ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
+    """``operator_norm`` of each A from the (k, m, m) pair stacks of its Gram matrix A* A."""
+    return np.sqrt(np.maximum(_pair_eigvalsh(ga, gb)[:, -1], 0.0))
+
+
+def _vector_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``QVector.norm`` of each vector of the (k, n) pair stacks (A, B)."""
+    r = np.stack([a, b], axis=-1).view(np.float64)
+    return np.sqrt((r ** 2).reshape(r.shape[0], -1).sum(axis=-1))
 
 
 @dataclass(frozen=True)

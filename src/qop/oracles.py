@@ -25,16 +25,18 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import _eig, matio
-from .errors import DomainError, PreconditionError, QopError, StructureError
-from .linalg import (QMatrix, QVector, _chi_eigvalsh, _from_chi_top, _from_psi, _gram_norm,
-                     _pair_eigvalsh, _product, _psi, _require_finite, _runs, _selfadjoint_residual,
-                     _stack_pairs, _stacked, _trusted, embed_chi, inner, operator_norm, outer)
+from .errors import DomainError, PreconditionError, QopError, ShapeError
+from .linalg import (QMatrix, QVector, _adjoints, _checked, _chi_eigvalsh, _from_chi_top, _from_psi,
+                     _gram_norms, _operator_norms, _pair_eigvalsh, _product, _psi, _require_finite,
+                     _runs, _selfadjoint_residual, _stack_pairs, _stacked, _trusted, _vector_norms,
+                     embed_chi, inner, operator_norm)
 from .quaternion import Quaternion
 from .rng import SplitMix64, mix_seed
-from .spectral import (HermitianEigensystem, _eigensystem, _eigensystems, _hermitian_from_chi,
-                       _psd_powers, _psd_verdict, _psd_weights, _require_selfadjoint, delta_q,
-                       is_psd, kernel_basis, spherical_eigenspace)
-from .transforms import PolarParts, aluthge, polar, unitary_completion
+from .spectral import (EIGENSPACE_RTOL, HermitianEigensystem, _eigensystems, _hermitian_from_chi,
+                       _kernel_bases, _psd_powers, _psd_verdict, _psd_weights, _require_selfadjoint,
+                       is_psd)
+from .transforms import (PolarParts, _abs_powers, _aluthge_transforms, _polars, polar,
+                         unitary_completion)
 
 DEFAULT_TOL = 1e-8
 # invert's cutoff on sigma_min / sigma_max
@@ -108,7 +110,7 @@ def classify_basic(t: QMatrix, *, tol: float = DEFAULT_TOL) -> BasicClasses:
     if not t.is_square():
         raise DomainError(f"classification needs a square operator, got {t.shape}")
     gram = t.H @ t
-    thr = tol * max(1.0, _gram_norm(gram)) ** 2
+    thr = tol * max(1.0, float(_gram_norms(gram._a[None], gram._b[None])[0])) ** 2
     sa_res = _selfadjoint_residual(t)
     selfadjoint = sa_res <= thr
     co = t @ t.H
@@ -147,47 +149,54 @@ def is_p_hyponormal(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
     polar parts of T passes them as ``parts``.
     """
     _check_exponent(p)
-    return _p_hyponormal_grid(polar(t) if parts is None else parts, (p,), tol)[0]
+    return _p_hyponormal_grid([polar(t) if parts is None else parts], [(p,)], tol)[0][0]
 
 
-def _hyponormal_values(parts: PolarParts,
-                       ps: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least eigenvalue of D_p = (T*T)^p - (TT*)^p for each p in ``ps``, and
-    the (k, n, n) pair stacks of the D_p, from one eigenvalue solve.
+def _hyponormal_diffs(parts: Sequence[PolarParts],
+                      ps: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray]:
+    """The pair stack of D_p = (T*T)^p - (TT*)^p for each part and each p of
+    its grid, in case order, checked finite.
 
     D_p = |T|^{2p} - U |T|^{2p} U*: both sides are built on the same SVD
     singular values, so a numerically smeared kernel cannot fake an order
     violation through the fractional power.
     """
-    da, db = _hyponormal_diffs(parts, ps)
-    return _pair_eigvalsh(da, db)[:, 0], da, db
-
-
-def _hyponormal_diffs(parts: PolarParts, ps: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """The (k, n, n) pair stacks of D_p for each p in ``ps``, checked finite."""
-    ha, hb = parts._abs_powers([2.0 * p for p in ps])
-    u, uh = parts.u, parts.u.H
-    ya, yb = _product(*_product(u._a, u._b, ha, hb), uh._a, uh._b)
-    da, db = ha - ya, hb - yb
+    ha, hb = _abs_powers(parts, [[2.0 * p for p in grid] for grid in ps])
+    sizes = [len(grid) for grid in ps if grid]
+    ua, ub = _stack_pairs([pp.u for pp, grid in zip(parts, ps) if grid])
+    if len(set(sizes)) == 1:
+        # grids of one length: each U broadcast over its own grid
+        ha, hb = (h.reshape(len(sizes), sizes[0], *h.shape[1:]) for h in (ha, hb))
+        ua, ub = ua[:, None], ub[:, None]
+    else:
+        ua, ub = np.repeat(ua, sizes, axis=0), np.repeat(ub, sizes, axis=0)
+    ya, yb = _product(*_product(ua, ub, ha, hb), *_adjoints(ua, ub))
+    da, db = (ha - ya).reshape(-1, *ha.shape[-2:]), (hb - yb).reshape(-1, *hb.shape[-2:])
     _require_finite(da, db, "QMatrix")
     return da, db
 
 
-def _hyponormal_witness(p: float, a: np.ndarray, b: np.ndarray) -> dict[str, Any]:
-    """The exponent and the unit vector of the least quadratic form of D_p = A + B j."""
-    vec = _eigensystem(_trusted(QMatrix, a, b)).vectors.column(0)
-    return {"p": p, "vector": matio.vector_to_json(vec)}
-
-
-def _p_hyponormal_grid(parts: PolarParts, ps: Sequence[float], tol: float) -> list[Margin]:
-    """``is_p_hyponormal`` at each p of ``ps`` from one set of polar parts; a
-    witness eigenvector is solved for only at a violated exponent."""
-    values, da, db = _hyponormal_values(parts, ps)
-    opn = max(parts.sigmas, default=0.0)
-    out = []
-    for p, value, a, b in zip(ps, values.tolist(), da, db):
-        witness = lambda: _hyponormal_witness(p, a, b)
-        out.append(_margin(value, tol, max(1.0, opn ** (2.0 * p)), witness, p=p))
+def _p_hyponormal_grid(parts: Sequence[PolarParts], ps: Sequence[Sequence[float]],
+                       tol: float) -> list[list[Margin]]:
+    """``is_p_hyponormal`` at each exponent of ``ps[i]`` from the polar parts
+    ``parts[i]``, every (case, exponent) pair in one eigenvalue solve.  The
+    witnesses, the unit vectors of the least quadratic forms, are solved for
+    only at the violated pairs, all of them in one eigensolver call."""
+    if not any(ps):
+        return [[] for _ in ps]
+    da, db = _hyponormal_diffs(parts, ps)
+    values = _pair_eigvalsh(da, db)[:, 0].tolist()
+    scales = [max(1.0, max(pp.sigmas, default=0.0) ** (2.0 * p))
+              for pp, grid in zip(parts, ps) for p in grid]
+    low = [j for j, (value, scale) in enumerate(zip(values, scales)) if value < -tol * scale]
+    systems = dict(zip(low, _eigensystems(da[low], db[low])[0] if low else ()))
+    out, rows = [], iter(range(len(values)))
+    for grid in ps:
+        margins = []
+        for p, j in zip(grid, rows):
+            witness = lambda: {"p": p, "vector": matio.vector_to_json(systems[j].vectors.column(0))}
+            margins.append(_margin(values[j], tol, scales[j], witness, p=p))
+        out.append(margins)
     return out
 
 
@@ -758,21 +767,36 @@ def check_chain_semihypo(t: QMatrix, *, tol: float = DEFAULT_TOL,
     by default the input must pass the semi-hyponormality margin; probes on
     nearby non-members set ``enforce=False`` and read the degradation.
     """
-    pp = polar(t)
-    opn = max(pp.sigmas)
-    if enforce:
-        semi = is_p_hyponormal(t, 0.5, tol=tol, parts=pp)
+    return _chain_cases([(t, enforce)], tol)[0]
+
+
+def _chain_cases(cases: Sequence[tuple[QMatrix, bool]],
+                 tol: float) -> list[tuple[Margin, Margin]]:
+    """``check_chain_semihypo`` of each (T, enforce) case: the operators are
+    factored in one SVD per stack, the enforced hypotheses solved in one
+    eigenvalue call and both sandwiches of every case in another."""
+    parts = _polars([t for t, _ in cases])
+    enforced = [pp for pp, (_, enforce) in zip(parts, cases) if enforce]
+    for (semi,) in _p_hyponormal_grid(enforced, [(0.5,)] * len(enforced), tol):
         if semi.violated:
             raise PreconditionError(
                 f"operator is not semi-hyponormal (margin {semi.value:.3e})")
-    u, abst = pp.u, pp.abs_t
-    upper = u.H @ abst @ u - abst
-    lower = abst - u @ abst @ u.H
-    m1 = float(_chi_eigvalsh(upper)[0])
-    m2 = float(_chi_eigvalsh(lower)[0])
-    scale = max(1.0, opn)
-    witness = lambda: {"enforced": enforce}
-    return _margin(m1, tol, scale, witness), _margin(m2, tol, scale, witness)
+    ha, hb = _abs_powers(parts, [(1.0,)] * len(parts))
+    ua, ub = _stack_pairs([pp.u for pp in parts])
+    uh = _adjoints(ua, ub)
+    # U* |T| U - |T|, then |T| - U |T| U*, each product checked as it is made
+    xa, xb = _checked(_product(*_checked(_product(*uh, ha, hb)), ua, ub))
+    upper = _checked((xa - ha, xb - hb))
+    xa, xb = _checked(_product(*_checked(_product(ua, ub, ha, hb)), *uh))
+    lower = _checked((ha - xa, hb - xb))
+    k = len(cases)
+    m = _pair_eigvalsh(*map(np.concatenate, zip(upper, lower)))[:, 0].tolist()
+    out = []
+    for i, (pp, (_, enforce)) in enumerate(zip(parts, cases)):
+        scale = max(1.0, max(pp.sigmas))
+        witness = lambda: {"enforced": enforce}
+        out.append((_margin(m[i], tol, scale, witness), _margin(m[k + i], tol, scale, witness)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -780,7 +804,8 @@ class AluthgeReport:
     """Margins for the transform theorems at one exponent, and the transform.
 
     ``monotone`` and the two double-transform readings are computed on
-    first read and cached, from the polar parts the call already made.
+    first read and cached, from the polar parts the call already made; the
+    first read of a reading computes it for every report of the call.
     """
 
     p: float
@@ -802,15 +827,6 @@ class AluthgeReport:
         return self._double()
 
 
-def _monotone_ladder(parts: PolarParts, grid: tuple[float, ...],
-                     tol: float) -> tuple[tuple[float, Margin], ...]:
-    return tuple(zip(grid, _p_hyponormal_grid(parts, grid, tol))) if grid else ()
-
-
-def _double_transform_margin(tt: QMatrix, tt_parts: PolarParts, tol: float) -> Margin:
-    return is_p_hyponormal(aluthge(tt, parts=tt_parts), 1.0, tol=tol)
-
-
 def check_aluthge_theorems(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
                            enforce: bool = True) -> AluthgeReport:
     """Transform margins for a p-hyponormal operator.
@@ -824,26 +840,37 @@ def check_aluthge_theorems(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
     The report carries the transform T~ itself as ``transform``.  The
     ladder and the double transform are computed when first read.
     """
-    _check_exponent(p)
-    parts = polar(t)
-    if enforce:
-        base = is_p_hyponormal(t, p, tol=tol, parts=parts)
-        if base.violated:
-            raise PreconditionError(
-                f"operator is not {p}-hyponormal (margin {base.value:.3e})")
-    tt = aluthge(t, parts=parts)
-    tt_parts = polar(tt)
-    target = 1.0 if p >= 0.5 else p + 0.5
-    transform_margin = is_p_hyponormal(tt, target, tol=tol, parts=tt_parts)
+    return _aluthge_cases([(t, p, enforce)], tol)[0]
 
-    grid = tuple(q for q in (p, 0.75 * p, 0.5 * p, 0.25 * p) if q > 1e-9)
-    return AluthgeReport(
-        p=p,
-        transform=tt,
-        transform_margin=transform_margin,
-        _monotone=partial(_monotone_ladder, parts, grid, tol),
-        _double=partial(_double_transform_margin, tt, tt_parts, tol),
-    )
+
+def _aluthge_cases(cases: Sequence[tuple[QMatrix, float, bool]],
+                   tol: float) -> list[AluthgeReport]:
+    """``check_aluthge_theorems`` of each (T, p, enforce) case, the exponents
+    of all checked first.  T and T~ are factored in one SVD per stack, and
+    the enforced hypotheses and the transform margins solved in one
+    eigenvalue call each.  The first read of any report's ladder solves
+    every ladder, and that of a double reading factors every T~~ and
+    solves its margins, in one call each."""
+    for _, p, _ in cases:
+        _check_exponent(p)
+    parts = _polars([t for t, _, _ in cases])
+    enforced = [(pp, p) for pp, (_, p, enforce) in zip(parts, cases) if enforce]
+    for (pp, p), (base,) in zip(enforced, _p_hyponormal_grid(
+            [pp for pp, _ in enforced], [(p,) for _, p in enforced], tol)):
+        if base.violated:
+            raise PreconditionError(f"operator is not {p}-hyponormal (margin {base.value:.3e})")
+    tts = _aluthge_transforms(parts)
+    tt_parts = _polars(tts)
+    targets = [(1.0 if p >= 0.5 else p + 0.5,) for _, p, _ in cases]
+    grids = [tuple(q for q in (p, 0.75 * p, 0.5 * p, 0.25 * p) if q > 1e-9) for _, p, _ in cases]
+    ladders = cache(lambda: [tuple(zip(grid, margins)) for grid, margins in
+                             zip(grids, _p_hyponormal_grid(parts, grids, tol))])
+    doubles = cache(lambda: _p_hyponormal_grid(_polars(_aluthge_transforms(tt_parts)),
+                                               [(1.0,)] * len(cases), tol))
+    return [AluthgeReport(p=p, transform=tt, transform_margin=margin,
+                          _monotone=lambda i=i: ladders()[i], _double=lambda i=i: doubles()[i][0])
+            for i, ((_, p, _), tt, (margin,)) in enumerate(
+                zip(cases, tts, _p_hyponormal_grid(tt_parts, targets, tol)))]
 
 
 def check_eigenspace_reducing(t: QMatrix, q: Quaternion, *,
@@ -855,24 +882,61 @@ def check_eigenspace_reducing(t: QMatrix, q: Quaternion, *,
     -max(||(I-P)TP||, ||(I-P)T*P||) for P the projector onto that kernel.
     Zero margin means the subspace reduces T.
     """
-    if not abs(q.norm() - 1.0) <= 1e-6:
-        raise DomainError(f"unit quaternion expected, |q| = {q.norm():.6f}")
-    parts = polar(t)
-    u = unitary_completion(parts)
-    rep = q.similarity_representative()
-    kern = spherical_eigenspace(u, rep)
-    if not kern:
-        raise DomainError(f"{rep} is not a right eigenvalue of the polar unitary")
-    n = t.rows
-    proj = QMatrix.zeros(n, n)
-    for z in kern:
-        proj = proj + outer(z, z)
-    comp = QMatrix.identity(n) - proj
-    off1 = operator_norm(comp @ t @ proj)
-    off2 = operator_norm(comp @ t.H @ proj)
-    witness = lambda: {"q": matio.quaternion_to_json(q), "kernel_dim": len(kern)}
-    return _margin(-max(off1, off2), tol, max(1.0, operator_norm(t)), witness,
-                   kernel_dim=len(kern))
+    return _eigenspace_cases([(t, q)], tol)[0]
+
+
+def _eigenspace_cases(cases: Sequence[tuple[QMatrix, Quaternion]], tol: float) -> list[Margin]:
+    """``check_eigenspace_reducing`` of each (T, q) case, the quaternions of
+    all checked first.  The operators are factored in one SVD per stack,
+    the sphere polynomials' kernels found in one SVD, and the norms of the
+    two off-diagonal blocks and of T solved in one eigenvalue call."""
+    for _, q in cases:
+        if not abs(q.norm() - 1.0) <= 1e-6:
+            raise DomainError(f"unit quaternion expected, |q| = {q.norm():.6f}")
+    ts = [t for t, _ in cases]
+    ua, ub = _stack_pairs([unitary_completion(pp) for pp in _polars(ts)])
+    reps = [q.similarity_representative() for _, q in cases]
+    spheres = [Quaternion(rep.real, rep.imag, 0.0, 0.0) for rep in reps]
+    n, k = ua.shape[-1], len(cases)
+    zero = np.zeros((k, n, n), dtype=np.complex128)
+    eye = zero.copy()
+    eye[:, np.arange(n), np.arange(n)] = 1.0
+    # delta_q(U, rep) = U^2 - U (2 Re rep) + I |rep|^2, term for term
+    two_re = np.array([2.0 * q.w for q in spheres])[:, None, None]
+    norm2 = np.array([q.norm_squared() for q in spheres])[:, None, None]
+    sa, sb = _checked(_product(ua, ub, ua, ub))
+    xa, xb = _checked((ua * two_re, ub * two_re))
+    sa, sb = _checked((sa - xa, sb - xb))
+    kernels = _kernel_bases(*_checked((sa + eye * norm2, sb + zero * norm2)), EIGENSPACE_RTOL)
+    dims = [len(za) for za, _ in kernels]
+    for rep, dim in zip(reps, dims):
+        if not dim:
+            raise DomainError(f"{rep} is not a right eigenvalue of the polar unitary")
+    # the projector onto each kernel, its outer products z z* summed from
+    # zero in basis order, the cases of one kernel dimension together; I - P
+    pa, pb = zero.copy(), zero.copy()
+    for dim in set(dims):
+        rows = [i for i, d in enumerate(dims) if d == dim]
+        za, zb = (np.stack([kernels[i][f] for i in rows]) for f in (0, 1))
+        oa, ob = _checked(_product(za[..., None], zb[..., None],
+                                   za.conj()[..., None, :], -zb[..., None, :]))
+        sum_a, sum_b = pa[rows], pb[rows]
+        for j in range(dim):
+            sum_a, sum_b = _checked((sum_a + oa[:, j], sum_b + ob[:, j]))
+        pa[rows], pb[rows] = sum_a, sum_b
+    ca, cb = _checked((eye - pa, zero - pb))
+    ta, tb = _stack_pairs(ts)
+    blocks = []
+    for ma, mb in ((ta, tb), _adjoints(ta, tb)):
+        blocks.append(_checked(_product(*_checked(_product(ca, cb, ma, mb)), pa, pb)))
+    blocks.append((ta, tb))
+    norms = _operator_norms(*map(np.concatenate, zip(*blocks))).tolist()
+    out = []
+    for i, ((_, q), dim) in enumerate(zip(cases, dims)):
+        witness = lambda: {"q": matio.quaternion_to_json(q), "kernel_dim": dim}
+        out.append(_margin(-max(norms[i], norms[k + i]), tol, max(1.0, norms[2 * k + i]),
+                           witness, kernel_dim=dim))
+    return out
 
 
 def invert(t: QMatrix) -> QMatrix:
@@ -995,32 +1059,91 @@ def check_kernel_reduction(t: QMatrix, *, tol: float = DEFAULT_TOL) -> KernelRep
     a non-member.  Residuals are worst-case norms of T* (resp. T) on the
     computed kernel bases.
     """
-    ker = kernel_basis(t)
-    ker_star = kernel_basis(t.H)
-    ker_sq = kernel_basis(t @ t)
-    subset = max(((t.H @ k).norm() for k in ker), default=0.0)
-    equality = max(((t @ k).norm() for k in ker_sq), default=0.0)
-    thr = tol * max(1.0, operator_norm(t))
-    passes = (subset <= thr and len(ker) == len(ker_sq) and equality <= thr)
-    return KernelReport(
-        dim_ker=len(ker),
-        dim_ker_star=len(ker_star),
-        dim_ker_sq=len(ker_sq),
-        subset_residual=subset,
-        equality_residual=equality,
-        threshold=thr,
-        passes=passes,
-    )
+    return _kernel_reductions([t], tol)[0]
+
+
+def _kernel_reductions(ts: Sequence[QMatrix], tol: float) -> list[KernelReport]:
+    """``check_kernel_reduction`` of each operator of one shape: the kernels
+    of T, T* and T^2 of all of them from one SVD, the residuals from one
+    stacked product per kind, and ||T|| from one eigenvalue solve."""
+    for t in ts:
+        if not t.is_square():
+            raise ShapeError("kernel extraction expects rows >= cols")
+    a, b = _stack_pairs(ts)
+    ha, hb = _adjoints(a, b)
+    sa, sb = _checked(_product(a, b, a, b))
+    k = len(ts)
+    bases = _kernel_bases(np.concatenate([a, ha, sa]), np.concatenate([b, hb, sb]), 1e-8)
+    kers, ker_stars, ker_sqs = bases[:k], bases[k:2 * k], bases[2 * k:]
+    subsets = _image_norms(a, b, kers, adjoint=True)
+    equalities = _image_norms(a, b, ker_sqs, adjoint=False)
+    norms = _operator_norms(a, b).tolist()
+    out = []
+    for (ker, _), (ker_star, _), (ker_sq, _), subset, equality, opn in zip(
+            kers, ker_stars, ker_sqs, subsets, equalities, norms):
+        thr = tol * max(1.0, opn)
+        out.append(KernelReport(
+            dim_ker=len(ker),
+            dim_ker_star=len(ker_star),
+            dim_ker_sq=len(ker_sq),
+            subset_residual=subset,
+            equality_residual=equality,
+            threshold=thr,
+            passes=subset <= thr and len(ker) == len(ker_sq) and equality <= thr,
+        ))
+    return out
+
+
+def _image_norms(a: np.ndarray, b: np.ndarray, bases: Sequence[tuple[np.ndarray, np.ndarray]],
+                 *, adjoint: bool) -> list[float]:
+    """max ||M_i x|| over the vectors x of the (d, n) pair stacks ``bases[i]``,
+    0 for an empty basis, where M_i is T_i of the (k, n, n) pair stacks
+    (A, B), or T_i* when ``adjoint``.  The cases of one basis size make one
+    stacked matrix-vector product; indexing keeps each operator's layout, on
+    which the bits of a matrix-vector product depend."""
+    sizes: dict[int, list[int]] = {}
+    for i, (basis, _) in enumerate(bases):
+        if len(basis):
+            sizes.setdefault(len(basis), []).append(i)
+    out = [0.0] * len(bases)
+    for idx in sizes.values():
+        ma, mb = a[idx], b[idx]
+        if adjoint:
+            ma, mb = _adjoints(ma, mb)
+        xa, xb = (np.stack([bases[i][f] for i in idx])[..., None] for f in (0, 1))
+        ya, yb = _checked(_product(ma[:, None], mb[:, None], xa, xb))
+        norms = _vector_norms(ya.reshape(-1, a.shape[-1]), yb.reshape(-1, a.shape[-1]))
+        for i, row in zip(idx, norms.reshape(len(idx), -1).tolist()):
+            out[i] = max(row)
+    return out
 
 
 def check_tu_star(t: QMatrix, x: QVector, *, tol: float = DEFAULT_TOL) -> Margin:
     """Margin of ||T U* x||^2 <= ||T^2 U* x|| ||U* x|| at one vector."""
-    y = polar(t).u.H @ x
-    ty = t @ y
-    t2y = t @ ty
-    value = t2y.norm() * y.norm() - ty.norm() ** 2
-    return _margin(value, tol, max(1.0, operator_norm(t) ** 2),
-                   lambda: {"x": matio.vector_to_json(x)})
+    return _tu_star_cases([(t, x)], tol)[0]
+
+
+def _tu_star_cases(cases: Sequence[tuple[QMatrix, QVector]], tol: float) -> list[Margin]:
+    """``check_tu_star`` of each (T, x) case of one shape: the operators are
+    factored in one SVD per stack, each vector product is one stacked
+    product, and ||T|| comes from one eigenvalue solve."""
+    parts = _polars([t for t, _ in cases])
+    for (_, x), pp in zip(cases, parts):
+        if x.n != pp.u.cols:
+            raise ShapeError(f"cannot apply {pp.u.shape} to H^{x.n}")
+    ua, ub = _stack_pairs([pp.u for pp in parts])
+    xa, xb = _stack_pairs([x for _, x in cases])
+    ta, tb = _stack_pairs([t for t, _ in cases])
+    # U* x, T U* x and T^2 U* x, each in the layout of its lone product
+    y = _checked(_product(*_adjoints(ua, ub), xa[..., None], xb[..., None]))
+    ty = _checked(_product(ta, tb, *y))
+    t2y = _checked(_product(ta, tb, *ty))
+    ny, nty, nt2y = (_vector_norms(va[..., 0], vb[..., 0]).tolist() for va, vb in (y, ty, t2y))
+    out = []
+    for (_, x), a, b, c, opn in zip(cases, ny, nty, nt2y, _operator_norms(ta, tb).tolist()):
+        out.append(_margin(c * a - b ** 2, tol, max(1.0, opn ** 2),
+                           lambda: {"x": matio.vector_to_json(x)}))
+    return out
 
 
 @dataclass(frozen=True)
@@ -1072,7 +1195,10 @@ def _gcsi_implications(cases: Sequence[tuple[QMatrix, float, int]], *, budget: i
     _check_count(budget, "budget")
     _check_count(grid, "grid")
     _check_count(samples, "samples")
-    hyps = [is_p_hyponormal(t, p, tol=tol) for t, p, _ in cases]
+    hyps = []
+    for run in _runs(cases, lambda c: c[0].shape, lambda c: 16 * c[0]._a.nbytes):
+        hyps += [m for (m,) in _p_hyponormal_grid(_polars([t for t, _, _ in run]),
+                                                   [(p,) for _, p, _ in run], tol)]
     gcsis = _gcsi_search(((t, p, seed, _gcsi_draw(t.rows, budget, seed, _REFINE_STEPS))
                           for t, p, seed in cases), tol=tol)
     return [ConsistencyReport(

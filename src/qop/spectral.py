@@ -31,8 +31,8 @@ import numpy as np
 
 from . import _eig
 from .errors import DomainError, PreconditionError, ShapeError, StructureError
-from .linalg import (QMatrix, QVector, _chi_eigvalsh, _from_psi, _hermitian_chi, _require_finite,
-                     _selfadjoint_residual, _trusted, embed_chi)
+from .linalg import (QMatrix, QVector, _chi_eigvalsh, _embed_pair, _from_psi, _hermitian_chi,
+                     _require_finite, _selfadjoint_residual, _trusted)
 from .quaternion import Quaternion
 
 PAIR_TOL = 1e-8
@@ -230,38 +230,73 @@ def _quaternionic_basis(v: np.ndarray, need: int) -> list[QVector]:
     working precision whatever basis of a degenerate cluster the solver
     returned.
     """
+    return [_from_psi(x) for x in _quaternionic_bases(v[None], need)[0]]
+
+
+def _quaternionic_bases(v: np.ndarray, need: int) -> np.ndarray:
+    """The embedded basis vectors psi(x) of ``_quaternionic_basis`` of each
+    (2n, c) matrix of the stack v, as a (k, need, 2n) array, every
+    Gram-Schmidt step taken for all of them at once.  Each slice keeps its
+    memory order, on which the summation order of its column norms
+    depends; the first step at which a slice falls short raises."""
     rest = np.array(v, dtype=np.complex128)
-    n = rest.shape[0] // 2
-    out: list[QVector] = []
-    for _ in range(need):
-        norms = np.linalg.norm(rest, axis=0)
-        k = int(np.argmax(norms))
-        if norms[k] <= _GS_ACCEPT:
-            raise StructureError(
-                f"eigenvector recovery produced {len(out)} of {need} vectors")
-        x = rest[:, k] / norms[k]
-        line = np.stack([x, np.concatenate([-np.conj(x[n:]), np.conj(x[:n])])], axis=1)
-        rest -= line @ (line.conj().T @ rest)
-        out.append(_from_psi(x))
+    rows = np.arange(rest.shape[0])
+    n = rest.shape[1] // 2
+    out = np.empty((rest.shape[0], need, 2 * n), dtype=np.complex128)
+    for step in range(need):
+        # np.linalg.norm(rest, axis=0) of each slice
+        norms = np.sqrt(np.add.reduce((rest.conj() * rest).real, axis=-2))
+        cols = norms.argmax(axis=-1)
+        best = norms[rows, cols]
+        if (best <= _GS_ACCEPT).any():
+            raise StructureError(f"eigenvector recovery produced {step} of {need} vectors")
+        x = rest[rows, :, cols] / best[:, None]
+        line = np.stack([x, np.concatenate([-np.conj(x[:, n:]), np.conj(x[:, :n])], axis=-1)],
+                        axis=-1)
+        rest -= line @ (line.conj().swapaxes(-1, -2) @ rest)
+        out[:, step] = x
     return out
+
+
+def _null_bases(v: np.ndarray, need: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, need, n) pair stacks of ``_null_basis`` of each (2n, c) matrix
+    of the stack v, checked finite: each vector of ``_quaternionic_bases``
+    with its largest entry made real and positive by a right unit factor,
+    so a null line does not depend on the solver."""
+    n = v.shape[-2] // 2
+    if not need:
+        return (np.empty((v.shape[0], 0, n), dtype=np.complex128),) * 2
+    x = _quaternionic_bases(v, need)
+    # the pairs of ``_from_psi``, and the entry of largest modulus of each vector
+    xa, xb = x[..., :n], -x[..., n:].conj()
+    leads = (np.stack([xa, xb], axis=-1).view(np.float64) ** 2).sum(axis=-1).argmax(axis=-1)
+    la, lb = (np.take_along_axis(y, leads[..., None], axis=-1) for y in (xa, xb))
+    qa, qb = np.empty_like(la), np.empty_like(lb)
+    for i, (a, b) in enumerate(zip(la.ravel().tolist(), lb.ravel().tolist())):
+        lead = Quaternion(a.real, a.imag, b.real, b.imag)
+        q = lead.conjugate() / lead.norm()
+        qa.flat[i], qb.flat[i] = complex(q.w, q.x), complex(q.y, q.z)
+    # x * q for the unit q of each vector, as ``QVector.__mul__`` forms it
+    ya, yb = xa * qa - xb * qb.conj(), xa * qb + xb * qa.conj()
+    _require_finite(ya, yb, "QVector")
+    return ya, yb
 
 
 def _null_basis(v: np.ndarray, need: int) -> tuple[QVector, ...]:
     """``_quaternionic_basis`` with each vector's largest entry made real and
     positive by a right unit factor, so a null line does not depend on the solver."""
-    out = []
-    for x in _quaternionic_basis(v, need):
-        lead = x[int(np.argmax((x.to_array() ** 2).sum(axis=1)))]
-        out.append(x * (lead.conjugate() / lead.norm()))
-    return tuple(out)
+    ya, yb = _null_bases(v[None], need)
+    return tuple(_trusted(QVector, a, b) for a, b in zip(ya[0], yb[0]))
 
 
-def _chi_svd(a: QMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(W, sigma, V) from the thin SVD chi(a) = W S V*.  chi(a) has every singular
-    value twice: ``sigma`` holds the pair means, descending, and columns
-    2k, 2k + 1 of W and V belong to ``sigma[k]``."""
-    w, s2, vh = _eig.svd(embed_chi(a))
-    return w, s2.reshape(-1, 2).mean(axis=1), vh.conj().T
+def _chi_svds(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W, sigma, V*) stacks from one thin SVD of the embedded (k, n, m) pair
+    stacks (A, B), chi = W S V*.  chi has every singular value twice: row i
+    of ``sigma`` holds the pair means, descending, and columns 2k, 2k + 1 of
+    W and V belong to ``sigma[i, k]``."""
+    w, s2, vh = _eig.svd(_embed_pair(a, b))
+    # the mean of each pair, as np.mean forms it
+    return w, (s2[:, 0::2] + s2[:, 1::2]) / 2.0, vh
 
 
 def eigh_q(a: QMatrix) -> HermitianEigensystem:
@@ -370,23 +405,32 @@ def standard_eigenvalues(t: QMatrix) -> tuple[complex, ...]:
     collapsed to its midpoint folded into the upper half-plane, and the
     result is ordered with ``PAIR_TOL`` as the tie tolerance.
     """
-    n = _require_square(t)
-    vals = _eig.eigvals(embed_chi(t))
-    scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
-    first, second, worst = _conjugate_pairs(vals)
-    if worst > PAIR_TOL * scale:
-        raise StructureError(
-            f"conjugate pairing failure (worst gap {worst:.3e} at scale {scale:.3e})")
-    # each midpoint is (0.5 + 0j) * (z_i + conj z_j) with the complex product
-    # written out, as numpy forms it on a scalar: its zero terms decide the
-    # sign of a real part that rounds to zero, where the array product may not
-    sums = vals[first] + np.conj(vals[second])
-    mids = np.empty_like(sums)
-    mids.real = 0.5 * sums.real - 0.0 * sums.imag
-    mids.imag = np.abs(0.5 * sums.imag + 0.0 * sums.real)
-    reps = mids.tolist()
-    assert len(reps) == n
-    return tuple(_tolerant_order(reps, PAIR_TOL * scale))
+    _require_square(t)
+    return _standard_eigenvalues(t._a[None], t._b[None])[0]
+
+
+def _standard_eigenvalues(a: np.ndarray, b: np.ndarray) -> list[tuple[complex, ...]]:
+    """``standard_eigenvalues`` of each operator of the (k, n, n) pair stacks
+    (A, B), from one eigenvalue solve; each row is paired and ordered on its
+    own, and the first row failing to pair raises."""
+    out = []
+    for vals in _eig.eigvals(_embed_pair(a, b)):
+        scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
+        first, second, worst = _conjugate_pairs(vals)
+        if worst > PAIR_TOL * scale:
+            raise StructureError(
+                f"conjugate pairing failure (worst gap {worst:.3e} at scale {scale:.3e})")
+        # each midpoint is (0.5 + 0j) * (z_i + conj z_j) with the complex product
+        # written out, as numpy forms it on a scalar: its zero terms decide the
+        # sign of a real part that rounds to zero, where the array product may not
+        sums = vals[first] + np.conj(vals[second])
+        mids = np.empty_like(sums)
+        mids.real = 0.5 * sums.real - 0.0 * sums.imag
+        mids.imag = np.abs(0.5 * sums.imag + 0.0 * sums.real)
+        reps = mids.tolist()
+        assert len(reps) == a.shape[-1]
+        out.append(tuple(_tolerant_order(reps, PAIR_TOL * scale)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -405,7 +449,11 @@ def spherical_spectrum(t: QMatrix) -> SphericalSpectrum:
     within ``MERGE_TOL`` (relative); classes keep the order of
     ``standard_eigenvalues``.
     """
-    reps = standard_eigenvalues(t)
+    return _spherical(standard_eigenvalues(t))
+
+
+def _spherical(reps: Sequence[complex]) -> SphericalSpectrum:
+    """``spherical_spectrum`` from the operator's standard eigenvalues."""
     tol = MERGE_TOL * max(1.0, max(abs(z) for z in reps))
     classes: list[list[complex]] = []
     for z in reps:
@@ -487,12 +535,37 @@ def kernel_basis(a: QMatrix, *, rtol: float = 1e-8) -> list[QVector]:
     Singular values at or below ``rtol`` times max(1, largest singular
     value) count as zero; they come from the SVD, accurate to eps times the
     largest, so a true kernel direction is never mistaken for a small one.
+    ``rtol`` must be finite and lie in [0, 1).
     """
     if a.rows < a.cols:
         raise ShapeError("kernel extraction expects rows >= cols")
-    _, sigma, v = _chi_svd(a)
-    rank = int(np.count_nonzero(sigma > rtol * max(1.0, float(sigma[0]))))
-    return list(_null_basis(v[:, 2 * rank:], a.cols - rank))
+    ka, kb = _kernel_bases(a._a[None], a._b[None], rtol)[0]
+    return [_trusted(QVector, x, y) for x, y in zip(ka, kb)]
+
+
+def _kernel_bases(a: np.ndarray, b: np.ndarray,
+                  rtol: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (dim ker, m) pair stacks of ``kernel_basis`` of each operator of the
+    (k, n, m) pair stacks (A, B), n >= m, from one SVD; each row decides its
+    rank on its own, and the rows of one rank build their bases together."""
+    # a NaN cutoff compares false with every singular value, and a negative
+    # one counts every singular value as nonzero
+    if not 0.0 <= rtol < 1.0:
+        raise DomainError(f"rtol must be finite and lie in [0, 1), got {rtol!r}")
+    _, sigma, vh = _chi_svds(a, b)
+    ranks = []
+    for row in sigma.tolist():
+        cut = rtol * max(1.0, row[0])
+        ranks.append(sum(s > cut for s in row))
+    v, m = vh.conj().swapaxes(-1, -2), a.shape[-1]
+    out: list[tuple[np.ndarray, np.ndarray]] = [None] * len(ranks)
+    for r in set(ranks):
+        # the rows of one rank; indexing keeps each slice's column-major layout
+        rows = [i for i, k in enumerate(ranks) if k == r]
+        out_a, out_b = _null_bases(v[rows, :, 2 * r:], m - r)
+        for i, ka, kb in zip(rows, out_a, out_b):
+            out[i] = ka, kb
+    return out
 
 
 def spherical_eigenspace(t: QMatrix, rep: complex) -> list[QVector]:

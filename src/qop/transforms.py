@@ -26,8 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import QMatrix, QVector, _from_chi_top, outer
-from .spectral import _chi_svd, _hermitian_from_chi, _hermitian_matrix, _null_basis
+from .linalg import (QMatrix, QVector, _from_chi_top, _product, _require_finite, _runs,
+                     _stack_pairs, _stacked, _trusted, outer)
+from .spectral import _chi_svds, _hermitian_from_chi, _hermitian_matrix, _null_basis
 
 RANK_RTOL = 1e-12
 
@@ -74,11 +75,6 @@ class PolarParts:
             return QMatrix.identity(self.u.rows)
         return _hermitian_matrix(self._v, self._s ** s)
 
-    def _abs_powers(self, ss: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """|T|^s for each s > 0 of ``ss``, as (k, n, n) pair stacks; each row is
-        ``abs_power``'s, weights raised to a scalar exponent."""
-        return _hermitian_from_chi(self._v, np.stack([self._s ** s for s in ss]))
-
     def reconstruct(self) -> QMatrix:
         return self.u @ self.abs_t
 
@@ -91,25 +87,86 @@ def polar(t: QMatrix) -> PolarParts:
     pair is never split, and the factors do not depend on which basis the
     solver picked inside a pair.
     """
-    if not t.is_square():
-        raise ShapeError(f"polar decomposition needs a square operator, got {t.shape}")
-    w, sigma, v = _chi_svd(t)
-    tau = RANK_RTOL * float(sigma[0])
-    rank = int(np.count_nonzero(sigma > tau))
-    r2 = 2 * rank
-    # np.array keeps each slice's memory order, on which the bits of |T|^s
-    # and of the kernel bases depend
-    v_r = np.array(v[:, :r2])
-    return PolarParts(
-        u=_from_chi_top(w[:t.rows, :r2] @ v_r.conj().T),
-        rank=rank,
-        tau=tau,
-        sigmas=tuple(sigma[::-1].tolist()),
-        _v=v_r,
-        _s=np.repeat(sigma[:rank], 2),
-        _ker_v=np.array(v[:, r2:]),
-        _ker_w=np.array(w[:, r2:]),
-    )
+    return _polars([t])[0]
+
+
+def _polars(ops: Sequence[QMatrix]) -> list[PolarParts]:
+    """``polar`` of each operator, one SVD per ``linalg._runs`` stack of one shape.
+
+    Each row decides its rank on its own, and the rows of one rank share
+    the product U = W_r V_r*.  Each part owns copies of its rows, laid out
+    as a lone operator's, so it is bit for bit the part of that operator.
+    """
+    for t in ops:
+        if not t.is_square():
+            raise ShapeError(f"polar decomposition needs a square operator, got {t.shape}")
+    out: list[PolarParts] = []
+    # an SVD's input, its two factors and the conjugated V
+    for run in _runs(ops, lambda t: t.shape, lambda t: 16 * t._a.nbytes):
+        n = run[0].rows
+        w, sigma, vh = _chi_svds(*_stack_pairs(run))
+        rows = sigma.tolist()
+        taus = [RANK_RTOL * row[0] for row in rows]
+        ranks = [sum(s > tau for s in row) for row, tau in zip(rows, taus)]
+        # np.array keeps each slice's memory order, on which the bits of |T|^s
+        # and of the kernel bases depend
+        v = vh.conj().swapaxes(-1, -2)
+        tops: dict[int, np.ndarray] = {}
+        for r in set(ranks):
+            idx = [i for i, k in enumerate(ranks) if k == r]
+            wr, vhr = w[:, :n, :2 * r], vh[:, :2 * r]
+            if len(idx) < len(run):
+                wr, vhr = wr[idx], vhr[idx]
+            tops.update(zip(idx, wr @ vhr))
+        for i, r in enumerate(ranks):
+            r2 = 2 * r
+            out.append(PolarParts(
+                u=_from_chi_top(tops[i].copy()),
+                rank=r,
+                tau=taus[i],
+                sigmas=tuple(reversed(rows[i])),
+                _v=np.array(v[i, :, :r2]),
+                _s=np.repeat(sigma[i, :r], 2),
+                _ker_v=np.array(v[i, :, r2:]),
+                _ker_w=np.array(w[i, :, r2:]),
+            ))
+    return out
+
+
+def _abs_powers(parts: Sequence[PolarParts],
+                exps: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray]:
+    """|T_i|^s for each s > 0 of ``exps[i]``, as one pair stack in case order,
+    each slice ``abs_power``'s bit for bit: the parts of one rank and grid
+    length are pulled back in one product, weights raised to scalar exponents."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (pp, ss) in enumerate(zip(parts, exps)):
+        if ss:
+            groups.setdefault((pp.rank, len(ss)), []).append(i)
+    n = parts[0].u.rows
+    pieces = []
+    for idx in groups.values():
+        # np.stack keeps the column-major layout of each part's V
+        v = _stacked([parts[i]._v for i in idx])
+        fw = np.array([[parts[i]._s ** s for s in exps[i]] for i in idx])
+        a, b = _hermitian_from_chi(v[:, None], fw)
+        pieces.append((idx, a.reshape(-1, n, n), b.reshape(-1, n, n)))
+    if len(pieces) == 1 and len(pieces[0][0]) == len(parts):
+        return pieces[0][1:]
+    starts = np.cumsum([0] + [len(ss) for ss in exps]).tolist()
+    out_a = np.empty((starts[-1], n, n), dtype=np.complex128)
+    out_b = np.empty_like(out_a)
+    for idx, a, b in pieces:
+        rows = [j for i in idx for j in range(starts[i], starts[i + 1])]
+        out_a[rows], out_b[rows] = a, b
+    return out_a, out_b
+
+
+def _aluthge_transforms(parts: Sequence[PolarParts]) -> list[QMatrix]:
+    """``aluthge`` of the operator of each polar part, as stacked products."""
+    ha, hb = _abs_powers(parts, [(0.5,)] * len(parts))
+    xa, xb = _product(ha, hb, *_stack_pairs([pp.u for pp in parts]))
+    _require_finite(xa, xb, "QMatrix")
+    return [_trusted(QMatrix, a, b) for a, b in zip(*_product(xa, xb, ha, hb))]
 
 
 def unitary_completion(parts: PolarParts) -> QMatrix:
@@ -134,9 +191,7 @@ def abs_power(parts: PolarParts, s: float) -> QMatrix:
 
 def aluthge(t: QMatrix, *, parts: PolarParts | None = None) -> QMatrix:
     """|T|^{1/2} U |T|^{1/2}; a caller holding the polar parts of T passes them."""
-    p = polar(t) if parts is None else parts
-    half = p.abs_power(0.5)
-    return half @ p.u @ half
+    return _aluthge_transforms([polar(t) if parts is None else parts])[0]
 
 
 def lambda_aluthge(t: QMatrix, lam: float) -> QMatrix:

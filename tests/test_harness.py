@@ -7,7 +7,7 @@ import pytest
 
 from qop import generators, harness, oracles, spectral
 from qop.errors import DomainError, PreconditionError, ShapeError
-from qop.harness import (DEFAULT_TOL, HM_R_GRID, LH_R_GRID, PROPERTIES, Property, _each, _hausdorff,
+from qop.harness import (DEFAULT_TOL, HM_R_GRID, LH_R_GRID, PROPERTIES, Property, _hausdorff,
                          _zero_entry_candidates, TrialContext, evaluate_instance,
                          minimize_counterexample, run_fuzz, run_verify)
 from qop.linalg import QMatrix, QVector
@@ -153,7 +153,8 @@ def test_run_fuzz_violation_path(monkeypatch):
         return evaluate_instance("tu-star", inst, tol), {"planted": True}
 
     monkeypatch.setitem(PROPERTIES, "planted",
-                        Property(_per_trial(lambda ctx: _shrinkable()), _each(evaluate), ("x",)))
+                        Property(_per_trial(lambda ctx: _shrinkable()),
+                                 lambda insts, tol: [evaluate(inst, tol) for inst in insts], ("x",)))
     r = run_fuzz("planted", budget=10, seed=0, dim=3)
     assert r.trials == 1
     assert r.witness is not None and r.witness["planted"]

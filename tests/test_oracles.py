@@ -445,7 +445,7 @@ def test_stacked_grids_equal_one_solve_per_exponent(n):
     for name, t in _family_operators(n).items():
         parts = polar(t)
         want = [_hyponormal_reference(t, p, parts) for p in ps]
-        assert oracles._p_hyponormal_grid(parts, ps, oracles.DEFAULT_TOL) == want, name
+        assert oracles._p_hyponormal_grid([parts], [ps], oracles.DEFAULT_TOL) == [want], name
         assert [is_p_hyponormal(t, p) for p in ps] == want, name
         rep = check_aluthge_theorems(t, 0.8, enforce=False)
         qs = [q for q, _ in rep.monotone]
@@ -516,26 +516,49 @@ def test_exponent_grids_make_one_eigenvalue_solve(monkeypatch):
     for name in ("eigh", "eigvalsh", "svd"):
         real = getattr(_eig, name)
         monkeypatch.setattr(_eig, name, lambda m, name=name, real=real: calls.append(name) or real(m))
-    # per 4 trials; the p-hyponormal hypotheses read their margin's verdict,
-    # with no ||T|| solve, and the chunk's unitary draws make one stacked SVD
-    for prop, eigh, eigvalsh, svd in (("aluthge", 0, 20, 13), ("aluthge-gain", 0, 8, 9),
-                                      ("gcsi-implies", 1, 4, 5)):
-        calls.clear()
-        harness.run_verify(prop, trials=4, seed=1, dim=4)
-        counts = tuple(calls.count(k) for k in ("eigh", "eigvalsh", "svd"))
-        assert counts == (eigh, eigvalsh, svd), prop
-    # collapse and conjugation-lemma solve a chunk of trials, 4 or 16, in a
-    # fixed number of stacked calls: collapse T*T and TT*, ||T|| and the p
-    # grid; conjugation-lemma the shifts, S and U S U*, and its unitary draws
-    # in one SVD.  Only the SVDs of collapse's polar factors grow with the trials
-    for prop, eigh, eigvalsh, svd_per_trial, svd_per_chunk in (("collapse", 1, 2, 1, 0),
-                                                               ("conjugation-lemma", 1, 1, 0, 1)):
+    # per chunk of trials, 4 or 16: the p-hyponormal hypotheses read their
+    # margin's verdict, with no ||T|| solve, and every exponent grid of the
+    # chunk is one eigenvalue solve.  aluthge: T's hypotheses, T~'s margins,
+    # ||T||, the ladders and the double transforms; its SVDs are the unitary
+    # draws, T, T~ and T~~.  collapse: T*T and TT*, ||T|| and the p grid, and
+    # its non-normal T in one SVD; conjugation-lemma the shifts, S and U S U*,
+    # and its unitary draws in one SVD
+    for prop, counts in (("aluthge", (0, 5, 4)), ("aluthge-gain", (0, 2, 3)),
+                         ("gcsi-implies", (1, 1, 2)), ("collapse", (1, 2, 1)),
+                         ("conjugation-lemma", (1, 1, 1))):
         for trials in (4, 16):
             calls.clear()
             harness.run_verify(prop, trials=trials, seed=1, dim=4)
-            counts = tuple(calls.count(k) for k in ("eigh", "eigvalsh", "svd"))
-            assert counts == (eigh, eigvalsh, svd_per_trial * trials + svd_per_chunk), \
+            assert tuple(calls.count(k) for k in ("eigh", "eigvalsh", "svd")) == counts, \
                 (prop, trials)
+
+
+# solver calls of one dim-4 chunk, (eigh, eigvalsh, eigvals, svd): the draws'
+# unitaries are one SVD, and each operator role of the chunk is one stacked call
+_CHUNK_SOLVES = {
+    "aluthge": (0, 5, 0, 4),
+    "aluthge-gain": (0, 2, 0, 3),
+    "chain": (0, 2, 0, 2),
+    "tu-star": (0, 1, 0, 2),
+    "eigenspace-reducing": (0, 1, 0, 3),
+    "kernel-reduction": (0, 2, 0, 2),
+    "spectrum-st-ts": (0, 0, 1, 0),
+    "gcsi-implies": (1, 1, 0, 2),
+    "collapse": (1, 2, 0, 1),
+}
+
+
+@pytest.mark.parametrize("prop", sorted(_CHUNK_SOLVES))
+def test_stacked_properties_make_a_fixed_number_of_solves_per_chunk(monkeypatch, prop):
+    calls = []
+    for name in ("eigh", "eigvalsh", "eigvals", "svd"):
+        real = getattr(_eig, name)
+        monkeypatch.setattr(_eig, name, lambda m, name=name, real=real: calls.append(name) or real(m))
+    for trials in (4, 16):
+        calls.clear()
+        harness.run_verify(prop, trials=trials, seed=1, dim=4)
+        counts = tuple(calls.count(k) for k in ("eigh", "eigvalsh", "eigvals", "svd"))
+        assert counts == _CHUNK_SOLVES[prop], trials
 
 
 def _holder_mccarthy_reference(t, x, r, tol=oracles.DEFAULT_TOL):
@@ -681,16 +704,16 @@ def test_enforced_oracles_factor_each_operator_once(monkeypatch):
     check_chain_semihypo(t)
     assert len(calls) == 1
     # the report carries the transform, so the aluthge trial's fixed-point
-    # margin does not factor T again: per trial three SVDs in the oracle, and
-    # one stacked SVD in the generator for the chunk
+    # margin does not factor T again: a chunk's unitary draws are one SVD,
+    # and its Ts, T~s and T~~s one SVD each
     assert check_aluthge_theorems(t, 0.75).transform.equals_exact(aluthge(t))
     calls.clear()
     harness.run_verify("aluthge", trials=4, seed=1, dim=4)
-    assert len(calls) == 13
-    # collapse factors T once per trial and scores every exponent on it
+    assert calls == [(4, 8, 8)] * 4
+    # collapse factors its non-normal Ts in one SVD and scores every exponent on them
     calls.clear()
     harness.run_verify("collapse", trials=4, seed=1, dim=4)
-    assert len(calls) == 4
+    assert calls == [(4, 8, 8)]
 
 
 # ------------------------------------------------------------- eigenspace
@@ -934,7 +957,7 @@ def test_lockstep_climbs_of_two_sizes_equal_single_climbs():
 
 def test_gcsi_implies_checks_every_argument_before_any_solve(monkeypatch):
     calls = []
-    for name in ("_unit_pairs", "polar"):
+    for name in ("_unit_pairs", "_polars"):
         real = getattr(oracles, name)
         monkeypatch.setattr(oracles, name, lambda *a, real=real, name=name, **kw:
                             calls.append(name) or real(*a, **kw))
@@ -945,7 +968,7 @@ def test_gcsi_implies_checks_every_argument_before_any_solve(monkeypatch):
             check_gcsi_implies(u, **kw)
         assert calls == [], kw
     check_gcsi_implies(u, budget=8, grid=4, samples=8)
-    assert calls == ["polar", "_unit_pairs"]
+    assert calls == ["_polars", "_unit_pairs"]
 
 
 def _closure_cases():

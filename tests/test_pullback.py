@@ -45,7 +45,8 @@ def test_full_pair_products_stay_structured(family):
     for n in SIZES:
         for seed in range(3):
             t = FAMILIES[family](n, seed)
-            w, sigma, v = spectral._chi_svd(t)
+            w, sigma, vh = spectral._chi_svds(t._a[None], t._b[None])
+            w, sigma, v = w[0], sigma[0], vh[0].conj().T
             rank = int(np.count_nonzero(sigma > RANK_RTOL * float(sigma[0])))
             w_r, v_r = w[:, :2 * rank], v[:, :2 * rank]
             assert _structure_residual(w_r @ v_r.conj().T) <= 1e-12

@@ -290,6 +290,22 @@ def test_kernel_basis_dimensions():
     assert kernel_basis(QMatrix.identity(3)) == []
 
 
+@pytest.mark.parametrize("rtol", [math.nan, math.inf, -math.inf, -1.0, 1.0])
+def test_kernel_basis_rejects_a_cutoff_outside_the_unit_interval(monkeypatch, rtol):
+    # NaN compares false with every singular value, so a full-rank operator
+    # had a kernel of full dimension; a negative cutoff gave none at any rank
+    calls = []
+    real = _eig.svd
+    monkeypatch.setattr(_eig, "svd", lambda m: calls.append(m.shape) or real(m))
+    for t in (ginibre(3, seed=1), QMatrix.diag([0.0, 3.0, 0.0])):
+        with pytest.raises(DomainError, match=r"rtol must be finite and lie in \[0, 1\)"):
+            kernel_basis(t, rtol=rtol)
+    assert calls == []
+    # the ends of the interval that are inside it
+    assert kernel_basis(ginibre(3, seed=1), rtol=0.0) == []
+    assert len(kernel_basis(QMatrix.diag([0.0, 3.0, 0.0]), rtol=math.nextafter(1.0, 0.0))) == 2
+
+
 def test_eigenvalue_pairing_on_random_hermitian_embeddings():
     for seed in range(441, 447):
         t = hermitian(3, seed=seed)
@@ -401,7 +417,9 @@ def test_conjugate_pairs_equal_the_reference_on_clustered_spectra():
 
 def test_pairing_failure_message(monkeypatch):
     # a spectrum that is not closed under conjugation: 1j pairs with 1j, 3j with 3j
-    monkeypatch.setattr(_eig, "eigvals", lambda m: np.array([1j, 1j, 3j, 3j]))
+    # shaped as the solver returns it: a stack of one spectrum for a stack of one
+    monkeypatch.setattr(_eig, "eigvals",
+                        lambda m: np.array([1j, 1j, 3j, 3j]).reshape(m.shape[:-1]))
     t = QMatrix.identity(2)
     for fn in (standard_eigenvalues, spectral_reference.standard_eigenvalues):
         with pytest.raises(StructureError) as err:
@@ -419,7 +437,7 @@ def test_pairing_failure_message(monkeypatch):
 def test_signed_zeros_equal_the_reference(monkeypatch, vals):
     # the sign of a zero real part in a midpoint, and in a one-member class
     # centre, is the one the per-pair scalar arithmetic and np.mean give
-    monkeypatch.setattr(_eig, "eigvals", lambda m: np.array(vals))
+    monkeypatch.setattr(_eig, "eigvals", lambda m: np.array(vals).reshape(m.shape[:-1]))
     t = QMatrix.identity(2)
     assert repr(standard_eigenvalues(t)) == repr(spectral_reference.standard_eigenvalues(t))
     assert repr(spherical_spectrum(t)) == repr(spectral_reference.spherical_spectrum(t))

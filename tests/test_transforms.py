@@ -221,7 +221,8 @@ def test_polar_is_one_svd(monkeypatch):
 def _eager_polar(t):
     """The eager construction the lazy ``abs_t``, ``kernel`` and ``cokernel``
     replaced, kept as the reference."""
-    w, sigma, v = spectral._chi_svd(t)
+    w, sigma, vh = spectral._chi_svds(t._a[None], t._b[None])
+    w, sigma, v = w[0], sigma[0], vh[0].conj().T
     rank = int(np.count_nonzero(sigma > RANK_RTOL * float(sigma[0])))
     r2 = 2 * rank
     v_r, s_r = v[:, :r2], np.repeat(sigma[:rank], 2)
