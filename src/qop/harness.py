@@ -109,14 +109,16 @@ class Property:
         return outs
 
 
-def _by_runs(score: Callable[[list[Instance], float], list[Scored]],
-             size: int) -> Callable[[list[Instance], float], list[Scored]]:
+def _by_runs(score: Callable[[list[Instance], float],
+                             list[Scored]]) -> Callable[[list[Instance], float], list[Scored]]:
     """The batch evaluator that scores each ``linalg._runs`` run of instances
-    of one shape with ``score``; an instance counts ``size`` times the bytes
-    of its T."""
+    of one shape with ``score``.  An instance counts 16 times the bytes of
+    its T, as an operator does in ``transforms._polars``: its embedding is 4
+    times T's bytes, and an SVD keeps it, its two factors and the conjugated
+    V.  A run is then factored in one SVD per role."""
     def evaluate(insts: list[Instance], tol: float) -> list[Scored]:
         out: list[Scored] = []
-        for run in _runs(insts, _shapes, lambda inst: size * inst["T"]._a.nbytes):
+        for run in _runs(insts, _shapes, lambda inst: 16 * inst["T"]._a.nbytes):
             out += score(run, tol)
         return out
     return evaluate
@@ -430,9 +432,9 @@ def _draw_kernel_reduction(ctxs: list[TrialContext]) -> list[Instance]:
 
 
 def _kernel_margins(run: list[Instance], tol: float) -> list[Scored]:
-    ts = [inst["T"] for inst in run]
     out = []
-    for report, scale in zip(oracles._kernel_reductions(ts, tol), _scales(ts)):
+    for report, opn in zip(*oracles._kernel_reductions([inst["T"] for inst in run], tol)):
+        scale = max(1.0, opn)
         vals = [-report.subset_residual / scale, -report.equality_residual / scale]
         if report.dim_ker != report.dim_ker_sq:
             vals.append(-1.0)
@@ -607,18 +609,18 @@ PROPERTIES: dict[str, Property] = {
     "holder-mccarthy": Property(_draw_holder_mccarthy, _holder_mccarthy_margins,
                                 ("T", "x", "r")),
     "furuta": Property(_draw_furuta, _furuta_margins, ("A", "B", "p", "q", "r")),
-    "chain": Property(_draw_chain, _by_runs(_chain_margins, 48), ("T",)),
-    "aluthge": Property(_draw_aluthge, _by_runs(_aluthge_margins, 96), ("T", "p")),
-    "aluthge-gain": Property(_draw_aluthge_gain, _by_runs(_aluthge_gain_margins, 48),
+    "chain": Property(_draw_chain, _by_runs(_chain_margins), ("T",)),
+    "aluthge": Property(_draw_aluthge, _by_runs(_aluthge_margins), ("T", "p")),
+    "aluthge-gain": Property(_draw_aluthge_gain, _by_runs(_aluthge_gain_margins),
                              ("T", "p", "probe")),
     "eigenspace-reducing": Property(_draw_eigenspace_reducing,
-                                    _by_runs(_eigenspace_margins, 64), ("T", "q")),
+                                    _by_runs(_eigenspace_margins), ("T", "q")),
     "gcsi-closure": Property(_draw_gcsi_closure, _closure_margins, ("which", "T")),
-    "kernel-reduction": Property(_draw_kernel_reduction, _by_runs(_kernel_margins, 64), ("T",)),
-    "tu-star": Property(_draw_tu_star, _by_runs(_tu_star_margins, 24), ("T", "x")),
+    "kernel-reduction": Property(_draw_kernel_reduction, _by_runs(_kernel_margins), ("T",)),
+    "tu-star": Property(_draw_tu_star, _by_runs(_tu_star_margins), ("T", "x")),
     "gcsi-implies": Property(_draw_gcsi_implies, _implies_margins, ("T", "p")),
     "collapse": Property(_draw_collapse, _collapse_margins, ("T",)),
-    "spectrum-st-ts": Property(_draw_spectrum_st_ts, _by_runs(_st_ts_margins, 16), ("S", "T")),
+    "spectrum-st-ts": Property(_draw_spectrum_st_ts, _by_runs(_st_ts_margins), ("S", "T")),
     "conjugation-lemma": Property(_draw_conjugation, _conjugation_margins, ("U", "S")),
 }
 

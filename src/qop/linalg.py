@@ -110,6 +110,13 @@ def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return np.array(arrays) if all(a.flags.c_contiguous for a in arrays) else np.stack(arrays)
 
 
+def _identities(k: int, n: int) -> np.ndarray:
+    """k copies of the A part of ``QMatrix.identity(n)``, as a (k, n, n) stack."""
+    out = np.zeros((k, n, n), dtype=np.complex128)
+    out[:, np.arange(n), np.arange(n)] = 1.0
+    return out
+
+
 def _stack_pairs(ops: Sequence[Any]) -> tuple[np.ndarray, np.ndarray]:
     """The (k, ...) stacks (A, B) of the pairs of k operators of one shape."""
     return _stacked([op._a for op in ops]), _stacked([op._b for op in ops])
@@ -209,8 +216,7 @@ class QVector:
         return NotImplemented
 
     def norm(self) -> float:
-        # summed in (w, x, y, z) order, so normalised draws keep their bits
-        return float(np.sqrt((self.to_array() ** 2).sum()))
+        return float(_vector_norms(self._a[None], self._b[None])[0])
 
     def allclose(self, other: "QVector", tol: float = 1e-12,
                  scale: float | None = None) -> bool:
@@ -248,8 +254,13 @@ def left_scalar_mul(q: Quaternion, u: QVector) -> QVector:
 
 def outer(u: QVector, v: QVector) -> "QMatrix":
     """Rank-one operator u v^*, sending x to u <v, x>."""
-    return _trusted(QMatrix, *_product(u._a[:, None], u._b[:, None],
-                                       v._a.conj()[None, :], -v._b[None, :]))
+    return _trusted(QMatrix, *_outers(u._a, u._b, v._a, v._b))
+
+
+def _outers(ua: np.ndarray, ub: np.ndarray, va: np.ndarray,
+            vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``outer`` of each pair of vectors of the (..., n) and (..., m) pair stacks."""
+    return _product(ua[..., :, None], ub[..., :, None], va.conj()[..., None, :], -vb[..., None, :])
 
 
 class QMatrix:
@@ -500,7 +511,8 @@ def _gram_norms(ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
 
 
 def _vector_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``QVector.norm`` of each vector of the (k, n) pair stacks (A, B)."""
+    """``QVector.norm`` of each vector of the (k, n) pair stacks (A, B), its
+    squares summed in (w, x, y, z) order, so normalised draws keep their bits."""
     r = np.stack([a, b], axis=-1).view(np.float64)
     return np.sqrt((r ** 2).reshape(r.shape[0], -1).sum(axis=-1))
 

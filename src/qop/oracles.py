@@ -27,14 +27,14 @@ import numpy as np
 from . import _eig, matio
 from .errors import DomainError, PreconditionError, QopError, ShapeError
 from .linalg import (QMatrix, QVector, _adjoints, _checked, _chi_eigvalsh, _from_chi_top, _from_psi,
-                     _gram_norms, _operator_norms, _pair_eigvalsh, _product, _psi, _require_finite,
-                     _runs, _selfadjoint_residual, _stack_pairs, _stacked, _trusted, _vector_norms,
-                     embed_chi, inner, operator_norm)
+                     _gram_norms, _identities, _operator_norms, _outers, _pair_eigvalsh, _product,
+                     _psi, _require_finite, _runs, _selfadjoint_residual, _stack_pairs, _stacked,
+                     _trusted, _vector_norms, embed_chi, inner, operator_norm)
 from .quaternion import Quaternion
 from .rng import SplitMix64, mix_seed
-from .spectral import (EIGENSPACE_RTOL, HermitianEigensystem, _eigensystems, _hermitian_from_chi,
-                       _kernel_bases, _psd_powers, _psd_verdict, _psd_weights, _require_selfadjoint,
-                       is_psd)
+from .spectral import (EIGENSPACE_RTOL, HermitianEigensystem, _delta_qs, _eigensystems,
+                       _hermitian_from_chi, _kernel_bases, _psd_powers, _psd_verdict, _psd_weights,
+                       _require_selfadjoint, is_psd)
 from .transforms import (PolarParts, _abs_powers, _aluthge_transforms, _polars, polar,
                          unitary_completion)
 
@@ -897,34 +897,24 @@ def _eigenspace_cases(cases: Sequence[tuple[QMatrix, Quaternion]], tol: float) -
     ua, ub = _stack_pairs([unitary_completion(pp) for pp in _polars(ts)])
     reps = [q.similarity_representative() for _, q in cases]
     spheres = [Quaternion(rep.real, rep.imag, 0.0, 0.0) for rep in reps]
-    n, k = ua.shape[-1], len(cases)
-    zero = np.zeros((k, n, n), dtype=np.complex128)
-    eye = zero.copy()
-    eye[:, np.arange(n), np.arange(n)] = 1.0
-    # delta_q(U, rep) = U^2 - U (2 Re rep) + I |rep|^2, term for term
-    two_re = np.array([2.0 * q.w for q in spheres])[:, None, None]
-    norm2 = np.array([q.norm_squared() for q in spheres])[:, None, None]
-    sa, sb = _checked(_product(ua, ub, ua, ub))
-    xa, xb = _checked((ua * two_re, ub * two_re))
-    sa, sb = _checked((sa - xa, sb - xb))
-    kernels = _kernel_bases(*_checked((sa + eye * norm2, sb + zero * norm2)), EIGENSPACE_RTOL)
+    kernels = _kernel_bases(*_delta_qs(ua, ub, spheres), EIGENSPACE_RTOL)
     dims = [len(za) for za, _ in kernels]
     for rep, dim in zip(reps, dims):
         if not dim:
             raise DomainError(f"{rep} is not a right eigenvalue of the polar unitary")
     # the projector onto each kernel, its outer products z z* summed from
     # zero in basis order, the cases of one kernel dimension together; I - P
-    pa, pb = zero.copy(), zero.copy()
+    k, n = ua.shape[:2]
+    pa, pb = np.zeros((2, k, n, n), dtype=np.complex128)
     for dim in set(dims):
         rows = [i for i, d in enumerate(dims) if d == dim]
         za, zb = (np.stack([kernels[i][f] for i in rows]) for f in (0, 1))
-        oa, ob = _checked(_product(za[..., None], zb[..., None],
-                                   za.conj()[..., None, :], -zb[..., None, :]))
+        oa, ob = _checked(_outers(za, zb, za, zb))
         sum_a, sum_b = pa[rows], pb[rows]
         for j in range(dim):
             sum_a, sum_b = _checked((sum_a + oa[:, j], sum_b + ob[:, j]))
         pa[rows], pb[rows] = sum_a, sum_b
-    ca, cb = _checked((eye - pa, zero - pb))
+    ca, cb = _checked((_identities(k, n) - pa, np.zeros_like(pb) - pb))
     ta, tb = _stack_pairs(ts)
     blocks = []
     for ma, mb in ((ta, tb), _adjoints(ta, tb)):
@@ -1059,13 +1049,15 @@ def check_kernel_reduction(t: QMatrix, *, tol: float = DEFAULT_TOL) -> KernelRep
     a non-member.  Residuals are worst-case norms of T* (resp. T) on the
     computed kernel bases.
     """
-    return _kernel_reductions([t], tol)[0]
+    return _kernel_reductions([t], tol)[0][0]
 
 
-def _kernel_reductions(ts: Sequence[QMatrix], tol: float) -> list[KernelReport]:
-    """``check_kernel_reduction`` of each operator of one shape: the kernels
-    of T, T* and T^2 of all of them from one SVD, the residuals from one
-    stacked product per kind, and ||T|| from one eigenvalue solve."""
+def _kernel_reductions(ts: Sequence[QMatrix],
+                       tol: float) -> tuple[list[KernelReport], list[float]]:
+    """``check_kernel_reduction`` of each operator of one shape, with ||T|| of
+    each for a caller's scale: the kernels of T, T* and T^2 of all of them
+    from one SVD, the residuals from one stacked product per kind, and ||T||
+    from one eigenvalue solve."""
     for t in ts:
         if not t.is_square():
             raise ShapeError("kernel extraction expects rows >= cols")
@@ -1091,7 +1083,7 @@ def _kernel_reductions(ts: Sequence[QMatrix], tol: float) -> list[KernelReport]:
             threshold=thr,
             passes=subset <= thr and len(ker) == len(ker_sq) and equality <= thr,
         ))
-    return out
+    return out, norms
 
 
 def _image_norms(a: np.ndarray, b: np.ndarray, bases: Sequence[tuple[np.ndarray, np.ndarray]],

@@ -31,8 +31,9 @@ import numpy as np
 
 from . import _eig
 from .errors import DomainError, PreconditionError, ShapeError, StructureError
-from .linalg import (QMatrix, QVector, _chi_eigvalsh, _embed_pair, _from_psi, _hermitian_chi,
-                     _require_finite, _selfadjoint_residual, _trusted)
+from .linalg import (QMatrix, QVector, _checked, _chi_eigvalsh, _embed_pair, _from_psi,
+                     _hermitian_chi, _identities, _product, _require_finite,
+                     _selfadjoint_residual, _trusted)
 from .quaternion import Quaternion
 
 PAIR_TOL = 1e-8
@@ -269,13 +270,12 @@ def _null_bases(v: np.ndarray, need: int) -> tuple[np.ndarray, np.ndarray]:
     x = _quaternionic_bases(v, need)
     # the pairs of ``_from_psi``, and the entry of largest modulus of each vector
     xa, xb = x[..., :n], -x[..., n:].conj()
-    leads = (np.stack([xa, xb], axis=-1).view(np.float64) ** 2).sum(axis=-1).argmax(axis=-1)
-    la, lb = (np.take_along_axis(y, leads[..., None], axis=-1) for y in (xa, xb))
-    qa, qb = np.empty_like(la), np.empty_like(lb)
-    for i, (a, b) in enumerate(zip(la.ravel().tolist(), lb.ravel().tolist())):
-        lead = Quaternion(a.real, a.imag, b.real, b.imag)
-        q = lead.conjugate() / lead.norm()
-        qa.flat[i], qb.flat[i] = complex(q.w, q.x), complex(q.y, q.z)
+    r = np.stack([xa, xb], axis=-1).view(np.float64).reshape(-1, n, 4)
+    lead = r[np.arange(len(r)), (r ** 2).sum(axis=-1).argmax(axis=-1)]
+    # the unit q = conj(lead) / |lead| of each vector, as ``Quaternion`` forms
+    # it: the squares summed left to right, the conjugate's signs after division
+    u = (lead / np.sqrt(np.add.accumulate(lead * lead, axis=1)[:, -1:])).view(np.complex128)
+    qa, qb = (q.reshape(xa.shape[:-1] + (1,)) for q in (u[:, 0].conj(), -u[:, 1]))
     # x * q for the unit q of each vector, as ``QVector.__mul__`` forms it
     ya, yb = xa * qa - xb * qb.conj(), xa * qb + xb * qa.conj()
     _require_finite(ya, yb, "QVector")
@@ -473,8 +473,22 @@ def _spherical(reps: Sequence[complex]) -> SphericalSpectrum:
 
 def delta_q(t: QMatrix, q: Quaternion) -> QMatrix:
     """The sphere polynomial T^2 - T (q + conj q) + I |q|^2 at q."""
-    n = _require_square(t)
-    return t @ t - t * (2.0 * q.w) + QMatrix.identity(n) * q.norm_squared()
+    _require_square(t)
+    da, db = _delta_qs(t._a[None], t._b[None], [q])
+    return _trusted(QMatrix, da[0], db[0])
+
+
+def _delta_qs(a: np.ndarray, b: np.ndarray,
+              qs: Sequence[Quaternion]) -> tuple[np.ndarray, np.ndarray]:
+    """``delta_q`` of each operator of the (k, n, n) pair stacks (A, B) at
+    ``qs[i]``, as pair stacks, each term checked finite as it is formed."""
+    two_re = np.array([2.0 * q.w for q in qs])[:, None, None]
+    norm2 = np.array([q.norm_squared() for q in qs])[:, None, None]
+    sa, sb = _checked(_product(a, b, a, b))
+    xa, xb = _checked((a * two_re, b * two_re))
+    sa, sb = _checked((sa - xa, sb - xb))
+    eye = _identities(*a.shape[:2])
+    return _checked((sa + eye * norm2, sb + np.zeros_like(eye) * norm2))
 
 
 def _kernel_gap(t: QMatrix, rep: complex) -> float:
@@ -562,7 +576,8 @@ def _kernel_bases(a: np.ndarray, b: np.ndarray,
     for r in set(ranks):
         # the rows of one rank; indexing keeps each slice's column-major layout
         rows = [i for i, k in enumerate(ranks) if k == r]
-        out_a, out_b = _null_bases(v[rows, :, 2 * r:], m - r)
+        out_a, out_b = _null_bases(v[rows if len(rows) < len(ranks) else slice(None), :, 2 * r:],
+                                   m - r)
         for i, ka, kb in zip(rows, out_a, out_b):
             out[i] = ka, kb
     return out

@@ -108,20 +108,20 @@ def _polars(ops: Sequence[QMatrix]) -> list[PolarParts]:
         rows = sigma.tolist()
         taus = [RANK_RTOL * row[0] for row in rows]
         ranks = [sum(s > tau for s in row) for row, tau in zip(rows, taus)]
+        tops = [None] * len(run)
+        for r in set(ranks):
+            # the rows of one rank, the stack itself when every row has it
+            idx = [i for i, k in enumerate(ranks) if k == r]
+            sel = idx if len(idx) < len(run) else slice(None)
+            for i, top in zip(idx, w[sel, :n, :2 * r] @ vh[sel, :2 * r]):
+                tops[i] = top
         # np.array keeps each slice's memory order, on which the bits of |T|^s
         # and of the kernel bases depend
         v = vh.conj().swapaxes(-1, -2)
-        tops: dict[int, np.ndarray] = {}
-        for r in set(ranks):
-            idx = [i for i, k in enumerate(ranks) if k == r]
-            wr, vhr = w[:, :n, :2 * r], vh[:, :2 * r]
-            if len(idx) < len(run):
-                wr, vhr = wr[idx], vhr[idx]
-            tops.update(zip(idx, wr @ vhr))
         for i, r in enumerate(ranks):
             r2 = 2 * r
             out.append(PolarParts(
-                u=_from_chi_top(tops[i].copy()),
+                u=_from_chi_top(tops[i] if len(run) == 1 else tops[i].copy()),
                 rank=r,
                 tau=taus[i],
                 sigmas=tuple(reversed(rows[i])),

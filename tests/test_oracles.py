@@ -541,7 +541,7 @@ _CHUNK_SOLVES = {
     "chain": (0, 2, 0, 2),
     "tu-star": (0, 1, 0, 2),
     "eigenspace-reducing": (0, 1, 0, 3),
-    "kernel-reduction": (0, 2, 0, 2),
+    "kernel-reduction": (0, 1, 0, 2),
     "spectrum-st-ts": (0, 0, 1, 0),
     "gcsi-implies": (1, 1, 0, 2),
     "collapse": (1, 2, 0, 1),
