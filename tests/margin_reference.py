@@ -5,9 +5,10 @@ of ``qop.harness``.
 time, before the library scored a chunk of instances as stacks, to that
 per-instance evaluator: every operator factored by its own ``polar``, every
 kernel from its own ``kernel_basis`` and every spectrum from its own
-``standard_eigenvalues``, as they were before they took stacks.  The oracle
-checks below are the per-case versions the evaluators called.  The module
-name keeps it out of pytest collection.
+``standard_eigenvalues``, as they were before they took stacks, with the
+whole-operator ``delta_q``, ``outer`` and ``QVector.norm`` behind them.  The
+oracle checks below are the per-case versions the evaluators called.  The
+module name keeps it out of pytest collection.
 """
 
 from __future__ import annotations
@@ -18,13 +19,29 @@ from qop import _eig, matio
 from qop.errors import DomainError, PreconditionError, ShapeError, StructureError
 from qop.harness import _hausdorff
 from qop.linalg import (QMatrix, QVector, _chi_eigvalsh, _from_chi_top, _from_psi, _pair_eigvalsh,
-                        _product, _require_finite, _trusted, embed_chi, outer)
+                        _product, _require_finite, _trusted, embed_chi)
 from qop.oracles import Margin, _margin
 from qop.quaternion import Quaternion
 from qop.spectral import (_GS_ACCEPT, EIGENSPACE_RTOL, MERGE_TOL, PAIR_TOL, SphericalSpectrum,
                           _conjugate_pairs, _eigensystem, _hermitian_from_chi,
-                          _tolerant_order, delta_q)
+                          _tolerant_order)
 from qop.transforms import RANK_RTOL, PolarParts
+
+# ------------------------------------------------------ whole-operator forms
+
+
+def _norm(x: QVector) -> float:
+    return float(np.sqrt((x.to_array() ** 2).sum()))
+
+
+def outer(u: QVector, v: QVector) -> QMatrix:
+    return _trusted(QMatrix, *_product(u._a[:, None], u._b[:, None],
+                                       v._a.conj()[None, :], -v._b[None, :]))
+
+
+def delta_q(t: QMatrix, q: Quaternion) -> QMatrix:
+    return t @ t - t * (2.0 * q.w) + QMatrix.identity(t.rows) * q.norm_squared()
+
 
 # ------------------------------------------------- per-operator factorizations
 
@@ -224,8 +241,8 @@ def check_kernel_reduction(t: QMatrix) -> tuple[int, int, float, float]:
     ker = kernel_basis(t)
     kernel_basis(t.H)
     ker_sq = kernel_basis(t @ t)
-    subset = max(((t.H @ k).norm() for k in ker), default=0.0)
-    equality = max(((t @ k).norm() for k in ker_sq), default=0.0)
+    subset = max((_norm(t.H @ k) for k in ker), default=0.0)
+    equality = max((_norm(t @ k) for k in ker_sq), default=0.0)
     return len(ker), len(ker_sq), subset, equality
 
 
@@ -233,7 +250,7 @@ def check_tu_star(t: QMatrix, x: QVector, tol: float) -> Margin:
     y = polar(t).u.H @ x
     ty = t @ y
     t2y = t @ ty
-    value = t2y.norm() * y.norm() - ty.norm() ** 2
+    value = _norm(t2y) * _norm(y) - _norm(ty) ** 2
     return _margin(value, tol, max(1.0, operator_norm(t) ** 2),
                    lambda: {"x": matio.vector_to_json(x)})
 
