@@ -12,21 +12,21 @@ generators are those stacks with one seed.  A stack's Gaussian entries
 come from one ``block_normals`` draw, its unitaries from one SVD of the
 embedded stack, and its normal operators W D W* from two stacked
 products.  Each operator is bit for bit the one its seed gives alone, and
-owns its arrays.  A stack holds at most ``_STACK_BYTES`` of embedded
-matrices at a time, so at dim 64 it holds one draw.
+owns its arrays.  A stack is drawn whole; ``harness.run_verify`` bounds
+how many trials it hands over at a time.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import _eig
 from .errors import DomainError, ShapeError
-from .linalg import (MAX_DIM, QMatrix, QVector, _adjoints, _embed_pair, _product, _runs,
+from .linalg import (MAX_DIM, QMatrix, QVector, _adjoints, _embed_pair, _product,
                      _stack_pairs, _trusted)
 from .quaternion import Quaternion
 from .rng import SplitMix64, block_normals, mix_seed
@@ -42,12 +42,6 @@ def _check_dim(n: int) -> None:
         raise ShapeError(f"dimension must be an integer, got {n!r}") from None
     if not 1 <= n <= MAX_DIM:
         raise ShapeError(f"dimension must lie in [1, {MAX_DIM}], got {n}")
-
-
-def _stacks(items: list, entries: int) -> Iterable[list]:
-    """Consecutive runs of ``items``, one draw of ``entries`` quaternion entries
-    each; a draw counts as three embedded matrices, an SVD's input and factors."""
-    return _runs(items, lambda _: entries, lambda _: 3 * 64 * entries)
 
 
 def _owned(a: np.ndarray, b: np.ndarray) -> list[QMatrix]:
@@ -72,14 +66,11 @@ def _hermitian_part(a: np.ndarray, b: np.ndarray) -> Pairs:
 
 def _ginibres(n: int, m: int, seeds: Sequence[int],
               form: Callable[[np.ndarray, np.ndarray], Pairs] | None = None) -> list[QMatrix]:
-    """``form`` of ``ginibre(n, m, seed=s)`` over ``seeds``, one block draw per stack."""
-    out: list[QMatrix] = []
-    for run in _stacks(seeds, n * m):
-        a, b = _ginibre_pairs(n, m, run)
-        # a product takes whole contiguous matrices, as it does from a QMatrix
-        out += _owned(*form(np.ascontiguousarray(a), np.ascontiguousarray(b))) if form else \
-            _owned(a, b)
-    return out
+    """``form`` of ``ginibre(n, m, seed=s)`` over ``seeds``, from one block draw."""
+    a, b = _ginibre_pairs(n, m, seeds)
+    # a product takes whole contiguous matrices, as it does from a QMatrix
+    return _owned(*form(np.ascontiguousarray(a), np.ascontiguousarray(b))) if form else \
+        _owned(a, b)
 
 
 def ginibre(n: int, m: int | None = None, *, seed: int) -> QMatrix:
@@ -126,25 +117,23 @@ def ordered_pair(n: int, *, seed: int) -> tuple[QMatrix, QMatrix]:
 
 
 def _unitaries(n: int, seeds: Sequence[int]) -> list[QMatrix]:
-    """``random_unitary(n, seed=s)`` over ``seeds``, one SVD per stack.
+    """``random_unitary(n, seed=s)`` over ``seeds``, from one SVD.
 
     A draw of full rank is the top block row of W V* from the SVD of its
     embedding, as ``polar`` forms it; a rank-deficient one is completed by
     ``polar`` and ``unitary_completion``.
     """
+    a, b = _ginibre_pairs(n, n, seeds)
+    w, s2, vh = _eig.svd(_embed_pair(a, b))
+    sigma = s2.reshape(len(seeds), n, 2).mean(axis=-1)
+    full = (sigma > RANK_RTOL * sigma[:, :1]).all(axis=-1).tolist()
     out: list[QMatrix] = []
-    for run in _stacks(seeds, n * n):
-        a, b = _ginibre_pairs(n, n, run)
-        w, s2, vh = _eig.svd(_embed_pair(a, b))
-        sigma = s2.reshape(len(run), n, 2).mean(axis=-1)
-        full = (sigma > RANK_RTOL * sigma[:, :1]).all(axis=-1).tolist()
-        tops = w[:, :n] @ vh
-        for i, top in enumerate(tops):
-            if full[i]:
-                top = top.copy()
-                out.append(_trusted(QMatrix, top[:, :n], top[:, n:]))
-            else:
-                out.append(unitary_completion(polar(_trusted(QMatrix, a[i], b[i]))))
+    for i, top in enumerate(w[:, :n] @ vh):
+        if full[i]:
+            top = top.copy()
+            out.append(_trusted(QMatrix, top[:, :n], top[:, n:]))
+        else:
+            out.append(unitary_completion(polar(_trusted(QMatrix, a[i], b[i]))))
     return out
 
 
@@ -156,16 +145,13 @@ def random_unitary(n: int, *, seed: int) -> QMatrix:
 
 def _normals(diag: np.ndarray, units: Sequence[QMatrix]) -> list[QMatrix]:
     """W D W* for each unitary W of ``units``, with D the diagonal whose pairs
-    (A, B) are the same row of the (k, n, 2) ``diag``: two products per stack."""
+    (A, B) are the same row of the (k, n, 2) ``diag``: two stacked products."""
     n = diag.shape[1]
     idx = np.arange(n)
-    out: list[QMatrix] = []
-    for run in _stacks(list(range(len(units))), n * n):
-        wa, wb = _stack_pairs([units[i] for i in run])
-        da, db = np.zeros((2, len(run), n, n), dtype=np.complex128)
-        da[:, idx, idx], db[:, idx, idx] = diag[run, :, 0], diag[run, :, 1]
-        out += _owned(*_product(*_product(wa, wb, da, db), *_adjoints(wa, wb)))
-    return out
+    wa, wb = _stack_pairs(units)
+    da, db = np.zeros((2, len(units), n, n), dtype=np.complex128)
+    da[:, idx, idx], db[:, idx, idx] = diag[:, :, 0], diag[:, :, 1]
+    return _owned(*_product(*_product(wa, wb, da, db), *_adjoints(wa, wb)))
 
 
 def normal_with_spectrum(values: Sequence[Quaternion | complex | float], *,

@@ -7,19 +7,20 @@ dimensionless margin (raw margin divided by an instance scale), so a single
 tolerance applies uniformly across properties.  A trial is a batch of one,
 and the shrinker scores its candidates with the same ``evaluate``, so it
 minimises exactly what the trial measured, hypotheses included.
-``run_verify`` draws and evaluates its trials in chunks of ``_BATCH``.  A
-chunk is drawn as stacks: one block draw per stream of Gaussian entries,
-one SVD per stack of unitaries and two products per stack of normal
+``run_verify`` draws and evaluates its trials in chunks, and it is the one
+place that bounds a stack: a chunk holds at most ``_BATCH`` trials, and
+fewer at large dims (``_chunk_trials``); every layer below takes its batch
+whole.  A chunk is drawn as stacks: one block draw per stream of Gaussian
+entries, one SVD of its unitaries and two products of its normal
 operators, each instance bit for bit the one its trial draws alone.  It
 is scored as stacks too: the GCSI properties climb every search of a
 chunk in lockstep, the five Hermitian properties solve and weigh each
 operator role of a chunk as one stack, and the other seven factor each
-operator role with one SVD per stack and solve each family of margins in
-one eigenvalue call, each margin bit for bit the one its instance gives
-alone.  Per-trial seeds are
-derived as mix_seed(seed, index), whatever the chunk; the aggregate is a
-deterministic min-fold with ties broken by lowest trial index, and an
-error surfaces from the lowest failing trial.
+operator role with one SVD and solve each family of margins in one
+eigenvalue call, each margin bit for bit the one its instance gives
+alone.  Per-trial seeds are derived as mix_seed(seed, index), whatever
+the chunk; the aggregate is a deterministic min-fold with ties broken by
+lowest trial index, and an error surfaces from the lowest failing trial.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from . import generators, matio, oracles
 from .errors import DomainError, PreconditionError, QopError, ShapeError
 from .linalg import (DEFAULT_DIM, QMatrix, QVector, _adjoints, _checked, _operator_norms,
-                     _pair_eigvalsh, _product, _require_finite, _runs, _stack_pairs, _trusted,
+                     _pair_eigvalsh, _product, _require_finite, _stack_pairs, _trusted,
                      operator_norm)
 from .quaternion import Quaternion
 from .rng import SplitMix64, block_uniforms, mix_seed, unit_quaternions
@@ -47,8 +48,11 @@ LH_R_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 HM_R_GRID = (0.3, 0.5, 0.7, 1.5, 2.0, 3.0)
 HYP_P_GRID = (0.25, 0.5, 1.0)
 SHRINK_BUDGET = 256
-# trials drawn and evaluated together by run_verify
+# run_verify's chunks: at most _BATCH trials, and only as many as keep 16
+# copies of each trial's T within _STACK_BYTES (an embedding is 4 times T's
+# bytes, and an SVD keeps it, its two factors and the conjugated V)
 _BATCH = 16
+_STACK_BYTES = 1 << 19
 
 PROBE_PAIR_A = ((2.0, 1.0), (1.0, 1.0))
 PROBE_PAIR_B = ((1.0, 0.0), (0.0, 0.0))
@@ -79,13 +83,14 @@ class Property:
     """A named property; calling it with a TrialContext runs one trial.
 
     ``draw`` builds the instances of a list of contexts, which share their
-    dim, tol and probe, from each trial's seeds.  ``evaluate`` scores
-    a list of instances at one tolerance and returns, per instance, the
-    margin with the witness entries that are not instance fields; an
-    exponent grid in an instance is replaced by its worst exponent.  One
-    instance is a batch of one.  ``witness_keys`` are the instance fields a
-    witness reports.  Called with a list of contexts, the record draws them
-    all, evaluates them as one batch and returns their outcomes in order.
+    dim, tol and probe, from each trial's seeds.  ``evaluate`` scores a
+    list of instances drawn at one dim, as one stack, at one tolerance and
+    returns, per instance, the margin with the witness entries that are
+    not instance fields; an exponent grid in an instance is replaced by its
+    worst exponent.  One instance is a batch of one.  ``witness_keys`` are
+    the instance fields a witness reports.  Called with a list of contexts,
+    the record draws them all, evaluates them as one batch and returns
+    their outcomes in order.
     The record is not slotted, so a ``functools.wraps`` wrapper around it
     still exposes ``draw`` and ``evaluate``.
     """
@@ -107,27 +112,6 @@ class Property:
                 witness.update(extras)
             outs.append(TrialOutcome(margin, witness, inst))
         return outs
-
-
-def _by_runs(score: Callable[[list[Instance], float],
-                             list[Scored]]) -> Callable[[list[Instance], float], list[Scored]]:
-    """The batch evaluator that scores each ``linalg._runs`` run of instances
-    of one shape with ``score``.  An instance counts 16 times the bytes of
-    its T, as an operator does in ``transforms._polars``: its embedding is 4
-    times T's bytes, and an SVD keeps it, its two factors and the conjugated
-    V.  A run is then factored in one SVD per role."""
-    def evaluate(insts: list[Instance], tol: float) -> list[Scored]:
-        out: list[Scored] = []
-        for run in _runs(insts, _shapes, lambda inst: 16 * inst["T"]._a.nbytes):
-            out += score(run, tol)
-        return out
-    return evaluate
-
-
-def _shapes(inst: Instance) -> tuple:
-    """The shape of every operator and vector of an instance."""
-    return tuple((key, val._a.shape) for key, val in inst.items()
-                 if isinstance(val, (QMatrix, QVector)))
 
 
 @dataclass(frozen=True)
@@ -305,9 +289,9 @@ def _draw_chain(ctxs: list[TrialContext]) -> list[Instance]:
     return [{"T": t, "probe": c.probe} for c, t in zip(ctxs, ts)]
 
 
-def _chain_margins(run: list[Instance], tol: float) -> list[Scored]:
+def _chain_margins(insts: list[Instance], tol: float) -> list[Scored]:
     """The sandwich; T must be semi-hyponormal unless the instance is a probe."""
-    cases = [(inst["T"], not inst.get("probe", False)) for inst in run]
+    cases = [(inst["T"], not inst.get("probe", False)) for inst in insts]
     return [(min(m1.value, m2.value) / m1.details["scale"], {})
             for m1, m2 in oracles._chain_cases(cases, tol)]
 
@@ -319,11 +303,11 @@ def _draw_aluthge(ctxs: list[TrialContext]) -> list[Instance]:
     return [{"T": t, "p": 0.5 + 0.5 * s.uniform(0.0, 1.0)} for t, s in zip(ts, streams)]
 
 
-def _aluthge_margins(run: list[Instance], tol: float) -> list[Scored]:
+def _aluthge_margins(insts: list[Instance], tol: float) -> list[Scored]:
     """Every transform theorem for a p-hyponormal T, and T~ = T for normal T.
-    The first report read solves the ladders and double transforms of the run."""
-    ts = [inst["T"] for inst in run]
-    reports = oracles._aluthge_cases([(t, inst["p"], True) for t, inst in zip(ts, run)], tol)
+    The first report read solves the ladders and double transforms of the batch."""
+    ts = [inst["T"] for inst in insts]
+    reports = oracles._aluthge_cases([(t, inst["p"], True) for t, inst in zip(ts, insts)], tol)
     out = []
     for t, report, scale in zip(ts, reports, _scales(ts)):
         vals = [-(report.transform - t).frobenius() / scale, _scaled(report.transform_margin)]
@@ -342,9 +326,9 @@ def _draw_aluthge_gain(ctxs: list[TrialContext]) -> list[Instance]:
     return [{"T": t, "p": p, "probe": c.probe} for c, t, p in zip(ctxs, ts, ps)]
 
 
-def _aluthge_gain_margins(run: list[Instance], tol: float) -> list[Scored]:
+def _aluthge_gain_margins(insts: list[Instance], tol: float) -> list[Scored]:
     """The transform's gain; T must be p-hyponormal unless the instance is a probe."""
-    cases = [(inst["T"], inst["p"], not inst.get("probe", False)) for inst in run]
+    cases = [(inst["T"], inst["p"], not inst.get("probe", False)) for inst in insts]
     return [(_scaled(r.transform_margin), {}) for r in oracles._aluthge_cases(cases, tol)]
 
 
@@ -357,8 +341,8 @@ def _draw_eigenspace_reducing(ctxs: list[TrialContext]) -> list[Instance]:
     return [{"T": t, "q": Quaternion(*q)} for t, q in zip(ts, units[:, 0].tolist())]
 
 
-def _eigenspace_margins(run: list[Instance], tol: float) -> list[Scored]:
-    cases = [(inst["T"], inst["q"]) for inst in run]
+def _eigenspace_margins(insts: list[Instance], tol: float) -> list[Scored]:
+    cases = [(inst["T"], inst["q"]) for inst in insts]
     return [(_scaled(m), {}) for m in oracles._eigenspace_cases(cases, tol)]
 
 
@@ -431,9 +415,9 @@ def _draw_kernel_reduction(ctxs: list[TrialContext]) -> list[Instance]:
     return [{"T": t} for t in ts]
 
 
-def _kernel_margins(run: list[Instance], tol: float) -> list[Scored]:
+def _kernel_margins(insts: list[Instance], tol: float) -> list[Scored]:
     out = []
-    for report, opn in zip(*oracles._kernel_reductions([inst["T"] for inst in run], tol)):
+    for report, opn in zip(*oracles._kernel_reductions([inst["T"] for inst in insts], tol)):
         scale = max(1.0, opn)
         vals = [-report.subset_residual / scale, -report.equality_residual / scale]
         if report.dim_ker != report.dim_ker_sq:
@@ -449,8 +433,8 @@ def _draw_tu_star(ctxs: list[TrialContext]) -> list[Instance]:
     return [{"T": t, "x": x} for t, x in zip(ts, generators._unit_vectors(dim, _seeds(ctxs, 2)))]
 
 
-def _tu_star_margins(run: list[Instance], tol: float) -> list[Scored]:
-    cases = [(inst["T"], inst["x"]) for inst in run]
+def _tu_star_margins(insts: list[Instance], tol: float) -> list[Scored]:
+    cases = [(inst["T"], inst["x"]) for inst in insts]
     return [(_scaled(m), {}) for m in oracles._tu_star_cases(cases, tol)]
 
 
@@ -491,38 +475,38 @@ def _frobenius(a: np.ndarray, b: np.ndarray) -> float:
 
 def _collapse_margins(insts: list[Instance], tol: float) -> list[Scored]:
     """tr (T*T)^p = tr (TT*)^p over HYP_P_GRID, and a non-normal T is not
-    p-hyponormal.  A run's T*T and TT* are solved in one eigensolver call and
-    its ||T|| in one eigenvalue call, and its non-normal operators are
-    factored in one SVD per stack."""
-    for inst in insts:
-        _require_square(inst["T"])
+    p-hyponormal.  The batch's T*T and TT* are solved in one eigensolver
+    call and its ||T|| in one eigenvalue call, and its non-normal operators
+    are factored in one SVD."""
+    ts = [inst["T"] for inst in insts]
+    for t in ts:
+        _require_square(t)
+    a, b = _stack_pairs(ts)
+    ga, gb = _product(*_adjoints(a, b), a, b)
+    _require_finite(ga, gb, "QMatrix")
+    ca, cb = _product(a, b, *_adjoints(a, b))
+    _require_finite(ca, cb, "QMatrix")
+    tops = _pair_eigvalsh(ga, gb)[:, -1].tolist()
+    _, w, v = _eigensystems(np.concatenate([ga, ca]), np.concatenate([gb, cb]))
+    skewed = []
+    for i, top in enumerate(tops):
+        scale = max(1.0, float(np.sqrt(max(top, 0.0)))) ** 2
+        skewed.append(_frobenius(ga[i] - ca[i], gb[i] - cb[i]) > 1e-4 * scale)
+    pa, _ = _psd_powers(w, v, [HYP_P_GRID] * w.shape[0])
+    traces = [[float(np.trace(x).real) for x in rows] for rows in pa]
+    # the p-hyponormal margins are read as values only, so no witness is solved for
+    parts = _polars([t for t, skew in zip(ts, skewed) if skew])
+    hyps = iter(_pair_eigvalsh(*oracles._hyponormal_diffs(
+        parts, [HYP_P_GRID] * len(parts)))[:, 0].reshape(len(parts), -1) if parts else ())
     out = []
-    for run in _runs([inst["T"] for inst in insts], lambda t: t.shape, lambda t: 12 * t._a.nbytes):
-        a, b = _stack_pairs(run)
-        ga, gb = _product(*_adjoints(a, b), a, b)
-        _require_finite(ga, gb, "QMatrix")
-        ca, cb = _product(a, b, *_adjoints(a, b))
-        _require_finite(ca, cb, "QMatrix")
-        tops = _pair_eigvalsh(ga, gb)[:, -1].tolist()
-        _, w, v = _eigensystems(np.concatenate([ga, ca]), np.concatenate([gb, cb]))
-        skewed = []
-        for i, top in enumerate(tops):
-            scale = max(1.0, float(np.sqrt(max(top, 0.0)))) ** 2
-            skewed.append(_frobenius(ga[i] - ca[i], gb[i] - cb[i]) > 1e-4 * scale)
-        pa, _ = _psd_powers(w, v, [HYP_P_GRID] * w.shape[0])
-        traces = [[float(np.trace(x).real) for x in rows] for rows in pa]
-        # the p-hyponormal margins are read as values only, so no witness is solved for
-        parts = _polars([t for t, skew in zip(run, skewed) if skew])
-        hyps = iter(_pair_eigvalsh(*oracles._hyponormal_diffs(
-            parts, [HYP_P_GRID] * len(parts)))[:, 0].reshape(len(parts), -1) if parts else ())
-        for skew, tr_gs, tr_cs in zip(skewed, traces, traces[len(run):]):
-            hyp = next(hyps) if skew else None
-            vals = []
-            for k, (tr_g, tr_c) in enumerate(zip(tr_gs, tr_cs)):
-                vals.append(-abs(tr_g - tr_c) / max(1.0, abs(tr_g), abs(tr_c)))
-                if hyp is not None and hyp[k] >= 0.0:
-                    vals.append(-1.0)
-            out.append((min(vals), {}))
+    for skew, tr_gs, tr_cs in zip(skewed, traces, traces[len(ts):]):
+        hyp = next(hyps) if skew else None
+        vals = []
+        for k, (tr_g, tr_c) in enumerate(zip(tr_gs, tr_cs)):
+            vals.append(-abs(tr_g - tr_c) / max(1.0, abs(tr_g), abs(tr_c)))
+            if hyp is not None and hyp[k] >= 0.0:
+                vals.append(-1.0)
+        out.append((min(vals), {}))
     return out
 
 
@@ -540,22 +524,22 @@ def _draw_spectrum_st_ts(ctxs: list[TrialContext]) -> list[Instance]:
     return [{"S": s, "T": t} for s, t in zip(ops[0::2], ops[1::2])]
 
 
-def _st_ts_margins(run: list[Instance], tol: float) -> list[Scored]:
+def _st_ts_margins(insts: list[Instance], tol: float) -> list[Scored]:
     """sigma(ST) and sigma(TS), each with 0 added, in Hausdorff distance and
-    spectral radius; every ST and TS of the run is solved in one call."""
-    for inst in run:
+    spectral radius; every ST and TS of the batch is solved in one call."""
+    for inst in insts:
         s, t = inst["S"], inst["T"]
         if s.cols != t.rows:
             raise ShapeError(f"cannot multiply {s.shape} by {t.shape}")
         if s.rows != t.cols:
             raise ShapeError(f"square operator required, got {(s.rows, t.cols)}")
-    sa, sb = _stack_pairs([inst["S"] for inst in run])
-    ta, tb = _stack_pairs([inst["T"] for inst in run])
+    sa, sb = _stack_pairs([inst["S"] for inst in insts])
+    ta, tb = _stack_pairs([inst["T"] for inst in insts])
     st, ts = _checked(_product(sa, sb, ta, tb)), _checked(_product(ta, tb, sa, sb))
     spectra = [list(_spherical(reps).classes) + [0j] for reps in
                _standard_eigenvalues(*map(np.concatenate, zip(st, ts)))]
     out = []
-    for reps_st, reps_ts in zip(spectra, spectra[len(run):]):
+    for reps_st, reps_ts in zip(spectra, spectra[len(insts):]):
         r_st = max(abs(z) for z in reps_st)
         r_ts = max(abs(z) for z in reps_ts)
         scale = max(1.0, r_st, r_ts)
@@ -572,36 +556,33 @@ def _draw_conjugation(ctxs: list[TrialContext]) -> list[Instance]:
 
 def _conjugation_margins(insts: list[Instance], tol: float) -> list[Scored]:
     """f(U S U*) = U f(S) U* for f(x) = sqrt(x - min spec S + 1), S made
-    Hermitian.  A run's S and U S U* are solved in one eigensolver call and
-    its shifts in one eigenvalue call."""
+    Hermitian.  The batch's S and U S U* are solved in one eigensolver call
+    and its shifts in one eigenvalue call."""
     for inst in insts:
         u, s = inst["U"], inst["S"]
         _require_square(s)
         if u.shape != s.shape:
             raise ShapeError(f"cannot multiply {u.shape} by {s.shape}")
-    out = []
-    for run in _runs(insts, lambda inst: inst["S"].shape, lambda inst: 8 * inst["S"]._a.nbytes):
-        ua, ub = _stack_pairs([inst["U"] for inst in run])
-        sa, sb = _stack_pairs([inst["S"] for inst in run])
-        sh = _adjoints(sa, sb)
-        sa, sb = 0.5 * (sa + sh[0]), 0.5 * (sb + sh[1])
-        _require_finite(sa, sb, "QMatrix")
-        shifts = -_pair_eigvalsh(sa, sb)[:, :1] + 1.0
-        xa, xb = _product(ua, ub, sa, sb)
-        _require_finite(xa, xb, "QMatrix")
-        xa, xb = _product(xa, xb, *_adjoints(ua, ub))
-        _require_finite(xa, xb, "QMatrix")
-        _, w, v = _eigensystems(np.concatenate([sa, xa]), np.concatenate([sb, xb]))
-        fw = np.sqrt(np.maximum(w + np.concatenate([shifts, shifts]), 0.0))
-        if not np.isfinite(fw).all():
-            raise DomainError(_NOT_FINITE)
-        fa, fb = _hermitian_from_chi(v, fw)
-        k = len(run)
-        ra, rb = _product(*_product(ua, ub, fa[:k], fb[:k]), *_adjoints(ua, ub))
-        _require_finite(ra, rb, "QMatrix")
-        out += [(-_frobenius(fa[k + i] - ra[i], fb[k + i] - rb[i])
-                 / max(1.0, _frobenius(fa[i], fb[i])), {}) for i in range(k)]
-    return out
+    ua, ub = _stack_pairs([inst["U"] for inst in insts])
+    sa, sb = _stack_pairs([inst["S"] for inst in insts])
+    sh = _adjoints(sa, sb)
+    sa, sb = 0.5 * (sa + sh[0]), 0.5 * (sb + sh[1])
+    _require_finite(sa, sb, "QMatrix")
+    shifts = -_pair_eigvalsh(sa, sb)[:, :1] + 1.0
+    xa, xb = _product(ua, ub, sa, sb)
+    _require_finite(xa, xb, "QMatrix")
+    xa, xb = _product(xa, xb, *_adjoints(ua, ub))
+    _require_finite(xa, xb, "QMatrix")
+    _, w, v = _eigensystems(np.concatenate([sa, xa]), np.concatenate([sb, xb]))
+    fw = np.sqrt(np.maximum(w + np.concatenate([shifts, shifts]), 0.0))
+    if not np.isfinite(fw).all():
+        raise DomainError(_NOT_FINITE)
+    fa, fb = _hermitian_from_chi(v, fw)
+    k = len(insts)
+    ra, rb = _product(*_product(ua, ub, fa[:k], fb[:k]), *_adjoints(ua, ub))
+    _require_finite(ra, rb, "QMatrix")
+    return [(-_frobenius(fa[k + i] - ra[i], fb[k + i] - rb[i])
+             / max(1.0, _frobenius(fa[i], fb[i])), {}) for i in range(k)]
 
 
 PROPERTIES: dict[str, Property] = {
@@ -609,18 +590,18 @@ PROPERTIES: dict[str, Property] = {
     "holder-mccarthy": Property(_draw_holder_mccarthy, _holder_mccarthy_margins,
                                 ("T", "x", "r")),
     "furuta": Property(_draw_furuta, _furuta_margins, ("A", "B", "p", "q", "r")),
-    "chain": Property(_draw_chain, _by_runs(_chain_margins), ("T",)),
-    "aluthge": Property(_draw_aluthge, _by_runs(_aluthge_margins), ("T", "p")),
-    "aluthge-gain": Property(_draw_aluthge_gain, _by_runs(_aluthge_gain_margins),
+    "chain": Property(_draw_chain, _chain_margins, ("T",)),
+    "aluthge": Property(_draw_aluthge, _aluthge_margins, ("T", "p")),
+    "aluthge-gain": Property(_draw_aluthge_gain, _aluthge_gain_margins,
                              ("T", "p", "probe")),
     "eigenspace-reducing": Property(_draw_eigenspace_reducing,
-                                    _by_runs(_eigenspace_margins), ("T", "q")),
+                                    _eigenspace_margins, ("T", "q")),
     "gcsi-closure": Property(_draw_gcsi_closure, _closure_margins, ("which", "T")),
-    "kernel-reduction": Property(_draw_kernel_reduction, _by_runs(_kernel_margins), ("T",)),
-    "tu-star": Property(_draw_tu_star, _by_runs(_tu_star_margins), ("T", "x")),
+    "kernel-reduction": Property(_draw_kernel_reduction, _kernel_margins, ("T",)),
+    "tu-star": Property(_draw_tu_star, _tu_star_margins, ("T", "x")),
     "gcsi-implies": Property(_draw_gcsi_implies, _implies_margins, ("T", "p")),
     "collapse": Property(_draw_collapse, _collapse_margins, ("T",)),
-    "spectrum-st-ts": Property(_draw_spectrum_st_ts, _by_runs(_st_ts_margins), ("S", "T")),
+    "spectrum-st-ts": Property(_draw_spectrum_st_ts, _st_ts_margins, ("S", "T")),
     "conjugation-lemma": Property(_draw_conjugation, _conjugation_margins, ("U", "S")),
 }
 
@@ -657,6 +638,13 @@ def _run_chunk(fn: Property,
     return [(float(out.margin), out.witness) for out in outs]
 
 
+def _chunk_trials(dim: int) -> int:
+    """The trials of one ``run_verify`` chunk at ``dim``: 16 up to dim 11, 8
+    at dim 16, 2 at dim 32 and 1 from dim 46 on.  T's A part takes 16 dim^2
+    bytes, so 16 copies of it take 256 dim^2."""
+    return max(1, min(_BATCH, _STACK_BYTES // (256 * dim * dim)))
+
+
 def run_verify(prop: str, *, trials: int, seed: int, dim: int = DEFAULT_DIM,
                tol: float = DEFAULT_TOL, probe: bool = False) -> VerificationReport:
     """Run `trials` independent trials of a named property.
@@ -673,9 +661,10 @@ def run_verify(prop: str, *, trials: int, seed: int, dim: int = DEFAULT_DIM,
     min_margin = math.inf
     best_witness: dict[str, Any] | None = None
     best_seed = 0
-    for start in range(0, trials, _BATCH):
+    size = _chunk_trials(dim)
+    for start in range(0, trials, size):
         ctxs = [TrialContext(mix_seed(seed, idx), idx, dim, tol, probe)
-                for idx in range(start, min(start + _BATCH, trials))]
+                for idx in range(start, min(start + size, trials))]
         for ctx, (margin, witness) in zip(ctxs, _run_chunk(fn, ctxs)):
             per.append((ctx.trial_seed, margin))
             if margin < min_margin:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -34,8 +34,6 @@ DEFAULT_DIM = 4
 # the decomposition and Parseval deviations a basis may show
 ORTHO_TOL = 1e-8
 BASIS_TOL = 1e-10
-# a stacked step holds at most this many bytes of embedded matrices at a time
-_STACK_BYTES = 1 << 19
 
 
 def _coerce_entry(value) -> Quaternion:
@@ -120,33 +118,6 @@ def _identities(k: int, n: int) -> np.ndarray:
 def _stack_pairs(ops: Sequence[Any]) -> tuple[np.ndarray, np.ndarray]:
     """The (k, ...) stacks (A, B) of the pairs of k operators of one shape."""
     return _stacked([op._a for op in ops]), _stacked([op._b for op in ops])
-
-
-def _runs(items: Iterable[Any], key: Callable[[Any], Any],
-          nbytes: Callable[[Any], int]) -> Iterable[list[Any]]:
-    """Consecutive runs of ``items`` with one ``key``, each of at least one
-    item and otherwise of at most ``_STACK_BYTES`` of their ``nbytes``.  A
-    run is handed on as soon as the item after it is read, so a generator's
-    items are made one run at a time; a list of one item is its own run."""
-    if isinstance(items, list) and len(items) == 1:
-        return [items]
-    return _lazy_runs(items, key, nbytes)
-
-
-def _lazy_runs(items: Iterable[Any], key: Callable[[Any], Any],
-               nbytes: Callable[[Any], int]) -> Iterator[list[Any]]:
-    run: list[Any] = []
-    for item in items:
-        k, size = key(item), nbytes(item)
-        if run and (k != run_key or total + size > _STACK_BYTES):
-            yield run
-            run = []
-        if not run:
-            run_key, total = k, 0
-        run.append(item)
-        total += size
-    if run:
-        yield run
 
 
 class QVector:

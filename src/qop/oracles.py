@@ -28,13 +28,13 @@ from . import _eig, matio
 from .errors import DomainError, PreconditionError, QopError, ShapeError
 from .linalg import (QMatrix, QVector, _adjoints, _checked, _chi_eigvalsh, _from_chi_top, _from_psi,
                      _gram_norms, _identities, _operator_norms, _outers, _pair_eigvalsh, _product,
-                     _psi, _require_finite, _runs, _selfadjoint_residual, _stack_pairs, _stacked,
+                     _psi, _require_finite, _selfadjoint_residual, _stack_pairs, _stacked,
                      _trusted, _vector_norms, embed_chi, inner, operator_norm)
 from .quaternion import Quaternion
 from .rng import SplitMix64, mix_seed
 from .spectral import (EIGENSPACE_RTOL, HermitianEigensystem, _delta_qs, _eigensystems,
                        _hermitian_from_chi, _kernel_bases, _psd_powers, _psd_verdict, _psd_weights,
-                       _require_selfadjoint, is_psd)
+                       _require_selfadjoint, _require_square, is_psd)
 from .transforms import (PolarParts, _abs_powers, _aluthge_transforms, _polars, polar,
                          unitary_completion)
 
@@ -139,17 +139,15 @@ def _check_exponent(p: float) -> None:
         raise DomainError(f"exponent must lie in (0, 1], got {p}")
 
 
-def is_p_hyponormal(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
-                    parts: PolarParts | None = None) -> Margin:
+def is_p_hyponormal(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL) -> Margin:
     """Margin of (T*T)^p - (TT*)^p against the operator order.
 
     p = 1 is the hyponormal case and p = 1/2 the semi-hyponormal one.  The
     witness, present when the margin is materially negative, is the unit
-    vector achieving the minimal quadratic form.  A caller holding the
-    polar parts of T passes them as ``parts``.
+    vector achieving the minimal quadratic form.
     """
     _check_exponent(p)
-    return _p_hyponormal_grid([polar(t) if parts is None else parts], [(p,)], tol)[0][0]
+    return _p_hyponormal_grid([polar(t)], [(p,)], tol)[0][0]
 
 
 def _hyponormal_diffs(parts: Sequence[PolarParts],
@@ -397,9 +395,9 @@ def _gcsi_search(climbs: Iterable[Climb], *, tol: float) -> list[Margin]:
     the same step.  A climb scores its next ``_WINDOW`` candidates at once,
     each with the step it has if the earlier ones are all rejected; the
     first one taken or skipped is the climb's next event, and its next
-    window starts after it.  The climbs of one operator size advance in
-    lockstep, in the ``linalg._runs`` of their chi(T): each round scores
-    every climb's window in one stacked product with its own chi(T)^T.
+    window starts after it.  Each run of consecutive climbs of one operator
+    size advances in lockstep: each round scores every climb's window in
+    one stacked product with its own chi(T)^T.
     Every candidate reached is built and scored as in a climb that scores
     one per step, so each result is the same bit for bit.
     """
@@ -413,8 +411,8 @@ def _gcsi_search(climbs: Iterable[Climb], *, tol: float) -> list[Margin]:
             yield chi_t, beta, seed, budget, best, pair, moves
 
     out: list[Margin] = []
-    for run in _runs(scanned(), lambda c: c[0].shape, lambda c: c[0].nbytes):
-        out += _climb_stack(run, tol)
+    for _, run in groupby(scanned(), lambda c: c[0].shape):
+        out += _climb_stack(list(run), tol)
     return out
 
 
@@ -568,9 +566,9 @@ def check_holder_mccarthy(t: QMatrix, x: QVector, rs: Sequence[float], *,
 def _holder_mccarthy_cases(cases: Sequence[tuple[QMatrix, QVector, Sequence[float]]],
                            tol: float) -> list[Margin]:
     """``check_holder_mccarthy`` of each (T, x, rs) case, the arguments of
-    all checked first.  Each ``_runs`` of cases with one size and grid length
-    is solved in one eigensolver call and its powers pulled back in one
-    product; a lone case weighs all its exponents before its first form."""
+    all checked first.  The cases, of one size and grid length, are solved
+    in one eigensolver call and their powers pulled back in one product; a
+    lone case weighs all its exponents before its first form."""
     checked = []
     for t, x, rs in cases:
         if not rs:
@@ -582,32 +580,30 @@ def _holder_mccarthy_cases(cases: Sequence[tuple[QMatrix, QVector, Sequence[floa
         if nx == 0.0:
             raise DomainError("zero vector not allowed")
         checked.append((t, x, rs, nx))
+    for t, *_ in checked:
+        _require_selfadjoint(t)
+    _, w, v = _eigensystems(*_stack_pairs([c[0] for c in checked]))
+    bases = [inner(t @ x, x) for t, x, _, _ in checked]
+    powers = _psd_powers(w, v, [c[2] for c in checked])
     out = []
-    for run in _runs(checked, lambda c: (c[0].shape, len(c[2])),
-                     lambda c: 4 * c[0]._a.nbytes * len(c[2])):
-        for t, *_ in run:
-            _require_selfadjoint(t)
-        _, w, v = _eigensystems(*_stack_pairs([c[0] for c in run]))
-        bases = [inner(t @ x, x) for t, x, _, _ in run]
-        powers = _psd_powers(w, v, [c[2] for c in run])
-        for (_, x, rs, nx), base, ra, rb in zip(run, bases, *powers):
-            margins = []
-            for r, a, b in zip(rs, ra, rb):
-                # T^r x on a copy of the slice: a matrix-vector product on a
-                # slice of a stack need not be the one on a whole matrix bit for bit
-                lhs = inner(_trusted(QVector, *_product(a.copy(), b.copy(), x._a, x._b)), x)
-                imag = max(abs(lhs.x), abs(lhs.y), abs(lhs.z),
-                           abs(base.x), abs(base.y), abs(base.z))
-                if imag > 1e-8 * max(1.0, abs(lhs.w), abs(base.w)):
-                    raise PreconditionError(f"quadratic form is not real (imaginary size "
-                                            f"{imag:.3e}); operator not positive?")
-                rhs = max(base.w, 0.0) ** r * nx ** (2.0 * (1.0 - r))
-                value = lhs.w - rhs if r > 1.0 else rhs - lhs.w
-                scale = max(1.0, abs(lhs.w), abs(rhs))
-                margins.append(_margin(value, tol, scale,
-                                       lambda: {"r": r, "x": matio.vector_to_json(x)},
-                                       r=r, lhs=lhs.w, rhs=rhs))
-            out.append(_least_scaled(margins))
+    for (_, x, rs, nx), base, ra, rb in zip(checked, bases, *powers):
+        margins = []
+        for r, a, b in zip(rs, ra, rb):
+            # T^r x on a copy of the slice: a matrix-vector product on a
+            # slice of a stack need not be the one on a whole matrix bit for bit
+            lhs = inner(_trusted(QVector, *_product(a.copy(), b.copy(), x._a, x._b)), x)
+            imag = max(abs(lhs.x), abs(lhs.y), abs(lhs.z),
+                       abs(base.x), abs(base.y), abs(base.z))
+            if imag > 1e-8 * max(1.0, abs(lhs.w), abs(base.w)):
+                raise PreconditionError(f"quadratic form is not real (imaginary size "
+                                        f"{imag:.3e}); operator not positive?")
+            rhs = max(base.w, 0.0) ** r * nx ** (2.0 * (1.0 - r))
+            value = lhs.w - rhs if r > 1.0 else rhs - lhs.w
+            scale = max(1.0, abs(lhs.w), abs(rhs))
+            margins.append(_margin(value, tol, scale,
+                                   lambda: {"r": r, "x": matio.vector_to_json(x)},
+                                   r=r, lhs=lhs.w, rhs=rhs))
+        out.append(_least_scaled(margins))
     return out
 
 
@@ -659,10 +655,10 @@ def check_lowner_heinz(s: QMatrix, t: QMatrix, rs: Sequence[float], *,
 def _lowner_heinz_cases(cases: Sequence[tuple[QMatrix, QMatrix, Sequence[float], bool]],
                         tol: float) -> list[Margin]:
     """``check_lowner_heinz`` of each (S, T, rs, probe) case, the exponents
-    of all checked first.  Each ``_runs`` of cases with one size and grid
-    length is ordered by ``_ordered_systems``, its powers are pulled back in
-    one product per operator role, and every S^r - T^r is solved in one
-    eigenvalue call.  A lone case weighs one S^r and one T^r per exponent,
+    of all checked first.  Each run of consecutive cases with one size and
+    grid length is ordered by ``_ordered_systems``, its powers are pulled
+    back in one product per operator role, and every S^r - T^r is solved in
+    one eigenvalue call.  A lone case weighs one S^r and one T^r per exponent,
     in ``check_lowner_heinz``'s order."""
     for _, _, rs, probe in cases:
         if not rs:
@@ -673,8 +669,8 @@ def _lowner_heinz_cases(cases: Sequence[tuple[QMatrix, QMatrix, Sequence[float],
             if r > 1.0 and not probe:
                 raise DomainError(f"exponent {r} outside [0, 1] requires probe mode")
     out = []
-    for run in _runs(cases, lambda c: (c[0].shape, len(c[2])),
-                     lambda c: 4 * c[0]._a.nbytes * len(c[2])):
+    for _, run in groupby(cases, lambda c: (c[0].shape, len(c[2]))):
+        run = list(run)
         (ssys, ws, vs), (_, wt, vt) = _ordered_systems([c[0] for c in run],
                                                        [c[1] for c in run], tol)
         fs, ft = _psd_weights([ws, wt], [c[2] for c in run])
@@ -706,7 +702,7 @@ def check_furuta(a: QMatrix, b: QMatrix, p: float, q: float, r: float, *,
 
 def _furuta_cases(cases: Sequence[tuple], tol: float) -> list[tuple[Margin, Margin]]:
     """``check_furuta`` of each (A, B, p, q, r, probe) case, the exponents of
-    all checked first.  Each ``_runs`` of cases of one size is ordered by
+    all checked first.  The cases, of one size, are ordered by
     ``_ordered_systems``, the brackets of every case are solved in one
     eigensolver call and the differences in one eigenvalue call.  The
     exponents differ from case to case, so each power is weighed case by
@@ -718,27 +714,26 @@ def _furuta_cases(cases: Sequence[tuple], tol: float) -> list[tuple[Margin, Marg
         if (1.0 + 2.0 * r) * q < p + 2.0 * r and not probe:
             raise PreconditionError(
                 f"(1+2r)q >= p+2r fails: {(1 + 2 * r) * q:.4g} < {p + 2 * r:.4g}")
+    (asys, wa, va), (_, wb, vb) = _ordered_systems([c[0] for c in cases],
+                                                   [c[1] for c in cases], tol)
+    values = _pair_eigvalsh(*_furuta_differences(cases, wa, va, wb, vb))[:, 0].tolist()
+    k = len(cases)
     out = []
-    for run in _runs(cases, lambda c: c[0].shape, lambda c: 8 * c[0]._a.nbytes):
-        (asys, wa, va), (_, wb, vb) = _ordered_systems([c[0] for c in run],
-                                                       [c[1] for c in run], tol)
-        values = _pair_eigvalsh(*_furuta_differences(run, wa, va, wb, vb))[:, 0].tolist()
-        k = len(run)
-        for i, (system, (_, _, p, q, r, probe)) in enumerate(zip(asys, run)):
-            scale = max(1.0, max(system.eigenvalues[-1], 0.0) ** ((p + 2.0 * r) / q))
-            witness = lambda: {"p": p, "q": q, "r": r, "probe": probe}
-            out.append((_margin(values[i], tol, scale, witness, p=p, q=q, r=r),
-                        _margin(values[k + i], tol, scale, witness, p=p, q=q, r=r)))
+    for i, (system, (_, _, p, q, r, probe)) in enumerate(zip(asys, cases)):
+        scale = max(1.0, max(system.eigenvalues[-1], 0.0) ** ((p + 2.0 * r) / q))
+        witness = lambda: {"p": p, "q": q, "r": r, "probe": probe}
+        out.append((_margin(values[i], tol, scale, witness, p=p, q=q, r=r),
+                    _margin(values[k + i], tol, scale, witness, p=p, q=q, r=r)))
     return out
 
 
-def _furuta_differences(run: Sequence[tuple], wa: np.ndarray, va: np.ndarray,
+def _furuta_differences(cases: Sequence[tuple], wa: np.ndarray, va: np.ndarray,
                         wb: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(B^r A^p B^r)^{1/q} - B^e of each case of a run, then A^e -
+    """(B^r A^p B^r)^{1/q} - B^e of each case, then A^e -
     (A^r B^p A^r)^{1/q} of each, e = (p + 2r) / q, as one (2k, n, n) pair
     stack, from the spectra and eigenvectors of the As and the Bs."""
-    ba, bb = _psd_powers(wb, vb, [(r, p) for _, _, p, _, r, _ in run])
-    aa, ab = _psd_powers(wa, va, [(p, r) for _, _, p, _, r, _ in run])
+    ba, bb = _psd_powers(wb, vb, [(r, p) for _, _, p, _, r, _ in cases])
+    aa, ab = _psd_powers(wa, va, [(p, r) for _, _, p, _, r, _ in cases])
     # the outer halves B^r, A^r and the middles A^p, B^p of both brackets
     ha, hb = np.concatenate([ba[:, 0], aa[:, 1]]), np.concatenate([bb[:, 0], ab[:, 1]])
     xa, xb = _product(ha, hb, np.concatenate([aa[:, 0], ba[:, 1]]),
@@ -748,11 +743,11 @@ def _furuta_differences(run: Sequence[tuple], wa: np.ndarray, va: np.ndarray,
     _require_finite(xa, xb, "QMatrix")
     del ba, bb, aa, ab, ha, hb  # before the brackets are solved
     _, wx, vx = _eigensystems(xa, xb)
-    la, lb = _psd_powers(wx, vx, [(1.0 / c[3],) for c in run] * 2)
-    expos = [((p + 2.0 * r) / q,) for _, _, p, q, r, _ in run]
+    la, lb = _psd_powers(wx, vx, [(1.0 / c[3],) for c in cases] * 2)
+    expos = [((p + 2.0 * r) / q,) for _, _, p, q, r, _ in cases]
     ba, bb = _psd_powers(wb, vb, expos)
     aa, ab = _psd_powers(wa, va, expos)
-    k = len(run)
+    k = len(cases)
     da = np.concatenate([la[:k, 0] - ba[:, 0], aa[:, 0] - la[k:, 0]])
     db = np.concatenate([lb[:k, 0] - bb[:, 0], ab[:, 0] - lb[k:, 0]])
     _require_finite(da, db, "QMatrix")
@@ -773,7 +768,7 @@ def check_chain_semihypo(t: QMatrix, *, tol: float = DEFAULT_TOL,
 def _chain_cases(cases: Sequence[tuple[QMatrix, bool]],
                  tol: float) -> list[tuple[Margin, Margin]]:
     """``check_chain_semihypo`` of each (T, enforce) case: the operators are
-    factored in one SVD per stack, the enforced hypotheses solved in one
+    factored in one SVD, the enforced hypotheses solved in one
     eigenvalue call and both sandwiches of every case in another."""
     parts = _polars([t for t, _ in cases])
     enforced = [pp for pp, (_, enforce) in zip(parts, cases) if enforce]
@@ -846,7 +841,7 @@ def check_aluthge_theorems(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
 def _aluthge_cases(cases: Sequence[tuple[QMatrix, float, bool]],
                    tol: float) -> list[AluthgeReport]:
     """``check_aluthge_theorems`` of each (T, p, enforce) case, the exponents
-    of all checked first.  T and T~ are factored in one SVD per stack, and
+    of all checked first.  T and T~ are factored in one SVD each, and
     the enforced hypotheses and the transform margins solved in one
     eigenvalue call each.  The first read of any report's ladder solves
     every ladder, and that of a double reading factors every T~~ and
@@ -887,7 +882,7 @@ def check_eigenspace_reducing(t: QMatrix, q: Quaternion, *,
 
 def _eigenspace_cases(cases: Sequence[tuple[QMatrix, Quaternion]], tol: float) -> list[Margin]:
     """``check_eigenspace_reducing`` of each (T, q) case, the quaternions of
-    all checked first.  The operators are factored in one SVD per stack,
+    all checked first.  The operators are factored in one SVD,
     the sphere polynomials' kernels found in one SVD, and the norms of the
     two off-diagonal blocks and of T solved in one eigenvalue call."""
     for _, q in cases:
@@ -1059,8 +1054,7 @@ def _kernel_reductions(ts: Sequence[QMatrix],
     from one SVD, the residuals from one stacked product per kind, and ||T||
     from one eigenvalue solve."""
     for t in ts:
-        if not t.is_square():
-            raise ShapeError("kernel extraction expects rows >= cols")
+        _require_square(t)
     a, b = _stack_pairs(ts)
     ha, hb = _adjoints(a, b)
     sa, sb = _checked(_product(a, b, a, b))
@@ -1117,7 +1111,7 @@ def check_tu_star(t: QMatrix, x: QVector, *, tol: float = DEFAULT_TOL) -> Margin
 
 def _tu_star_cases(cases: Sequence[tuple[QMatrix, QVector]], tol: float) -> list[Margin]:
     """``check_tu_star`` of each (T, x) case of one shape: the operators are
-    factored in one SVD per stack, each vector product is one stacked
+    factored in one SVD, each vector product is one stacked
     product, and ||T|| comes from one eigenvalue solve."""
     parts = _polars([t for t, _ in cases])
     for (_, x), pp in zip(cases, parts):
@@ -1187,10 +1181,8 @@ def _gcsi_implications(cases: Sequence[tuple[QMatrix, float, int]], *, budget: i
     _check_count(budget, "budget")
     _check_count(grid, "grid")
     _check_count(samples, "samples")
-    hyps = []
-    for run in _runs(cases, lambda c: c[0].shape, lambda c: 16 * c[0]._a.nbytes):
-        hyps += [m for (m,) in _p_hyponormal_grid(_polars([t for t, _, _ in run]),
-                                                   [(p,) for _, p, _ in run], tol)]
+    hyps = [m for (m,) in _p_hyponormal_grid(_polars([t for t, _, _ in cases]),
+                                              [(p,) for _, p, _ in cases], tol)]
     gcsis = _gcsi_search(((t, p, seed, _gcsi_draw(t.rows, budget, seed, _REFINE_STEPS))
                           for t, p, seed in cases), tol=tol)
     return [ConsistencyReport(

@@ -26,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import (QMatrix, QVector, _from_chi_top, _product, _require_finite, _runs,
-                     _stack_pairs, _stacked, _trusted, outer)
+from .linalg import (QMatrix, QVector, _from_chi_top, _product, _require_finite, _stack_pairs,
+                     _stacked, _trusted, outer)
 from .spectral import _chi_svds, _hermitian_from_chi, _hermitian_matrix, _null_basis
 
 RANK_RTOL = 1e-12
@@ -70,7 +70,9 @@ class PolarParts:
         return _null_basis(self._ker_w, self.u.rows - self.rank)
 
     def abs_power(self, s: float) -> QMatrix:
-        """|T|^s for s >= 0, with |T|^0 = I and, for s > 0, zero on ker T."""
+        """|T|^s for finite s >= 0, with |T|^0 = I and, for s > 0, zero on ker T."""
+        if not 0.0 <= s < np.inf:
+            raise DomainError(f"exponent must be nonnegative and finite, got {s}")
         if s == 0.0:
             return QMatrix.identity(self.u.rows)
         return _hermitian_matrix(self._v, self._s ** s)
@@ -91,7 +93,7 @@ def polar(t: QMatrix) -> PolarParts:
 
 
 def _polars(ops: Sequence[QMatrix]) -> list[PolarParts]:
-    """``polar`` of each operator, one SVD per ``linalg._runs`` stack of one shape.
+    """``polar`` of each operator of one shape, from one SVD of the stack.
 
     Each row decides its rank on its own, and the rows of one rank share
     the product U = W_r V_r*.  Each part owns copies of its rows, laid out
@@ -100,36 +102,36 @@ def _polars(ops: Sequence[QMatrix]) -> list[PolarParts]:
     for t in ops:
         if not t.is_square():
             raise ShapeError(f"polar decomposition needs a square operator, got {t.shape}")
-    out: list[PolarParts] = []
-    # an SVD's input, its two factors and the conjugated V
-    for run in _runs(ops, lambda t: t.shape, lambda t: 16 * t._a.nbytes):
-        n = run[0].rows
-        w, sigma, vh = _chi_svds(*_stack_pairs(run))
-        rows = sigma.tolist()
-        taus = [RANK_RTOL * row[0] for row in rows]
-        ranks = [sum(s > tau for s in row) for row, tau in zip(rows, taus)]
-        tops = [None] * len(run)
-        for r in set(ranks):
-            # the rows of one rank, the stack itself when every row has it
-            idx = [i for i, k in enumerate(ranks) if k == r]
-            sel = idx if len(idx) < len(run) else slice(None)
-            for i, top in zip(idx, w[sel, :n, :2 * r] @ vh[sel, :2 * r]):
-                tops[i] = top
-        # np.array keeps each slice's memory order, on which the bits of |T|^s
-        # and of the kernel bases depend
-        v = vh.conj().swapaxes(-1, -2)
-        for i, r in enumerate(ranks):
-            r2 = 2 * r
-            out.append(PolarParts(
-                u=_from_chi_top(tops[i] if len(run) == 1 else tops[i].copy()),
-                rank=r,
-                tau=taus[i],
-                sigmas=tuple(reversed(rows[i])),
-                _v=np.array(v[i, :, :r2]),
-                _s=np.repeat(sigma[i, :r], 2),
-                _ker_v=np.array(v[i, :, r2:]),
-                _ker_w=np.array(w[i, :, r2:]),
-            ))
+    if not ops:
+        return []
+    n, k = ops[0].rows, len(ops)
+    w, sigma, vh = _chi_svds(*_stack_pairs(ops))
+    rows = sigma.tolist()
+    taus = [RANK_RTOL * row[0] for row in rows]
+    ranks = [sum(s > tau for s in row) for row, tau in zip(rows, taus)]
+    tops = [None] * k
+    for r in set(ranks):
+        # the rows of one rank, the stack itself when every row has it
+        idx = [i for i, rank in enumerate(ranks) if rank == r]
+        sel = idx if len(idx) < k else slice(None)
+        for i, top in zip(idx, w[sel, :n, :2 * r] @ vh[sel, :2 * r]):
+            tops[i] = top
+    # np.array keeps each slice's memory order, on which the bits of |T|^s
+    # and of the kernel bases depend
+    v = vh.conj().swapaxes(-1, -2)
+    out = []
+    for i, r in enumerate(ranks):
+        r2 = 2 * r
+        out.append(PolarParts(
+            u=_from_chi_top(tops[i] if k == 1 else tops[i].copy()),
+            rank=r,
+            tau=taus[i],
+            sigmas=tuple(reversed(rows[i])),
+            _v=np.array(v[i, :, :r2]),
+            _s=np.repeat(sigma[i, :r], 2),
+            _ker_v=np.array(v[i, :, r2:]),
+            _ker_w=np.array(w[i, :, r2:]),
+        ))
     return out
 
 
@@ -189,9 +191,9 @@ def abs_power(parts: PolarParts, s: float) -> QMatrix:
     return parts.abs_power(s)
 
 
-def aluthge(t: QMatrix, *, parts: PolarParts | None = None) -> QMatrix:
-    """|T|^{1/2} U |T|^{1/2}; a caller holding the polar parts of T passes them."""
-    return _aluthge_transforms([polar(t) if parts is None else parts])[0]
+def aluthge(t: QMatrix) -> QMatrix:
+    """|T|^{1/2} U |T|^{1/2}."""
+    return _aluthge_transforms([polar(t)])[0]
 
 
 def lambda_aluthge(t: QMatrix, lam: float) -> QMatrix:

@@ -3,7 +3,7 @@
 Every property draws a chunk of trials as stacks; each instance must be the
 one its trial draws alone, byte for byte and in the same memory layout,
 including where a draw takes one of its fallbacks: a rejected unit
-quaternion, a rank-deficient Ginibre draw, and a chunk split into stacks.
+quaternion and a rank-deficient Ginibre draw, and whatever the chunk's size.
 """
 
 import struct
@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import draw_reference
-from qop import _eig, generators, harness, linalg, rng
-from qop.harness import PROPERTIES, TrialContext, _BATCH
+from qop import _eig, generators, harness, rng
+from qop.harness import PROPERTIES, TrialContext, _chunk_trials
 from qop.linalg import QMatrix, QVector
 from qop.quaternion import Quaternion
 from qop.rng import mix_seed
@@ -52,10 +52,12 @@ def _contexts(trials, seed, dim, probe):
     return [TrialContext(mix_seed(seed, idx), idx, dim, 1e-9, probe) for idx in range(trials)]
 
 
-def _assert_chunks_match(prop, ctxs):
-    """The property's chunk draws, in run_verify's chunks, against the reference."""
-    for start in range(0, len(ctxs), _BATCH):
-        chunk = ctxs[start:start + _BATCH]
+def _assert_chunks_match(prop, ctxs, size=None):
+    """The property's chunk draws, in chunks of ``size`` or else in run_verify's
+    chunks, against the reference."""
+    size = size or _chunk_trials(ctxs[0].dim)
+    for start in range(0, len(ctxs), size):
+        chunk = ctxs[start:start + size]
         for ctx, inst in zip(chunk, PROPERTIES[prop].draw(chunk), strict=True):
             _assert_same(inst, draw_reference.DRAWS[prop](ctx),
                          f"{prop} dim {ctx.dim} probe {ctx.probe} trial {ctx.index}")
@@ -121,10 +123,10 @@ def test_a_rank_deficient_ginibre_draw_is_completed(monkeypatch):
         _assert_chunks_match(prop, _contexts(16, 23, 4, False))
 
 
-def test_a_chunk_split_into_stacks(monkeypatch):
-    monkeypatch.setattr(linalg, "_STACK_BYTES", 3 * 64 * 16 * 3)
+def test_chunks_of_three_equal_the_per_trial_draws():
+    # 16 trials in chunks of 3, 3, 3, 3, 3 and 1
     for prop in sorted(PROPERTIES):
-        _assert_chunks_match(prop, _contexts(16, 29, 4, prop == "chain"))
+        _assert_chunks_match(prop, _contexts(16, 29, 4, prop == "chain"), size=3)
 
 
 def test_a_tu_star_chunk_makes_one_svd_per_stack(monkeypatch):
@@ -133,14 +135,11 @@ def test_a_tu_star_chunk_makes_one_svd_per_stack(monkeypatch):
     monkeypatch.setattr(_eig, "svd", lambda m: calls.append(m.shape) or true(m))
     harness.PROPERTIES["tu-star"].draw(_contexts(16, 31, 4, False))
     assert calls == [(16, 8, 8)]
-    # a dim-64 draw fills a stack alone, and a smaller cap splits a dim-4 chunk
-    calls.clear()
-    harness.PROPERTIES["tu-star"].draw(_contexts(2, 31, 64, False))
-    assert calls == [(1, 128, 128)] * 2
-    calls.clear()
-    monkeypatch.setattr(linalg, "_STACK_BYTES", 3 * 64 * 16 * 3)
-    harness.PROPERTIES["tu-star"].draw(_contexts(16, 31, 4, False))
-    assert calls == [(3, 8, 8)] * 5 + [(1, 8, 8)]
+    # a draw takes its chunk whole, whatever the chunk's size and dim
+    for trials, dim in ((2, 64), (3, 4), (1, 4)):
+        calls.clear()
+        harness.PROPERTIES["tu-star"].draw(_contexts(trials, 31, dim, False))
+        assert calls == [(trials, 2 * dim, 2 * dim)]
 
 
 @pytest.mark.parametrize("n", (1, 2, 4, 16, 64))

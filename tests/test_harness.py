@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -303,16 +304,29 @@ _STACKED_HERMITIAN = ("lowner-heinz", "holder-mccarthy", "furuta", "collapse",
 
 @pytest.mark.parametrize("prop", sorted(PROPERTIES))
 def test_chunked_runs_equal_one_trial_at_a_time(prop, monkeypatch):
-    # 37 trials cross two chunk boundaries; the bytes must not see the chunks.
-    # At dim 64 the Hermitian properties' stacks split by bytes inside a
-    # chunk, and 17 trials cross a chunk boundary
-    runs = [(dim, 37) for dim in (3, 4, 8)] + [(64, 17)] * (prop in _STACKED_HERMITIAN)
+    # 37 trials cross two chunk boundaries up to dim 8 and four at dim 16,
+    # in chunks of 8; 5 dim-32 trials make chunks of 2, 2 and 1, and 17
+    # dim-64 trials one chunk each.  The bytes must not see the chunks
+    runs = [(dim, 37) for dim in (3, 4, 8, 16)] + [(32, 5)]
+    runs += [(64, 17)] * (prop in _STACKED_HERMITIAN)
     for (dim, trials), probe in itertools.product(runs, (False, True)):
         chunked = run_verify(prop, trials=trials, seed=19, dim=dim, probe=probe).dumps()
         monkeypatch.setattr(harness, "_BATCH", 1)
         single = run_verify(prop, trials=trials, seed=19, dim=dim, probe=probe).dumps()
         monkeypatch.undo()
         assert chunked == single, (prop, dim, probe)
+
+
+def test_run_verify_sizes_its_chunks_from_the_dim(monkeypatch):
+    # at most 16 trials, and only as many as keep 16 copies of each T within 512 KiB
+    real = PROPERTIES["collapse"]
+    sizes = []
+    monkeypatch.setitem(PROPERTIES, "collapse", dataclasses.replace(
+        real, draw=lambda ctxs: sizes.append(len(ctxs)) or real.draw(ctxs)))
+    for dim, size in ((4, 16), (11, 16), (12, 14), (16, 8), (32, 2), (45, 1), (46, 1), (64, 1)):
+        sizes.clear()
+        run_verify("collapse", trials=2 * size + 1, seed=5, dim=dim)
+        assert sizes == [size, size, 1], dim
 
 
 def test_a_failing_chunk_surfaces_its_lowest_failing_trial(monkeypatch):

@@ -3,7 +3,7 @@
 The seven properties that scored one instance at a time now score a chunk
 of instances as stacks; each margin and its witness entries must be the
 ones the per-instance evaluator gives, bit for bit, also where a stack
-mixes ranks and where a chunk is split into several stacks.
+mixes ranks and whatever the chunk's size.
 """
 
 import struct
@@ -13,7 +13,7 @@ import pytest
 import margin_reference
 from qop import generators, linalg, spectral, transforms
 from qop.errors import QopError
-from qop.harness import _BATCH, PROPERTIES, TrialContext
+from qop.harness import _BATCH, PROPERTIES, TrialContext, _chunk_trials
 from qop.quaternion import Quaternion
 from qop.rng import mix_seed
 
@@ -55,9 +55,11 @@ def _assert_batch_matches(prop, insts, where):
         assert g[1] == w[1], (where, k)
 
 
-def _assert_chunks_match(prop, ctxs):
-    for start in range(0, len(ctxs), _BATCH):
-        chunk = ctxs[start:start + _BATCH]
+def _assert_chunks_match(prop, ctxs, size=None):
+    """The chunks' margins, in chunks of ``size`` or else in run_verify's chunks."""
+    size = size or _chunk_trials(ctxs[0].dim)
+    for start in range(0, len(ctxs), size):
+        chunk = ctxs[start:start + size]
         _assert_batch_matches(prop, PROPERTIES[prop].draw(chunk),
                               f"{prop} dim {chunk[0].dim} probe {chunk[0].probe} chunk {start}")
 
@@ -133,11 +135,10 @@ def test_stacks_that_mix_ranks():
                               ("eigenspace-reducing", n))
 
 
-def test_a_chunk_split_into_stacks(monkeypatch):
-    # room for one to four dim-4 instances a stack, depending on the property
-    monkeypatch.setattr(linalg, "_STACK_BYTES", 64 * 256)
+def test_chunks_of_three_equal_the_per_instance_margins():
+    # 16 trials in chunks of 3, 3, 3, 3, 3 and 1
     for prop in sorted(margin_reference.MARGINS):
-        _assert_chunks_match(prop, _contexts(16, 43, 4, prop in ("chain", "aluthge-gain")))
+        _assert_chunks_match(prop, _contexts(16, 43, 4, prop in PROBED), size=3)
 
 
 def _layout(p):
