@@ -33,9 +33,9 @@ import numpy as np
 
 from . import generators, matio, oracles
 from .errors import DomainError, PreconditionError, QopError, ShapeError
-from .linalg import (DEFAULT_DIM, QMatrix, QVector, _adjoints, _checked, _operator_norms,
-                     _pair_eigvalsh, _product, _require_finite, _stack_pairs, _trusted,
-                     operator_norm)
+from .linalg import (DEFAULT_DIM, QMatrix, QVector, _adjoints, _check_tol, _checked,
+                     _gram_norms, _operator_norms, _pair_eigvalsh, _product, _require_finite,
+                     _stack_pairs, _trusted)
 from .quaternion import Quaternion
 from .rng import SplitMix64, block_uniforms, mix_seed, unit_quaternions
 from .spectral import (_NOT_FINITE, _eigensystems, _hermitian_from_chi, _psd_powers,
@@ -397,9 +397,9 @@ def _closure_margins(insts: list[Instance], tol: float) -> list[Scored]:
     cases = [(inst["T"], inst["which"], inst["seed"], inst.get("scalar"), inst.get("unitary"),
               inst.get("projector")) for inst in insts]
     reports = oracles._gcsi_closures(cases, beta=0.5, budget=300, tol=tol)
+    norms = _operator_norms(*_stack_pairs([inst["T"] for inst in insts])).tolist()
     out = []
-    for inst, report in zip(insts, reports):
-        opn = operator_norm(inst["T"])
+    for inst, report, opn in zip(insts, reports, norms):
         base = report.base.value / max(1.0, opn)
         scale_s = max(1.0, abs(inst.get("scalar", 1.0)) * opn)
         pair = report.transformed.witness
@@ -457,7 +457,7 @@ def _implies_margins(insts: list[Instance], tol: float) -> list[Scored]:
     """0, or -1 on a hard violation, with the GCSI oracle sampled at each instance's
     seed; every climb of the batch advances in one lockstep search."""
     reports = oracles._gcsi_implications([(inst["T"], inst["p"], inst["seed"]) for inst in insts],
-                                         budget=300, tol=tol, grid=48, samples=300)
+                                         budget=300, tol=tol)
     return [((-1.0 if r.hard_violation else 0.0), {"gcsi_witness": r.gcsi.witness})
             for r in reports]
 
@@ -486,11 +486,11 @@ def _collapse_margins(insts: list[Instance], tol: float) -> list[Scored]:
     _require_finite(ga, gb, "QMatrix")
     ca, cb = _product(a, b, *_adjoints(a, b))
     _require_finite(ca, cb, "QMatrix")
-    tops = _pair_eigvalsh(ga, gb)[:, -1].tolist()
+    norms = _gram_norms(ga, gb).tolist()
     _, w, v = _eigensystems(np.concatenate([ga, ca]), np.concatenate([gb, cb]))
     skewed = []
-    for i, top in enumerate(tops):
-        scale = max(1.0, float(np.sqrt(max(top, 0.0)))) ** 2
+    for i, norm in enumerate(norms):
+        scale = max(1.0, norm) ** 2
         skewed.append(_frobenius(ga[i] - ca[i], gb[i] - cb[i]) > 1e-4 * scale)
     pa, _ = _psd_powers(w, v, [HYP_P_GRID] * w.shape[0])
     traces = [[float(np.trace(x).real) for x in rows] for rows in pa]
@@ -612,11 +612,6 @@ def _lookup(prop: str) -> Property:
     return PROPERTIES[prop]
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise DomainError(f"tol must be finite and nonnegative, got {tol!r}")
-
-
 def _check_run(count: int, what: str, dim: int, tol: float) -> None:
     oracles._check_count(count, what)
     generators._check_dim(dim)
@@ -720,11 +715,13 @@ def minimize_counterexample(prop: str, instance: Instance, *,
     row-major order, repeated until a full sweep makes no progress or the
     evaluation budget runs out.  A candidate is accepted only if it still
     violates (margin < -tol); candidates that break a precondition are
-    rejected and charged to the budget.  Raises PreconditionError if the
-    input itself does not violate, and DomainError, from that first
-    evaluation, on an unknown property or a tolerance that is not finite
-    and nonnegative.
+    rejected and charged to the budget.  Raises DomainError, before any
+    evaluation, unless ``budget`` is an integer of at least 1;
+    PreconditionError if the input itself does not violate; and
+    DomainError, from that first evaluation, on an unknown property or a
+    tolerance that is not finite and nonnegative.
     """
+    oracles._check_count(budget, "budget")
     margin = evaluate_instance(prop, instance, tol)
     evals = 1
     if margin >= -tol:

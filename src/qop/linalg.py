@@ -23,7 +23,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from . import _eig
-from .errors import PreconditionError, ShapeError, StructureError
+from .errors import DomainError, PreconditionError, ShapeError, StructureError
 from .quaternion import Quaternion
 from .rng import SplitMix64
 
@@ -44,6 +44,13 @@ def _coerce_entry(value) -> Quaternion:
     if isinstance(value, complex):
         return Quaternion.from_complex(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as a quaternion entry")
+
+
+def _check_tol(tol: float) -> None:
+    """Raise DomainError unless ``tol`` is finite and nonnegative: a NaN
+    threshold compares false with every margin, and a negative one flips it."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"tol must be finite and nonnegative, got {tol!r}")
 
 
 def _check_extents(shape: tuple[int, ...], what: str) -> None:
@@ -415,6 +422,7 @@ def unembed_chi(m: np.ndarray, *, tol: float = 1e-8) -> QMatrix:
     The two redundant copies of A and of B are averaged.  This is the public
     boundary only: qop pulls its own products back with ``_from_chi_top``.
     """
+    _check_tol(tol)
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] % 2 or m.shape[1] % 2:
         raise ShapeError(f"embedded matrix must have even dimensions, got {m.shape}")

@@ -7,11 +7,11 @@ callers normalize by an operator scale when they need dimensionless
 numbers.
 
 Semantics are deliberately asymmetric.  Operator-order conditions (PSD
-margins) are certified both ways up to eigensolver tolerance.  Conditions
-quantified over all vectors or pairs (paranormal, the generalized
-Cauchy-Schwarz family) are certified only on failure, where a concrete
-witness is produced; a nonnegative margin there is sampled evidence under
-a recorded budget and seed, never a proof.
+margins) and paranormality, decided on a quadratic eigenvalue pencil, are
+certified both ways up to eigensolver tolerance.  The generalized
+Cauchy-Schwarz family, quantified over all pairs of vectors, is certified
+only on failure, where a concrete witness is produced; a nonnegative margin
+there is sampled evidence under a recorded budget and seed, never a proof.
 """
 
 from __future__ import annotations
@@ -26,15 +26,16 @@ import numpy as np
 
 from . import _eig, matio
 from .errors import DomainError, PreconditionError, QopError, ShapeError
-from .linalg import (QMatrix, QVector, _adjoints, _checked, _chi_eigvalsh, _from_chi_top, _from_psi,
-                     _gram_norms, _identities, _operator_norms, _outers, _pair_eigvalsh, _product,
-                     _psi, _require_finite, _selfadjoint_residual, _stack_pairs, _stacked,
-                     _trusted, _vector_norms, embed_chi, inner, operator_norm)
+from .linalg import (QMatrix, QVector, _adjoints, _check_tol, _checked, _chi_eigvalsh,
+                     _from_chi_top, _from_psi, _gram_norms, _identities, _operator_norms, _outers,
+                     _pair_eigvalsh, _product, _psi, _require_finite, _selfadjoint_residual,
+                     _stack_pairs, _stacked, _trusted, _vector_norms, embed_chi, inner,
+                     operator_norm)
 from .quaternion import Quaternion
 from .rng import SplitMix64, mix_seed
 from .spectral import (EIGENSPACE_RTOL, HermitianEigensystem, _delta_qs, _eigensystems,
-                       _hermitian_from_chi, _kernel_bases, _psd_powers, _psd_verdict, _psd_weights,
-                       _require_selfadjoint, _require_square, is_psd)
+                       _hermitian_from_chi, _kernel_bases, _null_basis, _psd_powers, _psd_verdict,
+                       _psd_weights, _require_selfadjoint, _require_square, is_psd)
 from .transforms import (PolarParts, _abs_powers, _aluthge_transforms, _polars, polar,
                          unitary_completion)
 
@@ -106,6 +107,7 @@ def classify_basic(t: QMatrix, *, tol: float = DEFAULT_TOL) -> BasicClasses:
     tol * max(1, ||T||)^2; positivity additionally needs the smallest
     eigenvalue to clear the same threshold from below.
     """
+    _check_tol(tol)
     n = t.rows
     if not t.is_square():
         raise DomainError(f"classification needs a square operator, got {t.shape}")
@@ -146,6 +148,7 @@ def is_p_hyponormal(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL) -> Margin
     witness, present when the margin is materially negative, is the unit
     vector achieving the minimal quadratic form.
     """
+    _check_tol(tol)
     _check_exponent(p)
     return _p_hyponormal_grid([polar(t)], [(p,)], tol)[0][0]
 
@@ -198,95 +201,75 @@ def _p_hyponormal_grid(parts: Sequence[PolarParts], ps: Sequence[Sequence[float]
     return out
 
 
-def _unit_vectors(n: int, count: int, stream: SplitMix64) -> np.ndarray:
-    """(count, n, 4) array of unit vectors, standard basis first."""
-    basis = np.zeros((min(n, count), n, 4))
-    for i in range(basis.shape[0]):
-        basis[i, i, 0] = 1.0
-    extra = count - basis.shape[0]
-    if extra <= 0:
-        return basis
-    raw = stream.normals(extra * n * 4).reshape(extra, n, 4)
-    norms = np.sqrt((raw ** 2).sum(axis=(1, 2)))
-    norms[norms < 1e-12] = 1.0
-    return np.concatenate([basis, raw / norms[:, None, None]], axis=0)
-
-
 def _norms(vs: np.ndarray) -> np.ndarray:
     """Euclidean norms of a stack of complex vectors along the last axis."""
     r = np.ascontiguousarray(vs).view(np.float64)
     return np.sqrt((r * r).sum(axis=-1))
 
 
-def is_paranormal(t: QMatrix, *, tol: float = DEFAULT_TOL, grid: int = 256,
-                  samples: int = 1000, seed: int = 0) -> Margin:
-    """Two-channel paranormality test.
+# |Im lam| / max(1, ||T||^2) up to which a pencil root counts as real.  A
+# dropped real root can hide a negative interval, a kept complex one only adds
+# a probe: the tangent double roots of unitaries and positives (n <= 64) split
+# by up to 9.9e-8, 100 times below, and Ginibre roots measured |Im| >= 5.0e-4
+_REAL_ROOT_RTOL = 1e-5
+# how far below is_paranormal's value, times its scale, the pencil may dip.  A
+# piece's bound is >= min(g(lo), g(hi)) - (hi - lo)^2 / 4, so bisection ends
+_PENCIL_RTOL = 1e-10
 
-    Operator channel: min eigenvalue of T*^2 T^2 - 2 lam T*T + lam^2 I over
-    a lambda grid on [0, 2 ||T||^2] with local refinement; nonnegativity
-    for every lam >= 0 characterizes paranormality.  Vector channel:
-    ||T^2 x|| ||x|| - ||Tx||^2 on basis-then-random unit vectors.  Both
-    channels work on chi(T): the pencils are built from chi(T)* chi(T) and
-    chi(T^2)* chi(T^2), and the vectors are scored as psi(x) against chi(T)
-    and chi(T^2).  Channels are compared after scale normalization; the
-    reported value is the raw margin of the worse channel and the witness
-    (lambda or vector) comes from it.
+
+def is_paranormal(t: QMatrix, *, tol: float = DEFAULT_TOL) -> Margin:
+    """Margin min over lam >= 0 of g(lam), the least eigenvalue of the pencil
+    lam^2 I - 2 lam A + B with A = chi(T)* chi(T), B = chi(T^2)* chi(T^2); T
+    is paranormal iff it is nonnegative.  g >= 0 for lam <= 0, and g changes
+    sign only at real roots of det(lam^2 I - 2 lam A + B), eigenvalues of the
+    companion [[0, I], [-B, 2A]], so g at 0, at those roots and at their
+    midpoints, one stacked solve, decides its sign everywhere.  g - lam^2 is
+    concave, so lam^2 plus its chord bounds g below on an interval: the
+    negative intervals are bisected in lockstep until no bound lies
+    ``_PENCIL_RTOL`` * scale below the least g found.  The scale is
+    max(1, ||T||^4).  The witness is that lam and the unit x, largest entry
+    real and positive, with psi(x) the bottom eigenvector there, so that
+    ||T^2 x|| ||x|| < ||Tx||^2.
     """
+    _check_tol(tol)
     if not t.is_square():
         raise DomainError(f"square operator required, got {t.shape}")
-    _check_count(grid, "grid")
-    _check_count(samples, "samples")
-    n = t.rows
     chi_t = embed_chi(t)
-    chi_t2 = chi_t @ chi_t
-    a_c = chi_t.conj().T @ chi_t
-    a_c = 0.5 * (a_c + a_c.conj().T)
-    b_c = chi_t2.conj().T @ chi_t2
-    b_c = 0.5 * (b_c + b_c.conj().T)
-    eye = np.eye(a_c.shape[0], dtype=np.complex128)
-    opn = float(np.sqrt(max(float(_eig.eigvalsh(a_c)[-1]), 0.0)))
-    s2 = max(1.0, opn ** 2)
-    s4 = max(1.0, opn ** 4)
-
-    # the base grid, then two local refinements around the running best,
-    # each solved as one stack of pencils B - 2 lam A + lam^2 I
-    hi = 2.0 * opn ** 2
-    lams = np.linspace(0.0, hi, grid) if hi > 0 else np.array([0.0])
-    span = hi / max(grid - 1, 1) if hi > 0 else 0.0
-    best_lam, best_val = 0.0, np.inf
-    for _ in range(3):
-        lam = lams[:, None, None]
-        vals = _eig.eigvalsh(b_c - (2.0 * lam) * a_c + (lam * lam) * eye)[:, 0]
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_lam, best_val = float(lams[j]), float(vals[j])
-        if span <= 0:
+    a, b = ((g + g.conj().T) / 2.0 for g in (c.conj().T @ c for c in (chi_t, chi_t @ chi_t)))
+    eye = np.eye(a.shape[0])
+    top = max(float(_eig.eigvalsh(a)[-1]), 0.0)
+    scale = max(1.0, top * top)
+    roots = _eig.eigvals(np.block([[np.zeros_like(a), eye], [-b, 2.0 * a]]))
+    # chi makes every real root at least double: every second one keeps each
+    real = np.sort(roots.real[abs(roots.imag) <= _REAL_ROOT_RTOL * max(1.0, top)])[::2]
+    knots = np.unique(np.append(real, 0.0))
+    pencil = lambda lam: b - (2.0 * lam[:, None, None]) * a + (lam * lam)[:, None, None] * eye
+    mids = (knots[:-1] + knots[1:]) / 2.0
+    lams = np.concatenate([knots, mids])
+    vals = _eig.eigvalsh(pencil(lams))[:, 0]
+    gk, gm = vals[:len(knots)], vals[len(knots):]
+    # (lo, hi, g(lo), g(hi)) of each half of each negative interval
+    pieces = np.concatenate([[knots[:-1], mids, gk[:-1], gm], [mids, knots[1:], gm, gk[1:]]],
+                            axis=1)[:, np.tile(gm < 0.0, 2)]
+    while True:
+        lo, hi, glo, ghi = pieces
+        w = hi - lo
+        slope = np.divide(ghi - glo, w, out=np.zeros_like(w), where=w > 0.0)
+        # where lam^2 plus the chord of g - lam^2 is least on [lo, hi]
+        x = np.clip((lo + hi - slope) / 2.0, lo, hi)
+        bound = glo + slope * (x - lo) + (x - lo) * (x - hi)
+        pieces = pieces[:, bound < vals.min() - _PENCIL_RTOL * scale]
+        if not pieces.size:
             break
-        lams = np.linspace(max(best_lam - span, 0.0), best_lam + span, 17)
-        span /= 8.0
-
-    stream = SplitMix64(seed)
-    xs = _unit_vectors(n, samples, stream)
-    psis = _psi(xs)
-    tx = psis @ chi_t.T
-    t2x = psis @ chi_t2.T
-    vec_margins = _norms(t2x) * _norms(psis) - _norms(tx) ** 2
-    k = int(np.argmin(vec_margins))
-    vec_val = float(vec_margins[k])
-
-    details = {"grid_margin": best_val, "grid_lambda": best_lam,
-               "vector_margin": vec_val, "samples": int(xs.shape[0]),
-               "seed": seed}
-    vector_worse = vec_val / s2 <= best_val / s4
-    value = vec_val if vector_worse else best_val
-    scale = s2 if vector_worse else s4
-    witness = None
-    if value < -tol * scale:
-        if vector_worse:
-            witness = {"vector": matio.vector_to_json(QVector(xs[k]))}
-        else:
-            witness = {"lambda": best_lam}
-    return Margin(value=value, tolerance=tol, witness=witness, details=details)
+        lo, hi, glo, ghi = pieces
+        mid = (lo + hi) / 2.0
+        gmid = _eig.eigvalsh(pencil(mid))[:, 0]
+        lams, vals = np.append(lams, mid), np.append(vals, gmid)
+        pieces = np.concatenate([[lo, mid, glo, gmid], [mid, hi, gmid, ghi]], axis=1)
+    lam = lams[[np.argmin(vals)]]
+    witness = lambda: {"lambda": float(lam[0]), "vector": matio.vector_to_json(
+        _null_basis(_eig.eigh(pencil(lam))[1][0, :, :1], 1)[0])}
+    return _margin(float(vals.min()), tol, scale, witness)
 
 
 def _unit_pairs(n: int, budget: int, stream: SplitMix64) -> np.ndarray:
@@ -521,6 +504,7 @@ def gcsi_margin(t: QMatrix, beta: float, *, budget: int = 1000, seed: int = 0,
     negative margin certifies non-membership; a nonnegative one is evidence
     on the sampled budget.
     """
+    _check_tol(tol)
     _check_gcsi_args(beta, budget)
     draw = _gcsi_draw(t.rows, budget, seed, _REFINE_STEPS)
     return _gcsi_search([(t, beta, seed, draw)], tol=tol)[0]
@@ -534,6 +518,7 @@ def gcsi_sweep(t: QMatrix, *, budget: int = 1000, seed: int = 0,
     contributes three scalars (||Tx||, ||Ty||, |<Tx,y>|), evaluated once on
     the complex side as in ``gcsi_margin``.  There is no refinement.
     """
+    _check_tol(tol)
     _check_count(budget, "budget")
     pairs = _unit_pairs(t.rows, budget, SplitMix64(mix_seed(seed, 0)))
     terms = _gcsi_terms(embed_chi(t), pairs)
@@ -560,6 +545,7 @@ def check_holder_mccarthy(t: QMatrix, x: QVector, rs: Sequence[float], *,
     the exponent's with the least value / scale, where the scale is
     max(1, |lhs|, |rhs|); ``details["r"]`` names it.
     """
+    _check_tol(tol)
     return _holder_mccarthy_cases([(t, x, rs)], tol)[0]
 
 
@@ -649,6 +635,7 @@ def check_lowner_heinz(s: QMatrix, t: QMatrix, rs: Sequence[float], *,
     sequence.  The margin returned is the exponent's with the least
     value / scale; ``details["r"]`` names it.
     """
+    _check_tol(tol)
     return _lowner_heinz_cases([(s, t, rs, probe)], tol)[0]
 
 
@@ -697,6 +684,7 @@ def check_furuta(a: QMatrix, b: QMatrix, p: float, q: float, r: float, *,
     Exponent triples violating the constraint are admitted only in probe
     mode, for exploring how the margins degrade.
     """
+    _check_tol(tol)
     return _furuta_cases([(a, b, p, q, r, probe)], tol)[0]
 
 
@@ -762,6 +750,7 @@ def check_chain_semihypo(t: QMatrix, *, tol: float = DEFAULT_TOL,
     by default the input must pass the semi-hyponormality margin; probes on
     nearby non-members set ``enforce=False`` and read the degradation.
     """
+    _check_tol(tol)
     return _chain_cases([(t, enforce)], tol)[0]
 
 
@@ -835,6 +824,7 @@ def check_aluthge_theorems(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
     The report carries the transform T~ itself as ``transform``.  The
     ladder and the double transform are computed when first read.
     """
+    _check_tol(tol)
     return _aluthge_cases([(t, p, enforce)], tol)[0]
 
 
@@ -877,6 +867,7 @@ def check_eigenspace_reducing(t: QMatrix, q: Quaternion, *,
     -max(||(I-P)TP||, ||(I-P)T*P||) for P the projector onto that kernel.
     Zero margin means the subspace reduces T.
     """
+    _check_tol(tol)
     return _eigenspace_cases([(t, q)], tol)[0]
 
 
@@ -961,6 +952,7 @@ def check_gcsi_closure(t: QMatrix, which: str, *, beta: float = 0.5,
     error building the transformed operator (a singular T, or a subspace
     that is not invariant).
     """
+    _check_tol(tol)
     return _gcsi_closures([(t, which, seed, scalar, unitary, projector)],
                           beta=beta, budget=budget, tol=tol)[0]
 
@@ -1044,6 +1036,7 @@ def check_kernel_reduction(t: QMatrix, *, tol: float = DEFAULT_TOL) -> KernelRep
     a non-member.  Residuals are worst-case norms of T* (resp. T) on the
     computed kernel bases.
     """
+    _check_tol(tol)
     return _kernel_reductions([t], tol)[0][0]
 
 
@@ -1106,6 +1099,7 @@ def _image_norms(a: np.ndarray, b: np.ndarray, bases: Sequence[tuple[np.ndarray,
 
 def check_tu_star(t: QMatrix, x: QVector, *, tol: float = DEFAULT_TOL) -> Margin:
     """Margin of ||T U* x||^2 <= ||T^2 U* x|| ||U* x|| at one vector."""
+    _check_tol(tol)
     return _tu_star_cases([(t, x)], tol)[0]
 
 
@@ -1137,7 +1131,9 @@ class ConsistencyReport:
     """Three-way class consistency at one operator.
 
     ``paranormal`` and ``flagged``, which reads it, are computed on first
-    read and cached.
+    read and cached.  The paranormality test is exact, and in finite
+    dimension paranormal means normal, so ``flagged`` fires whenever the
+    sampled inequality finds no witness at a non-normal operator.
     """
 
     p: float
@@ -1156,31 +1152,29 @@ class ConsistencyReport:
 
 
 def check_gcsi_implies(t: QMatrix, p: float = 0.5, *, budget: int = 400,
-                       seed: int = 0, tol: float = DEFAULT_TOL,
-                       grid: int = 64, samples: int = 400) -> ConsistencyReport:
+                       seed: int = 0, tol: float = DEFAULT_TOL) -> ConsistencyReport:
     """Consistency of the implication chain at one operator.
 
     A p-hyponormal operator satisfies the sampled inequality with beta = p,
     and members of that class are paranormal.  ``hard_violation`` means the
     p-hyponormal margin passed while a certified inequality witness exists,
     which contradicts the implication outright.  ``flagged`` marks the
-    softer inconsistency: sampling found no inequality witness, yet
-    paranormality failed with a certificate, so the sampled evidence missed
-    something.  The paranormality test runs when ``paranormal`` or
-    ``flagged`` is first read.  Every argument is checked before any solve.
+    softer inconsistency: sampling found no inequality witness, yet the
+    exact ``is_paranormal`` failed with a certificate, so the sampled
+    evidence missed something.  The paranormality test runs when
+    ``paranormal`` or ``flagged`` is first read.  Every argument is checked
+    before any solve.
     """
-    return _gcsi_implications([(t, p, seed)], budget=budget, tol=tol, grid=grid,
-                              samples=samples)[0]
+    _check_tol(tol)
+    return _gcsi_implications([(t, p, seed)], budget=budget, tol=tol)[0]
 
 
 def _gcsi_implications(cases: Sequence[tuple[QMatrix, float, int]], *, budget: int,
-                       tol: float, grid: int, samples: int) -> list[ConsistencyReport]:
+                       tol: float) -> list[ConsistencyReport]:
     """``check_gcsi_implies`` of each (T, p, seed) case, every climb in one ``_gcsi_search``."""
     for _, p, _ in cases:
         _check_exponent(p)
     _check_count(budget, "budget")
-    _check_count(grid, "grid")
-    _check_count(samples, "samples")
     hyps = [m for (m,) in _p_hyponormal_grid(_polars([t for t, _, _ in cases]),
                                               [(p,) for _, p, _ in cases], tol)]
     gcsis = _gcsi_search(((t, p, seed, _gcsi_draw(t.rows, budget, seed, _REFINE_STEPS))
@@ -1190,6 +1184,5 @@ def _gcsi_implications(cases: Sequence[tuple[QMatrix, float, int]], *, budget: i
         p_hyponormal=hyp,
         gcsi=gcsi,
         hard_violation=not hyp.violated and gcsi.violated,
-        _paranormal=partial(is_paranormal, t, tol=tol, grid=grid, samples=samples,
-                            seed=mix_seed(seed, 2)),
+        _paranormal=partial(is_paranormal, t, tol=tol),
     ) for (t, p, seed), hyp, gcsi in zip(cases, hyps, gcsis)]

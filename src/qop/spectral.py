@@ -31,8 +31,8 @@ import numpy as np
 
 from . import _eig
 from .errors import DomainError, PreconditionError, ShapeError, StructureError
-from .linalg import (QMatrix, QVector, _checked, _chi_eigvalsh, _embed_pair, _from_psi,
-                     _hermitian_chi, _identities, _product, _require_finite,
+from .linalg import (QMatrix, QVector, _check_tol, _checked, _chi_eigvalsh, _embed_pair,
+                     _from_psi, _hermitian_chi, _identities, _product, _require_finite,
                      _selfadjoint_residual, _trusted)
 from .quaternion import Quaternion
 
@@ -620,6 +620,7 @@ def is_psd(t: QMatrix, tol: float = 1e-8, *,
     eigenvalues are read from the system's unclustered pair means instead
     of a fresh eigensolve.
     """
+    _check_tol(tol)
     if system is None:
         lo, hi = rayleigh_bounds(t)
     else:

@@ -5,8 +5,7 @@ reference for ``qop.oracles``.
 that the library replaced with its complex-side vector path: Hamilton
 products through ``quaternion_reference.matmul_components`` on the
 ``to_array()`` components, one candidate pair scored per refinement step,
-and one stream draw per step.  ``paranormal_vector_margins``
-is the vector channel of ``is_paranormal`` in the same form.
+and one stream draw per step.
 
 ``sequential_search`` and ``sequential_gcsi_margin`` are the complex-side
 climb that the library replaced with its windowed one: the same draws and
@@ -26,20 +25,6 @@ from qop.linalg import QMatrix, QVector, _from_psi, _psi, embed_chi
 from qop.oracles import DEFAULT_TOL, Margin, _gcsi_terms
 from qop.rng import SplitMix64, mix_seed
 from quaternion_reference import matmul_components
-
-
-def _unit_vectors(n: int, count: int, stream: SplitMix64) -> np.ndarray:
-    """(count, n, 4) array of unit vectors, standard basis first."""
-    basis = np.zeros((min(n, count), n, 4))
-    for i in range(basis.shape[0]):
-        basis[i, i, 0] = 1.0
-    extra = count - basis.shape[0]
-    if extra <= 0:
-        return basis
-    raw = stream.normals(extra * n * 4).reshape(extra, n, 4)
-    norms = np.sqrt((raw ** 2).sum(axis=(1, 2)))
-    norms[norms < 1e-12] = 1.0
-    return np.concatenate([basis, raw / norms[:, None, None]], axis=0)
 
 
 def _batch_matvec(t: QMatrix, xs: np.ndarray) -> np.ndarray:
@@ -222,11 +207,3 @@ def sequential_gcsi_margin(t: QMatrix, beta: float, *, budget: int = 1000, seed:
                  .reshape(refine_steps, 2, n, 4)).view(np.float64)
     return sequential_search(t, beta, pairs, moves, seed=seed, tol=tol)
 
-
-def paranormal_vector_margins(t: QMatrix, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(unit vectors, ||T^2 x|| ||x|| - ||Tx||^2) of the paranormal vector channel."""
-    stream = SplitMix64(seed)
-    xs = _unit_vectors(t.rows, samples, stream)
-    tx = _batch_matvec(t, xs)
-    t2x = _batch_matvec(t @ t, xs)
-    return xs, _batch_norms(t2x) * _batch_norms(xs) - _batch_norms(tx) ** 2

@@ -131,6 +131,15 @@ def test_minimize_keeps_minimal_instance():
     assert out["x"].allclose(inst["x"], tol=0.0)
 
 
+@pytest.mark.parametrize("budget", [0, -3, math.nan, 2.5])
+def test_minimize_rejects_a_bad_budget_before_any_evaluation(budget, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "evaluate_instance", lambda *a: calls.append(a))
+    with pytest.raises(DomainError, match="budget must be"):
+        minimize_counterexample("tu-star", _shrinkable(), budget=budget)
+    assert calls == []
+
+
 def test_minimize_budget_exhaustion_returns_input():
     inst = _shrinkable()
     out = minimize_counterexample("tu-star", inst, budget=1)

@@ -83,9 +83,18 @@ _FIXED_SETTINGS = (
 )
 
 
+# each setting below is gone with the code that read it: the sampled lambda
+# grid and vector channel that the exact pencil test of is_paranormal replaced
+_REMOVED_SETTINGS = (
+    (oracles.is_paranormal, ("grid", "samples", "seed")),
+    (oracles.check_gcsi_implies, ("grid", "samples")),
+    (oracles._gcsi_implications, ("grid", "samples")),
+)
+
+
 def test_fixed_settings_are_not_parameters():
     assert sum(len(names) for _, names in _FIXED_SETTINGS) == 24
-    for fn, names in _FIXED_SETTINGS:
+    for fn, names in _FIXED_SETTINGS + _REMOVED_SETTINGS:
         params = inspect.signature(fn).parameters
         assert not set(names) & set(params), fn.__qualname__
         assert all(p.kind is not p.VAR_KEYWORD for p in params.values()), fn.__qualname__

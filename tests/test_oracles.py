@@ -9,8 +9,8 @@ from qop import _eig, generators, harness, linalg, oracles
 from qop.errors import DomainError, PreconditionError, ShapeError, StructureError
 from qop.generators import (ginibre, near_normal, normal_with_spectrum, partial_isometry,
                             positive, random_unitary, unit_vector)
-from qop.linalg import (QMatrix, QVector, _chi_eigvalsh, _selfadjoint_residual, inner,
-                        operator_norm)
+from qop.linalg import (QMatrix, QVector, _chi_eigvalsh, _selfadjoint_residual, embed_chi,
+                        inner, operator_norm, unembed_chi)
 from qop.matio import json_to_vector, vector_to_json
 from qop.oracles import (check_aluthge_theorems, check_chain_semihypo,
                          check_eigenspace_reducing, check_furuta,
@@ -131,7 +131,7 @@ def test_hyponormal_exponent_domain():
 
 def test_paranormal_identity_and_positive():
     assert is_paranormal(QMatrix.identity(2)).value >= -1e-12
-    m = is_paranormal(positive(3, seed=303), samples=200)
+    m = is_paranormal(positive(3, seed=303))
     assert m.value >= -1e-8
     assert not m.violated
 
@@ -139,23 +139,87 @@ def test_paranormal_identity_and_positive():
 def test_paranormal_shift_certified_violation():
     m = is_paranormal(_shift())
     assert m.value == pytest.approx(-1.0, abs=1e-10)
-    assert m.violated and "vector" in m.witness
+    assert m.violated and m.witness["lambda"] == pytest.approx(1.0)
     assert _is_basis_vector(m.witness["vector"], 2, 1)
-    assert m.details["grid_margin"] <= -0.99
 
 
-def test_paranormal_grid_domain():
-    for bad in (0, -2, 2.5):
-        with pytest.raises(DomainError, match="grid must be"):
-            is_paranormal(_shift(), grid=bad)
-    assert is_paranormal(_shift(), grid=1).violated
+def _tangent_shift(eps, seed):
+    """W (S + diag(2, sqrt(512/255))) W*, S the 6x6 cyclic shift with weight 3
+    lowered to 1 - eps: the pencil dips to -2 eps at lambda = 1, between the
+    roots 1 -+ sqrt(2 eps), and touches 0 at the normal part's tangencies."""
+    s = np.zeros((8, 8))
+    for i in range(6):
+        s[(i + 1) % 6, i] = 1.0 - eps if i == 2 else 1.0
+    s[6, 6], s[7, 7] = 2.0, math.sqrt(64 * 8 / 255)
+    w = random_unitary(8, seed=seed)
+    return w @ QMatrix.from_quaternions(s.tolist()) @ w.H
 
 
-def test_paranormal_samples_domain():
-    for bad in (0, -1, 2.0):
-        with pytest.raises(DomainError, match="samples must be"):
-            is_paranormal(_shift(), samples=bad)
-    assert is_paranormal(_shift(), samples=1).details["samples"] == 1
+def _pencil_scan(t):
+    """min over 40,001 points of [0, 2 ||T||^2] of the pencil's least eigenvalue."""
+    c = embed_chi(t)
+    a, b = c.conj().T @ c, (c @ c).conj().T @ (c @ c)
+    lams = np.linspace(0.0, 2.0 * operator_norm(t) ** 2, 40001)[:, None, None]
+    # 20 stacks of about 2,000 pencils each
+    return min(np.linalg.eigvalsh(b - 2.0 * lam * a + lam * lam * np.eye(len(a)))[:, 0].min()
+               for lam in np.array_split(lams, 20))
+
+
+def _assert_paranormal_witness(t, m):
+    x = json_to_vector(m.witness["vector"])
+    tx = t @ QMatrix.from_columns([x])
+    assert (t @ tx).frobenius() * x.norm() - tx.frobenius() ** 2 < 0.0
+
+
+@pytest.mark.parametrize("eps", [5e-6, 2e-6, 0.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_paranormal_finds_the_dip_between_two_close_roots(eps, seed):
+    t = _tangent_shift(eps, seed)
+    m = is_paranormal(t)
+    if eps:
+        assert m.violated and m.value <= -1.9 * eps
+        assert m.witness["lambda"] == pytest.approx(1.0, abs=1e-3)
+        _assert_paranormal_witness(t, m)
+    else:
+        assert not m.violated and abs(m.value) <= 1e-12 * m.details["scale"]
+
+
+_FAMILIES = {
+    "unitary": lambda n, seed: random_unitary(n, seed=seed),
+    "normal": lambda n, seed: normal_with_spectrum(
+        [Quaternion(1.0 + k, 0.5 * k, -1.0, 0.25 * seed) for k in range(n)], seed=seed),
+    "positive": lambda n, seed: positive(n, seed=seed),
+    "ginibre": lambda n, seed: ginibre(n, seed=seed),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("n, seeds", [(1, range(3)), (2, range(3)), (4, range(3)), (8, [0])])
+def test_paranormal_margin_is_the_pencil_minimum(family, n, seeds):
+    # the gcsi-implies families; the margin may lie below a dense scan of the
+    # pencil, never above it by more than the refinement's precision
+    for seed in seeds:
+        t = _FAMILIES[family](n, seed)
+        m = is_paranormal(t)
+        assert m.value <= _pencil_scan(t) + 1e-9 * m.details["scale"], seed
+        if m.violated:
+            _assert_paranormal_witness(t, m)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_a_paranormal_matrix_is_normal(n):
+    for eps in (1e-1, 1e-2, 1e-3):
+        for seed in range(4):
+            t = near_normal(n, eps, seed=seed)
+            m = is_paranormal(t)
+            assert m.violated, (eps, seed)
+            _assert_paranormal_witness(t, m)
+    for seed in range(4):
+        spectrum = [Quaternion(*unit_vector(1, seed=seed + k).to_array()[0]) * (k + 1.0)
+                    for k in range(n)]
+        for t in (random_unitary(n, seed=seed), positive(n, seed=seed),
+                  normal_with_spectrum(spectrum, seed=seed)):
+            assert not is_paranormal(t).violated, seed
 
 
 # ------------------------------------------------------------------- gcsi
@@ -491,9 +555,9 @@ def test_nonfinite_exponents_raise_on_the_pair_oracles():
 
 def test_lazy_report_parts_check_their_arguments_at_the_call():
     u = random_unitary(3, seed=906)
-    for kw in ({"grid": 0}, {"samples": 0}, {"grid": 2.5}, {"samples": 1.0}):
-        with pytest.raises(DomainError):
-            check_gcsi_implies(u, budget=8, **kw)
+    for tol in (math.nan, -1.0):
+        with pytest.raises(DomainError, match="tol must be finite"):
+            check_gcsi_implies(u, budget=8, tol=tol)
 
 
 def test_gcsi_implies_tests_paranormality_on_first_read(monkeypatch):
@@ -504,7 +568,7 @@ def test_gcsi_implies_tests_paranormality_on_first_read(monkeypatch):
     # the trial reads hard_violation only
     harness.run_verify("gcsi-implies", trials=4, seed=1, dim=4)
     assert calls == []
-    rep = check_gcsi_implies(random_unitary(3, seed=907), budget=16, grid=8, samples=16)
+    rep = check_gcsi_implies(random_unitary(3, seed=907), budget=16)
     assert calls == [] and not rep.gcsi.violated
     assert not rep.flagged
     assert len(calls) == 1
@@ -966,11 +1030,11 @@ def test_gcsi_implies_checks_every_argument_before_any_solve(monkeypatch):
                             calls.append(name) or real(*a, **kw))
     u = random_unitary(3, seed=908)
     for kw in ({"p": 0.0}, {"p": 1.5}, {"p": math.nan}, {"budget": 0}, {"budget": 2.5},
-               {"grid": 0}, {"grid": 2.5}, {"samples": 0}, {"samples": 1.0}):
+               {"tol": math.nan}, {"tol": -1.0}):
         with pytest.raises(DomainError):
             check_gcsi_implies(u, **kw)
         assert calls == [], kw
-    check_gcsi_implies(u, budget=8, grid=4, samples=8)
+    check_gcsi_implies(u, budget=8)
     assert calls == ["_polars", "_unit_pairs"]
 
 
@@ -1008,20 +1072,13 @@ def test_closure_draws_once_and_matches_two_margins(monkeypatch):
             assert draws == [], which
 
 
-def test_gcsi_sweep_and_paranormal_vectors_match_the_reference():
+def test_gcsi_sweep_matches_the_reference():
     for name, t in _reference_operators():
         got = gcsi_sweep(t, budget=300, seed=23)
         want = gcsi_reference.gcsi_sweep(t, budget=300, seed=23)
         for beta, m in want.items():
             assert abs(got[beta].value - m.value) <= 1e-12 * max(1.0, abs(m.value)), (name, beta)
             _assert_same_witness(got[beta].witness, m.witness, (name, beta))
-        xs, margins = gcsi_reference.paranormal_vector_margins(t, 300, 29)
-        para = is_paranormal(t, grid=16, samples=300, seed=29)
-        want_val = float(margins.min())
-        assert abs(para.details["vector_margin"] - want_val) <= 1e-12 * max(1.0, abs(want_val)), name
-        if para.witness is not None and "vector" in para.witness:
-            got_x = json_to_vector(para.witness["vector"]).to_array()
-            assert np.array_equal(got_x, xs[int(np.argmin(margins))]), name
 
 
 def test_vector_oracles_work_on_chi_only(monkeypatch):
@@ -1033,18 +1090,57 @@ def test_vector_oracles_work_on_chi_only(monkeypatch):
     t = ginibre(3, seed=6200)
     gcsi_margin(t, 0.5, budget=40, seed=1)
     gcsi_sweep(t, budget=40, seed=1)
-    is_paranormal(t, grid=8, samples=40, seed=1)
+    is_paranormal(t)
     assert calls == []
     t @ t  # the seam is the one quaternionic product
     assert calls == [(3, 3)]
+
+
+def _tol_calls():
+    u, pos, x = random_unitary(3, seed=990), positive(3, seed=991), unit_vector(3, seed=992)
+    a, b = generators.ordered_pair(3, seed=993)
+    return {
+        "classify_basic": lambda tol: classify_basic(u, tol=tol),
+        "is_p_hyponormal": lambda tol: is_p_hyponormal(u, 0.5, tol=tol),
+        "is_paranormal": lambda tol: is_paranormal(u, tol=tol),
+        "gcsi_margin": lambda tol: gcsi_margin(u, 0.5, budget=8, tol=tol),
+        "gcsi_sweep": lambda tol: gcsi_sweep(u, budget=8, tol=tol),
+        "check_holder_mccarthy": lambda tol: check_holder_mccarthy(pos, x, (2.0,), tol=tol),
+        "check_lowner_heinz": lambda tol: check_lowner_heinz(a, b, (0.5,), tol=tol),
+        "check_furuta": lambda tol: check_furuta(a, b, 1.0, 1.0, 0.0, tol=tol),
+        "check_chain_semihypo": lambda tol: check_chain_semihypo(u, tol=tol),
+        "check_aluthge_theorems": lambda tol: check_aluthge_theorems(u, 0.5, tol=tol),
+        "check_eigenspace_reducing": lambda tol: check_eigenspace_reducing(
+            u, Quaternion(1.0, 0.0, 0.0, 0.0), tol=tol),
+        "check_gcsi_closure": lambda tol: check_gcsi_closure(u, "scalar", budget=8, tol=tol),
+        "check_kernel_reduction": lambda tol: check_kernel_reduction(u, tol=tol),
+        "check_tu_star": lambda tol: check_tu_star(u, x, tol=tol),
+        "check_gcsi_implies": lambda tol: check_gcsi_implies(u, budget=8, tol=tol),
+        "is_psd": lambda tol: is_psd(pos, tol),
+        "unembed_chi": lambda tol: unembed_chi(embed_chi(u), tol=tol),
+    }
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("name", sorted(_tol_calls()))
+def test_a_tolerance_that_is_not_finite_and_nonnegative_is_rejected_before_any_solve(
+        name, tol, monkeypatch):
+    # a NaN tolerance compares false with every margin, so it used to switch
+    # verdicts off; a negative one counted small margins as violations
+    call = _tol_calls()[name]
+    calls = []
+    for solver in ("eigh", "eigvalsh", "eigvals", "svd"):
+        monkeypatch.setattr(_eig, solver, lambda *a, solver=solver: calls.append(solver))
+    with pytest.raises(DomainError, match="tol must be finite and nonnegative, got"):
+        call(tol)
+    assert calls == []
 
 
 # ------------------------------------------------------------ consistency
 
 
 def test_gcsi_implies_unitary_consistent():
-    rep = check_gcsi_implies(random_unitary(2, seed=311), budget=64,
-                             grid=32, samples=64)
+    rep = check_gcsi_implies(random_unitary(2, seed=311), budget=64)
     assert not rep.hard_violation and not rep.flagged
     assert rep.p_hyponormal.value >= -1e-10
     assert rep.gcsi.value >= -1e-10
@@ -1052,7 +1148,7 @@ def test_gcsi_implies_unitary_consistent():
 
 
 def test_gcsi_implies_shift_fails_coherently():
-    rep = check_gcsi_implies(_shift(), budget=64, grid=32, samples=64)
+    rep = check_gcsi_implies(_shift(), budget=64)
     assert rep.p_hyponormal.violated
     assert rep.gcsi.violated
     assert rep.paranormal.violated
