@@ -4,23 +4,19 @@ Each named property is one ``Property`` record.  Its ``draw`` builds the
 instances (operators, vectors, exponents) of a list of trials from their
 seeds, and its ``evaluate`` scores a batch of instances, each as one
 dimensionless margin (raw margin divided by an instance scale), so a single
-tolerance applies uniformly across properties.  A trial is a batch of one,
-and the shrinker scores its candidates with the same ``evaluate``, so it
-minimises exactly what the trial measured, hypotheses included.
-``run_verify`` draws and evaluates its trials in chunks, and it is the one
-place that bounds a stack: a chunk holds at most ``_BATCH`` trials, and
-fewer at large dims (``_chunk_trials``); every layer below takes its batch
-whole.  A chunk is drawn as stacks: one block draw per stream of Gaussian
-entries, one SVD of its unitaries and two products of its normal
-operators, each instance bit for bit the one its trial draws alone.  It
-is scored as stacks too: the GCSI properties climb every search of a
-chunk in lockstep, the five Hermitian properties solve and weigh each
-operator role of a chunk as one stack, and the other seven factor each
-operator role with one SVD and solve each family of margins in one
-eigenvalue call, each margin bit for bit the one its instance gives
-alone.  Per-trial seeds are derived as mix_seed(seed, index), whatever
-the chunk; the aggregate is a deterministic min-fold with ties broken by
-lowest trial index, and an error surfaces from the lowest failing trial.
+tolerance applies uniformly across properties, or else as the error that
+the instance alone raises.  ``run_verify`` and ``run_fuzz`` share one loop
+over chunks of at most ``_BATCH`` trials, fewer at large dims
+(``_chunk_trials``), the one place that bounds a stack.  The shrinker
+scores the candidates of one key as one batch through the same
+``evaluate``, so it minimises exactly what the trial measured, hypotheses
+included.  A chunk is drawn and scored as stacks (one block draw per
+stream of Gaussian entries, one SVD or eigenvalue call per operator role,
+the GCSI climbs in lockstep), each instance and margin bit for bit the one
+its trial gives alone.  Per-trial seeds are derived as mix_seed(seed,
+index), whatever the chunk; the aggregate is a deterministic min-fold with
+ties broken by lowest trial index, and an error surfaces from the lowest
+failing trial.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ import numpy as np
 
 from . import generators, matio, oracles
 from .errors import DomainError, PreconditionError, QopError, ShapeError
-from .linalg import (DEFAULT_DIM, QMatrix, QVector, _adjoints, _check_tol, _checked,
+from .linalg import (DEFAULT_DIM, QMatrix, QVector, _adjoints, _check_count, _check_tol, _checked,
                      _gram_norms, _operator_norms, _pair_eigvalsh, _product, _require_finite,
                      _stack_pairs, _trusted)
 from .quaternion import Quaternion
@@ -80,37 +76,37 @@ class TrialOutcome:
 
 @dataclass(frozen=True)
 class Property:
-    """A named property; calling it with a TrialContext runs one trial.
+    """A named property; calling it with a list of TrialContexts runs those trials.
 
     ``draw`` builds the instances of a list of contexts, which share their
     dim, tol and probe, from each trial's seeds.  ``evaluate`` scores a
     list of instances drawn at one dim, as one stack, at one tolerance and
     returns, per instance, the margin with the witness entries that are
-    not instance fields; an exponent grid in an instance is replaced by its
-    worst exponent.  One instance is a batch of one.  ``witness_keys`` are
-    the instance fields a witness reports.  Called with a list of contexts,
-    the record draws them all, evaluates them as one batch and returns
-    their outcomes in order.
+    not instance fields, or the QopError that the instance alone raises; an
+    exponent grid in an instance is replaced by its worst exponent.  An
+    error that names no instance, such as a non-finite stack, may still
+    raise for the whole batch.  ``witness_keys`` are the instance fields a
+    witness reports.  A call returns the outcomes, or errors, in order.
     The record is not slotted, so a ``functools.wraps`` wrapper around it
     still exposes ``draw`` and ``evaluate``.
     """
 
     draw: Callable[[list[TrialContext]], list[Instance]]
-    evaluate: Callable[[list[Instance], float], list[Scored]]
+    evaluate: Callable[[list[Instance], float], list[Scored | QopError]]
     witness_keys: tuple[str, ...]
 
-    def __call__(self, ctx: TrialContext | Sequence[TrialContext]) -> Any:
-        if isinstance(ctx, TrialContext):
-            return self([ctx])[0]
-        ctx = list(ctx)
-        insts = self.draw(ctx)
-        outs = []
-        for c, inst, (margin, extras) in zip(ctx, insts, self.evaluate(insts, ctx[0].tol)):
-            witness = None
-            if margin < -c.tol:
-                witness = _serialize_instance({k: inst[k] for k in self.witness_keys})
-                witness.update(extras)
-            outs.append(TrialOutcome(margin, witness, inst))
+    def __call__(self, ctxs: list[TrialContext]) -> list[TrialOutcome | QopError]:
+        insts = self.draw(ctxs)
+        outs: list[TrialOutcome | QopError] = []
+        for c, inst, res in zip(ctxs, insts, self.evaluate(insts, ctxs[0].tol)):
+            if not isinstance(res, QopError):
+                margin, extras = res
+                witness = None
+                if margin < -c.tol:
+                    witness = _serialize_instance({k: inst[k] for k in self.witness_keys})
+                    witness.update(extras)
+                res = TrialOutcome(margin, witness, inst)
+            outs.append(res)
         return outs
 
 
@@ -143,13 +139,15 @@ class VerificationReport:
         return matio.dumps_canonical(self.to_json())
 
 
-def _scales(ts: list[QMatrix]) -> list[float]:
-    """max(1, ||T||) of each operator of one shape, from one eigenvalue solve."""
-    return [max(1.0, x) for x in _operator_norms(*_stack_pairs(ts)).tolist()]
-
-
 def _scaled(m: oracles.Margin) -> float:
     return m.value / m.details["scale"]
+
+
+def _scored(results: list, score: Callable[..., Scored],
+            *columns: Sequence) -> list[Scored | QopError]:
+    """``score(result, *column entries)`` of each result of a batch; an error is passed on."""
+    return [r if isinstance(r, QopError) else score(r, *cols)
+            for r, *cols in zip(results, *columns)]
 
 
 def _scaled_units(units: np.ndarray, moduli: np.ndarray) -> np.ndarray:
@@ -226,15 +224,14 @@ def _exponents(inst: Instance) -> tuple:
     return inst["r"] if isinstance(inst["r"], tuple) else (inst["r"],)
 
 
-def _lowner_heinz_margins(insts: list[Instance], tol: float) -> list[Scored]:
+def _lowner_heinz_margins(insts: list[Instance], tol: float) -> list[Scored | QopError]:
     """S^r >= T^r; an exponent r > 1 lies outside the theorem and is a probe."""
     grids = [_exponents(inst) for inst in insts]
     cases = [(inst["A"], inst["B"], rs, max(rs) > 1.0) for inst, rs in zip(insts, grids)]
-    return [_grid_scored(inst, m)
-            for inst, m in zip(insts, oracles._lowner_heinz_cases(cases, tol))]
+    return _scored(oracles._lowner_heinz_cases(cases, tol), _grid_scored, insts)
 
 
-def _grid_scored(inst: Instance, m: oracles.Margin) -> Scored:
+def _grid_scored(m: oracles.Margin, inst: Instance) -> Scored:
     """The scaled margin; the instance's grid is replaced by its worst exponent."""
     inst["r"] = m.details["r"]
     return _scaled(m), {}
@@ -247,10 +244,9 @@ def _draw_holder_mccarthy(ctxs: list[TrialContext]) -> list[Instance]:
                             generators._unit_vectors(dim, _seeds(ctxs, 1)))]
 
 
-def _holder_mccarthy_margins(insts: list[Instance], tol: float) -> list[Scored]:
+def _holder_mccarthy_margins(insts: list[Instance], tol: float) -> list[Scored | QopError]:
     cases = [(inst["T"], inst["x"], _exponents(inst)) for inst in insts]
-    return [_grid_scored(inst, m)
-            for inst, m in zip(insts, oracles._holder_mccarthy_cases(cases, tol))]
+    return _scored(oracles._holder_mccarthy_cases(cases, tol), _grid_scored, insts)
 
 
 def _draw_furuta_exponents(stream: SplitMix64, violating: bool) -> tuple[float, float, float]:
@@ -274,14 +270,14 @@ def _draw_furuta(ctxs: list[TrialContext]) -> list[Instance]:
     return out
 
 
-def _furuta_margins(insts: list[Instance], tol: float) -> list[Scored]:
+def _furuta_margins(insts: list[Instance], tol: float) -> list[Scored | QopError]:
     """Both brackets; exponents with (1+2r)q < p+2r lie outside the theorem and are a probe."""
     probes = [(1.0 + 2.0 * inst["r"]) * inst["q"] < inst["p"] + 2.0 * inst["r"]
               for inst in insts]
     cases = [(inst["A"], inst["B"], inst["p"], inst["q"], inst["r"], probe)
              for inst, probe in zip(insts, probes)]
-    return [(min(_scaled(m1), _scaled(m2)), {"probe": probe})
-            for (m1, m2), probe in zip(oracles._furuta_cases(cases, tol), probes)]
+    return _scored(oracles._furuta_cases(cases, tol),
+                   lambda ms, probe: (min(map(_scaled, ms)), {"probe": probe}), probes)
 
 
 def _draw_chain(ctxs: list[TrialContext]) -> list[Instance]:
@@ -289,11 +285,11 @@ def _draw_chain(ctxs: list[TrialContext]) -> list[Instance]:
     return [{"T": t, "probe": c.probe} for c, t in zip(ctxs, ts)]
 
 
-def _chain_margins(insts: list[Instance], tol: float) -> list[Scored]:
+def _chain_margins(insts: list[Instance], tol: float) -> list[Scored | QopError]:
     """The sandwich; T must be semi-hyponormal unless the instance is a probe."""
     cases = [(inst["T"], not inst.get("probe", False)) for inst in insts]
-    return [(min(m1.value, m2.value) / m1.details["scale"], {})
-            for m1, m2 in oracles._chain_cases(cases, tol)]
+    return _scored(oracles._chain_cases(cases, tol),
+                   lambda ms: (min(ms[0].value, ms[1].value) / ms[0].details["scale"], {}))
 
 
 def _draw_aluthge(ctxs: list[TrialContext]) -> list[Instance]:
@@ -303,20 +299,21 @@ def _draw_aluthge(ctxs: list[TrialContext]) -> list[Instance]:
     return [{"T": t, "p": 0.5 + 0.5 * s.uniform(0.0, 1.0)} for t, s in zip(ts, streams)]
 
 
-def _aluthge_margins(insts: list[Instance], tol: float) -> list[Scored]:
+def _aluthge_margins(insts: list[Instance], tol: float) -> list[Scored | QopError]:
     """Every transform theorem for a p-hyponormal T, and T~ = T for normal T.
     The first report read solves the ladders and double transforms of the batch."""
     ts = [inst["T"] for inst in insts]
     reports = oracles._aluthge_cases([(t, inst["p"], True) for t, inst in zip(ts, insts)], tol)
-    out = []
-    for t, report, scale in zip(ts, reports, _scales(ts)):
+
+    def score(report: oracles.AluthgeReport, t: QMatrix, scale: float) -> Scored:
         vals = [-(report.transform - t).frobenius() / scale, _scaled(report.transform_margin)]
         vals += [_scaled(m) for _, m in report.monotone]
         if report.double_reading_a is not None:
             vals.append(_scaled(report.double_reading_a))
         vals.append(_scaled(report.double_reading_b))
-        out.append((min(vals), {}))
-    return out
+        return min(vals), {}
+
+    return _scored(reports, score, ts, np.maximum(_operator_norms(*_stack_pairs(ts)), 1.0).tolist())
 
 
 def _draw_aluthge_gain(ctxs: list[TrialContext]) -> list[Instance]:
@@ -326,10 +323,10 @@ def _draw_aluthge_gain(ctxs: list[TrialContext]) -> list[Instance]:
     return [{"T": t, "p": p, "probe": c.probe} for c, t, p in zip(ctxs, ts, ps)]
 
 
-def _aluthge_gain_margins(insts: list[Instance], tol: float) -> list[Scored]:
+def _aluthge_gain_margins(insts: list[Instance], tol: float) -> list[Scored | QopError]:
     """The transform's gain; T must be p-hyponormal unless the instance is a probe."""
     cases = [(inst["T"], inst["p"], not inst.get("probe", False)) for inst in insts]
-    return [(_scaled(r.transform_margin), {}) for r in oracles._aluthge_cases(cases, tol)]
+    return _scored(oracles._aluthge_cases(cases, tol), lambda r: (_scaled(r.transform_margin), {}))
 
 
 def _draw_eigenspace_reducing(ctxs: list[TrialContext]) -> list[Instance]:
@@ -341,9 +338,9 @@ def _draw_eigenspace_reducing(ctxs: list[TrialContext]) -> list[Instance]:
     return [{"T": t, "q": Quaternion(*q)} for t, q in zip(ts, units[:, 0].tolist())]
 
 
-def _eigenspace_margins(insts: list[Instance], tol: float) -> list[Scored]:
+def _eigenspace_margins(insts: list[Instance], tol: float) -> list[Scored | QopError]:
     cases = [(inst["T"], inst["q"]) for inst in insts]
-    return [(_scaled(m), {}) for m in oracles._eigenspace_cases(cases, tol)]
+    return _scored(oracles._eigenspace_cases(cases, tol), lambda m: (_scaled(m), {}))
 
 
 _CLOSURE_CYCLE = ("scalar", "inverse", "unitary-equiv", "compression")
@@ -391,21 +388,19 @@ def _draw_gcsi_closure(ctxs: list[TrialContext]) -> list[Instance]:
     return insts
 
 
-def _closure_margins(insts: list[Instance], tol: float) -> list[Scored]:
+def _closure_margins(insts: list[Instance], tol: float) -> list[Scored | QopError]:
     """Base and transformed margins, each over its own operator's scale; every
     climb of the batch advances in one lockstep search."""
     cases = [(inst["T"], inst["which"], inst["seed"], inst.get("scalar"), inst.get("unitary"),
               inst.get("projector")) for inst in insts]
-    reports = oracles._gcsi_closures(cases, beta=0.5, budget=300, tol=tol)
-    norms = _operator_norms(*_stack_pairs([inst["T"] for inst in insts])).tolist()
-    out = []
-    for inst, report, opn in zip(insts, reports, norms):
-        base = report.base.value / max(1.0, opn)
+    def score(report: oracles.ClosureReport, inst: Instance, opn: float) -> Scored:
         scale_s = max(1.0, abs(inst.get("scalar", 1.0)) * opn)
         pair = report.transformed.witness
-        out.append((min(base, report.transformed.value / scale_s),
-                    {} if pair is None else {"pair": pair}))
-    return out
+        return (min(report.base.value / max(1.0, opn), report.transformed.value / scale_s),
+                {} if pair is None else {"pair": pair})
+
+    reports, norms = oracles._gcsi_closures(cases, beta=0.5, budget=300, tol=tol)
+    return _scored(reports, score, insts, norms)
 
 
 def _draw_kernel_reduction(ctxs: list[TrialContext]) -> list[Instance]:
@@ -612,32 +607,48 @@ def _lookup(prop: str) -> Property:
     return PROPERTIES[prop]
 
 
-def _check_run(count: int, what: str, dim: int, tol: float) -> None:
-    oracles._check_count(count, what)
+def _chunk_trials(dim: int) -> int:
+    """The trials of one chunk at ``dim``: 16 up to dim 11, 8 at dim 16, 2
+    at dim 32 and 1 from dim 46 on.  T's A part takes 16 dim^2 bytes, so 16
+    copies of it take 256 dim^2."""
+    return max(1, min(_BATCH, _STACK_BYTES // (256 * dim * dim)))
+
+
+def _run(prop: str, count: int, what: str, *, seed: int, dim: int, tol: float, probe: bool,
+         fuzz: bool) -> VerificationReport:
+    """``run_verify``, or with ``fuzz`` ``run_fuzz``: the trials are drawn and
+    evaluated in chunks of ``_chunk_trials(dim)`` by the ``PROPERTIES`` entry,
+    and the lowest failing trial's error is raised.  Fuzzing ends the report
+    at the first violation and shrinks its instance."""
+    fn = _lookup(prop)
+    _check_count(count, what)
     generators._check_dim(dim)
     _check_tol(tol)
-
-
-def _run_chunk(fn: Property,
-               ctxs: list[TrialContext]) -> list[tuple[float, dict[str, Any] | None]]:
-    """Each trial's margin and witness, the chunk evaluated as one batch.
-
-    A chunk that raises a QopError is run again one trial at a time, so the
-    lowest failing trial's error surfaces.  The instances are not returned,
-    so they are freed before the next chunk is drawn.
-    """
-    try:
-        outs = fn(ctxs)
-    except QopError:
-        outs = [fn(ctx) for ctx in ctxs]
-    return [(float(out.margin), out.witness) for out in outs]
-
-
-def _chunk_trials(dim: int) -> int:
-    """The trials of one ``run_verify`` chunk at ``dim``: 16 up to dim 11, 8
-    at dim 16, 2 at dim 32 and 1 from dim 46 on.  T's A part takes 16 dim^2
-    bytes, so 16 copies of it take 256 dim^2."""
-    return max(1, min(_BATCH, _STACK_BYTES // (256 * dim * dim)))
+    per: list[tuple[int, float]] = []
+    min_margin, best = math.inf, None
+    while len(per) < count and not (fuzz and min_margin < -tol):
+        ctxs = [TrialContext(mix_seed(seed, idx), idx, dim, tol, probe)
+                for idx in range(len(per), min(len(per) + _chunk_trials(dim), count))]
+        for ctx, out in zip(ctxs, fn(ctxs)):
+            if isinstance(out, QopError):
+                raise out
+            per.append((ctx.trial_seed, float(out.margin)))
+            if per[-1][1] < min_margin:
+                min_margin, best = per[-1][1], (ctx, out)
+            if fuzz and min_margin < -tol:
+                break
+    witness = None
+    if best is not None and min_margin < -tol:
+        ctx, out = best
+        witness = dict(out.witness) if out.witness is not None else {}
+        witness.setdefault("trial_seed", ctx.trial_seed)
+        witness["margin"] = min_margin
+        if fuzz:
+            shrunk, witness["shrunk_margin"], _ = _shrink(prop, out.instance, SHRINK_BUDGET, tol)
+            witness["shrunk"] = _serialize_instance(shrunk)
+    return VerificationReport(
+        property=prop, trials=len(per), seed=seed, dim=dim, tol=tol,
+        min_margin=min_margin, witness=witness, per_trial=tuple(per))
 
 
 def run_verify(prop: str, *, trials: int, seed: int, dim: int = DEFAULT_DIM,
@@ -650,33 +661,24 @@ def run_verify(prop: str, *, trials: int, seed: int, dim: int = DEFAULT_DIM,
     must be an integer of at least 1 and ``tol`` finite and nonnegative
     (DomainError), and ``dim`` must lie in [1, MAX_DIM] (ShapeError).
     """
-    fn = _lookup(prop)
-    _check_run(trials, "trials", dim, tol)
-    per: list[tuple[int, float]] = []
-    min_margin = math.inf
-    best_witness: dict[str, Any] | None = None
-    best_seed = 0
-    size = _chunk_trials(dim)
-    for start in range(0, trials, size):
-        ctxs = [TrialContext(mix_seed(seed, idx), idx, dim, tol, probe)
-                for idx in range(start, min(start + size, trials))]
-        for ctx, (margin, witness) in zip(ctxs, _run_chunk(fn, ctxs)):
-            per.append((ctx.trial_seed, margin))
-            if margin < min_margin:
-                min_margin = margin
-                best_witness = witness
-                best_seed = ctx.trial_seed
-    witness = None
-    if min_margin < -tol:
-        witness = dict(best_witness) if best_witness is not None else {}
-        witness.setdefault("trial_seed", best_seed)
-        witness["margin"] = min_margin
-    return VerificationReport(
-        property=prop, trials=trials, seed=seed, dim=dim, tol=tol,
-        min_margin=min_margin, witness=witness, per_trial=tuple(per))
+    return _run(prop, trials, "trials", seed=seed, dim=dim, tol=tol, probe=probe, fuzz=False)
 
 
 # ------------------------------------------------- instance re-evaluation
+
+
+def _evaluate(prop: str, insts: list[Instance], tol: float) -> list[Scored | QopError]:
+    """The property's scores of copies of the instances.  A field that the
+    property reads and an instance lacks is a DomainError naming both."""
+    fn = _lookup(prop)
+    _check_tol(tol)
+    try:
+        return fn.evaluate([dict(inst) for inst in insts], tol)
+    except KeyError as exc:
+        key = exc.args[0] if exc.args else None
+        if isinstance(key, str) and any(key not in inst for inst in insts):
+            raise DomainError(f"{prop!r} instance has no field {key!r}") from None
+        raise
 
 
 def evaluate_instance(prop: str, instance: Instance,
@@ -685,11 +687,13 @@ def evaluate_instance(prop: str, instance: Instance,
 
     This is the trial's own margin: an instance a trial returned scores
     what the trial scored, and an instance breaking the property's
-    hypothesis raises PreconditionError as the trial would.
+    hypothesis raises PreconditionError as the trial would.  An instance
+    without a field the property reads raises DomainError.
     """
-    fn = _lookup(prop)
-    _check_tol(tol)
-    return fn.evaluate([dict(instance)], tol)[0][0]
+    (out,) = _evaluate(prop, [instance], tol)
+    if isinstance(out, QopError):
+        raise out
+    return out[0]
 
 
 def _zero_entry_candidates(val: Any) -> list[tuple[Any, Any]]:
@@ -713,15 +717,22 @@ def minimize_counterexample(prop: str, instance: Instance, *,
 
     Pass order is deterministic: instance keys sorted by name, entries in
     row-major order, repeated until a full sweep makes no progress or the
-    evaluation budget runs out.  A candidate is accepted only if it still
-    violates (margin < -tol); candidates that break a precondition are
-    rejected and charged to the budget.  Raises DomainError, before any
-    evaluation, unless ``budget`` is an integer of at least 1;
-    PreconditionError if the input itself does not violate; and
-    DomainError, from that first evaluation, on an unknown property or a
-    tolerance that is not finite and nonnegative.
+    evaluation budget runs out.  The candidates of one key are scored as
+    one batch, and the first in that order that still violates (margin <
+    -tol) is accepted; the budget is charged up to and including it, so
+    candidates that break a precondition cost an evaluation each.  Raises
+    DomainError, before any evaluation, unless ``budget`` is an integer of
+    at least 1; PreconditionError if the input itself does not violate; and
+    DomainError, from that first evaluation, on an unknown property, a
+    missing field or a tolerance that is not finite and nonnegative.
     """
-    oracles._check_count(budget, "budget")
+    return _shrink(prop, instance, budget, tol)[0]
+
+
+def _shrink(prop: str, instance: Instance, budget: int,
+            tol: float) -> tuple[Instance, float, int]:
+    """``minimize_counterexample``'s instance, with its margin and the evaluations charged."""
+    _check_count(budget, "budget")
     margin = evaluate_instance(prop, instance, tol)
     evals = 1
     if margin >= -tol:
@@ -732,21 +743,17 @@ def minimize_counterexample(prop: str, instance: Instance, *,
     while improved and evals < budget:
         improved = False
         for key in sorted(current):
-            for _, cand_val in _zero_entry_candidates(current[key]):
-                if evals >= budget:
-                    return current
-                cand = dict(current)
-                cand[key] = cand_val
-                evals += 1
-                try:
-                    m = evaluate_instance(prop, cand, tol)
-                except QopError:
-                    continue
-                if m < -tol:
-                    current = cand
-                    improved = True
-                    break
-    return current
+            cands = [{**current, key: val} for _, val in _zero_entry_candidates(current[key])]
+            cands = cands[:budget - evals]
+            scores = _evaluate(prop, cands, tol) if cands else []
+            hit = next((j for j, out in enumerate(scores)
+                        if not isinstance(out, QopError) and out[0] < -tol), None)
+            if hit is None:
+                evals += len(cands)
+            else:
+                evals += hit + 1
+                current, margin, improved = cands[hit], scores[hit][0], True
+    return current, margin, evals
 
 
 def _serialize_instance(instance: Instance) -> dict[str, Any]:
@@ -767,29 +774,11 @@ def run_fuzz(prop: str, *, budget: int, seed: int, dim: int = DEFAULT_DIM,
              tol: float = DEFAULT_TOL) -> VerificationReport:
     """Draw trials until the budget is spent or a violation appears.
 
-    On violation the instance is shrunk with minimize_counterexample on a
-    budget of ``SHRINK_BUDGET`` evaluations, and the report's witness
-    carries both the original oracle witness and the shrunken instance.  ``budget``, ``dim`` and ``tol`` are checked as
-    ``run_verify`` checks ``trials``, ``dim`` and ``tol``.
+    The report ends at the first violating trial.  Its instance is shrunk
+    with minimize_counterexample on a budget of ``SHRINK_BUDGET``
+    evaluations, and the report's witness carries both the original oracle
+    witness and the shrunken instance with its margin.  ``budget``, ``dim``
+    and ``tol`` are checked as ``run_verify`` checks ``trials``, ``dim`` and
+    ``tol``.
     """
-    fn = _lookup(prop)
-    _check_run(budget, "budget", dim, tol)
-    per: list[tuple[int, float]] = []
-    min_margin = math.inf
-    witness: dict[str, Any] | None = None
-    for idx in range(budget):
-        ts = mix_seed(seed, idx)
-        out = fn(TrialContext(ts, idx, dim, tol, False))
-        per.append((ts, float(out.margin)))
-        min_margin = min(min_margin, float(out.margin))
-        if out.margin < -tol:
-            witness = dict(out.witness) if out.witness is not None else {}
-            witness["trial_seed"] = ts
-            witness["margin"] = float(out.margin)
-            shrunk = minimize_counterexample(prop, out.instance, budget=SHRINK_BUDGET, tol=tol)
-            witness["shrunk"] = _serialize_instance(shrunk)
-            witness["shrunk_margin"] = evaluate_instance(prop, shrunk, tol)
-            break
-    return VerificationReport(
-        property=prop, trials=len(per), seed=seed, dim=dim, tol=tol,
-        min_margin=min_margin, witness=witness, per_trial=tuple(per))
+    return _run(prop, budget, "budget", seed=seed, dim=dim, tol=tol, probe=False, fuzz=True)

@@ -17,6 +17,7 @@ Scalars act on vectors from the right, ``u * q``; the left scalar action
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
@@ -51,6 +52,16 @@ def _check_tol(tol: float) -> None:
     threshold compares false with every margin, and a negative one flips it."""
     if not (math.isfinite(tol) and tol >= 0.0):
         raise DomainError(f"tol must be finite and nonnegative, got {tol!r}")
+
+
+def _check_count(value: int, what: str) -> None:
+    """Raise DomainError unless ``value`` is an integer of at least 1."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise DomainError(f"{what} must be at least 1")
 
 
 def _check_extents(shape: tuple[int, ...], what: str) -> None:
@@ -518,8 +529,10 @@ def verify_hilbert_basis(vectors: Sequence[QVector], *, n_samples: int = 64,
     input error, not a report).  Decomposition u = sum_z z <z, u> and the
     Parseval identity are then sampled on ``n_samples`` deterministic unit
     vectors, each to hold within ``BASIS_TOL``; completeness additionally
-    requires the family to have full cardinality.
+    requires the family to have full cardinality.  ``n_samples`` must be an
+    integer of at least 1 (DomainError).
     """
+    _check_count(n_samples, "n_samples")
     if not vectors:
         raise ShapeError("empty family")
     n = vectors[0].n

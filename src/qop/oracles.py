@@ -16,7 +16,6 @@ there is sampled evidence under a recorded budget and seed, never a proof.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import groupby
@@ -26,14 +25,14 @@ import numpy as np
 
 from . import _eig, matio
 from .errors import DomainError, PreconditionError, QopError, ShapeError
-from .linalg import (QMatrix, QVector, _adjoints, _check_tol, _checked, _chi_eigvalsh,
-                     _from_chi_top, _from_psi, _gram_norms, _identities, _operator_norms, _outers,
-                     _pair_eigvalsh, _product, _psi, _require_finite, _selfadjoint_residual,
-                     _stack_pairs, _stacked, _trusted, _vector_norms, embed_chi, inner,
-                     operator_norm)
+from .linalg import (QMatrix, QVector, _adjoints, _check_count, _check_tol, _checked,
+                     _chi_eigvalsh, _from_chi_top, _from_psi, _gram_norms, _identities,
+                     _operator_norms, _outers, _pair_eigvalsh, _product, _psi, _require_finite,
+                     _selfadjoint_residual, _stack_pairs, _stacked, _trusted, _vector_norms,
+                     embed_chi, inner)
 from .quaternion import Quaternion
 from .rng import SplitMix64, mix_seed
-from .spectral import (EIGENSPACE_RTOL, HermitianEigensystem, _delta_qs, _eigensystems,
+from .spectral import (EIGENSPACE_RTOL, _clamp_errors, _delta_qs, _eigensystems,
                        _hermitian_from_chi, _kernel_bases, _null_basis, _psd_powers, _psd_verdict,
                        _psd_weights, _require_selfadjoint, _require_square, is_psd)
 from .transforms import (PolarParts, _abs_powers, _aluthge_transforms, _polars, polar,
@@ -46,14 +45,38 @@ INVERT_RTOL = 1e-10
 SWEEP_BETAS = tuple(round(0.1 * k, 1) for k in range(1, 11))
 
 
-def _check_count(value: int, what: str) -> None:
-    """Raise DomainError unless ``value`` is an integer of at least 1."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {value!r}") from None
-    if count < 1:
-        raise DomainError(f"{what} must be at least 1")
+def _sift(out: Any, rows: Iterable[int], check: Callable[[int], Any]) -> list[int]:
+    """The rows that pass ``check``: ``check(i)`` raises or returns row i's
+    QopError, and any other return passes.  A failing row's error is put in
+    ``out[i]``, so a stacked check keeps, per case, the error its lone case meets."""
+    kept = []
+    for i in rows:
+        try:
+            err = check(i)
+        except QopError as exc:
+            err = exc
+        if isinstance(err, QopError):
+            out[i] = err
+        else:
+            kept.append(i)
+    return kept
+
+
+def _keep(rows: list[int], kept: list[int], *stacks: Any) -> tuple:
+    """Each stack, or list, at the rows ``kept`` of ``rows``; the stacks
+    themselves when every row is kept, so a batch without errors copies none."""
+    if len(kept) == len(rows):
+        return stacks
+    mask = np.isin(rows, kept)
+    return tuple(x[mask] if isinstance(x, np.ndarray) else [e for e, m in zip(x, mask) if m]
+                 for x in stacks)
+
+
+def _sole(results: list) -> Any:
+    """The result of a batch of one case; its error is raised."""
+    if isinstance(results[0], QopError):
+        raise results[0]
+    return results[0]
 
 
 @dataclass(frozen=True)
@@ -546,33 +569,41 @@ def check_holder_mccarthy(t: QMatrix, x: QVector, rs: Sequence[float], *,
     max(1, |lhs|, |rhs|); ``details["r"]`` names it.
     """
     _check_tol(tol)
-    return _holder_mccarthy_cases([(t, x, rs)], tol)[0]
+    return _sole(_holder_mccarthy_cases([(t, x, rs)], tol))
+
+
+def _holder_mccarthy_args(x: QVector, rs: Sequence[float]) -> None:
+    if not rs:
+        raise DomainError("at least one exponent is needed")
+    for r in rs:
+        if r <= 0.0 or r == 1.0:
+            raise DomainError(f"exponent must be positive and not 1, got {r}")
+    if x.norm() == 0.0:
+        raise DomainError("zero vector not allowed")
 
 
 def _holder_mccarthy_cases(cases: Sequence[tuple[QMatrix, QVector, Sequence[float]]],
-                           tol: float) -> list[Margin]:
-    """``check_holder_mccarthy`` of each (T, x, rs) case, the arguments of
-    all checked first.  The cases, of one size and grid length, are solved
-    in one eigensolver call and their powers pulled back in one product; a
-    lone case weighs all its exponents before its first form."""
-    checked = []
-    for t, x, rs in cases:
-        if not rs:
-            raise DomainError("at least one exponent is needed")
-        for r in rs:
-            if r <= 0.0 or r == 1.0:
-                raise DomainError(f"exponent must be positive and not 1, got {r}")
-        nx = x.norm()
-        if nx == 0.0:
-            raise DomainError("zero vector not allowed")
-        checked.append((t, x, rs, nx))
-    for t, *_ in checked:
-        _require_selfadjoint(t)
-    _, w, v = _eigensystems(*_stack_pairs([c[0] for c in checked]))
-    bases = [inner(t @ x, x) for t, x, _, _ in checked]
-    powers = _psd_powers(w, v, [c[2] for c in checked])
-    out = []
-    for (_, x, rs, nx), base, ra, rb in zip(checked, bases, *powers):
+                           tol: float) -> list[Margin | QopError]:
+    """``check_holder_mccarthy`` of each (T, x, rs) case, or its error.  The
+    cases, of one size and grid length, are solved in one eigensolver call
+    and their powers pulled back in one product.  Each check runs row by row
+    in a lone case's order: the arguments, T self-adjoint, the clamp, then
+    the forms; a lone case weighs all its exponents before its first form."""
+    out: list = [None] * len(cases)
+    rows = _sift(out, range(len(cases)), lambda i: _holder_mccarthy_args(*cases[i][1:]))
+    rows = _sift(out, rows, lambda i: _require_selfadjoint(cases[i][0]))
+    if not rows:
+        return out
+    _, w, v = _eigensystems(*_stack_pairs([cases[i][0] for i in rows]))
+    kept = _sift(out, rows, dict(zip(rows, _clamp_errors(w))).get)
+    if not kept:
+        return out
+    w, v = _keep(rows, kept, w, v)
+    bases = [inner(cases[i][0] @ cases[i][1], cases[i][1]) for i in kept]
+    powers = dict(zip(kept, zip(bases, *_psd_powers(w, v, [cases[i][2] for i in kept]))))
+
+    def forms(i: int) -> None:
+        (_, x, rs), (base, ra, rb), nx = cases[i], powers[i], cases[i][1].norm()
         margins = []
         for r, a, b in zip(rs, ra, rb):
             # T^r x on a copy of the slice: a matrix-vector product on a
@@ -589,39 +620,47 @@ def _holder_mccarthy_cases(cases: Sequence[tuple[QMatrix, QVector, Sequence[floa
             margins.append(_margin(value, tol, scale,
                                    lambda: {"r": r, "x": matio.vector_to_json(x)},
                                    r=r, lhs=lhs.w, rhs=rhs))
-        out.append(_least_scaled(margins))
+        out[i] = _least_scaled(margins)
+
+    _sift(out, kept, forms)
     return out
 
 
-def _ordered_systems(ss: Sequence[QMatrix], ts: Sequence[QMatrix], tol: float
-                     ) -> tuple[tuple[list[HermitianEigensystem], np.ndarray, np.ndarray], ...]:
-    """``_eigensystems`` of the Ss and of the Ts of a run of pairs once
-    S >= T >= 0 is checked.
+def _ordered_systems(cases: Sequence[tuple], rows: list[int], tol: float, out: list
+                     ) -> tuple[list[int], tuple, tuple]:
+    """The rows of ``cases`` whose pair (S, T) = case[:2] has S >= T >= 0,
+    with ``_eigensystems`` of their Ss and the spectra and eigenvectors of
+    their Ts; the error of each other row is put in ``out``.
 
-    Every S - T is checked self-adjoint first, then all of them are solved
-    in one eigenvalue call, so a rejected pair costs no more than that.
-    Then each T is checked self-adjoint, the Ts are solved in one call, and
-    each T's eigensystem serves both T >= 0 and the caller.  The Ss are
-    solved last, unchecked, through their Hermitian parts: each S is
-    self-adjoint once S - T and T are.  A lone pair meets the checks in the
-    order of ``is_psd(S - T)``, ``eigh_q(T)``, ``is_psd(T)``.
+    Row by row, as ``is_psd(S - T)``, ``eigh_q(T)``, ``is_psd(T)`` meet
+    them: S - T self-adjoint, then, from one eigenvalue call, ordered, so a
+    rejected pair costs no solve; T self-adjoint, then, from one
+    eigensolver call that also serves the caller, T >= 0 and the clamp of
+    its powers.  The Ss are solved last, through their Hermitian parts, and
+    their clamp checked: each S is self-adjoint once S - T and T are.
     """
-    diffs = [s - t for s, t in zip(ss, ts)]
-    for d in diffs:
-        _require_selfadjoint(d)
-    w = _pair_eigvalsh(*_stack_pairs(diffs))
-    for lo, hi in w[:, ::w.shape[1] - 1].tolist():
-        ok_d, m_d = _psd_verdict(lo, hi, tol)
-        if not ok_d:
-            raise PreconditionError(f"operators are not ordered (min eigenvalue {m_d:.3e})")
-    for t in ts:
-        _require_selfadjoint(t)
-    tsys = _eigensystems(*_stack_pairs(ts))
-    for t, system in zip(ts, tsys[0]):
-        ok_t, m_t = is_psd(t, tol, system=system)
-        if not ok_t:
-            raise PreconditionError(f"lower operator is not positive (min eigenvalue {m_t:.3e})")
-    return _eigensystems(*_stack_pairs(ss)), tsys
+    diffs = {i: cases[i][0] - cases[i][1] for i in rows}
+    rows = _sift(out, rows, lambda i: _require_selfadjoint(diffs[i]))
+    if rows:
+        w = _pair_eigvalsh(*_stack_pairs([diffs[i] for i in rows]))
+        ends = dict(zip(rows, w[:, [0, -1]].tolist()))
+        rows = _sift(out, rows, lambda i: None if _psd_verdict(*ends[i], tol)[0] else
+                     PreconditionError(f"operators are not ordered (min eigenvalue "
+                                       f"{ends[i][0]:.3e})"))
+    rows = _sift(out, rows, lambda i: _require_selfadjoint(cases[i][1]))
+    if not rows:
+        return rows, (), ()
+    tsys, wt, vt = _eigensystems(*_stack_pairs([cases[i][1] for i in rows]))
+    verdicts = {i: is_psd(cases[i][1], tol, system=system) for i, system in zip(rows, tsys)}
+    clamps = dict(zip(rows, _clamp_errors(wt)))
+    kept = _sift(out, rows, lambda i: clamps[i] if verdicts[i][0] else PreconditionError(
+        f"lower operator is not positive (min eigenvalue {verdicts[i][1]:.3e})"))
+    if not kept:
+        return kept, (), ()
+    wt, vt = _keep(rows, kept, wt, vt)
+    ssys, ws, vs = _eigensystems(*_stack_pairs([cases[i][0] for i in kept]))
+    rows, kept = kept, _sift(out, kept, dict(zip(kept, _clamp_errors(ws))).get)
+    return kept, _keep(rows, kept, ssys, ws, vs), _keep(rows, kept, wt, vt)
 
 
 def check_lowner_heinz(s: QMatrix, t: QMatrix, rs: Sequence[float], *,
@@ -636,42 +675,47 @@ def check_lowner_heinz(s: QMatrix, t: QMatrix, rs: Sequence[float], *,
     value / scale; ``details["r"]`` names it.
     """
     _check_tol(tol)
-    return _lowner_heinz_cases([(s, t, rs, probe)], tol)[0]
+    return _sole(_lowner_heinz_cases([(s, t, rs, probe)], tol))
+
+
+def _lowner_heinz_exponents(rs: Sequence[float], probe: bool) -> None:
+    if not rs:
+        raise DomainError("at least one exponent is needed")
+    for r in rs:
+        if r < 0.0:
+            raise DomainError(f"exponent must be nonnegative, got {r}")
+        if r > 1.0 and not probe:
+            raise DomainError(f"exponent {r} outside [0, 1] requires probe mode")
 
 
 def _lowner_heinz_cases(cases: Sequence[tuple[QMatrix, QMatrix, Sequence[float], bool]],
-                        tol: float) -> list[Margin]:
-    """``check_lowner_heinz`` of each (S, T, rs, probe) case, the exponents
-    of all checked first.  Each run of consecutive cases with one size and
-    grid length is ordered by ``_ordered_systems``, its powers are pulled
-    back in one product per operator role, and every S^r - T^r is solved in
-    one eigenvalue call.  A lone case weighs one S^r and one T^r per exponent,
-    in ``check_lowner_heinz``'s order."""
-    for _, _, rs, probe in cases:
-        if not rs:
-            raise DomainError("at least one exponent is needed")
-        for r in rs:
-            if r < 0.0:
-                raise DomainError(f"exponent must be nonnegative, got {r}")
-            if r > 1.0 and not probe:
-                raise DomainError(f"exponent {r} outside [0, 1] requires probe mode")
-    out = []
-    for _, run in groupby(cases, lambda c: (c[0].shape, len(c[2]))):
-        run = list(run)
-        (ssys, ws, vs), (_, wt, vt) = _ordered_systems([c[0] for c in run],
-                                                       [c[1] for c in run], tol)
-        fs, ft = _psd_weights([ws, wt], [c[2] for c in run])
+                        tol: float) -> list[Margin | QopError]:
+    """``check_lowner_heinz`` of each (S, T, rs, probe) case, or its error:
+    the exponents, then ``_ordered_systems``, row by row.  Each run of
+    consecutive cases with one size and grid length is ordered as one
+    batch, its powers are pulled back in one product per operator role, and
+    every S^r - T^r is solved in one eigenvalue call.  A lone case weighs one
+    S^r and one T^r per exponent, in ``check_lowner_heinz``'s order."""
+    out: list = [None] * len(cases)
+    rows = _sift(out, range(len(cases)), lambda i: _lowner_heinz_exponents(*cases[i][2:]))
+    for _, run in groupby(rows, lambda i: (cases[i][0].shape, len(cases[i][2]))):
+        run, ss, ts = _ordered_systems(cases, list(run), tol, out)
+        if not run:
+            continue
+        (ssys, ws, vs), (wt, vt) = ss, ts
+        fs, ft = _psd_weights([ws, wt], [cases[i][2] for i in run])
         sa, sb = _hermitian_from_chi(vs[:, None], fs)
         ta, tb = _hermitian_from_chi(vt[:, None], ft)
         da, db = sa - ta, sb - tb
         del sa, sb, ta, tb  # before the solve, the largest step
         _require_finite(da, db, "QMatrix")
         values = _pair_eigvalsh(da, db)[..., 0].tolist()
-        for system, (_, _, rs, probe), vals in zip(ssys, run, values):
+        for i, system, vals in zip(run, ssys, values):
+            _, _, rs, probe = cases[i]
             top = max(system.eigenvalues[-1], 0.0)
-            out.append(_least_scaled([
+            out[i] = _least_scaled([
                 _margin(value, tol, max(1.0, top ** r), lambda: {"r": r, "probe": probe}, r=r)
-                for r, value in zip(rs, vals)]))
+                for r, value in zip(rs, vals)])
     return out
 
 
@@ -685,33 +729,36 @@ def check_furuta(a: QMatrix, b: QMatrix, p: float, q: float, r: float, *,
     mode, for exploring how the margins degrade.
     """
     _check_tol(tol)
-    return _furuta_cases([(a, b, p, q, r, probe)], tol)[0]
+    return _sole(_furuta_cases([(a, b, p, q, r, probe)], tol))
 
 
-def _furuta_cases(cases: Sequence[tuple], tol: float) -> list[tuple[Margin, Margin]]:
-    """``check_furuta`` of each (A, B, p, q, r, probe) case, the exponents of
-    all checked first.  The cases, of one size, are ordered by
-    ``_ordered_systems``, the brackets of every case are solved in one
-    eigensolver call and the differences in one eigenvalue call.  The
-    exponents differ from case to case, so each power is weighed case by
-    case.  A lone case raises ``check_furuta``'s error when it fails one
-    check only."""
-    for _, _, p, q, r, probe in cases:
-        if p < 0.0 or q < 1.0 or r < 0.0:
-            raise DomainError(f"need p >= 0, q >= 1, r >= 0, got p={p} q={q} r={r}")
-        if (1.0 + 2.0 * r) * q < p + 2.0 * r and not probe:
-            raise PreconditionError(
-                f"(1+2r)q >= p+2r fails: {(1 + 2 * r) * q:.4g} < {p + 2 * r:.4g}")
-    (asys, wa, va), (_, wb, vb) = _ordered_systems([c[0] for c in cases],
-                                                   [c[1] for c in cases], tol)
-    values = _pair_eigvalsh(*_furuta_differences(cases, wa, va, wb, vb))[:, 0].tolist()
-    k = len(cases)
-    out = []
-    for i, (system, (_, _, p, q, r, probe)) in enumerate(zip(asys, cases)):
+def _furuta_exponents(p: float, q: float, r: float, probe: bool) -> None:
+    if p < 0.0 or q < 1.0 or r < 0.0:
+        raise DomainError(f"need p >= 0, q >= 1, r >= 0, got p={p} q={q} r={r}")
+    if (1.0 + 2.0 * r) * q < p + 2.0 * r and not probe:
+        raise PreconditionError(f"(1+2r)q >= p+2r fails: {(1 + 2 * r) * q:.4g} < {p + 2 * r:.4g}")
+
+
+def _furuta_cases(cases: Sequence[tuple], tol: float) -> list[tuple[Margin, Margin] | QopError]:
+    """``check_furuta`` of each (A, B, p, q, r, probe) case, or its error:
+    the exponents, then ``_ordered_systems``, row by row.  The cases, of one
+    size, are ordered as one batch, the brackets of every case are solved in
+    one eigensolver call and the differences in one eigenvalue call.  The
+    exponents differ from case to case, so each power is weighed case by case."""
+    out: list = [None] * len(cases)
+    rows = _sift(out, range(len(cases)), lambda i: _furuta_exponents(*cases[i][2:]))
+    rows, ss, ts = _ordered_systems(cases, rows, tol, out)
+    if not rows:
+        return out
+    (asys, wa, va), (wb, vb) = ss, ts
+    run = [cases[i] for i in rows]
+    values = _pair_eigvalsh(*_furuta_differences(run, wa, va, wb, vb))[:, 0].tolist()
+    k = len(run)
+    for j, (i, system, (_, _, p, q, r, probe)) in enumerate(zip(rows, asys, run)):
         scale = max(1.0, max(system.eigenvalues[-1], 0.0) ** ((p + 2.0 * r) / q))
         witness = lambda: {"p": p, "q": q, "r": r, "probe": probe}
-        out.append((_margin(values[i], tol, scale, witness, p=p, q=q, r=r),
-                    _margin(values[k + i], tol, scale, witness, p=p, q=q, r=r)))
+        out[i] = (_margin(values[j], tol, scale, witness, p=p, q=q, r=r),
+                  _margin(values[k + j], tol, scale, witness, p=p, q=q, r=r))
     return out
 
 
@@ -751,35 +798,39 @@ def check_chain_semihypo(t: QMatrix, *, tol: float = DEFAULT_TOL,
     nearby non-members set ``enforce=False`` and read the degradation.
     """
     _check_tol(tol)
-    return _chain_cases([(t, enforce)], tol)[0]
+    return _sole(_chain_cases([(t, enforce)], tol))
 
 
 def _chain_cases(cases: Sequence[tuple[QMatrix, bool]],
-                 tol: float) -> list[tuple[Margin, Margin]]:
-    """``check_chain_semihypo`` of each (T, enforce) case: the operators are
-    factored in one SVD, the enforced hypotheses solved in one
-    eigenvalue call and both sandwiches of every case in another."""
+                 tol: float) -> list[tuple[Margin, Margin] | QopError]:
+    """``check_chain_semihypo`` of each (T, enforce) case, or its error: the
+    operators are factored in one SVD, the enforced hypotheses solved in
+    one eigenvalue call and both sandwiches of every case that meets its
+    hypothesis in another."""
+    out: list = [None] * len(cases)
     parts = _polars([t for t, _ in cases])
-    enforced = [pp for pp, (_, enforce) in zip(parts, cases) if enforce]
-    for (semi,) in _p_hyponormal_grid(enforced, [(0.5,)] * len(enforced), tol):
-        if semi.violated:
-            raise PreconditionError(
-                f"operator is not semi-hyponormal (margin {semi.value:.3e})")
-    ha, hb = _abs_powers(parts, [(1.0,)] * len(parts))
-    ua, ub = _stack_pairs([pp.u for pp in parts])
+    enforced = [i for i, (_, enforce) in enumerate(cases) if enforce]
+    semis = dict(zip(enforced, _p_hyponormal_grid([parts[i] for i in enforced],
+                                                  [(0.5,)] * len(enforced), tol)))
+    rows = _sift(out, range(len(cases)), lambda i: PreconditionError(
+        f"operator is not semi-hyponormal (margin {semis[i][0].value:.3e})")
+        if i in semis and semis[i][0].violated else None)
+    if not rows:
+        return out
+    ha, hb = _abs_powers([parts[i] for i in rows], [(1.0,)] * len(rows))
+    ua, ub = _stack_pairs([parts[i].u for i in rows])
     uh = _adjoints(ua, ub)
     # U* |T| U - |T|, then |T| - U |T| U*, each product checked as it is made
     xa, xb = _checked(_product(*_checked(_product(*uh, ha, hb)), ua, ub))
     upper = _checked((xa - ha, xb - hb))
     xa, xb = _checked(_product(*_checked(_product(ua, ub, ha, hb)), *uh))
     lower = _checked((ha - xa, hb - xb))
-    k = len(cases)
+    k = len(rows)
     m = _pair_eigvalsh(*map(np.concatenate, zip(upper, lower)))[:, 0].tolist()
-    out = []
-    for i, (pp, (_, enforce)) in enumerate(zip(parts, cases)):
-        scale = max(1.0, max(pp.sigmas))
-        witness = lambda: {"enforced": enforce}
-        out.append((_margin(m[i], tol, scale, witness), _margin(m[k + i], tol, scale, witness)))
+    for j, i in enumerate(rows):
+        scale = max(1.0, max(parts[i].sigmas))
+        witness = lambda: {"enforced": cases[i][1]}
+        out[i] = (_margin(m[j], tol, scale, witness), _margin(m[k + j], tol, scale, witness))
     return out
 
 
@@ -825,37 +876,43 @@ def check_aluthge_theorems(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
     ladder and the double transform are computed when first read.
     """
     _check_tol(tol)
-    return _aluthge_cases([(t, p, enforce)], tol)[0]
+    return _sole(_aluthge_cases([(t, p, enforce)], tol))
 
 
 def _aluthge_cases(cases: Sequence[tuple[QMatrix, float, bool]],
-                   tol: float) -> list[AluthgeReport]:
-    """``check_aluthge_theorems`` of each (T, p, enforce) case, the exponents
-    of all checked first.  T and T~ are factored in one SVD each, and
-    the enforced hypotheses and the transform margins solved in one
-    eigenvalue call each.  The first read of any report's ladder solves
-    every ladder, and that of a double reading factors every T~~ and
-    solves its margins, in one call each."""
-    for _, p, _ in cases:
-        _check_exponent(p)
-    parts = _polars([t for t, _, _ in cases])
-    enforced = [(pp, p) for pp, (_, p, enforce) in zip(parts, cases) if enforce]
-    for (pp, p), (base,) in zip(enforced, _p_hyponormal_grid(
-            [pp for pp, _ in enforced], [(p,) for _, p in enforced], tol)):
-        if base.violated:
-            raise PreconditionError(f"operator is not {p}-hyponormal (margin {base.value:.3e})")
-    tts = _aluthge_transforms(parts)
+                   tol: float) -> list[AluthgeReport | QopError]:
+    """``check_aluthge_theorems`` of each (T, p, enforce) case, or its error:
+    the exponent, then the enforced hypothesis, row by row.  T and T~ are
+    factored in one SVD each, and the enforced hypotheses and the transform
+    margins solved in one eigenvalue call each.  The first read of any
+    report's ladder solves every ladder, and that of a double reading
+    factors every T~~ and solves its margins, in one call each."""
+    out: list = [None] * len(cases)
+    rows = _sift(out, range(len(cases)), lambda i: _check_exponent(cases[i][1]))
+    parts = dict(zip(rows, _polars([cases[i][0] for i in rows]) if rows else ()))
+    enforced = [i for i in rows if cases[i][2]]
+    bases = dict(zip(enforced, _p_hyponormal_grid([parts[i] for i in enforced],
+                                                  [(cases[i][1],) for i in enforced], tol)))
+    rows = _sift(out, rows, lambda i: PreconditionError(
+        f"operator is not {cases[i][1]}-hyponormal (margin {bases[i][0].value:.3e})")
+        if i in bases and bases[i][0].violated else None)
+    if not rows:
+        return out
+    ps = [cases[i][1] for i in rows]
+    tts = _aluthge_transforms([parts[i] for i in rows])
     tt_parts = _polars(tts)
-    targets = [(1.0 if p >= 0.5 else p + 0.5,) for _, p, _ in cases]
-    grids = [tuple(q for q in (p, 0.75 * p, 0.5 * p, 0.25 * p) if q > 1e-9) for _, p, _ in cases]
-    ladders = cache(lambda: [tuple(zip(grid, margins)) for grid, margins in
-                             zip(grids, _p_hyponormal_grid(parts, grids, tol))])
+    targets = [(1.0 if p >= 0.5 else p + 0.5,) for p in ps]
+    grids = [tuple(q for q in (p, 0.75 * p, 0.5 * p, 0.25 * p) if q > 1e-9) for p in ps]
+    ladders = cache(lambda: [tuple(zip(grid, margins)) for grid, margins in zip(
+        grids, _p_hyponormal_grid([parts[i] for i in rows], grids, tol))])
     doubles = cache(lambda: _p_hyponormal_grid(_polars(_aluthge_transforms(tt_parts)),
-                                               [(1.0,)] * len(cases), tol))
-    return [AluthgeReport(p=p, transform=tt, transform_margin=margin,
-                          _monotone=lambda i=i: ladders()[i], _double=lambda i=i: doubles()[i][0])
-            for i, ((_, p, _), tt, (margin,)) in enumerate(
-                zip(cases, tts, _p_hyponormal_grid(tt_parts, targets, tol)))]
+                                               [(1.0,)] * len(rows), tol))
+    for j, (i, p, tt, (margin,)) in enumerate(
+            zip(rows, ps, tts, _p_hyponormal_grid(tt_parts, targets, tol))):
+        out[i] = AluthgeReport(p=p, transform=tt, transform_margin=margin,
+                               _monotone=lambda j=j: ladders()[j],
+                               _double=lambda j=j: doubles()[j][0])
+    return out
 
 
 def check_eigenspace_reducing(t: QMatrix, q: Quaternion, *,
@@ -868,50 +925,53 @@ def check_eigenspace_reducing(t: QMatrix, q: Quaternion, *,
     Zero margin means the subspace reduces T.
     """
     _check_tol(tol)
-    return _eigenspace_cases([(t, q)], tol)[0]
+    return _sole(_eigenspace_cases([(t, q)], tol))
 
 
-def _eigenspace_cases(cases: Sequence[tuple[QMatrix, Quaternion]], tol: float) -> list[Margin]:
-    """``check_eigenspace_reducing`` of each (T, q) case, the quaternions of
-    all checked first.  The operators are factored in one SVD,
-    the sphere polynomials' kernels found in one SVD, and the norms of the
-    two off-diagonal blocks and of T solved in one eigenvalue call."""
-    for _, q in cases:
-        if not abs(q.norm() - 1.0) <= 1e-6:
-            raise DomainError(f"unit quaternion expected, |q| = {q.norm():.6f}")
-    ts = [t for t, _ in cases]
-    ua, ub = _stack_pairs([unitary_completion(pp) for pp in _polars(ts)])
-    reps = [q.similarity_representative() for _, q in cases]
-    spheres = [Quaternion(rep.real, rep.imag, 0.0, 0.0) for rep in reps]
-    kernels = _kernel_bases(*_delta_qs(ua, ub, spheres), EIGENSPACE_RTOL)
-    dims = [len(za) for za, _ in kernels]
-    for rep, dim in zip(reps, dims):
-        if not dim:
-            raise DomainError(f"{rep} is not a right eigenvalue of the polar unitary")
+def _eigenspace_cases(cases: Sequence[tuple[QMatrix, Quaternion]],
+                      tol: float) -> list[Margin | QopError]:
+    """``check_eigenspace_reducing`` of each (T, q) case, or its error: the
+    quaternion, then its eigensphere's kernel, row by row.  The operators
+    are factored in one SVD, the sphere polynomials' kernels found in one
+    SVD, and the norms of the two off-diagonal blocks and of T solved in one
+    eigenvalue call."""
+    out: list = [None] * len(cases)
+    rows = _sift(out, range(len(cases)), lambda i: None if abs(cases[i][1].norm() - 1.0) <= 1e-6
+                 else DomainError(f"unit quaternion expected, |q| = {cases[i][1].norm():.6f}"))
+    if not rows:
+        return out
+    ua, ub = _stack_pairs([unitary_completion(pp) for pp in _polars([cases[i][0] for i in rows])])
+    reps = {i: cases[i][1].similarity_representative() for i in rows}
+    spheres = [Quaternion(reps[i].real, reps[i].imag, 0.0, 0.0) for i in rows]
+    kernels = dict(zip(rows, _kernel_bases(*_delta_qs(ua, ub, spheres), EIGENSPACE_RTOL)))
+    rows = _sift(out, rows, lambda i: None if len(kernels[i][0]) else DomainError(
+        f"{reps[i]} is not a right eigenvalue of the polar unitary"))
+    if not rows:
+        return out
+    dims = [len(kernels[i][0]) for i in rows]
     # the projector onto each kernel, its outer products z z* summed from
     # zero in basis order, the cases of one kernel dimension together; I - P
-    k, n = ua.shape[:2]
+    k, n = len(rows), ua.shape[1]
     pa, pb = np.zeros((2, k, n, n), dtype=np.complex128)
     for dim in set(dims):
-        rows = [i for i, d in enumerate(dims) if d == dim]
-        za, zb = (np.stack([kernels[i][f] for i in rows]) for f in (0, 1))
+        sub = [j for j, d in enumerate(dims) if d == dim]
+        za, zb = (np.stack([kernels[rows[j]][f] for j in sub]) for f in (0, 1))
         oa, ob = _checked(_outers(za, zb, za, zb))
-        sum_a, sum_b = pa[rows], pb[rows]
+        sum_a, sum_b = pa[sub], pb[sub]
         for j in range(dim):
             sum_a, sum_b = _checked((sum_a + oa[:, j], sum_b + ob[:, j]))
-        pa[rows], pb[rows] = sum_a, sum_b
+        pa[sub], pb[sub] = sum_a, sum_b
     ca, cb = _checked((_identities(k, n) - pa, np.zeros_like(pb) - pb))
-    ta, tb = _stack_pairs(ts)
+    ta, tb = _stack_pairs([cases[i][0] for i in rows])
     blocks = []
     for ma, mb in ((ta, tb), _adjoints(ta, tb)):
         blocks.append(_checked(_product(*_checked(_product(ca, cb, ma, mb)), pa, pb)))
     blocks.append((ta, tb))
     norms = _operator_norms(*map(np.concatenate, zip(*blocks))).tolist()
-    out = []
-    for i, ((_, q), dim) in enumerate(zip(cases, dims)):
-        witness = lambda: {"q": matio.quaternion_to_json(q), "kernel_dim": dim}
-        out.append(_margin(-max(norms[i], norms[k + i]), tol, max(1.0, norms[2 * k + i]),
-                           witness, kernel_dim=dim))
+    for j, (i, dim) in enumerate(zip(rows, dims)):
+        witness = lambda: {"q": matio.quaternion_to_json(cases[i][1]), "kernel_dim": dim}
+        out[i] = _margin(-max(norms[j], norms[k + j]), tol, max(1.0, norms[2 * k + j]),
+                         witness, kernel_dim=dim)
     return out
 
 
@@ -953,66 +1013,78 @@ def check_gcsi_closure(t: QMatrix, which: str, *, beta: float = 0.5,
     that is not invariant).
     """
     _check_tol(tol)
-    return _gcsi_closures([(t, which, seed, scalar, unitary, projector)],
-                          beta=beta, budget=budget, tol=tol)[0]
+    return _sole(_gcsi_closures([(t, which, seed, scalar, unitary, projector)],
+                                beta=beta, budget=budget, tol=tol)[0])
 
 
-def _closure_operand(t: QMatrix, which: str, scalar: float, unitary: QMatrix,
-                     projector: QMatrix, tol: float) -> QMatrix:
-    if which == "scalar":
-        return t * scalar
-    if which == "inverse":
-        return invert(t)
-    if which == "unitary-equiv":
-        return unitary.H @ t @ unitary
-    res = operator_norm((QMatrix.identity(t.rows) - projector) @ t @ projector)
-    if res > tol * max(1.0, operator_norm(t)):
-        raise PreconditionError(f"subspace is not invariant (residual {res:.3e})")
-    return projector @ t @ projector
+def _closure_args(which: str, unitary: QMatrix | None, projector: QMatrix | None) -> None:
+    if which not in ("scalar", "inverse", "unitary-equiv", "compression"):
+        raise DomainError(f"unknown closure operation {which!r}")
+    if which == "unitary-equiv" and unitary is None:
+        raise DomainError("unitary-equiv closure needs a unitary")
+    if which == "compression" and projector is None:
+        raise DomainError("compression closure needs a projector onto an invariant subspace")
 
 
 def _gcsi_closures(cases: Sequence[tuple], *, beta: float, budget: int,
-                   tol: float) -> list[ClosureReport]:
-    """``check_gcsi_closure`` of each case, every climb in one ``_gcsi_search``.
+                   tol: float) -> tuple[list[ClosureReport | QopError], list[float]]:
+    """``check_gcsi_closure`` of each case, or its error, with each ||T|| for
+    a caller's scale; every climb in one ``_gcsi_search``.
 
     A case is (T, which, seed, scalar, unitary, projector), with None for an
-    operand its operation does not read.  All arguments are checked before
-    the first draw.  The errors of a case come in ``check_gcsi_closure``'s
-    order, and the first failing case's error is raised.
+    operand its operation does not read.  Each case meets its errors in
+    ``check_gcsi_closure``'s order: its arguments, before any draw; the base
+    precondition; then building the transformed operator.  Every ||T|| and
+    every compression's ||(I - P) T P|| come from one eigenvalue solve.
     """
     _check_gcsi_args(beta, budget)
-    for _, which, _, _, unitary, projector in cases:
-        if which not in ("scalar", "inverse", "unitary-equiv", "compression"):
-            raise DomainError(f"unknown closure operation {which!r}")
-        if which == "unitary-equiv" and unitary is None:
-            raise DomainError("unitary-equiv closure needs a unitary")
-        if which == "compression" and projector is None:
-            raise DomainError("compression closure needs a projector onto an invariant subspace")
-    failed: dict[int, QopError] = {}
+    out: list = [None] * len(cases)
+    rows = _sift(out, range(len(cases)), lambda i: _closure_args(cases[i][1], *cases[i][4:]))
+    ops = [case[0] for case in cases]
+
+    def squeeze(i: int) -> None:
+        t, projector = cases[i][0], cases[i][5]
+        ops.append((QMatrix.identity(t.rows) - projector) @ t @ projector)
+
+    # each compression's (I - P) T P joins the norm solve of the Ts; an
+    # operand's error waits in out for the base precondition, which comes first
+    squeezed = _sift(out, [i for i in rows if cases[i][1] == "compression"], squeeze)
+    norms = _operator_norms(*_stack_pairs(ops)).tolist()
+    residuals = dict(zip(squeezed, norms[len(cases):]))
+    transformed: dict[int, QMatrix] = {}
+
+    def operand(i: int) -> None:
+        t, which, _, scalar, unitary, projector = cases[i]
+        if which == "scalar":
+            transformed[i] = t * scalar
+        elif which == "inverse":
+            transformed[i] = invert(t)
+        elif which == "unitary-equiv":
+            transformed[i] = unitary.H @ t @ unitary
+        elif residuals[i] > tol * max(1.0, norms[i]):
+            raise PreconditionError(f"subspace is not invariant (residual {residuals[i]:.3e})")
+        else:
+            transformed[i] = projector @ t @ projector
+
+    _sift(out, [i for i in rows if out[i] is None], operand)
 
     def climbs() -> Iterator[Climb]:
-        for k, (t, which, seed, *operands) in enumerate(cases):
-            draw = _gcsi_draw(t.rows, budget, seed, _REFINE_STEPS)
-            yield t, beta, seed, draw
-            try:
-                s = _closure_operand(t, which, *operands, tol)
-            except QopError as exc:
-                failed[k] = exc  # raised after this case's base precondition
-            else:
-                yield s, beta, seed, draw
+        for i in rows:
+            draw = _gcsi_draw(cases[i][0].rows, budget, cases[i][2], _REFINE_STEPS)
+            yield cases[i][0], beta, cases[i][2], draw
+            if i in transformed:
+                yield transformed[i], beta, cases[i][2], draw
             del draw  # before the next case draws
 
     margins = iter(_gcsi_search(climbs(), tol=tol))
-    reports = []
-    for k, case in enumerate(cases):
-        base = next(margins)
+    for i in rows:
+        base, after = next(margins), next(margins) if i in transformed else None
         if base.value < -tol:
-            raise PreconditionError(
+            out[i] = PreconditionError(
                 f"base operator already violates the inequality (margin {base.value:.3e})")
-        if k in failed:
-            raise failed[k]
-        reports.append(ClosureReport(which=case[1], base=base, transformed=next(margins)))
-    return reports
+        elif out[i] is None:
+            out[i] = ClosureReport(which=cases[i][1], base=base, transformed=after)
+    return out, norms[:len(cases)]
 
 
 @dataclass(frozen=True)

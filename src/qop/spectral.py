@@ -158,10 +158,7 @@ def _psd_weights(spectra: Sequence[np.ndarray],
     k, cols = len(exps), len(exps[0])
     stacks = []
     for w in spectra:
-        lows = w[:, 0]
-        bad = lows < -CLAMP_TOL * np.maximum(-lows, w[:, -1])
-        failure = None if not bad.any() else DomainError(
-            f"operator is not positive semidefinite (min eigenvalue {lows[bad.argmax()]:.3e})")
+        failure = next(filter(None, _clamp_errors(w)), None)
         pos = w > 0.0
         stacks.append((w, failure, pos, w[pos], np.zeros((k, cols, w.shape[-1]))))
     for j in range(cols):
@@ -197,6 +194,17 @@ def _psd_weights(spectra: Sequence[np.ndarray],
                 else:
                     table[rows, j][mask] = powered
     return [table for *_, table in stacks]
+
+
+def _clamp_errors(w: np.ndarray) -> list[DomainError | None]:
+    """The clamp's error of each row of a stack of ascending spectra, or None:
+    a row fails when its least eigenvalue lies below -CLAMP_TOL times its largest modulus."""
+    lows = w[:, 0]
+    bad = lows < -CLAMP_TOL * np.maximum(-lows, w[:, -1])
+    if not bad.any():
+        return [None] * len(lows)
+    return [DomainError(f"operator is not positive semidefinite (min eigenvalue {lo:.3e})")
+            if b else None for lo, b in zip(lows.tolist(), bad.tolist())]
 
 
 def _psd_powers(w: np.ndarray, v: np.ndarray,

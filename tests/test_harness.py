@@ -134,7 +134,9 @@ def test_minimize_keeps_minimal_instance():
 @pytest.mark.parametrize("budget", [0, -3, math.nan, 2.5])
 def test_minimize_rejects_a_bad_budget_before_any_evaluation(budget, monkeypatch):
     calls = []
-    monkeypatch.setattr(harness, "evaluate_instance", lambda *a: calls.append(a))
+    real = PROPERTIES["tu-star"]
+    monkeypatch.setitem(PROPERTIES, "tu-star", dataclasses.replace(
+        real, evaluate=lambda insts, tol: calls.append(insts) or real.evaluate(insts, tol)))
     with pytest.raises(DomainError, match="budget must be"):
         minimize_counterexample("tu-star", _shrinkable(), budget=budget)
     assert calls == []
@@ -229,7 +231,7 @@ def test_hausdorff_distance():
 def test_kernel_reduction_finds_every_constructed_zero(dim, trials):
     trial = PROPERTIES["kernel-reduction"]
     for idx in range(trials):
-        t = trial(TrialContext(mix_seed(42, idx), idx, dim, DEFAULT_TOL, False)).instance["T"]
+        t = trial([TrialContext(mix_seed(42, idx), idx, dim, DEFAULT_TOL, False)])[0].instance["T"]
         zeros = 1 + idx % (dim - 1)  # the trial's own count of zero eigenvalues
         report = check_kernel_reduction(t)
         assert (report.dim_ker, report.dim_ker_star, report.dim_ker_sq) == (zeros,) * 3
@@ -240,7 +242,7 @@ def test_kernel_reduction_finds_every_constructed_zero(dim, trials):
 def test_evaluate_instance_reproduces_the_trial_margin(prop):
     # the shrinker must minimise the function the trial measured
     for dim, probe, idx in itertools.product((4, 8), (False, True), range(4)):
-        out = PROPERTIES[prop](TrialContext(mix_seed(7, idx), idx, dim, DEFAULT_TOL, probe))
+        out = PROPERTIES[prop]([TrialContext(mix_seed(7, idx), idx, dim, DEFAULT_TOL, probe)])[0]
         assert evaluate_instance(prop, out.instance) == out.margin, (prop, dim, probe, idx)
 
 
@@ -262,7 +264,7 @@ def test_shrinker_enforces_the_trial_hypothesis(prop, extra):
 
 def test_grid_instance_keeps_its_worst_exponent():
     for prop, grid in (("lowner-heinz", LH_R_GRID), ("holder-mccarthy", HM_R_GRID)):
-        out = PROPERTIES[prop](TrialContext(mix_seed(5, 0), 0, 4, DEFAULT_TOL, False))
+        out = PROPERTIES[prop]([TrialContext(mix_seed(5, 0), 0, 4, DEFAULT_TOL, False)])[0]
         assert out.instance["r"] in grid
         scan = dict(out.instance, r=grid)
         assert evaluate_instance(prop, scan) == out.margin == evaluate_instance(prop, out.instance)
@@ -298,7 +300,7 @@ def test_gcsi_implies_shrinker_samples_the_trial_seed(monkeypatch):
     monkeypatch.setattr(oracles, "_gcsi_implications", spy)
     for idx in range(4):
         ts = mix_seed(7, idx)
-        out = PROPERTIES["gcsi-implies"](TrialContext(ts, idx, 4, DEFAULT_TOL, False))
+        out = PROPERTIES["gcsi-implies"]([TrialContext(ts, idx, 4, DEFAULT_TOL, False)])[0]
         evaluate_instance("gcsi-implies", out.instance)
         (trial_seed, trial), (eval_seed, again) = seen[-2:]
         assert eval_seed == trial_seed == mix_seed(ts, 2), idx
@@ -340,19 +342,19 @@ def test_run_verify_sizes_its_chunks_from_the_dim(monkeypatch):
 
 def test_a_failing_chunk_surfaces_its_lowest_failing_trial(monkeypatch):
     def evaluate(insts, tol):
-        # a batch may meet its trials' errors in any order
-        for inst in reversed(insts):
-            if inst["idx"] == 3:
-                raise DomainError("trial 3")
-            if inst["idx"] == 1:
-                raise PreconditionError("trial 1")
-        return [(0.0, {})] * len(insts)
+        # each instance's error comes back in its place, the others' margins beside them
+        errors = {1: PreconditionError("trial 1"), 3: DomainError("trial 3")}
+        return [errors.get(inst["idx"], (-float(inst["idx"] == 0), {})) for inst in insts]
 
     monkeypatch.setitem(PROPERTIES, "planted",
                         Property(_per_trial(lambda ctx: {"idx": ctx.index}), evaluate, ("idx",)))
     with pytest.raises(PreconditionError, match="trial 1"):
         run_verify("planted", trials=5, seed=0, dim=2)
-    assert run_verify("planted", trials=1, seed=0, dim=2).min_margin == 0.0
+    assert run_verify("planted", trials=1, seed=0, dim=2).min_margin == -1.0
+    # fuzzing ends at the violation of trial 0, before the error of trial 1
+    monkeypatch.setattr(harness, "_shrink", lambda prop, inst, budget, tol: (inst, -1.0, 1))
+    report = run_fuzz("planted", budget=5, seed=0, dim=2)
+    assert report.trials == 1 and report.witness["shrunk_margin"] == -1.0
 
 
 @pytest.mark.parametrize("prop", ["gcsi-closure", "gcsi-implies"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qop.errors import PreconditionError, ShapeError, StructureError
+from qop.errors import DomainError, PreconditionError, ShapeError, StructureError
 from qop.generators import ginibre, random_unitary, unit_vector
 from qop.linalg import (MAX_DIM, QMatrix, QVector, _selfadjoint_residual, embed_chi, inner,
                         left_scalar_mul, operator_norm, outer, unembed_chi,
@@ -170,6 +170,17 @@ def test_verify_hilbert_basis_flags_incomplete_family():
     assert not report.complete
     assert not report.is_basis
     assert report.max_decomposition_residual > 1e-3
+
+
+@pytest.mark.parametrize("n_samples,match", [(2.5, "n_samples must be an integer"),
+                                             (0, "n_samples must be at least 1"),
+                                             (-3, "n_samples must be at least 1")])
+def test_verify_hilbert_basis_checks_its_sample_count(n_samples, match):
+    # 2.5 raised TypeError from inside range(), and 0 or -3 sampled nothing
+    basis = [QVector.basis(3, i) for i in range(3)]
+    with pytest.raises(DomainError, match=match):
+        verify_hilbert_basis(basis, n_samples=n_samples)
+    assert verify_hilbert_basis(basis, n_samples=1).n_samples == 1
 
 
 def test_verify_hilbert_basis_rejects_skewed_family():

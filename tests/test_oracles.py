@@ -625,6 +625,22 @@ def test_stacked_properties_make_a_fixed_number_of_solves_per_chunk(monkeypatch,
         assert counts == _CHUNK_SOLVES[prop], trials
 
 
+def test_gcsi_closure_takes_every_norm_of_a_chunk_in_one_solve(monkeypatch):
+    # every ||T|| and every compression's ||(I - P) T P|| of a chunk come from
+    # one eigvalsh (9 calls for 16 trials before); inverse operands are still
+    # factored one at a time, after the draws' SVDs
+    calls = []
+    for name in ("eigh", "eigvalsh", "eigvals", "svd"):
+        real = getattr(_eig, name)
+        monkeypatch.setattr(_eig, name, lambda m, name=name, real=real: calls.append(name) or real(m))
+    for trials, svds in ((4, 4), (16, 7)):
+        calls.clear()
+        harness.run_verify("gcsi-closure", trials=trials, seed=3, dim=4)
+        assert calls.count("eigvalsh") == 1 and calls.count("svd") == svds, trials
+        assert calls.count("eigh") == calls.count("eigvals") == 0
+    assert not hasattr(harness, "_run_chunk")
+
+
 def _holder_mccarthy_reference(t, x, r, tol=oracles.DEFAULT_TOL):
     """``check_holder_mccarthy`` at one exponent, T^r x on a whole operator:
     the per-exponent path the stacked grid replaced, kept as the reference."""

@@ -1,0 +1,207 @@
+"""Per-case results of the stacked oracles.
+
+Each batch mixes cases that pass, cases that fail one check and cases that
+fail two; every case must come back as what its lone public call gives:
+the same margins, or the same error class and message, in place.
+"""
+
+from qop import harness, oracles
+from qop.errors import QopError
+from qop.generators import normal_with_spectrum, ordered_pair, positive, random_unitary, unit_vector
+from qop.linalg import QMatrix, QVector, operator_norm
+from qop.oracles import (check_aluthge_theorems, check_chain_semihypo, check_eigenspace_reducing,
+                         check_furuta, check_gcsi_closure, check_holder_mccarthy,
+                         check_lowner_heinz)
+from qop.quaternion import Quaternion
+
+TOL = oracles.DEFAULT_TOL
+
+
+def _lone(call):
+    try:
+        return call()
+    except QopError as exc:
+        return exc
+
+
+def _same(got, want):
+    if isinstance(want, QopError):
+        return isinstance(got, QopError) and (type(got), str(got)) == (type(want), str(want))
+    return not isinstance(got, QopError) and repr(got) == repr(want)
+
+
+def _assert_per_case(results, lones, expected):
+    """Each result is its lone call's; ``expected`` names, per case, the
+    start of the lone error's message, or None for a pass."""
+    assert len(results) == len(lones) == len(expected)
+    for k, (got, want, msg) in enumerate(zip(results, lones, expected)):
+        assert _same(got, want), (k, got, want)
+        if msg is None:
+            assert not isinstance(want, QopError), (k, want)
+        else:
+            assert isinstance(want, QopError) and str(want).startswith(msg), (k, want)
+
+
+def _skewed(m):
+    arr = m.to_array()
+    arr[0, 1] = 0.0
+    return QMatrix(arr)
+
+
+def _diag(*values):
+    return QMatrix.diag(list(values))
+
+
+def _ordered_cases():
+    """(S, T, message) pairs of one size for the ordered-pair checks."""
+    a, b = ordered_pair(4, seed=17)
+    a2, b2 = ordered_pair(4, seed=18)
+    not_positive = _diag(1.0, 1.0, 1.0, -0.5)
+    return [
+        (a, b, None),
+        (_skewed(a), b, "operator is not self-adjoint"),
+        (b, a, "operators are not ordered"),
+        (_diag(2.0, 2.0, 2.0, 1.0), not_positive, "lower operator is not positive"),
+        (a2, b2, None),
+        # two checks fail; the first one a lone pair meets names the error
+        (_skewed(a), not_positive, "operator is not self-adjoint"),
+        (_diag(1.0, 1.0, 1.0, -1.0), not_positive, "operators are not ordered"),
+        # T >= 0 within tol, yet below the clamp of its powers; then S
+        (_diag(1.0, 1.0, 1.0, 0.0), _diag(0.01, 0.01, 0.01, -5e-9),
+         "operator is not positive semidefinite (min eigenvalue -5.000e-09)"),
+        (_diag(0.01, 0.01, 0.01, -5e-9), _diag(0.005, 0.005, 0.005, 0.0),
+         "operator is not positive semidefinite (min eigenvalue -5.000e-09)"),
+    ]
+
+
+def test_lowner_heinz_cases_come_back_one_by_one():
+    rows = _ordered_cases()
+    cases = [(s, t, (0.3, 0.7), False) for s, t, _ in rows]
+    expected = [msg for *_, msg in rows]
+    # a bad exponent is the first check; with a skewed pair it still comes first
+    a, b = ordered_pair(4, seed=19)
+    cases += [(a, b, (0.5, -1.0), False), (_skewed(a), b, (0.5, 2.0), False),
+              (a, b, (0.5, 2.0), True)]
+    expected += ["exponent must be nonnegative", "exponent 2.0 outside [0, 1]", None]
+    lones = [_lone(lambda c=c: check_lowner_heinz(c[0], c[1], c[2], probe=c[3])) for c in cases]
+    _assert_per_case(oracles._lowner_heinz_cases(cases, TOL), lones, expected)
+
+
+def test_furuta_cases_come_back_one_by_one():
+    rows = _ordered_cases()
+    cases = [(s, t, 2.0, 2.0, 1.0, False) for s, t, _ in rows]
+    expected = [msg for *_, msg in rows]
+    a, b = ordered_pair(4, seed=19)
+    cases += [(a, b, -1.0, 2.0, 1.0, False), (_skewed(a), b, 3.0, 1.0, 0.2, False),
+              (a, b, 3.0, 1.0, 0.2, True)]
+    expected += ["need p >= 0", "(1+2r)q >= p+2r fails", None]
+    lones = [_lone(lambda c=c: check_furuta(*c[:5], probe=c[5])) for c in cases]
+    _assert_per_case(oracles._furuta_cases(cases, TOL), lones, expected)
+
+
+def test_holder_mccarthy_cases_come_back_one_by_one():
+    t, x = positive(4, seed=30), unit_vector(4, seed=31)
+    zero = QVector.zeros(4)
+    grid = harness.HM_R_GRID
+    cases = [(t, x, grid, None),
+             (t, zero, grid, "zero vector not allowed"),
+             (_skewed(t), x, grid, "operator is not self-adjoint"),
+             (_diag(1.0, 1.0, 1.0, -0.5), x, grid, "operator is not positive semidefinite"),
+             (positive(4, seed=32), x, grid, None),
+             (t, x, (0.5, 1.0), "exponent must be positive and not 1"),
+             # two checks fail
+             (_skewed(t), zero, grid, "zero vector not allowed"),
+             (_diag(1.0, 1.0, 1.0, -0.5), x, (2.0, -1.0), "exponent must be positive")]
+    lones = [_lone(lambda c=c: check_holder_mccarthy(*c[:3])) for c in cases]
+    _assert_per_case(oracles._holder_mccarthy_cases([c[:3] for c in cases], TOL), lones,
+                     [c[3] for c in cases])
+
+
+def _shift(n):
+    rows = [[1.0 if j == i + 1 else 0.0 for j in range(n)] for i in range(n)]
+    return QMatrix.from_quaternions(rows)
+
+
+def test_chain_cases_come_back_one_by_one():
+    u = random_unitary(3, seed=40)
+    cases = [(u, True, None), (_shift(3), True, "operator is not semi-hyponormal"),
+             (_shift(3), False, None), (random_unitary(3, seed=41), True, None),
+             (_shift(3) * 2.0, True, "operator is not semi-hyponormal")]
+    lones = [_lone(lambda c=c: check_chain_semihypo(c[0], enforce=c[1])) for c in cases]
+    _assert_per_case(oracles._chain_cases([c[:2] for c in cases], TOL), lones,
+                     [c[2] for c in cases])
+
+
+def test_aluthge_cases_come_back_one_by_one():
+    u = random_unitary(3, seed=42)
+    normal = normal_with_spectrum([1.0, Quaternion(0.0, 2.0, 0.0, 0.0), 0.0], seed=43)
+    cases = [(u, 0.5, True, None), (_shift(3), 0.5, True, "operator is not 0.5-hyponormal"),
+             (u, 1.5, True, "exponent must lie in (0, 1]"), (normal, 0.3, True, None),
+             (_shift(3), 0.7, False, None),
+             # two checks fail: the exponent comes first
+             (_shift(3), 0.0, True, "exponent must lie in (0, 1]")]
+    lones = [_lone(lambda c=c: check_aluthge_theorems(c[0], c[1], enforce=c[2])) for c in cases]
+    results = oracles._aluthge_cases([c[:3] for c in cases], TOL)
+    _assert_per_case(results, lones, [c[3] for c in cases])
+    # the lazy parts of a batch's reports are the lone reports' too
+    for got, want in zip(results, lones):
+        if not isinstance(want, QopError):
+            assert repr(got.monotone) == repr(want.monotone)
+            assert repr(got.double_reading_b) == repr(want.double_reading_b)
+            assert got.transform.to_array().tobytes() == want.transform.to_array().tobytes()
+
+
+def test_eigenspace_cases_come_back_one_by_one():
+    unit = Quaternion(0.6, 0.8, 0.0, 0.0)
+    t = normal_with_spectrum([unit * 2.0, 1.0, Quaternion(0.0, 0.0, 1.0, 0.0)], seed=44)
+    cases = [(t, unit, None), (t, unit * 2.0, "unit quaternion expected"),
+             (t, Quaternion(0.6, -0.8, 0.0, 0.0), None),
+             (t, Quaternion(-1.0, 0.0, 0.0, 0.0), "(-1+0j) is not a right eigenvalue"),
+             (normal_with_spectrum([1.0, 1.0, 1.0], seed=45), Quaternion(1.0, 0.0, 0.0, 0.0), None),
+             # two checks fail: the norm comes first
+             (t, Quaternion(-2.0, 0.0, 0.0, 0.0), "unit quaternion expected")]
+    lones = [_lone(lambda c=c: check_eigenspace_reducing(*c[:2])) for c in cases]
+    _assert_per_case(oracles._eigenspace_cases([c[:2] for c in cases], TOL), lones,
+                     [c[2] for c in cases])
+
+
+def test_gcsi_closure_cases_come_back_one_by_one():
+    u, v = random_unitary(2, seed=46), random_unitary(2, seed=47)
+    shift = _shift(2)
+    zero = QMatrix.zeros(2, 2)
+    flip = QMatrix.from_quaternions([[0.0, 1.0], [1.0, 0.0]])
+    proj = _diag(1.0, 0.0)
+    block = _diag(2.0, 3.0)
+    cases = [((u, "scalar", 5, 1.5, None, None), None),
+             ((u, "inverse", 6, None, None, None), None),
+             ((u, "unitary-equiv", 7, None, v, None), None),
+             ((block, "compression", 8, None, None, proj), None),
+             ((u, "transpose", 9, None, None, None), "unknown closure operation"),
+             ((shift, "scalar", 10, 2.0, None, None), "base operator already violates"),
+             ((zero, "inverse", 11, None, None, None), "operator is singular"),
+             ((flip, "compression", 12, None, None, proj), "subspace is not invariant"),
+             # two checks fail: the arguments, then the base precondition, come first
+             ((shift, "unitary-equiv", 13, None, None, None), "unitary-equiv closure needs"),
+             ((shift, "inverse", 14, None, None, None), "base operator already violates"),
+             ((shift, "compression", 15, None, None, proj), "base operator already violates")]
+    lones = [_lone(lambda c=c: check_gcsi_closure(
+        c[0], c[1], beta=0.5, budget=64, seed=c[2], scalar=2.0 if c[3] is None else c[3],
+        unitary=c[4], projector=c[5])) for c, _ in cases]
+    batch = [(t, which, seed, 2.0 if scalar is None else scalar, unitary, projector)
+             for (t, which, seed, scalar, unitary, projector), _ in cases]
+    results, norms = oracles._gcsi_closures(batch, beta=0.5, budget=64, tol=TOL)
+    _assert_per_case(results, lones, [msg for _, msg in cases])
+    assert norms == [operator_norm(c[0]) for c in batch]
+
+
+def test_a_failing_case_costs_no_later_solve(monkeypatch):
+    # a lone pair that fails its first check makes no eigensolve; in a batch
+    # it leaves every later stack, so the batch solves the passing pairs only
+    from qop import _eig
+    sizes = []
+    real = _eig.eigvalsh
+    monkeypatch.setattr(_eig, "eigvalsh", lambda m: sizes.append(len(m)) or real(m))
+    a, b = ordered_pair(4, seed=17)
+    oracles._lowner_heinz_cases([(a, b, (0.5,), False), (_skewed(a), b, (0.5,), False),
+                                 (a, b, (0.5,), False)], TOL)
+    assert sizes == [2, 2]

@@ -34,7 +34,7 @@ def _observe():
     kernels = []
     for idx in range(4):
         ctx = TrialContext(mix_seed(SEED, idx), idx, 4, DEFAULT_TOL, False)
-        report = check_kernel_reduction(PROPERTIES["kernel-reduction"](ctx).instance["T"])
+        report = check_kernel_reduction(PROPERTIES["kernel-reduction"]([ctx])[0].instance["T"])
         kernels.append((report.dim_ker, report.dim_ker_star, report.dim_ker_sq))
     two = Quaternion.from_real(2.0)
     spectra = []
