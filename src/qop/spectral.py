@@ -199,12 +199,9 @@ def _psd_weights(spectra: Sequence[np.ndarray],
 def _clamp_errors(w: np.ndarray) -> list[DomainError | None]:
     """The clamp's error of each row of a stack of ascending spectra, or None:
     a row fails when its least eigenvalue lies below -CLAMP_TOL times its largest modulus."""
-    lows = w[:, 0]
-    bad = lows < -CLAMP_TOL * np.maximum(-lows, w[:, -1])
-    if not bad.any():
-        return [None] * len(lows)
     return [DomainError(f"operator is not positive semidefinite (min eigenvalue {lo:.3e})")
-            if b else None for lo, b in zip(lows.tolist(), bad.tolist())]
+            if lo < -CLAMP_TOL * max(-lo, hi) else None
+            for lo, hi in zip(w[:, 0].tolist(), w[:, -1].tolist())]
 
 
 def _psd_powers(w: np.ndarray, v: np.ndarray,
