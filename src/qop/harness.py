@@ -30,12 +30,12 @@ import numpy as np
 from . import generators, matio, oracles
 from .errors import DomainError, PreconditionError, QopError, ShapeError
 from .linalg import (DEFAULT_DIM, QMatrix, QVector, _adjoints, _check_count, _check_tol, _checked,
-                     _gram_norms, _operator_norms, _pair_eigvalsh, _product, _require_finite,
-                     _stack_pairs, _trusted)
+                     _frobenius, _gram_norms, _operator_norms, _pair_eigvalsh, _product,
+                     _require_finite, _stack_pairs, _trusted)
 from .quaternion import Quaternion
 from .rng import SplitMix64, block_uniforms, mix_seed, unit_quaternions
-from .spectral import (_NOT_FINITE, _eigensystems, _hermitian_from_chi, _psd_powers,
-                       _require_square, _spherical, _standard_eigenvalues)
+from .spectral import (_NOT_FINITE, _hermitian_from_chi, _psd_powers, _require_square, _spectra,
+                       _spherical, _standard_eigenvalues)
 from .transforms import _polars
 
 DEFAULT_TOL = oracles.DEFAULT_TOL
@@ -461,13 +461,6 @@ def _draw_collapse(ctxs: list[TrialContext]) -> list[Instance]:
     return [{"T": t} for t in generators._ginibres(ctxs[0].dim, ctxs[0].dim, _seeds(ctxs, 0))]
 
 
-def _frobenius(a: np.ndarray, b: np.ndarray) -> float:
-    """``QMatrix.frobenius`` of the pair (A, B), on copies: a vector product
-    on a slice of a stack need not be the one on a whole matrix bit for bit."""
-    a, b = a.copy(), b.copy()
-    return float(np.sqrt(np.vdot(a, a).real + np.vdot(b, b).real))
-
-
 def _collapse_margins(insts: list[Instance], tol: float) -> list[Scored]:
     """tr (T*T)^p = tr (TT*)^p over HYP_P_GRID, and a non-normal T is not
     p-hyponormal.  The batch's T*T and TT* are solved in one eigensolver
@@ -482,7 +475,7 @@ def _collapse_margins(insts: list[Instance], tol: float) -> list[Scored]:
     ca, cb = _product(a, b, *_adjoints(a, b))
     _require_finite(ca, cb, "QMatrix")
     norms = _gram_norms(ga, gb).tolist()
-    _, w, v = _eigensystems(np.concatenate([ga, ca]), np.concatenate([gb, cb]))
+    _, w, v = _spectra(np.concatenate([ga, ca]), np.concatenate([gb, cb]))
     skewed = []
     for i, norm in enumerate(norms):
         scale = max(1.0, norm) ** 2
@@ -568,7 +561,7 @@ def _conjugation_margins(insts: list[Instance], tol: float) -> list[Scored]:
     _require_finite(xa, xb, "QMatrix")
     xa, xb = _product(xa, xb, *_adjoints(ua, ub))
     _require_finite(xa, xb, "QMatrix")
-    _, w, v = _eigensystems(np.concatenate([sa, xa]), np.concatenate([sb, xb]))
+    _, w, v = _spectra(np.concatenate([sa, xa]), np.concatenate([sb, xb]))
     fw = np.sqrt(np.maximum(w + np.concatenate([shifts, shifts]), 0.0))
     if not np.isfinite(fw).all():
         raise DomainError(_NOT_FINITE)
@@ -696,17 +689,24 @@ def evaluate_instance(prop: str, instance: Instance,
     return out[0]
 
 
-def _zero_entry_candidates(val: Any) -> list[tuple[Any, Any]]:
-    """(position, zeroed copy) pairs, in row-major order, nonzero entries only."""
+def _zero_entry_candidates(val: Any, limit: int) -> list[tuple[Any, Any]]:
+    """(position, zeroed copy) pairs, in row-major order, nonzero entries
+    only, the first ``limit`` of them.  The copies are the slices of one
+    stack, checked finite once."""
     if not isinstance(val, (QMatrix, QVector)):
         return []
     a, b = val._a, val._b
-    out: list[tuple[Any, Any]] = []
     # -0.0 compares equal to 0, so an entry with only signed-zero components is zero
-    for pos in map(tuple, np.argwhere((a != 0) | (b != 0)).tolist()):
-        ca, cb = a.copy(), b.copy()
-        ca[pos] = cb[pos] = 0j
-        out.append((pos if len(pos) > 1 else pos[0], _trusted(type(val), ca, cb)))
+    pos = np.argwhere((a != 0) | (b != 0))[:limit]
+    ca, cb = np.repeat(a[None], len(pos), axis=0), np.repeat(b[None], len(pos), axis=0)
+    at = (np.arange(len(pos)), *pos.T)
+    ca[at] = cb[at] = 0j
+    _require_finite(ca, cb, type(val).__name__)
+    out: list[tuple[Any, Any]] = []
+    for p, za, zb in zip(pos.tolist(), ca, cb):
+        cand = object.__new__(type(val))
+        cand._a, cand._b = za, zb
+        out.append((tuple(p) if len(p) > 1 else p[0], cand))
     return out
 
 
@@ -717,9 +717,10 @@ def minimize_counterexample(prop: str, instance: Instance, *,
 
     Pass order is deterministic: instance keys sorted by name, entries in
     row-major order, repeated until a full sweep makes no progress or the
-    evaluation budget runs out.  The candidates of one key are scored as
-    one batch, and the first in that order that still violates (margin <
-    -tol) is accepted; the budget is charged up to and including it, so
+    evaluation budget runs out.  A sweep's candidates are scored as one
+    batch, the input with the first, and the first in that order that still
+    violates (margin < -tol) is accepted; the rest of the sweep is scored
+    again from it.  The budget is charged up to and including it, so
     candidates that break a precondition cost an evaluation each.  Raises
     DomainError, before any evaluation, unless ``budget`` is an integer of
     at least 1; PreconditionError if the input itself does not violate; and
@@ -731,28 +732,47 @@ def minimize_counterexample(prop: str, instance: Instance, *,
 
 def _shrink(prop: str, instance: Instance, budget: int,
             tol: float) -> tuple[Instance, float, int]:
-    """``minimize_counterexample``'s instance, with its margin and the evaluations charged."""
+    """``minimize_counterexample``'s instance, margin and evaluations charged.
+    None stands for the input among the keys.  Every result is per case, but
+    an error raised for a whole batch may come from a candidate the walk
+    never reaches: then each key is scored alone as the walk reaches it."""
     _check_count(budget, "budget")
-    margin = evaluate_instance(prop, instance, tol)
-    evals = 1
-    if margin >= -tol:
-        raise PreconditionError(
-            f"instance does not violate {prop!r} (margin {margin:.3e} >= {-tol:.1e})")
-    current = dict(instance)
-    improved = True
+    current, margin, evals, improved = dict(instance), math.nan, 0, True
     while improved and evals < budget:
         improved = False
-        for key in sorted(current):
-            cands = [{**current, key: val} for _, val in _zero_entry_candidates(current[key])]
-            cands = cands[:budget - evals]
-            scores = _evaluate(prop, cands, tol) if cands else []
-            hit = next((j for j, out in enumerate(scores)
-                        if not isinstance(out, QopError) and out[0] < -tol), None)
-            if hit is None:
-                evals += len(cands)
+        keys: list = [None] * (evals == 0) + sorted(current)
+        while keys:
+            groups, left = [], budget - evals
+            for key in keys:
+                groups.append([current] if key is None else [
+                    {**current, key: val} for _, val in _zero_entry_candidates(current[key], left)])
+                left -= len(groups[-1])
+            if not any(groups):
+                break
+            try:
+                merged = iter(_evaluate(prop, [c for g in groups for c in g], tol))
+            except QopError:
+                merged = None
+            for n, (key, cands) in enumerate(zip(keys, groups)):
+                outs = ([next(merged) for _ in cands] if merged else
+                        _evaluate(prop, cands, tol) if cands else [])
+                hit = next((j for j, out in enumerate(outs)
+                            if not isinstance(out, QopError) and out[0] < -tol), len(outs))
+                if key is None:  # the input, which must violate
+                    if hit:
+                        raise outs[0] if isinstance(outs[0], QopError) else PreconditionError(
+                            f"instance does not violate {prop!r} "
+                            f"(margin {outs[0][0]:.3e} >= {-tol:.1e})")
+                    margin, evals = outs[0][0], 1
+                    continue
+                evals += min(hit + 1, len(outs))
+                if hit < len(outs):
+                    val = cands[hit][key]  # copied: the instance keeps no candidate stack
+                    current = {**current, key: _trusted(type(val), val._a.copy(), val._b.copy())}
+                    margin, improved, keys = outs[hit][0], True, keys[n + 1:]
+                    break
             else:
-                evals += hit + 1
-                current, margin, improved = cands[hit], scores[hit][0], True
+                keys = []
     return current, margin, evals
 
 

@@ -380,17 +380,25 @@ class QMatrix:
         return f"QMatrix(shape={self.shape})"
 
 
-def _selfadjoint_residual(a: QMatrix) -> float:
-    """||a - a*||_F of a square matrix, on the pair: a - a* = (A - A^H, B + B^T).
+def _selfadjoint_residual(a: np.ndarray, b: np.ndarray) -> float:
+    """||x - x*||_F of the square matrix x = A + B j of the pair (A, B):
+    x - x* = (A - A^H, B + B^T).
 
-    Equal bit for bit to ``(a - a.H).frobenius()``, without building either
+    Equal bit for bit to ``(x - x.H).frobenius()``, without building either
     matrix; a difference that overflows raises as that subtraction would.
     """
-    da, db = a._a - a._a.T.conj(), a._b + a._b.T
+    da, db = a - a.T.conj(), b + b.T
     res = math.sqrt(np.vdot(da, da).real + np.vdot(db, db).real)
     if not math.isfinite(res):
         _trusted(QMatrix, da, db)
     return res
+
+
+def _frobenius(a: np.ndarray, b: np.ndarray) -> float:
+    """``QMatrix.frobenius`` of the pair (A, B), on copies: a vector product
+    on a slice of a stack need not be the one on a whole matrix bit for bit."""
+    a, b = a.copy(), b.copy()
+    return math.sqrt(np.vdot(a, a).real + np.vdot(b, b).real)
 
 
 def embed_chi(a: QMatrix) -> np.ndarray:

@@ -33,8 +33,9 @@ from .linalg import (QMatrix, QVector, _adjoints, _check_count, _check_tol, _che
 from .quaternion import Quaternion
 from .rng import SplitMix64, mix_seed
 from .spectral import (EIGENSPACE_RTOL, _clamp_errors, _delta_qs, _eigensystems,
-                       _hermitian_from_chi, _kernel_bases, _null_basis, _psd_powers, _psd_verdict,
-                       _psd_weights, _require_selfadjoint, _require_square, is_psd)
+                       _hermitian_from_chi, _kernel_bases, _null_basis, _psd_errors,
+                       _psd_powers, _psd_weights, _require_selfadjoint, _require_square,
+                       _selfadjoint_errors, _spectra)
 from .transforms import (PolarParts, _abs_powers, _aluthge_transforms, _polars, polar,
                          unitary_completion)
 
@@ -45,31 +46,28 @@ INVERT_RTOL = 1e-10
 SWEEP_BETAS = tuple(round(0.1 * k, 1) for k in range(1, 11))
 
 
-def _sift(out: Any, rows: Iterable[int], check: Callable[[int], Any]) -> list[int]:
-    """The rows that pass ``check``: ``check(i)`` raises or returns row i's
-    QopError, and any other return passes.  A failing row's error is put in
-    ``out[i]``, so a stacked check keeps, per case, the error its lone case meets."""
-    kept = []
-    for i in rows:
-        try:
-            err = check(i)
-        except QopError as exc:
-            err = exc
+def _sift(out: list, rows: Iterable[int], check: Callable | Sequence, *stacks: Any) -> tuple:
+    """The rows that pass, then each stack, an array or a list over ``rows``,
+    at them; the stacks themselves when every row passes.  ``check`` holds
+    the QopError of each row, the one its case meets alone, or None, or is a
+    function of the case index that raises or returns it; a failing row's
+    error is put in ``out[i]``."""
+    rows, errs = list(rows), check
+    if callable(check):
+        errs = []
+        for i in rows:
+            try:
+                errs.append(check(i))
+            except QopError as exc:
+                errs.append(exc)
+    kept = [j for j, err in enumerate(errs) if not isinstance(err, QopError)]
+    if len(kept) == len(rows):
+        return rows, *stacks
+    for i, err in zip(rows, errs):
         if isinstance(err, QopError):
             out[i] = err
-        else:
-            kept.append(i)
-    return kept
-
-
-def _keep(rows: list[int], kept: list[int], *stacks: Any) -> tuple:
-    """Each stack, or list, at the rows ``kept`` of ``rows``; the stacks
-    themselves when every row is kept, so a batch without errors copies none."""
-    if len(kept) == len(rows):
-        return stacks
-    mask = np.isin(rows, kept)
-    return tuple(x[mask] if isinstance(x, np.ndarray) else [e for e, m in zip(x, mask) if m]
-                 for x in stacks)
+    return [rows[j] for j in kept], *(x[kept] if isinstance(x, np.ndarray) else
+                                      [x[j] for j in kept] for x in stacks)
 
 
 def _sole(results: list) -> Any:
@@ -136,7 +134,7 @@ def classify_basic(t: QMatrix, *, tol: float = DEFAULT_TOL) -> BasicClasses:
         raise DomainError(f"classification needs a square operator, got {t.shape}")
     gram = t.H @ t
     thr = tol * max(1.0, float(_gram_norms(gram._a[None], gram._b[None])[0])) ** 2
-    sa_res = _selfadjoint_residual(t)
+    sa_res = _selfadjoint_residual(t._a, t._b)
     selfadjoint = sa_res <= thr
     co = t @ t.H
     normal_res = (gram - co).frobenius()
@@ -590,15 +588,14 @@ def _holder_mccarthy_cases(cases: Sequence[tuple[QMatrix, QVector, Sequence[floa
     in a lone case's order: the arguments, T self-adjoint, the clamp, then
     the forms; a lone case weighs all its exponents before its first form."""
     out: list = [None] * len(cases)
-    rows = _sift(out, range(len(cases)), lambda i: _holder_mccarthy_args(*cases[i][1:]))
-    rows = _sift(out, rows, lambda i: _require_selfadjoint(cases[i][0]))
+    rows, = _sift(out, range(len(cases)), lambda i: _holder_mccarthy_args(*cases[i][1:]))
+    rows, = _sift(out, rows, lambda i: _require_selfadjoint(cases[i][0]))
     if not rows:
         return out
-    _, w, v = _eigensystems(*_stack_pairs([cases[i][0] for i in rows]))
-    kept = _sift(out, rows, dict(zip(rows, _clamp_errors(w))).get)
+    _, w, v = _spectra(*_stack_pairs([cases[i][0] for i in rows]))
+    kept, w, v = _sift(out, rows, _clamp_errors(w), w, v)
     if not kept:
         return out
-    w, v = _keep(rows, kept, w, v)
     bases = [inner(cases[i][0] @ cases[i][1], cases[i][1]) for i in kept]
     powers = dict(zip(kept, zip(bases, *_psd_powers(w, v, [cases[i][2] for i in kept]))))
 
@@ -627,40 +624,41 @@ def _holder_mccarthy_cases(cases: Sequence[tuple[QMatrix, QVector, Sequence[floa
 
 
 def _ordered_systems(cases: Sequence[tuple], rows: list[int], tol: float, out: list
-                     ) -> tuple[list[int], tuple, tuple]:
+                     ) -> tuple[list[int], Sequence, Sequence]:
     """The rows of ``cases`` whose pair (S, T) = case[:2] has S >= T >= 0,
     with ``_eigensystems`` of their Ss and the spectra and eigenvectors of
     their Ts; the error of each other row is put in ``out``.
 
-    Row by row, as ``is_psd(S - T)``, ``eigh_q(T)``, ``is_psd(T)`` meet
-    them: S - T self-adjoint, then, from one eigenvalue call, ordered, so a
-    rejected pair costs no solve; T self-adjoint, then, from one
-    eigensolver call that also serves the caller, T >= 0 and the clamp of
-    its powers.  The Ss are solved last, through their Hermitian parts, and
-    their clamp checked: each S is self-adjoint once S - T and T are.
+    Each hypothesis is decided for the batch at once, in the order that
+    ``is_psd(S - T)``, ``eigh_q(T)``, ``is_psd(T)`` meet them: S - T
+    self-adjoint, from one stacked subtraction; ordered, from the ends of one
+    eigenvalue call; T self-adjoint; then, from the ends of one eigensolver
+    call that also serves the caller, T >= 0 and the clamp of its powers.
+    The Ss are solved last, through their Hermitian parts, and their clamp
+    checked.  Only a failing row gets an error, worded as its lone call's.
     """
-    diffs = {i: cases[i][0] - cases[i][1] for i in rows}
-    rows = _sift(out, rows, lambda i: _require_selfadjoint(diffs[i]))
-    if rows:
-        w = _pair_eigvalsh(*_stack_pairs([diffs[i] for i in rows]))
-        ends = dict(zip(rows, w[:, [0, -1]].tolist()))
-        rows = _sift(out, rows, lambda i: None if _psd_verdict(*ends[i], tol)[0] else
-                     PreconditionError(f"operators are not ordered (min eigenvalue "
-                                       f"{ends[i][0]:.3e})"))
-    rows = _sift(out, rows, lambda i: _require_selfadjoint(cases[i][1]))
+    for i in rows:
+        cases[i][0]._check_same(cases[i][1])
     if not rows:
         return rows, (), ()
-    tsys, wt, vt = _eigensystems(*_stack_pairs([cases[i][1] for i in rows]))
-    verdicts = {i: is_psd(cases[i][1], tol, system=system) for i, system in zip(rows, tsys)}
-    clamps = dict(zip(rows, _clamp_errors(wt)))
-    kept = _sift(out, rows, lambda i: clamps[i] if verdicts[i][0] else PreconditionError(
-        f"lower operator is not positive (min eigenvalue {verdicts[i][1]:.3e})"))
-    if not kept:
-        return kept, (), ()
-    wt, vt = _keep(rows, kept, wt, vt)
-    ssys, ws, vs = _eigensystems(*_stack_pairs([cases[i][0] for i in kept]))
-    rows, kept = kept, _sift(out, kept, dict(zip(kept, _clamp_errors(ws))).get)
-    return kept, _keep(rows, kept, ssys, ws, vs), _keep(rows, kept, wt, vt)
+    sa, sb = _stack_pairs([cases[i][0] for i in rows])
+    ta, tb = _stack_pairs([cases[i][1] for i in rows])
+    da, db = _checked((sa - ta, sb - tb))
+    rows, ta, tb, da, db = _sift(out, rows, _selfadjoint_errors(da, db), ta, tb, da, db)
+    if rows:
+        w = _pair_eigvalsh(da, db)
+        rows, ta, tb = _sift(out, rows, _psd_errors(w, tol, "operators are not ordered"), ta, tb)
+    rows, ta, tb = _sift(out, rows, _selfadjoint_errors(ta, tb), ta, tb)
+    if not rows:
+        return rows, (), ()
+    _, wt, vt = _spectra(ta, tb)
+    rows, wt, vt = _sift(out, rows, _psd_errors(wt, tol, "lower operator is not positive"), wt, vt)
+    rows, wt, vt = _sift(out, rows, _clamp_errors(wt), wt, vt)
+    if not rows:
+        return rows, (), ()
+    ssys, ws, vs = _eigensystems(*_stack_pairs([cases[i][0] for i in rows]))
+    rows, *solved = _sift(out, rows, _clamp_errors(ws), ssys, ws, vs, wt, vt)
+    return rows, solved[:3], solved[3:]
 
 
 def check_lowner_heinz(s: QMatrix, t: QMatrix, rs: Sequence[float], *,
@@ -697,7 +695,7 @@ def _lowner_heinz_cases(cases: Sequence[tuple[QMatrix, QMatrix, Sequence[float],
     every S^r - T^r is solved in one eigenvalue call.  A lone case weighs one
     S^r and one T^r per exponent, in ``check_lowner_heinz``'s order."""
     out: list = [None] * len(cases)
-    rows = _sift(out, range(len(cases)), lambda i: _lowner_heinz_exponents(*cases[i][2:]))
+    rows, = _sift(out, range(len(cases)), lambda i: _lowner_heinz_exponents(*cases[i][2:]))
     for _, run in groupby(rows, lambda i: (cases[i][0].shape, len(cases[i][2]))):
         run, ss, ts = _ordered_systems(cases, list(run), tol, out)
         if not run:
@@ -746,7 +744,7 @@ def _furuta_cases(cases: Sequence[tuple], tol: float) -> list[tuple[Margin, Marg
     one eigensolver call and the differences in one eigenvalue call.  The
     exponents differ from case to case, so each power is weighed case by case."""
     out: list = [None] * len(cases)
-    rows = _sift(out, range(len(cases)), lambda i: _furuta_exponents(*cases[i][2:]))
+    rows, = _sift(out, range(len(cases)), lambda i: _furuta_exponents(*cases[i][2:]))
     rows, ss, ts = _ordered_systems(cases, rows, tol, out)
     if not rows:
         return out
@@ -777,7 +775,7 @@ def _furuta_differences(cases: Sequence[tuple], wa: np.ndarray, va: np.ndarray,
     xa, xb = _product(xa, xb, ha, hb)
     _require_finite(xa, xb, "QMatrix")
     del ba, bb, aa, ab, ha, hb  # before the brackets are solved
-    _, wx, vx = _eigensystems(xa, xb)
+    _, wx, vx = _spectra(xa, xb)
     la, lb = _psd_powers(wx, vx, [(1.0 / c[3],) for c in cases] * 2)
     expos = [((p + 2.0 * r) / q,) for _, _, p, q, r, _ in cases]
     ba, bb = _psd_powers(wb, vb, expos)
@@ -812,7 +810,7 @@ def _chain_cases(cases: Sequence[tuple[QMatrix, bool]],
     enforced = [i for i, (_, enforce) in enumerate(cases) if enforce]
     semis = dict(zip(enforced, _p_hyponormal_grid([parts[i] for i in enforced],
                                                   [(0.5,)] * len(enforced), tol)))
-    rows = _sift(out, range(len(cases)), lambda i: PreconditionError(
+    rows, = _sift(out, range(len(cases)), lambda i: PreconditionError(
         f"operator is not semi-hyponormal (margin {semis[i][0].value:.3e})")
         if i in semis and semis[i][0].violated else None)
     if not rows:
@@ -888,12 +886,12 @@ def _aluthge_cases(cases: Sequence[tuple[QMatrix, float, bool]],
     report's ladder solves every ladder, and that of a double reading
     factors every T~~ and solves its margins, in one call each."""
     out: list = [None] * len(cases)
-    rows = _sift(out, range(len(cases)), lambda i: _check_exponent(cases[i][1]))
+    rows, = _sift(out, range(len(cases)), lambda i: _check_exponent(cases[i][1]))
     parts = dict(zip(rows, _polars([cases[i][0] for i in rows]) if rows else ()))
     enforced = [i for i in rows if cases[i][2]]
     bases = dict(zip(enforced, _p_hyponormal_grid([parts[i] for i in enforced],
                                                   [(cases[i][1],) for i in enforced], tol)))
-    rows = _sift(out, rows, lambda i: PreconditionError(
+    rows, = _sift(out, rows, lambda i: PreconditionError(
         f"operator is not {cases[i][1]}-hyponormal (margin {bases[i][0].value:.3e})")
         if i in bases and bases[i][0].violated else None)
     if not rows:
@@ -936,15 +934,15 @@ def _eigenspace_cases(cases: Sequence[tuple[QMatrix, Quaternion]],
     SVD, and the norms of the two off-diagonal blocks and of T solved in one
     eigenvalue call."""
     out: list = [None] * len(cases)
-    rows = _sift(out, range(len(cases)), lambda i: None if abs(cases[i][1].norm() - 1.0) <= 1e-6
-                 else DomainError(f"unit quaternion expected, |q| = {cases[i][1].norm():.6f}"))
+    rows, = _sift(out, range(len(cases)), lambda i: None if abs(cases[i][1].norm() - 1.0) <= 1e-6
+                  else DomainError(f"unit quaternion expected, |q| = {cases[i][1].norm():.6f}"))
     if not rows:
         return out
     ua, ub = _stack_pairs([unitary_completion(pp) for pp in _polars([cases[i][0] for i in rows])])
     reps = {i: cases[i][1].similarity_representative() for i in rows}
     spheres = [Quaternion(reps[i].real, reps[i].imag, 0.0, 0.0) for i in rows]
     kernels = dict(zip(rows, _kernel_bases(*_delta_qs(ua, ub, spheres), EIGENSPACE_RTOL)))
-    rows = _sift(out, rows, lambda i: None if len(kernels[i][0]) else DomainError(
+    rows, = _sift(out, rows, lambda i: None if len(kernels[i][0]) else DomainError(
         f"{reps[i]} is not a right eigenvalue of the polar unitary"))
     if not rows:
         return out
@@ -1039,7 +1037,8 @@ def _gcsi_closures(cases: Sequence[tuple], *, beta: float, budget: int,
     """
     _check_gcsi_args(beta, budget)
     out: list = [None] * len(cases)
-    rows = _sift(out, range(len(cases)), lambda i: _closure_args(cases[i][1], *cases[i][4:]))
+    rows, = _sift(out, range(len(cases)),
+                  lambda i: _closure_args(cases[i][1], *cases[i][4:]))
     ops = [case[0] for case in cases]
 
     def squeeze(i: int) -> None:
@@ -1048,7 +1047,7 @@ def _gcsi_closures(cases: Sequence[tuple], *, beta: float, budget: int,
 
     # each compression's (I - P) T P joins the norm solve of the Ts; an
     # operand's error waits in out for the base precondition, which comes first
-    squeezed = _sift(out, [i for i in rows if cases[i][1] == "compression"], squeeze)
+    squeezed, = _sift(out, [i for i in rows if cases[i][1] == "compression"], squeeze)
     norms = _operator_norms(*_stack_pairs(ops)).tolist()
     residuals = dict(zip(squeezed, norms[len(cases):]))
     transformed: dict[int, QMatrix] = {}

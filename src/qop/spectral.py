@@ -30,10 +30,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _eig
-from .errors import DomainError, PreconditionError, ShapeError, StructureError
-from .linalg import (QMatrix, QVector, _check_tol, _checked, _chi_eigvalsh, _embed_pair,
-                     _from_psi, _hermitian_chi, _identities, _product, _require_finite,
-                     _selfadjoint_residual, _trusted)
+from .errors import DomainError, PreconditionError, QopError, ShapeError, StructureError
+from .linalg import (QMatrix, QVector, _adjoints, _check_tol, _checked, _chi_eigvalsh,
+                     _embed_pair, _frobenius, _from_psi, _hermitian_chi, _identities, _product,
+                     _require_finite, _selfadjoint_residual, _trusted)
 from .quaternion import Quaternion
 
 PAIR_TOL = 1e-8
@@ -56,11 +56,47 @@ def _require_square(t: QMatrix) -> int:
 
 
 def _require_selfadjoint(a: QMatrix) -> None:
-    _require_square(a)
-    dev = _selfadjoint_residual(a)
-    # the bound is at least 1e-8, so a smaller deviation needs no norm
-    if dev > 1e-8 and dev > 1e-8 * max(1.0, a.frobenius()):
-        raise PreconditionError(f"operator is not self-adjoint (deviation {dev:.3e})")
+    err = _selfadjoint_errors(a._a[None], a._b[None])[0]
+    if err is not None:
+        raise err
+
+
+def _selfadjoint_errors(a: np.ndarray, b: np.ndarray) -> list[QopError | None]:
+    """The error of each operator x = A + B j of the (k, n, m) pair stacks
+    (A, B) unless it is square with ||x - x*||_F <= 1e-8 max(1, ||x||_F),
+    else None.  One comparison over the stack passes every x equal to x*,
+    and x - x* is formed for the others only.  Where a sum of squares
+    overflows, both norms are taken of x over its largest entry modulus,
+    whose norm is at least 1."""
+    if a.shape[-1] != a.shape[-2]:
+        return [ShapeError(f"square operator required, got {a.shape[1:]}") for _ in a]
+    ha, hb = _adjoints(a, b)
+    same = a == ha
+    same &= b == hb
+    out: list[QopError | None] = [None] * len(a)
+    rows = [k for k, ok in enumerate(np.logical_and.reduce(same, axis=(1, 2)).tolist()) if not ok]
+    if not rows:
+        return out
+    a, b = a[rows], b[rows]
+    da, db = a - ha[rows], b - hb[rows]
+    # four times the squared bound, from norms summed in another order than
+    # the lone ones: a deviation past it fails without the exact norm
+    sq = np.concatenate([a, b], axis=-1).view(np.float64)
+    past = 4e-16 * np.maximum(np.einsum("kij,kij->k", sq, sq), 1.0)
+    for j, (k, limit) in enumerate(zip(rows, past.tolist())):
+        # the norms on copies, so each is the lone operator's bit for bit
+        dev = _frobenius(da[j], db[j])
+        if dev * dev <= limit:
+            norm = _frobenius(a[j], b[j])
+            if math.isinf(dev) or math.isinf(norm):
+                s = float(np.hypot(np.abs(a[j]), np.abs(b[j])).max())
+                x, y = a[j] / s, b[j] / s
+                if _selfadjoint_residual(x, y) <= 1e-8 * _frobenius(x, y):
+                    continue
+            elif dev <= 1e-8 * max(1.0, norm):
+                continue
+        out[k] = PreconditionError(f"operator is not self-adjoint (deviation {dev:.3e})")
+    return out
 
 
 def _hermitian_from_chi(v: np.ndarray, fw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -324,6 +360,16 @@ def _eigensystem(a: QMatrix) -> HermitianEigensystem:
     return _eigensystems(a._a[None], a._b[None])[0][0]
 
 
+def _spectra(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_eigensystems`` without the systems, for callers that read only the
+    stacks, and with the (k, n) pair means first."""
+    w2, v2 = _eig.eigh(_hermitian_chi(a, b))
+    mids = _pair_real(w2)
+    means = np.empty_like(w2)
+    means[:, 0::2] = means[:, 1::2] = mids
+    return mids, means, v2
+
+
 def _eigensystems(a: np.ndarray, b: np.ndarray
                   ) -> tuple[list[HermitianEigensystem], np.ndarray, np.ndarray]:
     """``_eigensystem`` of each operator A + B j of the (k, n, n) pair stacks
@@ -331,10 +377,7 @@ def _eigensystems(a: np.ndarray, b: np.ndarray
     the (k, 2n, 2n) embedded eigenvectors that the systems view.  Each
     spectrum is paired, and a pairing failure raised, in stack order, and
     clustered on its own."""
-    w2, v2 = _eig.eigh(_hermitian_chi(a, b))
-    mids = _pair_real(w2)
-    means = np.empty_like(w2)
-    means[:, 0::2] = means[:, 1::2] = mids
+    mids, means, v2 = _spectra(a, b)
     scales = np.maximum(np.maximum(-mids[:, :1], mids[:, -1:]), 1.0)
     splits = mids[:, 1:] - mids[:, :-1] > CLUSTER_TOL * scales
     systems = []
@@ -630,12 +673,18 @@ def is_psd(t: QMatrix, tol: float = 1e-8, *,
         lo, hi = rayleigh_bounds(t)
     else:
         lo, hi = float(system._w2[0]), float(system._w2[-1])
-    return _psd_verdict(lo, hi, tol)
-
-
-def _psd_verdict(lo: float, hi: float, tol: float) -> tuple[bool, float]:
-    """``is_psd`` of a self-adjoint operator with extreme eigenvalues lo <= hi."""
     return lo >= -tol * max(1.0, max(abs(lo), abs(hi))), lo
+
+
+def _psd_errors(w: np.ndarray, tol: float, what: str) -> list[PreconditionError | None]:
+    """``is_psd``'s verdict on the ends of each row of a stack of ascending
+    spectra, as one comparison: the error of each row that fails, saying
+    ``what``, or None."""
+    # an ascending row's largest modulus is max(-lo, hi)
+    lo = w[:, 0]
+    passed = lo >= -tol * np.maximum(np.maximum(-lo, w[:, -1]), 1.0)
+    return [None if ok else PreconditionError(f"{what} (min eigenvalue {x:.3e})")
+            for ok, x in zip(passed.tolist(), lo.tolist())]
 
 
 def rayleigh_bounds(t: QMatrix) -> tuple[float, float]:

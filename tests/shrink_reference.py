@@ -26,7 +26,7 @@ def minimize(prop, instance, *, budget, tol):
     while improved and evals < budget:
         improved = False
         for key in sorted(current):
-            for _, cand_val in _zero_entry_candidates(current[key]):
+            for _, cand_val in _zero_entry_candidates(current[key], budget):
                 if evals >= budget:
                     return current, evaluate_instance(prop, current, tol), evals
                 cand = dict(current)

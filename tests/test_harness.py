@@ -373,16 +373,20 @@ def test_gcsi_trials_climb_in_lockstep(prop, monkeypatch):
 def test_zero_entry_candidates_are_row_major_over_nonzero_entries():
     zero = Quaternion(0.0, 0.0, 0.0, 0.0)
     t = QMatrix.from_quaternions([[0.0, 1.0], [J, Quaternion(-0.0, 0.0, 0.0, 0.0)]])
-    cands = _zero_entry_candidates(t)
+    cands = _zero_entry_candidates(t, 4)
     assert [pos for pos, _ in cands] == [(0, 1), (1, 0)]
     for (i, j), c in cands:
         want = [[t.entry(r, s) for s in range(2)] for r in range(2)]
         want[i][j] = zero
         assert c.equals_exact(QMatrix.from_quaternions(want))
     v = QVector.from_quaternions([1.0, 0.0, K])
-    assert [pos for pos, _ in _zero_entry_candidates(v)] == [0, 2]
-    assert _zero_entry_candidates(v)[1][1].allclose(QVector.from_quaternions([1.0, 0.0, 0.0]), tol=0.0)
-    assert _zero_entry_candidates(0.5) == []
+    assert [pos for pos, _ in _zero_entry_candidates(v, 3)] == [0, 2]
+    assert _zero_entry_candidates(v, 3)[1][1].allclose(QVector.from_quaternions([1.0, 0.0, 0.0]),
+                                                       tol=0.0)
+    assert _zero_entry_candidates(0.5, 3) == []
+    # only the first ``limit`` are built
+    assert [pos for pos, _ in _zero_entry_candidates(t, 1)] == [(0, 1)]
+    assert _zero_entry_candidates(t, 0) == []
 
 
 def test_zero_entry_candidates_equal_the_boundary_copies():
@@ -394,7 +398,7 @@ def test_zero_entry_candidates_equal_the_boundary_copies():
     comps[3, 0, 0] = -0.0
     for val in (QMatrix(comps), QVector(comps[2])):
         arr = val.to_array()
-        cands = _zero_entry_candidates(val)
+        cands = _zero_entry_candidates(val, 16)
         assert [pos for pos, _ in cands] == [
             p if len(p) > 1 else p[0] for p in map(tuple, np.argwhere(arr.any(axis=-1)).tolist())]
         for pos, cand in cands:

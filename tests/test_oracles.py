@@ -70,7 +70,7 @@ def _classify_two_products(t, tol=oracles.DEFAULT_TOL):
     """classify_basic with its threshold from operator_norm, which forms T*T
     on its own before the gram product below forms it again."""
     thr = tol * max(1.0, operator_norm(t)) ** 2
-    sa_res = _selfadjoint_residual(t)
+    sa_res = _selfadjoint_residual(t._a, t._b)
     gram = t.H @ t
     normal_res = (gram - t @ t.H).frobenius()
     unitary_res = (gram - QMatrix.identity(t.rows)).frobenius()
@@ -402,7 +402,8 @@ def test_a_lone_broken_pair_fails_its_first_check_before_any_eigh(monkeypatch):
     arr = a.to_array()
     arr[0, 1] = 0.0
     skewed = QMatrix(arr)
-    dev = _selfadjoint_residual(skewed - b)
+    diff = skewed - b
+    dev = _selfadjoint_residual(diff._a, diff._b)
     cases = (
         (skewed, b, PreconditionError, f"operator is not self-adjoint (deviation {dev:.3e})", []),
         (QMatrix.diag([1.0, 0.0]), QMatrix.diag([2.0, 0.0]), PreconditionError,

@@ -74,6 +74,57 @@ def _ordered_cases():
     ]
 
 
+def _plus(m, i, j, value):
+    """m with ``value`` added to the real part of entry (i, j)."""
+    arr = m.to_array()
+    arr[i, j, 0] += value
+    return QMatrix(arr)
+
+
+def _boundary_cases():
+    """(S, T, message) pairs at 0.5 and 2 times each threshold that
+    ``_ordered_systems`` decides on the stack: self-adjointness of S - T and
+    of T on the 1e-8 branch (a norm below 1) and on the 1e-8 ||.||_F branch
+    (a norm of 200), the order and T >= 0 at -tol max(1, |lambda|) for
+    |lambda| of 1 and 100, and CLAMP_TOL on T and on S."""
+    rows = []
+    one, tenth, hundred = _diag(1.0, 1.0, 1.0, 1.0), _diag(0.1, 0.1, 0.1, 0.1), _diag(*[100.0] * 4)
+    zero = QMatrix.zeros(4, 4)
+    for f in (0.5, 2.0):
+        fails = f > 1.0
+        sa = "operator is not self-adjoint" if fails else None
+        # ||x - x*||_F = sqrt(2) |e| for an entry e alone off the diagonal
+        rows += [(_plus(tenth, 0, 1, f * 1e-8 / 2 ** 0.5), zero, sa),
+                 (_plus(hundred, 0, 1, f * 200e-8 / 2 ** 0.5), zero, sa),
+                 (_plus(tenth, 0, 1, f * 1e-8 / 2 ** 0.5) + one,
+                  _plus(tenth, 0, 1, f * 1e-8 / 2 ** 0.5), sa),
+                 (_plus(hundred, 0, 1, f * 200e-8 / 2 ** 0.5) + one,
+                  _plus(hundred, 0, 1, f * 200e-8 / 2 ** 0.5), sa)]
+        order = "operators are not ordered" if fails else None
+        rows += [(one + _diag(1.0, 1.0, 1.0, -f * 1e-8), one, order),
+                 (one + _diag(100.0, 100.0, 100.0, -f * 1e-6), one, order)]
+        lower = "lower operator is not positive" if fails else None
+        rows += [(one + _diag(1.0, 1.0, 1.0, -f * 1e-8), _diag(1.0, 1.0, 1.0, -f * 1e-8), lower),
+                 (one + _diag(100.0, 100.0, 100.0, -f * 1e-6),
+                  _diag(100.0, 100.0, 100.0, -f * 1e-6), lower)]
+        # T >= 0 within tol, and the clamp at CLAMP_TOL times the largest modulus
+        clamp = "operator is not positive semidefinite" if fails else None
+        low = _diag(0.01, 0.01, 0.01, -f * 1e-10)
+        rows += [(one + low, low, clamp), (low, _diag(0.005, 0.005, 0.005, 0.0), clamp)]
+    return rows
+
+
+def test_ordered_pair_thresholds_come_back_one_by_one():
+    rows = _boundary_cases()
+    expected = [msg for *_, msg in rows]
+    cases = [(s, t, (0.3, 0.7), False) for s, t, _ in rows]
+    lones = [_lone(lambda c=c: check_lowner_heinz(c[0], c[1], c[2])) for c in cases]
+    _assert_per_case(oracles._lowner_heinz_cases(cases, TOL), lones, expected)
+    cases = [(s, t, 2.0, 2.0, 1.0, False) for s, t, _ in rows]
+    lones = [_lone(lambda c=c: check_furuta(*c[:5])) for c in cases]
+    _assert_per_case(oracles._furuta_cases(cases, TOL), lones, expected)
+
+
 def test_lowner_heinz_cases_come_back_one_by_one():
     rows = _ordered_cases()
     cases = [(s, t, (0.3, 0.7), False) for s, t, _ in rows]

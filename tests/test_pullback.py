@@ -93,15 +93,18 @@ def test_internal_pull_backs_neither_unembed_nor_recheck(monkeypatch):
 
 
 def test_ordered_pair_oracles_check_their_two_operators_once(monkeypatch):
+    # S - T and T, each by one stacked check of its batch
     a, b = ordered_pair(4, seed=1204)
     unembeds = _count(monkeypatch, linalg, "unembed_chi")
     checks = _count(monkeypatch, spectral, "_require_selfadjoint")
+    screens = _count(monkeypatch, spectral, "_selfadjoint_errors")
     for call in (lambda: oracles.check_lowner_heinz(a, b, (0.5,)),
                  lambda: oracles.check_lowner_heinz(a, b, harness.LH_R_GRID),
                  lambda: oracles.check_furuta(a, b, 2.0, 2.0, 1.0)):
         checks.clear()
+        screens.clear()
         call()
-        assert len(checks) == 2
+        assert checks == [] and len(screens) == 2
     assert unembeds == []
 
 

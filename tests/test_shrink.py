@@ -9,7 +9,7 @@ import pytest
 
 import shrink_reference
 from qop import generators, harness
-from qop.errors import DomainError, QopError
+from qop.errors import DomainError, QopError, StructureError
 from qop.generators import random_unitary
 from qop.harness import (PROPERTIES, TrialContext, _shrink, evaluate_instance,
                          minimize_counterexample)
@@ -34,8 +34,16 @@ def _probe_instances(prop, dim):
             if not isinstance(out, QopError) and out.margin < -TOL]
 
 
+def _padded():
+    """``_shrinkable`` with a key that tu-star does not read, sorted between
+    its two: the walk accepts a candidate of T, then one of the pad, so the
+    candidates of the keys after each hit are scored again."""
+    return {**_shrinkable(), "pad": QVector.from_quaternions([1.0, 2.0])}
+
+
 def _cases():
     yield "tu-star", _shrinkable()
+    yield "tu-star", _padded()
     for prop, dim in (("lowner-heinz", 4), ("furuta", 4), ("chain", 3), ("aluthge-gain", 3)):
         insts = _probe_instances(prop, dim)
         assert insts, prop
@@ -61,29 +69,65 @@ def test_batched_shrink_equals_the_one_candidate_walk(budget):
         assert _bytes(minimize_counterexample(prop, inst, budget=budget)) == _bytes(want), where
 
 
-def test_a_sweep_scores_each_key_in_one_evaluate_call(monkeypatch):
+def test_a_sweep_scores_every_key_in_one_evaluate_call(monkeypatch):
     # a violating 4 x 4 Lowner-Heinz probe pair none of whose 32 candidates
-    # violates: the walk made 33 evaluations, one per call
+    # violates: the walk made 33 evaluations, the input and both keys' in one
+    # call, and no candidate builds S - T as an operator
     a, b = generators.ordered_pair(4, seed=3)
     inst = {"A": a, "B": b, "r": 2.5}
     real = PROPERTIES["lowner-heinz"]
-    calls = []
+    calls, diffs = [], []
     monkeypatch.setitem(PROPERTIES, "lowner-heinz", dataclasses.replace(
         real, evaluate=lambda insts, tol: calls.append(len(insts)) or real.evaluate(insts, tol)))
+    sub = QMatrix.__sub__
+    monkeypatch.setattr(QMatrix, "__sub__", lambda x, y: diffs.append(1) or sub(x, y))
     shrunk, _, evals = _shrink("lowner-heinz", inst, 64, TOL)
-    assert calls == [1, 16, 16] and evals == 33
+    assert calls == [33] and evals == 33 and diffs == []
     assert all(shrunk[k] is inst[k] for k in inst)
 
 
+def test_a_batch_error_from_a_candidate_the_walk_never_scores_does_not_surface(monkeypatch):
+    # the first sweep's batch holds x zeroed beside the input's T; the walk
+    # accepts a candidate of T first and never scores that one, so a batch
+    # holding it, which raises for the whole batch, must not end the shrink
+    real = PROPERTIES["tu-star"].evaluate
+    raised = []
+
+    def evaluate(insts, tol):
+        if any(inst["x"].norm() == 0.0 and inst["T"][2, 2].norm() != 0.0 for inst in insts):
+            raised.append(len(insts))
+            raise StructureError("planted batch error")
+        return real(insts, tol)
+
+    monkeypatch.setitem(PROPERTIES, "planted",
+                        dataclasses.replace(PROPERTIES["tu-star"], evaluate=evaluate))
+    for budget in BUDGETS:
+        got, margin, evals = _shrink("planted", _padded(), budget, TOL)
+        want = shrink_reference.minimize("planted", _padded(), budget=budget, tol=TOL)
+        assert (_bytes(got), margin, evals) == (_bytes(want[0]), want[1], want[2]), budget
+    assert raised
+
+
 def test_run_fuzz_reads_the_shrunk_margin_from_the_shrink(monkeypatch):
-    calls = []
-    real = harness.evaluate_instance
-    monkeypatch.setattr(harness, "evaluate_instance", lambda *a: calls.append(a) or real(*a))
+    # every scoring goes through the property's evaluate: the trials' chunk,
+    # then the shrink's batches, the first with the input; none after the shrink
+    events = []
+    tu_star = PROPERTIES["tu-star"]
     monkeypatch.setitem(PROPERTIES, "planted", dataclasses.replace(
-        PROPERTIES["tu-star"], draw=lambda ctxs: [_shrinkable() for _ in ctxs]))
+        tu_star, draw=lambda ctxs: [_shrinkable() for _ in ctxs],
+        evaluate=lambda insts, tol: events.append(len(insts)) or tu_star.evaluate(insts, tol)))
+    shrink = harness._shrink
+
+    def spy(*args):
+        out = shrink(*args)
+        events.append("shrunk")
+        return out
+
+    monkeypatch.setattr(harness, "_shrink", spy)
     report = harness.run_fuzz("planted", budget=4, seed=0, dim=3)
     assert report.trials == 1 and report.witness["shrunk_margin"] == pytest.approx(-1.0)
-    assert len(calls) == 1  # the shrink's check of its input, and no second scoring
+    # the chunk of 4 trials, then the input with its 3 candidates
+    assert events[:2] == [4, 4] and events[-1] == "shrunk"
 
 
 def test_a_missing_field_is_a_domain_error():

@@ -65,6 +65,30 @@ def test_not_selfadjoint_message_is_unchanged():
         f"operator is not self-adjoint (deviation {(a - a.H).frobenius():.3e})")
 
 
+@pytest.mark.parametrize("big", [1e155, 1e200])
+def test_selfadjointness_is_decided_where_the_squares_overflow(big):
+    # ||x - x*||_F and ||x||_F both overflow here, and inf > 1e-8 * inf is
+    # false: the check compares them of x scaled by its largest entry
+    upper = QMatrix.from_quaternions([[0.0, big], [0.0, 0.0]])
+    sym = QMatrix.from_quaternions([[big, big], [big, 0.0]])
+    # a skew part 1e-10 of the entries passes, 1e-5 of them does not
+    near = QMatrix.from_quaternions([[big, big], [big * (1.0 + 1e-10), 0.0]])
+    far = QMatrix.from_quaternions([[big, big], [big * (1.0 + 1e-5), 0.0]])
+    for bad in (upper, far):
+        assert math.isinf(bad.frobenius())
+        for call in (lambda: is_psd(bad), lambda: eigh_q(bad), lambda: rayleigh_bounds(bad)):
+            with pytest.raises(PreconditionError, match=r"not self-adjoint \(deviation"):
+                call()
+    for good in (sym, near):
+        spectral._require_selfadjoint(good)
+    # the stacked check of a batch decides each row as the lone one does
+    stack = [upper, sym, near, far]
+    errors = spectral._selfadjoint_errors(np.stack([x._a for x in stack]),
+                                          np.stack([x._b for x in stack]))
+    assert [type(e) for e in errors] == [PreconditionError, type(None), type(None),
+                                         PreconditionError]
+
+
 def _eager_eigensystem(a):
     """The eager construction the lazy ``vectors`` replaced, kept as the reference."""
     n = a.rows
