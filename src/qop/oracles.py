@@ -309,25 +309,37 @@ def _unit_pairs(n: int, budget: int, stream: SplitMix64) -> np.ndarray:
     return np.concatenate([pairs, _psi(raw).swapaxes(0, 1)], axis=0)
 
 
-def _gcsi_terms(chi_t: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(||Tx||, ||Ty||, |<Tx, y>|) for a (k, 2, 2n) stack of embedded pairs.
+def _gcsi_parts(images: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(||Tx||, ||Ty||, |<Tx, y>|, w^H psi(y), its j part) of a stack of
+    embedded pairs (..., 2, 2n) from their images w = psi(Tx), z = psi(Ty).
 
-    chi(T) psi(x) = psi(Tx), and for psi(u) = [p; q] the quaternionic inner
-    product splits into a complex part and a j part:
-    |<u, v>|^2 = |psi(u)^H psi(v)|^2 + |sum(p v_bot - q v_top)|^2.
-    Against an (m, 2n, 2n) stack of chi(T), the pairs come in m equal
-    blocks, each scored in one product with its own chi(T)^T.
+    For psi(u) = [p; q] the quaternionic inner product splits into a complex
+    part and a j part: |<u, v>|^2 = |psi(u)^H psi(v)|^2 + |sum(p v_bot - q v_top)|^2.
+    """
+    n = pairs.shape[-1] // 2
+    norms = _norms(images)
+    tx, y = images[..., 0, :], pairs[..., 1, :]
+    inner_c = (tx.conj() * y).sum(axis=-1)
+    inner_j = (tx[..., :n] * y[..., n:] - tx[..., n:] * y[..., :n]).sum(axis=-1)
+    c = np.sqrt(inner_c.real ** 2 + inner_c.imag ** 2 + inner_j.real ** 2 + inner_j.imag ** 2)
+    return norms[..., 0], norms[..., 1], c, inner_c, inner_j
+
+
+def _gcsi_terms(chi_t: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(||Tx||, ||Ty||, |<Tx, y>|) for a (k, 2, 2n) stack of ``_unit_pairs``.
+
+    chi(T) psi(x) = psi(Tx).  The first min(k, n^2) pairs are the ordered
+    standard-basis pairs, whose images are columns of chi(T): they are
+    gathered, the same bits as multiplying, and the other pairs are scored
+    in one product with chi(T)^T.
     """
     n2 = pairs.shape[-1]
     n = n2 // 2
-    images = (pairs.reshape(chi_t.shape[:-2] + (-1, n2))
-              @ chi_t.swapaxes(-1, -2)).reshape(pairs.shape)
-    norms = _norms(images)
-    tx, y = images[:, 0], pairs[:, 1]
-    inner_c = (tx.conj() * y).sum(axis=1)
-    inner_j = (tx[:, :n] * y[:, n:] - tx[:, n:] * y[:, :n]).sum(axis=1)
-    c = np.sqrt(inner_c.real ** 2 + inner_c.imag ** 2 + inner_j.real ** 2 + inner_j.imag ** 2)
-    return norms[:, 0], norms[:, 1], c
+    m = np.arange(min(pairs.shape[0], n * n))
+    images = np.empty_like(pairs)
+    images[:m.shape[0]] = chi_t.T[np.stack([m // n, m % n], axis=1)]
+    images[m.shape[0]:] = (pairs[m.shape[0]:].reshape(-1, n2) @ chi_t.T).reshape(-1, 2, n2)
+    return _gcsi_parts(images, pairs)[:3]
 
 
 def _gcsi_values(terms: tuple[np.ndarray, ...], beta: float) -> np.ndarray:
@@ -337,7 +349,7 @@ def _gcsi_values(terms: tuple[np.ndarray, ...], beta: float) -> np.ndarray:
     2 as sqrt or square, but an array of exponents by pow, entry by entry,
     which moves the last bits.
     """
-    a, b, c = terms
+    a, b, c = terms[:3]
     return np.power(a, 1.0 - beta) * np.power(b, beta) - c
 
 
@@ -361,10 +373,15 @@ def _gcsi_result(beta: float, value: float, pair: np.ndarray, *, budget: int,
                   details={"beta": beta, "budget": budget, "seed": seed})
 
 
-# hill-climb steps of gcsi_margin and check_gcsi_closure
-_REFINE_STEPS = 64
-# the climb scores this many of its next candidates per _gcsi_terms call
-_WINDOW = 8
+# the refinement of each GCSI search: _STEPS projected gradient steps on the
+# unit spheres of x and y.  A step tries _RUNGS lengths along each of two
+# directions, -grad f and grad |<Tx, y>|, that turn the pair by the search's
+# angle times _RUNG^j, j < _RUNGS.  The angle starts at _ANGLE and moves to one
+# rung above the candidate taken, or below the ladder when none lowers f
+_STEPS = 10
+_RUNGS = 6
+_RUNG = 0.35
+_ANGLE = 1.0
 
 
 def _check_gcsi_args(beta: float, budget: int) -> None:
@@ -373,139 +390,113 @@ def _check_gcsi_args(beta: float, budget: int) -> None:
     _check_count(budget, "budget")
 
 
-def _gcsi_draw(n: int, budget: int, seed: int,
-               refine_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The seed's (budget, 2, 2n) sampled pairs and (refine_steps, 2, 4n) real moves."""
-    pairs = _unit_pairs(n, budget, SplitMix64(mix_seed(seed, 0)))
-    # normals(4n) per direction is even-sized, so one block draw is
-    # bitwise the concatenation of the per-step draws; steps and rescaling
-    # run on the real view, entry for entry the arithmetic of the (n, 4) form
-    moves = _psi(SplitMix64(mix_seed(seed, 1)).normals(2 * refine_steps * n * 4)
-                 .reshape(refine_steps, 2, n, 4)).view(np.float64)
-    return pairs, moves
+def _gcsi_draw(n: int, budget: int, seed: int) -> np.ndarray:
+    """The seed's (budget, 2, 2n) sampled pairs."""
+    return _unit_pairs(n, budget, SplitMix64(mix_seed(seed, 0)))
 
 
-# one climb of _gcsi_search: T, beta, the seed, and its _gcsi_draw
-Climb = tuple[QMatrix, float, int, tuple[np.ndarray, np.ndarray]]
+# one search of _gcsi_search: T, beta, the seed, and its _gcsi_draw
+Search = tuple[QMatrix, float, int, np.ndarray]
 
 
-def _gcsi_search(climbs: Iterable[Climb], *, tol: float) -> list[Margin]:
-    """Scan each climb's sampled pairs, then hill-climb from its worst one along its moves.
+def _gcsi_search(searches: Iterable[Search], *, tol: float) -> list[Margin]:
+    """Scan each search's sampled pairs, then refine from its worst one.
 
     Each operator is scanned on its own, in one ``_gcsi_terms`` call, as
-    ``climbs`` reaches it, so one scan's pairs are alive at a time.  A
-    candidate pair + step * move that strictly improves is taken, any other
-    shrinks the step by 0.8, and one too short to normalise is skipped at
-    the same step.  A climb scores its next ``_WINDOW`` candidates at once,
-    each with the step it has if the earlier ones are all rejected; the
-    first one taken or skipped is the climb's next event, and its next
-    window starts after it.  Each run of consecutive climbs of one operator
-    size advances in lockstep: each round scores every climb's window in
-    one stacked product with its own chi(T)^T.
-    Every candidate reached is built and scored as in a climb that scores
-    one per step, so each result is the same bit for bit.
+    ``searches`` reaches it, so one scan's pairs are alive at a time.  Each
+    run of consecutive searches of one operator size is refined as one stack
+    by ``_refine``, whose result for a start is that of the start alone.
     """
     def scanned() -> Iterator[tuple]:
-        for t, beta, seed, (pairs, moves) in climbs:
+        for t, beta, seed, pairs in searches:
             chi_t = embed_chi(t)
             best, pair = _worst_pair(_gcsi_terms(chi_t, pairs), beta, pairs)
             # a copy of the pair, and no name left on the pairs, frees them now
             pair, budget = pair.copy(), pairs.shape[0]
             del pairs
-            yield chi_t, beta, seed, budget, best, pair, moves
+            yield chi_t, beta, seed, budget, best, pair
 
     out: list[Margin] = []
-    for _, run in groupby(scanned(), lambda c: c[0].shape):
-        out += _climb_stack(list(run), tol)
+    for _, run in groupby(scanned(), lambda s: s[0].shape):
+        chis, betas, seeds, budgets, best, pairs = zip(*run)
+        values, pairs = _refine(_stacked(chis), betas, np.array(best), _stacked(pairs))
+        out += [_gcsi_result(beta, value, pair, budget=budget, seed=seed, tol=tol)
+                for beta, seed, budget, value, pair in zip(betas, seeds, budgets,
+                                                           values.tolist(), pairs)]
     return out
 
 
-@cache
-def _climb_steps(count: int) -> np.ndarray:
-    """(count, 1, 1) read-only steps: the step after r rejections, by a
-    climb's own repeated *= 0.8."""
-    steps = np.empty((count, 1, 1))
-    step = 0.5
-    for r in range(count):
-        steps[r], step = step, step * 0.8
-    steps.flags.writeable = False
-    return steps
+def _flip(v: np.ndarray) -> np.ndarray:
+    """conj(J v) for J = [[0, I], [-I, 0]], along the last axis."""
+    n = v.shape[-1] // 2
+    return np.concatenate([v[..., n:], -v[..., :n]], axis=-1).conj()
 
 
-def _window(moves: np.ndarray, i: int) -> np.ndarray:
-    """Moves i to i + _WINDOW; zero moves past the last are scored and never read."""
-    w = moves[i:i + _WINDOW]
-    if w.shape[0] < _WINDOW:
-        w = np.concatenate([w, np.zeros((_WINDOW - w.shape[0],) + w.shape[1:])])
-    return w
+def _refine(chi_t: np.ndarray, betas: Sequence[float], values: np.ndarray,
+            pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values and pairs that ``_STEPS`` gradient steps reach from a stack
+    of starts: the (k, 2, 2n) embedded ``pairs``, each with its chi(T) in
+    ``chi_t``, its beta and its value.
 
-
-def _candidates(cur: np.ndarray, steps: np.ndarray, moves: list[np.ndarray],
-                live: list[int], i: list[int], r: list[int]) -> np.ndarray:
-    """The live climbs' next windows, pair + step * move, as one (L * _WINDOW, 2, 4n) stack."""
-    if len(live) == 1:
-        c = live[0]
-        return cur[0] + steps[r[c]:r[c] + _WINDOW] * _window(moves[c], i[c])
-    moved = (np.stack([steps[r[c]:r[c] + _WINDOW] for c in live])
-             * np.stack([_window(moves[c], i[c]) for c in live]))
-    return (cur + moved).reshape(-1, *cur.shape[2:])
-
-
-def _climb_stack(stack: list[tuple], tol: float) -> list[Margin]:
-    """The lockstep climbs of ``_gcsi_search`` from their scanned worst pairs.
-
-    Each round stacks the live climbs' windows and scores them in one
-    ``_gcsi_terms`` call, and a run of climbs with one beta shares one
-    ``_gcsi_values`` call.  A finished climb leaves the stack.
+    f = a^(1 - beta) b^beta - c, with a = ||Tx||, b = ||Ty|| and c =
+    |<Tx, y>| as in ``_gcsi_parts``.  With w = psi(Tx), z = psi(Ty), p the
+    complex part and q the j part of <Tx, y>, the real gradients are
+    grad_x a = chi(T)^H w / a, grad_y b = chi(T)^H z / b,
+    grad_x c = chi(T)^H (conj(p) psi(y) + q conj(J psi(y))) / c and
+    grad_y c = (p w - q conj(J w)) / c, with J = [[0, I], [-I, 0]].  Both
+    directions are projected onto the tangent spaces of the two spheres,
+    every candidate of every start is scored in one stacked product, and a
+    start moves to its least candidate only where that strictly lowers f; a
+    start with a, b or c zero stays put.  Each start's arithmetic is its
+    own, and each run of one beta shares one ``_gcsi_values`` call, so a
+    stack gives the bits of its starts refined alone.
     """
-    chis, betas, seeds, budgets, best, pairs, moves = (list(x) for x in zip(*stack))
-    ends = [m.shape[0] for m in moves]
-    steps = _climb_steps(max(ends) + _WINDOW)
-    i, r = [0] * len(stack), [0] * len(stack)
-    live = [c for c, end in enumerate(ends) if end > 0]
-    while live:
-        chi_t = _stacked([chis[c] for c in live])
-        cur = _stacked([pairs[c].view(np.float64)[None] for c in live])
-        # each climb's best, once per candidate of its window
-        low = np.repeat([best[c] for c in live], _WINDOW)
-        runs, lo = [], 0
-        for beta, run in groupby(betas[c] for c in live):
-            count = len(list(run))
-            runs.append((beta, slice(lo * _WINDOW, (lo + count) * _WINDOW)))
-            lo += count
-        done = False
-        while not done:
-            cands = _candidates(cur, steps, moves, live, i, r)
-            norms = np.sqrt((cands * cands).sum(axis=2))
-            skip = norms.min(axis=1) < 1e-9
-            norms[skip] = 1.0  # a skipped candidate is never read
-            cands /= norms[:, :, None]
-            terms = _gcsi_terms(chi_t, cands.view(np.complex128))
-            if len(runs) == 1:
-                values = _gcsi_values(terms, runs[0][0])
-            else:
-                values = np.concatenate([_gcsi_values(tuple(x[rows] for x in terms), beta)
-                                         for beta, rows in runs])
-            events = skip | (values < low)
-            firsts = events.reshape(-1, _WINDOW).argmax(axis=1).tolist()
-            for p, (c, j) in enumerate(zip(live, firsts)):
-                w = min(_WINDOW, ends[c] - i[c])
-                k = p * _WINDOW + j
-                if j < w and events[k]:
-                    i[c] += j + 1
-                    r[c] += j
-                    if not skip[k]:
-                        low[p * _WINDOW:(p + 1) * _WINDOW] = values[k]
-                        cur[p, 0] = cands[k]
-                else:
-                    i[c] += w
-                    r[c] += w
-                done |= i[c] == ends[c]
-        for p, c in enumerate(live):
-            best[c], pairs[c] = float(low[p * _WINDOW]), cur[p, 0].view(np.complex128)
-        live = [c for c in live if i[c] < ends[c]]
-    return [_gcsi_result(beta, value, pair, budget=budget, seed=seed, tol=tol)
-            for beta, seed, budget, value, pair in zip(betas, seeds, budgets, best, pairs)]
+    k, _, n2 = pairs.shape
+    beta = np.array(betas)[:, None]
+    runs, lo = [], 0
+    for b, run in groupby(betas):
+        count = len(list(run))
+        runs.append((b, slice(lo, lo + count)))
+        lo += count
+    forward, back = chi_t.swapaxes(-1, -2), chi_t.conj()
+    ladder = _RUNG ** np.arange(_RUNGS)
+    angles = np.full(k, _ANGLE)
+    values, pairs = values.copy(), pairs.copy()
+    images = pairs @ forward
+    parts = _gcsi_parts(images, pairs)
+    rows = np.arange(k)
+    for _ in range(_STEPS):
+        a, b, c, p, q = parts
+        live = (a > 0.0) & (b > 0.0) & (c > 0.0)
+        a, b, c = (np.where(live, s, 1.0)[:, None] for s in (a, b, c))
+        p, q, y, w, z = p[:, None], q[:, None], pairs[:, 1], images[:, 0], images[:, 1]
+        g = values[:, None] + c
+        h = np.stack([w, (p.conj() * y + q * _flip(y)) / c, z], axis=1) @ back
+        grad_g = np.stack([(1.0 - beta) * g / (a * a) * h[:, 0], beta * g / (b * b) * h[:, 2]],
+                          axis=1)
+        grad_c = np.stack([h[:, 1], (p * w - q * _flip(w)) / c], axis=1)
+        dirs = np.stack([grad_c - grad_g, grad_c], axis=1)
+        real, at = dirs.view(np.float64), pairs.view(np.float64)[:, None]
+        dirs -= (real * at).sum(axis=-1)[..., None] * pairs[:, None]
+        size = np.sqrt((real * real).reshape(k, 2, -1).sum(axis=-1))
+        steps = np.divide(angles[:, None], size, out=np.zeros_like(size), where=size > 0.0)
+        steps = (steps[..., None] * ladder)[..., None, None]
+        cands = pairs[:, None, None] + steps * dirs[:, :, None]
+        cands = (cands / _norms(cands)[..., None]).reshape(k, -1, 2, n2)
+        found = (cands.reshape(k, -1, n2) @ forward).reshape(cands.shape)
+        scored = _gcsi_parts(found, cands)
+        vals = np.concatenate([_gcsi_values(tuple(s[span] for s in scored), b)
+                               for b, span in runs])
+        best = vals.argmin(axis=1)
+        lowered = vals[rows, best] < values
+        angles = np.where(lowered, np.minimum(_ANGLE, angles * _RUNG ** (best % _RUNGS - 1.0)),
+                          angles * _RUNG ** _RUNGS)
+        take = (live & lowered).nonzero()[0]
+        best = best[take]
+        pairs[take], images[take] = cands[take, best], found[take, best]
+        for old, new in zip((values, *parts), (vals, *scored)):
+            old[take] = new[take, best]
+    return values, pairs
 
 
 def gcsi_margin(t: QMatrix, beta: float, *, budget: int = 1000, seed: int = 0,
@@ -515,20 +506,16 @@ def gcsi_margin(t: QMatrix, beta: float, *, budget: int = 1000, seed: int = 0,
     Exponents satisfy alpha = 1 - beta with beta in (0, 1], and 0^0 counts
     as 1.  All ordered standard-basis pairs are scanned before the random
     unit pairs, so textbook violations at basis vectors surface with their
-    exact witnesses.  The worst pair then gets a hill-climb refinement that
-    accepts only strict decreases and shrinks its step on every rejection,
-    over ``_REFINE_STEPS`` steps; its directions are one block of the
-    refinement stream, drawn up front.
-    The climb scores a window of its next candidates at once and keeps the
-    first event, so its result is that of scoring one candidate per step.
+    exact witnesses.  The worst pair then gets ``_STEPS`` projected gradient
+    steps on the unit spheres of x and y (``_refine``), each taken only where
+    it strictly lowers the margin, so the result is never above the scan's.
     Vectors are scored on the complex side, as psi(x) against chi(T).  A
     negative margin certifies non-membership; a nonnegative one is evidence
     on the sampled budget.
     """
     _check_tol(tol)
     _check_gcsi_args(beta, budget)
-    draw = _gcsi_draw(t.rows, budget, seed, _REFINE_STEPS)
-    return _gcsi_search([(t, beta, seed, draw)], tol=tol)[0]
+    return _gcsi_search([(t, beta, seed, _gcsi_draw(t.rows, budget, seed))], tol=tol)[0]
 
 
 def gcsi_sweep(t: QMatrix, *, budget: int = 1000, seed: int = 0,
@@ -541,7 +528,7 @@ def gcsi_sweep(t: QMatrix, *, budget: int = 1000, seed: int = 0,
     """
     _check_tol(tol)
     _check_count(budget, "budget")
-    pairs = _unit_pairs(t.rows, budget, SplitMix64(mix_seed(seed, 0)))
+    pairs = _gcsi_draw(t.rows, budget, seed)
     terms = _gcsi_terms(embed_chi(t), pairs)
     out: dict[float, Margin] = {}
     for beta in SWEEP_BETAS:
@@ -1004,8 +991,9 @@ def check_gcsi_closure(t: QMatrix, which: str, *, beta: float = 0.5,
     "unitary-equiv" (conjugation by a supplied unitary), or "compression"
     (P T P for a supplied projector onto an invariant subspace).  The
     transformed operator is tested with the same beta, budget, and seed,
-    so the pairs and moves are drawn once and both margins are those of
-    ``gcsi_margin``; the two climbs advance together.  Argument errors are
+    so the pairs are drawn once and both margins are those of
+    ``gcsi_margin``: two scans, then one stacked gradient refinement of both
+    worst pairs.  Argument errors are
     raised before the draw, then the base operator's precondition, then an
     error building the transformed operator (a singular T, or a subspace
     that is not invariant).
@@ -1027,7 +1015,7 @@ def _closure_args(which: str, unitary: QMatrix | None, projector: QMatrix | None
 def _gcsi_closures(cases: Sequence[tuple], *, beta: float, budget: int,
                    tol: float) -> tuple[list[ClosureReport | QopError], list[float]]:
     """``check_gcsi_closure`` of each case, or its error, with each ||T|| for
-    a caller's scale; every climb in one ``_gcsi_search``.
+    a caller's scale; every search in one ``_gcsi_search``.
 
     A case is (T, which, seed, scalar, unitary, projector), with None for an
     operand its operation does not read.  Each case meets its errors in
@@ -1067,15 +1055,15 @@ def _gcsi_closures(cases: Sequence[tuple], *, beta: float, budget: int,
 
     _sift(out, [i for i in rows if out[i] is None], operand)
 
-    def climbs() -> Iterator[Climb]:
+    def searches() -> Iterator[Search]:
         for i in rows:
-            draw = _gcsi_draw(cases[i][0].rows, budget, cases[i][2], _REFINE_STEPS)
+            draw = _gcsi_draw(cases[i][0].rows, budget, cases[i][2])
             yield cases[i][0], beta, cases[i][2], draw
             if i in transformed:
                 yield transformed[i], beta, cases[i][2], draw
             del draw  # before the next case draws
 
-    margins = iter(_gcsi_search(climbs(), tol=tol))
+    margins = iter(_gcsi_search(searches(), tol=tol))
     for i in rows:
         base, after = next(margins), next(margins) if i in transformed else None
         if base.value < -tol:
@@ -1227,7 +1215,9 @@ def check_gcsi_implies(t: QMatrix, p: float = 0.5, *, budget: int = 400,
     """Consistency of the implication chain at one operator.
 
     A p-hyponormal operator satisfies the sampled inequality with beta = p,
-    and members of that class are paranormal.  ``hard_violation`` means the
+    and members of that class are paranormal.  The inequality's margin is
+    ``gcsi_margin``'s at beta = p: the sampled pairs' worst one, refined by
+    projected gradient steps.  ``hard_violation`` means the
     p-hyponormal margin passed while a certified inequality witness exists,
     which contradicts the implication outright.  ``flagged`` marks the
     softer inconsistency: sampling found no inequality witness, yet the
@@ -1242,13 +1232,13 @@ def check_gcsi_implies(t: QMatrix, p: float = 0.5, *, budget: int = 400,
 
 def _gcsi_implications(cases: Sequence[tuple[QMatrix, float, int]], *, budget: int,
                        tol: float) -> list[ConsistencyReport]:
-    """``check_gcsi_implies`` of each (T, p, seed) case, every climb in one ``_gcsi_search``."""
+    """``check_gcsi_implies`` of each (T, p, seed) case, every search in one ``_gcsi_search``."""
     for _, p, _ in cases:
         _check_exponent(p)
     _check_count(budget, "budget")
     hyps = [m for (m,) in _p_hyponormal_grid(_polars([t for t, _, _ in cases]),
                                               [(p,) for _, p, _ in cases], tol)]
-    gcsis = _gcsi_search(((t, p, seed, _gcsi_draw(t.rows, budget, seed, _REFINE_STEPS))
+    gcsis = _gcsi_search(((t, p, seed, _gcsi_draw(t.rows, budget, seed))
                           for t, p, seed in cases), tol=tol)
     return [ConsistencyReport(
         p=p,

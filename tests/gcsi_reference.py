@@ -8,9 +8,15 @@ products through ``quaternion_reference.matmul_components`` on the
 and one stream draw per step.
 
 ``sequential_search`` and ``sequential_gcsi_margin`` are the complex-side
-climb that the library replaced with its windowed one: the same draws and
-the same arithmetic, one candidate pair scored per step.  The module name
-keeps it out of pytest collection.
+random-direction climb that the library replaced with its gradient
+refinement: the same draws and the same arithmetic as the library had, one
+candidate pair scored per step.
+
+``refined_gcsi_margin`` is the library's current search written one start
+and one candidate at a time: the quaternion-side scan above, then the
+projected gradient steps with each gradient written out for its own vector
+and each candidate scored on the quaternion side.  The module name keeps it
+out of pytest collection.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 from qop import matio, oracles
 from qop.errors import DomainError
 from qop.linalg import QMatrix, QVector, _from_psi, _psi, embed_chi
-from qop.oracles import DEFAULT_TOL, Margin, _gcsi_terms
+from qop.oracles import DEFAULT_TOL, Margin, _gcsi_parts
 from qop.rng import SplitMix64, mix_seed
 from quaternion_reference import matmul_components
 
@@ -165,12 +171,19 @@ def gcsi_sweep(t: QMatrix, *, betas: Sequence[float] = tuple(round(0.1 * k, 1) f
     return out
 
 
+def _terms(chi_t: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(||Tx||, ||Ty||, |<Tx, y>|) of a (k, 2, 2n) stack, every image by one product."""
+    n2 = pairs.shape[-1]
+    images = (pairs.reshape(-1, n2) @ chi_t.T).reshape(pairs.shape)
+    return _gcsi_parts(images, pairs)[:3]
+
+
 def sequential_search(t: QMatrix, beta: float, pairs: np.ndarray, moves: np.ndarray, *,
                       seed: int, tol: float) -> Margin:
     """Scan (k, 2, 2n) embedded pairs, then climb along (steps, 2, 4n) real moves, one step at a time."""
     alpha = 1.0 - beta
     chi_t = embed_chi(t)
-    a, b, c = _gcsi_terms(chi_t, pairs)
+    a, b, c = _terms(chi_t, pairs)
     margins = np.power(a, alpha) * np.power(b, beta) - c
     k = int(np.argmin(margins))
     best = float(margins[k])
@@ -182,7 +195,7 @@ def sequential_search(t: QMatrix, beta: float, pairs: np.ndarray, moves: np.ndar
         if norms.min() < 1e-9:
             continue
         cand = cand / norms[:, None]
-        a, b, c = _gcsi_terms(chi_t, cand.view(np.complex128)[None])
+        a, b, c = _terms(chi_t, cand.view(np.complex128)[None])
         value = float(np.power(a[0], alpha) * np.power(b[0], beta) - c[0])
         if value < best:
             best, pair = value, cand
@@ -207,3 +220,82 @@ def sequential_gcsi_margin(t: QMatrix, beta: float, *, budget: int = 1000, seed:
                  .reshape(refine_steps, 2, n, 4)).view(np.float64)
     return sequential_search(t, beta, pairs, moves, seed=seed, tol=tol)
 
+
+
+def _sigma(v: np.ndarray) -> np.ndarray:
+    """psi(u j) for v = psi(u) = [p; q]: [conj(q); -conj(p)]."""
+    n = v.shape[0] // 2
+    return np.concatenate([v[n:].conj(), -v[:n].conj()])
+
+
+def _refine_gradient(chi: np.ndarray, x: np.ndarray, y: np.ndarray,
+                     beta: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """The two descent directions at (psi(x), psi(y)), -grad f and grad c, each a
+    (2, 2n) pair projected onto the spheres' tangent spaces; None where ||Tx||,
+    ||Ty|| or |<Tx, y>| is 0.
+
+    c^2 = |w^H y|^2 + |w^H s(y)|^2 = |y^H w|^2 + |y^H s(w)|^2 with w = chi x and
+    s(u) = psi(u j), so grad_w c = (conj(w^H y) y + conj(w^H s(y)) s(y)) / c and
+    grad_y c = (conj(y^H w) w + conj(y^H s(w)) s(w)) / c.
+    """
+    w, z = chi @ x, chi @ y
+    a, b = np.linalg.norm(w), np.linalg.norm(z)
+    p, r = np.vdot(w, y), np.vdot(w, _sigma(y))
+    c = float(np.sqrt(abs(p) ** 2 + abs(r) ** 2))
+    if a == 0.0 or b == 0.0 or c == 0.0:
+        return None
+    g = a ** (1.0 - beta) * b ** beta
+    chi_h = chi.conj().T
+    grad_c = np.array([chi_h @ ((p.conjugate() * y + r.conjugate() * _sigma(y)) / c),
+                       (np.vdot(y, w).conjugate() * w
+                        + np.vdot(y, _sigma(w)).conjugate() * _sigma(w)) / c])
+    grad_g = np.array([(1.0 - beta) * g / a ** 2 * (chi_h @ w), beta * g / b ** 2 * (chi_h @ z)])
+    out = []
+    for d in (grad_c - grad_g, grad_c):
+        for i, v in enumerate((x, y)):
+            d[i] = d[i] - np.vdot(v, d[i]).real * v
+        out.append(d)
+    return out[0], out[1]
+
+
+def refined_gcsi_margin(t: QMatrix, beta: float, *, budget: int = 1000, seed: int = 0,
+                        tol: float = DEFAULT_TOL) -> Margin:
+    """``gcsi_margin``: the quaternion-side scan, then ``oracles._STEPS``
+    gradient steps from its worst pair, one candidate scored at a time."""
+    alpha = 1.0 - beta
+    n = t.rows
+    xs, ys = _unit_pairs(n, budget, SplitMix64(mix_seed(seed, 0)))
+    txs, tys = _batch_matvec(t, xs), _batch_matvec(t, ys)
+    margins = (np.power(_batch_norms(txs), alpha) * np.power(_batch_norms(tys), beta)
+               - _batch_inner_norm(txs, ys))
+    k = int(np.argmin(margins))
+    best, bx, by = float(margins[k]), xs[k], ys[k]
+    chi = embed_chi(t)
+    x, y = _psi(bx), _psi(by)
+    angle = oracles._ANGLE
+    for _ in range(oracles._STEPS):
+        dirs = _refine_gradient(chi, x, y, beta)
+        if dirs is None:
+            continue
+        scored = []
+        for d in dirs:
+            size = float(np.sqrt(sum(np.vdot(v, v).real for v in d)))
+            for j in range(oracles._RUNGS):
+                step = angle / size * oracles._RUNG ** j if size > 0.0 else 0.0
+                cx, cy = x + step * d[0], y + step * d[1]
+                cx, cy = cx / np.linalg.norm(cx), cy / np.linalg.norm(cy)
+                qx, qy = _from_psi(cx).to_array(), _from_psi(cy).to_array()
+                scored.append((_gcsi_pair_margin(t, qx, qy, alpha, beta), cx, cy, qx, qy, j))
+        value, cx, cy, qx, qy, j = min(scored, key=lambda s: s[0])
+        if value < best:
+            best, x, y, bx, by = value, cx, cy, qx, qy
+            angle = min(oracles._ANGLE, angle * oracles._RUNG ** (j - 1))
+        else:
+            angle *= oracles._RUNG ** oracles._RUNGS
+    witness = None
+    if best < -tol:
+        witness = {"beta": beta,
+                   "x": matio.vector_to_json(QVector(bx)),
+                   "y": matio.vector_to_json(QVector(by))}
+    return Margin(value=best, tolerance=tol, witness=witness,
+                  details={"beta": beta, "budget": budget, "seed": seed})

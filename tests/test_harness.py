@@ -358,16 +358,24 @@ def test_a_failing_chunk_surfaces_its_lowest_failing_trial(monkeypatch):
 
 
 @pytest.mark.parametrize("prop", ["gcsi-closure", "gcsi-implies"])
-def test_gcsi_trials_climb_in_lockstep(prop, monkeypatch):
-    # 4 dim-4 trials climb 8 or 4 searches of about 26 rounds each; in
-    # lockstep the run scores each round of all of them in one call
-    rounds = []
-    real = oracles._gcsi_terms
+def test_gcsi_chunk_makes_a_fixed_number_of_stacked_scorings(prop, monkeypatch):
+    # 4 dim-4 trials scan 8 or 4 operators one by one, then refine every
+    # search in one stack: one scoring of the starts and one per step,
+    # whatever the operators
+    scans, stacks = [], []
+    terms, parts = oracles._gcsi_terms, oracles._gcsi_parts
     monkeypatch.setattr(oracles, "_gcsi_terms",
-                        lambda chi, pairs: rounds.append(chi.ndim == 3) or real(chi, pairs))
-    run_verify(prop, trials=4, seed=3, dim=4)
-    assert rounds.count(False) == (8 if prop == "gcsi-closure" else 4)  # the scans
-    assert 0 < rounds.count(True) <= 40
+                        lambda chi, pairs: scans.append(pairs.shape[0]) or terms(chi, pairs))
+    monkeypatch.setattr(oracles, "_gcsi_parts", lambda images, pairs:
+                        stacks.append(pairs.shape[:2]) or parts(images, pairs))
+    searches = 8 if prop == "gcsi-closure" else 4
+    for seed in (3, 4):
+        scans.clear()
+        stacks.clear()
+        run_verify(prop, trials=4, seed=seed, dim=4)
+        assert scans == [harness._GCSI_BUDGET] * searches
+        refined = stacks[searches:]
+        assert refined == [(searches, 2)] + [(searches, 2 * oracles._RUNGS)] * oracles._STEPS
 
 
 def test_zero_entry_candidates_are_row_major_over_nonzero_entries():

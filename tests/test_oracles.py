@@ -935,15 +935,16 @@ def _assert_same_witness(got, want, name):
 
 
 def test_gcsi_margin_matches_the_per_pair_reference():
-    # the complex-side hill-climb against the quaternion-side one it replaced:
-    # same stream, same steps, same accept/shrink rule, so the same result
+    # the stacked complex-side refinement against one written a start and a
+    # candidate at a time, with each gradient spelled out per vector and each
+    # candidate scored on the quaternion side: same scan, same step rule
     cases = [(name, t, beta, 400) for name, t in _reference_operators()
              for beta in (0.25, 0.5, 0.75, 1.0)]
     cases.append(("ginibre:64", ginibre(64, seed=6199), 0.5, 1000))
     witnessed = 0
     for name, t, beta, budget in cases:
         got = gcsi_margin(t, beta, budget=budget, seed=17)
-        want = gcsi_reference.gcsi_margin(t, beta, budget=budget, seed=17)
+        want = gcsi_reference.refined_gcsi_margin(t, beta, budget=budget, seed=17)
         assert abs(got.value - want.value) <= 1e-12 * max(1.0, abs(want.value)), (name, beta)
         _assert_same_witness(got.witness, want.witness, (name, beta))
         witnessed += want.witness is not None
@@ -951,92 +952,145 @@ def test_gcsi_margin_matches_the_per_pair_reference():
     assert 0 < witnessed < len(cases)
 
 
-def test_windowed_climb_equals_the_sequential_one():
-    # windows only batch the scoring: every margin and witness is bit for bit
-    # that of the climb scoring one candidate per step
-    kinds = {"ginibre": ginibre, "unitary": random_unitary, "positive": positive,
-             "near_normal": lambda n, seed: near_normal(n, 0.05, seed=seed)}
-    witnessed = 0
-    for name, make in kinds.items():
-        for n in (1, 2, 3, 4, 8, 16, 64):
-            t = make(n, seed=6300 + n)
-            for beta in (0.25, 0.5, 0.75, 1.0):
-                for budget in (1, 16, 300):
-                    for steps in (0, 1, 64):
-                        seed = n + steps
-                        draw = oracles._gcsi_draw(n, budget, seed, steps)
-                        got, = oracles._gcsi_search([(t, beta, seed, draw)],
-                                                    tol=oracles.DEFAULT_TOL)
-                        want = gcsi_reference.sequential_gcsi_margin(
-                            t, beta, budget=budget, seed=seed, refine_steps=steps)
-                        assert got == want, (name, n, beta, budget, steps)
-                        if steps == oracles._REFINE_STEPS:
-                            assert gcsi_margin(t, beta, budget=budget, seed=seed) == got
-                        witnessed += want.witness is not None
-    assert witnessed > 0
+def _rotated_nilpotent():
+    w = random_unitary(4, seed=1)
+    e = np.zeros((4, 4, 4))
+    e[0, 1, 0] = 1.0
+    return w @ QMatrix(e) @ w.H
 
 
-def test_windowed_climb_skips_a_zero_candidate_without_shrinking():
-    t = ginibre(4, seed=6400)
-    pairs, moves = oracles._gcsi_draw(4, 1, 5, 64)
-    moves = moves.copy()
-    # the first candidate, pair + 0.5 * move, is exactly zero: the climb skips
-    # it at step 0.5, so a skip that shrank the step would move every later one
-    moves[0] = -2.0 * pairs[0].view(np.float64)
-    assert not (pairs[0].view(np.float64) + 0.5 * moves[0]).any()
-    with np.errstate(all="raise"):
-        got, = oracles._gcsi_search([(t, 0.5, 5, (pairs, moves))], tol=1e-8)
-    want = gcsi_reference.sequential_search(t, 0.5, pairs, moves, seed=5, tol=1e-8)
-    assert got == want
+@pytest.mark.parametrize("beta, parent", [(0.25, -0.12455207556195896),
+                                          (0.5, -0.37009182813905617),
+                                          (0.75, -0.4588036905407887),
+                                          (1.0, -0.5448214217212162)])
+def test_gcsi_margin_nears_the_rotated_nilpotent_minimum(beta, parent):
+    """T = W e1 e2* W*, W = random_unitary(4, seed=1), has least margin exactly -1.
+
+    |<Tx, y>| <= ||Tx|| ||y|| <= ||T|| = 1 bounds the margin below by -1, and
+    x = W e2, y = W e1 attain it: Tx = W e1, so |<Tx, y>| = 1, while
+    Ty = W e1 <e2, e1> = 0 makes ||Tx||^(1 - beta) ||Ty||^beta = 0.  The
+    random climb this refinement replaced read ``parent`` (budget 1000,
+    seed 0); from its start the gradient steps must do better, and at
+    beta = 1, where the cusp of ||Ty||^beta is only a kink, reach -0.9.
+    """
+    m = gcsi_margin(_rotated_nilpotent(), beta)
+    assert -1.0 - 1e-12 <= m.value < parent
+    if beta == 1.0:
+        assert m.value <= -0.9
+    assert m.violated
 
 
-def _lockstep_climbs(n, k, seed):
-    """k climbs on n x n operators of four kinds, betas cycling 0.5, 1.0, 0.75,
-    budgets growing; the second climb's first candidate is exactly zero."""
+@pytest.mark.parametrize("beta", [0.25, 0.5, 0.75, 1.0])
+def test_gcsi_margin_finds_the_zero_minimum_of_a_unitary(beta):
+    """For a unitary U, ||Ux|| = ||Uy|| = 1, so the margin is 1 - |<Ux, y>| >= 0,
+    and y = Ux attains 0.  The climb this refinement replaced read 0.084."""
+    m = gcsi_margin(random_unitary(4, seed=2), beta)
+    assert -1e-12 <= m.value <= 1e-6
+    assert m.witness is None
+
+
+def test_gcsi_margin_finds_more_near_normal_witnesses_than_the_climb():
+    """Every near_normal(n, eps, seed) is not normal, so it has a witness at
+    each beta (ROADMAP item 3).  The random climb found none for 36, 34, 31
+    and 23 of these 36 at beta = 0.25, 0.5, 0.75 and 1 (budget 1000, seed
+    the operator's); the refinement misses 20, 12, 21 and 5."""
+    ops = [(near_normal(n, eps, seed=seed), seed) for n in (2, 4, 8)
+           for eps in (1e-1, 1e-2, 1e-3) for seed in range(4)]
+    missed = [sum(gcsi_margin(t, beta, seed=seed).witness is None for t, seed in ops)
+              for beta in (0.25, 0.5, 0.75, 1.0)]
+    assert missed == [20, 12, 21, 5]
+    assert all(m <= p for m, p in zip(missed, [36, 34, 31, 23]))
+
+
+def test_gcsi_margin_catches_a_shift_at_the_harness_budget():
+    # S e_{i+1} = e_i and S e0 = 0: every pair (e0, .) has ||Sx|| = 0 and stays
+    # put, so a budget below 8 reads 0; the harness's 16 scans (e1, e0), -1
+    a = np.zeros((4, 4, 4))
+    a[[0, 1, 2], [1, 2, 3], 0] = 1.0
+    for beta in (0.25, 0.5, 1.0):
+        assert gcsi_margin(QMatrix(a), beta, budget=3).value == 0.0
+        m = gcsi_margin(QMatrix(a), beta, budget=harness._GCSI_BUDGET)
+        assert m.value == pytest.approx(-1.0, abs=1e-12) and m.violated
+
+
+def _searches(n, k, seed):
+    """k searches on n x n operators of four kinds, betas cycling 0.5, 1.0,
+    0.75, 0.25, budgets growing; the second one starts where ||Tx|| = 0."""
     kinds = (ginibre, random_unitary, positive, lambda n, seed: near_normal(n, 0.05, seed=seed))
-    climbs = []
+    searches = []
     for c in range(k):
         t = kinds[c % 4](n, seed=seed + c)
-        budget = 1 if c == 1 else 20 + 40 * c
-        pairs, moves = oracles._gcsi_draw(n, budget, seed + c, 64)
+        budget = 1 if c == 1 else 5 + 40 * c
         if c == 1:
-            # budget 1 starts the climb at (e0, e0), where T e0 = t00 e0 makes
-            # the beta = 1 margin exactly 0, and this move sends pair + 0.5 *
-            # move to zero: a skip at step 0.5, where a rejection would shrink it
+            # budget 1 scans (e0, e0) alone, and T e0 = 0 keeps it there
             a = t.to_array()
-            a[1:, 0] = 0.0
+            a[:, 0] = 0.0
             t = QMatrix(a)
-            moves = moves.copy()
-            moves[0] = -2.0 * pairs[0].view(np.float64)
-            assert not (pairs[0].view(np.float64) + 0.5 * moves[0]).any()
-        climbs.append((t, (0.5, 1.0, 0.75)[c % 3], seed + c, (pairs, moves)))
-    return climbs
+        searches.append((t, (0.5, 1.0, 0.75, 0.25)[c % 4], seed + c,
+                         oracles._gcsi_draw(n, budget, seed + c)))
+    return searches
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 64])
-def test_lockstep_climbs_equal_single_climbs(n):
-    # one stack mixes betas 0.5, 1.0 and 0.75, where numpy takes x ** 0.5 as
-    # sqrt(x) only for a scalar exponent, and one climb skips a zero candidate
-    # while the others climb; every margin is bit for bit the one-step climb's
-    tol = oracles.DEFAULT_TOL
+def test_stacked_refinement_equals_one_start_at_a_time(n):
+    # one stack mixes betas 0.5, 1.0, 0.75 and 0.25, where numpy would take
+    # x ** 0.5 as sqrt(x) for a scalar exponent, and one start that never
+    # moves; every margin and witness is bit for bit its search's alone
     for k in (1, 2, 5, 8):
-        climbs = _lockstep_climbs(n, k, 7000 + 10 * n + k)
+        searches = _searches(n, k, 7000 + 10 * n + k)
         with np.errstate(all="raise"):
-            got = oracles._gcsi_search(iter(climbs), tol=tol)
+            got = oracles._gcsi_search(iter(searches), tol=oracles.DEFAULT_TOL)
         assert len(got) == k
-        for c, ((t, beta, seed, (pairs, moves)), margin) in enumerate(zip(climbs, got)):
-            want = gcsi_reference.sequential_search(t, beta, pairs, moves, seed=seed, tol=tol)
-            assert margin == want, (n, k, c)
-            assert oracles._gcsi_search([climbs[c]], tol=tol) == [want], (n, k, c)
+        for c, margin in enumerate(got):
+            alone = oracles._gcsi_search([searches[c]], tol=oracles.DEFAULT_TOL)
+            assert alone == [margin], (n, k, c)
 
 
-def test_lockstep_climbs_of_two_sizes_equal_single_climbs():
+def test_stacked_refinement_of_two_sizes_equals_one_start_at_a_time():
     # a change of operator size starts a new stack
-    climbs = [c for n in (2, 4, 2) for c in _lockstep_climbs(n, 3, 7100 + n)]
-    got = oracles._gcsi_search(climbs, tol=1e-8)
-    for (t, beta, seed, (pairs, moves)), margin in zip(climbs, got):
-        assert margin == gcsi_reference.sequential_search(t, beta, pairs, moves, seed=seed,
-                                                          tol=1e-8)
+    searches = [s for n in (2, 4, 2) for s in _searches(n, 3, 7100 + n)]
+    got = oracles._gcsi_search(searches, tol=1e-8)
+    assert got == [oracles._gcsi_search([s], tol=1e-8)[0] for s in searches]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 64])
+def test_refinement_never_rises_above_the_scan(n):
+    # a step is taken only where it strictly lowers f, and a start with
+    # ||Tx||, ||Ty|| or |<Tx, y>| zero stays put
+    kinds = {"ginibre": ginibre, "unitary": random_unitary, "positive": positive,
+             "near_normal": lambda n, seed: near_normal(n, 0.05, seed=seed)}
+    for name, make in kinds.items():
+        t = make(n, seed=6300 + n)
+        for beta in (0.25, 0.5, 0.75, 1.0):
+            for budget in (1, 16, 300):
+                pairs = oracles._gcsi_draw(n, budget, n)
+                scan = oracles._gcsi_values(oracles._gcsi_terms(embed_chi(t), pairs), beta).min()
+                got = gcsi_margin(t, beta, budget=budget, seed=n)
+                assert got.value <= scan, (name, beta, budget)
+    a = np.zeros((max(n, 2), max(n, 2), 4))
+    a[0, -1, 0] = 1.0
+    # T e0 = 0: the one start (e0, e0) has ||Tx|| = 0, so the margin is the scan's
+    assert gcsi_margin(QMatrix(a), 0.5, budget=1).value == 0.0
+
+
+def _full_product_terms(chi_t, pairs):
+    n2 = pairs.shape[-1]
+    images = (pairs.reshape(-1, n2) @ chi_t.T).reshape(pairs.shape)
+    return oracles._gcsi_parts(images, pairs)[:3]
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 18, 32, 64])
+def test_gathered_basis_terms_equal_the_product(n):
+    # a basis pair's images are columns of chi(T); gathering them gives the
+    # three terms of the one product bit for bit, mixed scans included
+    for name, make in _FAMILIES.items():
+        chi_t = embed_chi(make(n, 6600 + n))
+        for budget in sorted({1, n * n // 2, n * n, n * n + 7, 300}):
+            pairs = oracles._gcsi_draw(n, budget, n)
+            got = oracles._gcsi_terms(chi_t, pairs)
+            want = _full_product_terms(chi_t, pairs)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), (name, budget)
 
 
 def test_gcsi_implies_checks_every_argument_before_any_solve(monkeypatch):
