@@ -349,7 +349,7 @@ def _gcsi_values(terms: tuple[np.ndarray, ...], beta: float) -> np.ndarray:
     2 as sqrt or square, but an array of exponents by pow, entry by entry,
     which moves the last bits.
     """
-    a, b, c = terms[:3]
+    a, b, c = terms
     return np.power(a, 1.0 - beta) * np.power(b, beta) - c
 
 
@@ -485,7 +485,7 @@ def _refine(chi_t: np.ndarray, betas: Sequence[float], values: np.ndarray,
         cands = (cands / _norms(cands)[..., None]).reshape(k, -1, 2, n2)
         found = (cands.reshape(k, -1, n2) @ forward).reshape(cands.shape)
         scored = _gcsi_parts(found, cands)
-        vals = np.concatenate([_gcsi_values(tuple(s[span] for s in scored), b)
+        vals = np.concatenate([_gcsi_values(tuple(s[span] for s in scored[:3]), b)
                                for b, span in runs])
         best = vals.argmin(axis=1)
         lowered = vals[rows, best] < values

@@ -172,7 +172,8 @@ def gcsi_sweep(t: QMatrix, *, betas: Sequence[float] = tuple(round(0.1 * k, 1) f
 
 
 def _terms(chi_t: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(||Tx||, ||Ty||, |<Tx, y>|) of a (k, 2, 2n) stack, every image by one product."""
+    """(||Tx||, ||Ty||, |<Tx, y>|) of a (k, 2, 2n) stack, every image by one
+    product: the climb's scoring, and the reference for gathered basis pairs."""
     n2 = pairs.shape[-1]
     images = (pairs.reshape(-1, n2) @ chi_t.T).reshape(pairs.shape)
     return _gcsi_parts(images, pairs)[:3]
