@@ -21,14 +21,14 @@ _EXPORTS = {
     "errors": ("ConvergenceError", "DomainError", "PreconditionError", "QopError",
                "ShapeError", "StructureError"),
     "quaternion": ("Quaternion",),
-    "linalg": ("QVector", "QMatrix", "inner", "outer", "left_scalar_mul", "embed_chi",
-               "unembed_chi", "operator_norm", "verify_hilbert_basis"),
+    "linalg": ("QVector", "QMatrix", "inner", "outer", "embed_chi", "unembed_chi",
+               "operator_norm"),
     "spectral": ("eigh_q", "fun_calc", "power_psd", "is_psd", "rayleigh_bounds",
                  "delta_q", "kernel_basis", "spherical_eigenspace",
                  "spherical_point_spectrum", "spherical_spectrum",
                  "standard_eigenvalues"),
-    "transforms": ("PolarParts", "polar", "unitary_completion", "abs_power",
-                   "abs_star_power", "aluthge", "lambda_aluthge", "duggal", "furuta_sr"),
+    "transforms": ("PolarParts", "polar", "unitary_completion", "abs_star_power",
+                   "aluthge", "lambda_aluthge", "duggal", "furuta_sr"),
     "oracles": ("Margin", "classify_basic", "is_p_hyponormal", "is_paranormal",
                 "gcsi_margin", "gcsi_sweep", "check_holder_mccarthy",
                 "check_lowner_heinz", "check_furuta", "check_chain_semihypo",

@@ -8,9 +8,9 @@ tolerance applies uniformly across properties, or else as the error that
 the instance alone raises.  ``run_verify`` and ``run_fuzz`` share one loop
 over chunks of at most ``_BATCH`` trials, fewer at large dims
 (``_chunk_trials``), the one place that bounds a stack.  The shrinker
-scores the candidates of one key as one batch through the same
-``evaluate``, so it minimises exactly what the trial measured, hypotheses
-included.  A chunk is drawn and scored as stacks (one block draw per
+scores the candidates of every key of a sweep as one batch through the
+same ``evaluate``, so it minimises exactly what the trial measured,
+hypotheses included.  A chunk is drawn and scored as stacks (one block draw per
 stream of Gaussian entries, one SVD or eigenvalue call per operator role,
 the GCSI refinements as one stack), each instance and margin bit for bit the one
 its trial gives alone.  Per-trial seeds are derived as mix_seed(seed,

@@ -7,34 +7,27 @@ real (w, x, y, z) layout is the boundary layout of the public constructors,
 which copy and check their input, and of ``to_array``.  Internal results
 skip those checks except finiteness, so an overflow still raises.
 
-Scalars act on vectors from the right, ``u * q``; the left scalar action
-``left_scalar_mul`` is the one induced by the standard coordinate basis,
-(q u)_i = q * u_i.  Operators are right-linear; on pairs the product is
-(A1 A2 - B1 conj(B2), A1 B2 + B1 conj(A2)).  chi is an injective
-*-homomorphism, so spectra are computed on the complex side and pulled back.
+Scalars act on vectors from the right, ``u * q``.  Operators are
+right-linear; on pairs the product is (A1 A2 - B1 conj(B2), A1 B2 + B1
+conj(A2)).  chi is an injective *-homomorphism, so spectra are computed on
+the complex side and pulled back.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from . import _eig
-from .errors import DomainError, PreconditionError, ShapeError, StructureError
+from .errors import DomainError, ShapeError, StructureError
 from .quaternion import Quaternion
-from .rng import SplitMix64
 
 MAX_DIM = 64
 # the default dim of run_verify and run_fuzz, and of the qop command's --dim
 DEFAULT_DIM = 4
-# verify_hilbert_basis: the orthonormality an input family must meet, and
-# the decomposition and Parseval deviations a basis may show
-ORTHO_TOL = 1e-8
-BASIS_TOL = 1e-10
 
 
 def _coerce_entry(value) -> Quaternion:
@@ -233,12 +226,6 @@ def inner(u: QVector, v: QVector) -> Quaternion:
     c = np.vdot(u._a, v._a) + np.vdot(v._b, u._b)
     d = np.vdot(u._a, v._b) - np.vdot(v._a, u._b)
     return Quaternion(c.real, c.imag, d.real, d.imag)
-
-
-def left_scalar_mul(q: Quaternion, u: QVector) -> QVector:
-    """Left action (q u)_i = q u_i fixed by the standard coordinate basis."""
-    qa, qb = complex(q.w, q.x), complex(q.y, q.z)
-    return _trusted(QVector, qa * u._a - qb * u._b.conj(), qa * u._b + qb * u._a.conj())
 
 
 def outer(u: QVector, v: QVector) -> "QMatrix":
@@ -468,7 +455,7 @@ def _from_chi_top(top: np.ndarray) -> QMatrix:
 def _chi_eigvalsh(a: QMatrix) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of chi(a), each one twice.
 
-    The one "extreme eigenvalue" path: callers take an end of this array.
+    ``_pair_eigvalsh`` for one ``QMatrix``; callers take an end of this array.
     """
     return _pair_eigvalsh(a._a, a._b)
 
@@ -514,77 +501,3 @@ def _vector_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     r = np.stack([a, b], axis=-1).view(np.float64)
     return np.sqrt((r ** 2).reshape(r.shape[0], -1).sum(axis=-1))
 
-
-@dataclass(frozen=True)
-class BasisReport:
-    """Outcome of checking a finite family against the Hilbert-basis conditions."""
-
-    orthonormal_deviation: float
-    complete: bool
-    max_decomposition_residual: float
-    max_parseval_deviation: float
-    is_basis: bool
-    n_samples: int
-    seed: int
-    tol: float
-
-
-def verify_hilbert_basis(vectors: Sequence[QVector], *, n_samples: int = 64,
-                         seed: int = 0) -> BasisReport:
-    """Check a family for orthonormality, decomposition, and Parseval identities.
-
-    The family must be orthonormal within ``ORTHO_TOL`` (anything else is an
-    input error, not a report).  Decomposition u = sum_z z <z, u> and the
-    Parseval identity are then sampled on ``n_samples`` deterministic unit
-    vectors, each to hold within ``BASIS_TOL``; completeness additionally
-    requires the family to have full cardinality.  ``n_samples`` must be an
-    integer of at least 1 (DomainError).
-    """
-    _check_count(n_samples, "n_samples")
-    if not vectors:
-        raise ShapeError("empty family")
-    n = vectors[0].n
-    for v in vectors:
-        if v.n != n:
-            raise ShapeError("family members live in different spaces")
-
-    ortho_dev = 0.0
-    for i, zi in enumerate(vectors):
-        for j, zj in enumerate(vectors):
-            g = inner(zi, zj)
-            target = Quaternion.from_real(1.0 if i == j else 0.0)
-            ortho_dev = max(ortho_dev, (g - target).norm())
-    if ortho_dev > ORTHO_TOL:
-        raise PreconditionError(
-            f"family is not orthonormal (deviation {ortho_dev:.3e})")
-
-    stream = SplitMix64(seed)
-    max_residual = 0.0
-    max_parseval = 0.0
-    for _ in range(n_samples):
-        raw = stream.normals(4 * n).reshape(n, 4)
-        u = QVector(raw)
-        nu = u.norm()
-        if nu == 0.0:
-            continue
-        u = u * (1.0 / nu)
-        coeffs = [inner(z, u) for z in vectors]
-        recon = QVector.zeros(n)
-        for z, c in zip(vectors, coeffs):
-            recon = recon + z * c
-        max_residual = max(max_residual, (u - recon).norm())
-        parseval = abs(1.0 - sum(c.norm_squared() for c in coeffs))
-        max_parseval = max(max_parseval, parseval)
-
-    complete = len(vectors) == n
-    is_basis = complete and max_residual <= BASIS_TOL and max_parseval <= BASIS_TOL
-    return BasisReport(
-        orthonormal_deviation=ortho_dev,
-        complete=complete,
-        max_decomposition_residual=max_residual,
-        max_parseval_deviation=max_parseval,
-        is_basis=is_basis,
-        n_samples=n_samples,
-        seed=seed,
-        tol=BASIS_TOL,
-    )

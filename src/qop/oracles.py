@@ -129,9 +129,7 @@ def classify_basic(t: QMatrix, *, tol: float = DEFAULT_TOL) -> BasicClasses:
     eigenvalue to clear the same threshold from below.
     """
     _check_tol(tol)
-    n = t.rows
-    if not t.is_square():
-        raise DomainError(f"classification needs a square operator, got {t.shape}")
+    n = _require_square(t)
     gram = t.H @ t
     thr = tol * max(1.0, float(_gram_norms(gram._a[None], gram._b[None])[0])) ** 2
     sa_res = _selfadjoint_residual(t._a, t._b)
@@ -253,8 +251,7 @@ def is_paranormal(t: QMatrix, *, tol: float = DEFAULT_TOL) -> Margin:
     ||T^2 x|| ||x|| < ||Tx||^2.
     """
     _check_tol(tol)
-    if not t.is_square():
-        raise DomainError(f"square operator required, got {t.shape}")
+    _require_square(t)
     chi_t = embed_chi(t)
     a, b = ((g + g.conj().T) / 2.0 for g in (c.conj().T @ c for c in (chi_t, chi_t @ chi_t)))
     eye = np.eye(a.shape[0])

@@ -152,10 +152,3 @@ class SplitMix64:
     def normals(self, k: int) -> np.ndarray:
         """Next k standard normals via Box-Muller on consecutive pairs."""
         return _box_muller(self.uniforms(2 * ((k + 1) // 2)))[:k]
-
-    def integer(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi] (by scaled uniform; fine for harness use)."""
-        if hi < lo:
-            raise ValueError("empty range")
-        span = hi - lo + 1
-        return lo + min(span - 1, int(self._next_uniform() * span))

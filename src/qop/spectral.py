@@ -540,53 +540,27 @@ def _delta_qs(a: np.ndarray, b: np.ndarray,
 
 
 def _kernel_gap(t: QMatrix, rep: complex) -> float:
-    """Smallest singular value of Delta_rep over max(1, ||Delta_rep||_F)."""
+    """Smallest singular value of Delta_rep over max(1, ||Delta_rep||_F),
+    from the SVD, so the noise floor is not squared."""
     d = delta_q(t, Quaternion(rep.real, rep.imag, 0.0, 0.0))
-    sigma_min = float(np.sqrt(max(_chi_eigvalsh(d.H @ d)[0], 0.0)))
+    sigma_min = float(_chi_svds(d._a[None], d._b[None])[1][0, -1])
     return sigma_min / max(1.0, d.frobenius())
-
-
-@dataclass(frozen=True)
-class PointSpectrumCheck:
-    """One eigenvalue sphere with its verified-kernel evidence."""
-
-    representative: complex
-    kernel_gap: float
-    verified: bool
-
-
-def _point_checks(t: QMatrix, classes: Sequence[complex]) -> tuple[PointSpectrumCheck, ...]:
-    """The kernel-gap check of each class representative in ``classes``."""
-    checks = []
-    for c in classes:
-        gap = _kernel_gap(t, c)
-        checks.append(PointSpectrumCheck(representative=c, kernel_gap=gap,
-                                         verified=gap <= GAP_TOL))
-    return tuple(checks)
-
-
-def verify_point_spectrum(t: QMatrix) -> tuple[PointSpectrumCheck, ...]:
-    """Confirm each spectral sphere carries kernel vectors for its Delta.
-
-    ``kernel_gap`` is the smallest singular value of Delta_c divided by its
-    size; ``verified`` means the gap clears ``GAP_TOL``.  On a finite
-    dimensional space every class should verify.
-    """
-    return _point_checks(t, spherical_spectrum(t).classes)
 
 
 def spherical_point_spectrum(t: QMatrix) -> SphericalSpectrum:
     """Eigenvalue spheres with the point-spectrum property verified.
 
-    Each reported class must pass ``verify_point_spectrum``'s check; a class
-    failing it means the solver and the kernel test disagree, which is
-    reported as a structure error rather than silently dropped.
+    Each reported class must carry kernel vectors for its Delta: its kernel
+    gap, the smallest singular value of Delta_c divided by its size, must
+    clear ``GAP_TOL``.  A class failing it means the solver and the kernel
+    test disagree, which is reported as a structure error rather than
+    silently dropped.
     """
     spec = spherical_spectrum(t)
-    for check in _point_checks(t, spec.classes):
-        if not check.verified:
-            raise StructureError(f"class {check.representative} reported but Delta has "
-                                 f"no kernel (gap {check.kernel_gap:.3e})")
+    for c in spec.classes:
+        gap = _kernel_gap(t, c)
+        if not gap <= GAP_TOL:
+            raise StructureError(f"class {c} reported but Delta has no kernel (gap {gap:.3e})")
     return spec
 
 
@@ -657,22 +631,14 @@ def power_psd(t: QMatrix, p: float) -> QMatrix:
     return eigh_q(t).power_psd(p)
 
 
-def is_psd(t: QMatrix, tol: float = 1e-8, *,
-           system: HermitianEigensystem | None = None) -> tuple[bool, float]:
+def is_psd(t: QMatrix, tol: float = 1e-8) -> tuple[bool, float]:
     """Positive semidefiniteness test defining the operator order.
 
     Returns (flag, margin) with margin the smallest eigenvalue; the flag is
-    true when margin >= -tol * max(1, ||T||).  A caller holding the
-    eigensystem ``eigh_q(T)`` passes it as ``system``: T was checked to be
-    self-adjoint there and is not checked again, and the extreme
-    eigenvalues are read from the system's unclustered pair means instead
-    of a fresh eigensolve.
+    true when margin >= -tol * max(1, ||T||).
     """
     _check_tol(tol)
-    if system is None:
-        lo, hi = rayleigh_bounds(t)
-    else:
-        lo, hi = float(system._w2[0]), float(system._w2[-1])
+    lo, hi = rayleigh_bounds(t)
     return lo >= -tol * max(1.0, max(abs(lo), abs(hi))), lo
 
 

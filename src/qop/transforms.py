@@ -184,13 +184,6 @@ def unitary_completion(parts: PolarParts) -> QMatrix:
     return u
 
 
-def abs_power(parts: PolarParts, s: float) -> QMatrix:
-    """|T|^s for finite s > 0 from precomputed polar parts."""
-    if not 0.0 < s < np.inf:
-        raise DomainError(f"exponent must be positive and finite, got {s}")
-    return parts.abs_power(s)
-
-
 def aluthge(t: QMatrix) -> QMatrix:
     """|T|^{1/2} U |T|^{1/2}."""
     return _aluthge_transforms([polar(t)])[0]

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from qop.errors import DomainError, PreconditionError, ShapeError, StructureError
-from qop.generators import ginibre, random_unitary, unit_vector
+from qop.errors import ShapeError, StructureError
+from qop.generators import ginibre, unit_vector
 from qop.linalg import (MAX_DIM, QMatrix, QVector, _selfadjoint_residual, embed_chi, inner,
-                        left_scalar_mul, operator_norm, outer, unembed_chi,
-                        verify_hilbert_basis)
+                        operator_norm, outer, unembed_chi)
 from qop.quaternion import I, J, K, Quaternion
 from qop.rng import SplitMix64
 from quaternion_reference import conjugate, hamilton, matmul_components
@@ -33,14 +32,6 @@ def test_inner_is_conjugate_symmetric_and_right_linear():
 def test_inner_norm_consistency():
     u = _rand_vec(6, 3)
     assert abs(inner(u, u).w - u.norm() ** 2) <= 1e-12 * max(1.0, u.norm() ** 2)
-
-
-def test_left_scalar_mul_is_basis_dependent_left_action():
-    u = _rand_vec(4, 4)
-    q = Quaternion(1.0, 2.0, -0.5, 0.25)
-    w = left_scalar_mul(q, u)
-    for i in range(4):
-        assert w[i].isclose(q * u[i], tol=1e-13)
 
 
 def test_outer_matches_rank_one_action():
@@ -153,43 +144,6 @@ def test_shape_errors():
         a @ _rand_vec(3, 42)
 
 
-def test_verify_hilbert_basis_accepts_unitary_columns():
-    u = random_unitary(4, seed=50)
-    cols = [u.column(j) for j in range(4)]
-    report = verify_hilbert_basis(cols, n_samples=32, seed=1)
-    assert report.is_basis
-    assert report.complete
-    assert report.max_decomposition_residual <= 1e-10
-    assert report.max_parseval_deviation <= 1e-10
-
-
-def test_verify_hilbert_basis_flags_incomplete_family():
-    u = random_unitary(4, seed=51)
-    cols = [u.column(j) for j in range(3)]
-    report = verify_hilbert_basis(cols, n_samples=16, seed=2)
-    assert not report.complete
-    assert not report.is_basis
-    assert report.max_decomposition_residual > 1e-3
-
-
-@pytest.mark.parametrize("n_samples,match", [(2.5, "n_samples must be an integer"),
-                                             (0, "n_samples must be at least 1"),
-                                             (-3, "n_samples must be at least 1")])
-def test_verify_hilbert_basis_checks_its_sample_count(n_samples, match):
-    # 2.5 raised TypeError from inside range(), and 0 or -3 sampled nothing
-    basis = [QVector.basis(3, i) for i in range(3)]
-    with pytest.raises(DomainError, match=match):
-        verify_hilbert_basis(basis, n_samples=n_samples)
-    assert verify_hilbert_basis(basis, n_samples=1).n_samples == 1
-
-
-def test_verify_hilbert_basis_rejects_skewed_family():
-    v1 = QVector.from_quaternions([Quaternion(1.0, 0, 0, 0), Quaternion(0.2, 0, 0, 0)])
-    v2 = QVector.basis(2, 1)
-    with pytest.raises(PreconditionError):
-        verify_hilbert_basis([v1, v2])
-
-
 def test_nonsquare_embedding():
     a = ginibre(2, 4, seed=60)
     m = embed_chi(a)
@@ -222,7 +176,6 @@ def test_pair_arithmetic_matches_the_hamilton_reference(n):
     _assert_close(a.H.to_array(), conjugate(ac.transpose(1, 0, 2)), ".H")
     _assert_close(inner(u, v).components(), hamilton(conjugate(uc), vc).sum(axis=0), "inner")
     _assert_close(outer(u, v).to_array(), hamilton(uc[:, None, :], conjugate(vc)[None, :, :]), "outer")
-    _assert_close(left_scalar_mul(q, u).to_array(), hamilton(qc[None, :], uc), "left_scalar_mul")
     _assert_close((u * q).to_array(), hamilton(uc, qc[None, :]), "QVector * q")
     _assert_close(a.trace().components(), ac[np.arange(min(n, k)), np.arange(min(n, k))].sum(axis=0), "trace")
     _assert_close(a.frobenius(), np.sqrt((ac ** 2).sum()), "frobenius")

@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import qop
-from qop import harness, linalg, oracles, spectral, transforms
+from qop import harness, oracles, spectral, transforms
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(qop.__file__)))
 
@@ -62,7 +62,6 @@ _FIXED_SETTINGS = (
     (spectral.standard_eigenvalues, ("pair_tol",)),
     (spectral.spherical_spectrum, ("merge_tol",)),
     (spectral.spherical_point_spectrum, ("tol", "merge_tol")),
-    (spectral.verify_point_spectrum, ("tol",)),
     (spectral.spherical_eigenspace, ("count", "rtol")),
     (spectral.power_psd, ("clamp_tol",)),
     (spectral.HermitianEigensystem.power_psd, ("clamp_tol",)),
@@ -78,7 +77,6 @@ _FIXED_SETTINGS = (
     (oracles.check_eigenspace_reducing, ("kernel_rtol",)),
     (oracles.check_kernel_reduction, ("rank_rtol",)),
     (oracles.invert, ("rtol",)),
-    (linalg.verify_hilbert_basis, ("tol", "ortho_tol")),
     (harness.run_fuzz, ("shrink_budget",)),
 )
 
@@ -93,7 +91,7 @@ _REMOVED_SETTINGS = (
 
 
 def test_fixed_settings_are_not_parameters():
-    assert sum(len(names) for _, names in _FIXED_SETTINGS) == 24
+    assert sum(len(names) for _, names in _FIXED_SETTINGS) == 21
     for fn, names in _FIXED_SETTINGS + _REMOVED_SETTINGS:
         params = inspect.signature(fn).parameters
         assert not set(names) & set(params), fn.__qualname__

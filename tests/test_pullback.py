@@ -84,7 +84,7 @@ def test_internal_pull_backs_neither_unembed_nor_recheck(monkeypatch):
     parts = polar(t)
     parts.abs_t
     parts.abs_power(0.5)
-    transforms.abs_power(parts, 2.0)
+    parts.abs_power(2.0)
     system.apply(np.exp)
     oracles.invert(t)
     oracles.is_p_hyponormal(t, 0.5)

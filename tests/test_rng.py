@@ -94,28 +94,16 @@ def test_normals_moments():
     assert abs(x.std() - 1.0) < 0.01
 
 
-def test_integer_bounds():
-    s = SplitMix64(3)
-    draws = [s.integer(-2, 5) for _ in range(200)]
-    assert min(draws) >= -2 and max(draws) <= 5
-    assert len(set(draws)) == 8
-    with pytest.raises(ValueError):
-        s.integer(4, 3)
-
-
 def test_streams_with_different_seeds_differ():
     assert SplitMix64(1).uint64(4).tolist() != SplitMix64(2).uint64(4).tolist()
 
 
 def test_scalar_draws_equal_the_array_path():
-    # uniform and integer draw one output on Python integers; (z >> 11) * 2^-53
-    # is exact on both paths, so each of these 10,000 draws is the array path's
+    # uniform draws one output on Python integers; (z >> 11) * 2^-53 is exact
+    # on both paths, so each of these 10,000 draws is the array path's
     for seed in (0, MASK, 1, 42, *(mix_seed(7, k) for k in range(96))):
         scalar, block = SplitMix64(seed), SplitMix64(seed)
         u = block.uniforms(100)
         for count in range(100):
-            if count % 2:
-                assert scalar.integer(-3, 40) == -3 + min(43, int(u[count] * 44)), (seed, count)
-            else:
-                assert scalar.uniform(0.2, 2.0) == float(0.2 + (2.0 - 0.2) * u[count]), (seed, count)
+            assert scalar.uniform(0.2, 2.0) == float(0.2 + (2.0 - 0.2) * u[count]), (seed, count)
         assert scalar.uint64(3).tolist() == block.uint64(3).tolist()

@@ -14,10 +14,8 @@ from qop.generators import (ginibre, hermitian, near_normal, normal_with_spectru
 from qop.linalg import QMatrix, QVector, embed_chi
 from qop.quaternion import I, J, K, Quaternion
 from qop.spectral import (CLUSTER_TOL, delta_q, eigh_q, fun_calc, is_psd, kernel_basis,
-                          power_psd, rayleigh_bounds,
-                          spherical_eigenspace, spherical_point_spectrum,
-                          spherical_spectrum, standard_eigenvalues,
-                          verify_point_spectrum)
+                          power_psd, rayleigh_bounds, spherical_eigenspace,
+                          spherical_point_spectrum, spherical_spectrum, standard_eigenvalues)
 
 
 def test_eigh_q_matches_numpy_on_embedding():
@@ -144,7 +142,7 @@ def test_vectors_are_pulled_back_on_first_read_only(monkeypatch):
     sys_t, sys_a = eigh_q(t), eigh_q(a)
     sys_t.power_psd(0.5)
     power_psd(t, 2.0)
-    is_psd(t, system=sys_t)
+    is_psd(t)
     fun_calc(a, np.exp)
     sys_a.reconstruct()
     assert calls == []
@@ -281,11 +279,20 @@ def test_spherical_point_spectrum_verifies_kernels():
     assert reps[1] == pytest.approx(2.0 + 0.0j, abs=1e-8)
 
 
-def test_verify_point_spectrum_reports_gaps():
-    t = QMatrix.diag([1.0, 5.0])
-    for check in verify_point_spectrum(t):
-        assert check.verified
-        assert check.kernel_gap <= 1e-12
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_kernel_gaps_sit_at_round_off(n):
+    # sigma_min from the SVD is eps-sized on an exact kernel; taken from the
+    # eigenvalues of Delta* Delta it reads about 1e-9, their noise floor's root
+    t = ginibre(n, seed=1)
+    gaps = [spectral._kernel_gap(t, c) for c in spherical_spectrum(t).classes]
+    assert max(gaps) <= 1e-12
+
+
+def test_a_class_without_kernel_is_a_structure_error(monkeypatch):
+    monkeypatch.setattr(spectral, "GAP_TOL", -1.0)
+    with pytest.raises(StructureError) as exc:
+        spherical_point_spectrum(QMatrix.diag([1.0, 5.0]))
+    assert str(exc.value) == "class (1+0j) reported but Delta has no kernel (gap 0.000e+00)"
 
 
 def test_spherical_eigenspace_of_block_diagonal():
