@@ -288,6 +288,19 @@ def test_kernel_gaps_sit_at_round_off(n):
     assert max(gaps) <= 1e-12
 
 
+def test_repeated_spheres_keep_their_kernels():
+    # 3i and -3k share one sphere, and 2 is repeated: both classes have a
+    # two-dimensional kernel, whose gap the SVD reads at round-off too
+    vals = [Quaternion(2.0, 0.0, 0.0, 0.0), Quaternion(2.0, 0.0, 0.0, 0.0),
+            Quaternion(0.0, 3.0, 0.0, 0.0), Quaternion(0.0, 0.0, 0.0, -3.0),
+            Quaternion(1.0, 0.0, 2.0, 0.0)]
+    t = normal_with_spectrum(vals, seed=440)
+    spec = spherical_point_spectrum(t)
+    assert spec.classes == pytest.approx([3.0j, 1.0 + 2.0j, 2.0], abs=1e-8)
+    assert spec.multiplicities == (2, 1, 2)
+    assert max(spectral._kernel_gap(t, c) for c in spec.classes) <= 1e-12
+
+
 def test_a_class_without_kernel_is_a_structure_error(monkeypatch):
     monkeypatch.setattr(spectral, "GAP_TOL", -1.0)
     with pytest.raises(StructureError) as exc:
