@@ -30,10 +30,6 @@ from .linalg import DEFAULT_DIM
 from .quaternion import Quaternion
 from .rng import SplitMix64, mix_seed
 
-_GEN_KINDS = ("ginibre", "hermitian", "positive", "ordered-pair",
-              "normal-with-spectrum", "partial-isometry", "near-normal")
-
-
 def _emit(payload: dict[str, Any]) -> None:
     sys.stdout.write(matio.dumps_canonical(payload) + "\n")
 
@@ -160,41 +156,42 @@ def _parse_spectrum_arg(raw: str) -> list[Quaternion]:
     return values
 
 
+def _gen_spectrum(args: argparse.Namespace) -> list[Quaternion]:
+    """``--spectrum``, or n quaternions drawn from the seed."""
+    n = args.dim
+    if args.spectrum is not None:
+        values = _parse_spectrum_arg(args.spectrum)
+        if len(values) != n:
+            raise QopError(f"spectrum length {len(values)} does not match --dim {n}")
+        return values
+    stream = SplitMix64(mix_seed(args.seed, 101))
+    values = []
+    for _ in range(n):
+        c = stream.normals(4)
+        values.append(Quaternion(*(float(v) for v in c)))
+    return values
+
+
+# each kind of ``qop gen``, in the order of its choices, and its payload
+# from the generators module and the arguments
+_GEN_KINDS = {
+    "ginibre": lambda g, a: matio.matrix_to_json(g.ginibre(a.dim, seed=a.seed)),
+    "hermitian": lambda g, a: matio.matrix_to_json(g.hermitian(a.dim, seed=a.seed)),
+    "positive": lambda g, a: matio.matrix_to_json(g.positive(a.dim, seed=a.seed)),
+    "ordered-pair": lambda g, a: dict(zip("AB", map(matio.matrix_to_json,
+                                                    g.ordered_pair(a.dim, seed=a.seed)))),
+    "normal-with-spectrum": lambda g, a: matio.matrix_to_json(
+        g.normal_with_spectrum(_gen_spectrum(a), seed=a.seed)),
+    "partial-isometry": lambda g, a: matio.matrix_to_json(
+        g.partial_isometry(a.dim, a.defect, seed=a.seed)),
+    "near-normal": lambda g, a: matio.matrix_to_json(g.near_normal(a.dim, a.eps, seed=a.seed)),
+}
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     from . import generators
 
-    n, seed = args.dim, args.seed
-    kind = args.kind
-    if kind == "ginibre":
-        payload = matio.matrix_to_json(generators.ginibre(n, seed=seed))
-    elif kind == "hermitian":
-        payload = matio.matrix_to_json(generators.hermitian(n, seed=seed))
-    elif kind == "positive":
-        payload = matio.matrix_to_json(generators.positive(n, seed=seed))
-    elif kind == "ordered-pair":
-        a, b = generators.ordered_pair(n, seed=seed)
-        payload = {"A": matio.matrix_to_json(a), "B": matio.matrix_to_json(b)}
-    elif kind == "normal-with-spectrum":
-        if args.spectrum is not None:
-            values = _parse_spectrum_arg(args.spectrum)
-            if len(values) != n:
-                raise QopError(f"spectrum length {len(values)} does not match --dim {n}")
-        else:
-            stream = SplitMix64(mix_seed(seed, 101))
-            values = []
-            for _ in range(n):
-                c = stream.normals(4)
-                values.append(Quaternion(*(float(v) for v in c)))
-        payload = matio.matrix_to_json(
-            generators.normal_with_spectrum(values, seed=seed))
-    elif kind == "partial-isometry":
-        payload = matio.matrix_to_json(
-            generators.partial_isometry(n, args.defect, seed=seed))
-    elif kind == "near-normal":
-        payload = matio.matrix_to_json(
-            generators.near_normal(n, args.eps, seed=seed))
-    else:
-        raise QopError(f"unknown generator kind {kind!r}")
+    payload = _GEN_KINDS[args.kind](generators, args)
     text = matio.dumps_canonical(payload) + "\n"
     if args.output is None:
         sys.stdout.write(text)

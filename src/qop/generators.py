@@ -24,12 +24,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _eig
 from .errors import DomainError, ShapeError
-from .linalg import (MAX_DIM, QMatrix, QVector, _adjoints, _embed_pair, _product,
-                     _stack_pairs, _trusted)
+from .linalg import MAX_DIM, QMatrix, QVector, _adjoints, _product, _stack_pairs, _trusted
 from .quaternion import Quaternion
 from .rng import SplitMix64, block_normals, mix_seed
+from .spectral import _chi_svds
 from .transforms import RANK_RTOL, polar, unitary_completion
 
 Pairs = tuple[np.ndarray, np.ndarray]
@@ -124,8 +123,7 @@ def _unitaries(n: int, seeds: Sequence[int]) -> list[QMatrix]:
     ``polar`` and ``unitary_completion``.
     """
     a, b = _ginibre_pairs(n, n, seeds)
-    w, s2, vh = _eig.svd(_embed_pair(a, b))
-    sigma = s2.reshape(len(seeds), n, 2).mean(axis=-1)
+    w, sigma, vh = _chi_svds(a, b)
     full = (sigma > RANK_RTOL * sigma[:, :1]).all(axis=-1).tolist()
     out: list[QMatrix] = []
     for i, top in enumerate(w[:, :n] @ vh):

@@ -32,10 +32,9 @@ from .linalg import (QMatrix, QVector, _adjoints, _check_count, _check_tol, _che
                      embed_chi, inner)
 from .quaternion import Quaternion
 from .rng import SplitMix64, mix_seed
-from .spectral import (EIGENSPACE_RTOL, _clamp_errors, _delta_qs, _eigensystems,
-                       _hermitian_from_chi, _kernel_bases, _null_basis, _psd_errors,
-                       _psd_powers, _psd_weights, _require_selfadjoint, _require_square,
-                       _selfadjoint_errors, _spectra)
+from .spectral import (EIGENSPACE_RTOL, _clamp_errors, _delta_qs, _eigensystems, _kernel_bases,
+                       _null_basis, _psd_errors, _psd_powers, _require_selfadjoint,
+                       _require_square, _selfadjoint_errors, _spectra)
 from .transforms import (PolarParts, _abs_powers, _aluthge_transforms, _polars, polar,
                          unitary_completion)
 
@@ -676,8 +675,9 @@ def _lowner_heinz_cases(cases: Sequence[tuple[QMatrix, QMatrix, Sequence[float],
     the exponents, then ``_ordered_systems``, row by row.  Each run of
     consecutive cases with one size and grid length is ordered as one
     batch, its powers are pulled back in one product per operator role, and
-    every S^r - T^r is solved in one eigenvalue call.  A lone case weighs one
-    S^r and one T^r per exponent, in ``check_lowner_heinz``'s order."""
+    every S^r - T^r is solved in one eigenvalue call.  With the exponents'
+    signs and both clamps checked, every S^r is weighed before any T^r:
+    S >= T meets a non-finite exponent or weight in S^r first."""
     out: list = [None] * len(cases)
     rows, = _sift(out, range(len(cases)), lambda i: _lowner_heinz_exponents(*cases[i][2:]))
     for _, run in groupby(rows, lambda i: (cases[i][0].shape, len(cases[i][2]))):
@@ -685,9 +685,9 @@ def _lowner_heinz_cases(cases: Sequence[tuple[QMatrix, QMatrix, Sequence[float],
         if not run:
             continue
         (ssys, ws, vs), (wt, vt) = ss, ts
-        fs, ft = _psd_weights([ws, wt], [cases[i][2] for i in run])
-        sa, sb = _hermitian_from_chi(vs[:, None], fs)
-        ta, tb = _hermitian_from_chi(vt[:, None], ft)
+        exps = [cases[i][2] for i in run]
+        sa, sb = _psd_powers(ws, vs, exps)
+        ta, tb = _psd_powers(wt, vt, exps)
         da, db = sa - ta, sb - tb
         del sa, sb, ta, tb  # before the solve, the largest step
         _require_finite(da, db, "QMatrix")

@@ -169,7 +169,7 @@ class HermitianEigensystem:
         here.  The convention 0^0 = 1 makes A^0 the identity on the full
         space, kernel included.
         """
-        return _hermitian_matrix(self._v2, _psd_weights([self._w2[None]], [(p,)])[0][0, 0])
+        return _hermitian_matrix(self._v2, _psd_weights(self._w2[None], [(p,)])[0, 0])
 
     def _weights(self, fw) -> np.ndarray:
         """``fw`` as a weight row, which must be real and finite on the spectrum."""
@@ -179,57 +179,42 @@ class HermitianEigensystem:
         return fw
 
 
-def _psd_weights(spectra: Sequence[np.ndarray],
-                 exps: Sequence[Sequence[float]]) -> list[np.ndarray]:
-    """For each (k, m) stack of ascending pair-mean spectra in ``spectra``, the
-    (k, R, m) table whose row (i, j) weighs A_i^{exps[i][j]}, with every check
-    of ``power_psd``.
+def _psd_weights(w: np.ndarray, exps: Sequence[Sequence[float]]) -> np.ndarray:
+    """The (k, R, m) table whose row (i, j) weighs A_i^{exps[i][j]}, from the
+    (k, m) stack of ascending pair-mean spectra w, with every check of
+    ``power_psd``.
 
     Each column of ``exps`` is weighed in turn, each distinct exponent in it
-    once per stack in the order of ``spectra``: a lone operator's checks come
-    as in one ``power_psd`` per stack and exponent.  The clamp does not
-    depend on the exponent, so it is decided once per stack; its error
-    names the first failing row.
+    once, so a lone operator's checks come as in one ``power_psd`` per
+    exponent.  The clamp does not depend on the exponent, so it is decided
+    once; its error names the first failing row.
     """
-    k, cols = len(exps), len(exps[0])
-    stacks = []
-    for w in spectra:
-        failure = next(filter(None, _clamp_errors(w)), None)
-        pos = w > 0.0
-        stacks.append((w, failure, pos, w[pos], np.zeros((k, cols, w.shape[-1]))))
-    for j in range(cols):
+    failure = next(filter(None, _clamp_errors(w)), None)
+    # the clamp leaves every eigenvalue at or below 0 at weight 0, and 0^0 = 1
+    zeroed = np.where(w > 0.0, w, 0.0)
+    table = np.empty((len(exps), len(exps[0]), w.shape[-1]))
+    for j in range(table.shape[1]):
         groups: dict[float, list[int]] = {}
         for i, e in enumerate(exps):
             groups.setdefault(e[j], []).append(i)
         for p, rows in groups.items():
-            # a slice or one row index the table by view, other rows by copy
-            rows = slice(None) if len(rows) == k else rows[0] if len(rows) == 1 else rows
-            for w, failure, pos, positive, table in stacks:
-                if p < 0.0:
-                    raise DomainError(f"exponent must be nonnegative, got {p}")
-                if failure is not None:
-                    raise failure
-                # 1.0 ** nan is 1.0 and a clamped eigenvalue takes no power,
-                # so a non-finite exponent need not leave a non-finite weight
-                if not math.isfinite(p):
-                    raise DomainError(_NOT_FINITE)
-                if p == 0.0:
-                    table[rows, j] = 1.0
-                    continue
-                # the clamp leaves every eigenvalue at or below 0 at weight 0;
-                # the exponent is a scalar, as numpy computes x ** 0.5 and
-                # x ** 2.0 as sqrt and square, so an array of them would move bits
-                mask = pos[rows]
-                powered = (positive if rows == slice(None) else w[rows][mask]) ** p
-                if not np.isfinite(powered).all():
-                    raise DomainError(_NOT_FINITE)
-                if isinstance(rows, list):
-                    column = np.zeros(mask.shape)
-                    column[mask] = powered
-                    table[rows, j] = column
-                else:
-                    table[rows, j][mask] = powered
-    return [table for *_, table in stacks]
+            if p < 0.0:
+                raise DomainError(f"exponent must be nonnegative, got {p}")
+            if failure is not None:
+                raise failure
+            # 1.0 ** nan is 1.0 and a clamped eigenvalue takes no power,
+            # so a non-finite exponent need not leave a non-finite weight
+            if not math.isfinite(p):
+                raise DomainError(_NOT_FINITE)
+            # the exponent is a scalar, as numpy computes x ** 0.5 and x ** 2.0
+            # as sqrt and square, so an array of them would move bits; a
+            # slice or a lone row's index copies no rows
+            rows = slice(None) if len(rows) == len(exps) else rows[0] if len(rows) == 1 else rows
+            powered = zeroed[rows] ** p
+            if not np.isfinite(powered).all():
+                raise DomainError(_NOT_FINITE)
+            table[rows, j] = powered
+    return table
 
 
 def _clamp_errors(w: np.ndarray) -> list[DomainError | None]:
@@ -244,7 +229,7 @@ def _psd_powers(w: np.ndarray, v: np.ndarray,
                 exps: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray]:
     """The (k, R, n, n) pair stacks of A_i^{exps[i][j]}, from the spectra and
     eigenvectors that ``_eigensystems`` returns, in one pull-back."""
-    return _hermitian_from_chi(v[:, None], _psd_weights([w], exps)[0])
+    return _hermitian_from_chi(v[:, None], _psd_weights(w, exps))
 
 
 def _pair_real(w: np.ndarray) -> np.ndarray:
@@ -539,12 +524,15 @@ def _delta_qs(a: np.ndarray, b: np.ndarray,
     return _checked((sa + eye * norm2, sb + np.zeros_like(eye) * norm2))
 
 
-def _kernel_gap(t: QMatrix, rep: complex) -> float:
-    """Smallest singular value of Delta_rep over max(1, ||Delta_rep||_F),
-    from the SVD, so the noise floor is not squared."""
-    d = delta_q(t, Quaternion(rep.real, rep.imag, 0.0, 0.0))
-    sigma_min = float(_chi_svds(d._a[None], d._b[None])[1][0, -1])
-    return sigma_min / max(1.0, d.frobenius())
+def _kernel_gaps(t: QMatrix, reps: Sequence[complex]) -> list[float]:
+    """The smallest singular value of Delta_rep over max(1, ||Delta_rep||_F)
+    for each of ``reps``, from one SVD of the stack of Deltas, so the noise
+    floor is not squared."""
+    k = len(reps)
+    da, db = _delta_qs(np.repeat(t._a[None], k, axis=0), np.repeat(t._b[None], k, axis=0),
+                       [Quaternion(z.real, z.imag, 0.0, 0.0) for z in reps])
+    sigma_min = _chi_svds(da, db)[1][:, -1].tolist()
+    return [s / max(1.0, _frobenius(a, b)) for s, a, b in zip(sigma_min, da, db)]
 
 
 def spherical_point_spectrum(t: QMatrix) -> SphericalSpectrum:
@@ -554,11 +542,10 @@ def spherical_point_spectrum(t: QMatrix) -> SphericalSpectrum:
     gap, the smallest singular value of Delta_c divided by its size, must
     clear ``GAP_TOL``.  A class failing it means the solver and the kernel
     test disagree, which is reported as a structure error rather than
-    silently dropped.
+    silently dropped; the first such class in class order is named.
     """
     spec = spherical_spectrum(t)
-    for c in spec.classes:
-        gap = _kernel_gap(t, c)
+    for c, gap in zip(spec.classes, _kernel_gaps(t, spec.classes)):
         if not gap <= GAP_TOL:
             raise StructureError(f"class {c} reported but Delta has no kernel (gap {gap:.3e})")
     return spec

@@ -24,7 +24,7 @@ from qop.oracles import (check_aluthge_theorems, check_furuta,
                          check_tu_star, gcsi_margin, gcsi_sweep,
                          is_p_hyponormal, is_paranormal)
 from qop.quaternion import Quaternion
-from qop.rng import SplitMix64, mix_seed
+from qop.rng import SplitMix64
 from qop.spectral import eigh_q, fun_calc, spherical_spectrum
 from qop.transforms import abs_star_power, aluthge, polar
 from qop.errors import StructureError

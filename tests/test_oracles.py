@@ -19,7 +19,7 @@ from qop.oracles import (check_aluthge_theorems, check_chain_semihypo,
                          check_lowner_heinz, check_tu_star, classify_basic,
                          gcsi_margin, gcsi_sweep, invert, is_p_hyponormal,
                          is_paranormal)
-from qop.quaternion import I, J, Quaternion
+from qop.quaternion import I, Quaternion
 from qop.spectral import _eigensystem, eigh_q, is_psd
 from qop.transforms import aluthge, polar
 

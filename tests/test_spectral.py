@@ -11,7 +11,7 @@ from qop import _eig, spectral
 from qop.errors import DomainError, PreconditionError, StructureError
 from qop.generators import (ginibre, hermitian, near_normal, normal_with_spectrum,
                             partial_isometry, positive, random_unitary)
-from qop.linalg import QMatrix, QVector, embed_chi
+from qop.linalg import QMatrix, embed_chi
 from qop.quaternion import I, J, K, Quaternion
 from qop.spectral import (CLUSTER_TOL, delta_q, eigh_q, fun_calc, is_psd, kernel_basis,
                           power_psd, rayleigh_bounds, spherical_eigenspace,
@@ -200,15 +200,15 @@ def test_psd_weights_take_each_exponent_as_a_scalar():
     # time or one row at a time, whatever the rows around it
     w = np.sort(np.abs(np.random.default_rng(7).standard_normal((16, 8))), axis=1)
     w[3, :2] = 0.0
-    grid = spectral._psd_weights([w], [(0.5, 2.0)] * 16)[0]
-    rows = spectral._psd_weights([w], [(0.5 + 1.5 * (i % 2),) for i in range(16)])[0]
+    grid = spectral._psd_weights(w, [(0.5, 2.0)] * 16)
+    rows = spectral._psd_weights(w, [(0.5 + 1.5 * (i % 2),) for i in range(16)])
     assert np.array_equal(grid[:, 0], np.sqrt(w)) and np.array_equal(grid[:, 1], np.square(w))
     assert np.array_equal(rows[0::2, 0], np.sqrt(w[0::2]))
     assert np.array_equal(rows[1::2, 0], np.square(w[1::2]))
     # the clamp is decided per row, and its error names the first failing row
     w[5, 0], w[9, 0] = -1e-3, -2e-3
     with pytest.raises(DomainError, match=r"min eigenvalue -1\.000e-03"):
-        spectral._psd_weights([w], [(0.5,)] * 16)
+        spectral._psd_weights(w, [(0.5,)] * 16)
 
 
 def test_fun_calc_square_matches_product():
@@ -284,7 +284,7 @@ def test_kernel_gaps_sit_at_round_off(n):
     # sigma_min from the SVD is eps-sized on an exact kernel; taken from the
     # eigenvalues of Delta* Delta it reads about 1e-9, their noise floor's root
     t = ginibre(n, seed=1)
-    gaps = [spectral._kernel_gap(t, c) for c in spherical_spectrum(t).classes]
+    gaps = spectral._kernel_gaps(t, spherical_spectrum(t).classes)
     assert max(gaps) <= 1e-12
 
 
@@ -298,7 +298,7 @@ def test_repeated_spheres_keep_their_kernels():
     spec = spherical_point_spectrum(t)
     assert spec.classes == pytest.approx([3.0j, 1.0 + 2.0j, 2.0], abs=1e-8)
     assert spec.multiplicities == (2, 1, 2)
-    assert max(spectral._kernel_gap(t, c) for c in spec.classes) <= 1e-12
+    assert max(spectral._kernel_gaps(t, spec.classes)) <= 1e-12
 
 
 def test_a_class_without_kernel_is_a_structure_error(monkeypatch):

@@ -6,7 +6,7 @@ from qop.errors import DomainError, ShapeError
 from qop.generators import (ginibre, normal_with_spectrum, partial_isometry, positive,
                             random_unitary)
 from qop.linalg import MAX_DIM, QMatrix, _from_chi_top, operator_norm
-from qop.quaternion import I, Quaternion
+from qop.quaternion import Quaternion
 from qop.spectral import eigh_q, is_psd
 from qop.transforms import (RANK_RTOL, abs_star_power, aluthge, duggal, furuta_sr,
                             lambda_aluthge, polar, unitary_completion)

@@ -1,0 +1,110 @@
+"""Parity grid: one digest per public output of a fixed grid of runs.
+
+A refactor that promises byte-identical results runs this against its own
+tree and against its parent's, and compares the last lines:
+
+    PYTHONPATH=src python tools/parity.py > change.txt
+    PYTHONPATH=/path/to/parent/src python tools/parity.py > parent.txt
+
+It takes no options, runs OpenBLAS on one thread and reads only public
+names, so it runs unchanged against older trees.  Each line is
+``<record> <sha256>``: every ``run_verify`` report of the 14 properties at
+dims 1, 3, 4 and 8, seeds 3 and 11, probe off and on, 8 trials each, and
+at dim 64 for 2 trials at seed 3; every ``run_fuzz`` report at budget 6,
+seed 5, dim 4; the margin and shrunk instance of 20 probe-regime
+Lowner-Heinz and Furuta instances; and ``spherical_point_spectrum``,
+``power_psd`` at p = 0.37 and 0.5, ``fun_calc`` and ``random_unitary`` at
+n = 4, 16 and 64.  A call that raises is hashed as ``type: message``.  The
+last line, ``total <sha256>``, hashes every line above it.  The digests
+are exact bytes, which another machine's BLAS need not reproduce.
+"""
+
+from __future__ import annotations
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
+
+import hashlib
+import sys
+from typing import Any, Callable
+
+import numpy as np
+
+import qop
+from qop.harness import PROPERTIES
+from qop.oracles import DEFAULT_TOL
+from qop.rng import SplitMix64, mix_seed
+
+
+def _text(value: Any) -> str:
+    """A canonical text of a result: reports by their JSON, operators by
+    their components' bytes, tuples and dicts item by item, the rest by repr."""
+    if isinstance(value, qop.VerificationReport):
+        return value.dumps()
+    if isinstance(value, qop.QMatrix):
+        return value.to_array().tobytes().hex()
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{k}:{_text(v)}" for k, v in sorted(value.items())) + "}"
+    if isinstance(value, tuple):
+        return "(" + ",".join(map(_text, value)) + ")"
+    return repr(value)
+
+
+def _record(lines: list[str], name: str, run: Callable[[], Any]) -> None:
+    try:
+        text = _text(run())
+    except Exception as exc:  # the error is part of the output
+        text = f"{type(exc).__name__}: {exc}"
+    line = f"{name} {hashlib.sha256(text.encode()).hexdigest()}"
+    lines.append(line)
+    print(line, flush=True)
+
+
+def _probe_instance(i: int) -> tuple[str, dict[str, Any]]:
+    """The i-th probe-regime instance: ordered 4 x 4 pairs with exponents
+    outside the theorems, alternately Lowner-Heinz and Furuta."""
+    a, b = qop.ordered_pair(4, seed=mix_seed(29, 2 * i))
+    stream = SplitMix64(mix_seed(29, 2 * i + 1))
+    u = stream.uniform(0.0, 1.0)
+    if i % 2 == 0:
+        return "lowner-heinz", {"A": a, "B": b, "r": 2.5 + 0.5 * u}
+    return "furuta", {"A": a, "B": b, "p": 2.0 + u, "q": 1.0, "r": stream.uniform(0.0, 0.5)}
+
+
+def _shrunk(prop: str, inst: dict[str, Any]) -> tuple[float, Any]:
+    margin = qop.evaluate_instance(prop, inst)
+    return margin, (qop.minimize_counterexample(prop, inst, budget=64)
+                    if margin < -DEFAULT_TOL else None)
+
+
+def main() -> int:
+    lines: list[str] = []
+    for prop in sorted(PROPERTIES):
+        for dim in (1, 3, 4, 8):
+            for seed in (3, 11):
+                for probe in (False, True):
+                    _record(lines, f"verify/{prop}/dim{dim}/seed{seed}/probe{int(probe)}",
+                            lambda: qop.run_verify(prop, trials=8, seed=seed, dim=dim,
+                                                   probe=probe))
+        _record(lines, f"verify/{prop}/dim64/seed3",
+                lambda: qop.run_verify(prop, trials=2, seed=3, dim=64))
+    for prop in sorted(PROPERTIES):
+        _record(lines, f"fuzz/{prop}", lambda: qop.run_fuzz(prop, budget=6, seed=5, dim=4))
+    for i in range(20):
+        prop, inst = _probe_instance(i)
+        _record(lines, f"shrink/{prop}/{i}", lambda: _shrunk(prop, inst))
+    for n in (4, 16, 64):
+        _record(lines, f"spherical_point_spectrum/n{n}",
+                lambda: qop.spherical_point_spectrum(qop.ginibre(n, seed=n)))
+        for p in (0.37, 0.5):
+            _record(lines, f"power_psd/{p}/n{n}",
+                    lambda: qop.power_psd(qop.positive(n, seed=n), p))
+        _record(lines, f"fun_calc/n{n}", lambda: qop.fun_calc(qop.hermitian(n, seed=n), np.tanh))
+        _record(lines, f"random_unitary/n{n}", lambda: qop.random_unitary(n, seed=n))
+    print("total", hashlib.sha256("\n".join(lines).encode()).hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
