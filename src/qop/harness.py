@@ -12,7 +12,7 @@ scores the candidates of every key of a sweep as one batch through the
 same ``evaluate``, so it minimises exactly what the trial measured,
 hypotheses included.  A chunk is drawn and scored as stacks (one block draw per
 stream of Gaussian entries, one SVD or eigenvalue call per operator role,
-the GCSI refinements as one stack), each instance and margin bit for bit the one
+the GCSI candidate pairs in one scoring), each instance and margin bit for bit the one
 its trial gives alone.  Per-trial seeds are derived as mix_seed(seed,
 index), whatever the chunk; the aggregate is a deterministic min-fold with
 ties broken by lowest trial index, and an error surfaces from the lowest
@@ -44,10 +44,6 @@ LH_R_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 HM_R_GRID = (0.3, 0.5, 0.7, 1.5, 2.0, 3.0)
 HYP_P_GRID = (0.25, 0.5, 1.0)
 SHRINK_BUDGET = 256
-# sampled pairs of each gcsi-closure and gcsi-implies search before its
-# gradient refinement: every ordered basis pair at dim 4.  Fewer start from
-# (e0, .) alone and miss a 4 x 4 shift, which kills e0
-_GCSI_BUDGET = 16
 # run_verify's chunks: at most _BATCH trials, and only as many as keep 16
 # copies of each trial's T within _STACK_BYTES (an embedding is 4 times T's
 # bytes, and an SVD keeps it, its two factors and the conjugated V)
@@ -379,7 +375,7 @@ def _draw_gcsi_closure(ctxs: list[TrialContext]) -> list[Instance]:
                                                 if w == "compression"], 1)))
     insts = []
     for c, w in zip(ctxs, which):
-        inst: Instance = {"which": w, "seed": mix_seed(c.trial_seed, 3)}
+        inst: Instance = {"which": w}
         if w == "compression":
             inst["T"], inst["projector"] = next(blocks)
         else:
@@ -393,9 +389,8 @@ def _draw_gcsi_closure(ctxs: list[TrialContext]) -> list[Instance]:
 
 
 def _closure_margins(insts: list[Instance], tol: float) -> list[Scored | QopError]:
-    """Base and transformed margins, each over its own operator's scale; every
-    search of the batch is refined in one stack."""
-    cases = [(inst["T"], inst["which"], inst["seed"], inst.get("scalar"), inst.get("unitary"),
+    """Base and transformed margins, each over its own operator's scale."""
+    cases = [(inst["T"], inst["which"], inst.get("scalar"), inst.get("unitary"),
               inst.get("projector")) for inst in insts]
     def score(report: oracles.ClosureReport, inst: Instance, opn: float) -> Scored:
         scale_s = max(1.0, abs(inst.get("scalar", 1.0)) * opn)
@@ -403,7 +398,7 @@ def _closure_margins(insts: list[Instance], tol: float) -> list[Scored | QopErro
         return (min(report.base.value / max(1.0, opn), report.transformed.value / scale_s),
                 {} if pair is None else {"pair": pair})
 
-    reports, norms = oracles._gcsi_closures(cases, beta=0.5, budget=_GCSI_BUDGET, tol=tol)
+    reports, norms = oracles._gcsi_closures(cases, beta=0.5, tol=tol)
     return _scored(reports, score, insts, norms)
 
 
@@ -448,15 +443,12 @@ def _draw_gcsi_implies(ctxs: list[TrialContext]) -> list[Instance]:
              3: iter(generators._ginibres(dim, dim, pick[3]))}
     ts = _random_normals(streams, [next(pools[max(f, 1)]) for f in family],
                          [f == 1 for f in family])
-    return [{"T": t, "p": 0.25 + 0.5 * s.uniform(0.0, 1.0), "seed": mix_seed(c.trial_seed, 2)}
-            for c, t, s in zip(ctxs, ts, streams)]
+    return [{"T": t, "p": 0.25 + 0.5 * s.uniform(0.0, 1.0)} for t, s in zip(ts, streams)]
 
 
 def _implies_margins(insts: list[Instance], tol: float) -> list[Scored]:
-    """0, or -1 on a hard violation, with the GCSI oracle sampled at each instance's
-    seed; every search of the batch is refined in one stack."""
-    reports = oracles._gcsi_implications([(inst["T"], inst["p"], inst["seed"]) for inst in insts],
-                                         budget=_GCSI_BUDGET, tol=tol)
+    """0, or -1 on a hard violation."""
+    reports = oracles._gcsi_implications([(inst["T"], inst["p"]) for inst in insts], tol=tol)
     return [((-1.0 if r.hard_violation else 0.0), {"gcsi_witness": r.gcsi.witness})
             for r in reports]
 

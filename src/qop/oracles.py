@@ -6,32 +6,32 @@ violation.  Margins are raw (in the units of the quantity compared);
 callers normalize by an operator scale when they need dimensionless
 numbers.
 
-Semantics are deliberately asymmetric.  Operator-order conditions (PSD
-margins) and paranormality, decided on a quadratic eigenvalue pencil, are
-certified both ways up to eigensolver tolerance.  The generalized
-Cauchy-Schwarz family, quantified over all pairs of vectors, is certified
-only on failure, where a concrete witness is produced; a nonnegative margin
-there is sampled evidence under a recorded budget and seed, never a proof.
+Operator-order conditions (PSD margins) and paranormality, decided on a
+quadratic eigenvalue pencil, are certified both ways up to eigensolver
+tolerance.  The generalized Cauchy-Schwarz family, quantified over all
+pairs of vectors, is scored on a fixed set of pairs that holds a witness
+whenever any pair is one, which is exactly when the operator is not
+normal; its margin is the least over that set, not over all pairs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from itertools import groupby
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import _eig, matio
 from .errors import DomainError, PreconditionError, QopError, ShapeError
-from .linalg import (QMatrix, QVector, _adjoints, _check_count, _check_tol, _checked,
-                     _chi_eigvalsh, _from_chi_top, _from_psi, _gram_norms, _identities,
-                     _operator_norms, _outers, _pair_eigvalsh, _product, _psi, _require_finite,
-                     _selfadjoint_residual, _stack_pairs, _stacked, _trusted, _vector_norms,
+from .linalg import (QMatrix, QVector, _adjoints, _check_tol, _checked, _chi_eigvalsh,
+                     _from_chi_top, _from_psi, _gram_norms, _identities, _operator_norms,
+                     _outers, _pair_eigvalsh, _product, _require_finite,
+                     _selfadjoint_residual, _stack_pairs, _trusted, _vector_norms,
                      embed_chi, inner)
 from .quaternion import Quaternion
-from .rng import SplitMix64, mix_seed
 from .spectral import (EIGENSPACE_RTOL, _clamp_errors, _delta_qs, _eigensystems, _kernel_bases,
                        _null_basis, _psd_errors, _psd_powers, _require_selfadjoint,
                        _require_square, _selfadjoint_errors, _spectra)
@@ -289,248 +289,104 @@ def is_paranormal(t: QMatrix, *, tol: float = DEFAULT_TOL) -> Margin:
     return _margin(float(vals.min()), tol, scale, witness)
 
 
-def _unit_pairs(n: int, budget: int, stream: SplitMix64) -> np.ndarray:
-    """(budget, 2, 2n) embedded pairs (x, y): all ordered basis pairs first, then random."""
-    m = np.arange(min(budget, n * n))
-    pairs = np.zeros((m.shape[0], 2, 2 * n), dtype=np.complex128)
-    pairs[m, 0, m // n] = 1.0
-    pairs[m, 1, m % n] = 1.0
-    extra = budget - m.shape[0]
-    if extra <= 0:
-        return pairs
-    raw = stream.normals(2 * extra * n * 4).reshape(2, extra, n, 4)
-    norms = np.sqrt((raw ** 2).sum(axis=(2, 3)))
-    norms[norms < 1e-12] = 1.0
-    raw = raw / norms[:, :, None, None]
-    return np.concatenate([pairs, _psi(raw).swapaxes(0, 1)], axis=0)
-
-
-def _gcsi_parts(images: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(||Tx||, ||Ty||, |<Tx, y>|, w^H psi(y), its j part) of a stack of
-    embedded pairs (..., 2, 2n) from their images w = psi(Tx), z = psi(Ty).
+def _gcsi_parts(tx: np.ndarray, ty: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(||Tx||, ||Ty||, |<Tx, y>|) of a stack of embedded pairs from the
+    (m, 2n) stacks psi(Tx), psi(Ty) and psi(y).
 
     For psi(u) = [p; q] the quaternionic inner product splits into a complex
     part and a j part: |<u, v>|^2 = |psi(u)^H psi(v)|^2 + |sum(p v_bot - q v_top)|^2.
     """
-    n = pairs.shape[-1] // 2
-    norms = _norms(images)
-    tx, y = images[..., 0, :], pairs[..., 1, :]
+    n = y.shape[-1] // 2
     inner_c = (tx.conj() * y).sum(axis=-1)
-    inner_j = (tx[..., :n] * y[..., n:] - tx[..., n:] * y[..., :n]).sum(axis=-1)
+    inner_j = (tx[:, :n] * y[:, n:] - tx[:, n:] * y[:, :n]).sum(axis=-1)
     c = np.sqrt(inner_c.real ** 2 + inner_c.imag ** 2 + inner_j.real ** 2 + inner_j.imag ** 2)
-    return norms[..., 0], norms[..., 1], c, inner_c, inner_j
+    return _norms(tx), _norms(ty), c
 
 
-def _gcsi_terms(chi_t: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(||Tx||, ||Ty||, |<Tx, y>|) for a (k, 2, 2n) stack of ``_unit_pairs``.
-
-    chi(T) psi(x) = psi(Tx).  The first min(k, n^2) pairs are the ordered
-    standard-basis pairs, whose images are columns of chi(T): they are
-    gathered, the same bits as multiplying, and the other pairs are scored
-    in one product with chi(T)^T.
-    """
-    n2 = pairs.shape[-1]
-    n = n2 // 2
-    m = np.arange(min(pairs.shape[0], n * n))
-    images = np.empty_like(pairs)
-    images[:m.shape[0]] = chi_t.T[np.stack([m // n, m % n], axis=1)]
-    images[m.shape[0]:] = (pairs[m.shape[0]:].reshape(-1, n2) @ chi_t.T).reshape(-1, 2, n2)
-    return _gcsi_parts(images, pairs)[:3]
-
-
-def _gcsi_values(terms: tuple[np.ndarray, ...], beta: float) -> np.ndarray:
-    """||Tx||^(1 - beta) ||Ty||^beta - |<Tx, y>| from the ``_gcsi_terms`` of a stack.
-
-    ``beta`` is one Python float: numpy computes a scalar exponent of 0.5 or
-    2 as sqrt or square, but an array of exponents by pow, entry by entry,
-    which moves the last bits.
-    """
-    a, b, c = terms
-    return np.power(a, 1.0 - beta) * np.power(b, beta) - c
-
-
-def _worst_pair(terms: tuple[np.ndarray, ...], beta: float,
-                pairs: np.ndarray) -> tuple[float, np.ndarray]:
-    """The least margin over a stack of pairs and its pair, the first one on ties."""
-    values = _gcsi_values(terms, beta)
-    k = int(np.argmin(values))
-    return float(values[k]), pairs[k]
-
-
-def _gcsi_result(beta: float, value: float, pair: np.ndarray, *, budget: int,
-                 seed: int, tol: float) -> Margin:
-    """The sampled margin at the worst pair found, witnessed by it below -tol."""
-    witness = None
-    if value < -tol:
-        witness = {"beta": beta,
-                   "x": matio.vector_to_json(_from_psi(pair[0])),
-                   "y": matio.vector_to_json(_from_psi(pair[1]))}
-    return Margin(value=value, tolerance=tol, witness=witness,
-                  details={"beta": beta, "budget": budget, "seed": seed})
-
-
-# the refinement of each GCSI search: _STEPS projected gradient steps on the
-# unit spheres of x and y.  A step tries _RUNGS lengths along each of two
-# directions, -grad f and grad |<Tx, y>|, that turn the pair by the search's
-# angle times _RUNG^j, j < _RUNGS.  The angle starts at _ANGLE and moves to one
-# rung above the candidate taken, or below the ladder when none lowers f
-_STEPS = 10
-_RUNGS = 6
-_RUNG = 0.35
-_ANGLE = 1.0
-
-
-def _check_gcsi_args(beta: float, budget: int) -> None:
+def _check_beta(beta: float) -> None:
     if not 0.0 < beta <= 1.0:
         raise DomainError(f"beta must lie in (0, 1], got {beta}")
-    _check_count(budget, "budget")
 
 
-def _gcsi_draw(n: int, budget: int, seed: int) -> np.ndarray:
-    """The seed's (budget, 2, 2n) sampled pairs."""
-    return _unit_pairs(n, budget, SplitMix64(mix_seed(seed, 0)))
+def _gcsi_search(ts: Sequence[QMatrix], parts: Sequence[PolarParts],
+                 betas: Sequence[Sequence[float]], tol: float) -> list[list[Margin]]:
+    """The ``gcsi_margin`` of each operator of one size at each beta of its
+    grid, from its polar parts.
 
-
-# one search of _gcsi_search: T, beta, the seed, and its _gcsi_draw
-Search = tuple[QMatrix, float, int, np.ndarray]
-
-
-def _gcsi_search(searches: Iterable[Search], *, tol: float) -> list[Margin]:
-    """Scan each search's sampled pairs, then refine from its worst one.
-
-    Each operator is scanned on its own, in one ``_gcsi_terms`` call, as
-    ``searches`` reaches it, so one scan's pairs are alive at a time.  Each
-    run of consecutive searches of one operator size is refined as one stack
-    by ``_refine``, whose result for a start is that of the start alone.
+    Each operator brings its candidate x, the 2n standard basis vectors of
+    C^{2n}, whose images are the columns of chi(T), gathered, then the
+    columns of its ``_v``; y is chi(T) x / ||chi(T) x||, or x where that
+    image is 0.  Every pair of every operator is scored in one
+    ``_gcsi_parts`` call, and the first least pair wins.  Each operator's
+    products are its own, so a search gives the bits it gives alone.
     """
-    def scanned() -> Iterator[tuple]:
-        for t, beta, seed, pairs in searches:
-            chi_t = embed_chi(t)
-            best, pair = _worst_pair(_gcsi_terms(chi_t, pairs), beta, pairs)
-            # a copy of the pair, and no name left on the pairs, frees them now
-            pair, budget = pair.copy(), pairs.shape[0]
-            del pairs
-            yield chi_t, beta, seed, budget, best, pair
-
-    out: list[Margin] = []
-    for _, run in groupby(scanned(), lambda s: s[0].shape):
-        chis, betas, seeds, budgets, best, pairs = zip(*run)
-        values, pairs = _refine(_stacked(chis), betas, np.array(best), _stacked(pairs))
-        out += [_gcsi_result(beta, value, pair, budget=budget, seed=seed, tol=tol)
-                for beta, seed, budget, value, pair in zip(betas, seeds, budgets,
-                                                           values.tolist(), pairs)]
+    if not ts:
+        return []
+    n2 = 2 * ts[0].rows
+    chis = [embed_chi(t) for t in ts]
+    bounds = np.cumsum([0] + [n2 + pp._v.shape[1] for pp in parts]).tolist()
+    xs = np.zeros((bounds[-1], n2), dtype=np.complex128)
+    tx, ty = np.empty_like(xs), np.empty_like(xs)
+    for chi, pp, lo, hi in zip(chis, parts, bounds, bounds[1:]):
+        xs[lo + np.arange(n2), np.arange(n2)] = 1.0
+        xs[lo + n2:hi] = pp._v.T
+        tx[lo:lo + n2], tx[lo + n2:hi] = chi.T, pp._v.T @ chi.T
+    norms = _norms(tx)[:, None]
+    ys = np.divide(tx, norms, out=xs.copy(), where=norms > 0.0)
+    for chi, lo, hi in zip(chis, bounds, bounds[1:]):
+        ty[lo:hi] = ys[lo:hi] @ chi.T
+    a, b, c = _gcsi_parts(tx, ty, ys)
+    out = []
+    for lo, hi, grid in zip(bounds, bounds[1:], betas):
+        margins = []
+        for beta in grid:
+            # beta is one Python float: numpy computes a scalar exponent of 0.5
+            # as sqrt, but an array of exponents by pow, which moves the last bits
+            values = np.power(a[lo:hi], 1.0 - beta) * np.power(b[lo:hi], beta) - c[lo:hi]
+            k = int(np.argmin(values))
+            witness = None
+            if values[k] < -tol:
+                witness = {"beta": beta, "x": matio.vector_to_json(_from_psi(xs[lo + k])),
+                           "y": matio.vector_to_json(_from_psi(ys[lo + k]))}
+            margins.append(Margin(value=float(values[k]), tolerance=tol, witness=witness,
+                                  details={"beta": beta}))
+        out.append(margins)
     return out
 
 
-def _flip(v: np.ndarray) -> np.ndarray:
-    """conj(J v) for J = [[0, I], [-I, 0]], along the last axis."""
-    n = v.shape[-1] // 2
-    return np.concatenate([v[..., n:], -v[..., :n]], axis=-1).conj()
-
-
-def _refine(chi_t: np.ndarray, betas: Sequence[float], values: np.ndarray,
-            pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The values and pairs that ``_STEPS`` gradient steps reach from a stack
-    of starts: the (k, 2, 2n) embedded ``pairs``, each with its chi(T) in
-    ``chi_t``, its beta and its value.
-
-    f = a^(1 - beta) b^beta - c, with a = ||Tx||, b = ||Ty|| and c =
-    |<Tx, y>| as in ``_gcsi_parts``.  With w = psi(Tx), z = psi(Ty), p the
-    complex part and q the j part of <Tx, y>, the real gradients are
-    grad_x a = chi(T)^H w / a, grad_y b = chi(T)^H z / b,
-    grad_x c = chi(T)^H (conj(p) psi(y) + q conj(J psi(y))) / c and
-    grad_y c = (p w - q conj(J w)) / c, with J = [[0, I], [-I, 0]].  Both
-    directions are projected onto the tangent spaces of the two spheres,
-    every candidate of every start is scored in one stacked product, and a
-    start moves to its least candidate only where that strictly lowers f; a
-    start with a, b or c zero stays put.  Each start's arithmetic is its
-    own, and each run of one beta shares one ``_gcsi_values`` call, so a
-    stack gives the bits of its starts refined alone.
-    """
-    k, _, n2 = pairs.shape
-    beta = np.array(betas)[:, None]
-    runs, lo = [], 0
-    for b, run in groupby(betas):
-        count = len(list(run))
-        runs.append((b, slice(lo, lo + count)))
-        lo += count
-    forward, back = chi_t.swapaxes(-1, -2), chi_t.conj()
-    ladder = _RUNG ** np.arange(_RUNGS)
-    angles = np.full(k, _ANGLE)
-    values, pairs = values.copy(), pairs.copy()
-    images = pairs @ forward
-    parts = _gcsi_parts(images, pairs)
-    rows = np.arange(k)
-    for _ in range(_STEPS):
-        a, b, c, p, q = parts
-        live = (a > 0.0) & (b > 0.0) & (c > 0.0)
-        a, b, c = (np.where(live, s, 1.0)[:, None] for s in (a, b, c))
-        p, q, y, w, z = p[:, None], q[:, None], pairs[:, 1], images[:, 0], images[:, 1]
-        g = values[:, None] + c
-        h = np.stack([w, (p.conj() * y + q * _flip(y)) / c, z], axis=1) @ back
-        grad_g = np.stack([(1.0 - beta) * g / (a * a) * h[:, 0], beta * g / (b * b) * h[:, 2]],
-                          axis=1)
-        grad_c = np.stack([h[:, 1], (p * w - q * _flip(w)) / c], axis=1)
-        dirs = np.stack([grad_c - grad_g, grad_c], axis=1)
-        real, at = dirs.view(np.float64), pairs.view(np.float64)[:, None]
-        dirs -= (real * at).sum(axis=-1)[..., None] * pairs[:, None]
-        size = np.sqrt((real * real).reshape(k, 2, -1).sum(axis=-1))
-        steps = np.divide(angles[:, None], size, out=np.zeros_like(size), where=size > 0.0)
-        steps = (steps[..., None] * ladder)[..., None, None]
-        cands = pairs[:, None, None] + steps * dirs[:, :, None]
-        cands = (cands / _norms(cands)[..., None]).reshape(k, -1, 2, n2)
-        found = (cands.reshape(k, -1, n2) @ forward).reshape(cands.shape)
-        scored = _gcsi_parts(found, cands)
-        vals = np.concatenate([_gcsi_values(tuple(s[span] for s in scored[:3]), b)
-                               for b, span in runs])
-        best = vals.argmin(axis=1)
-        lowered = vals[rows, best] < values
-        angles = np.where(lowered, np.minimum(_ANGLE, angles * _RUNG ** (best % _RUNGS - 1.0)),
-                          angles * _RUNG ** _RUNGS)
-        take = (live & lowered).nonzero()[0]
-        best = best[take]
-        pairs[take], images[take] = cands[take, best], found[take, best]
-        for old, new in zip((values, *parts), (vals, *scored)):
-            old[take] = new[take, best]
-    return values, pairs
-
-
-def gcsi_margin(t: QMatrix, beta: float, *, budget: int = 1000, seed: int = 0,
-                tol: float = DEFAULT_TOL) -> Margin:
-    """Sampled margin of |<Tx, y>| <= (||Tx|| ||y||)^alpha (||Ty|| ||x||)^beta.
+def gcsi_margin(t: QMatrix, beta: float, *, tol: float = DEFAULT_TOL) -> Margin:
+    """Margin of |<Tx, y>| <= (||Tx|| ||y||)^alpha (||Ty|| ||x||)^beta, least
+    over a fixed set of unit pairs, witnessed by its pair below -tol.
 
     Exponents satisfy alpha = 1 - beta with beta in (0, 1], and 0^0 counts
-    as 1.  All ordered standard-basis pairs are scanned before the random
-    unit pairs, so textbook violations at basis vectors surface with their
-    exact witnesses.  The worst pair then gets ``_STEPS`` projected gradient
-    steps on the unit spheres of x and y (``_refine``), each taken only where
-    it strictly lowers the margin, so the result is never above the scan's.
-    Vectors are scored on the complex side, as psi(x) against chi(T).  A
-    negative margin certifies non-membership; a nonnegative one is evidence
-    on the sampled budget.
+    as 1.  Vectors are scored on the complex side, as psi(x) against chi(T)
+    (``_gcsi_search``).  The x are the 2n standard basis vectors of C^{2n},
+    so textbook violations at basis vectors surface with their exact
+    witnesses, then the right singular vectors v_i of chi(T) above the rank
+    cutoff; each y is chi(T) x / ||chi(T) x||.  The set holds a witness
+    exactly when T is not normal.  With sigma_i the singular values,
+    sum_i (sigma_i^4 - ||T^2 v_i||^2) = ||T*T||_F^2 - ||T^2||_F^2 =
+    ||T*T - TT*||_F^2 / 2, so some v_i has ||T^2 v_i|| < ||T v_i||^2, and
+    its pair scores ||Tv||^(1 - beta) (||T^2 v|| / ||Tv||)^beta - ||Tv|| < 0.
+    A normal T has no witness at all: |<Tx, y>| <= ||Tx|| and
+    |<Tx, y>| = |<x, T*y>| <= ||T*y|| = ||Ty||, and the margin splits
+    |<Tx, y>| as the (alpha, beta) product of the two bounds.
     """
     _check_tol(tol)
-    _check_gcsi_args(beta, budget)
-    return _gcsi_search([(t, beta, seed, _gcsi_draw(t.rows, budget, seed))], tol=tol)[0]
+    _check_beta(beta)
+    return _gcsi_search([t], _polars([t]), [(beta,)], tol)[0][0]
 
 
-def gcsi_sweep(t: QMatrix, *, budget: int = 1000, seed: int = 0,
-               tol: float = DEFAULT_TOL) -> dict[float, Margin]:
+def gcsi_sweep(t: QMatrix, *, tol: float = DEFAULT_TOL) -> dict[float, Margin]:
     """Per-beta margins over ``SWEEP_BETAS``; membership is existential over beta.
 
-    The matrix-vector work is shared across the grid: each sampled pair
-    contributes three scalars (||Tx||, ||Ty||, |<Tx,y>|), evaluated once on
-    the complex side as in ``gcsi_margin``.  There is no refinement.
+    The candidate pairs of ``gcsi_margin`` and their three scalars
+    (||Tx||, ||Ty||, |<Tx,y>|) come from one SVD and are shared across the
+    grid.  By the identity there, the set holds a witness at every beta or
+    at none; only the tolerance can tell the betas apart.
     """
     _check_tol(tol)
-    _check_count(budget, "budget")
-    pairs = _gcsi_draw(t.rows, budget, seed)
-    terms = _gcsi_terms(embed_chi(t), pairs)
-    out: dict[float, Margin] = {}
-    for beta in SWEEP_BETAS:
-        best, pair = _worst_pair(terms, beta, pairs)
-        out[beta] = _gcsi_result(beta, best, pair, budget=budget, seed=seed, tol=tol)
-    return out
+    return dict(zip(SWEEP_BETAS, _gcsi_search([t], _polars([t]), [SWEEP_BETAS], tol)[0]))
 
 
 def _least_scaled(margins: Sequence[Margin]) -> Margin:
@@ -553,10 +409,17 @@ def check_holder_mccarthy(t: QMatrix, x: QVector, rs: Sequence[float], *,
     return _sole(_holder_mccarthy_cases([(t, x, rs)], tol))
 
 
+def _check_finite_exponent(name: str, value: float) -> None:
+    """A NaN or infinite exponent is rejected by name, before it reaches a weigher."""
+    if not math.isfinite(value):
+        raise DomainError(f"exponent {name} must be finite, got {value}")
+
+
 def _holder_mccarthy_args(x: QVector, rs: Sequence[float]) -> None:
     if not rs:
         raise DomainError("at least one exponent is needed")
     for r in rs:
+        _check_finite_exponent("r", r)
         if r <= 0.0 or r == 1.0:
             raise DomainError(f"exponent must be positive and not 1, got {r}")
     if x.norm() == 0.0:
@@ -663,6 +526,7 @@ def _lowner_heinz_exponents(rs: Sequence[float], probe: bool) -> None:
     if not rs:
         raise DomainError("at least one exponent is needed")
     for r in rs:
+        _check_finite_exponent("r", r)
         if r < 0.0:
             raise DomainError(f"exponent must be nonnegative, got {r}")
         if r > 1.0 and not probe:
@@ -715,6 +579,8 @@ def check_furuta(a: QMatrix, b: QMatrix, p: float, q: float, r: float, *,
 
 
 def _furuta_exponents(p: float, q: float, r: float, probe: bool) -> None:
+    for name, value in (("p", p), ("q", q), ("r", r)):
+        _check_finite_exponent(name, value)
     if p < 0.0 or q < 1.0 or r < 0.0:
         raise DomainError(f"need p >= 0, q >= 1, r >= 0, got p={p} q={q} r={r}")
     if (1.0 + 2.0 * r) * q < p + 2.0 * r and not probe:
@@ -979,25 +845,22 @@ class ClosureReport:
 
 
 def check_gcsi_closure(t: QMatrix, which: str, *, beta: float = 0.5,
-                       budget: int = 400, seed: int = 0, tol: float = DEFAULT_TOL,
-                       scalar: float = 2.0, unitary: QMatrix | None = None,
+                       tol: float = DEFAULT_TOL, scalar: float = 2.0,
+                       unitary: QMatrix | None = None,
                        projector: QMatrix | None = None) -> ClosureReport:
-    """Re-test the sampled inequality after a class-preserving operation.
+    """Re-test the inequality after a class-preserving operation.
 
     ``which`` picks the operation: "scalar" (real multiple), "inverse",
     "unitary-equiv" (conjugation by a supplied unitary), or "compression"
-    (P T P for a supplied projector onto an invariant subspace).  The
-    transformed operator is tested with the same beta, budget, and seed,
-    so the pairs are drawn once and both margins are those of
-    ``gcsi_margin``: two scans, then one stacked gradient refinement of both
-    worst pairs.  Argument errors are
-    raised before the draw, then the base operator's precondition, then an
-    error building the transformed operator (a singular T, or a subspace
-    that is not invariant).
+    (P T P for a supplied projector onto an invariant subspace).  Both
+    margins are those of ``gcsi_margin`` at ``beta``, the two operators
+    factored in one SVD.  Argument errors are raised before any solve,
+    then the base operator's precondition, then an error building the
+    transformed operator (a singular T, or a subspace that is not
+    invariant).
     """
     _check_tol(tol)
-    return _sole(_gcsi_closures([(t, which, seed, scalar, unitary, projector)],
-                                beta=beta, budget=budget, tol=tol)[0])
+    return _sole(_gcsi_closures([(t, which, scalar, unitary, projector)], beta=beta, tol=tol)[0])
 
 
 def _closure_args(which: str, unitary: QMatrix | None, projector: QMatrix | None) -> None:
@@ -1009,25 +872,26 @@ def _closure_args(which: str, unitary: QMatrix | None, projector: QMatrix | None
         raise DomainError("compression closure needs a projector onto an invariant subspace")
 
 
-def _gcsi_closures(cases: Sequence[tuple], *, beta: float, budget: int,
+def _gcsi_closures(cases: Sequence[tuple], *, beta: float,
                    tol: float) -> tuple[list[ClosureReport | QopError], list[float]]:
-    """``check_gcsi_closure`` of each case, or its error, with each ||T|| for
-    a caller's scale; every search in one ``_gcsi_search``.
+    """``check_gcsi_closure`` of each case of one size, or its error, with
+    each ||T|| for a caller's scale.
 
-    A case is (T, which, seed, scalar, unitary, projector), with None for an
+    A case is (T, which, scalar, unitary, projector), with None for an
     operand its operation does not read.  Each case meets its errors in
-    ``check_gcsi_closure``'s order: its arguments, before any draw; the base
-    precondition; then building the transformed operator.  Every ||T|| and
-    every compression's ||(I - P) T P|| come from one eigenvalue solve.
+    ``check_gcsi_closure``'s order: its arguments, before any solve; the
+    base precondition; then building the transformed operator.  Every ||T||
+    and every compression's ||(I - P) T P|| come from one eigenvalue solve,
+    and every base and transformed operator is factored in one SVD for one
+    ``_gcsi_search``.
     """
-    _check_gcsi_args(beta, budget)
+    _check_beta(beta)
     out: list = [None] * len(cases)
-    rows, = _sift(out, range(len(cases)),
-                  lambda i: _closure_args(cases[i][1], *cases[i][4:]))
+    rows, = _sift(out, range(len(cases)), lambda i: _closure_args(cases[i][1], *cases[i][3:]))
     ops = [case[0] for case in cases]
 
     def squeeze(i: int) -> None:
-        t, projector = cases[i][0], cases[i][5]
+        t, projector = cases[i][0], cases[i][4]
         ops.append((QMatrix.identity(t.rows) - projector) @ t @ projector)
 
     # each compression's (I - P) T P joins the norm solve of the Ts; an
@@ -1038,7 +902,7 @@ def _gcsi_closures(cases: Sequence[tuple], *, beta: float, budget: int,
     transformed: dict[int, QMatrix] = {}
 
     def operand(i: int) -> None:
-        t, which, _, scalar, unitary, projector = cases[i]
+        t, which, scalar, unitary, projector = cases[i]
         if which == "scalar":
             transformed[i] = t * scalar
         elif which == "inverse":
@@ -1052,17 +916,10 @@ def _gcsi_closures(cases: Sequence[tuple], *, beta: float, budget: int,
 
     _sift(out, [i for i in rows if out[i] is None], operand)
 
-    def searches() -> Iterator[Search]:
-        for i in rows:
-            draw = _gcsi_draw(cases[i][0].rows, budget, cases[i][2])
-            yield cases[i][0], beta, cases[i][2], draw
-            if i in transformed:
-                yield transformed[i], beta, cases[i][2], draw
-            del draw  # before the next case draws
-
-    margins = iter(_gcsi_search(searches(), tol=tol))
+    searched = [t for i in rows for t in (cases[i][0], transformed.get(i)) if t is not None]
+    margins = iter(_gcsi_search(searched, _polars(searched), [(beta,)] * len(searched), tol))
     for i in rows:
-        base, after = next(margins), next(margins) if i in transformed else None
+        (base,), (after,) = next(margins), next(margins) if i in transformed else (None,)
         if base.value < -tol:
             out[i] = PreconditionError(
                 f"base operator already violates the inequality (margin {base.value:.3e})")
@@ -1087,7 +944,7 @@ class KernelReport:
 def check_kernel_reduction(t: QMatrix, *, tol: float = DEFAULT_TOL) -> KernelReport:
     """Test ker T inside ker T* and ker T = ker T^2.
 
-    Membership in the sampled inequality class forces both; the report is
+    Membership in the inequality class forces both; the report is
     also useful in falsification mode, where a failure is consistent with
     a non-member.  Residuals are worst-case norms of T* (resp. T) on the
     computed kernel bases.
@@ -1184,63 +1041,42 @@ def _tu_star_cases(cases: Sequence[tuple[QMatrix, QVector]], tol: float) -> list
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Three-way class consistency at one operator.
-
-    ``paranormal`` and ``flagged``, which reads it, are computed on first
-    read and cached.  The paranormality test is exact, and in finite
-    dimension paranormal means normal, so ``flagged`` fires whenever the
-    sampled inequality finds no witness at a non-normal operator.
-    """
+    """The p-hyponormal and inequality margins at one operator."""
 
     p: float
     p_hyponormal: Margin
     gcsi: Margin
     hard_violation: bool
-    _paranormal: Callable[[], Margin] = field(repr=False, compare=False)
-
-    @cached_property
-    def paranormal(self) -> Margin:
-        return self._paranormal()
-
-    @cached_property
-    def flagged(self) -> bool:
-        return (not self.gcsi.violated) and self.paranormal.violated
 
 
-def check_gcsi_implies(t: QMatrix, p: float = 0.5, *, budget: int = 400,
-                       seed: int = 0, tol: float = DEFAULT_TOL) -> ConsistencyReport:
+def check_gcsi_implies(t: QMatrix, p: float = 0.5, *,
+                       tol: float = DEFAULT_TOL) -> ConsistencyReport:
     """Consistency of the implication chain at one operator.
 
-    A p-hyponormal operator satisfies the sampled inequality with beta = p,
-    and members of that class are paranormal.  The inequality's margin is
-    ``gcsi_margin``'s at beta = p: the sampled pairs' worst one, refined by
-    projected gradient steps.  ``hard_violation`` means the
-    p-hyponormal margin passed while a certified inequality witness exists,
-    which contradicts the implication outright.  ``flagged`` marks the
-    softer inconsistency: sampling found no inequality witness, yet the
-    exact ``is_paranormal`` failed with a certificate, so the sampled
-    evidence missed something.  The paranormality test runs when
-    ``paranormal`` or ``flagged`` is first read.  Every argument is checked
+    A p-hyponormal operator satisfies the inequality with beta = p.  The
+    inequality's margin is ``gcsi_margin``'s at beta = p, from the SVD that
+    the p-hyponormal margin factors.  ``hard_violation`` means the
+    p-hyponormal margin passed while an inequality witness exists, which
+    contradicts the implication outright.  Both margins vanish exactly at
+    normal operators, but not alike: the p-hyponormal one is first order
+    in ||T*T - TT*|| and the inequality's second order, so near a normal
+    operator the p-hyponormal one fails first.  Every argument is checked
     before any solve.
     """
     _check_tol(tol)
-    return _gcsi_implications([(t, p, seed)], budget=budget, tol=tol)[0]
+    return _gcsi_implications([(t, p)], tol=tol)[0]
 
 
-def _gcsi_implications(cases: Sequence[tuple[QMatrix, float, int]], *, budget: int,
+def _gcsi_implications(cases: Sequence[tuple[QMatrix, float]], *,
                        tol: float) -> list[ConsistencyReport]:
-    """``check_gcsi_implies`` of each (T, p, seed) case, every search in one ``_gcsi_search``."""
-    for _, p, _ in cases:
+    """``check_gcsi_implies`` of each (T, p) case of one size: the operators
+    factored in one SVD for both margins, every search in one ``_gcsi_search``."""
+    for _, p in cases:
         _check_exponent(p)
-    _check_count(budget, "budget")
-    hyps = [m for (m,) in _p_hyponormal_grid(_polars([t for t, _, _ in cases]),
-                                              [(p,) for _, p, _ in cases], tol)]
-    gcsis = _gcsi_search(((t, p, seed, _gcsi_draw(t.rows, budget, seed))
-                          for t, p, seed in cases), tol=tol)
-    return [ConsistencyReport(
-        p=p,
-        p_hyponormal=hyp,
-        gcsi=gcsi,
-        hard_violation=not hyp.violated and gcsi.violated,
-        _paranormal=partial(is_paranormal, t, tol=tol),
-    ) for (t, p, seed), hyp, gcsi in zip(cases, hyps, gcsis)]
+    ts = [t for t, _ in cases]
+    parts = _polars(ts)
+    hyps = _p_hyponormal_grid(parts, [(p,) for _, p in cases], tol)
+    gcsis = _gcsi_search(ts, parts, [(p,) for _, p in cases], tol)
+    return [ConsistencyReport(p=p, p_hyponormal=hyp, gcsi=gcsi,
+                              hard_violation=not hyp.violated and gcsi.violated)
+            for (_, p), (hyp,), (gcsi,) in zip(cases, hyps, gcsis)]

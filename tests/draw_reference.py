@@ -184,7 +184,7 @@ def _block_unitary(dim: int, seed: int) -> tuple[QMatrix, QMatrix]:
 def _draw_gcsi_closure(ctx: TrialContext) -> dict:
     which = _CLOSURE_CYCLE[ctx.index % len(_CLOSURE_CYCLE)]
     stream = SplitMix64(mix_seed(ctx.trial_seed, 0))
-    inst = {"which": which, "seed": mix_seed(ctx.trial_seed, 3)}
+    inst = {"which": which}
     if which == "compression":
         inst["T"], inst["projector"] = _block_unitary(ctx.dim, mix_seed(ctx.trial_seed, 1))
     else:
@@ -222,8 +222,7 @@ def _draw_gcsi_implies(ctx: TrialContext) -> dict:
         t = positive(ctx.dim, seed=sub)
     else:
         t = ginibre(ctx.dim, seed=sub)
-    return {"T": t, "p": 0.25 + 0.5 * stream.uniform(0.0, 1.0),
-            "seed": mix_seed(ctx.trial_seed, 2)}
+    return {"T": t, "p": 0.25 + 0.5 * stream.uniform(0.0, 1.0)}
 
 
 def _draw_collapse(ctx: TrialContext) -> dict:

@@ -287,26 +287,24 @@ def test_hermitian_pair_properties_pull_back_no_eigenvectors(monkeypatch):
     assert calls == []
 
 
-def test_gcsi_implies_shrinker_samples_the_trial_seed(monkeypatch):
-    # the trial's margin is 0 or -1, so compare the oracle seed and the sub-margins
+def test_gcsi_implies_shrinker_scores_the_trial_instance(monkeypatch):
+    # the trial's margin is 0 or -1, so compare the instance's fields and the sub-margins
     real = oracles._gcsi_implications
     seen = []
 
     def spy(cases, **kwargs):
         reports = real(cases, **kwargs)
-        seen.extend((seed, report) for (_, _, seed), report in zip(cases, reports))
+        seen.extend(reports)
         return reports
 
     monkeypatch.setattr(oracles, "_gcsi_implications", spy)
     for idx in range(4):
         ts = mix_seed(7, idx)
         out = PROPERTIES["gcsi-implies"]([TrialContext(ts, idx, 4, DEFAULT_TOL, False)])[0]
+        assert sorted(out.instance) == ["T", "p"], idx
         evaluate_instance("gcsi-implies", out.instance)
-        (trial_seed, trial), (eval_seed, again) = seen[-2:]
-        assert eval_seed == trial_seed == mix_seed(ts, 2), idx
-        for part in ("gcsi", "paranormal", "p_hyponormal"):
-            assert getattr(again, part).value == getattr(trial, part).value, (idx, part)
-        assert (again.hard_violation, again.flagged) == (trial.hard_violation, trial.flagged)
+        trial, again = seen[-2:]
+        assert again == trial, idx
 
 
 _STACKED_HERMITIAN = ("lowner-heinz", "holder-mccarthy", "furuta", "collapse",
@@ -359,23 +357,19 @@ def test_a_failing_chunk_surfaces_its_lowest_failing_trial(monkeypatch):
 
 @pytest.mark.parametrize("prop", ["gcsi-closure", "gcsi-implies"])
 def test_gcsi_chunk_makes_a_fixed_number_of_stacked_scorings(prop, monkeypatch):
-    # 4 dim-4 trials scan 8 or 4 operators one by one, then refine every
-    # search in one stack: one scoring of the starts and one per step,
-    # whatever the operators
-    scans, stacks = [], []
-    terms, parts = oracles._gcsi_terms, oracles._gcsi_parts
-    monkeypatch.setattr(oracles, "_gcsi_terms",
-                        lambda chi, pairs: scans.append(pairs.shape[0]) or terms(chi, pairs))
-    monkeypatch.setattr(oracles, "_gcsi_parts", lambda images, pairs:
-                        stacks.append(pairs.shape[:2]) or parts(images, pairs))
+    # 4 dim-4 trials search 8 or 4 operators: each brings the 8 basis
+    # vectors of C^8 and its right singular vectors, 8 at full rank, and
+    # every pair of the chunk is scored in one call
+    stacks = []
+    parts = oracles._gcsi_parts
+    monkeypatch.setattr(oracles, "_gcsi_parts", lambda tx, ty, y:
+                        stacks.append(y.shape) or parts(tx, ty, y))
     searches = 8 if prop == "gcsi-closure" else 4
     for seed in (3, 4):
-        scans.clear()
         stacks.clear()
         run_verify(prop, trials=4, seed=seed, dim=4)
-        assert scans == [harness._GCSI_BUDGET] * searches
-        refined = stacks[searches:]
-        assert refined == [(searches, 2)] + [(searches, 2 * oracles._RUNGS)] * oracles._STEPS
+        ((pairs, size),) = stacks
+        assert size == 8 and 8 * searches < pairs <= 16 * searches
 
 
 def test_zero_entry_candidates_are_row_major_over_nonzero_entries():

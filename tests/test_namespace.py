@@ -82,11 +82,16 @@ _FIXED_SETTINGS = (
 
 
 # each setting below is gone with the code that read it: the sampled lambda
-# grid and vector channel that the exact pencil test of is_paranormal replaced
+# grid and vector channel that the exact pencil test of is_paranormal
+# replaced, and the sampled pairs that the GCSI candidate set replaced
 _REMOVED_SETTINGS = (
     (oracles.is_paranormal, ("grid", "samples", "seed")),
-    (oracles.check_gcsi_implies, ("grid", "samples")),
-    (oracles._gcsi_implications, ("grid", "samples")),
+    (oracles.check_gcsi_implies, ("grid", "samples", "budget", "seed")),
+    (oracles._gcsi_implications, ("grid", "samples", "budget", "seed")),
+    (oracles.gcsi_margin, ("budget", "seed")),
+    (oracles.gcsi_sweep, ("budget", "seed")),
+    (oracles.check_gcsi_closure, ("budget", "seed")),
+    (oracles._gcsi_closures, ("budget", "seed")),
 )
 
 

@@ -223,24 +223,24 @@ def test_gcsi_closure_cases_come_back_one_by_one():
     flip = QMatrix.from_quaternions([[0.0, 1.0], [1.0, 0.0]])
     proj = _diag(1.0, 0.0)
     block = _diag(2.0, 3.0)
-    cases = [((u, "scalar", 5, 1.5, None, None), None),
-             ((u, "inverse", 6, None, None, None), None),
-             ((u, "unitary-equiv", 7, None, v, None), None),
-             ((block, "compression", 8, None, None, proj), None),
-             ((u, "transpose", 9, None, None, None), "unknown closure operation"),
-             ((shift, "scalar", 10, 2.0, None, None), "base operator already violates"),
-             ((zero, "inverse", 11, None, None, None), "operator is singular"),
-             ((flip, "compression", 12, None, None, proj), "subspace is not invariant"),
+    cases = [((u, "scalar", 1.5, None, None), None),
+             ((u, "inverse", None, None, None), None),
+             ((u, "unitary-equiv", None, v, None), None),
+             ((block, "compression", None, None, proj), None),
+             ((u, "transpose", None, None, None), "unknown closure operation"),
+             ((shift, "scalar", 2.0, None, None), "base operator already violates"),
+             ((zero, "inverse", None, None, None), "operator is singular"),
+             ((flip, "compression", None, None, proj), "subspace is not invariant"),
              # two checks fail: the arguments, then the base precondition, come first
-             ((shift, "unitary-equiv", 13, None, None, None), "unitary-equiv closure needs"),
-             ((shift, "inverse", 14, None, None, None), "base operator already violates"),
-             ((shift, "compression", 15, None, None, proj), "base operator already violates")]
+             ((shift, "unitary-equiv", None, None, None), "unitary-equiv closure needs"),
+             ((shift, "inverse", None, None, None), "base operator already violates"),
+             ((shift, "compression", None, None, proj), "base operator already violates")]
     lones = [_lone(lambda c=c: check_gcsi_closure(
-        c[0], c[1], beta=0.5, budget=64, seed=c[2], scalar=2.0 if c[3] is None else c[3],
-        unitary=c[4], projector=c[5])) for c, _ in cases]
-    batch = [(t, which, seed, 2.0 if scalar is None else scalar, unitary, projector)
-             for (t, which, seed, scalar, unitary, projector), _ in cases]
-    results, norms = oracles._gcsi_closures(batch, beta=0.5, budget=64, tol=TOL)
+        c[0], c[1], beta=0.5, scalar=2.0 if c[2] is None else c[2],
+        unitary=c[3], projector=c[4])) for c, _ in cases]
+    batch = [(t, which, 2.0 if scalar is None else scalar, unitary, projector)
+             for (t, which, scalar, unitary, projector), _ in cases]
+    results, norms = oracles._gcsi_closures(batch, beta=0.5, tol=TOL)
     _assert_per_case(results, lones, [msg for _, msg in cases])
     assert norms == [operator_norm(c[0]) for c in batch]
 
