@@ -471,7 +471,7 @@ def _collapse_margins(insts: list[Instance], tol: float) -> list[Scored]:
     ca, cb = _product(a, b, *_adjoints(a, b))
     _require_finite(ca, cb, "QMatrix")
     norms = _gram_norms(ga, gb).tolist()
-    _, w, v = _spectra(np.concatenate([ga, ca]), np.concatenate([gb, cb]))
+    w, v = _spectra(np.concatenate([ga, ca]), np.concatenate([gb, cb]))
     skewed = []
     for i, norm in enumerate(norms):
         scale = max(1.0, norm) ** 2
@@ -557,7 +557,7 @@ def _conjugation_margins(insts: list[Instance], tol: float) -> list[Scored]:
     _require_finite(xa, xb, "QMatrix")
     xa, xb = _product(xa, xb, *_adjoints(ua, ub))
     _require_finite(xa, xb, "QMatrix")
-    _, w, v = _spectra(np.concatenate([sa, xa]), np.concatenate([sb, xb]))
+    w, v = _spectra(np.concatenate([sa, xa]), np.concatenate([sb, xb]))
     fw = np.sqrt(np.maximum(w + np.concatenate([shifts, shifts]), 0.0))
     if not np.isfinite(fw).all():
         raise DomainError(_NOT_FINITE)

@@ -404,18 +404,10 @@ def _embed_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _psi(xs: np.ndarray) -> np.ndarray:
-    """Vector embedding a + b j -> [a; -conj(b)]: (..., n, 4) to (..., 2n) complex.
-
-    psi(x) is the first column of chi(x), so chi(T) psi(x) = psi(Tx) and
-    ||psi(x)|| = ||x||; stacks of vectors are embedded along the last axes.
-    """
-    return np.concatenate([xs[..., 0] + 1j * xs[..., 1],
-                           -xs[..., 2] + 1j * xs[..., 3]], axis=-1)
-
-
 def _from_psi(v: np.ndarray) -> QVector:
-    """The vector x with psi(x) = v, for one (2n,) complex vector."""
+    """The vector x with psi(x) = v, for one (2n,) complex vector, where psi
+    embeds a + b j as [a; -conj(b)], the first column of chi(x): chi(T)
+    psi(x) = psi(Tx), ||psi(x)|| = ||x||."""
     n = v.shape[0] // 2
     return _trusted(QVector, v[:n].copy(), -v[n:].conj())
 

@@ -32,7 +32,7 @@ from .linalg import (QMatrix, QVector, _adjoints, _check_tol, _checked, _chi_eig
                      _selfadjoint_residual, _stack_pairs, _trusted, _vector_norms,
                      embed_chi, inner)
 from .quaternion import Quaternion
-from .spectral import (EIGENSPACE_RTOL, _clamp_errors, _delta_qs, _eigensystems, _kernel_bases,
+from .spectral import (EIGENSPACE_RTOL, _clamp_errors, _delta_qs, _kernel_bases, _null_bases,
                        _null_basis, _psd_errors, _psd_powers, _require_selfadjoint,
                        _require_square, _selfadjoint_errors, _spectra)
 from .transforms import (PolarParts, _abs_powers, _aluthge_transforms, _polars, polar,
@@ -163,8 +163,11 @@ def is_p_hyponormal(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL) -> Margin
     """Margin of (T*T)^p - (TT*)^p against the operator order.
 
     p = 1 is the hyponormal case and p = 1/2 the semi-hyponormal one.  The
-    witness, present when the margin is materially negative, is the unit
-    vector achieving the minimal quadratic form.
+    witness, present when the margin is materially negative, is a unit
+    vector achieving the minimal quadratic form: the bottom eigenvector of
+    the difference, pulled back as ``kernel_basis`` pulls back a null
+    vector, with its largest entry real and positive.  When that eigenvalue
+    is simple, every correct eigensolver gives the same witness.
     """
     _check_tol(tol)
     _check_exponent(p)
@@ -200,7 +203,8 @@ def _p_hyponormal_grid(parts: Sequence[PolarParts], ps: Sequence[Sequence[float]
     """``is_p_hyponormal`` at each exponent of ``ps[i]`` from the polar parts
     ``parts[i]``, every (case, exponent) pair in one eigenvalue solve.  The
     witnesses, the unit vectors of the least quadratic forms, are solved for
-    only at the violated pairs, all of them in one eigensolver call."""
+    only at the violated pairs, all of them in one eigensolver call, and
+    each is pulled back from its bottom eigenvector by the kernel rule."""
     if not any(ps):
         return [[] for _ in ps]
     da, db = _hyponormal_diffs(parts, ps)
@@ -208,12 +212,15 @@ def _p_hyponormal_grid(parts: Sequence[PolarParts], ps: Sequence[Sequence[float]
     scales = [max(1.0, max(pp.sigmas, default=0.0) ** (2.0 * p))
               for pp, grid in zip(parts, ps) for p in grid]
     low = [j for j, (value, scale) in enumerate(zip(values, scales)) if value < -tol * scale]
-    systems = dict(zip(low, _eigensystems(da[low], db[low])[0] if low else ()))
+    if low:
+        xa, xb = _null_bases(_spectra(da[low], db[low])[1][..., :1], 1)
+        vectors = dict(zip(low, zip(xa[:, 0], xb[:, 0])))
     out, rows = [], iter(range(len(values)))
     for grid in ps:
         margins = []
         for p, j in zip(grid, rows):
-            witness = lambda: {"p": p, "vector": matio.vector_to_json(systems[j].vectors.column(0))}
+            witness = lambda: {"p": p, "vector": matio.vector_to_json(
+                _trusted(QVector, *vectors[j]))}
             margins.append(_margin(values[j], tol, scales[j], witness, p=p))
         out.append(margins)
     return out
@@ -438,7 +445,7 @@ def _holder_mccarthy_cases(cases: Sequence[tuple[QMatrix, QVector, Sequence[floa
     rows, = _sift(out, rows, lambda i: _require_selfadjoint(cases[i][0]))
     if not rows:
         return out
-    _, w, v = _spectra(*_stack_pairs([cases[i][0] for i in rows]))
+    w, v = _spectra(*_stack_pairs([cases[i][0] for i in rows]))
     kept, w, v = _sift(out, rows, _clamp_errors(w), w, v)
     if not kept:
         return out
@@ -472,8 +479,8 @@ def _holder_mccarthy_cases(cases: Sequence[tuple[QMatrix, QVector, Sequence[floa
 def _ordered_systems(cases: Sequence[tuple], rows: list[int], tol: float, out: list
                      ) -> tuple[list[int], Sequence, Sequence]:
     """The rows of ``cases`` whose pair (S, T) = case[:2] has S >= T >= 0,
-    with ``_eigensystems`` of their Ss and the spectra and eigenvectors of
-    their Ts; the error of each other row is put in ``out``.
+    with the spectra and eigenvectors of their Ss and of their Ts; the
+    error of each other row is put in ``out``.
 
     Each hypothesis is decided for the batch at once, in the order that
     ``is_psd(S - T)``, ``eigh_q(T)``, ``is_psd(T)`` meet them: S - T
@@ -497,14 +504,14 @@ def _ordered_systems(cases: Sequence[tuple], rows: list[int], tol: float, out: l
     rows, ta, tb = _sift(out, rows, _selfadjoint_errors(ta, tb), ta, tb)
     if not rows:
         return rows, (), ()
-    _, wt, vt = _spectra(ta, tb)
+    wt, vt = _spectra(ta, tb)
     rows, wt, vt = _sift(out, rows, _psd_errors(wt, tol, "lower operator is not positive"), wt, vt)
     rows, wt, vt = _sift(out, rows, _clamp_errors(wt), wt, vt)
     if not rows:
         return rows, (), ()
-    ssys, ws, vs = _eigensystems(*_stack_pairs([cases[i][0] for i in rows]))
-    rows, *solved = _sift(out, rows, _clamp_errors(ws), ssys, ws, vs, wt, vt)
-    return rows, solved[:3], solved[3:]
+    ws, vs = _spectra(*_stack_pairs([cases[i][0] for i in rows]))
+    rows, *solved = _sift(out, rows, _clamp_errors(ws), ws, vs, wt, vt)
+    return rows, solved[:2], solved[2:]
 
 
 def check_lowner_heinz(s: QMatrix, t: QMatrix, rs: Sequence[float], *,
@@ -548,7 +555,7 @@ def _lowner_heinz_cases(cases: Sequence[tuple[QMatrix, QMatrix, Sequence[float],
         run, ss, ts = _ordered_systems(cases, list(run), tol, out)
         if not run:
             continue
-        (ssys, ws, vs), (wt, vt) = ss, ts
+        (ws, vs), (wt, vt) = ss, ts
         exps = [cases[i][2] for i in run]
         sa, sb = _psd_powers(ws, vs, exps)
         ta, tb = _psd_powers(wt, vt, exps)
@@ -556,9 +563,8 @@ def _lowner_heinz_cases(cases: Sequence[tuple[QMatrix, QMatrix, Sequence[float],
         del sa, sb, ta, tb  # before the solve, the largest step
         _require_finite(da, db, "QMatrix")
         values = _pair_eigvalsh(da, db)[..., 0].tolist()
-        for i, system, vals in zip(run, ssys, values):
+        for i, top, vals in zip(run, np.maximum(ws[:, -1], 0.0).tolist(), values):
             _, _, rs, probe = cases[i]
-            top = max(system.eigenvalues[-1], 0.0)
             out[i] = _least_scaled([
                 _margin(value, tol, max(1.0, top ** r), lambda: {"r": r, "probe": probe}, r=r)
                 for r, value in zip(rs, vals)])
@@ -598,12 +604,13 @@ def _furuta_cases(cases: Sequence[tuple], tol: float) -> list[tuple[Margin, Marg
     rows, ss, ts = _ordered_systems(cases, rows, tol, out)
     if not rows:
         return out
-    (asys, wa, va), (wb, vb) = ss, ts
+    (wa, va), (wb, vb) = ss, ts
     run = [cases[i] for i in rows]
     values = _pair_eigvalsh(*_furuta_differences(run, wa, va, wb, vb))[:, 0].tolist()
     k = len(run)
-    for j, (i, system, (_, _, p, q, r, probe)) in enumerate(zip(rows, asys, run)):
-        scale = max(1.0, max(system.eigenvalues[-1], 0.0) ** ((p + 2.0 * r) / q))
+    tops = np.maximum(wa[:, -1], 0.0).tolist()
+    for j, (i, top, (_, _, p, q, r, probe)) in enumerate(zip(rows, tops, run)):
+        scale = max(1.0, top ** ((p + 2.0 * r) / q))
         witness = lambda: {"p": p, "q": q, "r": r, "probe": probe}
         out[i] = (_margin(values[j], tol, scale, witness, p=p, q=q, r=r),
                   _margin(values[k + j], tol, scale, witness, p=p, q=q, r=r))
@@ -625,7 +632,7 @@ def _furuta_differences(cases: Sequence[tuple], wa: np.ndarray, va: np.ndarray,
     xa, xb = _product(xa, xb, ha, hb)
     _require_finite(xa, xb, "QMatrix")
     del ba, bb, aa, ab, ha, hb  # before the brackets are solved
-    _, wx, vx = _spectra(xa, xb)
+    wx, vx = _spectra(xa, xb)
     la, lb = _psd_powers(wx, vx, [(1.0 / c[3],) for c in cases] * 2)
     expos = [((p + 2.0 * r) / q,) for _, _, p, q, r, _ in cases]
     ba, bb = _psd_powers(wb, vb, expos)
@@ -1060,8 +1067,11 @@ def check_gcsi_implies(t: QMatrix, p: float = 0.5, *,
     contradicts the implication outright.  Both margins vanish exactly at
     normal operators, but not alike: the p-hyponormal one is first order
     in ||T*T - TT*|| and the inequality's second order, so near a normal
-    operator the p-hyponormal one fails first.  Every argument is checked
-    before any solve.
+    operator the p-hyponormal one fails first.  The p-hyponormal witness
+    is ``is_p_hyponormal``'s: the bottom eigenvector of the difference,
+    pulled back with its largest entry real and positive, the same under
+    any correct eigensolver when that eigenvalue is simple.  Every argument
+    is checked before any solve.
     """
     _check_tol(tol)
     return _gcsi_implications([(t, p)], tol=tol)[0]

@@ -14,10 +14,11 @@ functions of the operator are evaluated on the embedded side and pulled
 back from the top block row, so they never need the pulled-back vectors;
 several functions of one operator, such as the powers A^p over an
 exponent grid, are pulled back as one stack.  A stack of operators is
-diagonalized in one eigensolver call, its powers at one exponent are
-weighed as one table, and the functions of all of them are pulled back in
-one product.  Self-adjointness is checked once, where a public function
-receives T.
+diagonalized in one eigensolver call and read as arrays, its pair-mean
+spectra and embedded eigenvectors, never as eigensystems; its powers at
+one exponent are weighed as one table, and the functions of all of them
+are pulled back in one product.  Self-adjointness is checked once, where
+a public function receives T.
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ def _clamp_errors(w: np.ndarray) -> list[DomainError | None]:
 def _psd_powers(w: np.ndarray, v: np.ndarray,
                 exps: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray]:
     """The (k, R, n, n) pair stacks of A_i^{exps[i][j]}, from the spectra and
-    eigenvectors that ``_eigensystems`` returns, in one pull-back."""
+    eigenvectors that ``_spectra`` returns, in one pull-back."""
     return _hermitian_from_chi(v[:, None], _psd_weights(w, exps))
 
 
@@ -341,41 +342,28 @@ def eigh_q(a: QMatrix) -> HermitianEigensystem:
 
 def _eigensystem(a: QMatrix) -> HermitianEigensystem:
     """``eigh_q`` without the self-adjointness check: the system of the
-    Hermitian part of a, for operators that are self-adjoint by construction."""
-    return _eigensystems(a._a[None], a._b[None])[0][0]
+    Hermitian part of a, for operators that are self-adjoint by construction.
+    Consecutive pair means at most CLUSTER_TOL times the largest of 1 and
+    the eigenvalue moduli apart share a cluster, reported at its mean."""
+    w, v = _spectra(a._a[None], a._b[None])
+    lam = w[0, 0::2].copy()
+    scale = max(-lam[0], lam[-1], 1.0)
+    cuts = [0, *(np.flatnonzero(np.diff(lam) > CLUSTER_TOL * scale) + 1).tolist(), lam.size]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi - lo > 1:
+            lam[lo:hi] = np.mean(lam[lo:hi])
+    return HermitianEigensystem(eigenvalues=tuple(lam.tolist()), _w2=w[0], _v2=v[0])
 
 
-def _spectra(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_eigensystems`` without the systems, for callers that read only the
-    stacks, and with the (k, n) pair means first."""
+def _spectra(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, 2n) ascending pair-mean spectra and the (k, 2n, 2n) embedded
+    eigenvectors of each operator A + B j of the (k, n, n) pair stacks
+    (A, B), from one eigensolver call.  Each spectrum is paired, and a
+    pairing failure raised, in stack order."""
     w2, v2 = _eig.eigh(_hermitian_chi(a, b))
-    mids = _pair_real(w2)
     means = np.empty_like(w2)
-    means[:, 0::2] = means[:, 1::2] = mids
-    return mids, means, v2
-
-
-def _eigensystems(a: np.ndarray, b: np.ndarray
-                  ) -> tuple[list[HermitianEigensystem], np.ndarray, np.ndarray]:
-    """``_eigensystem`` of each operator A + B j of the (k, n, n) pair stacks
-    (A, B), from one eigensolver call, with the (k, 2n) pair-mean spectra and
-    the (k, 2n, 2n) embedded eigenvectors that the systems view.  Each
-    spectrum is paired, and a pairing failure raised, in stack order, and
-    clustered on its own."""
-    mids, means, v2 = _spectra(a, b)
-    scales = np.maximum(np.maximum(-mids[:, :1], mids[:, -1:]), 1.0)
-    splits = mids[:, 1:] - mids[:, :-1] > CLUSTER_TOL * scales
-    systems = []
-    for k, (row, apart) in enumerate(zip(mids.tolist(), splits.all(axis=-1).tolist())):
-        if not apart:
-            lam = mids[k].copy()
-            cuts = [0, *(np.flatnonzero(splits[k]) + 1).tolist(), lam.size]
-            for lo, hi in zip(cuts[:-1], cuts[1:]):
-                if hi - lo > 1:
-                    lam[lo:hi] = np.mean(mids[k, lo:hi])
-            row = lam.tolist()
-        systems.append(HermitianEigensystem(eigenvalues=tuple(row), _w2=means[k], _v2=v2[k]))
-    return systems, means, v2
+    means[:, 0::2] = means[:, 1::2] = _pair_real(w2)
+    return means, v2
 
 
 def _tolerant_order(zs: list[complex], tol: float) -> list[complex]:
@@ -526,13 +514,14 @@ def _delta_qs(a: np.ndarray, b: np.ndarray,
 
 def _kernel_gaps(t: QMatrix, reps: Sequence[complex]) -> list[float]:
     """The smallest singular value of Delta_rep over max(1, ||Delta_rep||_F)
-    for each of ``reps``, from one SVD of the stack of Deltas, so the noise
-    floor is not squared."""
-    k = len(reps)
-    da, db = _delta_qs(np.repeat(t._a[None], k, axis=0), np.repeat(t._b[None], k, axis=0),
-                       [Quaternion(z.real, z.imag, 0.0, 0.0) for z in reps])
-    sigma_min = _chi_svds(da, db)[1][:, -1].tolist()
-    return [s / max(1.0, _frobenius(a, b)) for s, a, b in zip(sigma_min, da, db)]
+    for each of ``reps``, from an SVD of Delta_rep, so the noise floor is
+    not squared.  One class at a time, so only one Delta and its factors
+    are held at once."""
+    gaps = []
+    for z in reps:
+        da, db = _delta_qs(t._a[None], t._b[None], [Quaternion(z.real, z.imag, 0.0, 0.0)])
+        gaps.append(float(_chi_svds(da, db)[1][0, -1]) / max(1.0, _frobenius(da[0], db[0])))
+    return gaps
 
 
 def spherical_point_spectrum(t: QMatrix) -> SphericalSpectrum:

@@ -23,7 +23,7 @@ from qop.linalg import (QMatrix, QVector, _chi_eigvalsh, _from_chi_top, _from_ps
 from qop.oracles import Margin, _margin
 from qop.quaternion import Quaternion
 from qop.spectral import (_GS_ACCEPT, EIGENSPACE_RTOL, MERGE_TOL, PAIR_TOL, SphericalSpectrum,
-                          _conjugate_pairs, _eigensystem, _hermitian_from_chi,
+                          _conjugate_pairs, _hermitian_from_chi,
                           _tolerant_order)
 from qop.transforms import RANK_RTOL, PolarParts
 
@@ -94,6 +94,14 @@ def _null_basis(v: np.ndarray, need: int) -> tuple[QVector, ...]:
         lead = x[int(np.argmax((x.to_array() ** 2).sum(axis=1)))]
         out.append(x * (lead.conjugate() / lead.norm()))
     return tuple(out)
+
+
+def bottom_vector(d: QMatrix) -> QVector:
+    """The witness of D's least quadratic form: the bottom eigenvector of
+    the Hermitian part of chi(D), pulled back with its largest entry made
+    real and positive, as a null vector is."""
+    m = embed_chi(d)
+    return _null_basis(_eig.eigh((m + m.conj().T) / 2.0)[1][:, :1], 1)[0]
 
 
 def kernel_basis(a: QMatrix, *, rtol: float = 1e-8) -> list[QVector]:
@@ -169,7 +177,7 @@ def p_hyponormal_grid(parts: PolarParts, ps, tol: float) -> list[Margin]:
     out = []
     for p, value, a, b in zip(ps, values.tolist(), da, db):
         def witness(p=p, a=a, b=b):
-            vec = _eigensystem(_trusted(QMatrix, a, b)).vectors.column(0)
+            vec = bottom_vector(_trusted(QMatrix, a, b))
             return {"p": p, "vector": matio.vector_to_json(vec)}
         out.append(_margin(value, tol, max(1.0, opn ** (2.0 * p)), witness, p=p))
     return out

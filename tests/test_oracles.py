@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gcsi_reference
+import margin_reference
 
 from qop import _eig, generators, harness, linalg, oracles
 from qop.errors import DomainError, PreconditionError, ShapeError, StructureError
@@ -459,8 +460,7 @@ def _hyponormal_reference(t, p, parts, tol=oracles.DEFAULT_TOL):
     scale = max(1.0, max(parts.sigmas) ** (2.0 * p))
     witness = None
     if value < -tol * scale:
-        vec = _eigensystem(diff).vectors.column(0)
-        witness = {"p": p, "vector": vector_to_json(vec)}
+        witness = {"p": p, "vector": vector_to_json(margin_reference.bottom_vector(diff))}
     return oracles.Margin(value=value, tolerance=tol, witness=witness,
                           details={"p": p, "scale": scale})
 
@@ -468,7 +468,8 @@ def _hyponormal_reference(t, p, parts, tol=oracles.DEFAULT_TOL):
 def _lowner_heinz_reference(s, t, r, probe, tol=oracles.DEFAULT_TOL):
     ssys, tsys = eigh_q(s), eigh_q(t)
     value = float(_chi_eigvalsh(ssys.power_psd(r) - tsys.power_psd(r))[0])
-    scale = max(1.0, max(ssys.eigenvalues[-1], 0.0) ** r)
+    # the top pair mean of S, not the mean of a top cluster
+    scale = max(1.0, max(float(ssys._w2[-1]), 0.0) ** r)
     witness = {"r": r, "probe": probe} if value < -tol * scale else None
     return oracles.Margin(value=value, tolerance=tol, witness=witness,
                           details={"r": r, "scale": scale})
@@ -509,6 +510,20 @@ def test_stacked_grids_equal_one_solve_per_exponent(n):
             want = min((_lowner_heinz_reference(upper, lower, r, probe) for r in rs),
                        key=lambda m: m.value / m.details["scale"])
             assert check_lowner_heinz(upper, lower, rs, probe=probe) == want, (name, rs)
+
+
+def test_order_scales_read_the_top_pair_mean_of_a_clustered_top():
+    # S = U diag(2, 2, 2, 1) U*: its top pair means differ by round-off, so
+    # the cluster mean that eigh_q reports is not the top pair mean
+    u = random_unitary(4, seed=0)
+    s = u @ QMatrix(np.diag([2.0, 2.0, 2.0, 1.0])[:, :, None] * [1.0, 0.0, 0.0, 0.0]) @ u.H
+    system = eigh_q(s)
+    top = float(system._w2[-1])
+    assert system.eigenvalues[-1] != top
+    lh = check_lowner_heinz(s, s * 0.5, [0.5])
+    assert lh.details["scale"] == max(1.0, top ** 0.5)
+    for margin in check_furuta(s, s * 0.5, 1.0, 2.0, 0.5):
+        assert margin.details["scale"] == max(1.0, top ** 1.0)
 
 
 def test_stacked_grids_raise_the_per_exponent_errors():

@@ -2,13 +2,14 @@
 correct Hermitian eigensolver produced them: the LAPACK seam and the
 test-side Jacobi reference have to agree."""
 
+import numpy as np
 import pytest
 
 import jacobi_reference
 from qop import _eig
-from qop.generators import normal_with_spectrum
+from qop.generators import ginibre, near_normal, normal_with_spectrum, partial_isometry
 from qop.harness import DEFAULT_TOL, PROPERTIES, TrialContext, run_verify
-from qop.oracles import check_kernel_reduction
+from qop.oracles import check_kernel_reduction, is_p_hyponormal, is_paranormal
 from qop.quaternion import I, J, K, Quaternion
 from qop.rng import mix_seed
 from qop.spectral import spherical_eigenspace, spherical_point_spectrum
@@ -56,3 +57,24 @@ def test_lapack_and_jacobi_give_the_same_answers(use_jacobi):
     for (c_l, m_l, d_l), (c_j, m_j, d_j) in zip(lapack[2], jacobi[2]):
         assert c_j == pytest.approx(c_l, abs=1e-9)
         assert (m_j, d_j) == (m_l, d_l)
+
+
+def _witnesses():
+    """The witness vectors of ``is_p_hyponormal(T, 0.5)`` and ``is_paranormal``
+    on four operators that violate both, as (n, 4) arrays."""
+    ops = (ginibre(4, seed=1), ginibre(6, seed=2), near_normal(4, 0.1, seed=0),
+           partial_isometry(4, 1, seed=0))
+    out = []
+    for t in ops:
+        for margin in (is_p_hyponormal(t, 0.5), is_paranormal(t)):
+            out.append(np.array(margin.witness["vector"]["entries"]))
+    return out
+
+
+def test_witness_vectors_do_not_depend_on_the_solver(use_jacobi):
+    # each bottom eigenvalue is simple, so its unit vector is fixed up to a
+    # right unit factor, which the largest-entry rule removes
+    lapack = _witnesses()
+    use_jacobi()
+    for got, want in zip(_witnesses(), lapack, strict=True):
+        assert np.abs(got - want).max() <= 1e-12

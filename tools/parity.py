@@ -14,9 +14,14 @@ at dim 64 for 2 trials at seed 3; every ``run_fuzz`` report at budget 6,
 seed 5, dim 4; the margin and shrunk instance of 20 probe-regime
 Lowner-Heinz and Furuta instances; and ``spherical_point_spectrum``,
 ``power_psd`` at p = 0.37 and 0.5, ``fun_calc`` and ``random_unitary`` at
-n = 4, 16 and 64.  A call that raises is hashed as ``type: message``.  The
-last line, ``total <sha256>``, hashes every line above it.  The digests
-are exact bytes, which another machine's BLAS need not reproduce.
+n = 4, 16 and 64.  Then, on a fixed panel at n = 4 and 16, each margin of
+``is_p_hyponormal`` (p = 0.25, 0.5, 1), ``is_paranormal``,
+``check_aluthge_theorems(...).transform_margin``, ``check_lowner_heinz``
+and ``check_furuta`` as two records, its value with the details and then
+its witness, and the eigenvalues and vectors of ``eigh_q``.  A call that
+raises is hashed as ``type: message``.  The last line, ``total
+<sha256>``, hashes every line above it.  The digests are exact bytes,
+which another machine's BLAS need not reproduce.
 """
 
 from __future__ import annotations
@@ -78,6 +83,42 @@ def _shrunk(prop: str, inst: dict[str, Any]) -> tuple[float, Any]:
                     if margin < -DEFAULT_TOL else None)
 
 
+def _margin_records(lines: list[str], name: str, run: Callable[[], Any]) -> None:
+    """Two records of a margin, or of a tuple of margins: the value,
+    tolerance and details, then the witness, so a changed witness shows
+    apart from its margin."""
+    def parts(part: Callable[[Any], Any]) -> Any:
+        value = run()
+        return tuple(map(part, value)) if isinstance(value, tuple) else part(value)
+    _record(lines, f"{name}/margin", lambda: parts(lambda m: (m.value, m.tolerance, m.details)))
+    _record(lines, f"{name}/witness", lambda: parts(lambda m: m.witness))
+
+
+def _panel(lines: list[str], n: int) -> None:
+    """The oracle and eigensystem records of the fixed panel at size n."""
+    operators = {"ginibre": qop.ginibre(n, seed=n), "near_normal": qop.near_normal(n, 0.1, seed=n),
+                 "partial_isometry": qop.partial_isometry(n, n // 4, seed=n),
+                 "random_unitary": qop.random_unitary(n, seed=n)}
+    for name, t in operators.items():
+        for p in (0.25, 0.5, 1.0):
+            _margin_records(lines, f"is_p_hyponormal/{p}/{name}/n{n}",
+                            lambda: qop.is_p_hyponormal(t, p))
+        _margin_records(lines, f"is_paranormal/{name}/n{n}", lambda: qop.is_paranormal(t))
+        _margin_records(lines, f"check_aluthge_theorems/{name}/n{n}",
+                        lambda: qop.check_aluthge_theorems(t, 0.5, enforce=False).transform_margin)
+    a, b = qop.ordered_pair(n, seed=n)
+    for rs, probe in (((0.25, 0.5, 1.0), False), ((2.0, 3.0), True)):
+        _margin_records(lines, f"check_lowner_heinz/{rs}/n{n}",
+                        lambda: qop.check_lowner_heinz(a, b, rs, probe=probe))
+    for p, q, r, probe in ((2.0, 2.0, 0.5, False), (3.0, 1.0, 0.25, True)):
+        _margin_records(lines, f"check_furuta/{p},{q},{r}/n{n}",
+                        lambda: qop.check_furuta(a, b, p, q, r, probe=probe))
+    partial = operators["partial_isometry"]
+    for name, h in (("hermitian", qop.hermitian(n, seed=n)), ("gram", partial.H @ partial)):
+        _record(lines, f"eigh_q/{name}/n{n}/eigenvalues", lambda: qop.eigh_q(h).eigenvalues)
+        _record(lines, f"eigh_q/{name}/n{n}/vectors", lambda: qop.eigh_q(h).vectors)
+
+
 def main() -> int:
     lines: list[str] = []
     for prop in sorted(PROPERTIES):
@@ -102,6 +143,8 @@ def main() -> int:
                     lambda: qop.power_psd(qop.positive(n, seed=n), p))
         _record(lines, f"fun_calc/n{n}", lambda: qop.fun_calc(qop.hermitian(n, seed=n), np.tanh))
         _record(lines, f"random_unitary/n{n}", lambda: qop.random_unitary(n, seed=n))
+    for n in (4, 16):
+        _panel(lines, n)
     print("total", hashlib.sha256("\n".join(lines).encode()).hexdigest())
     return 0
 
