@@ -17,17 +17,18 @@ run.  A LAPACK convergence failure is raised as ``ConvergenceError``.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from typing import Any, Callable
 
 import numpy as np
 
 from .errors import ConvergenceError
 
 
-@contextmanager
-def _lapack_errors():
+def _lapack(solve: Callable, *args: Any, **kwargs: Any) -> Any:
+    """``solve(*args, **kwargs)``, a LAPACK failure raised as ``ConvergenceError``
+    (a plain call: a generator-based context costs more than a small solve)."""
     try:
-        yield
+        return solve(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
 
@@ -35,21 +36,17 @@ def _lapack_errors():
 def eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix
     or of each matrix in a stack."""
-    with _lapack_errors():
-        w, v = np.linalg.eigh(matrix)
-    return w, v
+    return tuple(_lapack(np.linalg.eigh, matrix))
 
 
 def eigvalsh(matrices: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix or a stack of them."""
-    with _lapack_errors():
-        return np.linalg.eigvalsh(matrices)
+    return _lapack(np.linalg.eigvalsh, matrices)
 
 
 def eigvals(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a general complex matrix."""
-    with _lapack_errors():
-        return np.linalg.eigvals(np.asarray(matrix, dtype=np.complex128))
+    return _lapack(np.linalg.eigvals, np.asarray(matrix, dtype=np.complex128))
 
 
 def svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -58,5 +55,4 @@ def svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     For an m x k matrix, W is m x min(m, k) and Vh is min(m, k) x k.
     """
-    with _lapack_errors():
-        return np.linalg.svd(np.asarray(matrix, dtype=np.complex128), full_matrices=False)
+    return _lapack(np.linalg.svd, np.asarray(matrix, dtype=np.complex128), full_matrices=False)

@@ -688,21 +688,20 @@ def evaluate_instance(prop: str, instance: Instance,
 def _zero_entry_candidates(val: Any, limit: int) -> list[tuple[Any, Any]]:
     """(position, zeroed copy) pairs, in row-major order, nonzero entries
     only, the first ``limit`` of them.  The copies are the slices of one
-    stack, checked finite once."""
+    stack, finite as ``val`` is."""
     if not isinstance(val, (QMatrix, QVector)):
         return []
     a, b = val._a, val._b
     # -0.0 compares equal to 0, so an entry with only signed-zero components is zero
-    pos = np.argwhere((a != 0) | (b != 0))[:limit]
-    ca, cb = np.repeat(a[None], len(pos), axis=0), np.repeat(b[None], len(pos), axis=0)
-    at = (np.arange(len(pos)), *pos.T)
+    flat = ((a != 0) | (b != 0)).ravel().nonzero()[0][:limit]
+    k, at = len(flat), (np.arange(len(flat)), flat)
+    ca, cb = a.reshape(1, -1).repeat(k, axis=0), b.reshape(1, -1).repeat(k, axis=0)
     ca[at] = cb[at] = 0j
-    _require_finite(ca, cb, type(val).__name__)
     out: list[tuple[Any, Any]] = []
-    for p, za, zb in zip(pos.tolist(), ca, cb):
+    for f, za, zb in zip(flat.tolist(), ca.reshape(k, *a.shape), cb.reshape(k, *a.shape)):
         cand = object.__new__(type(val))
         cand._a, cand._b = za, zb
-        out.append((tuple(p) if len(p) > 1 else p[0], cand))
+        out.append((divmod(f, a.shape[-1]) if a.ndim > 1 else f, cand))
     return out
 
 
@@ -716,12 +715,13 @@ def minimize_counterexample(prop: str, instance: Instance, *,
     evaluation budget runs out.  A sweep's candidates are scored as one
     batch, the input with the first, and the first in that order that still
     violates (margin < -tol) is accepted; the rest of the sweep is scored
-    again from it.  The budget is charged up to and including it, so
-    candidates that break a precondition cost an evaluation each.  Raises
-    DomainError, before any evaluation, unless ``budget`` is an integer of
-    at least 1; PreconditionError if the input itself does not violate; and
-    DomainError, from that first evaluation, on an unknown property, a
-    missing field or a tolerance that is not finite and nonnegative.
+    again from it.  The budget is charged up to and including it, so a
+    candidate that breaks a precondition costs an evaluation, though no
+    solve past the check it fails.  Raises DomainError, before any
+    evaluation, unless ``budget`` is an integer of at least 1;
+    PreconditionError if the input does not violate; and DomainError, from
+    that evaluation, on an unknown property, a missing field or a
+    tolerance that is not finite and nonnegative.
     """
     return _shrink(prop, instance, budget, tol)[0]
 

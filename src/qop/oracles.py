@@ -59,11 +59,11 @@ def _sift(out: list, rows: Iterable[int], check: Callable | Sequence, *stacks: A
                 errs.append(check(i))
             except QopError as exc:
                 errs.append(exc)
-    kept = [j for j, err in enumerate(errs) if not isinstance(err, QopError)]
+    kept = [j for j, err in enumerate(errs) if err is None]
     if len(kept) == len(rows):
         return rows, *stacks
     for i, err in zip(rows, errs):
-        if isinstance(err, QopError):
+        if err is not None:
             out[i] = err
     return [rows[j] for j in kept], *(x[kept] if isinstance(x, np.ndarray) else
                                       [x[j] for j in kept] for x in stacks)
@@ -490,12 +490,14 @@ def _ordered_systems(cases: Sequence[tuple], rows: list[int], tol: float, out: l
     The Ss are solved last, through their Hermitian parts, and their clamp
     checked.  Only a failing row gets an error, worded as its lone call's.
     """
-    for i in rows:
-        cases[i][0]._check_same(cases[i][1])
+    ss, ts = [cases[i][0] for i in rows], [cases[i][1] for i in rows]
+    for s, t in zip(ss, ts):
+        s._check_same(t)
     if not rows:
         return rows, (), ()
-    sa, sb = _stack_pairs([cases[i][0] for i in rows])
-    ta, tb = _stack_pairs([cases[i][1] for i in rows])
+    # every later step reads the stacks' values, never their memory layout
+    sa, sb = np.array([s._a for s in ss]), np.array([s._b for s in ss])
+    ta, tb = np.array([t._a for t in ts]), np.array([t._b for t in ts])
     da, db = _checked((sa - ta, sb - tb))
     rows, ta, tb, da, db = _sift(out, rows, _selfadjoint_errors(da, db), ta, tb, da, db)
     if rows:
@@ -505,8 +507,8 @@ def _ordered_systems(cases: Sequence[tuple], rows: list[int], tol: float, out: l
     if not rows:
         return rows, (), ()
     wt, vt = _spectra(ta, tb)
-    rows, wt, vt = _sift(out, rows, _psd_errors(wt, tol, "lower operator is not positive"), wt, vt)
-    rows, wt, vt = _sift(out, rows, _clamp_errors(wt), wt, vt)
+    rows, wt, vt = _sift(out, rows, [e or c for e, c in zip(
+        _psd_errors(wt, tol, "lower operator is not positive"), _clamp_errors(wt))], wt, vt)
     if not rows:
         return rows, (), ()
     ws, vs = _spectra(*_stack_pairs([cases[i][0] for i in rows]))
@@ -545,10 +547,10 @@ def _lowner_heinz_cases(cases: Sequence[tuple[QMatrix, QMatrix, Sequence[float],
     """``check_lowner_heinz`` of each (S, T, rs, probe) case, or its error:
     the exponents, then ``_ordered_systems``, row by row.  Each run of
     consecutive cases with one size and grid length is ordered as one
-    batch, its powers are pulled back in one product per operator role, and
-    every S^r - T^r is solved in one eigenvalue call.  With the exponents'
-    signs and both clamps checked, every S^r is weighed before any T^r:
-    S >= T meets a non-finite exponent or weight in S^r first."""
+    batch, its powers S^r and T^r are pulled back in one product, and every
+    S^r - T^r is solved in one eigenvalue call.  Where that product meets a
+    weight or an entry that is not finite, S^r and then T^r are pulled back
+    apart, so the error raised is the one a lone call meets first."""
     out: list = [None] * len(cases)
     rows, = _sift(out, range(len(cases)), lambda i: _lowner_heinz_exponents(*cases[i][2:]))
     for _, run in groupby(rows, lambda i: (cases[i][0].shape, len(cases[i][2]))):
@@ -556,11 +558,14 @@ def _lowner_heinz_cases(cases: Sequence[tuple[QMatrix, QMatrix, Sequence[float],
         if not run:
             continue
         (ws, vs), (wt, vt) = ss, ts
-        exps = [cases[i][2] for i in run]
-        sa, sb = _psd_powers(ws, vs, exps)
-        ta, tb = _psd_powers(wt, vt, exps)
-        da, db = sa - ta, sb - tb
-        del sa, sb, ta, tb  # before the solve, the largest step
+        exps, k = [cases[i][2] for i in run], len(run)
+        try:  # every S^r and T^r in one pull-back
+            pa, pb = _psd_powers(np.concatenate([ws, wt]), np.concatenate([vs, vt]), exps * 2)
+        except QopError:
+            _psd_powers(ws, vs, exps), _psd_powers(wt, vt, exps)
+            raise
+        da, db = pa[:k] - pa[k:], pb[:k] - pb[k:]
+        del pa, pb  # before the solve, the largest step
         _require_finite(da, db, "QMatrix")
         values = _pair_eigvalsh(da, db)[..., 0].tolist()
         for i, top, vals in zip(run, np.maximum(ws[:, -1], 0.0).tolist(), values):
@@ -621,25 +626,33 @@ def _furuta_differences(cases: Sequence[tuple], wa: np.ndarray, va: np.ndarray,
                         wb: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(B^r A^p B^r)^{1/q} - B^e of each case, then A^e -
     (A^r B^p A^r)^{1/q} of each, e = (p + 2r) / q, as one (2k, n, n) pair
-    stack, from the spectra and eigenvectors of the As and the Bs."""
-    ba, bb = _psd_powers(wb, vb, [(r, p) for _, _, p, _, r, _ in cases])
-    aa, ab = _psd_powers(wa, va, [(p, r) for _, _, p, _, r, _ in cases])
+    stack, from the spectra and eigenvectors of the As and the Bs.  The Bs
+    and the As are pulled back at r, p and e in one product, unless that
+    raises: then as a lone call pulls them back, the Bs at r and p, the As
+    at p and r, and both at e after the brackets."""
+    k, rpe = len(cases), [(r, p, (p + 2.0 * r) / q) for _, _, p, q, r, _ in cases]
+    try:
+        pa, pb = _psd_powers(np.concatenate([wb, wa]), np.concatenate([vb, va]), rpe * 2)
+        late = False
+    except QopError:
+        (ba, bb), (aa, ab) = (_psd_powers(wb, vb, [(r, p) for r, p, _ in rpe]),
+                              _psd_powers(wa, va, [(p, r) for r, p, _ in rpe]))
+        pa, pb, late = np.concatenate([ba, aa[:, ::-1]]), np.concatenate([bb, ab[:, ::-1]]), True
     # the outer halves B^r, A^r and the middles A^p, B^p of both brackets
-    ha, hb = np.concatenate([ba[:, 0], aa[:, 1]]), np.concatenate([bb[:, 0], ab[:, 1]])
-    xa, xb = _product(ha, hb, np.concatenate([aa[:, 0], ba[:, 1]]),
-                      np.concatenate([ab[:, 0], bb[:, 1]]))
+    ha, hb = pa[:, 0], pb[:, 0]
+    xa, xb = _product(ha, hb, np.concatenate([pa[k:, 1], pa[:k, 1]]),
+                      np.concatenate([pb[k:, 1], pb[:k, 1]]))
     _require_finite(xa, xb, "QMatrix")
     xa, xb = _product(xa, xb, ha, hb)
     _require_finite(xa, xb, "QMatrix")
-    del ba, bb, aa, ab, ha, hb  # before the brackets are solved
     wx, vx = _spectra(xa, xb)
     la, lb = _psd_powers(wx, vx, [(1.0 / c[3],) for c in cases] * 2)
-    expos = [((p + 2.0 * r) / q,) for _, _, p, q, r, _ in cases]
-    ba, bb = _psd_powers(wb, vb, expos)
-    aa, ab = _psd_powers(wa, va, expos)
-    k = len(cases)
-    da = np.concatenate([la[:k, 0] - ba[:, 0], aa[:, 0] - la[k:, 0]])
-    db = np.concatenate([lb[:k, 0] - bb[:, 0], ab[:, 0] - lb[k:, 0]])
+    if late:
+        (ba, bb), (aa, ab) = (_psd_powers(w, v, [x[2:] for x in rpe])
+                              for w, v in ((wb, vb), (wa, va)))
+        pa, pb = np.concatenate([ba, aa]), np.concatenate([bb, ab])
+    da = np.concatenate([la[:k, 0] - pa[:k, -1], pa[k:, -1] - la[k:, 0]])
+    db = np.concatenate([lb[:k, 0] - pb[:k, -1], pb[k:, -1] - lb[k:, 0]])
     _require_finite(da, db, "QMatrix")
     return da, db
 

@@ -65,33 +65,29 @@ def _require_selfadjoint(a: QMatrix) -> None:
 def _selfadjoint_errors(a: np.ndarray, b: np.ndarray) -> list[QopError | None]:
     """The error of each operator x = A + B j of the (k, n, m) pair stacks
     (A, B) unless it is square with ||x - x*||_F <= 1e-8 max(1, ||x||_F),
-    else None.  One comparison over the stack passes every x equal to x*,
-    and x - x* is formed for the others only.  Where a sum of squares
-    overflows, both norms are taken of x over its largest entry modulus,
-    whose norm is at least 1."""
+    else None.  One comparison passes every x equal to x*.  Of the others,
+    one past twice the bound in a stacked sum of squares, a row's sum the
+    same in any stack, fails with its root; the rest take exact norms on
+    copies, of x over its largest entry modulus where a sum overflows."""
     if a.shape[-1] != a.shape[-2]:
         return [ShapeError(f"square operator required, got {a.shape[1:]}") for _ in a]
     ha, hb = _adjoints(a, b)
-    same = a == ha
-    same &= b == hb
+    same = np.logical_and.reduce((a == ha) & (b == hb), axis=(1, 2)).tolist()
     out: list[QopError | None] = [None] * len(a)
-    rows = [k for k, ok in enumerate(np.logical_and.reduce(same, axis=(1, 2)).tolist()) if not ok]
+    rows = [k for k, ok in enumerate(same) if not ok]
     if not rows:
         return out
-    a, b = a[rows], b[rows]
-    da, db = a - ha[rows], b - hb[rows]
-    # four times the squared bound, from norms summed in another order than
-    # the lone ones: a deviation past it fails without the exact norm
-    sq = np.concatenate([a, b], axis=-1).view(np.float64)
-    past = 4e-16 * np.maximum(np.einsum("kij,kij->k", sq, sq), 1.0)
-    for j, (k, limit) in enumerate(zip(rows, past.tolist())):
-        # the norms on copies, so each is the lone operator's bit for bit
-        dev = _frobenius(da[j], db[j])
+    da, db = a - ha, b - hb
+    sq, dev2 = (np.einsum("ki,ki->k", x, x).tolist() for x in (np.concatenate(
+        p, axis=-1).view(np.float64).reshape(len(a), -1) for p in ((a, b), (da, db))))
+    for k in rows:
+        limit, d2 = 4e-16 * max(sq[k], 1.0), dev2[k]
+        dev = math.sqrt(d2) if limit < d2 < math.inf else _frobenius(da[k], db[k])
         if dev * dev <= limit:
-            norm = _frobenius(a[j], b[j])
+            norm = _frobenius(a[k], b[k])
             if math.isinf(dev) or math.isinf(norm):
-                s = float(np.hypot(np.abs(a[j]), np.abs(b[j])).max())
-                x, y = a[j] / s, b[j] / s
+                s = float(np.hypot(np.abs(a[k]), np.abs(b[k])).max())
+                x, y = a[k] / s, b[k] / s
                 if _selfadjoint_residual(x, y) <= 1e-8 * _frobenius(x, y):
                     continue
             elif dev <= 1e-8 * max(1.0, norm):
@@ -238,11 +234,10 @@ def _pair_real(w: np.ndarray) -> np.ndarray:
     each row of a stack of them; the first row failing to pair raises.  An
     ascending row has its largest modulus at an end and no negative gap."""
     a, b = w[..., 0::2], w[..., 1::2]
-    gaps = (b - a).max(axis=-1)
-    scales = np.maximum(np.maximum(-w[..., 0], w[..., -1]), 1.0)
-    bad = gaps > PAIR_TOL * scales
-    if bad.any():
-        i = np.unravel_index(bad.argmax(), bad.shape)
+    scales = np.maximum(np.maximum(-w[..., :1], w[..., -1:]), 1.0)
+    if (b - a > PAIR_TOL * scales).any():
+        gaps, scales = (b - a).max(axis=-1), scales[..., 0]
+        i = np.unravel_index((gaps > PAIR_TOL * scales).argmax(), gaps.shape)
         raise StructureError(
             f"eigenvalue pairing failure (worst gap {gaps[i]:.3e} at scale {scales[i]:.3e})")
     return 0.5 * (a + b)
@@ -361,9 +356,7 @@ def _spectra(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (A, B), from one eigensolver call.  Each spectrum is paired, and a
     pairing failure raised, in stack order."""
     w2, v2 = _eig.eigh(_hermitian_chi(a, b))
-    means = np.empty_like(w2)
-    means[:, 0::2] = means[:, 1::2] = _pair_real(w2)
-    return means, v2
+    return np.repeat(_pair_real(w2), 2, axis=-1), v2
 
 
 def _tolerant_order(zs: list[complex], tol: float) -> list[complex]:
@@ -620,13 +613,11 @@ def is_psd(t: QMatrix, tol: float = 1e-8) -> tuple[bool, float]:
 
 def _psd_errors(w: np.ndarray, tol: float, what: str) -> list[PreconditionError | None]:
     """``is_psd``'s verdict on the ends of each row of a stack of ascending
-    spectra, as one comparison: the error of each row that fails, saying
-    ``what``, or None."""
-    # an ascending row's largest modulus is max(-lo, hi)
-    lo = w[:, 0]
-    passed = lo >= -tol * np.maximum(np.maximum(-lo, w[:, -1]), 1.0)
-    return [None if ok else PreconditionError(f"{what} (min eigenvalue {x:.3e})")
-            for ok, x in zip(passed.tolist(), lo.tolist())]
+    spectra, whose largest modulus is max(-lo, hi): the error of each row
+    that fails, saying ``what``, or None."""
+    return [None if lo >= -tol * max(-lo, hi, 1.0) else
+            PreconditionError(f"{what} (min eigenvalue {lo:.3e})")
+            for lo, hi in zip(w[:, 0].tolist(), w[:, -1].tolist())]
 
 
 def rayleigh_bounds(t: QMatrix) -> tuple[float, float]:

@@ -5,8 +5,10 @@ fail two; every case must come back as what its lone public call gives:
 the same margins, or the same error class and message, in place.
 """
 
+import pytest
+
 from qop import harness, oracles
-from qop.errors import QopError
+from qop.errors import QopError, StructureError
 from qop.generators import normal_with_spectrum, ordered_pair, positive, random_unitary, unit_vector
 from qop.linalg import QMatrix, QVector, operator_norm
 from qop.oracles import (check_aluthge_theorems, check_chain_semihypo, check_eigenspace_reducing,
@@ -256,3 +258,15 @@ def test_a_failing_case_costs_no_later_solve(monkeypatch):
     oracles._lowner_heinz_cases([(a, b, (0.5,), False), (_skewed(a), b, (0.5,), False),
                                  (a, b, (0.5,), False)], TOL)
     assert sizes == [2, 2]
+
+
+def test_an_overflowing_bracket_is_met_before_an_overflowing_power():
+    # B^e and A^e overflow, and so does the bracket B^r A^p B^r, which a lone
+    # call forms first: the one pull-back of every power raises, the powers
+    # are pulled back again in a lone call's order, and the bracket's error
+    # is raised, not the weights'
+    a, b = ordered_pair(3, seed=7)
+    for s, t, p, r in ((_diag(3e100, 2e100, 1e100), _diag(2e100, 1e100, 5e99), 3.0, 1.0),
+                       (a * 1e150, b * 1e150, 2.0, 0.5), (a, b, 100.0, 100.0)):
+        with pytest.raises(StructureError, match="QMatrix entries must be finite"):
+            check_furuta(s, t, p, 1.0, r, probe=True)

@@ -8,7 +8,7 @@ import struct
 import pytest
 
 import shrink_reference
-from qop import generators, harness
+from qop import _eig, generators, harness
 from qop.errors import DomainError, QopError, StructureError
 from qop.generators import random_unitary
 from qop.harness import (PROPERTIES, TrialContext, _shrink, evaluate_instance,
@@ -146,3 +146,62 @@ def test_an_internal_key_error_is_not_relabelled(monkeypatch):
                         dataclasses.replace(PROPERTIES["tu-star"], evaluate=evaluate))
     with pytest.raises(KeyError):
         evaluate_instance("planted", _shrinkable())
+
+
+def _probe_pair(prop, n, seed):
+    """A probe-regime instance of ``prop`` on ``ordered_pair(n, seed)``:
+    exponents outside the theorem, as the shrink-probe benchmark draws them."""
+    a, b = generators.ordered_pair(n, seed=seed)
+    if prop == "lowner-heinz":
+        return {"A": a, "B": b, "r": 2.75}
+    return {"A": a, "B": b, "p": 2.5, "q": 1.0, "r": 0.25}
+
+
+def _first_sweep(inst, budget=64):
+    """The batch of a shrink's first sweep: the input, then the zeroed
+    candidates of every key in sorted order, within the budget."""
+    batch = [inst]
+    for key in sorted(inst):
+        batch += [{**inst, key: val}
+                  for _, val in harness._zero_entry_candidates(inst[key], budget - len(batch))]
+    return batch
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("prop", ["lowner-heinz", "furuta"])
+def test_every_candidate_of_a_sweep_scores_as_its_own_batch(prop, n):
+    # the rejects of a sweep are decided on stacks whose rows sit at other
+    # alignments at odd n; each must come back as a batch of one, the same
+    # error class and message, or the same score
+    batch = _first_sweep(_probe_pair(prop, n, seed=40 + n))
+    got = harness._evaluate(prop, batch, TOL)
+    kinds = set()
+    for k, cand in enumerate(batch):
+        want, = harness._evaluate(prop, [cand], TOL)
+        if isinstance(want, QopError):
+            assert type(got[k]) is type(want) and str(got[k]) == str(want), (k, got[k], want)
+            kinds.add(str(want).split(" (")[0])
+        else:
+            assert not isinstance(got[k], QopError) and repr(got[k]) == repr(want), k
+    assert kinds == {"operator is not self-adjoint", "operators are not ordered",
+                     "lower operator is not positive"}, kinds
+
+
+@pytest.mark.parametrize("prop, solves", [
+    ("lowner-heinz", [("eigvalsh", (9,)), ("eigh", (5,)), ("eigh", (1,)),
+                      ("eigvalsh", (1, 1))]),
+    ("furuta", [("eigvalsh", (9,)), ("eigh", (5,)), ("eigh", (1,)), ("eigh", (2,)),
+                ("eigvalsh", (2,))])])
+def test_rejected_candidates_of_a_sweep_add_no_solve(monkeypatch, prop, solves):
+    # none of the 32 candidates of this 4 x 4 instance violates: the order
+    # check solves the 9 that pass self-adjointness, T's solve the 5 of them
+    # still ordered, and only the input reaches S's solve and the margins
+    calls = []
+    for name in ("eigh", "eigvalsh", "eigvals", "svd"):
+        real = getattr(_eig, name)
+        monkeypatch.setattr(_eig, name, lambda m, name=name, real=real:
+                            calls.append((name, m.shape[:-2])) or real(m))
+    inst = _probe_pair(prop, 4, seed=3)
+    shrunk = minimize_counterexample(prop, inst, budget=64)
+    assert all(shrunk[k] is inst[k] for k in inst)
+    assert calls == solves

@@ -7,21 +7,26 @@ tree and against its parent's, and compares the last lines:
     PYTHONPATH=/path/to/parent/src python tools/parity.py > parent.txt
 
 It takes no options, runs OpenBLAS on one thread and reads only public
-names, so it runs unchanged against older trees.  Each line is
-``<record> <sha256>``: every ``run_verify`` report of the 14 properties at
-dims 1, 3, 4 and 8, seeds 3 and 11, probe off and on, 8 trials each, and
-at dim 64 for 2 trials at seed 3; every ``run_fuzz`` report at budget 6,
-seed 5, dim 4; the margin and shrunk instance of 20 probe-regime
-Lowner-Heinz and Furuta instances; and ``spherical_point_spectrum``,
-``power_psd`` at p = 0.37 and 0.5, ``fun_calc`` and ``random_unitary`` at
-n = 4, 16 and 64.  Then, on a fixed panel at n = 4 and 16, each margin of
-``is_p_hyponormal`` (p = 0.25, 0.5, 1), ``is_paranormal``,
+names, save for the sweep records below, so it runs unchanged against
+older trees.  Each line is ``<record> <sha256>``: every ``run_verify``
+report of the 14 properties at dims 1, 3, 4 and 8, seeds 3 and 11, probe
+off and on, 8 trials each, and at dim 64 for 2 trials at seed 3; every
+``run_fuzz`` report at budget 6, seed 5, dim 4; the margin and shrunk
+instance of 20 probe-regime Lowner-Heinz and Furuta instances; and
+``spherical_point_spectrum``, ``power_psd`` at p = 0.37 and 0.5,
+``fun_calc`` and ``random_unitary`` at n = 4, 16 and 64.  Then, on a
+fixed panel at n = 4 and 16, each margin of ``is_p_hyponormal`` (p =
+0.25, 0.5, 1), ``is_paranormal``,
 ``check_aluthge_theorems(...).transform_margin``, ``check_lowner_heinz``
 and ``check_furuta`` as two records, its value with the details and then
-its witness, and the eigenvalues and vectors of ``eigh_q``.  A call that
-raises is hashed as ``type: message``.  The last line, ``total
-<sha256>``, hashes every line above it.  The digests are exact bytes,
-which another machine's BLAS need not reproduce.
+its witness, and the eigenvalues and vectors of ``eigh_q``.  Last, one
+record per candidate of a shrink's first sweep, scored as the shrinker
+scores it, in one batch through ``harness._evaluate``: its error or its
+score, for four of the probe-regime instances and for Lowner-Heinz and
+Furuta probes on a 3 x 3 and a 5 x 5 ordered pair.  A call that raises,
+or a batch entry that is an error, is hashed as ``type: message``.  The
+last line, ``total <sha256>``, hashes every line above it.  The digests
+are exact bytes, which another machine's BLAS need not reproduce.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ from typing import Any, Callable
 import numpy as np
 
 import qop
+from qop import harness
+from qop.errors import QopError
 from qop.harness import PROPERTIES
 from qop.oracles import DEFAULT_TOL
 from qop.rng import SplitMix64, mix_seed
@@ -75,6 +82,30 @@ def _probe_instance(i: int) -> tuple[str, dict[str, Any]]:
     if i % 2 == 0:
         return "lowner-heinz", {"A": a, "B": b, "r": 2.5 + 0.5 * u}
     return "furuta", {"A": a, "B": b, "p": 2.0 + u, "q": 1.0, "r": stream.uniform(0.0, 0.5)}
+
+
+def _probe_pair(n: int, seed: int, prop: str) -> dict[str, Any]:
+    """A probe-regime instance of ``prop`` on an ordered n x n pair."""
+    a, b = qop.ordered_pair(n, seed=seed)
+    stream = SplitMix64(mix_seed(seed, 1))
+    if prop == "lowner-heinz":
+        return {"A": a, "B": b, "r": 2.5 + 0.5 * stream.uniform(0.0, 1.0)}
+    return {"A": a, "B": b, "p": 2.0 + stream.uniform(0.0, 1.0), "q": 1.0,
+            "r": stream.uniform(0.0, 0.5)}
+
+
+def _sweep_records(lines: list[str], name: str, prop: str, inst: dict[str, Any]) -> None:
+    """One record per candidate of the first sweep of a shrink at budget 64:
+    the input, then the zeroed candidates of each key in sorted order, all
+    scored in one batch."""
+    batch = [inst]
+    for key in sorted(inst):
+        batch += [{**inst, key: val}
+                  for _, val in harness._zero_entry_candidates(inst[key], 64 - len(batch))]
+    scores = harness._evaluate(prop, batch, DEFAULT_TOL)
+    for k, score in enumerate(scores):
+        _record(lines, f"{name}/{k}", lambda: (f"{type(score).__name__}: {score}"
+                                               if isinstance(score, QopError) else score))
 
 
 def _shrunk(prop: str, inst: dict[str, Any]) -> tuple[float, Any]:
@@ -145,6 +176,12 @@ def main() -> int:
         _record(lines, f"random_unitary/n{n}", lambda: qop.random_unitary(n, seed=n))
     for n in (4, 16):
         _panel(lines, n)
+    for i in range(4):
+        prop, inst = _probe_instance(i)
+        _sweep_records(lines, f"sweep/{prop}/{i}", prop, inst)
+    for n in (3, 5):
+        for prop in ("lowner-heinz", "furuta"):
+            _sweep_records(lines, f"sweep/{prop}/n{n}", prop, _probe_pair(n, 31 + n, prop))
     print("total", hashlib.sha256("\n".join(lines).encode()).hexdigest())
     return 0
 
