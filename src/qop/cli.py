@@ -156,20 +156,17 @@ def _parse_spectrum_arg(raw: str) -> list[Quaternion]:
     return values
 
 
-def _gen_spectrum(args: argparse.Namespace) -> list[Quaternion]:
-    """``--spectrum``, or n quaternions drawn from the seed."""
+def _gen_spectrum(generators: Any, args: argparse.Namespace) -> list[Quaternion]:
+    """``--spectrum``, or n quaternions drawn from the seed once n is a valid dimension."""
     n = args.dim
     if args.spectrum is not None:
         values = _parse_spectrum_arg(args.spectrum)
         if len(values) != n:
             raise QopError(f"spectrum length {len(values)} does not match --dim {n}")
         return values
+    generators._check_dim(n)
     stream = SplitMix64(mix_seed(args.seed, 101))
-    values = []
-    for _ in range(n):
-        c = stream.normals(4)
-        values.append(Quaternion(*(float(v) for v in c)))
-    return values
+    return [Quaternion(*map(float, stream.normals(4))) for _ in range(n)]
 
 
 # each kind of ``qop gen``, in the order of its choices, and its payload
@@ -181,7 +178,7 @@ _GEN_KINDS = {
     "ordered-pair": lambda g, a: dict(zip("AB", map(matio.matrix_to_json,
                                                     g.ordered_pair(a.dim, seed=a.seed)))),
     "normal-with-spectrum": lambda g, a: matio.matrix_to_json(
-        g.normal_with_spectrum(_gen_spectrum(a), seed=a.seed)),
+        g.normal_with_spectrum(_gen_spectrum(g, a), seed=a.seed)),
     "partial-isometry": lambda g, a: matio.matrix_to_json(
         g.partial_isometry(a.dim, a.defect, seed=a.seed)),
     "near-normal": lambda g, a: matio.matrix_to_json(g.near_normal(a.dim, a.eps, seed=a.seed)),

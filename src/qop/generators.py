@@ -25,7 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import MAX_DIM, QMatrix, QVector, _adjoints, _product, _stack_pairs, _trusted
+from .linalg import (MAX_DIM, QMatrix, QVector, _adjoints, _grams, _hermitian_parts, _product,
+                     _stack_pairs, _trusted)
 from .quaternion import Quaternion
 from .rng import SplitMix64, block_normals, mix_seed
 from .spectral import _chi_svds
@@ -54,15 +55,6 @@ def _ginibre_pairs(n: int, m: int, seeds: Sequence[int]) -> Pairs:
     return z[..., 0], z[..., 1]
 
 
-def _gram(a: np.ndarray, b: np.ndarray) -> Pairs:
-    return _product(*_adjoints(a, b), a, b)
-
-
-def _hermitian_part(a: np.ndarray, b: np.ndarray) -> Pairs:
-    ha, hb = _adjoints(a, b)
-    return (a + ha) * 0.5, (b + hb) * 0.5
-
-
 def _ginibres(n: int, m: int, seeds: Sequence[int],
               form: Callable[[np.ndarray, np.ndarray], Pairs] | None = None) -> list[QMatrix]:
     """``form`` of ``ginibre(n, m, seed=s)`` over ``seeds``, from one block draw."""
@@ -81,7 +73,7 @@ def ginibre(n: int, m: int | None = None, *, seed: int) -> QMatrix:
 
 
 def _hermitians(n: int, seeds: Sequence[int]) -> list[QMatrix]:
-    return _ginibres(n, n, seeds, _hermitian_part)
+    return _ginibres(n, n, seeds, _hermitian_parts)
 
 
 def hermitian(n: int, *, seed: int) -> QMatrix:
@@ -91,7 +83,7 @@ def hermitian(n: int, *, seed: int) -> QMatrix:
 
 
 def _positives(n: int, seeds: Sequence[int]) -> list[QMatrix]:
-    return _ginibres(n, n, seeds, _gram)
+    return _ginibres(n, n, seeds, _grams)
 
 
 def positive(n: int, *, seed: int) -> QMatrix:
@@ -175,10 +167,9 @@ def partial_isometry(n: int, defect: int, *, seed: int) -> QMatrix:
         raise DomainError(f"defect must be an integer, got {defect!r}") from None
     if not 0 <= defect <= n:
         raise DomainError(f"defect must lie in [0, {n}], got {defect}")
-    comps = ginibre(n, seed=seed).to_array()
-    if defect:
-        comps[:, n - defect:, :] = 0.0
-    return polar(QMatrix(comps)).u
+    t = ginibre(n, seed=seed)
+    t._a[:, n - defect:] = t._b[:, n - defect:] = 0.0
+    return polar(t).u
 
 
 def _near_normals(n: int, epss: Sequence[float], seeds: Sequence[int]) -> list[QMatrix]:

@@ -30,8 +30,8 @@ import numpy as np
 from . import generators, matio, oracles
 from .errors import DomainError, PreconditionError, QopError, ShapeError
 from .linalg import (DEFAULT_DIM, QMatrix, QVector, _adjoints, _check_count, _check_tol, _checked,
-                     _frobenius, _gram_norms, _operator_norms, _pair_eigvalsh, _product,
-                     _require_finite, _stack_pairs, _trusted)
+                     _frobenius, _gram_norms, _grams, _hermitian_parts, _operator_norms,
+                     _pair_eigvalsh, _product, _stack_pairs, _trusted)
 from .quaternion import Quaternion
 from .rng import SplitMix64, block_uniforms, mix_seed, unit_quaternions
 from .spectral import (_NOT_FINITE, _hermitian_from_chi, _psd_powers, _require_square, _spectra,
@@ -352,15 +352,14 @@ def _block_unitaries(dim: int, seeds: list[int]) -> list[tuple[QMatrix, QMatrix]
     n2 = dim - n1
     firsts = generators._unitaries(n1, [mix_seed(s, 0) for s in seeds])
     seconds = generators._unitaries(n2, [mix_seed(s, 1) for s in seeds]) if n2 else firsts
-    proj = np.zeros((dim, dim, 4))
-    proj[np.arange(n1), np.arange(n1), 0] = 1.0
     out = []
     for u1, u2 in zip(firsts, seconds):
-        t = np.zeros((dim, dim, 4))
-        t[:n1, :n1] = u1.to_array()
+        ta, tb, pa = (np.zeros((dim, dim), dtype=np.complex128) for _ in range(3))
+        ta[:n1, :n1], tb[:n1, :n1] = u1._a, u1._b
         if n2:
-            t[n1:, n1:] = u2.to_array()
-        out.append((QMatrix(t), QMatrix(proj)))
+            ta[n1:, n1:], tb[n1:, n1:] = u2._a, u2._b
+        pa[np.arange(n1), np.arange(n1)] = 1.0
+        out.append((_trusted(QMatrix, ta, tb), _trusted(QMatrix, pa, np.zeros_like(pa))))
     return out
 
 
@@ -466,10 +465,8 @@ def _collapse_margins(insts: list[Instance], tol: float) -> list[Scored]:
     for t in ts:
         _require_square(t)
     a, b = _stack_pairs(ts)
-    ga, gb = _product(*_adjoints(a, b), a, b)
-    _require_finite(ga, gb, "QMatrix")
-    ca, cb = _product(a, b, *_adjoints(a, b))
-    _require_finite(ca, cb, "QMatrix")
+    ga, gb = _grams(a, b)
+    ca, cb = _checked(_product(a, b, *_adjoints(a, b)))
     norms = _gram_norms(ga, gb).tolist()
     w, v = _spectra(np.concatenate([ga, ca]), np.concatenate([gb, cb]))
     skewed = []
@@ -549,22 +546,16 @@ def _conjugation_margins(insts: list[Instance], tol: float) -> list[Scored]:
             raise ShapeError(f"cannot multiply {u.shape} by {s.shape}")
     ua, ub = _stack_pairs([inst["U"] for inst in insts])
     sa, sb = _stack_pairs([inst["S"] for inst in insts])
-    sh = _adjoints(sa, sb)
-    sa, sb = 0.5 * (sa + sh[0]), 0.5 * (sb + sh[1])
-    _require_finite(sa, sb, "QMatrix")
+    sa, sb = _hermitian_parts(sa, sb)
     shifts = -_pair_eigvalsh(sa, sb)[:, :1] + 1.0
-    xa, xb = _product(ua, ub, sa, sb)
-    _require_finite(xa, xb, "QMatrix")
-    xa, xb = _product(xa, xb, *_adjoints(ua, ub))
-    _require_finite(xa, xb, "QMatrix")
+    xa, xb = _checked(_product(*_checked(_product(ua, ub, sa, sb)), *_adjoints(ua, ub)))
     w, v = _spectra(np.concatenate([sa, xa]), np.concatenate([sb, xb]))
     fw = np.sqrt(np.maximum(w + np.concatenate([shifts, shifts]), 0.0))
     if not np.isfinite(fw).all():
         raise DomainError(_NOT_FINITE)
     fa, fb = _hermitian_from_chi(v, fw)
     k = len(insts)
-    ra, rb = _product(*_product(ua, ub, fa[:k], fb[:k]), *_adjoints(ua, ub))
-    _require_finite(ra, rb, "QMatrix")
+    ra, rb = _checked(_product(*_product(ua, ub, fa[:k], fb[:k]), *_adjoints(ua, ub)))
     return [(-_frobenius(fa[k + i] - ra[i], fb[k + i] - rb[i])
              / max(1.0, _frobenius(fa[i], fb[i])), {}) for i in range(k)]
 

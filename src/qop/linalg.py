@@ -5,7 +5,8 @@ the complex pair (A, B), the top block row of its complex adjoint embedding
 chi(T) = [[A, B], [-conj(B), conj(A)]]; a vector is an n x 1 matrix.  The
 real (w, x, y, z) layout is the boundary layout of the public constructors,
 which copy and check their input, and of ``to_array``.  Internal results
-skip those checks except finiteness, so an overflow still raises.
+skip those checks except finiteness: every internal pair result passes
+``_checked`` or ``_trusted``, so an overflow still raises.
 
 Scalars act on vectors from the right, ``u * q``.  Operators are
 right-linear; on pairs the product is (A1 A2 - B1 conj(B2), A1 B2 + B1
@@ -108,6 +109,17 @@ def _product(a1: np.ndarray, b1: np.ndarray, a2: np.ndarray,
 def _adjoints(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The pair stacks of the adjoints, laid out as ``QMatrix.H`` lays out one."""
     return a.conj().swapaxes(-1, -2), -b.swapaxes(-1, -2)
+
+
+def _grams(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair stacks of T*T for each T = A + B j of the pair stacks, checked finite."""
+    return _checked(_product(*_adjoints(a, b), a, b))
+
+
+def _hermitian_parts(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair stacks of (T + T*)/2 for each T = A + B j of the pair stacks, checked finite."""
+    ha, hb = _adjoints(a, b)
+    return _checked(((a + ha) * 0.5, (b + hb) * 0.5))
 
 
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -477,9 +489,7 @@ def operator_norm(a: QMatrix) -> float:
 def _operator_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``operator_norm`` of each operator of the (k, n, m) pair stacks (A, B),
     from one eigenvalue solve of the stacked Gram matrices."""
-    ga, gb = _product(*_adjoints(a, b), a, b)
-    _require_finite(ga, gb, "QMatrix")
-    return _gram_norms(ga, gb)
+    return _gram_norms(*_grams(a, b))
 
 
 def _gram_norms(ga: np.ndarray, gb: np.ndarray) -> np.ndarray:

@@ -28,9 +28,8 @@ from . import _eig, matio
 from .errors import DomainError, PreconditionError, QopError, ShapeError
 from .linalg import (QMatrix, QVector, _adjoints, _check_tol, _checked, _chi_eigvalsh,
                      _from_chi_top, _from_psi, _gram_norms, _identities, _operator_norms,
-                     _outers, _pair_eigvalsh, _product, _require_finite,
-                     _selfadjoint_residual, _stack_pairs, _trusted, _vector_norms,
-                     embed_chi, inner)
+                     _outers, _pair_eigvalsh, _product, _selfadjoint_residual, _stack_pairs,
+                     _trusted, _vector_norms, embed_chi, inner)
 from .quaternion import Quaternion
 from .spectral import (EIGENSPACE_RTOL, _clamp_errors, _delta_qs, _kernel_bases, _null_bases,
                        _null_basis, _psd_errors, _psd_powers, _require_selfadjoint,
@@ -154,9 +153,9 @@ def classify_basic(t: QMatrix, *, tol: float = DEFAULT_TOL) -> BasicClasses:
     )
 
 
-def _check_exponent(p: float) -> None:
-    if not 0.0 < p <= 1.0:
-        raise DomainError(f"exponent must lie in (0, 1], got {p}")
+def _check_exponent(value: float, what: str) -> None:
+    if not 0.0 < value <= 1.0:
+        raise DomainError(f"{what} must lie in (0, 1], got {value}")
 
 
 def is_p_hyponormal(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL) -> Margin:
@@ -170,7 +169,7 @@ def is_p_hyponormal(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL) -> Margin
     is simple, every correct eigensolver gives the same witness.
     """
     _check_tol(tol)
-    _check_exponent(p)
+    _check_exponent(p, "exponent")
     return _p_hyponormal_grid([polar(t)], [(p,)], tol)[0][0]
 
 
@@ -181,21 +180,14 @@ def _hyponormal_diffs(parts: Sequence[PolarParts],
 
     D_p = |T|^{2p} - U |T|^{2p} U*: both sides are built on the same SVD
     singular values, so a numerically smeared kernel cannot fake an order
-    violation through the fractional power.
+    violation through the fractional power.  Each U is repeated over its grid.
     """
     ha, hb = _abs_powers(parts, [[2.0 * p for p in grid] for grid in ps])
     sizes = [len(grid) for grid in ps if grid]
     ua, ub = _stack_pairs([pp.u for pp, grid in zip(parts, ps) if grid])
-    if len(set(sizes)) == 1:
-        # grids of one length: each U broadcast over its own grid
-        ha, hb = (h.reshape(len(sizes), sizes[0], *h.shape[1:]) for h in (ha, hb))
-        ua, ub = ua[:, None], ub[:, None]
-    else:
-        ua, ub = np.repeat(ua, sizes, axis=0), np.repeat(ub, sizes, axis=0)
+    ua, ub = np.repeat(ua, sizes, axis=0), np.repeat(ub, sizes, axis=0)
     ya, yb = _product(*_product(ua, ub, ha, hb), *_adjoints(ua, ub))
-    da, db = (ha - ya).reshape(-1, *ha.shape[-2:]), (hb - yb).reshape(-1, *hb.shape[-2:])
-    _require_finite(da, db, "QMatrix")
-    return da, db
+    return _checked((ha - ya, hb - yb))
 
 
 def _p_hyponormal_grid(parts: Sequence[PolarParts], ps: Sequence[Sequence[float]],
@@ -310,11 +302,6 @@ def _gcsi_parts(tx: np.ndarray, ty: np.ndarray, y: np.ndarray) -> tuple[np.ndarr
     return _norms(tx), _norms(ty), c
 
 
-def _check_beta(beta: float) -> None:
-    if not 0.0 < beta <= 1.0:
-        raise DomainError(f"beta must lie in (0, 1], got {beta}")
-
-
 def _gcsi_search(ts: Sequence[QMatrix], parts: Sequence[PolarParts],
                  betas: Sequence[Sequence[float]], tol: float) -> list[list[Margin]]:
     """The ``gcsi_margin`` of each operator of one size at each beta of its
@@ -380,7 +367,7 @@ def gcsi_margin(t: QMatrix, beta: float, *, tol: float = DEFAULT_TOL) -> Margin:
     |<Tx, y>| as the (alpha, beta) product of the two bounds.
     """
     _check_tol(tol)
-    _check_beta(beta)
+    _check_exponent(beta, "beta")
     return _gcsi_search([t], _polars([t]), [(beta,)], tol)[0][0]
 
 
@@ -564,9 +551,8 @@ def _lowner_heinz_cases(cases: Sequence[tuple[QMatrix, QMatrix, Sequence[float],
         except QopError:
             _psd_powers(ws, vs, exps), _psd_powers(wt, vt, exps)
             raise
-        da, db = pa[:k] - pa[k:], pb[:k] - pb[k:]
+        da, db = _checked((pa[:k] - pa[k:], pb[:k] - pb[k:]))
         del pa, pb  # before the solve, the largest step
-        _require_finite(da, db, "QMatrix")
         values = _pair_eigvalsh(da, db)[..., 0].tolist()
         for i, top, vals in zip(run, np.maximum(ws[:, -1], 0.0).tolist(), values):
             _, _, rs, probe = cases[i]
@@ -640,11 +626,9 @@ def _furuta_differences(cases: Sequence[tuple], wa: np.ndarray, va: np.ndarray,
         pa, pb, late = np.concatenate([ba, aa[:, ::-1]]), np.concatenate([bb, ab[:, ::-1]]), True
     # the outer halves B^r, A^r and the middles A^p, B^p of both brackets
     ha, hb = pa[:, 0], pb[:, 0]
-    xa, xb = _product(ha, hb, np.concatenate([pa[k:, 1], pa[:k, 1]]),
-                      np.concatenate([pb[k:, 1], pb[:k, 1]]))
-    _require_finite(xa, xb, "QMatrix")
-    xa, xb = _product(xa, xb, ha, hb)
-    _require_finite(xa, xb, "QMatrix")
+    xa, xb = _checked(_product(ha, hb, np.concatenate([pa[k:, 1], pa[:k, 1]]),
+                               np.concatenate([pb[k:, 1], pb[:k, 1]])))
+    xa, xb = _checked(_product(xa, xb, ha, hb))
     wx, vx = _spectra(xa, xb)
     la, lb = _psd_powers(wx, vx, [(1.0 / c[3],) for c in cases] * 2)
     if late:
@@ -653,8 +637,7 @@ def _furuta_differences(cases: Sequence[tuple], wa: np.ndarray, va: np.ndarray,
         pa, pb = np.concatenate([ba, aa]), np.concatenate([bb, ab])
     da = np.concatenate([la[:k, 0] - pa[:k, -1], pa[k:, -1] - la[k:, 0]])
     db = np.concatenate([lb[:k, 0] - pb[:k, -1], pb[k:, -1] - lb[k:, 0]])
-    _require_finite(da, db, "QMatrix")
-    return da, db
+    return _checked((da, db))
 
 
 def check_chain_semihypo(t: QMatrix, *, tol: float = DEFAULT_TOL,
@@ -756,7 +739,7 @@ def _aluthge_cases(cases: Sequence[tuple[QMatrix, float, bool]],
     report's ladder solves every ladder, and that of a double reading
     factors every T~~ and solves its margins, in one call each."""
     out: list = [None] * len(cases)
-    rows, = _sift(out, range(len(cases)), lambda i: _check_exponent(cases[i][1]))
+    rows, = _sift(out, range(len(cases)), lambda i: _check_exponent(cases[i][1], "exponent"))
     parts = dict(zip(rows, _polars([cases[i][0] for i in rows]) if rows else ()))
     enforced = [i for i in rows if cases[i][2]]
     bases = dict(zip(enforced, _p_hyponormal_grid([parts[i] for i in enforced],
@@ -905,7 +888,7 @@ def _gcsi_closures(cases: Sequence[tuple], *, beta: float,
     and every base and transformed operator is factored in one SVD for one
     ``_gcsi_search``.
     """
-    _check_beta(beta)
+    _check_exponent(beta, "beta")
     out: list = [None] * len(cases)
     rows, = _sift(out, range(len(cases)), lambda i: _closure_args(cases[i][1], *cases[i][3:]))
     ops = [case[0] for case in cases]
@@ -1095,7 +1078,7 @@ def _gcsi_implications(cases: Sequence[tuple[QMatrix, float]], *,
     """``check_gcsi_implies`` of each (T, p) case of one size: the operators
     factored in one SVD for both margins, every search in one ``_gcsi_search``."""
     for _, p in cases:
-        _check_exponent(p)
+        _check_exponent(p, "exponent")
     ts = [t for t, _ in cases]
     parts = _polars(ts)
     hyps = _p_hyponormal_grid(parts, [(p,) for _, p in cases], tol)

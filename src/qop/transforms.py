@@ -26,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import (QMatrix, QVector, _from_chi_top, _product, _require_finite, _stack_pairs,
-                     _stacked, _trusted, outer)
+from .linalg import (QMatrix, QVector, _checked, _from_chi_top, _product, _stack_pairs, _stacked,
+                     _trusted, outer)
 from .spectral import _chi_svds, _hermitian_from_chi, _hermitian_matrix, _null_basis
 
 RANK_RTOL = 1e-12
@@ -166,8 +166,7 @@ def _abs_powers(parts: Sequence[PolarParts],
 def _aluthge_transforms(parts: Sequence[PolarParts]) -> list[QMatrix]:
     """``aluthge`` of the operator of each polar part, as stacked products."""
     ha, hb = _abs_powers(parts, [(0.5,)] * len(parts))
-    xa, xb = _product(ha, hb, *_stack_pairs([pp.u for pp in parts]))
-    _require_finite(xa, xb, "QMatrix")
+    xa, xb = _checked(_product(ha, hb, *_stack_pairs([pp.u for pp in parts])))
     return [_trusted(QMatrix, a, b) for a, b in zip(*_product(xa, xb, ha, hb))]
 
 

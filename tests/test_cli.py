@@ -242,6 +242,16 @@ def test_gen_spectrum_argument(capsys):
     assert "spectrum component is not a number: 'x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim", ["0", "-2", "100"])
+def test_gen_normal_with_spectrum_checks_dim_before_drawing(capsys, dim):
+    # without --spectrum the values are drawn from the seed, so --dim is
+    # checked first, with the message of the other kinds
+    assert main(["gen", "normal-with-spectrum", "--dim", dim]) == 2
+    assert f"dimension must lie in [1, 64], got {dim}" in capsys.readouterr().err
+    assert main(["gen", "ginibre", "--dim", dim]) == 2
+    assert f"dimension must lie in [1, 64], got {dim}" in capsys.readouterr().err
+
+
 def test_gen_determinism_and_output_file(tmp_path, capsys):
     assert main(["gen", "ginibre", "--dim", "2", "--seed", "9"]) == 0
     first = capsys.readouterr().out

@@ -347,26 +347,18 @@ def test_lowner_heinz_checks_the_order_before_solving_either_operator():
             check_lowner_heinz(s, t, (0.5,))
 
 
-def test_rejected_shrink_candidate_makes_no_eigensolve(monkeypatch):
+def test_rejected_shrink_candidate_makes_no_eigensolve(solver_calls):
     a, b = generators.ordered_pair(4, seed=17)
     arr = a.to_array()
     arr[0, 1] = 0.0  # the shrinker's move: S - T is no longer self-adjoint
-    calls = []
-    for name in ("eigh", "eigvalsh", "eigvals", "svd"):
-        real = getattr(_eig, name)
-        monkeypatch.setattr(_eig, name, lambda m, name=name, real=real: calls.append(name) or real(m))
     for prop, inst in (("lowner-heinz", {"A": QMatrix(arr), "B": b, "r": 0.5}),
                        ("furuta", {"A": QMatrix(arr), "B": b, "p": 2.0, "q": 2.0, "r": 1.0})):
         with pytest.raises(PreconditionError, match="not self-adjoint"):
             harness.evaluate_instance(prop, inst)
-    assert calls == []
+    assert solver_calls == []
 
 
-def test_hermitian_pair_oracles_solve_each_operator_once(monkeypatch):
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        real = getattr(_eig, name)
-        monkeypatch.setattr(_eig, name, lambda m, name=name, real=real: calls.append(name) or real(m))
+def test_hermitian_pair_oracles_solve_each_operator_once(solver_calls):
     # each operator role of a chunk of trials, 4 or 16, is solved once in one
     # stacked call: lowner-heinz eigh of S and T, eigvalsh of S - T and of
     # the differences at every exponent of the grid; furuta eigh of A, B and
@@ -375,13 +367,14 @@ def test_hermitian_pair_oracles_solve_each_operator_once(monkeypatch):
     for prop, eigh, eigvalsh in (("lowner-heinz", 2, 2), ("furuta", 3, 2),
                                  ("holder-mccarthy", 1, 0)):
         for trials in (4, 16):
-            calls.clear()
+            solver_calls.clear()
             harness.run_verify(prop, trials=trials, seed=1, dim=4)
+            calls = solver_calls.kinds("eigh", "eigvalsh")
             assert (calls.count("eigh"), calls.count("eigvalsh")) == (eigh, eigvalsh), (
                 prop, trials)
 
 
-def test_a_lone_broken_pair_fails_its_first_check_before_any_eigh(monkeypatch):
+def test_a_lone_broken_pair_fails_its_first_check_before_any_eigh(solver_calls):
     # a batch of one meets the checks in the per-pair order: S - T
     # self-adjoint, its eigenvalues, then T's eigensystem; S is never solved
     a, b = generators.ordered_pair(4, seed=17)
@@ -397,21 +390,17 @@ def test_a_lone_broken_pair_fails_its_first_check_before_any_eigh(monkeypatch):
         (QMatrix.diag([2.0, 1.0]), QMatrix.diag([1.0, -0.5]), PreconditionError,
          "lower operator is not positive (min eigenvalue -5.000e-01)", ["eigvalsh", "eigh"]),
     )
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        real = getattr(_eig, name)
-        monkeypatch.setattr(_eig, name, lambda m, name=name, real=real: calls.append(name) or real(m))
     for s, t, err, msg, solves in cases:
         for run in (lambda: check_lowner_heinz(s, t, harness.LH_R_GRID),
                     lambda: check_furuta(s, t, 2.0, 2.0, 1.0),
                     lambda: harness.evaluate_instance("lowner-heinz", {"A": s, "B": t, "r": 2.5}),
                     lambda: harness.evaluate_instance(
                         "furuta", {"A": s, "B": t, "p": 3.0, "q": 1.0, "r": 0.2})):
-            calls.clear()
+            solver_calls.clear()
             with pytest.raises(err) as info:
                 run()
             assert str(info.value) == msg
-            assert calls == solves, msg
+            assert solver_calls.kinds("eigh", "eigvalsh") == solves, msg
 
 
 def test_exponent_sequence_returns_the_least_scaled_margin():
@@ -547,15 +536,12 @@ def test_stacked_grids_raise_the_per_exponent_errors():
         is_p_hyponormal(ginibre(4, seed=1) * 1e160, 1.0)
 
 
-def test_nonfinite_exponents_raise_on_the_pair_oracles(monkeypatch):
+def test_nonfinite_exponents_raise_on_the_pair_oracles(solver_calls):
     # a NaN exponent passes every sign check, and an infinite one passes in
     # probe mode and in Holder-McCarthy: each is named before any solve, not
     # left to the weigher's "finite reals on the spectrum"
     eye, zero = QMatrix.identity(2), QMatrix.zeros(2, 2)
     a, b = generators.ordered_pair(3, seed=1)
-    calls = []
-    for name in ("eigh", "eigvalsh", "eigvals", "svd"):
-        monkeypatch.setattr(_eig, name, lambda *a, name=name: calls.append(name))
     bad = (math.nan, math.inf, -math.inf)
     for s, t in ((eye, eye), (zero, zero), (a, b)):
         for r in bad:
@@ -572,7 +558,7 @@ def test_nonfinite_exponents_raise_on_the_pair_oracles(monkeypatch):
                 with pytest.raises(DomainError,
                                    match=f"exponent {name} must be finite, got {value}"):
                     check_furuta(a, b, p, q, r, probe=probe)
-    assert calls == []
+    assert solver_calls == []
 
 
 def test_lazy_report_parts_check_their_arguments_at_the_call():
@@ -582,11 +568,7 @@ def test_lazy_report_parts_check_their_arguments_at_the_call():
             check_gcsi_implies(u, tol=tol)
 
 
-def test_exponent_grids_make_one_eigenvalue_solve(monkeypatch):
-    calls = []
-    for name in ("eigh", "eigvalsh", "svd"):
-        real = getattr(_eig, name)
-        monkeypatch.setattr(_eig, name, lambda m, name=name, real=real: calls.append(name) or real(m))
+def test_exponent_grids_make_one_eigenvalue_solve(solver_calls):
     # per chunk of trials, 4 or 16: the p-hyponormal hypotheses read their
     # margin's verdict, with no ||T|| solve, and every exponent grid of the
     # chunk is one eigenvalue solve.  aluthge: T's hypotheses, T~'s margins,
@@ -598,8 +580,9 @@ def test_exponent_grids_make_one_eigenvalue_solve(monkeypatch):
                          ("gcsi-implies", (1, 1, 2)), ("collapse", (1, 2, 1)),
                          ("conjugation-lemma", (1, 1, 1))):
         for trials in (4, 16):
-            calls.clear()
+            solver_calls.clear()
             harness.run_verify(prop, trials=trials, seed=1, dim=4)
+            calls = solver_calls.kinds("eigh", "eigvalsh", "svd")
             assert tuple(calls.count(k) for k in ("eigh", "eigvalsh", "svd")) == counts, \
                 (prop, trials)
 
@@ -620,30 +603,24 @@ _CHUNK_SOLVES = {
 
 
 @pytest.mark.parametrize("prop", sorted(_CHUNK_SOLVES))
-def test_stacked_properties_make_a_fixed_number_of_solves_per_chunk(monkeypatch, prop):
-    calls = []
-    for name in ("eigh", "eigvalsh", "eigvals", "svd"):
-        real = getattr(_eig, name)
-        monkeypatch.setattr(_eig, name, lambda m, name=name, real=real: calls.append(name) or real(m))
+def test_stacked_properties_make_a_fixed_number_of_solves_per_chunk(solver_calls, prop):
     for trials in (4, 16):
-        calls.clear()
+        solver_calls.clear()
         harness.run_verify(prop, trials=trials, seed=1, dim=4)
+        calls = solver_calls.kinds()
         counts = tuple(calls.count(k) for k in ("eigh", "eigvalsh", "eigvals", "svd"))
         assert counts == _CHUNK_SOLVES[prop], trials
 
 
-def test_gcsi_closure_takes_every_norm_of_a_chunk_in_one_solve(monkeypatch):
+def test_gcsi_closure_takes_every_norm_of_a_chunk_in_one_solve(solver_calls):
     # every ||T|| and every compression's ||(I - P) T P|| of a chunk come from
     # one eigvalsh (9 calls for 16 trials before); inverse operands are still
     # factored one at a time, after the draws' SVDs, and every base and
     # transformed operator of the chunk in one SVD for the GCSI pairs
-    calls = []
-    for name in ("eigh", "eigvalsh", "eigvals", "svd"):
-        real = getattr(_eig, name)
-        monkeypatch.setattr(_eig, name, lambda m, name=name, real=real: calls.append(name) or real(m))
     for trials, svds in ((4, 5), (16, 8)):
-        calls.clear()
+        solver_calls.clear()
         harness.run_verify("gcsi-closure", trials=trials, seed=3, dim=4)
+        calls = solver_calls.kinds()
         assert calls.count("eigvalsh") == 1 and calls.count("svd") == svds, trials
         assert calls.count("eigh") == calls.count("eigvals") == 0
     assert not hasattr(harness, "_run_chunk")
@@ -1240,16 +1217,14 @@ def _tol_calls():
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
 @pytest.mark.parametrize("name", sorted(_tol_calls()))
 def test_a_tolerance_that_is_not_finite_and_nonnegative_is_rejected_before_any_solve(
-        name, tol, monkeypatch):
+        name, tol, solver_calls):
     # a NaN tolerance compares false with every margin, so it used to switch
     # verdicts off; a negative one counted small margins as violations
     call = _tol_calls()[name]
-    calls = []
-    for solver in ("eigh", "eigvalsh", "eigvals", "svd"):
-        monkeypatch.setattr(_eig, solver, lambda *a, solver=solver: calls.append(solver))
+    solver_calls.clear()  # the operands' draws
     with pytest.raises(DomainError, match="tol must be finite and nonnegative, got"):
         call(tol)
-    assert calls == []
+    assert solver_calls == []
 
 
 # ------------------------------------------------------------ consistency

@@ -9,7 +9,8 @@ import pytest
 
 from qop import harness, oracles
 from qop.errors import QopError, StructureError
-from qop.generators import normal_with_spectrum, ordered_pair, positive, random_unitary, unit_vector
+from qop.generators import (ginibre, hermitian, normal_with_spectrum, ordered_pair, positive,
+                            random_unitary, unit_vector)
 from qop.linalg import QMatrix, QVector, operator_norm
 from qop.oracles import (check_aluthge_theorems, check_chain_semihypo, check_eigenspace_reducing,
                          check_furuta, check_gcsi_closure, check_holder_mccarthy,
@@ -270,3 +271,27 @@ def test_an_overflowing_bracket_is_met_before_an_overflowing_power():
                        (a * 1e150, b * 1e150, 2.0, 0.5), (a, b, 100.0, 100.0)):
         with pytest.raises(StructureError, match="QMatrix entries must be finite"):
             check_furuta(s, t, p, 1.0, r, probe=True)
+
+
+def _overflowing_instances():
+    """(property, instance) pairs whose one internal pair result overflows:
+    T*T of a large T, and the Hermitian part of S at an entry near the
+    largest float."""
+    s = hermitian(4, seed=3).to_array()
+    s[0, 1, 0] = s[1, 0, 0] = 1.5e308
+    return [("collapse", {"T": ginibre(4, seed=1) * 1e160}),
+            ("conjugation-lemma", {"U": random_unitary(4, seed=3), "S": QMatrix(s)})]
+
+
+@pytest.mark.parametrize("prop, inst", _overflowing_instances(), ids=["collapse", "conjugation"])
+def test_an_overflowing_internal_product_raises_alone_and_in_a_batch(prop, inst):
+    with pytest.raises(StructureError, match="^QMatrix entries must be finite$"):
+        harness.evaluate_instance(prop, inst)
+    # scored with a finite instance, the whole batch raises, as the
+    # property's evaluate may
+    finite = {"collapse": {"T": ginibre(4, seed=2)},
+              "conjugation-lemma": {"U": random_unitary(4, seed=4), "S": hermitian(4, seed=5)}}
+    harness.evaluate_instance(prop, finite[prop])
+    for batch in ([finite[prop], inst], [inst, finite[prop]]):
+        with pytest.raises(StructureError, match="^QMatrix entries must be finite$"):
+            harness._evaluate(prop, batch, TOL)

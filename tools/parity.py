@@ -23,7 +23,11 @@ its witness, and the eigenvalues and vectors of ``eigh_q``.  Last, one
 record per candidate of a shrink's first sweep, scored as the shrinker
 scores it, in one batch through ``harness._evaluate``: its error or its
 score, for four of the probe-regime instances and for Lowner-Heinz and
-Furuta probes on a 3 x 3 and a 5 x 5 ordered pair.  A call that raises,
+Furuta probes on a 3 x 3 and a 5 x 5 ordered pair.  Then one record per
+public generator's draw at n = 1, 4, 16 and 64: ``ginibre``,
+``hermitian``, ``positive``, ``ordered_pair``, ``normal_with_spectrum``
+on a spectrum drawn from the seed, ``partial_isometry`` at every defect,
+``near_normal`` at eps = 0.1 and ``unit_vector``.  A call that raises,
 or a batch entry that is an error, is hashed as ``type: message``.  The
 last line, ``total <sha256>``, hashes every line above it.  The digests
 are exact bytes, which another machine's BLAS need not reproduce.
@@ -54,7 +58,7 @@ def _text(value: Any) -> str:
     their components' bytes, tuples and dicts item by item, the rest by repr."""
     if isinstance(value, qop.VerificationReport):
         return value.dumps()
-    if isinstance(value, qop.QMatrix):
+    if isinstance(value, (qop.QMatrix, qop.QVector)):
         return value.to_array().tobytes().hex()
     if isinstance(value, dict):
         return "{" + ",".join(f"{k}:{_text(v)}" for k, v in sorted(value.items())) + "}"
@@ -150,6 +154,24 @@ def _panel(lines: list[str], n: int) -> None:
         _record(lines, f"eigh_q/{name}/n{n}/vectors", lambda: qop.eigh_q(h).vectors)
 
 
+def _generator_records(lines: list[str], n: int) -> None:
+    """One record per public generator's draw at size n."""
+    stream = SplitMix64(mix_seed(n, 101))
+    spectrum = [qop.Quaternion(*map(float, stream.normals(4))) for _ in range(n)]
+    draws = {"ginibre": lambda: qop.ginibre(n, seed=n),
+             "hermitian": lambda: qop.hermitian(n, seed=n),
+             "positive": lambda: qop.positive(n, seed=n),
+             "ordered_pair": lambda: qop.ordered_pair(n, seed=n),
+             "normal_with_spectrum": lambda: qop.normal_with_spectrum(spectrum, seed=n),
+             "near_normal": lambda: qop.near_normal(n, 0.1, seed=n),
+             "unit_vector": lambda: qop.unit_vector(n, seed=n)}
+    for name, draw in draws.items():
+        _record(lines, f"generators/{name}/n{n}", draw)
+    for defect in range(n + 1):
+        _record(lines, f"generators/partial_isometry/{defect}/n{n}",
+                lambda: qop.partial_isometry(n, defect, seed=n))
+
+
 def main() -> int:
     lines: list[str] = []
     for prop in sorted(PROPERTIES):
@@ -182,6 +204,8 @@ def main() -> int:
     for n in (3, 5):
         for prop in ("lowner-heinz", "furuta"):
             _sweep_records(lines, f"sweep/{prop}/n{n}", prop, _probe_pair(n, 31 + n, prop))
+    for n in (1, 4, 16, 64):
+        _generator_records(lines, n)
     print("total", hashlib.sha256("\n".join(lines).encode()).hexdigest())
     return 0
 
