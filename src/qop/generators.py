@@ -153,6 +153,7 @@ def normal_with_spectrum(values: Sequence[Quaternion | complex | float], *,
     """
     if not len(values):
         raise ShapeError("spectrum must be nonempty")
+    _check_dim(len(values))
     d = QMatrix.diag(list(values))
     diag = np.stack([d._a.diagonal(), d._b.diagonal()], axis=-1)
     return _normals(diag[None], _unitaries(d.rows, [seed]))[0]

@@ -2,11 +2,12 @@
 
 A matrix T = A + B j (q = (w + x i) + (y + z i) j entrywise) is stored as
 the complex pair (A, B), the top block row of its complex adjoint embedding
-chi(T) = [[A, B], [-conj(B), conj(A)]]; a vector is an n x 1 matrix.  The
-real (w, x, y, z) layout is the boundary layout of the public constructors,
-which copy and check their input, and of ``to_array``.  Internal results
-skip those checks except finiteness: every internal pair result passes
-``_checked`` or ``_trusted``, so an overflow still raises.
+chi(T) = [[A, B], [-conj(B), conj(A)]]; a vector is an n x 1 matrix, and
+both value types share one pair algebra, ``_Pair``.  The real (w, x, y, z)
+layout is the boundary layout of the public constructors, which copy and
+check their input, and of ``to_array``.  Internal results skip those
+checks except finiteness: every internal pair result passes ``_checked``
+or ``_trusted``, so an overflow still raises.
 
 Scalars act on vectors from the right, ``u * q``.  Operators are
 right-linear; on pairs the product is (A1 A2 - B1 conj(B2), A1 B2 + B1
@@ -143,10 +144,44 @@ def _stack_pairs(ops: Sequence[Any]) -> tuple[np.ndarray, np.ndarray]:
     return _stacked([op._a for op in ops]), _stacked([op._b for op in ops])
 
 
-class QVector:
-    """Column vector in H^n, scalars acting on the right."""
+class _Pair:
+    """The value A + B j as the pair (A, B): the algebra both value types share."""
 
     __slots__ = ("_a", "_b")
+
+    def to_array(self) -> np.ndarray:
+        return np.stack([self._a, self._b], axis=-1).view(np.float64)
+
+    def __add__(self, other):
+        self._check_same(other)
+        return _trusted(type(self), self._a + other._a, self._b + other._b)
+
+    def __sub__(self, other):
+        self._check_same(other)
+        return _trusted(type(self), self._a - other._a, self._b - other._b)
+
+    def __neg__(self):
+        return _trusted(type(self), -self._a, -self._b)
+
+    def __mul__(self, scalar):
+        if isinstance(scalar, (int, float)):
+            return _trusted(type(self), self._a * float(scalar), self._b * float(scalar))
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def allclose(self, other, tol: float = 1e-12) -> bool:
+        """Every component within tol times max(1.0, both sizes), a size being
+        ``norm`` or ``frobenius``: the floor 1.0 keeps comparisons with 0 meaningful."""
+        self._check_same(other)
+        bound = tol * max(1.0, self._size(), other._size())
+        return float(np.abs(self.to_array() - other.to_array()).max()) <= bound
+
+
+class QVector(_Pair):
+    """Column vector in H^n, scalars acting on the right."""
+
+    __slots__ = ()
 
     def __init__(self, components: np.ndarray):
         self._a, self._b = _boundary_pair(components, 2, "QVector")
@@ -179,45 +214,18 @@ class QVector:
         a, b = self._a[i], self._b[i]
         return Quaternion(a.real, a.imag, b.real, b.imag)
 
-    def to_array(self) -> np.ndarray:
-        return np.stack([self._a, self._b], axis=-1).view(np.float64)
-
-    def __add__(self, other: "QVector") -> "QVector":
-        self._check_same(other)
-        return _trusted(QVector, self._a + other._a, self._b + other._b)
-
-    def __sub__(self, other: "QVector") -> "QVector":
-        self._check_same(other)
-        return _trusted(QVector, self._a - other._a, self._b - other._b)
-
-    def __neg__(self) -> "QVector":
-        return _trusted(QVector, -self._a, -self._b)
-
     def __mul__(self, scalar) -> "QVector":
-        """Right scalar action u * q, entrywise u_i q."""
-        if isinstance(scalar, (int, float)):
-            s = float(scalar)
-            return _trusted(QVector, self._a * s, self._b * s)
+        """Right scalar action u * q, entrywise u_i q; a real scalar scales the pair."""
         if isinstance(scalar, Quaternion):
             qa, qb = complex(scalar.w, scalar.x), complex(scalar.y, scalar.z)
             a, b = self._a, self._b
             return _trusted(QVector, a * qa - b * qb.conjugate(), a * qb + b * qa.conjugate())
-        return NotImplemented
-
-    def __rmul__(self, scalar) -> "QVector":
-        if isinstance(scalar, (int, float)):
-            return self * scalar
-        return NotImplemented
+        return _Pair.__mul__(self, scalar)
 
     def norm(self) -> float:
         return float(_vector_norms(self._a[None], self._b[None])[0])
 
-    def allclose(self, other: "QVector", tol: float = 1e-12,
-                 scale: float | None = None) -> bool:
-        self._check_same(other)
-        floor = 1.0 if scale is None else float(scale)
-        bound = tol * max(floor, self.norm(), other.norm())
-        return float(np.abs(self.to_array() - other.to_array()).max()) <= bound
+    _size = norm
 
     def _check_same(self, other: "QVector") -> None:
         if not isinstance(other, QVector):
@@ -251,10 +259,10 @@ def _outers(ua: np.ndarray, ub: np.ndarray, va: np.ndarray,
     return _product(ua[..., :, None], ub[..., :, None], va.conj()[..., None, :], -vb[..., None, :])
 
 
-class QMatrix:
+class QMatrix(_Pair):
     """Dense matrix over H acting on column vectors from the left."""
 
-    __slots__ = ("_a", "_b")
+    __slots__ = ()
 
     def __init__(self, components: np.ndarray):
         self._a, self._b = _boundary_pair(components, 3, "QMatrix")
@@ -313,32 +321,10 @@ class QMatrix:
     def column(self, j: int) -> QVector:
         return _trusted(QVector, self._a[:, j].copy(), self._b[:, j].copy())
 
-    def to_array(self) -> np.ndarray:
-        return np.stack([self._a, self._b], axis=-1).view(np.float64)
-
     @property
     def H(self) -> "QMatrix":
         """Adjoint: conjugate transpose, (A^H, -B^T) on the pair."""
         return _trusted(QMatrix, self._a.T.conj(), -self._b.T)
-
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        self._check_same(other)
-        return _trusted(QMatrix, self._a + other._a, self._b + other._b)
-
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        self._check_same(other)
-        return _trusted(QMatrix, self._a - other._a, self._b - other._b)
-
-    def __neg__(self) -> "QMatrix":
-        return _trusted(QMatrix, -self._a, -self._b)
-
-    def __mul__(self, scalar) -> "QMatrix":
-        if isinstance(scalar, (int, float)):
-            s = float(scalar)
-            return _trusted(QMatrix, self._a * s, self._b * s)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other):
         if isinstance(other, QMatrix):
@@ -354,16 +340,11 @@ class QMatrix:
     def frobenius(self) -> float:
         return math.sqrt(np.vdot(self._a, self._a).real + np.vdot(self._b, self._b).real)
 
+    _size = frobenius
+
     def trace(self) -> Quaternion:
         a, b = np.trace(self._a), np.trace(self._b)
         return Quaternion(a.real, a.imag, b.real, b.imag)
-
-    def allclose(self, other: "QMatrix", tol: float = 1e-12,
-                 scale: float | None = None) -> bool:
-        self._check_same(other)
-        floor = 1.0 if scale is None else float(scale)
-        bound = tol * max(floor, self.frobenius(), other.frobenius())
-        return float(np.abs(self.to_array() - other.to_array()).max()) <= bound
 
     def equals_exact(self, other: "QMatrix") -> bool:
         return (self.shape == other.shape and np.array_equal(self._a, other._a)
@@ -456,17 +437,10 @@ def _from_chi_top(top: np.ndarray) -> QMatrix:
     return _trusted(QMatrix, top[:, :m], top[:, m:])
 
 
-def _chi_eigvalsh(a: QMatrix) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part of chi(a), each one twice.
-
-    ``_pair_eigvalsh`` for one ``QMatrix``; callers take an end of this array.
-    """
-    return _pair_eigvalsh(a._a, a._b)
-
-
 def _pair_eigvalsh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``_chi_eigvalsh`` of the pair (A, B), or of each pair of a (k, n, n)
-    stack as the rows of a (k, 2n) array, from one eigensolver call."""
+    """Ascending eigenvalues of the Hermitian part of chi(A + B j), each one
+    twice, of the pair (A, B), or of each pair of a (k, n, n) stack as the
+    rows of a (k, 2n) array, from one eigensolver call."""
     return _eig.eigvalsh(_hermitian_chi(a, b))
 
 

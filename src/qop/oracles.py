@@ -26,13 +26,13 @@ import numpy as np
 
 from . import _eig, matio
 from .errors import DomainError, PreconditionError, QopError, ShapeError
-from .linalg import (QMatrix, QVector, _adjoints, _check_tol, _checked, _chi_eigvalsh,
-                     _from_chi_top, _from_psi, _gram_norms, _identities, _operator_norms,
-                     _outers, _pair_eigvalsh, _product, _selfadjoint_residual, _stack_pairs,
-                     _trusted, _vector_norms, embed_chi, inner)
+from .linalg import (QMatrix, QVector, _adjoints, _check_tol, _checked, _from_chi_top,
+                     _from_psi, _gram_norms, _identities, _operator_norms, _outers,
+                     _pair_eigvalsh, _product, _selfadjoint_residual, _stack_pairs, _trusted,
+                     _vector_norms, embed_chi, inner)
 from .quaternion import Quaternion
-from .spectral import (EIGENSPACE_RTOL, _clamp_errors, _delta_qs, _kernel_bases, _null_bases,
-                       _null_basis, _psd_errors, _psd_powers, _require_selfadjoint,
+from .spectral import (EIGENSPACE_RTOL, KERNEL_RTOL, _clamp_errors, _delta_qs, _kernel_bases,
+                       _null_bases, _null_basis, _psd_errors, _psd_powers, _require_selfadjoint,
                        _require_square, _selfadjoint_errors, _spectra)
 from .transforms import (PolarParts, _abs_powers, _aluthge_transforms, _polars, polar,
                          unitary_completion)
@@ -138,7 +138,7 @@ def classify_basic(t: QMatrix, *, tol: float = DEFAULT_TOL) -> BasicClasses:
     pos_margin: float | None = None
     positive = False
     if selfadjoint:
-        pos_margin = float(_chi_eigvalsh(t)[0])
+        pos_margin = float(_pair_eigvalsh(t._a, t._b)[0])
         positive = pos_margin >= -thr
     return BasicClasses(
         selfadjoint=selfadjoint,
@@ -968,7 +968,8 @@ def _kernel_reductions(ts: Sequence[QMatrix],
     ha, hb = _adjoints(a, b)
     sa, sb = _checked(_product(a, b, a, b))
     k = len(ts)
-    bases = _kernel_bases(np.concatenate([a, ha, sa]), np.concatenate([b, hb, sb]), 1e-8)
+    bases = _kernel_bases(np.concatenate([a, ha, sa]), np.concatenate([b, hb, sb]),
+                         KERNEL_RTOL)
     kers, ker_stars, ker_sqs = bases[:k], bases[k:2 * k], bases[2 * k:]
     subsets = _image_norms(a, b, kers, adjoint=True)
     equalities = _image_norms(a, b, ker_sqs, adjoint=False)

@@ -115,15 +115,10 @@ class Quaternion:
         """
         return complex(self.w, math.hypot(self.x, self.y, self.z))
 
-    def isclose(self, other: "Quaternion", tol: float = 1e-12,
-                scale: float | None = None) -> bool:
-        """Component-wise comparison at tol times max(scale, |self|, |other|).
-
-        The floor defaults to 1.0 so comparisons against exact zero remain
-        meaningful.
-        """
-        floor = 1.0 if scale is None else float(scale)
-        bound = tol * max(floor, self.norm(), other.norm())
+    def isclose(self, other: "Quaternion", tol: float = 1e-12) -> bool:
+        """Component-wise comparison at tol times max(1.0, |self|, |other|);
+        the floor 1.0 keeps comparisons against exact zero meaningful."""
+        bound = tol * max(1.0, self.norm(), other.norm())
         return (abs(self.w - other.w) <= bound and abs(self.x - other.x) <= bound
                 and abs(self.y - other.y) <= bound and abs(self.z - other.z) <= bound)
 

@@ -137,17 +137,13 @@ class SplitMix64:
         """Next k uniforms in [0, 1) with 53-bit resolution."""
         return _to_uniform(self.uint64(k))
 
-    def _next_uniform(self) -> float:
-        """The next uniform, from one output on Python integers.
-
-        (z >> 11) * 2^-53 is exact, so it is ``uniforms(1)[0]`` bit for bit.
+    def uniform(self, lo: float, hi: float) -> float:
+        """lo + (hi - lo) u for the next uniform u, from one output on Python
+        integers: (z >> 11) * 2^-53 is exact, so u is ``uniforms(1)[0]`` bit for bit.
         """
         z = mix_seed(self._seed, self._count)
         self._count += 1
-        return (z >> 11) * _INV_2_53
-
-    def uniform(self, lo: float, hi: float) -> float:
-        return float(lo + (hi - lo) * self._next_uniform())
+        return float(lo + (hi - lo) * ((z >> 11) * _INV_2_53))
 
     def normals(self, k: int) -> np.ndarray:
         """Next k standard normals via Box-Muller on consecutive pairs."""

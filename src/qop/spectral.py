@@ -32,9 +32,9 @@ import numpy as np
 
 from . import _eig
 from .errors import DomainError, PreconditionError, QopError, ShapeError, StructureError
-from .linalg import (QMatrix, QVector, _adjoints, _check_tol, _checked, _chi_eigvalsh,
-                     _embed_pair, _frobenius, _from_psi, _hermitian_chi, _identities, _product,
-                     _require_finite, _selfadjoint_residual, _trusted)
+from .linalg import (QMatrix, QVector, _adjoints, _check_tol, _checked, _embed_pair,
+                     _frobenius, _from_psi, _hermitian_chi, _identities, _pair_eigvalsh,
+                     _product, _require_finite, _selfadjoint_residual, _trusted)
 from .quaternion import Quaternion
 
 PAIR_TOL = 1e-8
@@ -46,6 +46,8 @@ CLAMP_TOL = 1e-8
 GAP_TOL = 1e-6
 # the rank cutoff of a sphere polynomial's kernel
 EIGENSPACE_RTOL = 1e-6
+# the rank cutoff of ``kernel_basis`` and of the kernels of T, T* and T^2
+KERNEL_RTOL = 1e-8
 _GS_ACCEPT = 1e-6
 _NOT_FINITE = "scalar function must return finite reals on the spectrum"
 
@@ -68,7 +70,9 @@ def _selfadjoint_errors(a: np.ndarray, b: np.ndarray) -> list[QopError | None]:
     else None.  One comparison passes every x equal to x*.  Of the others,
     one past twice the bound in a stacked sum of squares, a row's sum the
     same in any stack, fails with its root; the rest take exact norms on
-    copies, of x over its largest entry modulus where a sum overflows."""
+    copies, of x over its largest entry modulus where a norm is not finite
+    (an overflowed complex sum reads NaN), reporting a non-finite deviation
+    as the scaled x's times the scale."""
     if a.shape[-1] != a.shape[-2]:
         return [ShapeError(f"square operator required, got {a.shape[1:]}") for _ in a]
     ha, hb = _adjoints(a, b)
@@ -83,13 +87,14 @@ def _selfadjoint_errors(a: np.ndarray, b: np.ndarray) -> list[QopError | None]:
     for k in rows:
         limit, d2 = 4e-16 * max(sq[k], 1.0), dev2[k]
         dev = math.sqrt(d2) if limit < d2 < math.inf else _frobenius(da[k], db[k])
-        if dev * dev <= limit:
+        if not dev * dev > limit:
             norm = _frobenius(a[k], b[k])
-            if math.isinf(dev) or math.isinf(norm):
+            if not (math.isfinite(dev) and math.isfinite(norm)):
                 s = float(np.hypot(np.abs(a[k]), np.abs(b[k])).max())
                 x, y = a[k] / s, b[k] / s
-                if _selfadjoint_residual(x, y) <= 1e-8 * _frobenius(x, y):
+                if (res := _selfadjoint_residual(x, y)) <= 1e-8 * _frobenius(x, y):
                     continue
+                dev = dev if math.isfinite(dev) else res * s
             elif dev <= 1e-8 * max(1.0, norm):
                 continue
         out[k] = PreconditionError(f"operator is not self-adjoint (deviation {dev:.3e})")
@@ -142,15 +147,20 @@ class HermitianEigensystem:
         cuts = [0, *(np.flatnonzero(np.diff(lam)) + 1).tolist(), lam.size]
         columns: list[QVector] = []
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            columns.extend(_quaternionic_basis(self._v2[:, 2 * lo:2 * hi], hi - lo))
+            x = _quaternionic_bases(self._v2[None, :, 2 * lo:2 * hi], hi - lo)[0]
+            columns.extend(map(_from_psi, x))
         return QMatrix.from_columns(columns)
 
     def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> QMatrix:
         """Evaluate a real scalar function of the operator, f(A).
 
-        ``f`` must accept a float ndarray and return one of the same shape.
+        ``f`` must accept a float ndarray and return one of the same shape,
+        real and finite on the spectrum.
         """
-        return _hermitian_matrix(self._v2, self._weights(f(self._w2)))
+        fw = np.asarray(f(self._w2), dtype=np.float64)
+        if fw.shape != self._w2.shape or not np.isfinite(fw).all():
+            raise DomainError(_NOT_FINITE)
+        return _hermitian_matrix(self._v2, fw)
 
     def reconstruct(self) -> QMatrix:
         return self.apply(lambda w: w)
@@ -167,13 +177,6 @@ class HermitianEigensystem:
         space, kernel included.
         """
         return _hermitian_matrix(self._v2, _psd_weights(self._w2[None], [(p,)])[0, 0])
-
-    def _weights(self, fw) -> np.ndarray:
-        """``fw`` as a weight row, which must be real and finite on the spectrum."""
-        fw = np.asarray(fw, dtype=np.float64)
-        if fw.shape != self._w2.shape or not np.isfinite(fw).all():
-            raise DomainError(_NOT_FINITE)
-        return fw
 
 
 def _psd_weights(w: np.ndarray, exps: Sequence[Sequence[float]]) -> np.ndarray:
@@ -243,25 +246,20 @@ def _pair_real(w: np.ndarray) -> np.ndarray:
     return 0.5 * (a + b)
 
 
-def _quaternionic_basis(v: np.ndarray, need: int) -> list[QVector]:
-    """Right-orthonormal basis of the quaternionic span of the columns of v.
+def _quaternionic_bases(v: np.ndarray, need: int) -> np.ndarray:
+    """The embedded vectors psi(x) of a right-orthonormal basis of the
+    quaternionic span of the columns of each (2n, c) matrix of the stack v,
+    as a (k, need, 2n) array.
 
     Pivoted Gram-Schmidt on the embedded side: each step takes the column
     with the largest remaining norm and removes from every column its part
     in span{x, J conj(x)}, the image of the quaternionic line through x.
     Taking the largest residual first keeps the basis orthonormal to
     working precision whatever basis of a degenerate cluster the solver
-    returned.
+    returned.  Every step is taken for all of the stack at once.  Each
+    slice keeps its memory order, on which the summation order of its
+    column norms depends; the first step at which a slice falls short raises.
     """
-    return [_from_psi(x) for x in _quaternionic_bases(v[None], need)[0]]
-
-
-def _quaternionic_bases(v: np.ndarray, need: int) -> np.ndarray:
-    """The embedded basis vectors psi(x) of ``_quaternionic_basis`` of each
-    (2n, c) matrix of the stack v, as a (k, need, 2n) array, every
-    Gram-Schmidt step taken for all of them at once.  Each slice keeps its
-    memory order, on which the summation order of its column norms
-    depends; the first step at which a slice falls short raises."""
     rest = np.array(v, dtype=np.complex128)
     rows = np.arange(rest.shape[0])
     n = rest.shape[1] // 2
@@ -305,8 +303,8 @@ def _null_bases(v: np.ndarray, need: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _null_basis(v: np.ndarray, need: int) -> tuple[QVector, ...]:
-    """``_quaternionic_basis`` with each vector's largest entry made real and
-    positive by a right unit factor, so a null line does not depend on the solver."""
+    """The basis of ``_quaternionic_bases`` of v, each vector's largest entry made
+    real and positive by a right unit factor, so a null line does not depend on the solver."""
     ya, yb = _null_bases(v[None], need)
     return tuple(_trusted(QVector, a, b) for a, b in zip(ya[0], yb[0]))
 
@@ -332,14 +330,6 @@ def eigh_q(a: QMatrix) -> HermitianEigensystem:
     ``vectors`` is first read, and a failed recovery raises there.
     """
     _require_selfadjoint(a)
-    return _eigensystem(a)
-
-
-def _eigensystem(a: QMatrix) -> HermitianEigensystem:
-    """``eigh_q`` without the self-adjointness check: the system of the
-    Hermitian part of a, for operators that are self-adjoint by construction.
-    Consecutive pair means at most CLUSTER_TOL times the largest of 1 and
-    the eigenvalue moduli apart share a cluster, reported at its mean."""
     w, v = _spectra(a._a[None], a._b[None])
     lam = w[0, 0::2].copy()
     scale = max(-lam[0], lam[-1], 1.0)
@@ -533,7 +523,7 @@ def spherical_point_spectrum(t: QMatrix) -> SphericalSpectrum:
     return spec
 
 
-def kernel_basis(a: QMatrix, *, rtol: float = 1e-8) -> list[QVector]:
+def kernel_basis(a: QMatrix, *, rtol: float = KERNEL_RTOL) -> list[QVector]:
     """Right-orthonormal basis of ker A, possibly empty.
 
     The basis spans the trailing right singular vectors of chi(A).
@@ -626,5 +616,5 @@ def rayleigh_bounds(t: QMatrix) -> tuple[float, float]:
     Every Rayleigh quotient of a unit vector lies in [m, M].
     """
     _require_selfadjoint(t)
-    w = _chi_eigvalsh(t)
+    w = _pair_eigvalsh(t._a, t._b)
     return float(w[0]), float(w[-1])

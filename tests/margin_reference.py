@@ -18,8 +18,8 @@ import numpy as np
 from qop import _eig, matio
 from qop.errors import DomainError, PreconditionError, ShapeError, StructureError
 from qop.harness import _hausdorff
-from qop.linalg import (QMatrix, QVector, _chi_eigvalsh, _from_chi_top, _from_psi, _pair_eigvalsh,
-                        _product, _require_finite, _trusted, embed_chi)
+from qop.linalg import (QMatrix, QVector, _from_chi_top, _from_psi, _pair_eigvalsh, _product,
+                        _require_finite, _trusted, embed_chi)
 from qop.oracles import Margin, _margin
 from qop.quaternion import Quaternion
 from qop.spectral import (_GS_ACCEPT, EIGENSPACE_RTOL, MERGE_TOL, PAIR_TOL, SphericalSpectrum,
@@ -147,7 +147,7 @@ def spherical_spectrum(t: QMatrix) -> SphericalSpectrum:
 
 def operator_norm(a: QMatrix) -> float:
     gram = a.H @ a
-    return float(np.sqrt(max(float(_chi_eigvalsh(gram)[-1]), 0.0)))
+    return float(np.sqrt(max(float(_pair_eigvalsh(gram._a, gram._b)[-1]), 0.0)))
 
 
 def unitary_completion(parts: PolarParts) -> QMatrix:
@@ -193,8 +193,8 @@ def check_chain_semihypo(t: QMatrix, tol: float, enforce: bool) -> tuple[Margin,
     u, abst = pp.u, pp.abs_t
     upper = u.H @ abst @ u - abst
     lower = abst - u @ abst @ u.H
-    m1 = float(_chi_eigvalsh(upper)[0])
-    m2 = float(_chi_eigvalsh(lower)[0])
+    m1 = float(_pair_eigvalsh(upper._a, upper._b)[0])
+    m2 = float(_pair_eigvalsh(lower._a, lower._b)[0])
     scale = max(1.0, opn)
     witness = lambda: {"enforced": enforce}
     return _margin(m1, tol, scale, witness), _margin(m2, tol, scale, witness)

@@ -252,6 +252,12 @@ def test_gen_normal_with_spectrum_checks_dim_before_drawing(capsys, dim):
     assert f"dimension must lie in [1, 64], got {dim}" in capsys.readouterr().err
 
 
+def test_gen_normal_with_spectrum_checks_the_length_of_a_given_spectrum(capsys):
+    spectrum = ";".join(["1,0,0,0"] * 65)
+    assert main(["gen", "normal-with-spectrum", "--dim", "65", "--spectrum", spectrum]) == 2
+    assert "dimension must lie in [1, 64], got 65" in capsys.readouterr().err
+
+
 def test_gen_determinism_and_output_file(tmp_path, capsys):
     assert main(["gen", "ginibre", "--dim", "2", "--seed", "9"]) == 0
     first = capsys.readouterr().out

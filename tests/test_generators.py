@@ -100,3 +100,8 @@ def test_dimension_bounds():
         ginibre(65, seed=1)
     with pytest.raises(ShapeError, match=r"dimension must be an integer, got 2\.0$"):
         ginibre(2.0, seed=1)
+
+
+def test_normal_with_spectrum_names_a_long_spectrum_as_every_generator_does():
+    with pytest.raises(ShapeError, match=r"^dimension must lie in \[1, 64\], got 65$"):
+        normal_with_spectrum([1.0] * 65, seed=1)

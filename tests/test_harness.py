@@ -275,8 +275,8 @@ def test_hermitian_pair_properties_pull_back_no_eigenvectors(monkeypatch):
     # every Lowner-Heinz and Furuta margin is functional calculus on the
     # embedded eigensystem, so no eigenvector is ever pulled back
     calls = []
-    real = spectral._quaternionic_basis
-    monkeypatch.setattr(spectral, "_quaternionic_basis",
+    real = spectral._quaternionic_bases
+    monkeypatch.setattr(spectral, "_quaternionic_bases",
                         lambda v, need: calls.append(need) or real(v, need))
     a, b = generators.ordered_pair(4, seed=17)
     for prop, inst in (("lowner-heinz", {"A": a, "B": b, "r": LH_R_GRID}),

@@ -7,6 +7,8 @@ import sys
 
 import qop
 from qop import harness, oracles, spectral, transforms
+from qop.linalg import QMatrix, QVector
+from qop.quaternion import Quaternion
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(qop.__file__)))
 
@@ -92,6 +94,9 @@ _REMOVED_SETTINGS = (
     (oracles.gcsi_sweep, ("budget", "seed")),
     (oracles.check_gcsi_closure, ("budget", "seed")),
     (oracles._gcsi_closures, ("budget", "seed")),
+    (QVector.allclose, ("scale",)),
+    (QMatrix.allclose, ("scale",)),
+    (Quaternion.isclose, ("scale",)),
 )
 
 

@@ -10,7 +10,7 @@ from qop import _eig, generators, harness, linalg, oracles
 from qop.errors import DomainError, PreconditionError, ShapeError, StructureError
 from qop.generators import (ginibre, near_normal, normal_with_spectrum, partial_isometry,
                             positive, random_unitary, unit_vector)
-from qop.linalg import (QMatrix, QVector, _chi_eigvalsh, _selfadjoint_residual, embed_chi,
+from qop.linalg import (QMatrix, QVector, _pair_eigvalsh, _selfadjoint_residual, embed_chi,
                         inner, operator_norm, unembed_chi)
 from qop.matio import json_to_vector, vector_to_json
 from qop.oracles import (check_aluthge_theorems, check_chain_semihypo,
@@ -21,7 +21,7 @@ from qop.oracles import (check_aluthge_theorems, check_chain_semihypo,
                          gcsi_margin, gcsi_sweep, invert, is_p_hyponormal,
                          is_paranormal)
 from qop.quaternion import I, Quaternion
-from qop.spectral import _eigensystem, eigh_q, is_psd
+from qop.spectral import eigh_q, is_psd
 from qop.transforms import aluthge, polar
 
 
@@ -70,7 +70,7 @@ def _classify_two_products(t, tol=oracles.DEFAULT_TOL):
     gram = t.H @ t
     normal_res = (gram - t @ t.H).frobenius()
     unitary_res = (gram - QMatrix.identity(t.rows)).frobenius()
-    pos_margin = float(_chi_eigvalsh(t)[0]) if sa_res <= thr else None
+    pos_margin = float(_pair_eigvalsh(t._a, t._b)[0]) if sa_res <= thr else None
     return oracles.BasicClasses(
         selfadjoint=sa_res <= thr, positive=pos_margin is not None and pos_margin >= -thr,
         normal=normal_res <= thr, unitary=unitary_res <= thr, selfadjoint_residual=sa_res,
@@ -445,7 +445,7 @@ def _hyponormal_reference(t, p, parts, tol=oracles.DEFAULT_TOL):
     per-exponent path the stacked grid replaced, kept as the reference."""
     half = parts.abs_power(2.0 * p)
     diff = half - parts.u @ half @ parts.u.H
-    value = float(_chi_eigvalsh(diff)[0])
+    value = float(_pair_eigvalsh(diff._a, diff._b)[0])
     scale = max(1.0, max(parts.sigmas) ** (2.0 * p))
     witness = None
     if value < -tol * scale:
@@ -456,7 +456,8 @@ def _hyponormal_reference(t, p, parts, tol=oracles.DEFAULT_TOL):
 
 def _lowner_heinz_reference(s, t, r, probe, tol=oracles.DEFAULT_TOL):
     ssys, tsys = eigh_q(s), eigh_q(t)
-    value = float(_chi_eigvalsh(ssys.power_psd(r) - tsys.power_psd(r))[0])
+    diff = ssys.power_psd(r) - tsys.power_psd(r)
+    value = float(_pair_eigvalsh(diff._a, diff._b)[0])
     # the top pair mean of S, not the mean of a top cluster
     scale = max(1.0, max(float(ssys._w2[-1]), 0.0) ** r)
     witness = {"r": r, "probe": probe} if value < -tol * scale else None
@@ -470,8 +471,8 @@ def _collapse_reference(t, tol=oracles.DEFAULT_TOL):
     parts = polar(t) if (gram - co).frobenius() > 1e-4 * scale else None
     vals = []
     for p in harness.HYP_P_GRID:
-        tr_g = _eigensystem(gram).power_psd(p).trace().w
-        tr_c = _eigensystem(co).power_psd(p).trace().w
+        tr_g = eigh_q(gram).power_psd(p).trace().w
+        tr_c = eigh_q(co).power_psd(p).trace().w
         vals.append(-abs(tr_g - tr_c) / max(1.0, abs(tr_g), abs(tr_c)))
         if parts is not None and _hyponormal_reference(t, p, parts, tol).value >= 0.0:
             vals.append(-1.0)

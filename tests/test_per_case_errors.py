@@ -8,7 +8,7 @@ the same margins, or the same error class and message, in place.
 import pytest
 
 from qop import harness, oracles
-from qop.errors import QopError, StructureError
+from qop.errors import DomainError, QopError, StructureError
 from qop.generators import (ginibre, hermitian, normal_with_spectrum, ordered_pair, positive,
                             random_unitary, unit_vector)
 from qop.linalg import QMatrix, QVector, operator_norm
@@ -271,6 +271,21 @@ def test_an_overflowing_bracket_is_met_before_an_overflowing_power():
                        (a * 1e150, b * 1e150, 2.0, 0.5), (a, b, 100.0, 100.0)):
         with pytest.raises(StructureError, match="QMatrix entries must be finite"):
             check_furuta(s, t, p, 1.0, r, probe=True)
+
+
+def test_a_selfadjoint_operator_whose_squares_overflow_reaches_the_late_pull_back():
+    # ||A||_F^2 overflows: A passes the self-adjointness check, and the
+    # brackets stay finite, but A^e does not
+    w = random_unitary(3, seed=2)
+    a, zero = w @ QMatrix.diag([1e200, 1.0, 0.5]) @ w.H, QMatrix.zeros(3)
+    inst = {"A": a, "B": zero, "p": 1.0, "q": 1.0, "r": 1.0}
+    x, y = ordered_pair(3, seed=5)
+    msg = "^scalar function must return finite reals on the spectrum$"
+    for call in (lambda: check_furuta(a, zero, 1.0, 1.0, 1.0),
+                 lambda: harness.evaluate_instance("furuta", inst),
+                 lambda: harness._evaluate("furuta", [inst, {**inst, "A": x, "B": y}], TOL)):
+        with pytest.raises(DomainError, match=msg):
+            call()
 
 
 def _overflowing_instances():

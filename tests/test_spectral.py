@@ -11,7 +11,7 @@ from qop import _eig, spectral
 from qop.errors import DomainError, PreconditionError, StructureError
 from qop.generators import (ginibre, hermitian, near_normal, normal_with_spectrum,
                             partial_isometry, positive, random_unitary)
-from qop.linalg import QMatrix, embed_chi
+from qop.linalg import QMatrix, _from_psi, embed_chi
 from qop.quaternion import I, J, K, Quaternion
 from qop.spectral import (CLUSTER_TOL, delta_q, eigh_q, fun_calc, is_psd, kernel_basis,
                           power_psd, rayleigh_bounds, spherical_eigenspace,
@@ -87,6 +87,20 @@ def test_selfadjointness_is_decided_where_the_squares_overflow(big):
                                          PreconditionError]
 
 
+@pytest.mark.parametrize("c", [1e155, 1e160, 1e200, 1e300])
+def test_selfadjoint_operators_whose_squares_overflow_are_accepted(c):
+    # ||x||_F^2 overflows, and the complex sum of squares then reads NaN, not
+    # inf; the relative deviation is still round-off
+    top = eigh_q(normal_with_spectrum([3.0, 2.0, 1.0, 0.5], seed=1) * c).eigenvalues[-1]
+    assert top == pytest.approx(3.0 * c, rel=1e-12, abs=0.0)
+
+
+def test_an_overflowing_deviation_is_reported_as_a_number():
+    with pytest.raises(PreconditionError, match=r"^operator is not self-adjoint "
+                                                r"\(deviation \d\.\d{3}e\+\d{3}\)$"):
+        eigh_q(ginibre(4, seed=1) * 1e160)
+
+
 def _eager_eigensystem(a):
     """The eager construction the lazy ``vectors`` replaced, kept as the reference."""
     n = a.rows
@@ -104,8 +118,8 @@ def _eager_eigensystem(a):
     for cluster in clusters:
         lam = float(np.mean([mids[t] for t in cluster]))
         eigenvalues.extend([lam] * len(cluster))
-        columns.extend(spectral._quaternionic_basis(
-            v2[:, 2 * cluster[0]:2 * cluster[-1] + 2], len(cluster)))
+        columns.extend(map(_from_psi, spectral._quaternionic_bases(
+            v2[None, :, 2 * cluster[0]:2 * cluster[-1] + 2], len(cluster))[0]))
     return tuple(eigenvalues), QMatrix.from_columns(columns)
 
 
@@ -134,8 +148,8 @@ def test_lazy_vectors_match_the_eager_construction():
 
 def test_vectors_are_pulled_back_on_first_read_only(monkeypatch):
     calls = []
-    real = spectral._quaternionic_basis
-    monkeypatch.setattr(spectral, "_quaternionic_basis",
+    real = spectral._quaternionic_bases
+    monkeypatch.setattr(spectral, "_quaternionic_bases",
                         lambda v, need: calls.append(need) or real(v, need))
     t = 0.5 * (positive(4, seed=439) + QMatrix.identity(4))
     a = QMatrix.diag([1.0, 1.0, 2.0, 3.0, 3.0, 3.0])

@@ -27,7 +27,11 @@ Furuta probes on a 3 x 3 and a 5 x 5 ordered pair.  Then one record per
 public generator's draw at n = 1, 4, 16 and 64: ``ginibre``,
 ``hermitian``, ``positive``, ``ordered_pair``, ``normal_with_spectrum``
 on a spectrum drawn from the seed, ``partial_isometry`` at every defect,
-``near_normal`` at eps = 0.1 and ``unit_vector``.  A call that raises,
+``near_normal`` at eps = 0.1 and ``unit_vector``.  Last, at n = 4 and
+16, ``classify_basic``, ``rayleigh_bounds`` and ``is_psd`` of the panel's
+self-adjoint and Gram operators; ``x + y``, ``x - y``, ``-x``, ``2.5 * x``
+and ``x * 2.5`` of operators and of vectors, with ``allclose`` at tol
+1e-12 and 0; a vector times a quaternion; and ``Quaternion.isclose``.  A call that raises,
 or a batch entry that is an error, is hashed as ``type: message``.  The
 last line, ``total <sha256>``, hashes every line above it.  The digests
 are exact bytes, which another machine's BLAS need not reproduce.
@@ -172,6 +176,30 @@ def _generator_records(lines: list[str], n: int) -> None:
                 lambda: qop.partial_isometry(n, defect, seed=n))
 
 
+def _pair_records(lines: list[str], n: int) -> None:
+    """The Hermitian reads of the panel's self-adjoint and Gram operators, and
+    the pair algebra of operators and of vectors, at size n."""
+    partial = qop.partial_isometry(n, n // 4, seed=n)
+    for name, h in (("hermitian", qop.hermitian(n, seed=n)), ("gram", partial.H @ partial)):
+        _record(lines, f"classify_basic/{name}/n{n}", lambda: qop.classify_basic(h))
+        _record(lines, f"rayleigh_bounds/{name}/n{n}", lambda: qop.rayleigh_bounds(h))
+        _record(lines, f"is_psd/{name}/n{n}", lambda: qop.is_psd(h))
+    pairs = {"operator": (qop.ginibre(n, seed=n), qop.near_normal(n, 0.1, seed=n)),
+             "vector": (qop.unit_vector(n, seed=n), qop.unit_vector(n, seed=n + 1))}
+    for kind, (x, y) in pairs.items():
+        others = (x, x + y * 1e-13, x + y * 1e-11, x * (1.0 + 4e-12), y)
+        for name, run in (("add", lambda: x + y), ("sub", lambda: x - y), ("neg", lambda: -x),
+                          ("rmul", lambda: 2.5 * x), ("mul", lambda: x * 2.5),
+                          ("allclose", lambda: tuple(x.allclose(z, tol=tol) for z in others
+                                                     for tol in (1e-12, 0.0)))):
+            _record(lines, f"pair/{kind}/{name}/n{n}", run)
+    q = qop.Quaternion(0.5, -1.25, 2.0, 0.75)
+    _record(lines, f"pair/vector/quaternion/n{n}", lambda: pairs["vector"][0] * q)
+    others = (q, q + qop.Quaternion(1e-13 * n), q + qop.Quaternion(0.0, 1e-11 * n), -q)
+    _record(lines, f"isclose/n{n}", lambda: tuple(q.isclose(z, tol=tol) for z in others
+                                                  for tol in (1e-12, 0.0)))
+
+
 def main() -> int:
     lines: list[str] = []
     for prop in sorted(PROPERTIES):
@@ -206,6 +234,8 @@ def main() -> int:
             _sweep_records(lines, f"sweep/{prop}/n{n}", prop, _probe_pair(n, 31 + n, prop))
     for n in (1, 4, 16, 64):
         _generator_records(lines, n)
+    for n in (4, 16):
+        _pair_records(lines, n)
     print("total", hashlib.sha256("\n".join(lines).encode()).hexdigest())
     return 0
 
