@@ -112,8 +112,10 @@ def _unitaries(n: int, seeds: Sequence[int]) -> list[QMatrix]:
 
     A draw of full rank is the top block row of W V* from the SVD of its
     embedding, as ``polar`` forms it; a rank-deficient one is completed by
-    ``polar`` and ``unitary_completion``.
+    ``polar`` and ``unitary_completion``.  No seeds make no solve.
     """
+    if not seeds:
+        return []
     a, b = _ginibre_pairs(n, n, seeds)
     w, sigma, vh = _chi_svds(a, b)
     full = (sigma > RANK_RTOL * sigma[:, :1]).all(axis=-1).tolist()

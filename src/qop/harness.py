@@ -30,8 +30,8 @@ import numpy as np
 from . import generators, matio, oracles
 from .errors import DomainError, PreconditionError, QopError, ShapeError
 from .linalg import (DEFAULT_DIM, QMatrix, QVector, _adjoints, _check_count, _check_tol, _checked,
-                     _frobenius, _gram_norms, _grams, _hermitian_parts, _operator_norms,
-                     _pair_eigvalsh, _product, _stack_pairs, _trusted)
+                     _frobenius, _grams, _hermitian_parts, _pair_eigvalsh, _product,
+                     _stack_pairs, _trusted)
 from .quaternion import Quaternion
 from .rng import SplitMix64, block_uniforms, mix_seed, unit_quaternions
 from .spectral import (_NOT_FINITE, _hermitian_from_chi, _psd_powers, _require_square, _spectra,
@@ -303,7 +303,7 @@ def _aluthge_margins(insts: list[Instance], tol: float) -> list[Scored | QopErro
     """Every transform theorem for a p-hyponormal T, and T~ = T for normal T.
     The first report read solves the ladders and double transforms of the batch."""
     ts = [inst["T"] for inst in insts]
-    reports = oracles._aluthge_cases([(t, inst["p"], True) for t, inst in zip(ts, insts)], tol)
+    reports, norms = oracles._aluthge_cases([(t, i["p"], True) for t, i in zip(ts, insts)], tol)
 
     def score(report: oracles.AluthgeReport, t: QMatrix, scale: float) -> Scored:
         vals = [-(report.transform - t).frobenius() / scale, _scaled(report.transform_margin)]
@@ -313,7 +313,7 @@ def _aluthge_margins(insts: list[Instance], tol: float) -> list[Scored | QopErro
         vals.append(_scaled(report.double_reading_b))
         return min(vals), {}
 
-    return _scored(reports, score, ts, np.maximum(_operator_norms(*_stack_pairs(ts)), 1.0).tolist())
+    return _scored(reports, score, ts, [max(1.0, opn) for opn in norms])
 
 
 def _draw_aluthge_gain(ctxs: list[TrialContext]) -> list[Instance]:
@@ -326,7 +326,8 @@ def _draw_aluthge_gain(ctxs: list[TrialContext]) -> list[Instance]:
 def _aluthge_gain_margins(insts: list[Instance], tol: float) -> list[Scored | QopError]:
     """The transform's gain; T must be p-hyponormal unless the instance is a probe."""
     cases = [(inst["T"], inst["p"], not inst.get("probe", False)) for inst in insts]
-    return _scored(oracles._aluthge_cases(cases, tol), lambda r: (_scaled(r.transform_margin), {}))
+    return _scored(oracles._aluthge_cases(cases, tol)[0],
+                   lambda r: (_scaled(r.transform_margin), {}))
 
 
 def _draw_eigenspace_reducing(ctxs: list[TrialContext]) -> list[Instance]:
@@ -459,20 +460,18 @@ def _draw_collapse(ctxs: list[TrialContext]) -> list[Instance]:
 def _collapse_margins(insts: list[Instance], tol: float) -> list[Scored]:
     """tr (T*T)^p = tr (TT*)^p over HYP_P_GRID, and a non-normal T is not
     p-hyponormal.  The batch's T*T and TT* are solved in one eigensolver
-    call and its ||T|| in one eigenvalue call, and its non-normal operators
-    are factored in one SVD."""
+    call, whose top of T*T is ||T||^2, and its non-normal operators are
+    factored in one SVD."""
     ts = [inst["T"] for inst in insts]
     for t in ts:
         _require_square(t)
     a, b = _stack_pairs(ts)
     ga, gb = _grams(a, b)
     ca, cb = _checked(_product(a, b, *_adjoints(a, b)))
-    norms = _gram_norms(ga, gb).tolist()
     w, v = _spectra(np.concatenate([ga, ca]), np.concatenate([gb, cb]))
     skewed = []
-    for i, norm in enumerate(norms):
-        scale = max(1.0, norm) ** 2
-        skewed.append(_frobenius(ga[i] - ca[i], gb[i] - cb[i]) > 1e-4 * scale)
+    for i, top in enumerate(w[:len(ts), -1].tolist()):
+        skewed.append(_frobenius(ga[i] - ca[i], gb[i] - cb[i]) > 1e-4 * max(1.0, top))
     pa, _ = _psd_powers(w, v, [HYP_P_GRID] * w.shape[0])
     traces = [[float(np.trace(x).real) for x in rows] for rows in pa]
     # the p-hyponormal margins are read as values only, so no witness is solved for

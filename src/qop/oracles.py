@@ -178,15 +178,13 @@ def _hyponormal_diffs(parts: Sequence[PolarParts],
     """The pair stack of D_p = (T*T)^p - (TT*)^p for each part and each p of
     its grid, in case order, checked finite.
 
-    D_p = |T|^{2p} - U |T|^{2p} U*: both sides are built on the same SVD
-    singular values, so a numerically smeared kernel cannot fake an order
-    violation through the fractional power.  Each U is repeated over its grid.
+    D_p = |T|^{2p} - |T*|^{2p}, pulled back from V_r and W_r of one SVD on the
+    same singular values: a numerically smeared kernel cannot fake an order
+    violation through the fractional power, and U's error does not enter.
     """
-    ha, hb = _abs_powers(parts, [[2.0 * p for p in grid] for grid in ps])
-    sizes = [len(grid) for grid in ps if grid]
-    ua, ub = _stack_pairs([pp.u for pp, grid in zip(parts, ps) if grid])
-    ua, ub = np.repeat(ua, sizes, axis=0), np.repeat(ub, sizes, axis=0)
-    ya, yb = _product(*_product(ua, ub, ha, hb), *_adjoints(ua, ub))
+    exps = [[2.0 * p for p in grid] for grid in ps]
+    ha, hb = _abs_powers(parts, exps)
+    ya, yb = _abs_powers(parts, exps, [pp._w[:, :2 * pp.rank] for pp in parts])
     return _checked((ha - ya, hb - yb))
 
 
@@ -727,12 +725,13 @@ def check_aluthge_theorems(t: QMatrix, p: float, *, tol: float = DEFAULT_TOL,
     ladder and the double transform are computed when first read.
     """
     _check_tol(tol)
-    return _sole(_aluthge_cases([(t, p, enforce)], tol))
+    return _sole(_aluthge_cases([(t, p, enforce)], tol)[0])
 
 
 def _aluthge_cases(cases: Sequence[tuple[QMatrix, float, bool]],
-                   tol: float) -> list[AluthgeReport | QopError]:
-    """``check_aluthge_theorems`` of each (T, p, enforce) case, or its error:
+                   tol: float) -> tuple[list[AluthgeReport | QopError], list[float]]:
+    """``check_aluthge_theorems`` of each (T, p, enforce) case, or its error,
+    with ||T|| of each for a caller's scale, NaN where the exponent fails:
     the exponent, then the enforced hypothesis, row by row.  T and T~ are
     factored in one SVD each, and the enforced hypotheses and the transform
     margins solved in one eigenvalue call each.  The first read of any
@@ -741,6 +740,7 @@ def _aluthge_cases(cases: Sequence[tuple[QMatrix, float, bool]],
     out: list = [None] * len(cases)
     rows, = _sift(out, range(len(cases)), lambda i: _check_exponent(cases[i][1], "exponent"))
     parts = dict(zip(rows, _polars([cases[i][0] for i in rows]) if rows else ()))
+    norms = [max(parts[i].sigmas) if i in parts else math.nan for i in range(len(cases))]
     enforced = [i for i in rows if cases[i][2]]
     bases = dict(zip(enforced, _p_hyponormal_grid([parts[i] for i in enforced],
                                                   [(cases[i][1],) for i in enforced], tol)))
@@ -748,7 +748,7 @@ def _aluthge_cases(cases: Sequence[tuple[QMatrix, float, bool]],
         f"operator is not {cases[i][1]}-hyponormal (margin {bases[i][0].value:.3e})")
         if i in bases and bases[i][0].violated else None)
     if not rows:
-        return out
+        return out, norms
     ps = [cases[i][1] for i in rows]
     tts = _aluthge_transforms([parts[i] for i in rows])
     tt_parts = _polars(tts)
@@ -763,7 +763,7 @@ def _aluthge_cases(cases: Sequence[tuple[QMatrix, float, bool]],
         out[i] = AluthgeReport(p=p, transform=tt, transform_margin=margin,
                                _monotone=lambda j=j: ladders()[j],
                                _double=lambda j=j: doubles()[j][0])
-    return out
+    return out, norms
 
 
 def check_eigenspace_reducing(t: QMatrix, q: Quaternion, *,
@@ -783,18 +783,19 @@ def _eigenspace_cases(cases: Sequence[tuple[QMatrix, Quaternion]],
                       tol: float) -> list[Margin | QopError]:
     """``check_eigenspace_reducing`` of each (T, q) case, or its error: the
     quaternion, then its eigensphere's kernel, row by row.  The operators
-    are factored in one SVD, the sphere polynomials' kernels found in one
-    SVD, and the norms of the two off-diagonal blocks and of T solved in one
-    eigenvalue call."""
+    are factored in one SVD, which gives each ||T||, the sphere polynomials'
+    kernels found in one SVD, and the norms of the two off-diagonal blocks
+    solved in one eigenvalue call."""
     out: list = [None] * len(cases)
     rows, = _sift(out, range(len(cases)), lambda i: None if abs(cases[i][1].norm() - 1.0) <= 1e-6
                   else DomainError(f"unit quaternion expected, |q| = {cases[i][1].norm():.6f}"))
     if not rows:
         return out
-    ua, ub = _stack_pairs([unitary_completion(pp) for pp in _polars([cases[i][0] for i in rows])])
+    parts = dict(zip(rows, _polars([cases[i][0] for i in rows])))
+    ua, ub = _stack_pairs([unitary_completion(parts[i]) for i in rows])
     reps = {i: cases[i][1].similarity_representative() for i in rows}
     spheres = [Quaternion(reps[i].real, reps[i].imag, 0.0, 0.0) for i in rows]
-    kernels = dict(zip(rows, _kernel_bases(*_delta_qs(ua, ub, spheres), EIGENSPACE_RTOL)))
+    kernels = dict(zip(rows, _kernel_bases(*_delta_qs(ua, ub, spheres), EIGENSPACE_RTOL)[0]))
     rows, = _sift(out, rows, lambda i: None if len(kernels[i][0]) else DomainError(
         f"{reps[i]} is not a right eigenvalue of the polar unitary"))
     if not rows:
@@ -814,14 +815,12 @@ def _eigenspace_cases(cases: Sequence[tuple[QMatrix, Quaternion]],
         pa[sub], pb[sub] = sum_a, sum_b
     ca, cb = _checked((_identities(k, n) - pa, np.zeros_like(pb) - pb))
     ta, tb = _stack_pairs([cases[i][0] for i in rows])
-    blocks = []
-    for ma, mb in ((ta, tb), _adjoints(ta, tb)):
-        blocks.append(_checked(_product(*_checked(_product(ca, cb, ma, mb)), pa, pb)))
-    blocks.append((ta, tb))
+    blocks = [_checked(_product(*_checked(_product(ca, cb, ma, mb)), pa, pb))
+              for ma, mb in ((ta, tb), _adjoints(ta, tb))]
     norms = _operator_norms(*map(np.concatenate, zip(*blocks))).tolist()
     for j, (i, dim) in enumerate(zip(rows, dims)):
         witness = lambda: {"q": matio.quaternion_to_json(cases[i][1]), "kernel_dim": dim}
-        out[i] = _margin(-max(norms[j], norms[k + j]), tol, max(1.0, norms[2 * k + j]),
+        out[i] = _margin(-max(norms[j], norms[k + j]), tol, max(1.0, max(parts[i].sigmas)),
                          witness, kernel_dim=dim)
     return out
 
@@ -959,28 +958,25 @@ def check_kernel_reduction(t: QMatrix, *, tol: float = DEFAULT_TOL) -> KernelRep
 def _kernel_reductions(ts: Sequence[QMatrix],
                        tol: float) -> tuple[list[KernelReport], list[float]]:
     """``check_kernel_reduction`` of each operator of one shape, with ||T|| of
-    each for a caller's scale: the kernels of T, T* and T^2 of all of them
-    from one SVD, the residuals from one stacked product per kind, and ||T||
-    from one eigenvalue solve."""
+    each for a caller's scale: the kernels of T and T^2 of all of them from
+    one SVD, which gives each ||T||, and the residuals from one stacked
+    product per kind.  T is square, so dim ker T* = dim ker T."""
     for t in ts:
         _require_square(t)
     a, b = _stack_pairs(ts)
-    ha, hb = _adjoints(a, b)
     sa, sb = _checked(_product(a, b, a, b))
     k = len(ts)
-    bases = _kernel_bases(np.concatenate([a, ha, sa]), np.concatenate([b, hb, sb]),
-                         KERNEL_RTOL)
-    kers, ker_stars, ker_sqs = bases[:k], bases[k:2 * k], bases[2 * k:]
+    bases, tops = _kernel_bases(np.concatenate([a, sa]), np.concatenate([b, sb]), KERNEL_RTOL)
+    kers, ker_sqs, norms = bases[:k], bases[k:], tops[:k]
     subsets = _image_norms(a, b, kers, adjoint=True)
     equalities = _image_norms(a, b, ker_sqs, adjoint=False)
-    norms = _operator_norms(a, b).tolist()
     out = []
-    for (ker, _), (ker_star, _), (ker_sq, _), subset, equality, opn in zip(
-            kers, ker_stars, ker_sqs, subsets, equalities, norms):
+    for (ker, _), (ker_sq, _), subset, equality, opn in zip(
+            kers, ker_sqs, subsets, equalities, norms):
         thr = tol * max(1.0, opn)
         out.append(KernelReport(
             dim_ker=len(ker),
-            dim_ker_star=len(ker_star),
+            dim_ker_star=len(ker),
             dim_ker_sq=len(ker_sq),
             subset_residual=subset,
             equality_residual=equality,
@@ -1022,8 +1018,8 @@ def check_tu_star(t: QMatrix, x: QVector, *, tol: float = DEFAULT_TOL) -> Margin
 
 def _tu_star_cases(cases: Sequence[tuple[QMatrix, QVector]], tol: float) -> list[Margin]:
     """``check_tu_star`` of each (T, x) case of one shape: the operators are
-    factored in one SVD, each vector product is one stacked
-    product, and ||T|| comes from one eigenvalue solve."""
+    factored in one SVD, which gives each ||T||, and each vector product is
+    one stacked product."""
     parts = _polars([t for t, _ in cases])
     for (_, x), pp in zip(cases, parts):
         if x.n != pp.u.cols:
@@ -1036,11 +1032,9 @@ def _tu_star_cases(cases: Sequence[tuple[QMatrix, QVector]], tol: float) -> list
     ty = _checked(_product(ta, tb, *y))
     t2y = _checked(_product(ta, tb, *ty))
     ny, nty, nt2y = (_vector_norms(va[..., 0], vb[..., 0]).tolist() for va, vb in (y, ty, t2y))
-    out = []
-    for (_, x), a, b, c, opn in zip(cases, ny, nty, nt2y, _operator_norms(ta, tb).tolist()):
-        out.append(_margin(c * a - b ** 2, tol, max(1.0, opn ** 2),
-                           lambda: {"x": matio.vector_to_json(x)}))
-    return out
+    return [_margin(c * a - b ** 2, tol, max(1.0, max(pp.sigmas) ** 2),
+                    lambda: {"x": matio.vector_to_json(x)})
+            for (_, x), pp, a, b, c in zip(cases, parts, ny, nty, nt2y)]
 
 
 @dataclass(frozen=True)

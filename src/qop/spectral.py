@@ -534,21 +534,22 @@ def kernel_basis(a: QMatrix, *, rtol: float = KERNEL_RTOL) -> list[QVector]:
     """
     if a.rows < a.cols:
         raise ShapeError("kernel extraction expects rows >= cols")
-    ka, kb = _kernel_bases(a._a[None], a._b[None], rtol)[0]
+    ka, kb = _kernel_bases(a._a[None], a._b[None], rtol)[0][0]
     return [_trusted(QVector, x, y) for x, y in zip(ka, kb)]
 
 
 def _kernel_bases(a: np.ndarray, b: np.ndarray,
-                  rtol: float) -> list[tuple[np.ndarray, np.ndarray]]:
+                  rtol: float) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[float]]:
     """The (dim ker, m) pair stacks of ``kernel_basis`` of each operator of the
-    (k, n, m) pair stacks (A, B), n >= m, from one SVD; each row decides its
-    rank on its own, and the rows of one rank build their bases together."""
+    (k, n, m) pair stacks (A, B), n >= m, and the largest singular value of
+    each, from one SVD; each row decides its rank on its own, and the rows
+    of one rank build their bases together."""
     # a NaN cutoff compares false with every singular value, and a negative
     # one counts every singular value as nonzero
     if not 0.0 <= rtol < 1.0:
         raise DomainError(f"rtol must be finite and lie in [0, 1), got {rtol!r}")
     _, sigma, vh = _chi_svds(a, b)
-    ranks = []
+    ranks, tops = [], sigma[:, 0].tolist()
     for row in sigma.tolist():
         cut = rtol * max(1.0, row[0])
         ranks.append(sum(s > cut for s in row))
@@ -561,7 +562,7 @@ def _kernel_bases(a: np.ndarray, b: np.ndarray,
                                    m - r)
         for i, ka, kb in zip(rows, out_a, out_b):
             out[i] = ka, kb
-    return out
+    return out, tops
 
 
 def spherical_eigenspace(t: QMatrix, rep: complex) -> list[QVector]:

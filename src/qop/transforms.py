@@ -3,18 +3,19 @@
 Every square operator factors as T = U |T| with |T| = (T* T)^{1/2} and U a
 partial isometry vanishing on ker T.  Both factors come from one singular
 value decomposition of the embedded matrix, chi(T) = W S V*: U is the
-pull-back of W_r V_r* and |T|^s that of V_r S_r^s V_r*, over the singular
-pairs above the rank cutoff (Higham, Functions of Matrices, ch. 8), each
-formed as its top block row only.  The singular values are accurate to
-eps times the largest, so the rank is decided without squaring the noise
-floor.  The trailing columns of V and W span ker T and ker T*; |T| and
-right-orthonormal bases of the two kernels are built from them on first
-read, so a caller that needs only U and powers of |T| pays for neither.
+pull-back of W_r V_r*, |T|^s that of V_r S_r^s V_r* and |T*|^s = U |T|^s U*
+that of W_r S_r^s W_r*, over the singular pairs above the rank cutoff
+(Higham, Functions of Matrices, ch. 8), each formed as its top block row
+only, so U's error near a small singular value does not enter |T*|^s.  The
+singular values are accurate to eps times the largest, so the rank is
+decided without squaring the noise floor.  The trailing columns of V and W
+span ker T and ker T*; |T| and right-orthonormal bases of the two kernels
+are built from them on first read, so a caller that needs only U and powers
+of |T| pays for neither.
 
 The transforms sandwich powers of the modulus between pieces of the
 isometry: the usual transform |T|^{1/2} U |T|^{1/2}, its one-parameter
-family |T|^s U |T|^{1-s}, the companion |T| U, the bracket U |T|^r U, and
-U |T|^s U*, which equals |T*|^s.
+family |T|^s U |T|^{1-s}, the companion |T| U and the bracket U |T|^r U.
 """
 
 from __future__ import annotations
@@ -38,14 +39,15 @@ class PolarParts:
     """T = U |T| with U a partial isometry, ker U = ker T.
 
     ``tau`` is the absolute singular-value cutoff that decided ``rank``.
-    ``sigmas`` are the singular values of T, ascending.  ``_v`` and ``_s``
-    keep copies of the embedded right singular vectors above the cutoff and
-    their singular values, so every power |T|^s is one complex product.
-    ``_ker_v`` and ``_ker_w`` keep copies of the embedded right and left
-    singular vectors below the cutoff, not the whole left factor.  ``abs_t``
-    and the kernel bases are built from these on first read and cached:
-    ``kernel`` and ``cokernel`` are right-orthonormal bases of ker T and
-    ker T*, each vector with its largest-modulus entry real and positive.
+    ``sigmas`` are the singular values of T, ascending, so ||T|| is the
+    last.  ``_v`` and ``_s`` keep copies of the embedded right singular
+    vectors above the cutoff and their singular values, so every power
+    |T|^s is one complex product, and ``_ker_v`` those below it.  ``_w``
+    keeps every embedded left singular vector: its first 2 rank columns
+    give |T*|^s as ``_v`` gives |T|^s, and the rest span ker T*.
+    ``abs_t`` and the kernel bases are built from these on first read and
+    cached: ``kernel`` and ``cokernel`` are right-orthonormal bases of ker T
+    and ker T*, each vector with its largest-modulus entry real and positive.
     """
 
     u: QMatrix
@@ -53,9 +55,9 @@ class PolarParts:
     tau: float
     sigmas: tuple[float, ...]
     _v: np.ndarray
+    _w: np.ndarray
     _s: np.ndarray
     _ker_v: np.ndarray
-    _ker_w: np.ndarray
 
     @cached_property
     def abs_t(self) -> QMatrix:
@@ -67,7 +69,7 @@ class PolarParts:
 
     @cached_property
     def cokernel(self) -> tuple[QVector, ...]:
-        return _null_basis(self._ker_w, self.u.rows - self.rank)
+        return _null_basis(self._w[:, 2 * self.rank:], self.u.rows - self.rank)
 
     def abs_power(self, s: float) -> QMatrix:
         """|T|^s for finite s >= 0, with |T|^0 = I and, for s > 0, zero on ker T."""
@@ -128,18 +130,20 @@ def _polars(ops: Sequence[QMatrix]) -> list[PolarParts]:
             tau=taus[i],
             sigmas=tuple(reversed(rows[i])),
             _v=np.array(v[i, :, :r2]),
+            _w=w[i] if k == 1 else w[i].copy(),
             _s=np.repeat(sigma[i, :r], 2),
             _ker_v=np.array(v[i, :, r2:]),
-            _ker_w=np.array(w[i, :, r2:]),
         ))
     return out
 
 
-def _abs_powers(parts: Sequence[PolarParts],
-                exps: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray]:
+def _abs_powers(parts: Sequence[PolarParts], exps: Sequence[Sequence[float]],
+                factors: Sequence[np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """|T_i|^s for each s > 0 of ``exps[i]``, as one pair stack in case order,
     each slice ``abs_power``'s bit for bit: the parts of one rank and grid
-    length are pulled back in one product, weights raised to scalar exponents."""
+    length are pulled back in one product, weights raised to scalar exponents.
+    ``factors[i]`` replaces ``parts[i]._v``: its ``_w`` up to column 2 rank gives |T_i*|^s."""
+    factors = factors or [pp._v for pp in parts]
     groups: dict[tuple[int, int], list[int]] = {}
     for i, (pp, ss) in enumerate(zip(parts, exps)):
         if ss:
@@ -148,7 +152,7 @@ def _abs_powers(parts: Sequence[PolarParts],
     pieces = []
     for idx in groups.values():
         # np.stack keeps the column-major layout of each part's V
-        v = _stacked([parts[i]._v for i in idx])
+        v = _stacked([factors[i] for i in idx])
         fw = np.array([[parts[i]._s ** s for s in exps[i]] for i in idx])
         a, b = _hermitian_from_chi(v[:, None], fw)
         pieces.append((idx, a.reshape(-1, n, n), b.reshape(-1, n, n)))
@@ -213,8 +217,8 @@ def furuta_sr(t: QMatrix, r: float) -> QMatrix:
 
 
 def abs_star_power(t: QMatrix, s: float) -> QMatrix:
-    """U |T|^s U*, equal to |T*|^s for finite s > 0."""
+    """|T*|^s = W_r S_r^s W_r*, equal to U |T|^s U*, for finite s > 0."""
     if not 0.0 < s < np.inf:
         raise DomainError(f"exponent must be positive and finite, got {s}")
     p = polar(t)
-    return p.u @ p.abs_power(s) @ p.u.H
+    return _hermitian_matrix(p._w[:, :2 * p.rank], p._s ** s)

@@ -65,9 +65,9 @@ def polar(t: QMatrix) -> PolarParts:
         tau=tau,
         sigmas=tuple(sigma[::-1].tolist()),
         _v=v_r,
+        _w=np.array(w),
         _s=np.repeat(sigma[:rank], 2),
         _ker_v=np.array(v[:, r2:]),
-        _ker_w=np.array(w[:, r2:]),
     )
 
 
@@ -153,7 +153,8 @@ def operator_norm(a: QMatrix) -> float:
 def unitary_completion(parts: PolarParts) -> QMatrix:
     u = parts.u
     need = parts.u.rows - parts.rank
-    for x, y in zip(_null_basis(parts._ker_v, need), _null_basis(parts._ker_w, need)):
+    cokernel = _null_basis(parts._w[:, 2 * parts.rank:], need)
+    for x, y in zip(_null_basis(parts._ker_v, need), cokernel):
         u = u + outer(y, x)
     return u
 
@@ -167,9 +168,9 @@ def aluthge(parts: PolarParts) -> QMatrix:
 
 
 def p_hyponormal_grid(parts: PolarParts, ps, tol: float) -> list[Margin]:
-    ha, hb = _hermitian_from_chi(parts._v, np.stack([parts._s ** (2.0 * p) for p in ps]))
-    u, uh = parts.u, parts.u.H
-    ya, yb = _product(*_product(u._a, u._b, ha, hb), uh._a, uh._b)
+    fw = np.stack([parts._s ** (2.0 * p) for p in ps])
+    ha, hb = _hermitian_from_chi(parts._v, fw)
+    ya, yb = _hermitian_from_chi(parts._w[:, :2 * parts.rank], fw)
     da, db = ha - ya, hb - yb
     _require_finite(da, db, "QMatrix")
     values = _pair_eigvalsh(da, db)[:, 0]
@@ -226,7 +227,8 @@ def check_aluthge_theorems(t: QMatrix, p: float, tol: float, enforce: bool,
 def check_eigenspace_reducing(t: QMatrix, q: Quaternion, tol: float) -> Margin:
     if not abs(q.norm() - 1.0) <= 1e-6:
         raise DomainError(f"unit quaternion expected, |q| = {q.norm():.6f}")
-    u = unitary_completion(polar(t))
+    parts = polar(t)
+    u = unitary_completion(parts)
     rep = q.similarity_representative()
     kern = kernel_basis(delta_q(u, Quaternion(rep.real, rep.imag, 0.0, 0.0)),
                         rtol=EIGENSPACE_RTOL)
@@ -240,14 +242,13 @@ def check_eigenspace_reducing(t: QMatrix, q: Quaternion, tol: float) -> Margin:
     off1 = operator_norm(comp @ t @ proj)
     off2 = operator_norm(comp @ t.H @ proj)
     witness = lambda: {"q": matio.quaternion_to_json(q), "kernel_dim": len(kern)}
-    return _margin(-max(off1, off2), tol, max(1.0, operator_norm(t)), witness,
+    return _margin(-max(off1, off2), tol, max(1.0, max(parts.sigmas)), witness,
                    kernel_dim=len(kern))
 
 
 def check_kernel_reduction(t: QMatrix) -> tuple[int, int, float, float]:
     """dim ker T, dim ker T^2 and the two residuals."""
     ker = kernel_basis(t)
-    kernel_basis(t.H)
     ker_sq = kernel_basis(t @ t)
     subset = max((_norm(t.H @ k) for k in ker), default=0.0)
     equality = max((_norm(t @ k) for k in ker_sq), default=0.0)
@@ -255,11 +256,12 @@ def check_kernel_reduction(t: QMatrix) -> tuple[int, int, float, float]:
 
 
 def check_tu_star(t: QMatrix, x: QVector, tol: float) -> Margin:
-    y = polar(t).u.H @ x
+    parts = polar(t)
+    y = parts.u.H @ x
     ty = t @ y
     t2y = t @ ty
     value = _norm(t2y) * _norm(y) - _norm(ty) ** 2
-    return _margin(value, tol, max(1.0, operator_norm(t) ** 2),
+    return _margin(value, tol, max(1.0, max(parts.sigmas) ** 2),
                    lambda: {"x": matio.vector_to_json(x)})
 
 
@@ -278,7 +280,7 @@ def _chain_margin(inst, tol):
 def _aluthge_margin(inst, tol):
     t, p = inst["T"], inst["p"]
     report = check_aluthge_theorems(t, p, tol, True, True)
-    vals = [-(report["transform"] - t).frobenius() / max(1.0, operator_norm(t)),
+    vals = [-(report["transform"] - t).frobenius() / max(1.0, max(polar(t).sigmas)),
             _scaled(report["transform_margin"])]
     vals += [_scaled(m) for _, m in report["monotone"]]
     if p >= 0.5:
@@ -300,7 +302,7 @@ def _eigenspace_margin(inst, tol):
 def _kernel_margin(inst, tol):
     t = inst["T"]
     dim_ker, dim_ker_sq, subset, equality = check_kernel_reduction(t)
-    scale = max(1.0, operator_norm(t))
+    scale = max(1.0, max(polar(t).sigmas))
     vals = [-subset / scale, -equality / scale]
     if dim_ker != dim_ker_sq:
         vals.append(-1.0)

@@ -41,6 +41,19 @@ def test_classify_with_hyponormal_flag(tmp_path, capsys):
     assert out["p_hyponormal"]["margin"] == pytest.approx(-1.0)
 
 
+def test_classify_finds_no_violation_on_a_near_singular_normal_operator(tmp_path, capsys):
+    # (TT*)^p is pulled back from the SVD's left vectors, so U's error near
+    # sigma = 1e-12 does not enter: the U sandwich printed "violated": true
+    path = str(tmp_path / "n.json")
+    assert main(["gen", "normal-with-spectrum", "--dim", "4", "--seed", "0", "--spectrum",
+                 "1,0,0,0;0.5,0,0,0;1e-12,0,0,0;0.3,0,0,0", "-o", path]) == 0
+    for p in ("0.1", "0.05"):
+        capsys.readouterr()
+        assert main(["classify", path, "--p", p]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["normal"] is True and out["p_hyponormal"]["violated"] is False, p
+
+
 def test_polar_output(tmp_path, capsys):
     path = _shift_file(tmp_path)
     assert main(["polar", path]) == 0

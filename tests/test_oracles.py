@@ -21,8 +21,8 @@ from qop.oracles import (check_aluthge_theorems, check_chain_semihypo,
                          gcsi_margin, gcsi_sweep, invert, is_p_hyponormal,
                          is_paranormal)
 from qop.quaternion import I, Quaternion
-from qop.spectral import eigh_q, is_psd
-from qop.transforms import aluthge, polar
+from qop.spectral import _hermitian_matrix, eigh_q, is_psd, spherical_spectrum
+from qop.transforms import aluthge, polar, unitary_completion
 
 
 def _shift():
@@ -443,8 +443,8 @@ def _family_operators(n):
 def _hyponormal_reference(t, p, parts, tol=oracles.DEFAULT_TOL):
     """``is_p_hyponormal`` one exponent at a time, on whole operators: the
     per-exponent path the stacked grid replaced, kept as the reference."""
-    half = parts.abs_power(2.0 * p)
-    diff = half - parts.u @ half @ parts.u.H
+    star = _hermitian_matrix(parts._w[:, :2 * parts.rank], parts._s ** (2.0 * p))
+    diff = parts.abs_power(2.0 * p) - star
     value = float(_pair_eigvalsh(diff._a, diff._b)[0])
     scale = max(1.0, max(parts.sigmas) ** (2.0 * p))
     witness = None
@@ -573,12 +573,12 @@ def test_exponent_grids_make_one_eigenvalue_solve(solver_calls):
     # per chunk of trials, 4 or 16: the p-hyponormal hypotheses read their
     # margin's verdict, with no ||T|| solve, and every exponent grid of the
     # chunk is one eigenvalue solve.  aluthge: T's hypotheses, T~'s margins,
-    # ||T||, the ladders and the double transforms; its SVDs are the unitary
-    # draws, T, T~ and T~~.  collapse: T*T and TT*, ||T|| and the p grid, and
-    # its non-normal T in one SVD; conjugation-lemma the shifts, S and U S U*,
-    # and its unitary draws in one SVD
-    for prop, counts in (("aluthge", (0, 5, 4)), ("aluthge-gain", (0, 2, 3)),
-                         ("gcsi-implies", (1, 1, 2)), ("collapse", (1, 2, 1)),
+    # the ladders and the double transforms, with ||T|| read from T's SVD; its
+    # SVDs are the unitary draws, T, T~ and T~~.  collapse: T*T and TT*, whose
+    # spectrum gives ||T||, and the p grid, and its non-normal T in one SVD;
+    # conjugation-lemma the shifts, S and U S U*, and its unitary draws in one SVD
+    for prop, counts in (("aluthge", (0, 4, 4)), ("aluthge-gain", (0, 2, 3)),
+                         ("gcsi-implies", (1, 1, 2)), ("collapse", (1, 1, 1)),
                          ("conjugation-lemma", (1, 1, 1))):
         for trials in (4, 16):
             solver_calls.clear()
@@ -591,15 +591,15 @@ def test_exponent_grids_make_one_eigenvalue_solve(solver_calls):
 # solver calls of one dim-4 chunk, (eigh, eigvalsh, eigvals, svd): the draws'
 # unitaries are one SVD, and each operator role of the chunk is one stacked call
 _CHUNK_SOLVES = {
-    "aluthge": (0, 5, 0, 4),
+    "aluthge": (0, 4, 0, 4),
     "aluthge-gain": (0, 2, 0, 3),
     "chain": (0, 2, 0, 2),
-    "tu-star": (0, 1, 0, 2),
+    "tu-star": (0, 0, 0, 2),
     "eigenspace-reducing": (0, 1, 0, 3),
-    "kernel-reduction": (0, 1, 0, 2),
+    "kernel-reduction": (0, 0, 0, 2),
     "spectrum-st-ts": (0, 0, 1, 0),
     "gcsi-implies": (1, 1, 0, 2),
-    "collapse": (1, 2, 0, 1),
+    "collapse": (1, 1, 0, 1),
 }
 
 
@@ -1244,3 +1244,44 @@ def test_gcsi_implies_shift_fails_coherently():
     assert rep.gcsi.violated
     # both stages fail, so the implication is not contradicted
     assert not rep.hard_violation
+
+
+def test_no_solver_call_gets_an_empty_stack(solver_calls):
+    # a chunk that draws no operator of a role makes no solve for it, as a
+    # gcsi-closure chunk without unitary-equiv or compression trials
+    for dim in (1, 4, 64):
+        for prop in sorted(harness.PROPERTIES):
+            harness.run_verify(prop, trials=4, seed=3, dim=dim)
+    assert len(solver_calls) > 100
+    assert [call for call in solver_calls if 0 in call[1]] == []
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+def test_near_singular_normal_operator_carries_no_p_hyponormal_witness(seed):
+    # (TT*)^p is pulled back from W_r, as (T*T)^p is from V_r; the sandwich
+    # U |T|^{2p} U* took U's error near sigma = 1e-12 into the margin, and read
+    # -2.95e-8 with a witness at p = 0.1, seed 0
+    t = normal_with_spectrum([1.0, 0.5, 1e-12, 0.3], seed=seed)
+    for p in (0.1, 0.05, 0.01):
+        m = is_p_hyponormal(t, p)
+        assert m.witness is None and abs(m.value) <= 1e-14, (p, m.value)
+
+
+@pytest.mark.parametrize("n", (4, 16))
+def test_norm_scales_are_the_largest_singular_value(n):
+    # tu-star, eigenspace-reducing and kernel-reduction read ||T|| from the
+    # SVD that factors T; it must agree with the Gram route of operator_norm
+    # (a ||T|| above 1 and a sigma_min below it make the wrong end of the
+    # spectrum fail here)
+    panel = {"ginibre": ginibre(n, seed=n), "near_normal": near_normal(n, 0.1, seed=n),
+             "partial_isometry": partial_isometry(n, n // 4, seed=n),
+             "random_unitary": random_unitary(n, seed=n)}
+    x = unit_vector(n, seed=n)
+    for name, t in panel.items():
+        want = max(1.0, operator_norm(t))
+        z = spherical_spectrum(unitary_completion(polar(t))).classes[0]
+        q = Quaternion(z.real, z.imag, 0.0, 0.0)
+        got = (check_tu_star(t, x).details["scale"] / want ** 2,
+               check_eigenspace_reducing(t, q).details["scale"] / want,
+               check_kernel_reduction(t).threshold / oracles.DEFAULT_TOL / want)
+        assert all(abs(g - 1.0) <= 1e-13 for g in got), (name, got)

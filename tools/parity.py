@@ -31,7 +31,11 @@ on a spectrum drawn from the seed, ``partial_isometry`` at every defect,
 16, ``classify_basic``, ``rayleigh_bounds`` and ``is_psd`` of the panel's
 self-adjoint and Gram operators; ``x + y``, ``x - y``, ``-x``, ``2.5 * x``
 and ``x * 2.5`` of operators and of vectors, with ``allclose`` at tol
-1e-12 and 0; a vector times a quaternion; and ``Quaternion.isclose``.  A call that raises,
+1e-12 and 0; a vector times a quaternion; and ``Quaternion.isclose``.
+Last, on the panel at n = 4 and 16, the reads of the SVD that factors T:
+``abs_star_power`` at s = 0.1, 0.5 and 1, the margins of ``check_tu_star``
+and of ``check_eigenspace_reducing`` at the first sphere of the completed
+polar unitary, and each field of ``check_kernel_reduction``.  A call that raises,
 or a batch entry that is an error, is hashed as ``type: message``.  The
 last line, ``total <sha256>``, hashes every line above it.  The digests
 are exact bytes, which another machine's BLAS need not reproduce.
@@ -43,6 +47,7 @@ import os
 
 os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
 
+import dataclasses
 import hashlib
 import sys
 from typing import Any, Callable
@@ -200,6 +205,27 @@ def _pair_records(lines: list[str], n: int) -> None:
                                                   for tol in (1e-12, 0.0)))
 
 
+def _factorization_records(lines: list[str], n: int) -> None:
+    """The reads of the panel's own SVDs at size n: |T*|^s, the tu-star and
+    eigenspace margins, and the kernel report field by field."""
+    operators = {"ginibre": qop.ginibre(n, seed=n), "near_normal": qop.near_normal(n, 0.1, seed=n),
+                 "partial_isometry": qop.partial_isometry(n, n // 4, seed=n),
+                 "random_unitary": qop.random_unitary(n, seed=n)}
+    x = qop.unit_vector(n, seed=n)
+    for name, t in operators.items():
+        for s in (0.1, 0.5, 1.0):
+            _record(lines, f"abs_star_power/{s}/{name}/n{n}", lambda: qop.abs_star_power(t, s))
+        _margin_records(lines, f"check_tu_star/{name}/n{n}", lambda: qop.check_tu_star(t, x))
+        z = qop.spherical_spectrum(qop.unitary_completion(qop.polar(t))).classes[0]
+        q = qop.Quaternion(z.real, z.imag, 0.0, 0.0)
+        _margin_records(lines, f"check_eigenspace_reducing/{name}/n{n}",
+                        lambda: qop.check_eigenspace_reducing(t, q))
+        report = qop.check_kernel_reduction(t)
+        for field in dataclasses.fields(report):
+            _record(lines, f"check_kernel_reduction/{field.name}/{name}/n{n}",
+                    lambda: getattr(report, field.name))
+
+
 def main() -> int:
     lines: list[str] = []
     for prop in sorted(PROPERTIES):
@@ -236,6 +262,8 @@ def main() -> int:
         _generator_records(lines, n)
     for n in (4, 16):
         _pair_records(lines, n)
+    for n in (4, 16):
+        _factorization_records(lines, n)
     print("total", hashlib.sha256("\n".join(lines).encode()).hexdigest())
     return 0
 
