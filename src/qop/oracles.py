@@ -300,14 +300,14 @@ def _gcsi_parts(tx: np.ndarray, ty: np.ndarray, y: np.ndarray) -> tuple[np.ndarr
     return _norms(tx), _norms(ty), c
 
 
-def _gcsi_search(ts: Sequence[QMatrix], parts: Sequence[PolarParts],
+def _gcsi_search(ts: Sequence[QMatrix], vs: Sequence[np.ndarray],
                  betas: Sequence[Sequence[float]], tol: float) -> list[list[Margin]]:
     """The ``gcsi_margin`` of each operator of one size at each beta of its
-    grid, from its polar parts.
+    grid, from ``vs``, each chi(T)'s right singular vectors above the cutoff.
 
     Each operator brings its candidate x, the 2n standard basis vectors of
     C^{2n}, whose images are the columns of chi(T), gathered, then the
-    columns of its ``_v``; y is chi(T) x / ||chi(T) x||, or x where that
+    columns of its ``vs`` entry; y is chi(T) x / ||chi(T) x||, or x where that
     image is 0.  Every pair of every operator is scored in one
     ``_gcsi_parts`` call, and the first least pair wins.  Each operator's
     products are its own, so a search gives the bits it gives alone.
@@ -316,13 +316,13 @@ def _gcsi_search(ts: Sequence[QMatrix], parts: Sequence[PolarParts],
         return []
     n2 = 2 * ts[0].rows
     chis = [embed_chi(t) for t in ts]
-    bounds = np.cumsum([0] + [n2 + pp._v.shape[1] for pp in parts]).tolist()
+    bounds = np.cumsum([0] + [n2 + v.shape[1] for v in vs]).tolist()
     xs = np.zeros((bounds[-1], n2), dtype=np.complex128)
     tx, ty = np.empty_like(xs), np.empty_like(xs)
-    for chi, pp, lo, hi in zip(chis, parts, bounds, bounds[1:]):
+    for chi, v, lo, hi in zip(chis, vs, bounds, bounds[1:]):
         xs[lo + np.arange(n2), np.arange(n2)] = 1.0
-        xs[lo + n2:hi] = pp._v.T
-        tx[lo:lo + n2], tx[lo + n2:hi] = chi.T, pp._v.T @ chi.T
+        xs[lo + n2:hi] = v.T
+        tx[lo:lo + n2], tx[lo + n2:hi] = chi.T, v.T @ chi.T
     norms = _norms(tx)[:, None]
     ys = np.divide(tx, norms, out=xs.copy(), where=norms > 0.0)
     for chi, lo, hi in zip(chis, bounds, bounds[1:]):
@@ -366,7 +366,7 @@ def gcsi_margin(t: QMatrix, beta: float, *, tol: float = DEFAULT_TOL) -> Margin:
     """
     _check_tol(tol)
     _check_exponent(beta, "beta")
-    return _gcsi_search([t], _polars([t]), [(beta,)], tol)[0][0]
+    return _gcsi_search([t], [polar(t)._v], [(beta,)], tol)[0][0]
 
 
 def gcsi_sweep(t: QMatrix, *, tol: float = DEFAULT_TOL) -> dict[float, Margin]:
@@ -378,7 +378,7 @@ def gcsi_sweep(t: QMatrix, *, tol: float = DEFAULT_TOL) -> dict[float, Margin]:
     at none; only the tolerance can tell the betas apart.
     """
     _check_tol(tol)
-    return dict(zip(SWEEP_BETAS, _gcsi_search([t], _polars([t]), [SWEEP_BETAS], tol)[0]))
+    return dict(zip(SWEEP_BETAS, _gcsi_search([t], [polar(t)._v], [SWEEP_BETAS], tol)[0]))
 
 
 def _least_scaled(margins: Sequence[Margin]) -> Margin:
@@ -826,15 +826,16 @@ def _eigenspace_cases(cases: Sequence[tuple[QMatrix, Quaternion]],
 
 
 def invert(t: QMatrix) -> QMatrix:
-    """Inverse V S^{-1} W* through the complex embedding, top block row only.
+    """Inverse V S^{-1} W* from ``polar``'s SVD; singular at sigma_min <= INVERT_RTOL sigma_max."""
+    return _inverse(polar(t))
 
-    T counts as singular when sigma_min <= INVERT_RTOL * sigma_max.
-    """
-    w, sing, vh = _eig.svd(embed_chi(t))
-    if sing[-1] <= INVERT_RTOL * sing[0]:
-        ratio = sing[-1] / sing[0] if sing[0] > 0.0 else 0.0
+
+def _inverse(pp: PolarParts) -> QMatrix:
+    """``invert`` from T's polar parts, top block row only."""
+    if pp.sigmas[0] <= INVERT_RTOL * pp.sigmas[-1]:
+        ratio = pp.sigmas[0] / pp.sigmas[-1] if pp.sigmas[-1] > 0.0 else 0.0
         raise DomainError(f"operator is singular (sigma_min/sigma_max = {ratio:.3e})")
-    return _from_chi_top((vh[:, :t.rows].conj().T / sing) @ w.conj().T)
+    return _from_chi_top((pp._v[:pp.u.rows] / pp._s) @ pp._w.conj().T)
 
 
 @dataclass(frozen=True)
@@ -855,11 +856,11 @@ def check_gcsi_closure(t: QMatrix, which: str, *, beta: float = 0.5,
     ``which`` picks the operation: "scalar" (real multiple), "inverse",
     "unitary-equiv" (conjugation by a supplied unitary), or "compression"
     (P T P for a supplied projector onto an invariant subspace).  Both
-    margins are those of ``gcsi_margin`` at ``beta``, the two operators
-    factored in one SVD.  Argument errors are raised before any solve,
-    then the base operator's precondition, then an error building the
-    transformed operator (a singular T, or a subspace that is not
-    invariant).
+    margins are those of ``gcsi_margin`` at ``beta``, up to round-off: cT
+    and T^{-1} are searched on T's singular vectors.  Argument errors are
+    raised before any solve, then the base operator's precondition, then
+    an error building the transformed operator (a singular T, or a
+    subspace that is not invariant).
     """
     _check_tol(tol)
     return _sole(_gcsi_closures([(t, which, scalar, unitary, projector)], beta=beta, tol=tol)[0])
@@ -875,59 +876,64 @@ def _closure_args(which: str, unitary: QMatrix | None, projector: QMatrix | None
 
 
 def _gcsi_closures(cases: Sequence[tuple], *, beta: float,
-                   tol: float) -> tuple[list[ClosureReport | QopError], list[float]]:
+                   tol: float) -> tuple[list[ClosureReport | QopError], list[float | None]]:
     """``check_gcsi_closure`` of each case of one size, or its error, with
-    each ||T|| for a caller's scale.
+    each ||T|| for a caller's scale, None where the arguments fail.
 
     A case is (T, which, scalar, unitary, projector), with None for an
     operand its operation does not read.  Each case meets its errors in
     ``check_gcsi_closure``'s order: its arguments, before any solve; the
-    base precondition; then building the transformed operator.  Every ||T||
-    and every compression's ||(I - P) T P|| come from one eigenvalue solve,
-    and every base and transformed operator is factored in one SVD for one
-    ``_gcsi_search``.
+    base precondition; then building the transformed operator.  One SVD
+    factors the Ts and gives each ||T||; as chi(cT) = W (cS) V* and
+    chi(T^{-1}) = V S^{-1} W*, cT is searched on V and T^{-1} on W reversed,
+    descending sigma^{-1}.  One more SVD factors V* T V and P T P, and one
+    eigenvalue solve gives every ||(I - P) T P||.
     """
     _check_exponent(beta, "beta")
     out: list = [None] * len(cases)
     rows, = _sift(out, range(len(cases)), lambda i: _closure_args(cases[i][1], *cases[i][3:]))
-    ops = [case[0] for case in cases]
+    parts = dict(zip(rows, _polars([cases[i][0] for i in rows])))
+    norms = [parts[i].sigmas[-1] if i in parts else None for i in range(len(cases))]
+    squeezes: list[QMatrix] = []
 
     def squeeze(i: int) -> None:
         t, projector = cases[i][0], cases[i][4]
-        ops.append((QMatrix.identity(t.rows) - projector) @ t @ projector)
+        squeezes.append((QMatrix.identity(t.rows) - projector) @ t @ projector)
 
-    # each compression's (I - P) T P joins the norm solve of the Ts; an
-    # operand's error waits in out for the base precondition, which comes first
+    # an operand's error waits in out for the base precondition, which comes first
     squeezed, = _sift(out, [i for i in rows if cases[i][1] == "compression"], squeeze)
-    norms = _operator_norms(*_stack_pairs(ops)).tolist()
-    residuals = dict(zip(squeezed, norms[len(cases):]))
-    transformed: dict[int, QMatrix] = {}
+    residuals = dict(zip(squeezed, _operator_norms(*_stack_pairs(squeezes)).tolist()
+                         if squeezes else ()))
+    searches: dict[int, tuple[QMatrix, np.ndarray | None]] = {}
 
     def operand(i: int) -> None:
         t, which, scalar, unitary, projector = cases[i]
         if which == "scalar":
-            transformed[i] = t * scalar
+            searches[i] = t * scalar, parts[i]._v
         elif which == "inverse":
-            transformed[i] = invert(t)
+            searches[i] = _inverse(parts[i]), parts[i]._w[:, ::-1]
         elif which == "unitary-equiv":
-            transformed[i] = unitary.H @ t @ unitary
+            searches[i] = unitary.H @ t @ unitary, None
         elif residuals[i] > tol * max(1.0, norms[i]):
             raise PreconditionError(f"subspace is not invariant (residual {residuals[i]:.3e})")
         else:
-            transformed[i] = projector @ t @ projector
+            searches[i] = projector @ t @ projector, None
 
     _sift(out, [i for i in rows if out[i] is None], operand)
-
-    searched = [t for i in rows for t in (cases[i][0], transformed.get(i)) if t is not None]
-    margins = iter(_gcsi_search(searched, _polars(searched), [(beta,)] * len(searched), tol))
+    again = [i for i, (_, v) in searches.items() if v is None]
+    for i, pp in zip(again, _polars([searches[i][0] for i in again])):
+        searches[i] = searches[i][0], pp._v
+    pairs = [pair for i in rows for pair in ((cases[i][0], parts[i]._v), searches.get(i)) if pair]
+    margins = iter(_gcsi_search([t for t, _ in pairs], [v for _, v in pairs],
+                                [(beta,)] * len(pairs), tol))
     for i in rows:
-        (base,), (after,) = next(margins), next(margins) if i in transformed else (None,)
+        (base,), (after,) = next(margins), next(margins) if i in searches else (None,)
         if base.value < -tol:
             out[i] = PreconditionError(
                 f"base operator already violates the inequality (margin {base.value:.3e})")
         elif out[i] is None:
             out[i] = ClosureReport(which=cases[i][1], base=base, transformed=after)
-    return out, norms[:len(cases)]
+    return out, norms
 
 
 @dataclass(frozen=True)
@@ -935,7 +941,6 @@ class KernelReport:
     """Kernel containment and idempotence facts for one operator."""
 
     dim_ker: int
-    dim_ker_star: int
     dim_ker_sq: int
     subset_residual: float
     equality_residual: float
@@ -976,7 +981,6 @@ def _kernel_reductions(ts: Sequence[QMatrix],
         thr = tol * max(1.0, opn)
         out.append(KernelReport(
             dim_ker=len(ker),
-            dim_ker_star=len(ker),
             dim_ker_sq=len(ker_sq),
             subset_residual=subset,
             equality_residual=equality,
@@ -1077,7 +1081,7 @@ def _gcsi_implications(cases: Sequence[tuple[QMatrix, float]], *,
     ts = [t for t, _ in cases]
     parts = _polars(ts)
     hyps = _p_hyponormal_grid(parts, [(p,) for _, p in cases], tol)
-    gcsis = _gcsi_search(ts, parts, [(p,) for _, p in cases], tol)
+    gcsis = _gcsi_search(ts, [pp._v for pp in parts], [(p,) for _, p in cases], tol)
     return [ConsistencyReport(p=p, p_hyponormal=hyp, gcsi=gcsi,
                               hard_violation=not hyp.violated and gcsi.violated)
             for (_, p), (hyp,), (gcsi,) in zip(cases, hyps, gcsis)]

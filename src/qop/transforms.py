@@ -38,10 +38,9 @@ RANK_RTOL = 1e-12
 class PolarParts:
     """T = U |T| with U a partial isometry, ker U = ker T.
 
-    ``tau`` is the absolute singular-value cutoff that decided ``rank``.
     ``sigmas`` are the singular values of T, ascending, so ||T|| is the
     last.  ``_v`` and ``_s`` keep copies of the embedded right singular
-    vectors above the cutoff and their singular values, so every power
+    vectors above RANK_RTOL ||T|| and their singular values, so every power
     |T|^s is one complex product, and ``_ker_v`` those below it.  ``_w``
     keeps every embedded left singular vector: its first 2 rank columns
     give |T*|^s as ``_v`` gives |T|^s, and the rest span ker T*.
@@ -52,7 +51,6 @@ class PolarParts:
 
     u: QMatrix
     rank: int
-    tau: float
     sigmas: tuple[float, ...]
     _v: np.ndarray
     _w: np.ndarray
@@ -109,8 +107,7 @@ def _polars(ops: Sequence[QMatrix]) -> list[PolarParts]:
     n, k = ops[0].rows, len(ops)
     w, sigma, vh = _chi_svds(*_stack_pairs(ops))
     rows = sigma.tolist()
-    taus = [RANK_RTOL * row[0] for row in rows]
-    ranks = [sum(s > tau for s in row) for row, tau in zip(rows, taus)]
+    ranks = [sum(s > RANK_RTOL * row[0] for s in row) for row in rows]
     tops = [None] * k
     for r in set(ranks):
         # the rows of one rank, the stack itself when every row has it
@@ -127,7 +124,6 @@ def _polars(ops: Sequence[QMatrix]) -> list[PolarParts]:
         out.append(PolarParts(
             u=_from_chi_top(tops[i] if k == 1 else tops[i].copy()),
             rank=r,
-            tau=taus[i],
             sigmas=tuple(reversed(rows[i])),
             _v=np.array(v[i, :, :r2]),
             _w=w[i] if k == 1 else w[i].copy(),

@@ -55,14 +55,12 @@ def polar(t: QMatrix) -> PolarParts:
     if not t.is_square():
         raise ShapeError(f"polar decomposition needs a square operator, got {t.shape}")
     w, sigma, v = _chi_svd(t)
-    tau = RANK_RTOL * float(sigma[0])
-    rank = int(np.count_nonzero(sigma > tau))
+    rank = int(np.count_nonzero(sigma > RANK_RTOL * float(sigma[0])))
     r2 = 2 * rank
     v_r = np.array(v[:, :r2])
     return PolarParts(
         u=_from_chi_top(w[:t.rows, :r2] @ v_r.conj().T),
         rank=rank,
-        tau=tau,
         sigmas=tuple(sigma[::-1].tolist()),
         _v=v_r,
         _w=np.array(w),

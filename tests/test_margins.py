@@ -152,7 +152,7 @@ def test_stacked_factorizations_equal_the_per_operator_ones(n):
     a, b = linalg._stack_pairs(ops)
     for k, (got, t) in enumerate(zip(transforms._polars(ops), ops)):
         want = margin_reference.polar(t)
-        assert (got.rank, got.tau, got.sigmas) == (want.rank, want.tau, want.sigmas), k
+        assert (got.rank, got.sigmas) == (want.rank, want.sigmas), k
         for field in ("_v", "_w", "_s", "_ker_v"):
             _same_array(getattr(got, field), getattr(want, field), (k, field))
         for x, y in ((got.u._a, want.u._a), (got.u._b, want.u._b)):

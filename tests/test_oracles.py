@@ -600,6 +600,10 @@ _CHUNK_SOLVES = {
     "spectrum-st-ts": (0, 0, 1, 0),
     "gcsi-implies": (1, 1, 0, 2),
     "collapse": (1, 1, 0, 1),
+    # the base Ts in one SVD, which gives each ||T||, V*TV and PTP in one
+    # more, and every compression's ||(I - P) T P|| in one eigvalsh; cT and
+    # T^-1 take their singular vectors from T's SVD
+    "gcsi-closure": (0, 1, 0, 5),
 }
 
 
@@ -611,19 +615,6 @@ def test_stacked_properties_make_a_fixed_number_of_solves_per_chunk(solver_calls
         calls = solver_calls.kinds()
         counts = tuple(calls.count(k) for k in ("eigh", "eigvalsh", "eigvals", "svd"))
         assert counts == _CHUNK_SOLVES[prop], trials
-
-
-def test_gcsi_closure_takes_every_norm_of_a_chunk_in_one_solve(solver_calls):
-    # every ||T|| and every compression's ||(I - P) T P|| of a chunk come from
-    # one eigvalsh (9 calls for 16 trials before); inverse operands are still
-    # factored one at a time, after the draws' SVDs, and every base and
-    # transformed operator of the chunk in one SVD for the GCSI pairs
-    for trials, svds in ((4, 5), (16, 8)):
-        solver_calls.clear()
-        harness.run_verify("gcsi-closure", trials=trials, seed=3, dim=4)
-        calls = solver_calls.kinds()
-        assert calls.count("eigvalsh") == 1 and calls.count("svd") == svds, trials
-        assert calls.count("eigh") == calls.count("eigvals") == 0
     assert not hasattr(harness, "_run_chunk")
 
 
@@ -867,7 +858,7 @@ def test_kernel_reduction_shift_fails():
 def test_kernel_reduction_normal_passes():
     rep = check_kernel_reduction(QMatrix.diag([0.0, Quaternion(0.0, 0.0, 3.0, 0.0)]))
     assert rep.passes
-    assert (rep.dim_ker, rep.dim_ker_star, rep.dim_ker_sq) == (1, 1, 1)
+    assert (rep.dim_ker, rep.dim_ker_sq) == (1, 1)
     assert rep.subset_residual <= rep.threshold
     rep = check_kernel_reduction(QMatrix.identity(3))
     assert rep.passes and rep.dim_ker == 0
@@ -1091,12 +1082,12 @@ def test_stacked_search_equals_one_operator_at_a_time(n):
                 t = QMatrix(a)
             ts.append(t)
         grids = [((0.5, 1.0, 0.75, 0.25)[c % 4],) for c in range(k)]
-        parts = oracles._polars(ts)
+        vs = [pp._v for pp in oracles._polars(ts)]
         with np.errstate(divide="raise", invalid="raise"):
-            got = oracles._gcsi_search(ts, parts, grids, oracles.DEFAULT_TOL)
+            got = oracles._gcsi_search(ts, vs, grids, oracles.DEFAULT_TOL)
         assert len(got) == k
         for t, grid, margins in zip(ts, grids, got):
-            alone = oracles._gcsi_search([t], oracles._polars([t]), [grid], oracles.DEFAULT_TOL)
+            alone = oracles._gcsi_search([t], [polar(t)._v], [grid], oracles.DEFAULT_TOL)
             assert alone == [margins], (n, k)
 
 
@@ -1140,6 +1131,14 @@ def _closure_cases():
     v = random_unitary(4, seed=6502)
     yield "unitary-equiv", u, {"unitary": v}, v.H @ u @ v
     yield "compression", block, {"projector": proj}, proj @ block @ proj
+    # on a unitary every candidate pair reads 0; on a normal operator with
+    # distinct moduli only the singular vectors reach the least margin
+    for n in (2, 4, 16):
+        t = normal_with_spectrum([complex(0.4 + 0.3 * k, 0.5 - 0.1 * k) for k in range(n)],
+                                 seed=6510 + n)
+        for scalar in (1.5, -0.75):
+            yield "scalar", t, {"scalar": scalar}, t * scalar
+        yield "inverse", t, {}, invert(t)
 
 
 def test_closure_factors_once_and_matches_two_margins(monkeypatch):
@@ -1149,9 +1148,19 @@ def test_closure_factors_once_and_matches_two_margins(monkeypatch):
     for which, t, kwargs, s in _closure_cases():
         calls.clear()
         rep = check_gcsi_closure(t, which, **kwargs)
-        assert calls == [2], which
+        # the base in one call and V*TV or PTP in one more, which factors
+        # nothing for cT and T^-1: they are searched on T's right or
+        # reversed left singular vectors
+        derived = {"scalar": polar(t)._v, "inverse": polar(t)._w[:, ::-1]}
+        assert calls == [1, 0 if which in derived else 1], which
         assert rep.base == gcsi_margin(t, 0.5), which
-        assert rep.transformed == gcsi_margin(s, 0.5), which
+        vs = [derived[which] if which in derived else polar(s)._v]
+        assert [[rep.transformed]] == oracles._gcsi_search([s], vs, [(0.5,)],
+                                                           oracles.DEFAULT_TOL), which
+        fresh = gcsi_margin(s, 0.5)
+        assert abs(rep.transformed.value - fresh.value) <= 1e-13 * max(1.0, operator_norm(s)), \
+            which
+        assert (rep.transformed.witness is None) == (fresh.witness is None), which
     # argument errors come before any operator is factored, and before the
     # base precondition
     calls.clear()

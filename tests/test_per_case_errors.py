@@ -11,11 +11,12 @@ from qop import harness, oracles
 from qop.errors import DomainError, QopError, StructureError
 from qop.generators import (ginibre, hermitian, normal_with_spectrum, ordered_pair, positive,
                             random_unitary, unit_vector)
-from qop.linalg import QMatrix, QVector, operator_norm
+from qop.linalg import QMatrix, QVector
 from qop.oracles import (check_aluthge_theorems, check_chain_semihypo, check_eigenspace_reducing,
                          check_furuta, check_gcsi_closure, check_holder_mccarthy,
                          check_lowner_heinz)
 from qop.quaternion import Quaternion
+from qop.transforms import polar
 
 TOL = oracles.DEFAULT_TOL
 
@@ -245,7 +246,10 @@ def test_gcsi_closure_cases_come_back_one_by_one():
              for (t, which, scalar, unitary, projector), _ in cases]
     results, norms = oracles._gcsi_closures(batch, beta=0.5, tol=TOL)
     _assert_per_case(results, lones, [msg for _, msg in cases])
-    assert norms == [operator_norm(c[0]) for c in batch]
+    # ||T|| is sigma_max of the SVD that factors T, read where the arguments pass
+    arguments = ("unknown closure operation", "unitary-equiv closure needs")
+    assert norms == [None if msg in arguments else polar(c[0]).sigmas[-1]
+                     for c, (_, msg) in zip(batch, cases)]
 
 
 def test_a_failing_case_costs_no_later_solve(monkeypatch):

@@ -36,7 +36,7 @@ def _observe():
     for idx in range(4):
         ctx = TrialContext(mix_seed(SEED, idx), idx, 4, DEFAULT_TOL, False)
         report = check_kernel_reduction(PROPERTIES["kernel-reduction"]([ctx])[0].instance["T"])
-        kernels.append((report.dim_ker, report.dim_ker_star, report.dim_ker_sq))
+        kernels.append((report.dim_ker, report.dim_ker_sq))
     two = Quaternion.from_real(2.0)
     spectra = []
     for vals in ([I, J, K * two], [two, two, I, Quaternion(0.0, 0.0, 3.0, 0.0)]):

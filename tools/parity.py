@@ -35,7 +35,11 @@ and ``x * 2.5`` of operators and of vectors, with ``allclose`` at tol
 Last, on the panel at n = 4 and 16, the reads of the SVD that factors T:
 ``abs_star_power`` at s = 0.1, 0.5 and 1, the margins of ``check_tu_star``
 and of ``check_eigenspace_reducing`` at the first sphere of the completed
-polar unitary, and each field of ``check_kernel_reduction``.  A call that raises,
+polar unitary, and each field of ``check_kernel_reduction``.  Last, at n = 4
+and 16, on a normal operator with distinct moduli, not unitary, whose
+singular vectors decide the GCSI margin: the base and transformed margins of
+``check_gcsi_closure`` for each of the four operations (the compression on a
+block-diagonal one), and ``oracles.invert``.  A call that raises,
 or a batch entry that is an error, is hashed as ``type: message``.  The
 last line, ``total <sha256>``, hashes every line above it.  The digests
 are exact bytes, which another machine's BLAS need not reproduce.
@@ -58,7 +62,7 @@ import qop
 from qop import harness
 from qop.errors import QopError
 from qop.harness import PROPERTIES
-from qop.oracles import DEFAULT_TOL
+from qop.oracles import DEFAULT_TOL, invert
 from qop.rng import SplitMix64, mix_seed
 
 
@@ -226,6 +230,32 @@ def _factorization_records(lines: list[str], n: int) -> None:
                     lambda: getattr(report, field.name))
 
 
+def _closure_records(lines: list[str], n: int) -> None:
+    """The base and transformed margins of ``check_gcsi_closure`` for each
+    operation, and ``invert``, on a normal operator with distinct moduli at
+    size n, where the transformed operator's singular vectors decide its
+    margin; the compression acts on a block-diagonal normal operator."""
+    spectrum = [complex(0.4 + 0.3 * k, 0.5 - 0.1 * k) for k in range(n)]
+    t = qop.normal_with_spectrum(spectrum, seed=n)
+    h = n // 2
+    blocks = np.zeros((n, n, 4))
+    blocks[:h, :h] = qop.normal_with_spectrum(spectrum[:h], seed=n + 1).to_array()
+    blocks[h:, h:] = qop.normal_with_spectrum(spectrum[h:], seed=n + 2).to_array()
+    cases = {"scalar": (t, {"scalar": 1.5}), "inverse": (t, {}),
+             "unitary-equiv": (t, {"unitary": qop.random_unitary(n, seed=n)}),
+             "compression": (qop.QMatrix(blocks), {"projector": qop.QMatrix.diag(
+                 [1.0] * h + [0.0] * (n - h))})}
+
+    def margins(which: str, op: qop.QMatrix, kwargs: dict[str, Any]) -> tuple[Any, Any]:
+        report = qop.check_gcsi_closure(op, which, **kwargs)
+        return report.base, report.transformed
+
+    for which, (op, kwargs) in cases.items():
+        _margin_records(lines, f"check_gcsi_closure/{which}/normal/n{n}",
+                        lambda: margins(which, op, kwargs))
+    _record(lines, f"invert/normal/n{n}", lambda: invert(t))
+
+
 def main() -> int:
     lines: list[str] = []
     for prop in sorted(PROPERTIES):
@@ -264,6 +294,8 @@ def main() -> int:
         _pair_records(lines, n)
     for n in (4, 16):
         _factorization_records(lines, n)
+    for n in (4, 16):
+        _closure_records(lines, n)
     print("total", hashlib.sha256("\n".join(lines).encode()).hexdigest())
     return 0
 
