@@ -533,9 +533,9 @@ def _lowner_heinz_cases(cases: Sequence[tuple[QMatrix, QMatrix, Sequence[float],
     the exponents, then ``_ordered_systems``, row by row.  Each run of
     consecutive cases with one size and grid length is ordered as one
     batch, its powers S^r and T^r are pulled back in one product, and every
-    S^r - T^r is solved in one eigenvalue call.  Where that product meets a
-    weight or an entry that is not finite, S^r and then T^r are pulled back
-    apart, so the error raised is the one a lone call meets first."""
+    S^r - T^r is solved in one eigenvalue call.  Weights are checked before
+    entries: if S^r's entries and a T^r's weight overflow, the weight's error
+    is raised; S >= T to 1e-8 confines that to within 1e-8 of the float ceiling."""
     out: list = [None] * len(cases)
     rows, = _sift(out, range(len(cases)), lambda i: _lowner_heinz_exponents(*cases[i][2:]))
     for _, run in groupby(rows, lambda i: (cases[i][0].shape, len(cases[i][2]))):
@@ -544,11 +544,7 @@ def _lowner_heinz_cases(cases: Sequence[tuple[QMatrix, QMatrix, Sequence[float],
             continue
         (ws, vs), (wt, vt) = ss, ts
         exps, k = [cases[i][2] for i in run], len(run)
-        try:  # every S^r and T^r in one pull-back
-            pa, pb = _psd_powers(np.concatenate([ws, wt]), np.concatenate([vs, vt]), exps * 2)
-        except QopError:
-            _psd_powers(ws, vs, exps), _psd_powers(wt, vt, exps)
-            raise
+        pa, pb = _psd_powers(np.concatenate([ws, wt]), np.concatenate([vs, vt]), exps * 2)
         da, db = _checked((pa[:k] - pa[k:], pb[:k] - pb[k:]))
         del pa, pb  # before the solve, the largest step
         values = _pair_eigvalsh(da, db)[..., 0].tolist()
@@ -610,18 +606,13 @@ def _furuta_differences(cases: Sequence[tuple], wa: np.ndarray, va: np.ndarray,
                         wb: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(B^r A^p B^r)^{1/q} - B^e of each case, then A^e -
     (A^r B^p A^r)^{1/q} of each, e = (p + 2r) / q, as one (2k, n, n) pair
-    stack, from the spectra and eigenvectors of the As and the Bs.  The Bs
-    and the As are pulled back at r, p and e in one product, unless that
-    raises: then as a lone call pulls them back, the Bs at r and p, the As
-    at p and r, and both at e after the brackets."""
-    k, rpe = len(cases), [(r, p, (p + 2.0 * r) / q) for _, _, p, q, r, _ in cases]
-    try:
-        pa, pb = _psd_powers(np.concatenate([wb, wa]), np.concatenate([vb, va]), rpe * 2)
-        late = False
-    except QopError:
-        (ba, bb), (aa, ab) = (_psd_powers(wb, vb, [(r, p) for r, p, _ in rpe]),
-                              _psd_powers(wa, va, [(p, r) for r, p, _ in rpe]))
-        pa, pb, late = np.concatenate([ba, aa[:, ::-1]]), np.concatenate([bb, ab[:, ::-1]]), True
+    stack, from the spectra and eigenvectors of the As and the Bs.  One
+    product pulls back the Bs and the As at r and p, the brackets follow,
+    and a second pulls back both at e.  Weights are checked before entries:
+    if a B power's entries and an A power's weight overflow, the weight's error
+    is raised; A >= B to 1e-8 confines that to within 1e-8 of the float ceiling."""
+    k, w, v = len(cases), np.concatenate([wb, wa]), np.concatenate([vb, va])
+    pa, pb = _psd_powers(w, v, [(r, p) for _, _, p, _, r, _ in cases] * 2)
     # the outer halves B^r, A^r and the middles A^p, B^p of both brackets
     ha, hb = pa[:, 0], pb[:, 0]
     xa, xb = _checked(_product(ha, hb, np.concatenate([pa[k:, 1], pa[:k, 1]]),
@@ -629,12 +620,9 @@ def _furuta_differences(cases: Sequence[tuple], wa: np.ndarray, va: np.ndarray,
     xa, xb = _checked(_product(xa, xb, ha, hb))
     wx, vx = _spectra(xa, xb)
     la, lb = _psd_powers(wx, vx, [(1.0 / c[3],) for c in cases] * 2)
-    if late:
-        (ba, bb), (aa, ab) = (_psd_powers(w, v, [x[2:] for x in rpe])
-                              for w, v in ((wb, vb), (wa, va)))
-        pa, pb = np.concatenate([ba, aa]), np.concatenate([bb, ab])
-    da = np.concatenate([la[:k, 0] - pa[:k, -1], pa[k:, -1] - la[k:, 0]])
-    db = np.concatenate([lb[:k, 0] - pb[:k, -1], pb[k:, -1] - lb[k:, 0]])
+    ea, eb = _psd_powers(w, v, [((p + 2.0 * r) / q,) for _, _, p, q, r, _ in cases] * 2)
+    da = np.concatenate([la[:k, 0] - ea[:k, 0], ea[k:, 0] - la[k:, 0]])
+    db = np.concatenate([lb[:k, 0] - eb[:k, 0], eb[k:, 0] - lb[k:, 0]])
     return _checked((da, db))
 
 
@@ -853,7 +841,7 @@ def check_gcsi_closure(t: QMatrix, which: str, *, beta: float = 0.5,
                        projector: QMatrix | None = None) -> ClosureReport:
     """Re-test the inequality after a class-preserving operation.
 
-    ``which`` picks the operation: "scalar" (real multiple), "inverse",
+    ``which`` picks the operation: "scalar" (finite real multiple), "inverse",
     "unitary-equiv" (conjugation by a supplied unitary), or "compression"
     (P T P for a supplied projector onto an invariant subspace).  Both
     margins are those of ``gcsi_margin`` at ``beta``, up to round-off: cT
@@ -866,9 +854,13 @@ def check_gcsi_closure(t: QMatrix, which: str, *, beta: float = 0.5,
     return _sole(_gcsi_closures([(t, which, scalar, unitary, projector)], beta=beta, tol=tol)[0])
 
 
-def _closure_args(which: str, unitary: QMatrix | None, projector: QMatrix | None) -> None:
+def _closure_args(which: str, scalar: float | None, unitary: QMatrix | None,
+                  projector: QMatrix | None) -> None:
     if which not in ("scalar", "inverse", "unitary-equiv", "compression"):
         raise DomainError(f"unknown closure operation {which!r}")
+    # the real multiples that QMatrix * scalar takes
+    if which == "scalar" and not (isinstance(scalar, (int, float)) and math.isfinite(scalar)):
+        raise DomainError(f"scalar closure needs a finite real scalar, got {scalar!r}")
     if which == "unitary-equiv" and unitary is None:
         raise DomainError("unitary-equiv closure needs a unitary")
     if which == "compression" and projector is None:
@@ -891,7 +883,7 @@ def _gcsi_closures(cases: Sequence[tuple], *, beta: float,
     """
     _check_exponent(beta, "beta")
     out: list = [None] * len(cases)
-    rows, = _sift(out, range(len(cases)), lambda i: _closure_args(cases[i][1], *cases[i][3:]))
+    rows, = _sift(out, range(len(cases)), lambda i: _closure_args(*cases[i][1:]))
     parts = dict(zip(rows, _polars([cases[i][0] for i in rows])))
     norms = [parts[i].sigmas[-1] if i in parts else None for i in range(len(cases))]
     squeezes: list[QMatrix] = []

@@ -7,10 +7,12 @@ import pytest
 
 import qop
 from qop.cli import main
-from qop.generators import ginibre
+from qop.generators import ginibre, normal_with_spectrum, partial_isometry
 from qop.linalg import QMatrix
-from qop.matio import json_to_matrix, save_matrix
+from qop.matio import dumps_canonical, json_to_matrix, matrix_to_json, save_matrix
 from qop.quaternion import I, Quaternion
+from qop.rng import SplitMix64, mix_seed
+from qop.transforms import duggal
 
 
 def _write(tmp_path, name, matrix):
@@ -78,6 +80,12 @@ def test_transform_lambda_and_sr_kinds(tmp_path, capsys):
     for line in lines:
         m = json_to_matrix(json.loads(line))
         assert (m - QMatrix.diag([1.0, 4.0])).frobenius() <= 1e-9
+
+
+def test_transform_duggal_prints_the_duggal_transform(tmp_path, capsys):
+    for t in (ginibre(4, seed=3), partial_isometry(4, 1, seed=3)):
+        assert main(["transform", "--kind", "duggal", _write(tmp_path, "t.json", t)]) == 0
+        assert capsys.readouterr().out == dumps_canonical(matrix_to_json(duggal(t))) + "\n"
 
 
 def test_transform_unknown_kind(tmp_path, capsys):
@@ -253,6 +261,18 @@ def test_gen_spectrum_argument(capsys):
     assert main(["gen", "normal-with-spectrum", "--dim", "1",
                  "--spectrum", "1,2,x,4"]) == 2
     assert "spectrum component is not a number: 'x'" in capsys.readouterr().err
+
+
+def test_gen_normal_with_spectrum_draws_its_spectrum_from_the_seed(capsys):
+    # without --spectrum, the n values are drawn from the seed's stream 101
+    argv = ["gen", "normal-with-spectrum", "--dim", "4", "--seed", "7"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    stream = SplitMix64(mix_seed(7, 101))
+    values = [Quaternion(*map(float, stream.normals(4))) for _ in range(4)]
+    assert first == dumps_canonical(matrix_to_json(normal_with_spectrum(values, seed=7))) + "\n"
 
 
 @pytest.mark.parametrize("dim", ["0", "-2", "100"])

@@ -238,6 +238,15 @@ def test_kernel_reduction_finds_every_constructed_zero(dim, trials):
         assert report.passes
 
 
+def test_kernel_reduction_scores_a_kernel_dimension_mismatch_as_minus_one():
+    # ker T = span{e_0} but ker T^2 is everything: the residuals read only
+    # the 1e-3 entry, and the mismatch alone scores -1
+    t = QMatrix.from_quaternions([[0.0, 1e-3], [0.0, 0.0]])
+    report = check_kernel_reduction(t)
+    assert (report.dim_ker, report.dim_ker_sq) == (1, 2)
+    assert evaluate_instance("kernel-reduction", {"T": t}) == -1.0
+
+
 @pytest.mark.parametrize("prop", sorted(PROPERTIES))
 def test_evaluate_instance_reproduces_the_trial_margin(prop):
     # the shrinker must minimise the function the trial measured

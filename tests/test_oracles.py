@@ -287,6 +287,18 @@ def test_holder_mccarthy_rejects_nonreal_form():
         check_holder_mccarthy(t, QVector.basis(2, 0), (2.0,))
 
 
+def test_holder_mccarthy_names_a_form_that_is_not_real():
+    # T passes the self-adjointness check, relative to ||T||, but its skew
+    # part of 3e-9 meets a vector of norm 1000 in T's near-kernel, where
+    # <Tx, x> is about 1e-3: the form's imaginary part is not round-off
+    w = random_unitary(3, seed=1)
+    arr = (w @ QMatrix.diag([1.0, 0.5, 1e-6]) @ w.H).to_array()
+    arr[0, 1, 1] += 3e-9
+    arr[1, 0, 1] += 3e-9
+    with pytest.raises(PreconditionError, match="^quadratic form is not real"):
+        check_holder_mccarthy(QMatrix(arr), w.column(2) * 1000.0, [0.5])
+
+
 def test_margin_witnesses_strictly_below_the_scaled_tolerance():
     tol, scale = 1e-8, 3.0
     edge = -tol * scale
@@ -819,6 +831,20 @@ def test_closure_identity_fixed_points():
     assert rep.transformed.value == pytest.approx(rep.base.value, abs=1e-12)
     rep = check_gcsi_closure(t, "compression", projector=QMatrix.identity(2))
     assert rep.transformed.value == pytest.approx(rep.base.value, abs=1e-12)
+
+
+def test_a_non_finite_closure_scalar_is_named_before_any_solve(solver_calls):
+    # an argument error, as an unknown operation is: T is never factored
+    u = random_unitary(3, seed=1)
+    solver_calls.clear()
+    for scalar in (math.inf, -math.inf, math.nan, None, I):
+        with pytest.raises(DomainError) as err:
+            check_gcsi_closure(u, "scalar", scalar=scalar)
+        assert str(err.value) == f"scalar closure needs a finite real scalar, got {scalar!r}"
+    assert solver_calls == []
+    # a finite real multiple is still factored and searched
+    check_gcsi_closure(u, "scalar", scalar=-3)
+    assert solver_calls.kinds() == ["svd"]
 
 
 def test_closure_guards():

@@ -5,6 +5,8 @@ fail two; every case must come back as what its lone public call gives:
 the same margins, or the same error class and message, in place.
 """
 
+import math
+
 import pytest
 
 from qop import harness, oracles
@@ -234,6 +236,7 @@ def test_gcsi_closure_cases_come_back_one_by_one():
              ((u, "transpose", None, None, None), "unknown closure operation"),
              ((shift, "scalar", 2.0, None, None), "base operator already violates"),
              ((zero, "inverse", None, None, None), "operator is singular"),
+             ((u, "scalar", math.inf, None, None), "scalar closure needs a finite real scalar"),
              ((flip, "compression", None, None, proj), "subspace is not invariant"),
              # two checks fail: the arguments, then the base precondition, come first
              ((shift, "unitary-equiv", None, None, None), "unitary-equiv closure needs"),
@@ -247,7 +250,8 @@ def test_gcsi_closure_cases_come_back_one_by_one():
     results, norms = oracles._gcsi_closures(batch, beta=0.5, tol=TOL)
     _assert_per_case(results, lones, [msg for _, msg in cases])
     # ||T|| is sigma_max of the SVD that factors T, read where the arguments pass
-    arguments = ("unknown closure operation", "unitary-equiv closure needs")
+    arguments = ("unknown closure operation", "scalar closure needs a finite real scalar",
+                 "unitary-equiv closure needs")
     assert norms == [None if msg in arguments else polar(c[0]).sigmas[-1]
                      for c, (_, msg) in zip(batch, cases)]
 

@@ -486,6 +486,23 @@ def test_pairing_failure_message(monkeypatch):
             "conjugate pairing failure (worst gap 6.000e+00 at scale 3.000e+00)")
 
 
+def test_eigenvalue_pairing_failure_message(monkeypatch):
+    # the lower eigenvalue of each pair of chi(I) moved down by 1e-3, well
+    # past PAIR_TOL: the self-adjoint solve reports the gap and the scale
+    real = _eig.eigh
+
+    def split(m):
+        w, v = real(m)
+        w = w.copy()
+        w[..., 0::2] -= 1e-3
+        return w, v
+
+    monkeypatch.setattr(_eig, "eigh", split)
+    with pytest.raises(StructureError) as err:
+        eigh_q(QMatrix.identity(2))
+    assert str(err.value) == "eigenvalue pairing failure (worst gap 1.000e-03 at scale 1.000e+00)"
+
+
 @pytest.mark.parametrize("vals", [
     [-0.0 - 1j, -0.0 + 1j, -0.0 + 2j, -0.0 - 2j],
     [-5e-324 - 1j, -0.0 + 1j, 0.0 + 2j, -5e-324 - 2j],
