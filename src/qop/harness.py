@@ -308,8 +308,6 @@ def _aluthge_margins(insts: list[Instance], tol: float) -> list[Scored | QopErro
     def score(report: oracles.AluthgeReport, t: QMatrix, scale: float) -> Scored:
         vals = [-(report.transform - t).frobenius() / scale, _scaled(report.transform_margin)]
         vals += [_scaled(m) for _, m in report.monotone]
-        if report.double_reading_a is not None:
-            vals.append(_scaled(report.double_reading_a))
         vals.append(_scaled(report.double_reading_b))
         return min(vals), {}
 
@@ -491,8 +489,6 @@ def _collapse_margins(insts: list[Instance], tol: float) -> list[Scored]:
 
 
 def _hausdorff(a: list[complex], b: list[complex]) -> float:
-    if not a or not b:
-        return math.inf
     d_ab = max(min(abs(x - y) for y in b) for x in a)
     d_ba = max(min(abs(x - y) for y in a) for x in b)
     return max(d_ab, d_ba)
@@ -536,8 +532,8 @@ def _draw_conjugation(ctxs: list[TrialContext]) -> list[Instance]:
 
 def _conjugation_margins(insts: list[Instance], tol: float) -> list[Scored]:
     """f(U S U*) = U f(S) U* for f(x) = sqrt(x - min spec S + 1), S made
-    Hermitian.  The batch's S and U S U* are solved in one eigensolver call
-    and its shifts in one eigenvalue call."""
+    Hermitian.  The batch's S and U S U* are solved in one eigensolver call,
+    whose least pair mean of each S gives its shift."""
     for inst in insts:
         u, s = inst["U"], inst["S"]
         _require_square(s)
@@ -546,14 +542,14 @@ def _conjugation_margins(insts: list[Instance], tol: float) -> list[Scored]:
     ua, ub = _stack_pairs([inst["U"] for inst in insts])
     sa, sb = _stack_pairs([inst["S"] for inst in insts])
     sa, sb = _hermitian_parts(sa, sb)
-    shifts = -_pair_eigvalsh(sa, sb)[:, :1] + 1.0
     xa, xb = _checked(_product(*_checked(_product(ua, ub, sa, sb)), *_adjoints(ua, ub)))
     w, v = _spectra(np.concatenate([sa, xa]), np.concatenate([sb, xb]))
-    fw = np.sqrt(np.maximum(w + np.concatenate([shifts, shifts]), 0.0))
+    k = len(insts)
+    shifts = np.tile(-w[:k, :1] + 1.0, (2, 1))
+    fw = np.sqrt(np.maximum(w + shifts, 0.0))
     if not np.isfinite(fw).all():
         raise DomainError(_NOT_FINITE)
     fa, fb = _hermitian_from_chi(v, fw)
-    k = len(insts)
     ra, rb = _checked(_product(*_product(ua, ub, fa[:k], fb[:k]), *_adjoints(ua, ub)))
     return [(-_frobenius(fa[k + i] - ra[i], fb[k + i] - rb[i])
              / max(1.0, _frobenius(fa[i], fb[i])), {}) for i in range(k)]

@@ -122,24 +122,27 @@ class BasicClasses:
 def classify_basic(t: QMatrix, *, tol: float = DEFAULT_TOL) -> BasicClasses:
     """Test selfadjoint / positive / normal / unitary membership.
 
-    Residuals are Frobenius norms of the defining defect, compared against
-    tol * max(1, ||T||)^2; positivity additionally needs the smallest
-    eigenvalue to clear the same threshold from below.
+    Each residual, a Frobenius norm of the defining defect, has a bound of
+    its degree in T: ||T - T*||_F <= tol * max(1, ||T||_F), as ``eigh_q``
+    checks; positive is self-adjoint with ``is_psd``'s rule on the extreme
+    eigenvalues m <= M, m >= -tol * max(1, -m, M); ||T*T - TT*||_F and
+    ||T*T - I||_F <= ``threshold`` = tol * max(1, ||T||)^2.
     """
     _check_tol(tol)
     n = _require_square(t)
     gram = t.H @ t
     thr = tol * max(1.0, float(_gram_norms(gram._a[None], gram._b[None])[0])) ** 2
     sa_res = _selfadjoint_residual(t._a, t._b)
-    selfadjoint = sa_res <= thr
+    selfadjoint = sa_res <= tol * max(1.0, t.frobenius())
     co = t @ t.H
     normal_res = (gram - co).frobenius()
     unitary_res = (gram - QMatrix.identity(n)).frobenius()
     pos_margin: float | None = None
     positive = False
     if selfadjoint:
-        pos_margin = float(_pair_eigvalsh(t._a, t._b)[0])
-        positive = pos_margin >= -thr
+        w = _pair_eigvalsh(t._a[None], t._b[None])
+        pos_margin = float(w[0, 0])
+        positive = _psd_errors(w, tol, "not positive")[0] is None
     return BasicClasses(
         selfadjoint=selfadjoint,
         positive=positive,
@@ -305,24 +308,25 @@ def _gcsi_search(ts: Sequence[QMatrix], vs: Sequence[np.ndarray],
     """The ``gcsi_margin`` of each operator of one size at each beta of its
     grid, from ``vs``, each chi(T)'s right singular vectors above the cutoff.
 
-    Each operator brings its candidate x, the 2n standard basis vectors of
-    C^{2n}, whose images are the columns of chi(T), gathered, then the
-    columns of its ``vs`` entry; y is chi(T) x / ||chi(T) x||, or x where that
-    image is 0.  Every pair of every operator is scored in one
+    Each operator brings its candidate x, the first n standard basis vectors
+    psi(e_k) of C^{2n}, whose images are columns of chi(T), gathered, then
+    every column of its ``vs`` entry; y is chi(T) x / ||chi(T) x||, or x
+    where that image is 0.  psi(-e_k j) is not scored: x -> xq, |q| = 1,
+    moves no margin.  Every pair of every operator is scored in one
     ``_gcsi_parts`` call, and the first least pair wins.  Each operator's
     products are its own, so a search gives the bits it gives alone.
     """
     if not ts:
         return []
-    n2 = 2 * ts[0].rows
+    n = ts[0].rows
     chis = [embed_chi(t) for t in ts]
-    bounds = np.cumsum([0] + [n2 + v.shape[1] for v in vs]).tolist()
-    xs = np.zeros((bounds[-1], n2), dtype=np.complex128)
+    bounds = np.cumsum([0] + [n + v.shape[1] for v in vs]).tolist()
+    xs = np.zeros((bounds[-1], 2 * n), dtype=np.complex128)
     tx, ty = np.empty_like(xs), np.empty_like(xs)
     for chi, v, lo, hi in zip(chis, vs, bounds, bounds[1:]):
-        xs[lo + np.arange(n2), np.arange(n2)] = 1.0
-        xs[lo + n2:hi] = v.T
-        tx[lo:lo + n2], tx[lo + n2:hi] = chi.T, v.T @ chi.T
+        xs[lo + np.arange(n), np.arange(n)] = 1.0
+        xs[lo + n:hi] = v.T
+        tx[lo:lo + n], tx[lo + n:hi] = chi[:, :n].T, v.T @ chi.T
     norms = _norms(tx)[:, None]
     ys = np.divide(tx, norms, out=xs.copy(), where=norms > 0.0)
     for chi, lo, hi in zip(chis, bounds, bounds[1:]):
@@ -352,11 +356,11 @@ def gcsi_margin(t: QMatrix, beta: float, *, tol: float = DEFAULT_TOL) -> Margin:
 
     Exponents satisfy alpha = 1 - beta with beta in (0, 1], and 0^0 counts
     as 1.  Vectors are scored on the complex side, as psi(x) against chi(T)
-    (``_gcsi_search``).  The x are the 2n standard basis vectors of C^{2n},
-    so textbook violations at basis vectors surface with their exact
-    witnesses, then the right singular vectors v_i of chi(T) above the rank
-    cutoff; each y is chi(T) x / ||chi(T) x||.  The set holds a witness
-    exactly when T is not normal.  With sigma_i the singular values,
+    (``_gcsi_search``).  The x are psi(e_k), one per basis line of H^n, so
+    textbook violations at basis vectors surface with their exact witnesses,
+    then the right singular vectors v_i of chi(T) above the rank cutoff;
+    each y is chi(T) x / ||chi(T) x||.  The set holds a witness exactly
+    when T is not normal.  With sigma_i the singular values,
     sum_i (sigma_i^4 - ||T^2 v_i||^2) = ||T*T||_F^2 - ||T^2||_F^2 =
     ||T*T - TT*||_F^2 / 2, so some v_i has ||T^2 v_i|| < ||T v_i||^2, and
     its pair scores ||Tv||^(1 - beta) (||T^2 v|| / ||Tv||)^beta - ||Tv|| < 0.

@@ -64,15 +64,20 @@ def test_classify_imaginary_unit():
 
 def _classify_two_products(t, tol=oracles.DEFAULT_TOL):
     """classify_basic with its threshold from operator_norm, which forms T*T
-    on its own before the gram product below forms it again."""
+    on its own before the gram product below forms it again.  Self-adjoint
+    is ||T - T*||_F <= tol max(1, ||T||_F), positive is is_psd's rule on the
+    extreme eigenvalues, and only normal and unitary read the threshold."""
     thr = tol * max(1.0, operator_norm(t)) ** 2
     sa_res = _selfadjoint_residual(t._a, t._b)
+    selfadjoint = sa_res <= tol * max(1.0, t.frobenius())
     gram = t.H @ t
     normal_res = (gram - t @ t.H).frobenius()
     unitary_res = (gram - QMatrix.identity(t.rows)).frobenius()
-    pos_margin = float(_pair_eigvalsh(t._a, t._b)[0]) if sa_res <= thr else None
+    w = _pair_eigvalsh(t._a, t._b) if selfadjoint else None
+    pos_margin = float(w[0]) if selfadjoint else None
+    positive = selfadjoint and w[0] >= -tol * max(1.0, -w[0], w[-1])
     return oracles.BasicClasses(
-        selfadjoint=sa_res <= thr, positive=pos_margin is not None and pos_margin >= -thr,
+        selfadjoint=selfadjoint, positive=bool(positive),
         normal=normal_res <= thr, unitary=unitary_res <= thr, selfadjoint_residual=sa_res,
         positive_margin=pos_margin, normal_residual=normal_res, unitary_residual=unitary_res,
         threshold=thr)
@@ -92,6 +97,31 @@ def test_classify_forms_the_gram_product_once_with_the_same_fields(n):
         for fn in (classify_basic, _classify_two_products):
             with pytest.raises(StructureError, match="QMatrix entries must be finite"):
                 fn(big)
+
+
+def test_classify_bounds_degree_one_defects_as_eigh_q_and_is_psd_do():
+    # past ||T|| = 1, a degree-2 bound tol max(1, ||T||)^2 let through a
+    # negative eigenvalue that is_psd rejects, and a skew part that eigh_q
+    # rejects; both verdicts now follow those two rules
+    for low, positive in ((-5e-7, False), (-5e-8, True)):
+        t = QMatrix.diag([10.0, low])
+        c = classify_basic(t)
+        assert c.selfadjoint and c.positive is positive is is_psd(t)[0], low
+        assert c.positive_margin == low
+    h, g = generators.hermitian(4, seed=2) * 300.0, ginibre(4, seed=3)
+    for eps, selfadjoint in ((1e-4, False), (1e-12, True)):
+        t = h + (g - g.H) * eps
+        c = classify_basic(t)
+        assert c.selfadjoint is selfadjoint, eps
+        assert c.positive is False and (c.positive_margin is None) is not selfadjoint
+        if selfadjoint:
+            eigh_q(t)
+        else:
+            for fn in (eigh_q, is_psd):
+                with pytest.raises(PreconditionError, match="not self-adjoint"):
+                    fn(t)
+    # the normal and unitary decisions keep their degree-2 threshold
+    assert c.threshold == 1e-8 * operator_norm(t) ** 2
 
 
 # ----------------------------------------------------------- p-hyponormal
@@ -588,10 +618,11 @@ def test_exponent_grids_make_one_eigenvalue_solve(solver_calls):
     # the ladders and the double transforms, with ||T|| read from T's SVD; its
     # SVDs are the unitary draws, T, T~ and T~~.  collapse: T*T and TT*, whose
     # spectrum gives ||T||, and the p grid, and its non-normal T in one SVD;
-    # conjugation-lemma the shifts, S and U S U*, and its unitary draws in one SVD
+    # conjugation-lemma S and U S U*, whose S spectra give the shifts, and its
+    # unitary draws in one SVD
     for prop, counts in (("aluthge", (0, 4, 4)), ("aluthge-gain", (0, 2, 3)),
                          ("gcsi-implies", (1, 1, 2)), ("collapse", (1, 1, 1)),
-                         ("conjugation-lemma", (1, 1, 1))):
+                         ("conjugation-lemma", (1, 0, 1))):
         for trials in (4, 16):
             solver_calls.clear()
             harness.run_verify(prop, trials=trials, seed=1, dim=4)
@@ -1120,7 +1151,8 @@ def test_stacked_search_equals_one_operator_at_a_time(n):
 @pytest.mark.parametrize("n", [2, 4, 8, 18, 32, 64])
 def test_gathered_basis_images_equal_the_product(n, monkeypatch):
     # a basis vector's image is a column of chi(T); gathering it gives the
-    # bits of the one product of every candidate x with chi(T)^T
+    # bits of the one product of every candidate x with chi(T)^T.  Only the
+    # first n basis vectors are candidates
     seen = []
     real = oracles._gcsi_parts
     monkeypatch.setattr(oracles, "_gcsi_parts", lambda *s: seen.append(s) or real(*s))
@@ -1129,9 +1161,22 @@ def test_gathered_basis_images_equal_the_product(n, monkeypatch):
         chi_t = embed_chi(t)
         gcsi_margin(t, 0.5)
         tx, ty, ys = seen.pop()
-        xs = np.concatenate([np.eye(2 * n, dtype=np.complex128), polar(t)._v.T])
+        xs = np.concatenate([np.eye(2 * n, dtype=np.complex128)[:n], polar(t)._v.T])
         assert np.array_equal(tx, xs @ chi_t.T), name
         assert np.array_equal(ty, ys @ chi_t.T), name
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 18, 64])
+def test_the_second_basis_half_scores_the_first_half_again(n):
+    # e_{n+k} = psi(-e_k j) lies on e_k's quaternionic line, and x -> xq for a
+    # unit q keeps ||Tx||, ||Ty|| and |<Tx, y>|: the search scores e_k only
+    for name, make in _FAMILIES.items():
+        t = make(n, 6600 + n)
+        chi_t = embed_chi(t)
+        tx = chi_t.T.copy()
+        ys = tx / np.linalg.norm(tx, axis=1, keepdims=True)
+        for part in oracles._gcsi_parts(tx, ys @ chi_t.T, ys):
+            np.testing.assert_allclose(part[n:], part[:n], rtol=1e-14, atol=0, err_msg=name)
 
 
 def test_gcsi_implies_checks_every_argument_before_any_solve(monkeypatch):
