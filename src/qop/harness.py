@@ -21,7 +21,11 @@ failing trial.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
+import os
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -589,16 +593,53 @@ def _chunk_trials(dim: int) -> int:
     return max(1, min(_BATCH, _STACK_BYTES // (256 * dim * dim)))
 
 
+@functools.cache
+def _blas_threads() -> tuple[Callable[[int], None], Callable[[], int]] | None:
+    """The thread-count setter and getter of the OpenBLAS bundled with numpy,
+    found once per process through ctypes; None where there is none."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):  # numpy 2 and numpy 1 wheels
+            if hasattr(lib, f"{prefix}_set_num_threads64_"):
+                set_threads = getattr(lib, f"{prefix}_set_num_threads64_")
+                get_threads = getattr(lib, f"{prefix}_get_num_threads64_")
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
 def _run(prop: str, count: int, what: str, *, seed: int, dim: int, tol: float, probe: bool,
          fuzz: bool) -> VerificationReport:
     """``run_verify``, or with ``fuzz`` ``run_fuzz``: the trials are drawn and
     evaluated in chunks of ``_chunk_trials(dim)`` by the ``PROPERTIES`` entry,
     and the lowest failing trial's error is raised.  Fuzzing ends the report
-    at the first violation and shrinks its instance."""
+    at the first violation and shrinks its instance.  The trials and the
+    shrink run on one OpenBLAS thread, as the ``qop`` command does, so the
+    report's bytes do not depend on the caller's thread count; without the
+    bundled OpenBLAS's setter they run unpinned."""
     fn = _lookup(prop)
     _check_count(count, what)
     generators._check_dim(dim)
     _check_tol(tol)
+    blas = _blas_threads()
+    threads = blas[1]() if blas is not None else 1
+    if threads != 1:
+        blas[0](1)
+    try:
+        return _trials(fn, prop, count, seed=seed, dim=dim, tol=tol, probe=probe, fuzz=fuzz)
+    finally:
+        if threads != 1:
+            blas[0](threads)
+
+
+def _trials(fn: Property, prop: str, count: int, *, seed: int, dim: int, tol: float,
+            probe: bool, fuzz: bool) -> VerificationReport:
+    """``_run``'s trial loop and shrink, after its argument checks."""
     per: list[tuple[int, float]] = []
     min_margin, best = math.inf, None
     while len(per) < count and not (fuzz and min_margin < -tol):

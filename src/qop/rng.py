@@ -122,10 +122,6 @@ class SplitMix64:
         self._seed = int(seed) & _MASK
         self._count = 0
 
-    @property
-    def seed(self) -> int:
-        return self._seed
-
     def uint64(self, k: int) -> np.ndarray:
         """Next k raw 64-bit outputs."""
         if k < 0:

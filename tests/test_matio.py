@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -36,24 +37,36 @@ def test_rejects_nan_and_inf_literals(tmp_path):
 
 
 def test_rejects_nonnumeric_components():
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="quaternion component '1' is not a number"):
         json_to_quaternion(["1", 0, 0, 0])
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="quaternion component True is not a number"):
         json_to_quaternion([True, 0, 0, 0])
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"must be a 4-array \[w, x, y, z\]"):
         json_to_quaternion([1.0, 0.0, 0.0])
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(StructureError, match="quaternion contains a non-finite component"):
+            json_to_quaternion([1.0, bad, 0.0, 0.0])
 
 
 def test_rejects_shape_mismatch():
-    payload = {"rows": 2, "cols": 1, "entries": [[[1, 0, 0, 0]]]}
-    with pytest.raises(ShapeError):
-        json_to_matrix(payload)
-    ragged = {"rows": 2, "cols": 2,
-              "entries": [[[1, 0, 0, 0], [0, 0, 0, 0]], [[0, 0, 0, 0]]]}
-    with pytest.raises(ShapeError):
-        json_to_matrix(ragged)
-    with pytest.raises(ShapeError):
-        json_to_vector({"n": 3, "entries": [[1, 0, 0, 0]]})
+    one = [1, 0, 0, 0]
+    for data, message in (
+            ({"rows": 2, "cols": 1, "entries": [[one]]}, "matrix claims rows=2 but has 1"),
+            ({"rows": 1, "cols": 2, "entries": [[one]]}, "matrix claims cols=2 but has 1"),
+            ({"rows": 2, "cols": 2, "entries": [[one, one], [one]]}, "unequal lengths"),
+            ([[one]], "matrix JSON must be an object with an 'entries' field"),
+            ({"rows": 1, "cols": 1}, "matrix JSON must be an object with an 'entries' field"),
+            ({"rows": 0, "cols": 0, "entries": []}, "matrix 'entries' must be a nonempty list"),
+            ({"rows": 1, "cols": 0, "entries": [[]]}, "matrix rows must be nonempty lists")):
+        with pytest.raises(ShapeError, match=message):
+            json_to_matrix(data)
+    for data, message in (
+            ({"n": 3, "entries": [one]}, "vector claims n=3 but has 1 entries"),
+            ([one], "vector JSON must be an object with an 'entries' field"),
+            ({"n": 1}, "vector JSON must be an object with an 'entries' field"),
+            ({"n": 0, "entries": []}, "vector 'entries' must be a nonempty list")):
+        with pytest.raises(ShapeError, match=message):
+            json_to_vector(data)
 
 
 def test_canonical_dumps_is_stable_and_sorted():

@@ -5,8 +5,9 @@ with eigenvalues d, and T_s = T(1, 0.5, s) has sigma_min / sigma_max = s.
 Each test puts one entry of d a factor of 10 on either side of where one
 cutoff decides and asserts literal results, reading no constant, so moving
 the cutoff 1e3-fold either way fails it.  The kernel-gap and Gram-Schmidt
-cutoffs decide only where a solver errs, so their tests feed the error in:
-a stubbed eigenvalue solve, and a basis given by hand.
+cutoffs decide only where a solver errs, and the pencil's real-root cutoff
+only where a root's imaginary part is of its size, so their tests feed the
+error in: a stubbed eigenvalue solve, and a basis given by hand.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from qop import _eig, spectral
 from qop.errors import DomainError, StructureError
 from qop.generators import normal_with_spectrum, random_unitary
 from qop.linalg import QMatrix
-from qop.oracles import check_kernel_reduction, invert
+from qop.oracles import check_kernel_reduction, invert, is_paranormal
 from qop.spectral import (eigh_q, kernel_basis, power_psd, spherical_eigenspace,
                           spherical_point_spectrum, spherical_spectrum)
 from qop.transforms import polar
@@ -104,3 +105,15 @@ def test_gram_schmidt_cutoff_lies_between_1e_7_and_1e_5():
         else:
             with pytest.raises(StructureError, match="produced 1 of 2 vectors"):
                 spectral._quaternionic_bases(v[None], 2)
+
+
+def test_real_root_cutoff_lies_between_1e_6_and_1e_4(monkeypatch, solver_calls):
+    # T = I, so ||T|| = 1 and g(lam) = (lam - 1)^2; the pencil roots are stubbed
+    # as 2 +- i delta, each twice, as chi doubles them.  A kept root adds the
+    # knot 2 and the midpoint 1, where g reads 0; a dropped one leaves lam = 0
+    for delta, lams, value in ((1e-6, 3, 0.0), (1e-4, 1, 1.0)):
+        solver_calls.clear()
+        roots = np.array([2 + delta * 1j, 2 - delta * 1j] * 2)
+        monkeypatch.setattr(_eig, "eigvals", lambda m, roots=roots: roots)
+        assert is_paranormal(QMatrix.identity(2)).value == value
+        assert [shape for kind, shape in solver_calls if kind == "eigvalsh"][1] == (lams,)
