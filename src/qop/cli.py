@@ -285,7 +285,3 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

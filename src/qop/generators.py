@@ -153,8 +153,6 @@ def normal_with_spectrum(values: Sequence[Quaternion | complex | float], *,
     Real entries give a self-adjoint result, nonnegative entries a positive
     one; repeated entries produce genuinely degenerate spheres.
     """
-    if not len(values):
-        raise ShapeError("spectrum must be nonempty")
     _check_dim(len(values))
     d = QMatrix.diag(list(values))
     diag = np.stack([d._a.diagonal(), d._b.diagonal()], axis=-1)

@@ -254,14 +254,13 @@ def _holder_mccarthy_margins(insts: list[Instance], tol: float) -> list[Scored |
 
 
 def _draw_furuta_exponents(stream: SplitMix64, violating: bool) -> tuple[float, float, float]:
-    for _ in range(200):
+    while True:
         p = 3.0 * stream.uniform(0.0, 1.0)
         r = 2.0 * stream.uniform(0.0, 1.0)
         q = 1.0 + 2.0 * stream.uniform(0.0, 1.0)
         ok = (1.0 + 2.0 * r) * q >= p + 2.0 * r
         if ok != violating:
             return p, q, r
-    return (3.0, 1.0, 0.0) if violating else (1.0, 1.0, 0.0)
 
 
 def _draw_furuta(ctxs: list[TrialContext]) -> list[Instance]:

@@ -207,9 +207,6 @@ class QVector(_Pair):
     def n(self) -> int:
         return self._a.shape[0]
 
-    def __len__(self) -> int:
-        return self.n
-
     def __getitem__(self, i: int) -> Quaternion:
         a, b = self._a[i], self._b[i]
         return Quaternion(a.real, a.imag, b.real, b.imag)

@@ -266,6 +266,8 @@ def test_gen_spectrum_argument(capsys):
     assert main(["gen", "normal-with-spectrum", "--dim", "1",
                  "--spectrum", "1,2,x,4"]) == 2
     assert "spectrum component is not a number: 'x'" in capsys.readouterr().err
+    assert main(["gen", "normal-with-spectrum", "--dim", "1", "--spectrum", "1,2,3"]) == 2
+    assert "spectrum entries need 4 components, got '1,2,3'" in capsys.readouterr().err
 
 
 def test_gen_normal_with_spectrum_draws_its_spectrum_from_the_seed(capsys):

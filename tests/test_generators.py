@@ -66,6 +66,9 @@ def test_partial_isometry_rejects_a_non_integer_defect_before_drawing(monkeypatc
     monkeypatch.setattr(generators, "block_normals", lambda *a: pytest.fail("drew"))
     with pytest.raises(DomainError, match=r"^defect must be an integer, got 1\.5$"):
         partial_isometry(4, 1.5, seed=1)
+    for defect in (-1, 5):
+        with pytest.raises(DomainError, match=rf"^defect must lie in \[0, 4\], got {defect}$"):
+            partial_isometry(4, defect, seed=1)
 
 
 def test_normal_with_spectrum_takes_an_array():

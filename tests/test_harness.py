@@ -247,6 +247,40 @@ def test_kernel_reduction_scores_a_kernel_dimension_mismatch_as_minus_one():
     assert evaluate_instance("kernel-reduction", {"T": t}) == -1.0
 
 
+def test_collapse_scores_a_non_normal_p_hyponormal_operator_as_minus_one(monkeypatch):
+    # a non-normal operator is never p-hyponormal in finite dimensions; with
+    # every D_p stubbed to zero a Ginibre draw reads as one, and scores -1
+    real = oracles._hyponormal_diffs
+    monkeypatch.setattr(oracles, "_hyponormal_diffs",
+                        lambda parts, ps: tuple(np.zeros_like(x) for x in real(parts, ps)))
+    assert evaluate_instance("collapse", {"T": generators.ginibre(4, seed=1)}) == -1.0
+
+
+def test_an_eigenspace_witness_reports_its_quaternion(monkeypatch):
+    # a normal draw never violates the theorem, so a stubbed violation takes
+    # the trial down the witness path, which writes q as its components
+    monkeypatch.setattr(oracles, "_eigenspace_cases", lambda cases, tol: [
+        oracles.Margin(-1.0, tol, {}, {"scale": 1.0}) for _ in cases])
+    r = run_verify("eigenspace-reducing", trials=1, seed=0, dim=2)
+    ctx = TrialContext(r.witness["trial_seed"], 0, 2, DEFAULT_TOL, False)
+    (inst,) = PROPERTIES["eigenspace-reducing"].draw([ctx])
+    assert r.witness["q"] == inst["q"].components()
+
+
+_G23, _G34 = generators.ginibre(2, 3, seed=1), generators.ginibre(3, 4, seed=2)
+
+
+@pytest.mark.parametrize("prop, inst, message", [
+    ("spectrum-st-ts", {"S": _G23, "T": _G23}, r"^cannot multiply \(2, 3\) by \(2, 3\)$"),
+    ("spectrum-st-ts", {"S": _G23, "T": _G34}, r"^square operator required, got \(2, 4\)$"),
+    ("conjugation-lemma", {"U": QMatrix.identity(3), "S": generators.hermitian(4, seed=1)},
+     r"^cannot multiply \(3, 3\) by \(4, 4\)$"),
+], ids=["st-inner", "st-square", "conjugation"])
+def test_evaluate_instance_names_a_shape_mismatch(prop, inst, message):
+    with pytest.raises(ShapeError, match=message):
+        evaluate_instance(prop, inst)
+
+
 @pytest.mark.parametrize("prop", sorted(PROPERTIES))
 def test_evaluate_instance_reproduces_the_trial_margin(prop):
     # the shrinker must minimise the function the trial measured

@@ -142,6 +142,27 @@ def test_shape_errors():
         a + b
     with pytest.raises(ShapeError):
         a @ _rand_vec(3, 42)
+    with pytest.raises(ShapeError, match=r"^dimension mismatch: 2 vs 3$"):
+        _rand_vec(2, 43) + _rand_vec(3, 44)
+    with pytest.raises(ShapeError, match=r"^basis index 3 out of range for H\^3$"):
+        QVector.basis(3, 3)
+
+
+_V, _M = QVector.zeros(2), QMatrix.zeros(2)
+
+
+@pytest.mark.parametrize("op, message", [
+    (lambda: _V + _M, "^expected a QVector$"),
+    (lambda: _M - _V, "^expected a QMatrix$"),
+    (lambda: _M * 1j, "unsupported operand type"),
+    (lambda: _V * 1j, "unsupported operand type"),
+    (lambda: _M @ 2, "unsupported operand type"),
+    (lambda: QVector.from_quaternions(["1"]), "^cannot interpret str as a quaternion entry$"),
+], ids=["vector+matrix", "matrix-vector", "matrix*complex", "vector*complex", "matrix@int",
+        "str-entry"])
+def test_an_operand_of_another_type_is_a_type_error(op, message):
+    with pytest.raises(TypeError, match=message):
+        op()
 
 
 def test_nonsquare_embedding():
@@ -177,6 +198,8 @@ def test_pair_arithmetic_matches_the_hamilton_reference(n):
     _assert_close(inner(u, v).components(), hamilton(conjugate(uc), vc).sum(axis=0), "inner")
     _assert_close(outer(u, v).to_array(), hamilton(uc[:, None, :], conjugate(vc)[None, :, :]), "outer")
     _assert_close((u * q).to_array(), hamilton(uc, qc[None, :]), "QVector * q")
+    _assert_close((-a).to_array(), -ac, "-QMatrix")
+    _assert_close((-u).to_array(), -uc, "-QVector")
     _assert_close(a.trace().components(), ac[np.arange(min(n, k)), np.arange(min(n, k))].sum(axis=0), "trace")
     _assert_close(a.frobenius(), np.sqrt((ac ** 2).sum()), "frobenius")
 
@@ -202,6 +225,8 @@ def test_public_boundary_checks():
             QMatrix(c)
         with pytest.raises(StructureError):
             QVector(c[1])
+    with pytest.raises(ShapeError, match=r"component array, got shape \(2, 3\)$"):
+        QVector(np.zeros((2, 3)))
     with pytest.raises(ShapeError):
         unembed_chi(np.zeros((130, 130)))
     with pytest.raises(StructureError):
@@ -244,6 +269,7 @@ def test_constructors_and_to_array_copy():
     v = QVector(vc)
     vc[1] = -3.0
     assert v[1] == Quaternion(1.0, 1.0, 1.0, 1.0)
+    assert (repr(v), repr(a)) == ("QVector(n=2)", "QMatrix(shape=(2, 3))")
     # signed zeros survive the round trip through the pair
     z = np.array([[-0.0, 0.0, -0.0, 1.0]])
     assert np.array_equal(np.signbit(QVector(z).to_array()), np.signbit(z))

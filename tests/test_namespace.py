@@ -51,6 +51,12 @@ print("ok")
 """
 
 
+def test_dir_lists_every_public_name_and_submodule():
+    names = dir(qop)
+    assert names == sorted(names)
+    assert set(qop.__all__) | {"harness", "_eig", "__version__"} <= set(names)
+
+
 def test_import_is_lazy_and_every_name_resolves_to_its_home_object():
     proc = subprocess.run([sys.executable, "-c", _CHILD], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": _SRC})

@@ -921,7 +921,7 @@ def test_kernel_reduction_normal_passes():
     assert rep.passes and rep.dim_ker == 0
 
 
-@pytest.mark.parametrize("check", [check_kernel_reduction, classify_basic, is_paranormal])
+@pytest.mark.parametrize("check", [check_kernel_reduction, classify_basic, is_paranormal, eigh_q])
 @pytest.mark.parametrize("shape", [(4, 3), (3, 4)])
 def test_kernel_reduction_needs_a_square_operator(check, shape):
     with pytest.raises(ShapeError) as exc:
@@ -945,6 +945,8 @@ def test_tu_star_kernel_and_unitary():
     u = random_unitary(3, seed=309)
     m = check_tu_star(u, unit_vector(3, seed=310))
     assert abs(m.value) <= 1e-10
+    with pytest.raises(ShapeError, match=r"^cannot apply \(3, 3\) to H\^2$"):
+        check_tu_star(u, QVector.basis(2, 0))
 
 
 def _reference_operators():

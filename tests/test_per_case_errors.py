@@ -7,6 +7,7 @@ the same margins, or the same error class and message, in place.
 
 import math
 
+import numpy as np
 import pytest
 
 from qop import harness, oracles
@@ -304,6 +305,17 @@ def _overflowing_instances():
     s[0, 1, 0] = s[1, 0, 0] = 1.5e308
     return [("collapse", {"T": ginibre(4, seed=1) * 1e160}),
             ("conjugation-lemma", {"U": random_unitary(4, seed=3), "S": QMatrix(s)})]
+
+
+def test_conjugation_names_a_weight_that_overflows():
+    # S = 5e307 times the all-ones matrix: its top eigenvalue 2e308 overflows,
+    # so sqrt(x - min spec S + 1) is not finite on the spectrum
+    s = np.zeros((4, 4, 4))
+    s[..., 0] = 5e307
+    inst = {"U": QMatrix.identity(4), "S": QMatrix(s)}
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(DomainError, match="^scalar function must return finite reals"):
+            harness.evaluate_instance("conjugation-lemma", inst)
 
 
 @pytest.mark.parametrize("prop, inst", _overflowing_instances(), ids=["collapse", "conjugation"])

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import pytest
 
@@ -62,6 +63,17 @@ def test_real_center_commutes():
     r = Quaternion(2.5, 0.0, 0.0, 0.0)
     q = Quaternion(0.3, -1.0, 0.7, 2.0)
     assert r * q == q * r
+    assert 2.0 * q == q * 2.0 and 3 * q == q * 3
+
+
+@pytest.mark.parametrize("op, other", [(operator.add, 1.0), (operator.sub, 1.0),
+                                       (operator.mul, 1j), (operator.truediv, 1j)])
+def test_an_operand_that_is_not_a_quaternion_or_real_is_a_type_error(op, other):
+    # a real scalar multiplies and divides; a complex one, or a real added, does not
+    q = Quaternion(0.3, -1.0, 0.7, 2.0)
+    for args in ((q, other), (other, q)):
+        with pytest.raises(TypeError, match="unsupported operand type"):
+            op(*args)
 
 
 def test_noncommutativity_detected():

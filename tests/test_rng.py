@@ -32,6 +32,11 @@ def test_uint64_matches_integer_reimplementation():
         assert ours == theirs
 
 
+def test_a_negative_count_is_rejected():
+    with pytest.raises(ValueError, match="^k must be nonnegative$"):
+        SplitMix64(1).uint64(-1)
+
+
 def test_block_draws_equal_single_draws():
     a = SplitMix64(99)
     b = SplitMix64(99)

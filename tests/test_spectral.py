@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import spectral_reference
 
 from qop import _eig, spectral
-from qop.errors import DomainError, PreconditionError, StructureError
+from qop.errors import DomainError, PreconditionError, ShapeError, StructureError
 from qop.generators import (ginibre, hermitian, near_normal, normal_with_spectrum,
                             partial_isometry, positive, random_unitary)
 from qop.linalg import QMatrix, _from_psi, embed_chi
@@ -346,6 +346,9 @@ def test_kernel_basis_dimensions():
     for v in ker:
         assert (t @ v).norm() <= 1e-10
     assert kernel_basis(QMatrix.identity(3)) == []
+    assert len(kernel_basis(ginibre(4, 3, seed=1))) == 0
+    with pytest.raises(ShapeError, match="^kernel extraction expects rows >= cols$"):
+        kernel_basis(ginibre(3, 4, seed=1))
 
 
 @pytest.mark.parametrize("rtol", [math.nan, math.inf, -math.inf, -1.0, 1.0])

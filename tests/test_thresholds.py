@@ -5,10 +5,14 @@ with eigenvalues d, and T_s = T(1, 0.5, s) has sigma_min / sigma_max = s.
 Each test puts one entry of d a factor of 10 on either side of where one
 cutoff decides and asserts literal results, reading no constant, so moving
 the cutoff 1e3-fold either way fails it.  The kernel-gap and Gram-Schmidt
-cutoffs decide only where a solver errs, and the pencil's real-root cutoff
-only where a root's imaginary part is of its size, so their tests feed the
-error in: a stubbed eigenvalue solve, and a basis given by hand.
+cutoffs decide only where a solver errs, and the pencil's real-root and
+bisection cutoffs only where a root's imaginary part, or a piece's bound,
+is of their size, so their tests feed the error in: a stubbed eigenvalue
+solve, and a basis given by hand.  The default tolerance is met by a margin
+built in closed form.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from qop import _eig, spectral
 from qop.errors import DomainError, StructureError
 from qop.generators import normal_with_spectrum, random_unitary
 from qop.linalg import QMatrix
-from qop.oracles import check_kernel_reduction, invert, is_paranormal
+from qop.oracles import check_kernel_reduction, invert, is_p_hyponormal, is_paranormal
 from qop.spectral import (eigh_q, kernel_basis, power_psd, spherical_eigenspace,
                           spherical_point_spectrum, spherical_spectrum)
 from qop.transforms import polar
@@ -117,3 +121,32 @@ def test_real_root_cutoff_lies_between_1e_6_and_1e_4(monkeypatch, solver_calls):
         monkeypatch.setattr(_eig, "eigvals", lambda m, roots=roots: roots)
         assert is_paranormal(QMatrix.identity(2)).value == value
         assert [shape for kind, shape in solver_calls if kind == "eigvalsh"][1] == (lams,)
+
+
+def test_pencil_bisection_cutoff_lies_between_1e_11_and_1e_9(monkeypatch):
+    # T = I, so the scale max(1, ||T||^4) is 1.  The pencil roots are stubbed
+    # as the double root r, so [0, r] is split at r / 2 into two pieces of
+    # width w = r / 2, and g is stubbed to -1 at every lam: a piece's bound
+    # then lies w^2 / 4 below the least g found.  At w^2 / 4 = 1e-11 no piece
+    # is split; at 1e-9 every piece is split twice, until w^2 / 4 = 6.25e-11
+    real = _eig.eigvalsh
+    for gap, solves in ((1e-11, [(3,)]), (1e-9, [(3,), (2,), (4,)])):
+        r, shapes = 4.0 * math.sqrt(gap), []
+        monkeypatch.setattr(_eig, "eigvals", lambda m, r=r: np.array([r, r], dtype=complex))
+        monkeypatch.setattr(_eig, "eigvalsh", lambda m: real(m) if m.ndim == 2 else
+                            shapes.append(m.shape[:-2]) or np.full(m.shape[:-1], -1.0))
+        assert is_paranormal(QMatrix.identity(2)).value == -1.0
+        assert shapes == solves
+
+
+def test_default_tolerance_lies_between_1e_9_and_1e_7():
+    # T = 10 (+) [[0, e], [0, 0]] has ||T||^2 = 100, the scale, and
+    # T*T - TT* = diag(0, -e^2, e^2): its margin at p = 1 is -e^2, which
+    # holds at 1e-9 of the scale and carries a witness at 1e-7
+    for rel, witnessed in ((1e-9, False), (1e-7, True)):
+        e = math.sqrt(rel * 100.0)
+        m = is_p_hyponormal(QMatrix.from_quaternions([[10.0, 0.0, 0.0], [0.0, 0.0, e],
+                                                      [0.0, 0.0, 0.0]]), 1.0)
+        assert m.details["scale"] == 100.0
+        assert m.value == pytest.approx(-rel * 100.0, rel=1e-12)
+        assert m.violated == witnessed
