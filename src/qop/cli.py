@@ -13,7 +13,6 @@ the harness, which would otherwise dominate a one-shot process.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -279,9 +278,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
-    except QopError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (QopError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -44,7 +44,10 @@ def _component_list(raw: Any, what: str) -> list[float]:
     for c in raw:
         if isinstance(c, bool) or not isinstance(c, (int, float)):
             raise StructureError(f"{what} component {c!r} is not a number")
-        c = float(c)
+        try:
+            c = float(c)
+        except OverflowError:  # an integer beyond float range
+            raise StructureError(f"{what} contains a component too large for a float") from None
         if not math.isfinite(c):
             raise StructureError(f"{what} contains a non-finite component")
         out.append(c)
@@ -90,7 +93,12 @@ def json_to_matrix(data: Any) -> QMatrix:
 
 def load_matrix(path: str) -> QMatrix:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh, parse_constant=_reject_constant)
+        try:
+            data = json.load(fh, parse_constant=_reject_constant)
+        except StructureError:
+            raise
+        except (ValueError, RecursionError) as exc:  # bad bytes, too many digits, deep nesting
+            raise StructureError(str(exc)) from None
     return json_to_matrix(data)
 
 

@@ -225,11 +225,26 @@ def test_nan_payload_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+_ONE_ENTRY = '{"rows": 1, "cols": 1, "entries": [[[%s, 0, 0, 0]]]}'
+# files that fail to decode, or to convert to floats: each is an input
+# error, never a traceback, whose exit code 1 would read as a violation
+_GARBAGE = {
+    "not json": b"{not json",
+    "10**400": (_ONE_ENTRY % ("1" + "0" * 400)).encode(),
+    "5001 digits": (_ONE_ENTRY % ("1" * 5001)).encode(),
+    "not utf-8": b"\xff\xfe",
+    "100000 nested arrays": b"[" * 100_000,
+}
+
+
 def test_garbage_json_exits_two(tmp_path, capsys):
     path = tmp_path / "garbage.json"
-    path.write_text("{not json")
-    assert main(["classify", str(path)]) == 2
-    capsys.readouterr()
+    for name, raw in _GARBAGE.items():
+        path.write_bytes(raw)
+        for command in ("classify", "spectrum"):
+            assert main([command, str(path)]) == 2, name
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (name, err)
 
 
 def test_gen_all_kinds_parse(capsys):

@@ -24,8 +24,8 @@ determinism = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(determinism)
 
 # the SVD-bound dim-64 collapse under 1, 2 and unset OpenBLAS threads, a
-# dim-4 verify with QOP_TOL unset and set, a fuzz that may exit 1, and a
-# generated input whose non-finite exponent must exit 2
+# dim-4 verify with QOP_TOL unset and set, a dim-4 fuzz, and a generated
+# input whose non-finite exponent must exit 2
 _SUBSET = {
     "threads": ("verify", "collapse", "--trials", "4", "--dim", "64", "--seed", "42"),
     "tol": ("verify", "furuta", "--trials", "20", "--seed", "7", "--dim", "4"),
@@ -38,6 +38,15 @@ _SUBSET = {
 def test_a_manifest_entry_prints_the_same_bytes_on_every_run(argv):
     (entry,) = [e for e in determinism.TABLE if e.argv == argv]
     assert determinism.check(entry)[1] == []
+
+
+def test_no_entry_accepts_the_exit_code_of_an_uncaught_exception(monkeypatch):
+    # Python exits 1 on a traceback, and two runs of a crash print the same
+    # empty stdout, so only the allowed exit codes tell a crash from a run
+    crash = subprocess.CompletedProcess([], 1, b"", b"Traceback (most recent call last):\n"
+                                        b"ModuleNotFoundError: No module named 'qop'\n")
+    monkeypatch.setattr(determinism, "_qop", lambda argv, env, cwd: crash)
+    assert [e for e in determinism.TABLE if not determinism.check(e)[1]] == []
 
 
 _IN_PROCESS = """

@@ -32,7 +32,30 @@ def test_rejects_nan_and_inf_literals(tmp_path):
     with pytest.raises(StructureError):
         load_matrix(str(path))
     path.write_text('{"rows": 1, "cols": 1, "entries": [[[Infinity, 0, 0, 0]]]}')
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="non-finite JSON constant 'Infinity' rejected"):
+        load_matrix(str(path))
+
+
+_ONE_ENTRY = '{"rows": 1, "cols": 1, "entries": [[[%s, 0, 0, 0]]]}'
+
+
+@pytest.mark.parametrize("raw, message", [
+    # a JSONDecodeError keeps its text
+    (b"{not json",
+     r"^Expecting property name enclosed in double quotes: line 1 column 2 \(char 1\)$"),
+    ((_ONE_ENTRY % ("1" + "0" * 400)).encode(),
+     "^matrix entry contains a component too large for a float$"),
+    # Python releases before the 4300-digit limit parse the integer, and
+    # then it overflows float
+    ((_ONE_ENTRY % ("1" * 5001)).encode(),
+     r"Exceeds the limit \(4300 digits\)|component too large for a float"),
+    (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 100_000, "maximum recursion depth exceeded"),
+], ids=["not json", "10**400", "5001 digits", "not utf-8", "100000 nested arrays"])
+def test_a_file_that_does_not_load_is_a_structure_error(tmp_path, raw, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    with pytest.raises(StructureError, match=message):
         load_matrix(str(path))
 
 
@@ -46,6 +69,9 @@ def test_rejects_nonnumeric_components():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(StructureError, match="quaternion contains a non-finite component"):
             json_to_quaternion([1.0, bad, 0.0, 0.0])
+    for big in (10**400, -(10**400)):
+        with pytest.raises(StructureError, match="quaternion contains a component too large"):
+            json_to_quaternion([1.0, 0.0, big, 0.0])
 
 
 def test_rejects_shape_mismatch():

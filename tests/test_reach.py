@@ -2,6 +2,7 @@
 never runs the suite under the tool."""
 
 import importlib.util
+import os
 import runpy
 import sys
 from pathlib import Path
@@ -40,3 +41,31 @@ def test_a_module_counts_its_run_lines_less_headers_and_the_line_zero_entry(tmp_
     assert sys.gettrace() is before
     assert list(reached) == [path.resolve()]
     assert reach.executable_lines(path) - reached[path.resolve()] == {7}
+
+
+def test_the_run_is_tier1_with_its_15_slowest_tests_then_help(monkeypatch):
+    calls = []
+    monkeypatch.setattr(reach.pytest, "main", lambda args: calls.append(args) or 3)
+    monkeypatch.setattr(reach.runpy, "run_module", lambda *args, **kwargs: calls.append(sys.argv))
+    argv = sys.argv
+    assert reach._tier1_then_help() == 3
+    assert calls == [["-q", "--continue-on-collection-errors", "--durations=15", "tests"],
+                     ["qop", "--help"]]
+    assert sys.argv is argv
+
+
+def test_the_tests_subprocesses_import_the_traced_tree(monkeypatch, capsys):
+    # a child process inherits PYTHONPATH, not sys.path
+    monkeypatch.chdir(os.getcwd())
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(reach, "traced", lambda root, run: (0, {}))
+    src = str(reach.ROOT / "src")
+    for before, after in ((None, [src]), ("elsewhere", [src, "elsewhere"])):
+        if before is None:
+            monkeypatch.delenv("PYTHONPATH", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONPATH", before)
+        assert reach.main() == 0
+        assert os.environ["PYTHONPATH"].split(os.pathsep) == after
+        assert sys.path[0] == src
+    capsys.readouterr()

@@ -11,10 +11,13 @@ tests call) and the line-0 entry of module code.  It prints the ``src/qop``
 line count, executable count and unreached count, in total and per module,
 then each unreached ``file:line: text``, and exits with pytest's exit code:
 
-    PYTHONPATH=src python tools/reach.py
+    python tools/reach.py
 
-It takes no options, imports nothing beyond the standard library and
-pytest, and sets no bound on the unreached count.
+pytest runs with ``-q --continue-on-collection-errors --durations=15``, so
+the 15 slowest tests print before the counts.  ``src`` goes first on
+``sys.path`` and on ``PYTHONPATH``, so the tests' subprocesses run the
+traced tree too.  It takes no options, imports nothing beyond the standard
+library and pytest, and sets no bound on the unreached count.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ def traced(root: Path, run: Callable[[], Any]) -> tuple[Any, dict[Path, set[int]
 
 
 def _tier1_then_help() -> int:
-    code = pytest.main(["-q", "--continue-on-collection-errors", "tests"])
+    code = pytest.main(["-q", "--continue-on-collection-errors", "--durations=15", "tests"])
     argv, sys.argv = sys.argv, ["qop", "--help"]
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
@@ -103,7 +106,9 @@ def _tier1_then_help() -> int:
 
 def main() -> int:
     os.chdir(ROOT)
-    sys.path.insert(0, str(ROOT / "src"))
+    src = str(ROOT / "src")
+    sys.path.insert(0, src)
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code, reached = traced(SRC, _tier1_then_help)
     rows, missed = [], []
     for path in sorted(SRC.glob("*.py")):
